@@ -28,7 +28,17 @@ from .tables import (
 def _parse_palette(text: str) -> list[int] | None:
     if text == "auto":
         return None
-    return [int(x) for x in text.split(",")]
+    try:
+        return [int(x) for x in text.split(",")]
+    except ValueError:
+        raise UsageError(f"palette is not 'auto' or comma-separated ints: {text!r}") from None
+
+
+def _load_doc(path: str) -> dict:
+    try:
+        return json.loads(Path(path).read_text())
+    except ValueError as exc:
+        raise UsageError(f"{path} is not a JSON document: {exc}") from None
 
 
 def _write(out_dir: Path, name: str, content: str) -> str:
@@ -102,13 +112,12 @@ def cmd_build(args, out_dir: Path) -> tuple[int, str, list[str]]:
             f"{'OK' if ok else 'FAILED: ' + json.dumps([dict(v) for v in cert.violations])}"
         )
     stem = _param_stem(args.family, inst.params)
-    emit = args.emit or ("dot" if args.emit_default == "dot" else "json")
     outputs = []
-    if emit in ("json", "both"):
+    if args.emit in ("json", "both"):
         outputs.append(
             _write(out_dir, stem + ".json", io.dumps(io.graph_to_doc(g, f, inst, cert)))
         )
-    if emit in ("dot", "both"):
+    if args.emit in ("dot", "both"):
         outputs.append(_write(out_dir, stem + ".dot", io.graph_to_dot(g, f)))
     return code, outcome, outputs
 
@@ -135,31 +144,33 @@ def cmd_sweep(args, out_dir: Path) -> tuple[int, str, list[str]]:
         grid_kwargs["gn_max_n"] = args.gn_max_n
 
     all_records = []
-    failures = 0
     for family in families:
         records = sweep_family(family, **grid_kwargs)
         counts = {
             status: sum(1 for r in records if r["status"] == status)
-            for status in ("pass", "fail", "excluded")
+            for status in ("pass", "fail", "error", "excluded")
         }
         print(
             f"{family}: {counts['pass']} pass, {counts['fail']} fail, "
-            f"{counts['excluded']} excluded"
+            f"{counts['error']} error, {counts['excluded']} excluded"
         )
         for rec in records:
-            if rec["status"] == "fail":
-                failures += 1
-                print(f"  FAIL {rec['params']}: {rec['reason']}")
+            if rec["status"] in ("fail", "error"):
+                print(f"  {rec['status'].upper()} {rec['params']}: {rec['reason']}")
         all_records.extend(records)
 
     report_name = args.report or "sweep_report.json"
     outputs = [_write(out_dir, report_name, io.dumps({"records": all_records}))]
-    return (1 if failures else 0), ("fail" if failures else "pass"), outputs
+    statuses = {rec["status"] for rec in all_records}
+    if "fail" in statuses:
+        return 1, "fail", outputs
+    if "error" in statuses:
+        return 2, "error", outputs
+    return 0, "pass", outputs
 
 
 def cmd_solve(args, out_dir: Path) -> tuple[int, str, list[str]]:
-    doc = json.loads(Path(args.input).read_text())
-    g, f = io.doc_to_graph(doc)
+    g, f = io.doc_to_graph(_load_doc(args.input))
     cfg = SearchConfig(
         max_edges=args.max_edges,
         target_colors=args.target,
@@ -174,11 +185,11 @@ def cmd_solve(args, out_dir: Path) -> tuple[int, str, list[str]]:
     }
     print(f"chi_la = {result.chi_la} ({result.status}, {result.nodes} nodes)")
     outputs = [_write(out_dir, Path(args.input).stem + "_solve.json", io.dumps(summary))]
-    return 0, result.status, outputs
+    return (2 if result.status == "infeasible_size" else 0), result.status, outputs
 
 
 def cmd_certify(args, out_dir: Path) -> tuple[int, str, list[str]]:
-    doc = json.loads(Path(args.input).read_text())
+    doc = _load_doc(args.input)
     g, f = io.doc_to_graph(doc)
     expected = None
     if args.expect_palette == "auto":
@@ -207,9 +218,6 @@ def make_parser() -> argparse.ArgumentParser:
         description="Construct, certify and solve local antimagic 3-colorings",
     )
     parser.add_argument("--out", default="out", help="output directory (manifest lives here)")
-    parser.add_argument("--seed", type=int, default=0, help="tie-break seed (reserved)")
-    parser.add_argument("--format", dest="emit_default", default="json",
-                        choices=["json", "dot", "csv"], help="default emission format")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("table", help="emit one label matrix as CSV")
@@ -226,8 +234,8 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--r1", type=int)
     p.add_argument("--indices", help="comma-separated split indices (gn/gb)")
     p.add_argument("--base", choices=["tb", "gn"], help="gb base graph")
-    p.add_argument("--emit", choices=["json", "dot", "both"],
-                   help="override the global --format for this build")
+    p.add_argument("--emit", choices=["json", "dot", "both"], default="json",
+                   help="files to write (default: json)")
     p.add_argument("--certify", action="store_true")
     p.add_argument("--expect-palette", default="auto",
                    help="'auto' or comma-separated color values")
@@ -276,14 +284,12 @@ def main(argv: list[str] | None = None) -> int:
     out_dir = Path(args.out)
 
     input_hashes = {}
-    if getattr(args, "input", None):
-        try:
-            input_hashes[args.input] = io.sha256_file(args.input)
-        except OSError as exc:
-            print(f"error: cannot read {args.input}: {exc}", file=sys.stderr)
-            return 2
-
     try:
+        if getattr(args, "input", None):
+            try:
+                input_hashes[args.input] = io.sha256_file(args.input)
+            except OSError as exc:
+                raise UsageError(f"cannot read {args.input}: {exc}") from None
         code, outcome, outputs = _HANDLERS[args.command](args, out_dir)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -15,7 +15,9 @@ exactly three induced colors equal to the closed forms.
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Iterable, Sequence
 
 from .errors import (
@@ -25,8 +27,11 @@ from .errors import (
     InvalidParams,
     InvalidParity,
     InvariantError,
+    MergeWouldCreateLoop,
+    MergeWouldCreateParallelEdge,
     NoValidPartition,
     PaletteCollision,
+    UsageError,
 )
 from .graph import (
     EdgeLabeling,
@@ -34,15 +39,13 @@ from .graph import (
     V,
     VertexId,
     certify,
-    degree_census,
     edge,
     induce_coloring,
     merge_vertices,
-    split_vertex,
     split_vertices,
 )
 from .partition import ApSpec, partition_ap
-from .tables import table_m1, table_m3
+from .tables import _odd_factorizations, table_m1, table_m3, table_pt, trace_sequences
 
 FAMILY_TAGS = (
     "fb", "tfb", "df", "fb1", "fb2", "df1", "df2", "df3",
@@ -53,12 +56,11 @@ FAMILY_TAGS = (
 
 @dataclass(frozen=True)
 class FamilyInstance:
-    """Family tag, validated parameters, and the provenance of the claims."""
+    """Family tag, validated parameters, and the claims to certify."""
 
     family: str
     params: dict
     expected_palette: tuple[int, ...]
-    palette_provenance: dict[str, int]
     expected_census: dict[int, int]
     partition_record: tuple[tuple[str, ...], ...] | None = None
     expected_component_orders: tuple[int, ...] | None = None
@@ -67,11 +69,12 @@ class FamilyInstance:
 BuildResult = tuple[Graph, EdgeLabeling, FamilyInstance]
 
 
-def _palette(**forms: int) -> tuple[tuple[int, ...], dict[str, int]]:
+def _palette(**forms: int) -> tuple[int, ...]:
+    """The sorted palette; the names of the closed forms serve the error."""
     values = list(forms.values())
     if len(set(values)) != len(values):
         raise PaletteCollision(f"closed-form colors coincide: {forms}")
-    return tuple(sorted(values)), dict(forms)
+    return tuple(sorted(values))
 
 
 def _census(*pairs: tuple[int, int]) -> dict[int, int]:
@@ -118,13 +121,13 @@ def build_fb(n: int) -> BuildResult:
     block = [{V("x", i) for i in range(1, n + 1)}]
     g, emap = merge_vertices(g, block, [V("x")])
     f = f.remapped(emap)
-    palette, prov = _palette(**{
+    palette = _palette(**{
         "9k+6": 9 * k + 6,
         "10k+6": 10 * k + 6,
         "(7k+4)(6k+3)": (7 * k + 4) * (6 * k + 3),
     })
     inst = FamilyInstance(
-        "fb", {"n": n, "k": k}, palette, prov,
+        "fb", {"n": n, "k": k}, palette,
         _census((2, 2 * n), (3, n), (3 * n, 1)),
     )
     return g, f, inst
@@ -148,13 +151,13 @@ def build_tfb(t: int, s: int) -> BuildResult:
     g, emap = merge_vertices(g, blocks, new_ids)
     f = f.remapped(emap)
 
-    palette, prov = _palette(**{
+    palette = _palette(**{
         "9k+6": 9 * k + 6,
         "10k+6": 10 * k + 6,
         "s(21k+12)": s * (21 * k + 12),
     })
     inst = FamilyInstance(
-        "tfb", {"t": t, "s": s, "k": k}, palette, prov,
+        "tfb", {"t": t, "s": s, "k": k}, palette,
         _census((2, 2 * t * s), (3, t * s), (3 * s, t)),
         partition_record=_record(blocks),
         expected_component_orders=tuple([3 * s + 1] * t),
@@ -202,13 +205,13 @@ def build_df(r: int, s: int) -> BuildResult:
     g, emap = merge_vertices(g, blocks, new_ids)
     f = f.remapped(emap)
 
-    palette, prov = _palette(**{
+    palette = _palette(**{
         "10k+6": 10 * k + 6,
         "9k+6": 9 * k + 6,
         "s(21k+12)": s * (21 * k + 12),
     })
     inst = FamilyInstance(
-        "df", {"r": r, "s": s, "k": k}, palette, prov,
+        "df", {"r": r, "s": s, "k": k}, palette,
         _census((2, (4 * r + 2) * s), (3, (2 * r + 1) * s), (3 * s, 2 * r + 1)),
         expected_component_orders=tuple(sorted([6 * s + 2] * r + [3 * s + 1])),
     )
@@ -221,7 +224,8 @@ def _component_columns(inst: FamilyInstance, t: int) -> list[list[int]]:
     for block in inst.partition_record:
         cols = sorted(int(name.split("_")[1]) for name in block)
         out.append(cols)
-    assert len(out) == t
+    if len(out) != t:
+        raise InvariantError(f"hub record has {len(out)} components, expected {t}")
     return out
 
 
@@ -256,21 +260,21 @@ def build_fb_merged(variant: int, r: int, s: int) -> BuildResult:
     f = f.remapped(emap)
 
     if variant == 1:
-        palette, prov = _palette(**{
+        palette = _palette(**{
             "9k+6": 9 * k + 6,
             "r(10k+6)": r * (10 * k + 6),
             "s(21k+12)": s * (21 * k + 12),
         })
         census = _census((3, r * s), (2 * r, 2 * s), (3 * s, r))
     else:
-        palette, prov = _palette(**{
+        palette = _palette(**{
             "10k+6": 10 * k + 6,
             "r(9k+6)": r * (9 * k + 6),
             "s(21k+12)": s * (21 * k + 12),
         })
         census = _census((2, 2 * r * s), (3 * r, s), (3 * s, r))
     inst = FamilyInstance(
-        f"fb{variant}", {"r": r, "s": s, "k": k}, palette, prov, census,
+        f"fb{variant}", {"r": r, "s": s, "k": k}, palette, census,
         partition_record=_record(blocks),
     )
     return g, f, inst
@@ -315,7 +319,7 @@ def build_df_merged(variant: int, r: int, s: int, r1: int | None = None) -> Buil
                 block |= {z_side[b], y_side[b]}
             blocks.append(block)
             new_ids.append(V("m", b + 1))
-        palette, prov = _palette(**{
+        palette = _palette(**{
             "9k+6": 9 * k + 6,
             "(2r+1)(10k+6)": (2 * r + 1) * (10 * k + 6),
             "s(21k+12)": s * (21 * k + 12),
@@ -335,7 +339,7 @@ def build_df_merged(variant: int, r: int, s: int, r1: int | None = None) -> Buil
                 block |= {y_side[b], z_side[b]}
             blocks.append(block)
             new_ids.append(V("m", b + 1))
-        palette, prov = _palette(**{
+        palette = _palette(**{
             "10k+6": 10 * k + 6,
             "(2r+1)(9k+6)": (2 * r + 1) * (9 * k + 6),
             "s(21k+12)": s * (21 * k + 12),
@@ -355,7 +359,7 @@ def build_df_merged(variant: int, r: int, s: int, r1: int | None = None) -> Buil
         for c in range(r1):
             blocks.append(set(hubs[c * r2: (c + 1) * r2]))
             new_ids.append(V("m", c + 1))
-        palette, prov = _palette(**{
+        palette = _palette(**{
             "10k+6": 10 * k + 6,
             "9k+6": 9 * k + 6,
             "r2*s(21k+12)": r2 * s * (21 * k + 12),
@@ -371,7 +375,7 @@ def build_df_merged(variant: int, r: int, s: int, r1: int | None = None) -> Buil
         params["r1"] = r1
         params["r2"] = (2 * r + 1) // r1
     inst = FamilyInstance(
-        f"df{variant}", params, palette, prov, census,
+        f"df{variant}", params, palette, census,
         partition_record=_record(blocks),
     )
     return g, f, inst
@@ -382,56 +386,6 @@ def build_df_merged(variant: int, r: int, s: int, r1: int | None = None) -> Buil
 # ---------------------------------------------------------------------------
 
 
-def pt_label_arrays(k: int) -> tuple[list[int], list[int], list[int]]:
-    """Closed-form labels for the peanut rails and rungs, 1-based.
-
-    Returns ``(p1, p2, rungs)`` where ``p1[m]`` labels the m-th edge of the
-    u-rail, ``p2[m]`` the m-th edge of the v-rail (m = 1..4k+2, edge 1 leaving
-    the first cap), and ``rungs[j]`` labels the j-th rung (j = 1..2k+1).
-    Even k fills k/2 eight-edge rounds; odd k stops the last round after the
-    first half, which lands the rails on the four-term tail values.
-    """
-    p1 = [0] * (4 * k + 3)
-    p2 = [0] * (4 * k + 3)
-    rungs = [0] * (2 * k + 2)
-
-    p1[1], p1[2] = 3 * k + 2, 2 * k + 1
-    p2[1], p2[2] = 7 * k + 4, 10 * k + 5
-    rungs[1] = 4 * k + 3
-
-    if k % 2 == 0:
-        first_half = last_half = range(1, k // 2 + 1)
-    else:
-        first_half = range(1, (k + 1) // 2 + 1)
-        last_half = range(1, (k + 1) // 2)
-
-    for i in first_half:
-        p1[8 * i - 5] = 8 * k + 3 + 2 * i
-        p1[8 * i - 4] = 8 * k + 5 - i
-        p1[8 * i - 3] = 2 * k + 1 + i
-        p1[8 * i - 2] = 2 * k + 2 - 2 * i
-        p2[8 * i - 5] = 2 * i - 1
-        p2[8 * i - 4] = 4 * k + 3 - i
-        p2[8 * i - 3] = 6 * k + 3 + i
-        p2[8 * i - 2] = 10 * k + 6 - 2 * i
-        rungs[4 * i - 2] = 5 * k + 4 - i
-        rungs[4 * i - 1] = 5 * k + 3 + i
-    for i in last_half:
-        p1[8 * i - 1] = 8 * k + 4 + 2 * i
-        p1[8 * i] = 7 * k + 4 - i
-        p1[8 * i + 1] = 3 * k + 2 + i
-        p1[8 * i + 2] = 2 * k + 1 - 2 * i
-        p2[8 * i - 1] = 2 * i
-        p2[8 * i] = 3 * k + 2 - i
-        p2[8 * i + 1] = 7 * k + 4 + i
-        p2[8 * i + 2] = 10 * k + 5 - 2 * i
-        rungs[4 * i] = 6 * k + 4 - i
-        rungs[4 * i + 1] = 4 * k + 3 + i
-
-    assert all(p1[1:]) and all(p2[1:]) and all(rungs[1:])
-    return p1, p2, rungs
-
-
 def build_pt(n: int) -> BuildResult:
     """Peanut graph: two 3-cycles and n 6-cycles on two rails plus rungs."""
     if n < 2 or n % 2:
@@ -439,7 +393,8 @@ def build_pt(n: int) -> BuildResult:
             f"peanut builder needs even n >= 2 (odd n is open), got {n}"
         )
     k = n // 2
-    p1, p2, rungs = pt_label_arrays(k)
+    t = table_pt(k)
+    tr = trace_sequences(t)
 
     x, y = V("x"), V("y")
     us = [V("u", i) for i in range(1, 4 * k + 2)]
@@ -449,20 +404,20 @@ def build_pt(n: int) -> BuildResult:
 
     labels: dict = {}
     for m in range(1, 4 * k + 3):
-        labels[edge(rail1[m - 1], rail1[m])] = p1[m]
-        labels[edge(rail2[m - 1], rail2[m])] = p2[m]
-    for j in range(1, 2 * k + 2):
-        labels[edge(V("u", 2 * j - 1), V("v", 2 * j - 1))] = rungs[j]
+        labels[edge(rail1[m - 1], rail1[m])] = tr.s1[m - 1]
+        labels[edge(rail2[m - 1], rail2[m])] = tr.s2[m - 1]
+    for j, col in enumerate(tr.r3_columns, start=1):
+        labels[edge(V("u", 2 * j - 1), V("v", 2 * j - 1))] = t.entry("R3", col)
 
     g = Graph([x, y] + us + vs, labels.keys())
     f = EdgeLabeling.from_dict(labels)
-    palette, prov = _palette(**{
+    palette = _palette(**{
         "10k+6": 10 * k + 6,
         "9k+6": 9 * k + 6,
         "21k+12": 21 * k + 12,
     })
     inst = FamilyInstance(
-        "pt", {"n": n, "k": k}, palette, prov,
+        "pt", {"n": n, "k": k}, palette,
         _census((2, 2 * n + 2), (3, 2 * n + 2)),
     )
     return g, f, inst
@@ -479,13 +434,13 @@ def build_tb(n: int) -> BuildResult:
         new_ids.append(V("z", 2 * i))
     g, emap = merge_vertices(g, blocks, new_ids)
     f = f.remapped(emap)
-    palette, prov = _palette(**{
+    palette = _palette(**{
         "9k+6": 9 * k + 6,
         "21k+12": 21 * k + 12,
         "20k+12": 20 * k + 12,
     })
     inst = FamilyInstance(
-        "tb", {"n": n, "k": k}, palette, prov,
+        "tb", {"n": n, "k": k}, palette,
         _census((3, 2 * n + 2), (4, n + 1)),
     )
     return g, f, inst
@@ -505,23 +460,10 @@ def _no_conflict_partition(
 ) -> list[list[VertexId]]:
     """Partition ``items`` into r equal blocks whose members are pairwise
     non-adjacent and share no neighbors, by first-fit with backtracking."""
-    if r < 1 or len(items) % r:
-        raise NoValidPartition(f"{len(items)} vertices do not split into {r} blocks")
     s = len(items) // r
 
     def clashes(a: VertexId, b: VertexId) -> bool:
         return b in g.neighbors(a) or bool(g.neighbors(a) & g.neighbors(b))
-
-    # items arrive in cycle order and conflicts are local, so a stride-r
-    # round-robin almost always works; verify it against the real graph
-    round_robin = [list(items[b::r]) for b in range(r)]
-    if all(
-        not clashes(a, b)
-        for blk in round_robin
-        for i, a in enumerate(blk)
-        for b in blk[i + 1:]
-    ):
-        return round_robin
 
     blocks: list[list[VertexId]] = [[] for _ in range(r)]
     nodes = 0
@@ -557,25 +499,45 @@ def _no_conflict_partition(
     return blocks
 
 
-def _class_partition(
+def _merge_class(
     g: Graph,
+    f: EdgeLabeling,
     items: Sequence[VertexId],
     r: int,
     block_assignment: Sequence[Iterable[VertexId]] | None,
-) -> list[list[VertexId]]:
-    if block_assignment is None:
-        return _no_conflict_partition(g, items, r)
-    blocks = [list(b) for b in block_assignment]
-    flat = [v for b in blocks for v in b]
-    if (
-        len(blocks) != r
-        or len(set(len(b) for b in blocks)) != 1
-        or sorted(flat) != sorted(items)
-    ):
-        raise NoValidPartition(
-            "explicit block assignment is not an equal-size partition of the class"
-        )
-    return blocks
+) -> tuple[Graph, EdgeLabeling, list[list[VertexId]]]:
+    """Merge the color class ``items`` into r equal blocks ``m_1..m_r``.
+
+    Without an explicit assignment the stride-r round-robin is merged first:
+    items arrive in cycle order and conflicts are local, so it almost always
+    works.  The class is independent, so the merge rejects it exactly when
+    two block members share a neighbor; the backtracking search then finds
+    blocks without common neighbors.
+    """
+    new_ids = [V("m", b + 1) for b in range(r)]
+    if block_assignment is not None:
+        blocks = [list(b) for b in block_assignment]
+        flat = [v for b in blocks for v in b]
+        if (
+            len(blocks) != r
+            or len(set(len(b) for b in blocks)) != 1
+            or sorted(flat) != sorted(items)
+        ):
+            raise NoValidPartition(
+                "explicit block assignment is not an equal-size partition of the class"
+            )
+    else:
+        if r < 1 or len(items) % r:
+            raise NoValidPartition(f"{len(items)} vertices do not split into {r} blocks")
+        blocks = [list(items[b::r]) for b in range(r)]
+        try:
+            merged, emap = merge_vertices(g, blocks, new_ids)
+        except (MergeWouldCreateLoop, MergeWouldCreateParallelEdge):
+            blocks = _no_conflict_partition(g, items, r)
+        else:
+            return merged, f.remapped(emap), blocks
+    g, emap = merge_vertices(g, blocks, new_ids)
+    return g, f.remapped(emap), blocks
 
 
 def build_pt_tb_merged(
@@ -608,7 +570,8 @@ def build_pt_tb_merged(
         for j in range(1, n + 2):
             u, v = V("u", 2 * j - 1), V("v", 2 * j - 1)
             out.append(u if coloring.colors[u] == color else v)
-            assert coloring.colors[out[-1]] == color
+            if coloring.colors[out[-1]] != color:
+                raise InvariantError(f"rung {j} has no endpoint of color {color}")
         return out
 
     if base == "pt" and variant in (1, 2):
@@ -647,10 +610,7 @@ def build_pt_tb_merged(
                 f"need odd r, (n+1)/r both >= 3, got r={r}, n={n}"
             )
 
-    blocks = _class_partition(g, items, r, block_assignment)
-    new_ids = [V("m", b + 1) for b in range(r)]
-    g, emap = merge_vertices(g, blocks, new_ids)
-    f = f.remapped(emap)
+    g, f, blocks = _merge_class(g, f, items, r, block_assignment)
 
     forms: dict[str, int]
     if base == "pt" and variant == 1:
@@ -671,10 +631,10 @@ def build_pt_tb_merged(
     else:
         forms = {"s(20k+12)": s * (20 * k + 12), "9k+6": 9 * k + 6, "21k+12": 21 * k + 12}
         census = _census((3, 2 * n + 2), (4 * s, r))
-    palette, prov = _palette(**forms)
+    palette = _palette(**forms)
 
     inst = FamilyInstance(
-        f"{base}{variant}", {"n": n, "k": k, "r": r, "s": s}, palette, prov, census,
+        f"{base}{variant}", {"n": n, "k": k, "r": r, "s": s}, palette, census,
         partition_record=_record(blocks),
     )
     return g, f, inst
@@ -718,36 +678,36 @@ def build_gn(n: int, indices: Sequence[int]) -> BuildResult:
     g, f, base = build_tb(n)
     k = base.params["k"]
 
-    def split_z(m: int) -> None:
-        nonlocal g, f
-        z = V("z", m)
-        lower = [edge(z, V("u", m - 1)), edge(z, V("v", m - 1))]
-        upper = [edge(z, V("u", m + 1)), edge(z, V("v", m + 1))]
-        g, emap = split_vertex(g, z, lower, upper, V("z1", m), V("z2", m))
-        f = f.remapped(emap)
-
+    # the split vertices are distinct and pairwise non-adjacent, so one
+    # simultaneous split equals splitting them one at a time
+    splits = []
     blocks: list[set[VertexId]] = []
     new_ids: list[VertexId] = []
     for ia in indices:
         lo, hi = 8 * ia - 2, 16 * ia - 4
-        split_z(lo)
-        split_z(hi)
+        for m in (lo, hi):
+            z = V("z", m)
+            lower = [edge(z, V("u", m - 1)), edge(z, V("v", m - 1))]
+            upper = [edge(z, V("u", m + 1)), edge(z, V("v", m + 1))]
+            splits.append((z, lower, upper, V("z1", m), V("z2", m)))
         blocks.append({V("z1", lo), V("z2", hi)})
         new_ids.append(V("z", lo))
         blocks.append({V("z2", lo), V("z1", hi)})
         new_ids.append(V("z", hi))
+    g, emap = split_vertices(g, splits)
+    f = f.remapped(emap)
     g, emap = merge_vertices(g, blocks, new_ids)
     f = f.remapped(emap)
 
     s = n - sum(4 * ia - 1 for ia in indices)
-    palette, prov = _palette(**{
+    palette = _palette(**{
         "9k+6": 9 * k + 6,
         "21k+12": 21 * k + 12,
         "20k+12": 20 * k + 12,
     })
     orders = sorted([3 * (s + 1)] + [3 * (4 * ia - 1) for ia in indices])
     inst = FamilyInstance(
-        "gn", {"n": n, "k": k, "indices": indices, "s": s}, palette, prov,
+        "gn", {"n": n, "k": k, "indices": indices, "s": s}, palette,
         _census((3, 2 * n + 2), (4, n + 1)),
         expected_component_orders=tuple(orders),
     )
@@ -779,12 +739,9 @@ def build_gb(
     k = base_inst.params["k"]
 
     hubs = sorted(v for v in g.vertices if g.degree(v) == 4)
-    blocks = _class_partition(g, hubs, r, block_assignment)
-    new_ids = [V("m", b + 1) for b in range(r)]
-    g, emap = merge_vertices(g, blocks, new_ids)
-    f = f.remapped(emap)
+    g, f, blocks = _merge_class(g, f, hubs, r, block_assignment)
 
-    palette, prov = _palette(**{
+    palette = _palette(**{
         "9k+6": 9 * k + 6,
         "21k+12": 21 * k + 12,
         "s(20k+12)": s * (20 * k + 12),
@@ -793,7 +750,7 @@ def build_gb(
     if indices:
         params["indices"] = tuple(indices)
     inst = FamilyInstance(
-        "gb", params, palette, prov,
+        "gb", params, palette,
         _census((3, 2 * n + 2), (4 * s, r)),
         partition_record=_record(blocks),
     )
@@ -833,13 +790,13 @@ def build_np3_o3(n: int) -> BuildResult:
     g, emap = merge_vertices(g, blocks, [V("x", a) for a in (1, 2, 3)])
     f = f.remapped(emap)
 
-    palette, prov = _palette(**{
+    palette = _palette(**{
         "25k+15": 25 * k + 15,
         "50k+27": 50 * k + 27,
         "(2k+1)(39k+21)": (2 * k + 1) * (39 * k + 21),
     })
     inst = FamilyInstance(
-        "np3o3", {"n": n, "k": k}, palette, prov,
+        "np3o3", {"n": n, "k": k}, palette,
         _census((4, 2 * n), (5, n), (3 * n, 3)),
     )
     return g, f, inst
@@ -853,19 +810,19 @@ _BUILDERS: dict[str, Callable[..., BuildResult]] = {
     "fb": build_fb,
     "tfb": build_tfb,
     "df": build_df,
-    "fb1": lambda **p: build_fb_merged(1, **p),
-    "fb2": lambda **p: build_fb_merged(2, **p),
-    "df1": lambda **p: build_df_merged(1, **p),
-    "df2": lambda **p: build_df_merged(2, **p),
-    "df3": lambda **p: build_df_merged(3, **p),
+    "fb1": partial(build_fb_merged, 1),
+    "fb2": partial(build_fb_merged, 2),
+    "df1": partial(build_df_merged, 1),
+    "df2": partial(build_df_merged, 2),
+    "df3": partial(build_df_merged, 3),
     "pt": build_pt,
     "tb": build_tb,
-    "pt1": lambda **p: build_pt_tb_merged("pt", 1, **p),
-    "pt2": lambda **p: build_pt_tb_merged("pt", 2, **p),
-    "pt3": lambda **p: build_pt_tb_merged("pt", 3, **p),
-    "tb1": lambda **p: build_pt_tb_merged("tb", 1, **p),
-    "tb2": lambda **p: build_pt_tb_merged("tb", 2, **p),
-    "tb3": lambda **p: build_pt_tb_merged("tb", 3, **p),
+    "pt1": partial(build_pt_tb_merged, "pt", 1),
+    "pt2": partial(build_pt_tb_merged, "pt", 2),
+    "pt3": partial(build_pt_tb_merged, "pt", 3),
+    "tb1": partial(build_pt_tb_merged, "tb", 1),
+    "tb2": partial(build_pt_tb_merged, "tb", 2),
+    "tb3": partial(build_pt_tb_merged, "tb", 3),
     "gn": build_gn,
     "gb": build_gb,
     "np3o3": build_np3_o3,
@@ -877,10 +834,13 @@ def build_family(family: str, **params) -> BuildResult:
         builder = _BUILDERS[family]
     except KeyError:
         raise InvalidParams(f"unknown family {family!r}; known: {FAMILY_TAGS}") from None
+    # only a binding failure is a usage error; a TypeError raised inside a
+    # builder is a bug and propagates unchanged
     try:
-        return builder(**params)
+        inspect.signature(builder).bind(**params)
     except TypeError as exc:
         raise InvalidParams(f"bad parameters for {family}: {exc}") from None
+    return builder(**params)
 
 
 def verify_instance(g: Graph, f: EdgeLabeling, inst: FamilyInstance):
@@ -905,7 +865,7 @@ def verify_instance(g: Graph, f: EdgeLabeling, inst: FamilyInstance):
         )
     if not cert.has_triangle:
         problems.append("no triangle: 3-color lower bound does not apply")
-    actual_census = degree_census(g)
+    actual_census = {d: count for d, (count, _) in cert.degree_census.items()}
     if actual_census != inst.expected_census:
         problems.append(
             f"degree census {actual_census} != expected {inst.expected_census}"
@@ -921,12 +881,6 @@ def verify_instance(g: Graph, f: EdgeLabeling, inst: FamilyInstance):
             f"{inst.family}{inst.params} failed: " + "; ".join(problems)
         )
     return cert
-
-
-def _odd_divisor_pairs(n: int, lo: int):
-    for r in range(lo, n + 1):
-        if n % r == 0:
-            yield r, n // r
 
 
 def family_grid(
@@ -972,7 +926,7 @@ def family_grid(
     elif family == "df3":
         for r in range(4, (max_size - 1) // 2 + 1):
             hubs = 2 * r + 1
-            for r1, r2 in _odd_divisor_pairs(hubs, 3):
+            for r1, r2 in _odd_factorizations(hubs, 3):
                 if r2 < 3:
                     continue
                 for s in range(1, max_size // hubs + 1, 2):
@@ -981,7 +935,7 @@ def family_grid(
         out = [({"n": n}, None) for n in range(2, max_n + 1, 2)]
     elif family in ("pt1", "pt2"):
         for n in range(2, max_n + 1, 2):
-            for r, s in _odd_divisor_pairs(n + 1, 1):
+            for r, s in _odd_factorizations(n + 1, 1):
                 if s >= 3:
                     out.append(({"n": n, "r": r}, None))
     elif family == "pt3":
@@ -991,12 +945,12 @@ def family_grid(
                     out.append(({"n": n, "r": r}, None))
     elif family in ("tb1", "tb2", "tb3"):
         for n in range(8 if family == "tb3" else 2, max_n + 1, 2):
-            for r, s in _odd_divisor_pairs(n + 1, 3):
+            for r, s in _odd_factorizations(n + 1, 3):
                 if s >= 3:
                     out.append(({"n": n, "r": r}, None))
     elif family == "gb":
         for n in range(8, max_n + 1, 2):
-            for r, s in _odd_divisor_pairs(n + 1, 3):
+            for r, s in _odd_factorizations(n + 1, 3):
                 if s >= 3:
                     out.append(({"n": n, "r": r, "s": s}, None))
     elif family == "gn":
@@ -1011,7 +965,11 @@ def family_grid(
 
 
 def sweep_family(family: str, **grid_kwargs) -> list[dict]:
-    """Build and verify one family's whole grid; one record per instance."""
+    """Build and verify one family's whole grid; one record per instance.
+
+    A point that fails its certificate is recorded as ``fail``, one whose
+    build raises a usage error as ``error``; either way the sweep goes on.
+    """
     records = []
     for params, excluded in family_grid(family, **grid_kwargs):
         rec = {"family": family, "params": params}
@@ -1028,6 +986,9 @@ def sweep_family(family: str, **grid_kwargs) -> list[dict]:
                 rec["size"] = len(g.edges)
             except InvariantError as exc:
                 rec["status"] = "fail"
+                rec["reason"] = str(exc)
+            except UsageError as exc:
+                rec["status"] = "error"
                 rec["reason"] = str(exc)
         records.append(rec)
     return records

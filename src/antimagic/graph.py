@@ -100,9 +100,6 @@ class Graph:
     def incident_edges(self, v: VertexId) -> list[Edge]:
         return [edge(v, n) for n in self._adj[v]]
 
-    def has_vertex(self, v: VertexId) -> bool:
-        return v in self.vertices
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Graph)
@@ -174,27 +171,17 @@ class EdgeLabeling:
     """
 
     labels: Mapping[Edge, int]
-    q: int
 
     @classmethod
     def from_dict(cls, labels: Mapping[Edge, int]) -> "EdgeLabeling":
-        return cls(dict(labels), len(labels))
-
-    def value_multiset(self) -> list[int]:
-        return sorted(self.labels.values())
+        return cls(dict(labels))
 
     def remapped(self, edge_map: Mapping[Edge, Edge]) -> "EdgeLabeling":
         """Transfer labels edge-wise through a surgery edge map."""
-        return EdgeLabeling(
-            {edge_map.get(e, e): lab for e, lab in self.labels.items()}, self.q
-        )
+        return EdgeLabeling({edge_map.get(e, e): lab for e, lab in self.labels.items()})
 
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, EdgeLabeling)
-            and self.q == other.q
-            and dict(self.labels) == dict(other.labels)
-        )
+        return isinstance(other, EdgeLabeling) and dict(self.labels) == dict(other.labels)
 
 
 @dataclass(frozen=True)
@@ -259,10 +246,11 @@ def certify(
     """
     coloring = induce_coloring(g, f)
     q = len(g.edges)
+    edges = g.sorted_edges()
 
     violations: list[dict] = []
     seen: dict[int, list[Edge]] = {}
-    for e in g.sorted_edges():
+    for e in edges:
         lab = f.labels[e]
         if not 1 <= lab <= q:
             violations.append(
@@ -281,7 +269,7 @@ def certify(
     is_bijective = not violations
 
     antimagic_violations: list[dict] = []
-    for a, b in g.sorted_edges():
+    for a, b in edges:
         if coloring.colors[a] == coloring.colors[b]:
             antimagic_violations.append(
                 {

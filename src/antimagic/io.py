@@ -12,6 +12,7 @@ import hashlib
 import json
 from pathlib import Path
 
+from .errors import UsageError
 from .families import FamilyInstance
 from .graph import Certificate, EdgeLabeling, Graph, VertexId, edge, induce_coloring
 from .partition import EqualSumPartition
@@ -73,14 +74,46 @@ def graph_to_doc(
     return doc
 
 
+def _field(obj, key: str, kind: type):
+    """``obj[key]``, which must exist and be a ``kind`` (a bool is no int)."""
+    if not isinstance(obj, dict) or key not in obj:
+        raise UsageError(f"graph document: missing key {key!r}")
+    value = obj[key]
+    if not isinstance(value, kind) or isinstance(value, bool):
+        raise UsageError(f"graph document: {key!r} is not a {kind.__name__}: {value!r}")
+    return value
+
+
 def doc_to_graph(doc: dict) -> tuple[Graph, EdgeLabeling]:
+    """Read a graph document back; any malformed part is a :class:`UsageError`.
+
+    Labels are not range-checked here: that is the certificate's job.
+    """
     by_id: dict[str, VertexId] = {}
-    for vd in doc["vertices"]:
-        v = VertexId(vd["role"], tuple(vd["indices"]))
-        by_id[vd["id"]] = v
+    seen: set[VertexId] = set()
+    for vd in _field(doc, "vertices", list):
+        indices = _field(vd, "indices", list)
+        for i in indices:
+            if not isinstance(i, int) or isinstance(i, bool):
+                raise UsageError(f"graph document: vertex index is not an int: {i!r}")
+        v = VertexId(_field(vd, "role", str), tuple(indices))
+        vid = _field(vd, "id", str)
+        if vid in by_id or v in seen:
+            raise UsageError(f"graph document: duplicate vertex {vid!r}")
+        by_id[vid] = v
+        seen.add(v)
     labels = {}
-    for ed in doc["edges"]:
-        labels[edge(by_id[ed["a"]], by_id[ed["b"]])] = ed["label"]
+    for ed in _field(doc, "edges", list):
+        a, b = _field(ed, "a", str), _field(ed, "b", str)
+        for end in (a, b):
+            if end not in by_id:
+                raise UsageError(f"graph document: unknown vertex id {end!r}")
+        if a == b:
+            raise UsageError(f"graph document: loop edge at {a!r}")
+        e = edge(by_id[a], by_id[b])
+        if e in labels:
+            raise UsageError(f"graph document: duplicate edge {a!r} -- {b!r}")
+        labels[e] = _field(ed, "label", int)
     g = Graph(by_id.values(), labels.keys())
     return g, EdgeLabeling.from_dict(labels)
 
@@ -119,7 +152,7 @@ def partition_to_csv(p: EqualSumPartition) -> str:
 
 def labeling_to_doc(f: EdgeLabeling) -> dict:
     return {
-        "q": f.q,
+        "q": len(f.labels),
         "labels": [
             {"a": str(a), "b": str(b), "label": lab}
             for (a, b), lab in sorted(f.labels.items())

@@ -10,16 +10,17 @@ Because block values are affine in their positions, it suffices to partition
 the positions 0..t*s-1.  For odd t and odd s >= 3 an explicit scheme always
 works: three leading slices of t consecutive positions are combined by a
 pair of offset permutations with constant offset sum, and every remaining
-pair of slices is combined by reflection.  The produced partition is
-verified unconditionally; a bounded backtracking fallback exists for any
-shape the scheme would miss (none are known).
+pair of slices is combined by reflection.  Equal sums hold by construction:
+block i's leading triple sums to 3t + (i + a[i] + b[i]) = 3t + 3(t-1)/2 and
+every reflected pair (lo+i, lo+2t-1-i) sums to 2lo + 2t - 1, neither
+depending on i.  The produced partition is still certified unconditionally.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import InfeasibleShape
+from .errors import InfeasibleShape, InvariantError
 
 
 @dataclass(frozen=True)
@@ -49,7 +50,8 @@ def _triple_offsets(t: int) -> tuple[list[int], list[int]]:
     h = (t - 1) // 2
     a = [h + i if i <= h else i - h - 1 for i in range(t)]
     b = [3 * h - i - a[i] for i in range(t)]
-    assert sorted(a) == list(range(t)) and sorted(b) == list(range(t))
+    if sorted(a) != list(range(t)) or sorted(b) != list(range(t)):
+        raise InvariantError(f"triple offsets at t={t} are not permutations")
     return a, b
 
 
@@ -73,41 +75,6 @@ def _position_blocks(t: int, s: int) -> list[list[int]]:
     return blocks
 
 
-def _backtrack_blocks(values: list[int], t: int, s: int) -> list[list[int]] | None:
-    """Exhaustive fallback: partition ``values`` into t blocks of s terms with
-    equal sums, or ``None``.  Values are taken largest-first and ties broken
-    by first feasible block, so the result is deterministic."""
-    total = sum(values)
-    if total % t:
-        return None
-    target = total // t
-    order = sorted(values, reverse=True)
-    blocks: list[list[int]] = [[] for _ in range(t)]
-    sums = [0] * t
-
-    def place(idx: int) -> bool:
-        if idx == len(order):
-            return True
-        v = order[idx]
-        seen_states = set()
-        for b in range(t):
-            state = (sums[b], len(blocks[b]))
-            if state in seen_states:
-                continue
-            seen_states.add(state)
-            if len(blocks[b]) == s or sums[b] + v > target:
-                continue
-            blocks[b].append(v)
-            sums[b] += v
-            if place(idx + 1):
-                return True
-            blocks[b].pop()
-            sums[b] -= v
-        return False
-
-    return blocks if place(0) else None
-
-
 def partition_ap(spec: ApSpec, t: int, s: int) -> EqualSumPartition:
     """Partition the AP into t blocks of s terms with equal block sums.
 
@@ -126,29 +93,14 @@ def partition_ap(spec: ApSpec, t: int, s: int) -> EqualSumPartition:
         raise InfeasibleShape("AP step must be positive")
 
     values = spec.values()
-    try:
-        pos_blocks = _position_blocks(t, s)
-        blocks = [[values[p] for p in blk] for blk in pos_blocks]
-    except InfeasibleShape:
-        raise
-    target, ok = None, True
-    sums = [sum(b) for b in blocks]
-    if len(set(sums)) == 1:
-        target = sums[0]
-    else:
-        ok = False
-
-    if not ok:
-        found = _backtrack_blocks(values, t, s)
-        if found is None:
-            raise InfeasibleShape(f"no equal-sum {t}x{s} partition exists")
-        blocks, target = found, sum(found[0])
+    blocks = [[values[p] for p in blk] for blk in _position_blocks(t, s)]
+    target = sum(values) // t
 
     # unconditional certificate: disjoint cover with one common sum
-    flat = sorted(v for b in blocks for v in b)
-    assert flat == sorted(values), "partition does not cover the AP"
-    assert all(sum(b) == target for b in blocks), "unequal block sums"
-    assert t * target == sum(values)
+    if sorted(v for b in blocks for v in b) != values:
+        raise InvariantError(f"{t}x{s} partition does not cover the AP")
+    if any(sum(b) != target for b in blocks):
+        raise InvariantError(f"{t}x{s} partition has unequal block sums")
 
     canonical = tuple(tuple(sorted(b, reverse=True)) for b in blocks)
     return EqualSumPartition(canonical, target)

@@ -143,7 +143,7 @@ def solve_chi_la(
 
     q = len(g.edges)
     if q == 0:
-        return SolveResult(1 if g.vertices else 0, EdgeLabeling({}, 0), "exact")
+        return SolveResult(1 if g.vertices else 0, EdgeLabeling({}), "exact")
     if q > cfg.max_edges:
         return SolveResult(None, initial_witness, "infeasible_size")
 
@@ -255,7 +255,7 @@ def solve_chi_la(
 
     aborted = dfs(0)
     elapsed = time.monotonic() - start
-    witness = EdgeLabeling(incumbent, q) if incumbent is not None else None
+    witness = EdgeLabeling(incumbent) if incumbent is not None else None
 
     if out_of_time:
         return SolveResult(None, witness, "budget_exhausted", nodes, elapsed)

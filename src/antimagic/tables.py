@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import InvalidK, ObservationViolated, SequenceSchemeViolated
+from .errors import InvalidK, InvariantError, ObservationViolated, SequenceSchemeViolated
 
 M1_ROWS = ("uw", "vw", "xw", "xu", "xv")
 PT_ROWS = ("R1", "R2", "R3", "R4", "R5")
@@ -69,6 +69,12 @@ def _check_k(k: int) -> None:
         raise InvalidK(f"k must be a positive integer, got {k!r}")
 
 
+def _bijective(t: LabelTable) -> LabelTable:
+    if not t.is_bijective():
+        raise InvariantError(f"{t.kind} matrix not bijective at k={t.k}")
+    return t
+
+
 def _row(k: int, low, high=None):
     """Build one 2k+1 row from per-column formulas (low: i<=k+1, high: rest)."""
     if high is None:
@@ -86,9 +92,7 @@ def table_m1(k: int) -> LabelTable:
         "xu": _row(k, lambda i: 10 * k + 7 - 2 * i, lambda i: 12 * k + 8 - 2 * i),
         "xv": _row(k, lambda i: 7 * k + 3 + i, lambda i: 5 * k + 2 + i),
     }
-    t = LabelTable("m1", k, rows)
-    assert t.is_bijective(), f"m1 matrix not bijective at k={k}"
-    return t
+    return _bijective(LabelTable("m1", k, rows))
 
 
 def table_pt(k: int) -> LabelTable:
@@ -101,9 +105,7 @@ def table_pt(k: int) -> LabelTable:
         "R4": _row(k, lambda i: 8 * k + 5 - i),
         "R5": _row(k, lambda i: 8 * k + 3 + 2 * i, lambda i: 6 * k + 2 + 2 * i),
     }
-    t = LabelTable("pt", k, rows)
-    assert t.is_bijective(), f"pt matrix not bijective at k={k}"
-    return t
+    return _bijective(LabelTable("pt", k, rows))
 
 
 def table_m3(k: int) -> LabelTable:
@@ -122,9 +124,7 @@ def table_m3(k: int) -> LabelTable:
         "R2": _row(k, lambda i: 11 * k + 5 + i, lambda i: 9 * k + 4 + i),
         "R3": _row(k, lambda i: 14 * k + 6 + 2 * i, lambda i: 12 * k + 5 + 2 * i),
     }
-    t = LabelTable("m3", k, rows)
-    assert t.is_bijective(), f"m3 matrix not bijective at k={k}"
-    return t
+    return _bijective(LabelTable("m3", k, rows))
 
 
 def make_table(kind: str, k: int) -> LabelTable:

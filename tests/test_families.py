@@ -3,10 +3,12 @@ structure checks, and the parameter guards."""
 
 import pytest
 
+from antimagic import families
 from antimagic.errors import (
     ConditionViolated,
     InvalidFactorization,
     InvalidIndices,
+    InvalidParams,
     InvalidParity,
     MergeWouldCreateParallelEdge,
     NoValidPartition,
@@ -26,12 +28,13 @@ from antimagic.families import (
     build_tb,
     build_tfb,
     family_grid,
+    sweep_family,
     tb_rung_labels,
     valid_gn_index_lists,
     verify_instance,
 )
-from antimagic.graph import V, degree_census, edge, induce_coloring
-from antimagic.tables import table_m3, table_pt, trace_sequences
+from antimagic.graph import V, degree_census, edge, induce_coloring, merge_vertices
+from antimagic.tables import table_m3
 
 
 def built_ok(family, **params):
@@ -172,21 +175,72 @@ def test_df3_needs_composite_hub_count():
 # --- peanuts ---------------------------------------------------------------------
 
 
+def pt_label_arrays(k):
+    """Piecewise closed forms for the peanut rails and rungs, 1-based: an
+    oracle derived independently of the traced sequences the builder walks.
+
+    Returns ``(p1, p2, rungs)`` where ``p1[m]`` labels the m-th edge of the
+    u-rail, ``p2[m]`` the m-th edge of the v-rail (m = 1..4k+2, edge 1 leaving
+    the first cap), and ``rungs[j]`` labels the j-th rung (j = 1..2k+1).
+    Even k fills k/2 eight-edge rounds; odd k stops the last round after the
+    first half, which lands the rails on the four-term tail values.
+    """
+    p1 = [0] * (4 * k + 3)
+    p2 = [0] * (4 * k + 3)
+    rungs = [0] * (2 * k + 2)
+
+    p1[1], p1[2] = 3 * k + 2, 2 * k + 1
+    p2[1], p2[2] = 7 * k + 4, 10 * k + 5
+    rungs[1] = 4 * k + 3
+
+    if k % 2 == 0:
+        first_half = last_half = range(1, k // 2 + 1)
+    else:
+        first_half = range(1, (k + 1) // 2 + 1)
+        last_half = range(1, (k + 1) // 2)
+
+    for i in first_half:
+        p1[8 * i - 5] = 8 * k + 3 + 2 * i
+        p1[8 * i - 4] = 8 * k + 5 - i
+        p1[8 * i - 3] = 2 * k + 1 + i
+        p1[8 * i - 2] = 2 * k + 2 - 2 * i
+        p2[8 * i - 5] = 2 * i - 1
+        p2[8 * i - 4] = 4 * k + 3 - i
+        p2[8 * i - 3] = 6 * k + 3 + i
+        p2[8 * i - 2] = 10 * k + 6 - 2 * i
+        rungs[4 * i - 2] = 5 * k + 4 - i
+        rungs[4 * i - 1] = 5 * k + 3 + i
+    for i in last_half:
+        p1[8 * i - 1] = 8 * k + 4 + 2 * i
+        p1[8 * i] = 7 * k + 4 - i
+        p1[8 * i + 1] = 3 * k + 2 + i
+        p1[8 * i + 2] = 2 * k + 1 - 2 * i
+        p2[8 * i - 1] = 2 * i
+        p2[8 * i] = 3 * k + 2 - i
+        p2[8 * i + 1] = 7 * k + 4 + i
+        p2[8 * i + 2] = 10 * k + 5 - 2 * i
+        rungs[4 * i] = 6 * k + 4 - i
+        rungs[4 * i + 1] = 4 * k + 3 + i
+
+    assert all(p1[1:]) and all(p2[1:]) and all(rungs[1:])
+    return p1, p2, rungs
+
+
 def test_pt_labels_agree_with_traced_sequences():
-    # dual route: the builder uses piecewise closed forms, the table module
-    # walks the matrix; they must produce the same labeling
+    # dual route: the builder walks the pt matrix through the traced
+    # sequences, the oracle above uses piecewise closed forms; they must
+    # produce the same labeling
     for k in range(1, 25):
         g, f, _ = build_pt(2 * k)
-        t = table_pt(k)
-        tr = trace_sequences(t)
+        p1, p2, rungs = pt_label_arrays(k)
         rail1 = [V("x")] + [V("u", i) for i in range(1, 4 * k + 2)] + [V("y")]
         rail2 = [V("x")] + [V("v", i) for i in range(1, 4 * k + 2)] + [V("y")]
         for m in range(1, 4 * k + 3):
-            assert f.labels[edge(rail1[m - 1], rail1[m])] == tr.s1[m - 1]
-            assert f.labels[edge(rail2[m - 1], rail2[m])] == tr.s2[m - 1]
+            assert f.labels[edge(rail1[m - 1], rail1[m])] == p1[m]
+            assert f.labels[edge(rail2[m - 1], rail2[m])] == p2[m]
         for j in range(1, 2 * k + 2):
             rung = edge(V("u", 2 * j - 1), V("v", 2 * j - 1))
-            assert f.labels[rung] == t.entry("R3", tr.r3_columns[j - 1])
+            assert f.labels[rung] == rungs[j]
 
 
 def test_pt4_rail_sequence_and_palette():
@@ -400,6 +454,22 @@ def test_gb_over_gn_base():
     assert cert.palette[2] == 5 * (20 * 7 + 12)
 
 
+def test_gb_over_gn_falls_back_when_the_round_robin_clashes():
+    # the stride-r round-robin of the hubs puts two hubs with a common
+    # neighbor into one block, so the backtracking search must take over
+    g, _, _ = build_gn(20, (1, 2))
+    hubs = sorted(v for v in g.vertices if g.degree(v) == 4)
+    round_robin = [hubs[b::3] for b in range(3)]
+    with pytest.raises(MergeWouldCreateParallelEdge):
+        merge_vertices(g, round_robin, [V("m", b + 1) for b in range(3)])
+
+    _, _, inst, cert = built_ok("gb", n=20, r=3, s=7, base="gn", indices=(1, 2))
+    assert cert.palette[2] == 7 * (20 * 10 + 12)
+    assert inst.partition_record != tuple(
+        tuple(str(v) for v in sorted(b)) for b in round_robin
+    )
+
+
 # --- triple-hub joins --------------------------------------------------------------
 
 
@@ -452,3 +522,37 @@ def test_gn_grid_respects_conditions():
     combos = {(p["n"], p["indices"]) for p, _ in grid}
     assert (30, (1, 2, 4)) in combos
     assert all(8 * idx[-1] - 2 <= n for n, idx in combos)
+
+
+# --- dispatch and sweeps -----------------------------------------------------------
+
+
+def test_build_family_unknown_keyword_is_invalid_params():
+    with pytest.raises(InvalidParams):
+        build_family("fb", n=9, m=3)
+    with pytest.raises(InvalidParams):
+        build_family("fb1", r=3)  # s missing
+
+
+def test_build_family_lets_a_builder_type_error_through(monkeypatch):
+    def broken(n):
+        raise TypeError("bug inside the builder")
+
+    monkeypatch.setitem(families._BUILDERS, "fb", broken)
+    with pytest.raises(TypeError, match="bug inside the builder"):
+        build_family("fb", n=9)
+
+
+def test_sweep_records_a_usage_error_and_goes_on(monkeypatch):
+    real = families._BUILDERS["fb"]
+
+    def flaky(n):
+        if n == 7:
+            raise InvalidParity("injected")
+        return real(n)
+
+    monkeypatch.setitem(families._BUILDERS, "fb", flaky)
+    records = sweep_family("fb", max_size=11)
+    assert [r["params"]["n"] for r in records] == [3, 5, 7, 9, 11]
+    assert [r["status"] for r in records] == ["pass", "pass", "error", "pass", "pass"]
+    assert records[2]["reason"] == "injected"

@@ -2,8 +2,13 @@
 
 import json
 
-from antimagic import io
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from antimagic import families, io
 from antimagic.cli import main
+from antimagic.errors import InvalidParity, InvariantError, UsageError
 from antimagic.families import build_family
 from antimagic.graph import certify
 from antimagic.tables import table_m3
@@ -169,3 +174,167 @@ def test_cli_outputs_are_byte_stable(tmp_path):
     for out in (a, b):
         main(["--out", str(out), "build", "--family", "pt", "--n", "4", "--certify"])
     assert (a / "pt_n4.json").read_bytes() == (b / "pt_n4.json").read_bytes()
+
+
+# --- malformed input ------------------------------------------------------------
+
+
+def _tb2_doc():
+    g, f, inst = build_family("tb", n=2)
+    return json.loads(io.dumps(io.graph_to_doc(g, f, inst)))
+
+
+def _broken_docs():
+    """(what is wrong, document) for each malformation doc_to_graph rejects."""
+    cases = []
+    doc = _tb2_doc()
+    del doc["edges"]
+    cases.append(("missing key", doc))
+    doc = _tb2_doc()
+    del doc["vertices"][0]["role"]
+    cases.append(("missing vertex key", doc))
+    doc = _tb2_doc()
+    doc["edges"][0]["a"] = "nowhere_9"
+    cases.append(("unknown vertex id", doc))
+    doc = _tb2_doc()
+    doc["edges"][0]["label"] = "7"
+    cases.append(("string label", doc))
+    doc = _tb2_doc()
+    doc["edges"][0]["label"] = True
+    cases.append(("bool label", doc))
+    doc = _tb2_doc()
+    doc["edges"].append(dict(doc["edges"][0], label=99))
+    cases.append(("duplicate edge", doc))
+    doc = _tb2_doc()
+    doc["edges"].append({"a": doc["edges"][0]["b"], "b": doc["edges"][0]["a"], "label": 99})
+    cases.append(("reversed duplicate edge", doc))
+    doc = _tb2_doc()
+    doc["edges"][0]["b"] = doc["edges"][0]["a"]
+    cases.append(("loop", doc))
+    return cases
+
+
+def test_doc_to_graph_rejects_malformed_documents():
+    for what, doc in _broken_docs():
+        with pytest.raises(UsageError):
+            io.doc_to_graph(doc)
+            pytest.fail(f"{what} was accepted")
+
+
+def _json_values():
+    scalars = st.none() | st.booleans() | st.integers(-3, 40) | st.sampled_from(
+        ["u", "v", "x", "u_1", "v_1", "x_1", "a", "b", "id", "role", "label"]
+    )
+    return st.recursive(
+        scalars,
+        lambda inner: st.lists(inner, max_size=4)
+        | st.dictionaries(
+            st.sampled_from(["vertices", "edges", "id", "role", "indices", "a", "b", "label"]),
+            inner,
+            max_size=5,
+        ),
+        max_leaves=25,
+    )
+
+
+def _near_documents():
+    vertex = st.fixed_dictionaries({
+        "id": st.sampled_from(["u", "v", "x", "u_1"]),
+        "role": st.sampled_from(["u", "v", "x"]),
+        "indices": st.lists(st.integers(0, 2), max_size=1),
+    })
+    edge_doc = st.fixed_dictionaries({
+        "a": st.sampled_from(["u", "v", "x", "u_1", "w"]),
+        "b": st.sampled_from(["u", "v", "x", "u_1", "w"]),
+        "label": st.integers(-1, 5) | st.booleans(),
+    })
+    return st.fixed_dictionaries({
+        "vertices": st.lists(vertex, max_size=4),
+        "edges": st.lists(edge_doc, max_size=4),
+    })
+
+
+@settings(max_examples=300, deadline=None)
+@given(_json_values() | _near_documents())
+def test_doc_to_graph_returns_a_graph_or_raises_usage_error(doc):
+    try:
+        g, f = io.doc_to_graph(doc)
+    except UsageError:
+        return
+    assert set(f.labels) == g.edges
+
+
+def test_cli_certify_and_solve_reject_bad_json(tmp_path):
+    bad = tmp_path / "bad.json"
+    bad.write_text("{not json")
+    for command in ("certify", "solve"):
+        assert main(["--out", str(tmp_path), command, "--input", str(bad)]) == 2
+    broken = _broken_docs()
+    for what, doc in broken:
+        path = tmp_path / "broken.json"
+        path.write_text(json.dumps(doc))
+        assert main(["--out", str(tmp_path), "certify", "--input", str(path)]) == 2, what
+    entries = [json.loads(line) for line in (tmp_path / "manifest.jsonl").read_text().splitlines()]
+    assert len(entries) == 2 + len(broken)
+    assert all(e["outcome"].startswith("usage error") for e in entries)
+
+
+def test_cli_bad_palette_is_usage(tmp_path):
+    code = main([
+        "--out", str(tmp_path), "build", "--family", "fb", "--n", "3",
+        "--certify", "--expect-palette", "abc",
+    ])
+    assert code == 2
+    entry = json.loads((tmp_path / "manifest.jsonl").read_text())
+    assert entry["outcome"].startswith("usage error")
+
+
+def test_cli_missing_input_writes_a_manifest_line(tmp_path):
+    code = main(["--out", str(tmp_path), "certify", "--input", str(tmp_path / "absent.json")])
+    assert code == 2
+    entry = json.loads((tmp_path / "manifest.jsonl").read_text())
+    assert entry["outcome"].startswith("usage error")
+
+
+def test_cli_solve_infeasible_size_is_usage(tmp_path):
+    main(["--out", str(tmp_path), "build", "--family", "tb", "--n", "2"])
+    code = main([
+        "--out", str(tmp_path), "solve", "--input", str(tmp_path / "tb_n2.json"),
+        "--max-edges", "10",
+    ])
+    assert code == 2
+    entry = json.loads((tmp_path / "manifest.jsonl").read_text().splitlines()[-1])
+    assert entry["outcome"] == "infeasible_size"
+
+
+def test_cli_build_emits_json_by_default_and_has_no_global_format(tmp_path):
+    assert main(["--out", str(tmp_path), "build", "--family", "fb", "--n", "3"]) == 0
+    assert (tmp_path / "fb_n3.json").exists() and not (tmp_path / "fb_n3.dot").exists()
+    entry = json.loads((tmp_path / "manifest.jsonl").read_text())
+    assert "seed" not in entry["parameters"] and "emit_default" not in entry["parameters"]
+    for flag in (["--seed", "1"], ["--format", "dot"]):
+        with pytest.raises(SystemExit):
+            main(["--out", str(tmp_path)] + flag + ["build", "--family", "fb", "--n", "3"])
+
+
+def test_cli_sweep_exit_codes(tmp_path, monkeypatch, capsys):
+    real = families._BUILDERS["fb"]
+
+    def flaky(n):
+        if n == 7:
+            raise InvalidParity("injected")
+        return real(n)
+
+    monkeypatch.setitem(families._BUILDERS, "fb", flaky)
+    code = main(["--out", str(tmp_path), "sweep", "--family", "fb", "--max-size", "11"])
+    assert code == 2
+    assert "4 pass, 0 fail, 1 error, 0 excluded" in capsys.readouterr().out
+
+    def failing(n):
+        if n == 9:
+            raise InvariantError("injected")
+        return flaky(n)
+
+    monkeypatch.setitem(families._BUILDERS, "fb", failing)
+    code = main(["--out", str(tmp_path), "sweep", "--family", "fb", "--max-size", "11"])
+    assert code == 1

@@ -1,0 +1,57 @@
+"""Certificates must survive ``python -O``, which strips every ``assert``."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+SCRIPT = """
+import sys
+from antimagic import partition
+from antimagic.errors import InvariantError
+from antimagic.families import FAMILY_TAGS, build_family, family_grid, verify_instance
+
+if not sys.flags.optimize:
+    sys.exit("not running under -O")
+
+# a small slice of the grid still certifies
+for family in FAMILY_TAGS:
+    for params, excluded in family_grid(family)[:2]:
+        if excluded is None:
+            verify_instance(*build_family(family, **params))
+
+# a corrupted partition is caught by the certificate, not by an assert
+real = partition._position_blocks
+
+def swapped(t, s):
+    blocks = real(t, s)
+    blocks[0][0], blocks[1][0] = blocks[1][0], blocks[0][0]
+    return blocks
+
+def doubled(t, s):
+    blocks = real(t, s)
+    blocks[0][0] = blocks[1][0]
+    return blocks
+
+for corrupt in (swapped, doubled):
+    partition._position_blocks = corrupt
+    try:
+        partition.partition_ap(partition.ApSpec(1, 1, 15), 3, 5)
+    except InvariantError:
+        continue
+    sys.exit(f"{corrupt.__name__} partition was not rejected")
+print("ok")
+"""
+
+
+def test_certificates_hold_under_python_O():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(SRC) + os.pathsep + env.get("PYTHONPATH", "")
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", SCRIPT],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "ok"
