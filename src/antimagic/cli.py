@@ -54,6 +54,10 @@ def cmd_table(args, out_dir: Path) -> tuple[int, str, list[str]]:
     if args.check:
         if args.kind == "m1":
             report = check_m1_observations(t)
+            # JSON keys are strings: block (r, s) becomes "rxs"
+            report["block_sums"] = {
+                f"{r}x{s}": total for (r, s), total in report["block_sums"].items()
+            }
         elif args.kind == "m3":
             report = check_m3_observations(t)
         else:
@@ -75,7 +79,10 @@ def _build_params(args) -> dict:
         if val is not None:
             params[key] = val
     if args.indices:
-        params["indices"] = tuple(int(x) for x in args.indices.split(","))
+        try:
+            params["indices"] = tuple(int(x) for x in args.indices.split(","))
+        except ValueError:
+            raise UsageError(f"indices are not comma-separated ints: {args.indices!r}") from None
     if args.base and args.family == "gb":
         params["base"] = args.base
     return params
@@ -212,8 +219,17 @@ def cmd_certify(args, out_dir: Path) -> tuple[int, str, list[str]]:
     return (0 if ok else 1), ("pass" if ok else "fail"), outputs
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose errors raise :class:`UsageError` instead of
+    exiting, so that ``main`` can write the manifest line first."""
+
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        raise UsageError(f"{self.prog}: {message}")
+
+
 def make_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="antimagic",
         description="Construct, certify and solve local antimagic 3-colorings",
     )
@@ -280,7 +296,23 @@ _HANDLERS = {
 
 def main(argv: list[str] | None = None) -> int:
     parser = make_parser()
-    args = parser.parse_args(argv)
+    args = argparse.Namespace()
+    try:
+        parser.parse_args(argv, namespace=args)
+    except UsageError as exc:
+        # argparse fills ``args`` as it parses, so an ``--out`` given before
+        # the error is honoured; otherwise it still holds the default
+        print(f"usage error: {exc}", file=sys.stderr)
+        io.append_manifest(
+            args.out,
+            args.command,
+            {"argv": list(sys.argv[1:] if argv is None else argv)},
+            __version__,
+            {},
+            f"usage error: {exc}",
+            [],
+        )
+        raise SystemExit(2) from None
     out_dir = Path(args.out)
 
     input_hashes = {}

@@ -8,14 +8,17 @@ distinct induced colors on a graph containing a triangle certifies that the
 local antimagic chromatic number of the graph is 3 (upper bound by witness,
 lower bound by the chromatic number).
 
-Everything here is immutable after construction and pure, so values can be
-shared freely across concurrent sweeps.
+Values here are observationally immutable and the functions pure.  A
+:class:`Graph` derives its adjacency and its connected components on first
+use and caches them; the fill is idempotent (a racing second fill computes
+the same value), so graphs can still be shared freely across concurrent
+sweeps.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 from .errors import (
     EmptyPart,
@@ -29,13 +32,15 @@ from .errors import (
 )
 
 
-@dataclass(frozen=True, order=True)
-class VertexId:
+class VertexId(NamedTuple):
     """Role-annotated vertex identity, e.g. ``u_3`` or ``x_2_1``.
 
     ``role`` is the vertex family letter ("u", "v", "w", "x", "y", "z",
     split halves "z1"/"z2"/"x1"/"x2", merged-block vertices "m", ...), and
     ``indices`` are the 1-based subscripts.
+
+    As a tuple it hashes, compares and sorts as ``(role, indices)`` does, in
+    C; set iteration and canonical edge order follow from that.
     """
 
     role: str
@@ -66,39 +71,47 @@ class Graph:
     """Simple undirected graph over :class:`VertexId` vertices.
 
     May be disconnected; loops and parallel edges are impossible by
-    construction.  Adjacency is precomputed and the instance is treated as
-    immutable.
+    construction.  ``vertices`` and ``edges`` are fixed at construction;
+    the adjacency and the connected components are derived from them on
+    first use and cached, so a graph that only passes through surgery never
+    builds them.
     """
 
-    __slots__ = ("vertices", "edges", "_adj")
+    __slots__ = ("vertices", "edges", "_adj", "_components")
 
     def __init__(self, vertices: Iterable[VertexId], edges: Iterable[Edge]):
         vs = frozenset(vertices)
         es = set()
-        adj: dict[VertexId, set[VertexId]] = {v: set() for v in vs}
         for a, b in edges:
             e = edge(a, b)
             if e[0] not in vs or e[1] not in vs:
                 raise UnknownVertex(f"edge {e} has an endpoint outside the vertex set")
             es.add(e)
-            adj[e[0]].add(e[1])
-            adj[e[1]].add(e[0])
         self.vertices: frozenset[VertexId] = vs
         self.edges: frozenset[Edge] = frozenset(es)
-        self._adj: dict[VertexId, frozenset[VertexId]] = {
-            v: frozenset(ns) for v, ns in adj.items()
-        }
+        self._adj: dict[VertexId, frozenset[VertexId]] | None = None
+        self._components: list[frozenset[VertexId]] | None = None
+
+    def _adjacency(self) -> dict[VertexId, frozenset[VertexId]]:
+        adj = self._adj
+        if adj is None:
+            sets: dict[VertexId, set[VertexId]] = {v: set() for v in self.vertices}
+            for a, b in self.edges:
+                sets[a].add(b)
+                sets[b].add(a)
+            adj = self._adj = {v: frozenset(ns) for v, ns in sets.items()}
+        return adj
 
     # -- queries --------------------------------------------------------------
 
     def neighbors(self, v: VertexId) -> frozenset[VertexId]:
-        return self._adj[v]
+        return self._adjacency()[v]
 
     def degree(self, v: VertexId) -> int:
-        return len(self._adj[v])
+        return len(self._adjacency()[v])
 
     def incident_edges(self, v: VertexId) -> list[Edge]:
-        return [edge(v, n) for n in self._adj[v]]
+        return [edge(v, n) for n in self._adjacency()[v]]
 
     def __eq__(self, other) -> bool:
         return (
@@ -121,35 +134,41 @@ class Graph:
 
     def connected_components(self) -> list[frozenset[VertexId]]:
         """Components as vertex sets, sorted by their smallest vertex."""
-        seen: set[VertexId] = set()
-        comps = []
-        for start in self.sorted_vertices():
-            if start in seen:
-                continue
-            stack = [start]
-            comp = {start}
-            seen.add(start)
-            while stack:
-                v = stack.pop()
-                for n in self._adj[v]:
-                    if n not in comp:
-                        comp.add(n)
-                        seen.add(n)
-                        stack.append(n)
-            comps.append(frozenset(comp))
-        return comps
+        comps = self._components
+        if comps is None:
+            adj = self._adjacency()
+            seen: set[VertexId] = set()
+            comps = []
+            for start in self.sorted_vertices():
+                if start in seen:
+                    continue
+                stack = [start]
+                comp = {start}
+                seen.add(start)
+                while stack:
+                    v = stack.pop()
+                    for n in adj[v]:
+                        if n not in comp:
+                            comp.add(n)
+                            seen.add(n)
+                            stack.append(n)
+                comps.append(frozenset(comp))
+            self._components = comps
+        return list(comps)
 
     def is_connected(self) -> bool:
         return len(self.connected_components()) <= 1
 
     def has_triangle(self) -> bool:
+        adj = self._adjacency()
         for a, b in self.edges:
-            if self._adj[a] & self._adj[b]:
+            if adj[a] & adj[b]:
                 return True
         return False
 
     def count_triangles(self) -> int:
-        total = sum(len(self._adj[a] & self._adj[b]) for a, b in self.edges)
+        adj = self._adjacency()
+        total = sum(len(adj[a] & adj[b]) for a, b in self.edges)
         return total // 3
 
 
@@ -195,7 +214,7 @@ class InducedColoring:
 
 def induce_coloring(g: Graph, f: EdgeLabeling) -> InducedColoring:
     """Sum incident labels at every vertex; palette is ascending."""
-    if set(f.labels) != g.edges:
+    if f.labels.keys() != g.edges:
         raise LabelDomainMismatch(
             "labeling domain does not match the edge set "
             f"({len(f.labels)} labels vs {len(g.edges)} edges)"

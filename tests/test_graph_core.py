@@ -1,5 +1,8 @@
 """Graph surgery, coloring and certification engine tests."""
 
+import sys
+import threading
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,17 +14,19 @@ from antimagic.errors import (
     NotIncident,
     OverlappingBlocks,
 )
-from antimagic.families import _fan_cells, build_df, build_fb, build_tb
+from antimagic.families import _fan_cells, build_df, build_family, build_fb, build_tb
 from antimagic.graph import (
     EdgeLabeling,
     Graph,
     V,
+    VertexId,
     certify,
     degree_census,
     edge,
     induce_coloring,
     merge_vertices,
     split_vertex,
+    split_vertices,
 )
 
 
@@ -30,6 +35,74 @@ def path3():
     g = Graph([a, b, c], [edge(a, b), edge(b, c)])
     f = EdgeLabeling.from_dict({edge(a, b): 1, edge(b, c): 2})
     return g, f, (a, b, c)
+
+
+# --- vertex ids and derived structures ------------------------------------------
+
+
+def test_vertex_id_orders_hashes_and_prints_as_its_tuple():
+    # artifact order and set iteration order rest on these
+    ids = [V("x1"), V("x", 1, 1), V("x", 2), V("x", 1), V("w", 3), V("x"), V("x1", 1)]
+    assert sorted(ids) == sorted(ids, key=lambda v: (v.role, v.indices))
+    assert V("x") < V("x", 1) < V("x", 1, 1) < V("x", 2) < V("x1") < V("x1", 1)
+    assert hash(V("u", 1)) == hash(("u", (1,)))
+    assert str(V("x")) == "x" and str(V("x", 2, 1)) == "x_2_1"
+    assert V("u", 1) == VertexId("u", (1,))
+    assert VertexId("u") == V("u") and V("u").indices == ()
+    for field, value in (("role", "v"), ("indices", (2,))):
+        with pytest.raises(AttributeError):
+            setattr(V("u", 1), field, value)
+
+
+def _views(g):
+    return (
+        {v: (g.neighbors(v), g.degree(v)) for v in g.vertices},
+        g.connected_components(),
+    )
+
+
+def test_derived_structures_agree_across_a_surgery_round():
+    g, _, _ = build_family("gn", n=10, indices=(1,))  # two components
+    before = _views(g)
+    assert len(before[1]) == 2
+    hub = next(v for v in g.sorted_vertices() if g.degree(v) >= 3)
+    incident = sorted(g.incident_edges(hub))
+    h1, h2 = V("h", 1), V("h", 2)
+    split, _ = split_vertices(g, [(hub, incident[:1], incident[1:], h1, h2)])
+    assert split.degree(h1) == 1 and split.degree(h2) == len(incident) - 1
+    back, _ = merge_vertices(split, [{h1, h2}], [hub])
+    assert back == g
+    assert _views(g) == before
+    assert _views(back) == before
+
+
+def test_connected_components_hands_back_a_copy():
+    g, _, _ = build_family("gn", n=10, indices=(1,))
+    first = g.connected_components()
+    first.append(frozenset({V("stray")}))
+    first[0] = frozenset()
+    second = g.connected_components()
+    assert len(second) == 2 and all(second)
+    assert not g.is_connected()
+
+
+def test_threads_sharing_a_graph_fill_its_caches_consistently():
+    built, _, _ = build_family("gn", n=10, indices=(1,))
+    expected = _views(Graph(built.vertices, built.edges))
+    g = Graph(built.vertices, built.edges)  # nothing derived yet
+    results = []
+    threads = [threading.Thread(target=lambda: results.append(_views(g))) for _ in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert results == [expected] * len(threads)
 
 
 # --- merge --------------------------------------------------------------------

@@ -1,6 +1,9 @@
 """Serialization round-trips, export formats, and the command-line front end."""
 
+import hashlib
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -58,6 +61,43 @@ def test_table_csv_golden():
     assert len(lines) == 12
 
 
+# sha256 of the JSON document plus the DOT export of the first (smallest)
+# non-excluded default-grid point of every family, recorded before VertexId
+# became a NamedTuple.  Both artifacts list vertices and edges in VertexId
+# order, so these pin that the keys sort as (role, indices) tuples do.
+ARTIFACT_DIGESTS = {
+    "fb": "14921bef193a46d566c41a60b1cf25e89304951fed29c97b5c34ae9dde8f5fad",
+    "tfb": "dad226b2615cc9ff164bc47744d7e6d4f39fd468b7397e4be095633564064144",
+    "df": "7d5da1b60bfbde540404900fd30b034db8db8ad11354891d0568655891dba024",
+    "fb1": "d7d777ff44bd050920666657d7f4be8f8a2a91adf2e64f4f5060e9f295f1a7ee",
+    "fb2": "f737f8e97050fe0841cc86af9540231204b379fb5a5c4aa123e7e8c0c2e9a4f8",
+    "df1": "50939166ab909e11c9c476c747d9f9c3ae2ce0b2a470eb8c543fad777b19f257",
+    "df2": "152a94185659683c1261e584ddb9cf8bab239948e72b8e7fc9732f2d3f20cfc8",
+    "df3": "fa5018a78f81512ec878efc06004ad403f50251530600b34ad036239e3fd027b",
+    "pt": "149f1cecd88376bffdee146d11ec95eff70dd85d4f0c787162d9e87a8c53359b",
+    "tb": "21c1547c9ea8abc556cec6478fa394ef8c9cdb509909d5d5c290a81b5ed3cbcb",
+    "pt1": "8bb1fd6a466edebaf854535f38e5068e3c269685e3e8a012f9bf137f6d02761c",
+    "pt2": "e71463cec49dfefde3be9ad52fe6e67131526a6760d9bb9d4ae6ae30ec25ee57",
+    "pt3": "892a55be6111a699ca3ace3fe655824fd4bce01f4890a836fcc2a3e8a8434748",
+    "tb1": "3ddf9301703a37f979242b046ac08b36a68357660d6f087c0d3d07b583d8b87f",
+    "tb2": "025ff1402039e0b9837e732c3c0178344bbbf8ef1c893d0f51d3e98c7bd9786d",
+    "tb3": "11329c57bc3f8780ae6923e8aaa562a9462418b381433f12da3a736154e7434d",
+    "gn": "93ec09f280b893da21b109e5a088ba137b9d3beeaa87f8e221d049de00efa3a2",
+    "gb": "07a6a3c9525f0b978466ab2c9e109a2baa0fcb9b85d96da78ebeba925c915b3a",
+    "np3o3": "1a8059c042d65ec8ca5ef1b3a6d95de520a88988af3e9339dfd080992db5243d",
+}
+
+
+def test_smallest_grid_point_artifacts_are_byte_stable():
+    assert set(ARTIFACT_DIGESTS) == set(families.FAMILY_TAGS)
+    for family, digest in ARTIFACT_DIGESTS.items():
+        params = next(p for p, reason in families.family_grid(family) if reason is None)
+        g, f, inst = build_family(family, **params)
+        cert = families.verify_instance(g, f, inst)
+        text = io.dumps(io.graph_to_doc(g, f, inst, cert)) + io.graph_to_dot(g, f)
+        assert hashlib.sha256(text.encode()).hexdigest() == digest, (family, params)
+
+
 # --- CLI -------------------------------------------------------------------------
 
 
@@ -68,6 +108,13 @@ def test_cli_table_check(tmp_path, capsys):
     csv = (tmp_path / "table_m3_k1.csv").read_text()
     assert csv.splitlines()[1] == "L,1,3,2"
     assert (tmp_path / "manifest.jsonl").exists()
+
+
+def test_cli_table_check_m1_writes_its_report(tmp_path):
+    code = main(["--out", str(tmp_path), "table", "--kind", "m1", "--k", "4", "--check"])
+    assert code == 0
+    report = json.loads((tmp_path / "table_m1_k4_report.json").read_text())
+    assert report["block_sums"] == {"3x3": 288, "9x1": 96}
 
 
 def test_cli_table_usage_error(tmp_path):
@@ -313,8 +360,88 @@ def test_cli_build_emits_json_by_default_and_has_no_global_format(tmp_path):
     entry = json.loads((tmp_path / "manifest.jsonl").read_text())
     assert "seed" not in entry["parameters"] and "emit_default" not in entry["parameters"]
     for flag in (["--seed", "1"], ["--format", "dot"]):
-        with pytest.raises(SystemExit):
-            main(["--out", str(tmp_path)] + flag + ["build", "--family", "fb", "--n", "3"])
+        argv = ["--out", str(tmp_path)] + flag + ["build", "--family", "fb", "--n", "3"]
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        entry = json.loads((tmp_path / "manifest.jsonl").read_text().splitlines()[-1])
+        assert entry["outcome"].startswith("usage error")
+        assert entry["parameters"] == {"argv": argv}
+        assert entry["outputs"] == []
+
+
+@pytest.mark.parametrize("argv, command, manifest_dir", [
+    (["--out", "given", "build", "--family", "fb", "--n", "3", "--bogus"], "build", "given"),
+    (["--out", "given", "build", "--n", "3"], "build", "given"),
+    (["--out", "given", "build", "--family", "zz", "--n", "3"], "build", "given"),
+    (["--out", "given", "table", "--kind", "m1", "--k", "one"], "table", "given"),
+    (["--out", "given"], None, "given"),
+    # no usable --out: the line goes to the default directory
+    (["build", "--family", "zz"], "build", "out"),
+    (["--out"], None, "out"),
+])
+def test_cli_argparse_errors_exit_2_with_a_manifest_line(
+    tmp_path, monkeypatch, argv, command, manifest_dir
+):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 2
+    (line,) = (tmp_path / manifest_dir / "manifest.jsonl").read_text().splitlines()
+    entry = json.loads(line)
+    assert entry["outcome"].startswith("usage error")
+    assert entry["command"] == command
+    assert entry["parameters"] == {"argv": argv}
+
+
+# random command lines: no --help, no --out (each example writes to its own
+# directory), no sweep and no large sizes, so every example is fast.  Each
+# subcommand maps its options to the values tried (None for a flag); "x",
+# "zz" and "-1" are malformed on purpose
+_SMALL = ["-1", "0", "1", "2", "3", "5", "x"]
+_ARGV_OPTIONS = {
+    "table": {"--kind": ["m1", "m3", "pt", "zz"], "--k": _SMALL, "--check": None},
+    "build": {
+        "--family": ["fb", "tb", "df", "gn", "pt3", "zz"], "--n": _SMALL + ["10"],
+        "--t": _SMALL, "--s": _SMALL, "--r": _SMALL, "--indices": ["1", "1,2", "x"],
+        "--emit": ["json", "dot", "both", "zz"], "--certify": None,
+        "--expect-palette": ["auto", "1,2,3", "x"],
+    },
+    "partition": {"--first": _SMALL, "--step": _SMALL, "--t": _SMALL, "--s": _SMALL},
+    "solve": {"--input": ["absent.json"], "--max-edges": _SMALL, "--use-witness": None},
+    "certify": {"--input": ["absent.json"], "--expect-palette": ["auto", "x"]},
+}
+_ARGV_TOKENS = sorted(
+    {"--bogus"}
+    | set(_ARGV_OPTIONS)
+    | {token for opts in _ARGV_OPTIONS.values() for name, values in opts.items()
+       for token in [name] + (values or [])}
+)
+
+
+@st.composite
+def _argv(draw):
+    """A subcommand with some of its options in any order, or any token list."""
+    if draw(st.booleans()):
+        return draw(st.lists(st.sampled_from(_ARGV_TOKENS), max_size=8))
+    command = draw(st.sampled_from(sorted(_ARGV_OPTIONS)))
+    options = _ARGV_OPTIONS[command]
+    argv = [command]
+    for name in draw(st.lists(st.sampled_from(sorted(options)), unique=True)):
+        argv += [name] if options[name] is None else [name, draw(st.sampled_from(options[name]))]
+    return argv
+
+
+@settings(max_examples=200, deadline=None)
+@given(_argv())
+def test_cli_any_argv_exits_0_1_or_2_with_one_manifest_line(argv):
+    with tempfile.TemporaryDirectory() as out:
+        try:
+            code = main(["--out", out] + argv)
+        except SystemExit as exc:
+            code = exc.code
+        assert code in (0, 1, 2)
+        assert len((Path(out) / "manifest.jsonl").read_text().splitlines()) == 1
 
 
 def test_cli_sweep_exit_codes(tmp_path, monkeypatch, capsys):
