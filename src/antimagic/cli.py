@@ -42,7 +42,6 @@ def _load_doc(path: str) -> dict:
 
 
 def _write(out_dir: Path, name: str, content: str) -> str:
-    out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / name
     path.write_text(content)
     return str(path)
@@ -201,6 +200,11 @@ def cmd_certify(args, out_dir: Path) -> tuple[int, str, list[str]]:
     expected = None
     if args.expect_palette == "auto":
         expected = doc.get("expected_palette")
+        if expected is not None and not (
+            isinstance(expected, list)
+            and all(isinstance(c, int) and not isinstance(c, bool) for c in expected)
+        ):
+            raise UsageError(f"expected_palette is not a list of ints: {expected!r}")
     elif args.expect_palette is not None:
         expected = _parse_palette(args.expect_palette)
     cert = certify(g, f, expected)
@@ -294,6 +298,17 @@ _HANDLERS = {
 }
 
 
+def _usable_out(out: str) -> bool:
+    """Create the ``--out`` directory; a path that cannot be one is a usage
+    error, reported here since no manifest line can be written there."""
+    try:
+        Path(out).mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        print(f"usage error: --out {out} cannot be a directory: {exc}", file=sys.stderr)
+        return False
+    return True
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = make_parser()
     args = argparse.Namespace()
@@ -303,16 +318,19 @@ def main(argv: list[str] | None = None) -> int:
         # argparse fills ``args`` as it parses, so an ``--out`` given before
         # the error is honoured; otherwise it still holds the default
         print(f"usage error: {exc}", file=sys.stderr)
-        io.append_manifest(
-            args.out,
-            args.command,
-            {"argv": list(sys.argv[1:] if argv is None else argv)},
-            __version__,
-            {},
-            f"usage error: {exc}",
-            [],
-        )
+        if _usable_out(args.out):
+            io.append_manifest(
+                args.out,
+                args.command,
+                {"argv": list(sys.argv[1:] if argv is None else argv)},
+                __version__,
+                {},
+                f"usage error: {exc}",
+                [],
+            )
         raise SystemExit(2) from None
+    if not _usable_out(args.out):
+        return 2
     out_dir = Path(args.out)
 
     input_hashes = {}

@@ -69,12 +69,11 @@ class FamilyInstance:
 BuildResult = tuple[Graph, EdgeLabeling, FamilyInstance]
 
 
-def _palette(**forms: int) -> tuple[int, ...]:
-    """The sorted palette; the names of the closed forms serve the error."""
-    values = list(forms.values())
-    if len(set(values)) != len(values):
-        raise PaletteCollision(f"closed-form colors coincide: {forms}")
-    return tuple(sorted(values))
+def _palette(*colors: int) -> tuple[int, ...]:
+    """The sorted palette of the closed-form colors, which must be distinct."""
+    if len(set(colors)) != len(colors):
+        raise PaletteCollision(f"closed-form colors coincide: {colors}")
+    return tuple(sorted(colors))
 
 
 def _census(*pairs: tuple[int, int]) -> dict[int, int]:
@@ -83,6 +82,29 @@ def _census(*pairs: tuple[int, int]) -> dict[int, int]:
     for d, c in pairs:
         out[d] = out.get(d, 0) + c
     return out
+
+
+def _scaled(
+    base: FamilyInstance, color: int, degree: int, r: int, s: int
+) -> tuple[tuple[int, ...], dict[int, int]]:
+    """Palette and census of ``base`` after merging its independent class of
+    ``color`` and ``degree`` into r blocks of s.
+
+    Labels travel with their edges, so a block of s vertices of color c and
+    degree d is one vertex of color s*c and degree s*d: the color becomes
+    s*color and r*s vertices of degree d become r vertices of degree s*d.
+    """
+    if color not in base.expected_palette or base.expected_census.get(degree, 0) < r * s:
+        raise InvariantError(
+            f"{base.family}{base.params} claims no {r * s} vertices of color "
+            f"{color} and degree {degree}"
+        )
+    palette = _palette(*(s * c if c == color else c for c in base.expected_palette))
+    census = dict(base.expected_census)
+    census[degree] -= r * s
+    if not census[degree]:
+        del census[degree]
+    return palette, _census(*census.items(), (s * degree, r))
 
 
 def _record(blocks: Iterable[Iterable[VertexId]]) -> tuple[tuple[str, ...], ...]:
@@ -121,11 +143,7 @@ def build_fb(n: int) -> BuildResult:
     block = [{V("x", i) for i in range(1, n + 1)}]
     g, emap = merge_vertices(g, block, [V("x")])
     f = f.remapped(emap)
-    palette = _palette(**{
-        "9k+6": 9 * k + 6,
-        "10k+6": 10 * k + 6,
-        "(7k+4)(6k+3)": (7 * k + 4) * (6 * k + 3),
-    })
+    palette = _palette(9 * k + 6, 10 * k + 6, (7 * k + 4) * (6 * k + 3))
     inst = FamilyInstance(
         "fb", {"n": n, "k": k}, palette,
         _census((2, 2 * n), (3, n), (3 * n, 1)),
@@ -136,6 +154,12 @@ def build_fb(n: int) -> BuildResult:
 def build_tfb(t: int, s: int) -> BuildResult:
     """t disjoint fans with s blades each, hubs grouped by an equal-sum
     partition of the cell hub sums (an arithmetic progression)."""
+    g, f, inst, _ = _tfb(t, s)
+    return g, f, inst
+
+
+def _tfb(t: int, s: int) -> tuple[Graph, EdgeLabeling, FamilyInstance, list[list[int]]]:
+    """:func:`build_tfb`, plus the sorted cell columns of each fan component."""
     if t < 3 or s < 3 or t % 2 == 0 or s % 2 == 0:
         raise InvalidFactorization(f"need odd t, s >= 3, got t={t}, s={s}")
     k = (t * s - 1) // 2
@@ -143,26 +167,20 @@ def build_tfb(t: int, s: int) -> BuildResult:
 
     # hub sum of cell i is 23k+14-2i, descending left to right
     part = partition_ap(ApSpec(19 * k + 12, 2, 2 * k + 1), t, s)
-    blocks = []
-    for blk in part.blocks:
-        cols = sorted((23 * k + 14 - value) // 2 for value in blk)
-        blocks.append({V("x", c) for c in cols})
+    columns = [sorted((23 * k + 14 - value) // 2 for value in blk) for blk in part.blocks]
+    blocks = [{V("x", c) for c in cols} for cols in columns]
     new_ids = [V("y", a) for a in range(1, t + 1)]
     g, emap = merge_vertices(g, blocks, new_ids)
     f = f.remapped(emap)
 
-    palette = _palette(**{
-        "9k+6": 9 * k + 6,
-        "10k+6": 10 * k + 6,
-        "s(21k+12)": s * (21 * k + 12),
-    })
+    palette = _palette(9 * k + 6, 10 * k + 6, s * (21 * k + 12))
     inst = FamilyInstance(
         "tfb", {"t": t, "s": s, "k": k}, palette,
         _census((2, 2 * t * s), (3, t * s), (3 * s, t)),
         partition_record=_record(blocks),
         expected_component_orders=tuple([3 * s + 1] * t),
     )
-    return g, f, inst
+    return g, f, inst, columns
 
 
 def _df_block_cols(j: int, s: int) -> list[int]:
@@ -205,28 +223,13 @@ def build_df(r: int, s: int) -> BuildResult:
     g, emap = merge_vertices(g, blocks, new_ids)
     f = f.remapped(emap)
 
-    palette = _palette(**{
-        "10k+6": 10 * k + 6,
-        "9k+6": 9 * k + 6,
-        "s(21k+12)": s * (21 * k + 12),
-    })
+    palette = _palette(10 * k + 6, 9 * k + 6, s * (21 * k + 12))
     inst = FamilyInstance(
         "df", {"r": r, "s": s, "k": k}, palette,
         _census((2, (4 * r + 2) * s), (3, (2 * r + 1) * s), (3 * s, 2 * r + 1)),
         expected_component_orders=tuple(sorted([6 * s + 2] * r + [3 * s + 1])),
     )
     return g, f, inst
-
-
-def _component_columns(inst: FamilyInstance, t: int) -> list[list[int]]:
-    """Recover each fan component's sorted cell columns from the hub record."""
-    out = []
-    for block in inst.partition_record:
-        cols = sorted(int(name.split("_")[1]) for name in block)
-        out.append(cols)
-    if len(out) != t:
-        raise InvariantError(f"hub record has {len(out)} components, expected {t}")
-    return out
 
 
 def build_fb_merged(variant: int, r: int, s: int) -> BuildResult:
@@ -241,8 +244,7 @@ def build_fb_merged(variant: int, r: int, s: int) -> BuildResult:
         raise PaletteCollision(
             f"k = {k} = 2 (mod 4): r(10k+6) may equal s(21k+12), excluded"
         )
-    g, f, base = build_tfb(r, s)
-    comp_cols = _component_columns(base, r)
+    g, f, base, comp_cols = _tfb(r, s)
 
     blocks: list[set[VertexId]] = []
     new_ids: list[VertexId] = []
@@ -260,19 +262,9 @@ def build_fb_merged(variant: int, r: int, s: int) -> BuildResult:
     f = f.remapped(emap)
 
     if variant == 1:
-        palette = _palette(**{
-            "9k+6": 9 * k + 6,
-            "r(10k+6)": r * (10 * k + 6),
-            "s(21k+12)": s * (21 * k + 12),
-        })
-        census = _census((3, r * s), (2 * r, 2 * s), (3 * s, r))
+        palette, census = _scaled(base, 10 * k + 6, 2, 2 * s, r)
     else:
-        palette = _palette(**{
-            "10k+6": 10 * k + 6,
-            "r(9k+6)": r * (9 * k + 6),
-            "s(21k+12)": s * (21 * k + 12),
-        })
-        census = _census((2, 2 * r * s), (3 * r, s), (3 * s, r))
+        palette, census = _scaled(base, 9 * k + 6, 3, s, r)
     inst = FamilyInstance(
         f"fb{variant}", {"r": r, "s": s, "k": k}, palette, census,
         partition_record=_record(blocks),
@@ -319,14 +311,7 @@ def build_df_merged(variant: int, r: int, s: int, r1: int | None = None) -> Buil
                 block |= {z_side[b], y_side[b]}
             blocks.append(block)
             new_ids.append(V("m", b + 1))
-        palette = _palette(**{
-            "9k+6": 9 * k + 6,
-            "(2r+1)(10k+6)": (2 * r + 1) * (10 * k + 6),
-            "s(21k+12)": s * (21 * k + 12),
-        })
-        census = _census(
-            (3, (2 * r + 1) * s), (2 * (2 * r + 1), 2 * s), (3 * s, 2 * r + 1)
-        )
+        palette, census = _scaled(base, 10 * k + 6, 2, 2 * s, 2 * r + 1)
     elif variant == 2:
         fan_centers = [V("w", i) for i in hub_cols]
         sides = []
@@ -339,14 +324,7 @@ def build_df_merged(variant: int, r: int, s: int, r1: int | None = None) -> Buil
                 block |= {y_side[b], z_side[b]}
             blocks.append(block)
             new_ids.append(V("m", b + 1))
-        palette = _palette(**{
-            "10k+6": 10 * k + 6,
-            "(2r+1)(9k+6)": (2 * r + 1) * (9 * k + 6),
-            "s(21k+12)": s * (21 * k + 12),
-        })
-        census = _census(
-            (2, (4 * r + 2) * s), (3 * (2 * r + 1), s), (3 * s, 2 * r + 1)
-        )
+        palette, census = _scaled(base, 9 * k + 6, 3, s, 2 * r + 1)
     else:
         if r1 is None or r1 < 3 or (2 * r + 1) % r1 or (2 * r + 1) // r1 < 3:
             raise InvalidFactorization(
@@ -359,14 +337,7 @@ def build_df_merged(variant: int, r: int, s: int, r1: int | None = None) -> Buil
         for c in range(r1):
             blocks.append(set(hubs[c * r2: (c + 1) * r2]))
             new_ids.append(V("m", c + 1))
-        palette = _palette(**{
-            "10k+6": 10 * k + 6,
-            "9k+6": 9 * k + 6,
-            "r2*s(21k+12)": r2 * s * (21 * k + 12),
-        })
-        census = _census(
-            (2, (4 * r + 2) * s), (3, (2 * r + 1) * s), (3 * s * r2, r1)
-        )
+        palette, census = _scaled(base, s * (21 * k + 12), 3 * s, r1, r2)
 
     g, emap = merge_vertices(g, blocks, new_ids)
     f = f.remapped(emap)
@@ -411,11 +382,7 @@ def build_pt(n: int) -> BuildResult:
 
     g = Graph([x, y] + us + vs, labels.keys())
     f = EdgeLabeling.from_dict(labels)
-    palette = _palette(**{
-        "10k+6": 10 * k + 6,
-        "9k+6": 9 * k + 6,
-        "21k+12": 21 * k + 12,
-    })
+    palette = _palette(10 * k + 6, 9 * k + 6, 21 * k + 12)
     inst = FamilyInstance(
         "pt", {"n": n, "k": k}, palette,
         _census((2, 2 * n + 2), (3, 2 * n + 2)),
@@ -434,15 +401,8 @@ def build_tb(n: int) -> BuildResult:
         new_ids.append(V("z", 2 * i))
     g, emap = merge_vertices(g, blocks, new_ids)
     f = f.remapped(emap)
-    palette = _palette(**{
-        "9k+6": 9 * k + 6,
-        "21k+12": 21 * k + 12,
-        "20k+12": 20 * k + 12,
-    })
-    inst = FamilyInstance(
-        "tb", {"n": n, "k": k}, palette,
-        _census((3, 2 * n + 2), (4, n + 1)),
-    )
+    palette, census = _scaled(base, 10 * k + 6, 2, n + 1, 2)
+    inst = FamilyInstance("tb", {"n": n, "k": k}, palette, census)
     return g, f, inst
 
 
@@ -574,64 +534,36 @@ def build_pt_tb_merged(
                 raise InvariantError(f"rung {j} has no endpoint of color {color}")
         return out
 
-    if base == "pt" and variant in (1, 2):
-        target = 9 * k + 6 if variant == 1 else 21 * k + 12
-        items = rung_class(target)
-        s = (n + 1) // r if r >= 1 and (n + 1) % r == 0 else 0
-        if r < 1 or s < 3 or r % 2 == 0 or s % 2 == 0:
-            raise NoValidPartition(
-                f"need odd r >= 1 with odd block size (n+1)/r >= 3, got r={r}, n={n}"
-            )
-    elif base == "pt":
-        items = [V("x")]
-        items += [V("u", 2 * i) for i in range(1, n + 1)]
-        items += [V("y")]
-        items += [V("v", 2 * i) for i in range(n, 0, -1)]
+    # the merged class: its color and degree in the base graph
+    color, degree = {
+        1: (9 * k + 6, 3),
+        2: (21 * k + 12, 3),
+        3: (10 * k + 6, 2) if base == "pt" else (20 * k + 12, 4),
+    }[variant]
+    if base == "pt" and variant == 3:
         s = (2 * n + 2) // r if r >= 2 and (2 * n + 2) % r == 0 else 0
         if not 2 <= s <= n + 1:
             raise NoValidPartition(
                 f"need r >= 2 with block size 2 <= (2n+2)/r <= n+1, got r={r}, n={n}"
             )
-    elif variant in (1, 2):
-        target = 9 * k + 6 if variant == 1 else 21 * k + 12
-        items = rung_class(target)
-        s = (n + 1) // r if r >= 1 and (n + 1) % r == 0 else 0
-        if r < 3 or s < 3 or r % 2 == 0 or s % 2 == 0:
-            raise NoValidPartition(
-                f"need odd r, (n+1)/r both >= 3, got r={r}, n={n}"
-            )
+        items = [V("x")]
+        items += [V("u", 2 * i) for i in range(1, n + 1)]
+        items += [V("y")]
+        items += [V("v", 2 * i) for i in range(n, 0, -1)]
     else:
-        if n < 8:
-            raise NoValidPartition("bracelet degree-4 merge needs n >= 8")
-        items = [V("z", 0)] + [V("z", 2 * i) for i in range(1, n + 1)]
+        least = 1 if base == "pt" else 3
         s = (n + 1) // r if r >= 1 and (n + 1) % r == 0 else 0
-        if r < 3 or s < 3 or r % 2 == 0 or s % 2 == 0:
+        if r < least or s < 3 or r % 2 == 0 or s % 2 == 0:
             raise NoValidPartition(
-                f"need odd r, (n+1)/r both >= 3, got r={r}, n={n}"
+                f"need odd r >= {least} with odd block size (n+1)/r >= 3, got r={r}, n={n}"
             )
+        if variant == 3:
+            items = [V("z", 0)] + [V("z", 2 * i) for i in range(1, n + 1)]
+        else:
+            items = rung_class(color)
 
     g, f, blocks = _merge_class(g, f, items, r, block_assignment)
-
-    forms: dict[str, int]
-    if base == "pt" and variant == 1:
-        forms = {"10k+6": 10 * k + 6, "s(9k+6)": s * (9 * k + 6), "21k+12": 21 * k + 12}
-        census = _census((2, 2 * n + 2), (3, n + 1), (3 * s, r))
-    elif base == "pt" and variant == 2:
-        forms = {"10k+6": 10 * k + 6, "9k+6": 9 * k + 6, "s(21k+12)": s * (21 * k + 12)}
-        census = _census((2, 2 * n + 2), (3, n + 1), (3 * s, r))
-    elif base == "pt":
-        forms = {"s(10k+6)": s * (10 * k + 6), "9k+6": 9 * k + 6, "21k+12": 21 * k + 12}
-        census = _census((3, 2 * n + 2), (2 * s, r))
-    elif variant == 1:
-        forms = {"s(9k+6)": s * (9 * k + 6), "21k+12": 21 * k + 12, "20k+12": 20 * k + 12}
-        census = _census((3, n + 1), (4, n + 1), (3 * s, r))
-    elif variant == 2:
-        forms = {"9k+6": 9 * k + 6, "s(21k+12)": s * (21 * k + 12), "20k+12": 20 * k + 12}
-        census = _census((3, n + 1), (4, n + 1), (3 * s, r))
-    else:
-        forms = {"s(20k+12)": s * (20 * k + 12), "9k+6": 9 * k + 6, "21k+12": 21 * k + 12}
-        census = _census((3, 2 * n + 2), (4 * s, r))
-    palette = _palette(**forms)
+    palette, census = _scaled(base_inst, color, degree, r, s)
 
     inst = FamilyInstance(
         f"{base}{variant}", {"n": n, "k": k, "r": r, "s": s}, palette, census,
@@ -700,15 +632,11 @@ def build_gn(n: int, indices: Sequence[int]) -> BuildResult:
     f = f.remapped(emap)
 
     s = n - sum(4 * ia - 1 for ia in indices)
-    palette = _palette(**{
-        "9k+6": 9 * k + 6,
-        "21k+12": 21 * k + 12,
-        "20k+12": 20 * k + 12,
-    })
     orders = sorted([3 * (s + 1)] + [3 * (4 * ia - 1) for ia in indices])
+    # the split and the crosswise re-merge keep every color and degree
     inst = FamilyInstance(
-        "gn", {"n": n, "k": k, "indices": indices, "s": s}, palette,
-        _census((3, 2 * n + 2), (4, n + 1)),
+        "gn", {"n": n, "k": k, "indices": indices, "s": s},
+        base.expected_palette, base.expected_census,
         expected_component_orders=tuple(orders),
     )
     return g, f, inst
@@ -741,18 +669,12 @@ def build_gb(
     hubs = sorted(v for v in g.vertices if g.degree(v) == 4)
     g, f, blocks = _merge_class(g, f, hubs, r, block_assignment)
 
-    palette = _palette(**{
-        "9k+6": 9 * k + 6,
-        "21k+12": 21 * k + 12,
-        "s(20k+12)": s * (20 * k + 12),
-    })
+    palette, census = _scaled(base_inst, 20 * k + 12, 4, r, s)
     params = {"n": n, "k": k, "r": r, "s": s, "base": base}
     if indices:
         params["indices"] = tuple(indices)
     inst = FamilyInstance(
-        "gb", params, palette,
-        _census((3, 2 * n + 2), (4 * s, r)),
-        partition_record=_record(blocks),
+        "gb", params, palette, census, partition_record=_record(blocks),
     )
     return g, f, inst
 
@@ -790,11 +712,7 @@ def build_np3_o3(n: int) -> BuildResult:
     g, emap = merge_vertices(g, blocks, [V("x", a) for a in (1, 2, 3)])
     f = f.remapped(emap)
 
-    palette = _palette(**{
-        "25k+15": 25 * k + 15,
-        "50k+27": 50 * k + 27,
-        "(2k+1)(39k+21)": (2 * k + 1) * (39 * k + 21),
-    })
+    palette = _palette(25 * k + 15, 50 * k + 27, (2 * k + 1) * (39 * k + 21))
     inst = FamilyInstance(
         "np3o3", {"n": n, "k": k}, palette,
         _census((4, 2 * n), (5, n), (3 * n, 3)),

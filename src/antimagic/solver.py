@@ -186,7 +186,6 @@ def solve_chi_la(
     # isolated vertices carry the empty-sum color 0 in every labeling
     completed: dict[int, int] = {0: deg.count(0)} if 0 in deg else {}
     nodes = 0
-    out_of_time = False
 
     def complete_vertex(vid: int) -> bool:
         c = sums[vid]
@@ -204,7 +203,7 @@ def solve_chi_la(
 
     def dfs(pos: int) -> bool:
         """Returns True to abort the whole search (time budget or target)."""
-        nonlocal nodes, best, incumbent, incumbent_count, out_of_time
+        nonlocal nodes, best, incumbent, incumbent_count
         if pos == q:
             count = len(completed)
             if count < best:
@@ -217,7 +216,6 @@ def solve_chi_la(
         nodes += 1
         if cfg.time_budget is not None and nodes & _TIME_CHECK_MASK == 0:
             if time.monotonic() - start > cfg.time_budget:
-                out_of_time = True
                 return True
         a, b = ends[pos]
         top = q + 1 if allows_q[pos] else q
@@ -257,12 +255,11 @@ def solve_chi_la(
     elapsed = time.monotonic() - start
     witness = EdgeLabeling(incumbent) if incumbent is not None else None
 
-    if out_of_time:
-        return SolveResult(None, witness, "budget_exhausted", nodes, elapsed)
-    if aborted:
-        # early exit on reaching the target: minimality unproven
-        return SolveResult(None, witness, "budget_exhausted", nodes, elapsed)
-    if target is not None and incumbent_count is not None and incumbent_count > target + 1:
-        # only proved that nothing <= target exists; the witness bound is loose
+    # an abort (time budget, or the target reached) leaves minimality
+    # unproven; a target above the witness only proves that nothing <= target
+    # exists, so the witness bound is loose
+    if aborted or (
+        target is not None and incumbent_count is not None and incumbent_count > target + 1
+    ):
         return SolveResult(None, witness, "budget_exhausted", nodes, elapsed)
     return SolveResult(incumbent_count, witness, "exact", nodes, elapsed)

@@ -51,9 +51,6 @@ class LabelTable:
         """1-based column access, mirroring the usual subscript convention."""
         return self.rows[row][i - 1]
 
-    def column(self, i: int) -> dict[str, int]:
-        return {name: self.rows[name][i - 1] for name in self.row_names}
-
     def all_entries(self) -> list[int]:
         out: list[int] = []
         for name in self.row_names:
@@ -275,7 +272,6 @@ class TracedSequences:
     s1_sources: tuple[Source, ...]
     s2_sources: tuple[Source, ...]
     r3_columns: tuple[int, ...]
-    pair_classes: tuple[str, ...]  # "top" (rows 1-2) or "bottom" (rows 4-5) per pair
 
 
 def _sequence_sources(k: int) -> tuple[list[Source], list[Source]]:
@@ -354,7 +350,6 @@ def trace_sequences(t: LabelTable) -> TracedSequences:
                 )
 
     r3_columns: list[int] = []
-    pair_classes: list[str] = []
     for j in range(2 * k + 1):
         (row_a, col_a), (row_b, col_b) = src1[2 * j], src1[2 * j + 1]
         (row_c, col_c), (row_d, col_d) = src2[2 * j], src2[2 * j + 1]
@@ -372,12 +367,10 @@ def trace_sequences(t: LabelTable) -> TracedSequences:
         if other != (21 * k + 12 if top else 9 * k + 6):
             raise SequenceSchemeViolated(f"pair {j + 1} of S2 breaks the complement (C)")
         r3_columns.append(col_a)
-        pair_classes.append("top" if top else "bottom")
 
     if sorted(r3_columns) != list(range(1, 2 * k + 2)):
         raise SequenceSchemeViolated("row-3 pairing must use every column once")
 
     return TracedSequences(
-        tuple(s1), tuple(s2), tuple(src1), tuple(src2),
-        tuple(r3_columns), tuple(pair_classes),
+        tuple(s1), tuple(s2), tuple(src1), tuple(src2), tuple(r3_columns)
     )

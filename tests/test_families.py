@@ -524,6 +524,102 @@ def test_gn_grid_respects_conditions():
     assert all(8 * idx[-1] - 2 <= n for n, idx in combos)
 
 
+# --- the paper's closed forms for the merged families -----------------------------
+
+
+def _census(*pairs):
+    out = {}
+    for d, c in pairs:
+        out[d] = out.get(d, 0) + c
+    return out
+
+
+def derived_closed_forms(family, params):
+    """Palette and degree census of a derived family as the paper writes them
+    out, one branch per family: the oracle of the scaling rule the builders
+    derive these claims from."""
+    n, r, s = params.get("n"), params.get("r"), params.get("s")
+    if family in ("fb1", "fb2"):
+        k = (r * s - 1) // 2
+        if family == "fb1":
+            return (
+                {9 * k + 6, r * (10 * k + 6), s * (21 * k + 12)},
+                _census((3, r * s), (2 * r, 2 * s), (3 * s, r)),
+            )
+        return (
+            {10 * k + 6, r * (9 * k + 6), s * (21 * k + 12)},
+            _census((2, 2 * r * s), (3 * r, s), (3 * s, r)),
+        )
+    if family in ("df1", "df2", "df3"):
+        k = ((2 * r + 1) * s - 1) // 2
+        if family == "df1":
+            return (
+                {9 * k + 6, (2 * r + 1) * (10 * k + 6), s * (21 * k + 12)},
+                _census((3, (2 * r + 1) * s), (2 * (2 * r + 1), 2 * s), (3 * s, 2 * r + 1)),
+            )
+        if family == "df2":
+            return (
+                {10 * k + 6, (2 * r + 1) * (9 * k + 6), s * (21 * k + 12)},
+                _census((2, (4 * r + 2) * s), (3 * (2 * r + 1), s), (3 * s, 2 * r + 1)),
+            )
+        r1 = params["r1"]
+        r2 = (2 * r + 1) // r1
+        return (
+            {10 * k + 6, 9 * k + 6, r2 * s * (21 * k + 12)},
+            _census((2, (4 * r + 2) * s), (3, (2 * r + 1) * s), (3 * s * r2, r1)),
+        )
+    k = n // 2
+    if family in ("tb", "gn"):
+        return {9 * k + 6, 21 * k + 12, 20 * k + 12}, _census((3, 2 * n + 2), (4, n + 1))
+    if family == "gb":
+        return (
+            {9 * k + 6, 21 * k + 12, s * (20 * k + 12)},
+            _census((3, 2 * n + 2), (4 * s, r)),
+        )
+    if family == "pt3":
+        s = (2 * n + 2) // r
+        return (
+            {s * (10 * k + 6), 9 * k + 6, 21 * k + 12},
+            _census((3, 2 * n + 2), (2 * s, r)),
+        )
+    s = (n + 1) // r
+    if family == "pt1":
+        palette = {10 * k + 6, s * (9 * k + 6), 21 * k + 12}
+    elif family == "pt2":
+        palette = {10 * k + 6, 9 * k + 6, s * (21 * k + 12)}
+    elif family == "tb1":
+        palette = {s * (9 * k + 6), 21 * k + 12, 20 * k + 12}
+    elif family == "tb2":
+        palette = {9 * k + 6, s * (21 * k + 12), 20 * k + 12}
+    else:
+        assert family == "tb3"
+        return (
+            {s * (20 * k + 12), 9 * k + 6, 21 * k + 12},
+            _census((3, 2 * n + 2), (4 * s, r)),
+        )
+    if family.startswith("pt"):
+        return palette, _census((2, 2 * n + 2), (3, n + 1), (3 * s, r))
+    return palette, _census((3, n + 1), (4, n + 1), (3 * s, r))
+
+
+DERIVED_FAMILIES = (
+    "tb", "fb1", "fb2", "df1", "df2", "df3", "pt1", "pt2", "pt3",
+    "tb1", "tb2", "tb3", "gn", "gb",
+)
+
+
+@pytest.mark.parametrize("family", DERIVED_FAMILIES)
+def test_derived_claims_equal_the_closed_forms(family):
+    points = [p for p, excluded in family_grid(family) if excluded is None][:5]
+    assert len(points) == 5
+    for params in points:
+        _, _, inst = build_family(family, **params)
+        palette, census = derived_closed_forms(family, params)
+        assert len(palette) == 3, params
+        assert inst.expected_palette == tuple(sorted(palette)), params
+        assert inst.expected_census == census, params
+
+
 # --- dispatch and sweeps -----------------------------------------------------------
 
 

@@ -334,6 +334,42 @@ def test_cli_bad_palette_is_usage(tmp_path):
     assert code == 2
     entry = json.loads((tmp_path / "manifest.jsonl").read_text())
     assert entry["outcome"].startswith("usage error")
+    # a document's own expected_palette must be absent, null or a list of ints
+    assert main(["--out", str(tmp_path), "build", "--family", "tb", "--n", "2"]) == 0
+    doc = json.loads((tmp_path / "tb_n2.json").read_text())
+    for bad in (5, [1, "a"], "abc", [[1]], [15, True, 33]):
+        path = tmp_path / "bad_palette.json"
+        path.write_text(json.dumps(dict(doc, expected_palette=bad)))
+        code = main([
+            "--out", str(tmp_path), "certify", "--input", str(path),
+            "--expect-palette", "auto",
+        ])
+        assert code == 2, bad
+        entry = json.loads((tmp_path / "manifest.jsonl").read_text().splitlines()[-1])
+        assert entry["outcome"].startswith("usage error"), bad
+    for good in (None, [15, 32, 33]):
+        path.write_text(json.dumps(dict(doc, expected_palette=good)))
+        assert main(["--out", str(tmp_path), "certify", "--input", str(path),
+                     "--expect-palette", "auto"]) == 0, good
+
+
+@pytest.mark.parametrize("argv", [
+    ["--out", "afile", "table", "--kind", "m1", "--k", "1"],
+    ["--out", "afile", "--bogus"],
+    ["--out", "afile/sub", "table", "--kind", "m1", "--k", "1"],
+])
+def test_cli_out_that_cannot_be_a_directory_exits_2(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "afile").write_text("")
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    assert code == 2
+    assert "usage error: --out" in capsys.readouterr().err
+    # the manifest has nowhere to go, and nothing else was written
+    assert (tmp_path / "afile").read_text() == ""
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["afile"]
 
 
 def test_cli_missing_input_writes_a_manifest_line(tmp_path):
