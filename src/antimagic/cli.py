@@ -140,6 +140,9 @@ def cmd_partition(args, out_dir: Path) -> tuple[int, str, list[str]]:
 
 
 def cmd_sweep(args, out_dir: Path) -> tuple[int, str, list[str]]:
+    report_name = args.report or "sweep_report.json"
+    if Path(report_name).name != report_name or report_name == "..":
+        raise UsageError(f"--report must be a file name inside --out, got {report_name!r}")
     families = FAMILY_TAGS if args.family == "all" else (args.family,)
     grid_kwargs = {}
     if args.max_size is not None:
@@ -165,7 +168,6 @@ def cmd_sweep(args, out_dir: Path) -> tuple[int, str, list[str]]:
                 print(f"  {rec['status'].upper()} {rec['params']}: {rec['reason']}")
         all_records.extend(records)
 
-    report_name = args.report or "sweep_report.json"
     outputs = [_write(out_dir, report_name, io.dumps({"records": all_records}))]
     statuses = {rec["status"] for rec in all_records}
     if "fail" in statuses:

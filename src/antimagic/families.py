@@ -464,49 +464,27 @@ def _merge_class(
     f: EdgeLabeling,
     items: Sequence[VertexId],
     r: int,
-    block_assignment: Sequence[Iterable[VertexId]] | None,
 ) -> tuple[Graph, EdgeLabeling, list[list[VertexId]]]:
     """Merge the color class ``items`` into r equal blocks ``m_1..m_r``.
 
-    Without an explicit assignment the stride-r round-robin is merged first:
-    items arrive in cycle order and conflicts are local, so it almost always
-    works.  The class is independent, so the merge rejects it exactly when
-    two block members share a neighbor; the backtracking search then finds
-    blocks without common neighbors.
+    The stride-r round-robin is merged first: items arrive in cycle order and
+    conflicts are local, so it almost always works.  The class is independent,
+    so the merge rejects it exactly when two block members share a neighbor;
+    the backtracking search then finds blocks without common neighbors.
     """
     new_ids = [V("m", b + 1) for b in range(r)]
-    if block_assignment is not None:
-        blocks = [list(b) for b in block_assignment]
-        flat = [v for b in blocks for v in b]
-        if (
-            len(blocks) != r
-            or len(set(len(b) for b in blocks)) != 1
-            or sorted(flat) != sorted(items)
-        ):
-            raise NoValidPartition(
-                "explicit block assignment is not an equal-size partition of the class"
-            )
-    else:
-        if r < 1 or len(items) % r:
-            raise NoValidPartition(f"{len(items)} vertices do not split into {r} blocks")
-        blocks = [list(items[b::r]) for b in range(r)]
-        try:
-            merged, emap = merge_vertices(g, blocks, new_ids)
-        except (MergeWouldCreateLoop, MergeWouldCreateParallelEdge):
-            blocks = _no_conflict_partition(g, items, r)
-        else:
-            return merged, f.remapped(emap), blocks
-    g, emap = merge_vertices(g, blocks, new_ids)
+    if r < 1 or len(items) % r:
+        raise NoValidPartition(f"{len(items)} vertices do not split into {r} blocks")
+    blocks = [list(items[b::r]) for b in range(r)]
+    try:
+        g, emap = merge_vertices(g, blocks, new_ids)
+    except (MergeWouldCreateLoop, MergeWouldCreateParallelEdge):
+        blocks = _no_conflict_partition(g, items, r)
+        g, emap = merge_vertices(g, blocks, new_ids)
     return g, f.remapped(emap), blocks
 
 
-def build_pt_tb_merged(
-    base: str,
-    variant: int,
-    n: int,
-    r: int,
-    block_assignment: Sequence[Iterable[VertexId]] | None = None,
-) -> BuildResult:
+def build_pt_tb_merged(base: str, variant: int, n: int, r: int) -> BuildResult:
     """Merge one color class of the peanut or bracelet into r equal blocks.
 
     Variants 1 and 2 merge the two degree-3 classes, variant 3 the degree-2
@@ -522,17 +500,6 @@ def build_pt_tb_merged(
 
     g, f, base_inst = (build_pt if base == "pt" else build_tb)(n)
     k = base_inst.params["k"]
-    coloring = induce_coloring(g, f)
-
-    def rung_class(color: int) -> list[VertexId]:
-        # one member per rung, ordered along the cycle so conflicts are local
-        out = []
-        for j in range(1, n + 2):
-            u, v = V("u", 2 * j - 1), V("v", 2 * j - 1)
-            out.append(u if coloring.colors[u] == color else v)
-            if coloring.colors[out[-1]] != color:
-                raise InvariantError(f"rung {j} has no endpoint of color {color}")
-        return out
 
     # the merged class: its color and degree in the base graph
     color, degree = {
@@ -560,9 +527,16 @@ def build_pt_tb_merged(
         if variant == 3:
             items = [V("z", 0)] + [V("z", 2 * i) for i in range(1, n + 1)]
         else:
-            items = rung_class(color)
+            # one member per rung, ordered along the cycle so conflicts are local
+            colors = induce_coloring(g, f).colors
+            items = []
+            for j in range(1, n + 2):
+                u, v = V("u", 2 * j - 1), V("v", 2 * j - 1)
+                items.append(u if colors[u] == color else v)
+                if colors[items[-1]] != color:
+                    raise InvariantError(f"rung {j} has no endpoint of color {color}")
 
-    g, f, blocks = _merge_class(g, f, items, r, block_assignment)
+    g, f, blocks = _merge_class(g, f, items, r)
     palette, census = _scaled(base_inst, color, degree, r, s)
 
     inst = FamilyInstance(
@@ -648,7 +622,6 @@ def build_gb(
     s: int,
     base: str = "tb",
     indices: Sequence[int] | None = None,
-    block_assignment: Sequence[Iterable[VertexId]] | None = None,
 ) -> BuildResult:
     """Generalized bracelet: merge the n+1 degree-4 vertices of a bracelet
     (or bracelet union) into r blocks of s without common neighbors."""
@@ -667,7 +640,7 @@ def build_gb(
     k = base_inst.params["k"]
 
     hubs = sorted(v for v in g.vertices if g.degree(v) == 4)
-    g, f, blocks = _merge_class(g, f, hubs, r, block_assignment)
+    g, f, blocks = _merge_class(g, f, hubs, r)
 
     palette, census = _scaled(base_inst, 20 * k + 12, 4, r, s)
     params = {"n": n, "k": k, "r": r, "s": s, "base": base}

@@ -4,12 +4,15 @@ Desk-scale independent oracle: exhaustively assigns the labels 1..q to edges
 depth-first, pruning a branch as soon as a fully-assigned vertex matches an
 adjacent fully-assigned vertex's sum, or the count of distinct completed
 colors reaches the current bound.  Completed-vertex colors are final, so the
-distinct count is monotone along a branch and the prune is safe.
+distinct count is monotone along a branch and the prune is safe.  The search
+ends as soon as an incumbent meets the lower bound of
+:func:`verify_lower_bound`, which proves it optimal.
 
 The searcher is meant for graphs of at most ~10 edges, where it re-derives,
 independently of the constructions, values such as chi_la of the one-blade
 fan.  Larger graphs can still be probed with a time budget; the result then
-carries the best incumbent and is never claimed exact.
+carries the best incumbent and is claimed exact only if it meets the lower
+bound.
 """
 
 from __future__ import annotations
@@ -27,7 +30,6 @@ _TIME_CHECK_MASK = 0xFFF
 class SearchConfig:
     max_edges: int = 10
     target_colors: int | None = None
-    symmetry_pruning: bool = True
     time_budget: float | None = None  # seconds
 
 
@@ -35,11 +37,13 @@ class SearchConfig:
 class SolveResult:
     """``status`` semantics:
 
-    * ``exact`` -- the pruned space was exhausted: ``chi_la`` is the proven
-      minimum (or, in target mode with no witness found, ``None`` meaning the
-      minimum exceeds the target).
+    * ``exact`` -- the pruned space was exhausted, or the incumbent meets
+      :func:`verify_lower_bound`: ``chi_la`` is the proven minimum (or, in
+      target mode with no witness found, ``None`` meaning the minimum exceeds
+      the target).
     * ``budget_exhausted`` -- stopped early (time budget, or the early-exit
-      target was reached); ``witness`` holds the best incumbent found.
+      target was reached) above the lower bound; ``witness`` holds the best
+      incumbent found.
     * ``infeasible_size`` -- the graph exceeds ``max_edges``.
     """
 
@@ -59,68 +63,35 @@ def verify_lower_bound(g: Graph) -> int:
     return 1
 
 
-def _automorphisms(g: Graph):
-    """All adjacency-preserving vertex bijections, by degree-refined
-    backtracking.  Only called on tiny graphs (the solver's size cap)."""
-    vs = g.sorted_vertices()
-    idx = {v: i for i, v in enumerate(vs)}
-    n = len(vs)
-    adj = [[False] * n for _ in range(n)]
-    for a, b in g.edges:
-        adj[idx[a]][idx[b]] = adj[idx[b]][idx[a]] = True
-    deg = [sum(row) for row in adj]
-    sig = [
-        (deg[i], tuple(sorted(deg[j] for j in range(n) if adj[i][j])))
-        for i in range(n)
-    ]
-    candidates = [[j for j in range(n) if sig[j] == sig[i]] for i in range(n)]
+def _search_order(deg: list[int], ends: list[tuple[int, int]]) -> list[int]:
+    """Edge indices in the order the search labels them.
 
-    perm = [-1] * n
-    used = [False] * n
-    out: list[tuple[int, ...]] = []
+    A branch is pruned only where a vertex completes, so the next edge is the
+    one that completes the most vertices, then the one that meets the
+    latest-placed edge (a walk, not a scatter), then the one with the largest
+    endpoint degree sum.  Vertex names break only the remaining ties, so on
+    paths, cycles and stars every naming gets an isomorphic order and the same
+    search tree.
+    """
+    left = deg[:]
+    latest = [-1] * len(deg)
+    rest = list(range(len(ends)))
+    order: list[int] = []
 
-    def extend(i: int) -> None:
-        if i == n:
-            out.append(tuple(perm))
-            return
-        for j in candidates[i]:
-            if used[j]:
-                continue
-            if all(adj[i][p] == adj[j][perm[p]] for p in range(i)):
-                perm[i] = j
-                used[j] = True
-                extend(i + 1)
-                used[j] = False
-                perm[i] = -1
+    def key(i: int) -> tuple:
+        a, b = ends[i]
+        completes = (left[a] == 1) + (left[b] == 1)
+        return (-completes, -max(latest[a], latest[b]), -(deg[a] + deg[b]), i)
 
-    extend(0)
-    return idx, out
-
-
-def _edge_orbit_representatives(g: Graph) -> set[int]:
-    """Indices (into the sorted edge list) of one edge per automorphism orbit."""
-    idx, autos = _automorphisms(g)
-    edges = g.sorted_edges()
-    eidx = {}
-    for i, (a, b) in enumerate(edges):
-        eidx[(idx[a], idx[b])] = i
-        eidx[(idx[b], idx[a])] = i
-
-    parent = list(range(len(edges)))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for perm in autos:
-        for i, (a, b) in enumerate(edges):
-            j = eidx[(perm[idx[a]], perm[idx[b]])]
-            ra, rb = find(i), find(j)
-            if ra != rb:
-                parent[max(ra, rb)] = min(ra, rb)
-    return {find(i) for i in range(len(edges))}
+    while rest:
+        i = min(rest, key=key)
+        rest.remove(i)
+        a, b = ends[i]
+        left[a] -= 1
+        left[b] -= 1
+        latest[a] = latest[b] = len(order)
+        order.append(i)
+    return order
 
 
 def solve_chi_la(
@@ -134,8 +105,10 @@ def solve_chi_la(
     antimagic labeling).  ``cfg.target_colors`` is an early-exit bound: the
     search stops as soon as a labeling that good is found; exhausting the
     pruned space instead still proves either the exact minimum or that the
-    minimum exceeds the target.  Graphs with a K2 component admit no local
-    antimagic labeling at all and are rejected loudly.
+    minimum exceeds the target.  An incumbent that meets
+    :func:`verify_lower_bound` is optimal, so the search ends there (with 0
+    nodes when the seeded witness already does).  Graphs with a K2 component
+    admit no local antimagic labeling at all and are rejected loudly.
     """
     for comp in g.connected_components():
         if len(comp) == 2:
@@ -148,25 +121,7 @@ def solve_chi_la(
         return SolveResult(None, initial_witness, "infeasible_size")
 
     start = time.monotonic()
-    vs = g.sorted_vertices()
-    vidx = {v: i for i, v in enumerate(vs)}
-    edges = g.sorted_edges()
-    deg = [g.degree(v) for v in vs]
-    # constrain hubs early: edges ordered by endpoint degree sum, descending
-    order = sorted(
-        range(q),
-        key=lambda i: (-(deg[vidx[edges[i][0]]] + deg[vidx[edges[i][1]]]), i),
-    )
-    ends = [(vidx[edges[i][0]], vidx[edges[i][1]]) for i in order]
-    neighbor_ids = [[vidx[u] for u in g.neighbors(v)] for v in vs]
-
-    # up to automorphism, the top label q may be pinned to orbit representatives
-    if cfg.symmetry_pruning:
-        reps = _edge_orbit_representatives(g)
-        allows_q = [order[pos] in reps for pos in range(q)]
-    else:
-        allows_q = [True] * q
-
+    floor = verify_lower_bound(g)
     incumbent_count: int | None = None
     incumbent: dict | None = None
     if initial_witness is not None:
@@ -174,7 +129,20 @@ def solve_chi_la(
         if not (cert.is_bijective and cert.is_local_antimagic):
             raise ValueError("initial witness is not a local antimagic labeling")
         incumbent_count = cert.color_count
+        if incumbent_count == floor:
+            return SolveResult(
+                incumbent_count, initial_witness, "exact", 0, time.monotonic() - start
+            )
         incumbent = dict(initial_witness.labels)
+
+    vs = g.sorted_vertices()
+    vidx = {v: i for i, v in enumerate(vs)}
+    edges = g.sorted_edges()
+    deg = [g.degree(v) for v in vs]
+    pairs = [(vidx[a], vidx[b]) for a, b in edges]
+    order = _search_order(deg, pairs)
+    ends = [pairs[i] for i in order]
+    neighbor_ids = [[vidx[u] for u in g.neighbors(v)] for v in vs]
 
     best = incumbent_count if incumbent_count is not None else q + 2
     target = cfg.target_colors
@@ -202,7 +170,8 @@ def solve_chi_la(
             del completed[c]
 
     def dfs(pos: int) -> bool:
-        """Returns True to abort the whole search (time budget or target)."""
+        """Returns True to end the whole search (time budget, target or the
+        lower bound reached)."""
         nonlocal nodes, best, incumbent, incumbent_count
         if pos == q:
             count = len(completed)
@@ -210,7 +179,7 @@ def solve_chi_la(
                 best = count
                 incumbent_count = count
                 incumbent = {edges[order[p]]: assigned[p] for p in range(q)}
-                if target is not None and count <= target:
+                if count == floor or (target is not None and count <= target):
                     return True
             return False
         nodes += 1
@@ -218,8 +187,7 @@ def solve_chi_la(
             if time.monotonic() - start > cfg.time_budget:
                 return True
         a, b = ends[pos]
-        top = q + 1 if allows_q[pos] else q
-        for lab in range(1, top):
+        for lab in range(1, q + 1):
             if used[lab]:
                 continue
             bound = best if target is None else min(best, target + 1)
@@ -255,11 +223,11 @@ def solve_chi_la(
     elapsed = time.monotonic() - start
     witness = EdgeLabeling(incumbent) if incumbent is not None else None
 
-    # an abort (time budget, or the target reached) leaves minimality
-    # unproven; a target above the witness only proves that nothing <= target
-    # exists, so the witness bound is loose
-    if aborted or (
+    # above the lower bound, an abort (time budget, or the target reached)
+    # leaves minimality unproven; a target above the witness only proves that
+    # nothing <= target exists, so the witness bound is loose
+    if incumbent_count != floor and (aborted or (
         target is not None and incumbent_count is not None and incumbent_count > target + 1
-    ):
+    )):
         return SolveResult(None, witness, "budget_exhausted", nodes, elapsed)
     return SolveResult(incumbent_count, witness, "exact", nodes, elapsed)

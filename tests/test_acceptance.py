@@ -167,7 +167,7 @@ def test_criterion_5_exact_solver():
     fan1 = Graph([u, v, w, x],
                  [edge(u, w), edge(v, w), edge(x, u), edge(x, v), edge(x, w)])
     t0 = time.monotonic()
-    res = solve_chi_la(fan1, SearchConfig(symmetry_pruning=False))
+    res = solve_chi_la(fan1)
     assert res.status == "exact" and res.chi_la == 3
     assert time.monotonic() - t0 < 1.0
 
@@ -182,8 +182,7 @@ def test_criterion_5_exact_solver():
         g, f, inst = build_family(family, **params)
         res = solve_chi_la(
             g,
-            SearchConfig(max_edges=15, target_colors=2, time_budget=2.0,
-                         symmetry_pruning=False),
+            SearchConfig(max_edges=15, target_colors=2, time_budget=2.0),
             initial_witness=f,
         )
         assert res.status in ("exact", "budget_exhausted")

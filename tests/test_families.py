@@ -362,16 +362,34 @@ def test_pt1_merged_color_distinct_since_linear():
 def test_merged_block_assignment_explicit():
     items = [V("z", 0)] + [V("z", 2 * i) for i in range(1, 9)]
     blocks = [items[b::3] for b in range(3)]
-    g, f, inst, cert = built_ok("tb3", n=8, r=3, block_assignment=blocks)
+    g, f, inst, cert = built_ok("tb3", n=8, r=3)
     assert cert.palette == (42, 96, 276)
+    assert inst.partition_record == tuple(
+        tuple(str(v) for v in sorted(b)) for b in blocks
+    )
 
 
 def test_merged_block_with_common_neighbors_rejected():
     # consecutive bracelet hubs share two rim vertices: parallel edge guard
+    g, _, _ = build_tb(8)
     items = [V("z", 0)] + [V("z", 2 * i) for i in range(1, 9)]
     blocks = [items[0:3], items[3:6], items[6:9]]
     with pytest.raises(MergeWouldCreateParallelEdge):
-        build_pt_tb_merged("tb", 3, 8, 3, block_assignment=blocks)
+        merge_vertices(g, blocks, [V("m", b + 1) for b in range(3)])
+
+
+@pytest.mark.parametrize(
+    "base, variant, n, r", [("pt", 3, 2, 3), ("tb", 3, 8, 3)], ids=["pt3", "tb3"]
+)
+def test_degree_class_merges_induce_no_coloring(monkeypatch, base, variant, n, r):
+    # only the degree-3 merges pick their class by colour
+    calls = []
+    real = families.induce_coloring
+    monkeypatch.setattr(
+        families, "induce_coloring", lambda g, f: calls.append(1) or real(g, f)
+    )
+    build_pt_tb_merged(base, variant, n, r)
+    assert calls == []
 
 
 def test_merged_shape_guards():

@@ -172,6 +172,20 @@ def test_cli_sweep_small(tmp_path, capsys):
     assert len(report["records"]) == 10
 
 
+@pytest.mark.parametrize("report", ["sub/r.json", "../r.json", ".", "..", "absolute"])
+def test_cli_sweep_report_outside_out_is_usage(tmp_path, capsys, report):
+    out = tmp_path / "out"
+    if report == "absolute":
+        report = str(tmp_path / "r.json")
+    code = main(["--out", str(out), "sweep", "--family", "fb", "--max-size", "5",
+                 "--report", report])
+    assert code == 2
+    assert "fb:" not in capsys.readouterr().out  # rejected before sweeping
+    entry = json.loads((out / "manifest.jsonl").read_text())
+    assert entry["outcome"].startswith("usage error: --report")
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ["manifest.jsonl", "out"]
+
+
 def test_cli_solve_and_certify_roundtrip(tmp_path, capsys):
     # emit the one-blade fan via the cells of the k=1 table is overkill here;
     # build a df(1,1), certify it from file, then solve a small subgraph doc

@@ -5,8 +5,8 @@ from itertools import permutations
 import pytest
 
 from antimagic.errors import K2Component
-from antimagic.families import build_fb
-from antimagic.graph import EdgeLabeling, Graph, V, edge
+from antimagic.families import build_family, build_fb
+from antimagic.graph import EdgeLabeling, Graph, V, certify, edge
 from antimagic.solver import SearchConfig, solve_chi_la, verify_lower_bound
 
 
@@ -77,9 +77,43 @@ def test_small_graphs_match_enumeration_oracle(g):
     res = solve_chi_la(g)
     assert res.status == "exact"
     assert res.chi_la == brute_chi_la(g)
-    # symmetry pruning must not change the answer
-    res2 = solve_chi_la(g, SearchConfig(symmetry_pruning=False))
-    assert res2.chi_la == res.chi_la
+
+
+@pytest.mark.parametrize(
+    "g, known",
+    [(path(n), 3) for n in range(3, 11)]
+    + [(cycle(n), 3) for n in range(3, 11)]
+    + [(star(n), n + 1) for n in range(2, 9)],
+    ids=[f"P{n}" for n in range(3, 11)]
+    + [f"C{n}" for n in range(3, 11)]
+    + [f"K1,{n}" for n in range(2, 9)],
+)
+def test_known_values(g, known):
+    # chi_la = 3 for paths and cycles and n+1 for K1,n (Arumugam et al.,
+    # Graphs Combin. 2017)
+    res = solve_chi_la(g)
+    assert res.status == "exact"
+    assert res.chi_la == known
+
+
+@pytest.mark.parametrize("n", [9, 10])
+def test_cycle_proof_node_bound(n):
+    res = solve_chi_la(cycle(n))
+    assert res.status == "exact" and res.chi_la == 3
+    assert res.nodes <= 10_000
+
+
+@pytest.mark.parametrize("shape", [cycle, path])
+def test_search_does_not_depend_on_vertex_names(shape):
+    """Renaming the vertices leaves the search tree unchanged, so the solver's
+    cost is a property of the graph."""
+    g = shape(10)
+    nodes = {solve_chi_la(g).nodes}
+    for shift in (3, 7):
+        rename = {v: V("r", (v.indices[0] * shift) % 10) for v in g.vertices}
+        renamed = Graph(list(rename.values()), [edge(rename[a], rename[b]) for a, b in g.edges])
+        nodes.add(solve_chi_la(renamed).nodes)
+    assert len(nodes) == 1
 
 
 def test_result_at_least_lower_bound():
@@ -97,8 +131,6 @@ def test_lower_bound_values():
 
 
 def test_witness_certifies_result():
-    from antimagic.graph import certify
-
     res = solve_chi_la(fan_one_blade())
     cert = certify(fan_one_blade(), res.witness)
     assert cert.is_bijective and cert.is_local_antimagic
@@ -141,6 +173,28 @@ def test_target_mode_with_witness_proves_exactness():
     # exhausting the space under bound 3 proves chi_la = 3 exactly
     assert res.status == "exact"
     assert res.chi_la == 3
+
+
+@pytest.mark.parametrize(
+    "family, params",
+    [("fb", {"n": 3}), ("pt", {"n": 2}), ("tb", {"n": 2}), ("df", {"r": 1, "s": 1})],
+    ids=["fb3", "pt2", "tb2", "df11"],
+)
+def test_witness_at_the_lower_bound_is_exact_without_search(family, params):
+    # a 3-colour witness plus a triangle is already a proof
+    g, f, _ = build_family(family, **params)
+    res = solve_chi_la(g, SearchConfig(max_edges=15, time_budget=0.5), initial_witness=f)
+    assert (res.status, res.chi_la, res.nodes) == ("exact", 3, 0)
+    assert res.witness == f
+
+
+def test_search_stops_at_the_lower_bound():
+    # the first 3-colouring of the fan meets the triangle bound: exact even
+    # when it also reaches the target
+    res = solve_chi_la(fan_one_blade(), SearchConfig(target_colors=3))
+    assert res.status == "exact"
+    assert res.chi_la == 3
+    assert certify(fan_one_blade(), res.witness).color_count == 3
 
 
 def test_target_mode_without_witness_reports_nonexistence():
