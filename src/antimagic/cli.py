@@ -143,6 +143,8 @@ def cmd_sweep(args, out_dir: Path) -> tuple[int, str, list[str]]:
     report_name = args.report or "sweep_report.json"
     if Path(report_name).name != report_name or report_name == "..":
         raise UsageError(f"--report must be a file name inside --out, got {report_name!r}")
+    if report_name == "manifest.jsonl":
+        raise UsageError("--report must not name the run manifest, manifest.jsonl")
     families = FAMILY_TAGS if args.family == "all" else (args.family,)
     grid_kwargs = {}
     if args.max_size is not None:

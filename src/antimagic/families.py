@@ -406,15 +406,6 @@ def build_tb(n: int) -> BuildResult:
     return g, f, inst
 
 
-def tb_rung_labels(n: int) -> list[int]:
-    """The bracelet's rung labels in rung order, for golden-value checks."""
-    _, f, _ = build_tb(n)
-    return [
-        f.labels[edge(V("u", 2 * j - 1), V("v", 2 * j - 1))]
-        for j in range(1, n + 2)
-    ]
-
-
 def _no_conflict_partition(
     g: Graph, items: Sequence[VertexId], r: int, budget: int = 500_000
 ) -> list[list[VertexId]]:
@@ -734,6 +725,18 @@ def build_family(family: str, **params) -> BuildResult:
     return builder(**params)
 
 
+def _first_violations(cert, kinds: tuple[str, ...]) -> str:
+    """The first three violations of the given kinds, each as its kind, its
+    edge (or the edges sharing a label) and its label or color."""
+    named = []
+    for v in cert.violations:
+        if v["kind"] in kinds:
+            edges = [v["edge"]] if "edge" in v else v["edges"]
+            value = f"label {v['label']}" if "label" in v else f"color {v['color']}"
+            named.append(f"{v['kind']} at {' and '.join('-'.join(e) for e in edges)} ({value})")
+    return ": " + ", ".join(named[:3]) + (", ..." if len(named) > 3 else "")
+
+
 def verify_instance(g: Graph, f: EdgeLabeling, inst: FamilyInstance):
     """Certify one built instance against every claim it carries.
 
@@ -745,9 +748,15 @@ def verify_instance(g: Graph, f: EdgeLabeling, inst: FamilyInstance):
     cert = certify(g, f, inst.expected_palette)
     problems = []
     if not cert.is_bijective:
-        problems.append("labels are not a bijection onto [1, q]")
+        problems.append(
+            "labels are not a bijection onto [1, q]"
+            + _first_violations(cert, ("label_out_of_range", "duplicate_label"))
+        )
     if not cert.is_local_antimagic:
-        problems.append("labeling is not local antimagic")
+        problems.append(
+            "labeling is not local antimagic"
+            + _first_violations(cert, ("adjacent_equal_color",))
+        )
     if cert.color_count != 3:
         problems.append(f"{cert.color_count} colors instead of 3")
     if cert.palette_ok is False:

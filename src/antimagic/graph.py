@@ -17,6 +17,7 @@ sweeps.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Mapping, NamedTuple
 
@@ -92,6 +93,15 @@ class Graph:
         self._adj: dict[VertexId, frozenset[VertexId]] | None = None
         self._components: list[frozenset[VertexId]] | None = None
 
+    @classmethod
+    def _checked(cls, vertices: frozenset[VertexId], edges: frozenset[Edge]) -> "Graph":
+        """A graph from parts that are already canonical and consistent: every
+        edge an ordered pair of distinct members of ``vertices``.  Surgery
+        builds its results here, having checked each edge it moved."""
+        g = object.__new__(cls)
+        g.vertices, g.edges, g._adj, g._components = vertices, edges, None, None
+        return g
+
     def _adjacency(self) -> dict[VertexId, frozenset[VertexId]]:
         adj = self._adj
         if adj is None:
@@ -139,20 +149,19 @@ class Graph:
             adj = self._adjacency()
             seen: set[VertexId] = set()
             comps = []
-            for start in self.sorted_vertices():
+            for start in adj:
                 if start in seen:
                     continue
                 stack = [start]
                 comp = {start}
-                seen.add(start)
                 while stack:
-                    v = stack.pop()
-                    for n in adj[v]:
-                        if n not in comp:
-                            comp.add(n)
-                            seen.add(n)
-                            stack.append(n)
+                    fresh = adj[stack.pop()] - comp
+                    comp |= fresh
+                    stack.extend(fresh)
+                seen |= comp
                 comps.append(frozenset(comp))
+            # components are disjoint, so their smallest vertices are distinct
+            comps.sort(key=min)
             self._components = comps
         return list(comps)
 
@@ -165,11 +174,6 @@ class Graph:
             if adj[a] & adj[b]:
                 return True
         return False
-
-    def count_triangles(self) -> int:
-        adj = self._adjacency()
-        total = sum(len(adj[a] & adj[b]) for a, b in self.edges)
-        return total // 3
 
 
 def degree_census(g: Graph) -> dict[int, int]:
@@ -262,22 +266,29 @@ def certify(
 
     All failures are reported inside the certificate; the only exception is a
     labeling whose domain is not the edge set, which is a type error.
+
+    A valid labeling costs one pass over the labels and one over the edges.
+    Only the offending edges are sorted, so ``violations`` still lists them in
+    canonical edge order (duplicates by label).
     """
     coloring = induce_coloring(g, f)
+    colors = coloring.colors
+    labels = f.labels
     q = len(g.edges)
-    edges = g.sorted_edges()
 
     violations: list[dict] = []
-    seen: dict[int, list[Edge]] = {}
-    for e in edges:
-        lab = f.labels[e]
-        if not 1 <= lab <= q:
+    counts = Counter(labels.values())
+    if counts and (min(counts) < 1 or max(counts) > q):
+        for e in sorted(e for e, lab in labels.items() if not 1 <= lab <= q):
             violations.append(
-                {"kind": "label_out_of_range", "edge": [str(e[0]), str(e[1])], "label": lab}
+                {"kind": "label_out_of_range", "edge": [str(e[0]), str(e[1])], "label": labels[e]}
             )
-        seen.setdefault(lab, []).append(e)
-    for lab, es in sorted(seen.items()):
-        if len(es) > 1:
+    if len(counts) < q:
+        shared = {lab for lab, n in counts.items() if n > 1}
+        by_label: dict[int, list[Edge]] = {}
+        for e in sorted(e for e, lab in labels.items() if lab in shared):
+            by_label.setdefault(labels[e], []).append(e)
+        for lab, es in sorted(by_label.items()):
             violations.append(
                 {
                     "kind": "duplicate_label",
@@ -287,25 +298,21 @@ def certify(
             )
     is_bijective = not violations
 
-    antimagic_violations: list[dict] = []
-    for a, b in edges:
-        if coloring.colors[a] == coloring.colors[b]:
-            antimagic_violations.append(
-                {
-                    "kind": "adjacent_equal_color",
-                    "edge": [str(a), str(b)],
-                    "color": coloring.colors[a],
-                }
-            )
-    is_local_antimagic = not antimagic_violations
-    violations.extend(antimagic_violations)
+    clashes = sorted((a, b) for a, b in g.edges if colors[a] == colors[b])
+    is_local_antimagic = not clashes
+    for a, b in clashes:
+        violations.append(
+            {"kind": "adjacent_equal_color", "edge": [str(a), str(b)], "color": colors[a]}
+        )
 
+    # (degree, color) -> vertex count, with the degrees read off the adjacency
+    # that the triangle and connectivity checks build anyway
+    adj = g._adjacency()
+    pairs = Counter(zip(map(len, map(adj.__getitem__, colors)), colors.values()))
     census: dict[int, tuple[int, tuple[int, ...]]] = {}
-    by_degree: dict[int, list[VertexId]] = {}
-    for v in g.vertices:
-        by_degree.setdefault(g.degree(v), []).append(v)
-    for d, vs in sorted(by_degree.items()):
-        census[d] = (len(vs), tuple(sorted({coloring.colors[v] for v in vs})))
+    for (d, c), n in sorted(pairs.items()):
+        count, palette = census.get(d, (0, ()))
+        census[d] = (count + n, palette + (c,))
 
     expected = tuple(sorted(expected_palette)) if expected_palette is not None else None
     palette_ok = None if expected is None else coloring.palette == expected
@@ -339,8 +346,13 @@ def merge_vertices(
     also catches collisions between edges from *different* blocks, which a
     per-block common-neighbor test alone would miss).
 
-    Returns the merged graph and the old-edge -> new-edge map, through which
-    any edge labeling transfers unchanged.
+    Only the edges at a block vertex are rewritten and checked.  Every other
+    edge is carried over as it is: both its ends survive, while a rewritten
+    edge ends at a replacement id, which is checked to be fresh, so the two
+    kinds never collide.
+
+    Returns the merged graph and the old-edge -> new-edge map of the edges
+    that move, through which any edge labeling transfers unchanged.
     """
     blocks = [frozenset(b) for b in blocks]
     new_ids = list(new_ids)
@@ -362,21 +374,21 @@ def merge_vertices(
                 raise OverlappingBlocks(f"{v} appears in two blocks")
             vmap[v] = nid
 
-    survivors = g.vertices - set(vmap)
+    survivors = g.vertices.difference(vmap)
     for nid in new_ids:
         if nid in survivors:
             raise IdCollision(f"replacement id {nid} collides with an existing vertex")
 
-    new_vertices = survivors | set(new_ids)
+    touched = [e for e in g.edges if e[0] in vmap or e[1] in vmap]
     edge_map: dict[Edge, Edge] = {}
     new_edges: dict[Edge, Edge] = {}
-    for e in g.edges:
+    for e in touched:
         a, b = vmap.get(e[0], e[0]), vmap.get(e[1], e[1])
         if a == b:
             raise MergeWouldCreateLoop(
                 f"block members {e[0]} and {e[1]} are adjacent"
             )
-        ne = edge(a, b)
+        ne = (a, b) if a < b else (b, a)
         if ne in new_edges:
             other = new_edges[ne]
             raise MergeWouldCreateParallelEdge(
@@ -384,9 +396,15 @@ def merge_vertices(
                 "(two merged vertices share a neighbor)"
             )
         new_edges[ne] = e
-        edge_map[e] = ne
+        if ne != e:
+            edge_map[e] = ne
 
-    return Graph(new_vertices, new_edges), edge_map
+    return (
+        Graph._checked(
+            survivors.union(new_ids), g.edges.difference(edge_map).union(new_edges)
+        ),
+        edge_map,
+    )
 
 
 def split_vertices(
@@ -399,12 +417,21 @@ def split_vertices(
     Equivalent to applying the splits sequentially (an edge joining two split
     vertices is re-pointed at both ends), but rebuilds the graph only once.
     Each vertex's two parts must partition its incident edges and both be
-    nonempty.  Labels transfer edge-wise through the returned map.
+    nonempty, and all half ids must be distinct and fresh.  Only the edges at
+    a split vertex are rewritten; as every half id is new and used once, a
+    rewritten edge meets no other edge.  Labels transfer edge-wise through the
+    returned map of the edges that move.
     """
     splits = list(splits)
+    # one pass over the edges finds the incident edges of every split vertex
+    incident: dict[VertexId, set[Edge]] = {s[0]: set() for s in splits}
+    touched = [e for e in g.edges if e[0] in incident or e[1] in incident]
+    for e in touched:
+        for v in e:
+            if v in incident:
+                incident[v].add(e)
     # half[v] maps each of v's incident edges to its receiving half id
     half: dict[VertexId, dict[Edge, VertexId]] = {}
-    new_vertices = set(g.vertices)
     fresh: set[VertexId] = set()
     for v, part1, part2, id1, id2 in splits:
         if v not in g.vertices:
@@ -413,38 +440,39 @@ def split_vertices(
             raise OverlappingBlocks(f"{v} split twice")
         p1 = {edge(*e) for e in part1}
         p2 = {edge(*e) for e in part2}
-        incident = set(g.incident_edges(v))
         if not p1 or not p2:
             raise EmptyPart(f"both parts of the split at {v} must be nonempty")
         for e in p1 | p2:
-            if e not in incident:
+            if e not in incident[v]:
                 raise NotIncident(f"{e} is not incident to {v}")
-        if p1 & p2 or p1 | p2 != incident:
+        if p1 & p2 or p1 | p2 != incident[v]:
             raise NotIncident(f"parts at {v} must partition its incident edges")
         if id1 == id2:
             raise IdCollision(f"split ids at {v} coincide")
-        half[v] = {}
-        for e in p1:
-            half[v][e] = id1
-        for e in p2:
-            half[v][e] = id2
-        new_vertices.discard(v)
-        fresh.update((id1, id2))
+        for nid in (id1, id2):
+            if nid in fresh:
+                raise IdCollision(f"split id {nid} is used by two splits")
+            fresh.add(nid)
+        half[v] = dict.fromkeys(p1, id1)
+        half[v].update(dict.fromkeys(p2, id2))
+    survivors = g.vertices.difference(half)
     for nid in fresh:
-        if nid in new_vertices:
+        if nid in survivors:
             raise IdCollision(f"split id {nid} collides with an existing vertex")
-    new_vertices |= fresh
 
     edge_map: dict[Edge, Edge] = {}
-    new_edges = []
-    for e in g.edges:
+    for e in touched:
         a = half[e[0]][e] if e[0] in half else e[0]
         b = half[e[1]][e] if e[1] in half else e[1]
-        ne = edge(a, b)
+        ne = (a, b) if a < b else (b, a)
         if ne != e:
             edge_map[e] = ne
-        new_edges.append(ne)
-    return Graph(new_vertices, new_edges), edge_map
+    return (
+        Graph._checked(
+            survivors | fresh, g.edges.difference(edge_map).union(edge_map.values())
+        ),
+        edge_map,
+    )
 
 
 def split_vertex(

@@ -134,6 +134,9 @@ def solve_chi_la(
                 incumbent_count, initial_witness, "exact", 0, time.monotonic() - start
             )
         incumbent = dict(initial_witness.labels)
+    if cfg.target_colors is not None and cfg.target_colors < floor:
+        # no labeling has fewer colors than the lower bound: nothing to search
+        return SolveResult(None, initial_witness, "exact", 0, time.monotonic() - start)
 
     vs = g.sorted_vertices()
     vidx = {v: i for i, v in enumerate(vs)}

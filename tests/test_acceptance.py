@@ -17,7 +17,6 @@ from antimagic.families import (
     build_gn,
     build_tb,
     sweep_family,
-    tb_rung_labels,
     verify_instance,
     _fan_cells,
 )
@@ -142,7 +141,9 @@ def test_criterion_4_golden_value_spot_checks():
     verify_instance(g10, f10, inst10)
     assert bracelet_sizes(g10) == [2, 7]
 
-    assert tb_rung_labels(30) == [
+    _, ftb, _ = build_tb(30)
+    rungs = [ftb.labels[edge(V("u", 2 * j - 1), V("v", 2 * j - 1))] for j in range(1, 32)]
+    assert rungs == [
         63, 78, 79, 93, 64, 77, 80, 92, 65, 76, 81, 91, 66, 75, 82, 90, 67,
         74, 83, 89, 68, 73, 84, 88, 69, 72, 85, 87, 70, 71, 86,
     ]

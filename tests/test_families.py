@@ -10,6 +10,7 @@ from antimagic.errors import (
     InvalidIndices,
     InvalidParams,
     InvalidParity,
+    InvariantError,
     MergeWouldCreateParallelEdge,
     NoValidPartition,
     PaletteCollision,
@@ -29,11 +30,17 @@ from antimagic.families import (
     build_tfb,
     family_grid,
     sweep_family,
-    tb_rung_labels,
     valid_gn_index_lists,
     verify_instance,
 )
-from antimagic.graph import V, degree_census, edge, induce_coloring, merge_vertices
+from antimagic.graph import (
+    EdgeLabeling,
+    V,
+    degree_census,
+    edge,
+    induce_coloring,
+    merge_vertices,
+)
 from antimagic.tables import table_m3
 
 
@@ -303,7 +310,9 @@ def test_tb2_order_size_palette():
 
 
 def test_tb30_rung_sequence_golden():
-    assert tb_rung_labels(30) == [
+    _, f30, _ = build_tb(30)
+    rungs = [f30.labels[edge(V("u", 2 * j - 1), V("v", 2 * j - 1))] for j in range(1, 32)]
+    assert rungs == [
         63, 78, 79, 93, 64, 77, 80, 92, 65, 76, 81, 91, 66, 75, 82, 90, 67,
         74, 83, 89, 68, 73, 84, 88, 69, 72, 85, 87, 70, 71, 86,
     ]
@@ -670,3 +679,41 @@ def test_sweep_records_a_usage_error_and_goes_on(monkeypatch):
     assert [r["params"]["n"] for r in records] == [3, 5, 7, 9, 11]
     assert [r["status"] for r in records] == ["pass", "pass", "error", "pass", "pass"]
     assert records[2]["reason"] == "injected"
+
+
+def test_failure_report_names_the_first_violations():
+    g, f, inst = build_fb(5)
+    es = g.sorted_edges()
+    labels = dict(f.labels)
+    labels[es[17]], labels[es[21]] = labels[es[21]], labels[es[17]]
+    with pytest.raises(InvariantError) as info:
+        verify_instance(g, EdgeLabeling(labels), inst)
+    assert str(info.value) == (
+        "fb{'n': 5, 'k': 2} failed: labeling is not local antimagic: "
+        "adjacent_equal_color at u_2-w_2 (color 26), "
+        "adjacent_equal_color at v_2-w_2 (color 26), "
+        "adjacent_equal_color at v_4-w_4 (color 24)"
+    )
+
+    labels[es[0]], labels[es[3]], labels[es[7]], labels[es[9]] = 0, labels[es[4]], 99, -4
+    with pytest.raises(InvariantError) as info:
+        verify_instance(g, EdgeLabeling(labels), inst)
+    # three shown, the duplicate after them elided
+    assert str(info.value).startswith(
+        "fb{'n': 5, 'k': 2} failed: labels are not a bijection onto [1, q]: "
+        "label_out_of_range at u_1-w_1 (label 0), "
+        "label_out_of_range at u_4-x (label 99), "
+        "label_out_of_range at u_5-x (label -4), ...; "
+        "labeling is not local antimagic: "
+        "adjacent_equal_color at v_2-w_2 (color 26), "
+        "adjacent_equal_color at v_4-w_4 (color 24); "
+    )
+
+
+def test_failure_report_names_the_edges_sharing_a_label():
+    g, f, inst = build_fb(5)
+    es = g.sorted_edges()
+    labels = dict(f.labels)
+    labels[es[3]] = labels[es[4]]
+    with pytest.raises(InvariantError, match=r"duplicate_label at u_2-x and u_3-w_3 \(label 5\)"):
+        verify_instance(g, EdgeLabeling(labels), inst)

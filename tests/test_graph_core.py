@@ -1,5 +1,6 @@
 """Graph surgery, coloring and certification engine tests."""
 
+import hashlib
 import sys
 import threading
 
@@ -7,12 +8,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from antimagic import io
 from antimagic.errors import (
     EmptyPart,
+    IdCollision,
     MergeWouldCreateLoop,
     MergeWouldCreateParallelEdge,
     NotIncident,
     OverlappingBlocks,
+    UnknownVertex,
 )
 from antimagic.families import _fan_cells, build_df, build_family, build_fb, build_tb
 from antimagic.graph import (
@@ -187,6 +191,19 @@ def test_split_fan_hub_like_diamond_construction():
     assert len(g2.edges) == len(g.edges)
 
 
+def test_split_ids_shared_by_two_splits_collide():
+    # sharing h2 would re-join v and w, and v-x2 and w-x2 would both become
+    # h2-x2: a split must neither merge vertices nor lose an edge
+    x1, v, x2, w, x3 = V("x", 1), V("v"), V("x", 2), V("w"), V("x", 3)
+    g = Graph([x1, v, x2, w, x3], [edge(x1, v), edge(v, x2), edge(x2, w), edge(w, x3)])
+    splits = [
+        (v, [edge(v, x1)], [edge(v, x2)], V("h", 1), V("h", 2)),
+        (w, [edge(w, x2)], [edge(w, x3)], V("h", 2), V("h", 3)),
+    ]
+    with pytest.raises(IdCollision, match="used by two splits"):
+        split_vertices(g, splits)
+
+
 def test_split_rejects_foreign_and_empty_parts():
     g, _, (a, b, c) = path3()
     with pytest.raises(EmptyPart):
@@ -283,6 +300,87 @@ def test_certificate_palette_mismatch_flagged_separately():
     assert cert.violations == ()
 
 
+def _broken(family, params, changes=(), swaps=()):
+    """A built instance with some labels overwritten and some swapped, both
+    addressed by position in canonical edge order."""
+    g, f, inst = build_family(family, **params)
+    es = g.sorted_edges()
+    labels = dict(f.labels)
+    for i, lab in changes:
+        labels[es[i]] = lab
+    for i, j in swaps:
+        labels[es[i]], labels[es[j]] = labels[es[j]], labels[es[i]]
+    return g, EdgeLabeling(labels), inst.expected_palette
+
+
+def _isolated_vertex_case():
+    a, b, c, d = V("a"), V("b"), V("c"), V("d")
+    g = Graph([a, b, c, d], [edge(a, b), edge(b, c)])
+    return g, EdgeLabeling({edge(a, b): 2, edge(b, c): 2}), None
+
+
+# sha256 of io.dumps(certificate_to_doc(...)) for broken labelings: frozen
+# goldens of the violation lists, their order included
+BROKEN_CERTIFICATES = {
+    "out_of_range": (
+        lambda: _broken("fb", {"n": 3}, changes=[(0, 0), (7, 16), (12, -3)]),
+        "819c92e950947bbb5b027260e6869810f522a1fd59eeab427c1695c1fdbb88c1",
+    ),
+    "duplicate": (
+        lambda: _broken("fb", {"n": 3}, changes=[(2, 5), (9, 5), (4, 11), (14, 1)]),
+        "6fc7bec7795b0107acbf7a1b770ee771253640b94bc93d089904dad4281033d2",
+    ),
+    "adjacent_equal": (
+        lambda: _broken("fb", {"n": 3}, swaps=[(11, 12)]),
+        "4a32af687b4d85a836ec95c07c4642ef38383b32ed3a196bb7ba59c9f5f51244",
+    ),
+    "mixed": (
+        lambda: _broken("fb", {"n": 3}, changes=[(0, 2), (2, 8), (8, 16), (10, -1), (14, 8)]),
+        "eaf00ac4a2f8d2b16afdf76f20fa95d84bb54c8d25b782e0a54dc3fdc4319115",
+    ),
+    "mixed_tb10": (
+        lambda: _broken("tb", {"n": 10}, changes=[(i, (7 * i) % 40) for i in range(0, 55, 3)]),
+        "f36ad12a4c0afea82285cf9b25d62bdf934c6c39ee0b06f4ad4716839e572a2c",
+    ),
+    "mixed_gn10": (
+        lambda: _broken(
+            "gn", {"n": 10, "indices": (1,)},
+            changes=[(i, (7 * i) % 64 - 3) for i in range(1, 55, 3)],
+        ),
+        "d213dbe1ddc396e56a2efc0d1f7bebc7e9619587ef64d89db3297d4157111337",
+    ),
+    "isolated": (
+        _isolated_vertex_case,
+        "26f3f81c564a58793fedb7c792c058f896243beb363a02f7c47dd5321724a652",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BROKEN_CERTIFICATES))
+def test_broken_labeling_certificates_match_their_goldens(case):
+    make, digest = BROKEN_CERTIFICATES[case]
+    g, f, expected = make()
+    text = io.dumps(io.certificate_to_doc(certify(g, f, expected)))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def test_mixed_violations_keep_their_order():
+    # out of range by edge, then duplicates by label, then equal colors by edge
+    g, f, expected = BROKEN_CERTIFICATES["mixed"][0]()
+    assert list(certify(g, f, expected).violations) == [
+        {"kind": "label_out_of_range", "edge": ["v_2", "w_2"], "label": 16},
+        {"kind": "label_out_of_range", "edge": ["v_3", "w_3"], "label": -1},
+        {"kind": "duplicate_label", "label": 2, "edges": [["u_1", "w_1"], ["u_3", "w_3"]]},
+        {
+            "kind": "duplicate_label",
+            "label": 8,
+            "edges": [["u_2", "w_2"], ["w_2", "x"], ["w_3", "x"]],
+        },
+        {"kind": "adjacent_equal_color", "edge": ["v_1", "w_1"], "color": 16},
+        {"kind": "adjacent_equal_color", "edge": ["v_3", "w_3"], "color": 9},
+    ]
+
+
 def test_certify_is_pure():
     g, f, _ = build_fb(5)
     assert certify(g, f) == certify(g, f)
@@ -303,7 +401,9 @@ def test_degree_census_examples():
 def test_triangle_census_of_bracelet():
     for n in (2, 6, 10):
         g, _, _ = build_tb(n)
-        assert g.count_triangles() == 2 * n + 2
+        # each triangle is counted once at each of its three edges
+        triangles = sum(len(g.neighbors(a) & g.neighbors(b)) for a, b in g.edges) // 3
+        assert triangles == 2 * n + 2
         assert len(g.edges) == 5 * n + 5
 
 
@@ -339,3 +439,170 @@ def test_random_split_then_merge_roundtrip(data):
     back, emap2 = merge_vertices(split, [{h1, h2}], [v])
     assert back == g
     assert fs.remapped(emap2) == f
+
+
+# --- surgery against the full-rewrite reference -----------------------------------
+
+
+def reference_merge(g, blocks, new_ids):
+    """Merge by rewriting and re-checking every edge, then rebuilding the graph
+    through the public constructor: the algorithm ``merge_vertices`` had before
+    it touched only the edges at a block vertex."""
+    blocks = [frozenset(b) for b in blocks]
+    new_ids = list(new_ids)
+    if len(blocks) != len(new_ids):
+        raise OverlappingBlocks(f"{len(blocks)} blocks but {len(new_ids)} replacement ids")
+    if len(set(new_ids)) != len(new_ids):
+        raise IdCollision("replacement ids are not distinct")
+    vmap = {}
+    for block, nid in zip(blocks, new_ids):
+        if not block:
+            raise OverlappingBlocks("empty block")
+        for v in block:
+            if v not in g.vertices:
+                raise UnknownVertex(f"{v} not in graph")
+            if v in vmap:
+                raise OverlappingBlocks(f"{v} appears in two blocks")
+            vmap[v] = nid
+    survivors = g.vertices - set(vmap)
+    for nid in new_ids:
+        if nid in survivors:
+            raise IdCollision(f"replacement id {nid} collides with an existing vertex")
+    edge_map, new_edges = {}, {}
+    for e in g.edges:
+        a, b = vmap.get(e[0], e[0]), vmap.get(e[1], e[1])
+        if a == b:
+            raise MergeWouldCreateLoop(f"block members {e[0]} and {e[1]} are adjacent")
+        ne = edge(a, b)
+        if ne in new_edges:
+            raise MergeWouldCreateParallelEdge(
+                f"edges {new_edges[ne]} and {e} both become {ne} "
+                "(two merged vertices share a neighbor)"
+            )
+        new_edges[ne] = e
+        edge_map[e] = ne
+    return Graph(survivors | set(new_ids), new_edges), edge_map
+
+
+def reference_split(g, splits):
+    """Split by rewriting every edge and rebuilding the graph through the
+    public constructor, as ``split_vertices`` did before it touched only the
+    edges at a split vertex."""
+    half = {}
+    new_vertices = set(g.vertices)
+    fresh = set()
+    for v, part1, part2, id1, id2 in splits:
+        if v not in g.vertices:
+            raise UnknownVertex(f"{v} not in graph")
+        if v in half:
+            raise OverlappingBlocks(f"{v} split twice")
+        p1 = {edge(*e) for e in part1}
+        p2 = {edge(*e) for e in part2}
+        incident = set(g.incident_edges(v))
+        if not p1 or not p2:
+            raise EmptyPart(f"both parts of the split at {v} must be nonempty")
+        for e in p1 | p2:
+            if e not in incident:
+                raise NotIncident(f"{e} is not incident to {v}")
+        if p1 & p2 or p1 | p2 != incident:
+            raise NotIncident(f"parts at {v} must partition its incident edges")
+        if id1 == id2:
+            raise IdCollision(f"split ids at {v} coincide")
+        half[v] = {**dict.fromkeys(p1, id1), **dict.fromkeys(p2, id2)}
+        new_vertices.discard(v)
+        fresh.update((id1, id2))
+    for nid in fresh:
+        if nid in new_vertices:
+            raise IdCollision(f"split id {nid} collides with an existing vertex")
+    edge_map, new_edges = {}, []
+    for e in g.edges:
+        a = half[e[0]][e] if e[0] in half else e[0]
+        b = half[e[1]][e] if e[1] in half else e[1]
+        ne = edge(a, b)
+        if ne != e:
+            edge_map[e] = ne
+        new_edges.append(ne)
+    return Graph(new_vertices | fresh, new_edges), edge_map
+
+
+def _outcome(surgery, *args):
+    """The graph and the map of moved edges, or the exception's type and text."""
+    try:
+        g, emap = surgery(*args)
+    except Exception as exc:  # compared, not handled
+        return type(exc), str(exc)
+    return g, emap
+
+
+# vertex names: a graph holds a prefix of a_0..a_5, m_0..m_5 are fresh (m_5
+# also serves as a vertex the graph lacks)
+NAMES = [V("a", i) for i in range(6)] + [V("m", i) for i in range(6)]
+UNKNOWN = V("m", 5)
+
+
+@st.composite
+def small_graphs(draw):
+    n = draw(st.integers(min_value=2, max_value=6))
+    vs = NAMES[:n]
+    pairs = [(vs[i], vs[j]) for i in range(n) for j in range(i + 1, n)]
+    return Graph(vs, [pair for pair in pairs if draw(st.booleans())])
+
+
+def _ids(data, count):
+    """Distinct ids, mostly fresh, sometimes existing vertex names."""
+    pool = data.draw(st.permutations(NAMES[6:]) | st.permutations(NAMES))
+    return list(pool[:count])
+
+
+@settings(max_examples=400, deadline=None)
+@given(small_graphs(), st.data())
+def test_merge_matches_the_full_rewrite_reference(g, data):
+    # UNKNOWN joins a block only when the blocks outgrow the graph
+    order = data.draw(st.permutations(sorted(g.vertices))) + [UNKNOWN]
+    sizes = data.draw(st.lists(st.sampled_from([1, 1, 2, 2, 3, 3, 0]), max_size=3))
+    blocks, at = [], 0
+    for size in sizes:
+        blocks.append(set(order[at:at + size]))
+        at += size
+    if blocks and data.draw(st.integers(min_value=0, max_value=9)) == 0:
+        blocks[-1].add(order[0])  # maybe in two blocks
+    new_ids = _ids(data, len(blocks) + data.draw(st.sampled_from([0, 0, 0, 0, 1])))
+    if len(new_ids) > 1 and data.draw(st.integers(min_value=0, max_value=9)) == 0:
+        new_ids[1] = new_ids[0]
+    got = _outcome(merge_vertices, g, blocks, new_ids)
+    want = _outcome(reference_merge, g, blocks, new_ids)
+    if isinstance(want[0], Graph):
+        # an edge the map leaves out keeps its identity, as one mapped onto itself
+        want = (want[0], {e: ne for e, ne in want[1].items() if ne != e})
+        assert got[0].edges == Graph(got[0].vertices, got[0].edges).edges  # canonical
+    assert got == want
+
+
+@settings(max_examples=400, deadline=None)
+@given(small_graphs(), st.data())
+def test_split_matches_the_full_rewrite_reference(g, data):
+    vs = data.draw(st.lists(st.sampled_from(sorted(g.vertices) + [UNKNOWN]), max_size=3))
+    # half ids are never shared between splits, which the reference would let
+    # through; a pair may coincide within one split
+    ids = _ids(data, 2 * len(vs))
+    if vs and data.draw(st.integers(min_value=0, max_value=9)) == 0:
+        ids[1] = ids[0]
+    splits = []
+    for i, v in enumerate(vs):
+        incident = sorted(g.incident_edges(v)) if v in g.vertices else []
+        order = data.draw(st.permutations(incident))
+        inner = st.integers(min_value=1, max_value=max(1, len(order) - 1))
+        cut = data.draw(inner | st.integers(min_value=0, max_value=len(order)))
+        part1, part2 = list(order[:cut]), list(order[cut:])
+        tweak = data.draw(st.integers(min_value=0, max_value=9))
+        if tweak == 0 and g.edges:
+            part2.append(data.draw(st.sampled_from(sorted(g.edges))))  # maybe foreign
+        elif tweak == 1 and part2:
+            part2.pop()  # maybe leaves an incident edge out
+        part1 = [(b, a) if data.draw(st.booleans()) else (a, b) for a, b in part1]
+        splits.append((v, part1, part2, ids[2 * i], ids[2 * i + 1]))
+    got = _outcome(split_vertices, g, splits)
+    want = _outcome(reference_split, g, splits)
+    if isinstance(want[0], Graph):
+        assert got[0].edges == Graph(got[0].vertices, got[0].edges).edges  # canonical
+    assert got == want

@@ -186,6 +186,16 @@ def test_cli_sweep_report_outside_out_is_usage(tmp_path, capsys, report):
     assert sorted(p.name for p in tmp_path.rglob("*")) == ["manifest.jsonl", "out"]
 
 
+def test_cli_sweep_report_named_manifest_is_usage(tmp_path, capsys):
+    code = main(["--out", str(tmp_path), "sweep", "--family", "fb", "--max-size", "5",
+                 "--report", "manifest.jsonl"])
+    assert code == 2
+    assert "fb:" not in capsys.readouterr().out  # rejected before sweeping
+    lines = (tmp_path / "manifest.jsonl").read_text().splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["outcome"].startswith("usage error: --report")
+
+
 def test_cli_solve_and_certify_roundtrip(tmp_path, capsys):
     # emit the one-blade fan via the cells of the k=1 table is overkill here;
     # build a df(1,1), certify it from file, then solve a small subgraph doc

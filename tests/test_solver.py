@@ -203,6 +203,14 @@ def test_target_mode_without_witness_reports_nonexistence():
     assert res.chi_la is None  # nothing with <= 2 colors exists
 
 
+def test_target_below_the_lower_bound_is_exact_without_search():
+    # fb3 has a triangle, so no labeling has 2 colors; the search used to
+    # spend its whole budget proving that
+    g, _, _ = build_fb(3)
+    res = solve_chi_la(g, SearchConfig(max_edges=15, target_colors=2, time_budget=0.5))
+    assert (res.status, res.chi_la, res.nodes) == ("exact", None, 0)
+
+
 def test_invalid_witness_rejected():
     g = fan_one_blade()
     labels = {e: i + 1 for i, e in enumerate(g.sorted_edges())}
