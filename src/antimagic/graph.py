@@ -9,10 +9,10 @@ local antimagic chromatic number of the graph is 3 (upper bound by witness,
 lower bound by the chromatic number).
 
 Values here are observationally immutable and the functions pure.  A
-:class:`Graph` derives its adjacency and its connected components on first
-use and caches them; the fill is idempotent (a racing second fill computes
-the same value), so graphs can still be shared freely across concurrent
-sweeps.
+:class:`Graph` derives its adjacency, its connected components and its
+canonical listing on first use and caches them; the fill is idempotent (a
+racing second fill computes the same value), so graphs can still be shared
+freely across concurrent sweeps.
 """
 
 from __future__ import annotations
@@ -56,6 +56,17 @@ class VertexId(NamedTuple):
 Edge = tuple[VertexId, VertexId]
 
 
+class Listing(NamedTuple):
+    """A graph in canonical order: ``vertices`` sorted, ``names[i]`` the id
+    string of ``vertices[i]``, and ``pairs`` the edges as index pairs
+    ``(i, j)`` with ``i < j``, sorted.  The ranks follow the vertex order, so
+    ``pairs`` lists the edges in the order ``sorted(edges)`` does."""
+
+    vertices: tuple[VertexId, ...]
+    names: tuple[str, ...]
+    pairs: tuple[tuple[int, int], ...]
+
+
 def edge(a: VertexId, b: VertexId) -> Edge:
     """Canonical unordered edge; loops are rejected."""
     if a == b:
@@ -73,12 +84,12 @@ class Graph:
 
     May be disconnected; loops and parallel edges are impossible by
     construction.  ``vertices`` and ``edges`` are fixed at construction;
-    the adjacency and the connected components are derived from them on
-    first use and cached, so a graph that only passes through surgery never
-    builds them.
+    the adjacency, the connected components and the canonical listing are
+    derived from them on first use and cached, so a graph that only passes
+    through surgery never builds them.
     """
 
-    __slots__ = ("vertices", "edges", "_adj", "_components")
+    __slots__ = ("vertices", "edges", "_adj", "_components", "_listing")
 
     def __init__(self, vertices: Iterable[VertexId], edges: Iterable[Edge]):
         vs = frozenset(vertices)
@@ -92,6 +103,7 @@ class Graph:
         self.edges: frozenset[Edge] = frozenset(es)
         self._adj: dict[VertexId, frozenset[VertexId]] | None = None
         self._components: list[frozenset[VertexId]] | None = None
+        self._listing: Listing | None = None
 
     @classmethod
     def _checked(cls, vertices: frozenset[VertexId], edges: frozenset[Edge]) -> "Graph":
@@ -99,7 +111,8 @@ class Graph:
         edge an ordered pair of distinct members of ``vertices``.  Surgery
         builds its results here, having checked each edge it moved."""
         g = object.__new__(cls)
-        g.vertices, g.edges, g._adj, g._components = vertices, edges, None, None
+        g.vertices, g.edges = vertices, edges
+        g._adj = g._components = g._listing = None
         return g
 
     def _adjacency(self) -> dict[VertexId, frozenset[VertexId]]:
@@ -136,11 +149,23 @@ class Graph:
     def __repr__(self) -> str:
         return f"Graph(order={len(self.vertices)}, size={len(self.edges)})"
 
+    def listing(self) -> Listing:
+        """The canonical listing: one sort of the vertices, one id string per
+        vertex, and the edges sorted as pairs of vertex ranks."""
+        lst = self._listing
+        if lst is None:
+            vs = sorted(self.vertices)
+            rank = dict(zip(vs, range(len(vs))))
+            pairs = sorted([(rank[a], rank[b]) for a, b in self.edges])
+            lst = self._listing = Listing(tuple(vs), tuple(map(str, vs)), tuple(pairs))
+        return lst
+
     def sorted_vertices(self) -> list[VertexId]:
-        return sorted(self.vertices)
+        return list(self.listing().vertices)
 
     def sorted_edges(self) -> list[Edge]:
-        return sorted(self.edges)
+        vs, _, pairs = self.listing()
+        return [(vs[i], vs[j]) for i, j in pairs]
 
     def connected_components(self) -> list[frozenset[VertexId]]:
         """Components as vertex sets, sorted by their smallest vertex."""
@@ -218,7 +243,9 @@ class InducedColoring:
 
 def induce_coloring(g: Graph, f: EdgeLabeling) -> InducedColoring:
     """Sum incident labels at every vertex; palette is ascending."""
-    if f.labels.keys() != g.edges:
+    # frozenset() reuses the hashes the dict stores; a keys view would
+    # re-hash every edge to look it up in g.edges
+    if frozenset(f.labels) != g.edges:
         raise LabelDomainMismatch(
             "labeling domain does not match the edge set "
             f"({len(f.labels)} labels vs {len(g.edges)} edges)"

@@ -10,17 +10,15 @@ from __future__ import annotations
 
 import hashlib
 import json
+from itertools import chain
+from operator import itemgetter
 from pathlib import Path
 
 from .errors import UsageError
 from .families import FamilyInstance
-from .graph import Certificate, EdgeLabeling, Graph, VertexId, edge, induce_coloring
+from .graph import Certificate, Edge, EdgeLabeling, Graph, VertexId, induce_coloring
 from .partition import EqualSumPartition
 from .tables import LabelTable
-
-
-def _vertex_doc(v: VertexId) -> dict:
-    return {"id": str(v), "role": v.role, "indices": list(v.indices)}
 
 
 def certificate_to_doc(cert: Certificate) -> dict:
@@ -57,16 +55,21 @@ def graph_to_doc(
     instance: FamilyInstance | None = None,
     cert: Certificate | None = None,
 ) -> dict:
-    coloring = induce_coloring(g, f)
+    colors = induce_coloring(g, f).colors
+    labels = f.labels
+    vs, names, pairs = g.listing()
     doc = {
         "family": instance.family if instance else None,
         "params": _jsonable(instance.params) if instance else {},
-        "vertices": [_vertex_doc(v) for v in g.sorted_vertices()],
-        "edges": [
-            {"a": str(a), "b": str(b), "label": f.labels[(a, b)]}
-            for a, b in g.sorted_edges()
+        "vertices": [
+            {"id": name, "role": v.role, "indices": list(v.indices)}
+            for v, name in zip(vs, names)
         ],
-        "colors": {str(v): coloring.colors[v] for v in g.sorted_vertices()},
+        "edges": [
+            {"a": names[i], "b": names[j], "label": labels[vs[i], vs[j]]}
+            for i, j in pairs
+        ],
+        "colors": dict(zip(names, map(colors.__getitem__, vs))),
         "certificate": certificate_to_doc(cert) if cert else None,
     }
     if instance is not None:
@@ -87,10 +90,11 @@ def _field(obj, key: str, kind: type):
 def doc_to_graph(doc: dict) -> tuple[Graph, EdgeLabeling]:
     """Read a graph document back; any malformed part is a :class:`UsageError`.
 
+    A vertex id must be the name its role and indices print as, so that every
+    document accepted here is written back as one that is accepted again.
     Labels are not range-checked here: that is the certificate's job.
     """
     by_id: dict[str, VertexId] = {}
-    seen: set[VertexId] = set()
     for vd in _field(doc, "vertices", list):
         indices = _field(vd, "indices", list)
         for i in indices:
@@ -98,39 +102,118 @@ def doc_to_graph(doc: dict) -> tuple[Graph, EdgeLabeling]:
                 raise UsageError(f"graph document: vertex index is not an int: {i!r}")
         v = VertexId(_field(vd, "role", str), tuple(indices))
         vid = _field(vd, "id", str)
-        if vid in by_id or v in seen:
+        if vid in by_id:
             raise UsageError(f"graph document: duplicate vertex {vid!r}")
+        if vid != str(v):
+            raise UsageError(
+                f"graph document: vertex id {vid!r} is not {str(v)!r}, "
+                "the name of its role and indices"
+            )
         by_id[vid] = v
-        seen.add(v)
-    labels = {}
+    # ids and vertices correspond one to one, so each edge is checked once
+    # here and the graph needs no second pass
+    labels: dict[Edge, int] = {}
     for ed in _field(doc, "edges", list):
         a, b = _field(ed, "a", str), _field(ed, "b", str)
-        for end in (a, b):
-            if end not in by_id:
-                raise UsageError(f"graph document: unknown vertex id {end!r}")
+        va, vb = by_id.get(a), by_id.get(b)
+        if va is None:
+            raise UsageError(f"graph document: unknown vertex id {a!r}")
+        if vb is None:
+            raise UsageError(f"graph document: unknown vertex id {b!r}")
         if a == b:
             raise UsageError(f"graph document: loop edge at {a!r}")
-        e = edge(by_id[a], by_id[b])
+        e = (va, vb) if va < vb else (vb, va)
         if e in labels:
             raise UsageError(f"graph document: duplicate edge {a!r} -- {b!r}")
         labels[e] = _field(ed, "label", int)
-    g = Graph(by_id.values(), labels.keys())
-    return g, EdgeLabeling.from_dict(labels)
+    return Graph._checked(frozenset(by_id.values()), frozenset(labels)), EdgeLabeling(labels)
 
 
-def dumps(doc: dict) -> str:
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+def dumps(doc) -> str:
+    """``json.dumps(doc, sort_keys=True, indent=2) + "\\n"``, byte for byte.
+
+    Given ``indent``, the standard library encodes in pure Python.  The bulk
+    of a graph document is rendered here instead: a list of flat records with
+    one key set by one template, a map of str to int by one join.  Any other
+    shape is handed to ``json.dumps``.
+    """
+    return _encode(doc, "\n") + "\n"
+
+
+_str = json.encoder.encode_basestring_ascii
+_int = int.__repr__
+
+
+def _encode(value, nl: str) -> str:
+    """``value`` as ``json.dumps(value, sort_keys=True, indent=2)`` renders it
+    nested at the indent that ``nl``, a newline and that indent, ends in."""
+    kind = type(value)
+    if kind is str:
+        return _str(value)
+    if kind is int:
+        return _int(value)
+    if kind is dict and value and set(map(type, value)) == {str}:
+        inner = nl + "  "
+        keys = sorted(value)
+        if set(map(type, value.values())) == {int}:
+            items = zip(map(_str, keys), map(_int, map(value.__getitem__, keys)))
+        else:
+            items = ((_str(k), _encode(value[k], inner)) for k in keys)
+        return "{" + inner + ("," + inner).join(map(": ".join, items)) + nl + "}"
+    if kind is list and value:
+        text = _records(value, nl)
+        if text is not None:
+            return text
+    return json.dumps(value, sort_keys=True, indent=2).replace("\n", nl)
+
+
+def _records(rows: list, nl: str) -> str | None:
+    """A non-empty list of flat records with one key set, each value a str,
+    an int or a list of ints, rendered column by column into one template;
+    None for any other list."""
+    if set(map(type, rows)) != {dict} or set(map(type, rows[0])) != {str}:
+        return None
+    keys = sorted(rows[0])
+    if set(map(len, rows)) != {len(keys)}:
+        return None
+    try:
+        columns = [list(map(itemgetter(k), rows)) for k in keys]
+    except KeyError:
+        return None
+    row_nl = nl + "  "
+    key_nl = row_nl + "  "
+    item_nl = key_nl + "  "
+    rendered = []
+    for column in columns:
+        kinds = set(map(type, column))
+        if kinds == {str}:
+            rendered.append(map(_str, column))
+        elif kinds == {int}:
+            rendered.append(map(_int, column))
+        elif kinds == {list} and set(map(type, chain.from_iterable(column))) <= {int}:
+            rendered.append(
+                "[" + item_nl + ("," + item_nl).join(map(_int, xs)) + key_nl + "]" if xs else "[]"
+                for xs in column
+            )
+        else:
+            return None
+    template = "{" + key_nl + ("," + key_nl).join(
+        _str(k).replace("%", "%%") + ": %s" for k in keys
+    ) + row_nl + "}"
+    return "[" + row_nl + ("," + row_nl).join(map(template.__mod__, zip(*rendered))) + nl + "]"
 
 
 def graph_to_dot(g: Graph, f: EdgeLabeling) -> str:
     """DOT with vertex labels "role/indices\\ncolor" and edge labels f(e)."""
-    coloring = induce_coloring(g, f)
+    colors = induce_coloring(g, f).colors
+    labels = f.labels
+    vs, names, pairs = g.listing()
     lines = ["graph antimagic {"]
-    for v in g.sorted_vertices():
+    for v, name in zip(vs, names):
         tag = v.role + ("/" + ",".join(map(str, v.indices)) if v.indices else "")
-        lines.append(f'  "{v}" [label="{tag}\\n{coloring.colors[v]}"];')
-    for a, b in g.sorted_edges():
-        lines.append(f'  "{a}" -- "{b}" [label="{f.labels[(a, b)]}"];')
+        lines.append(f'  "{name}" [label="{tag}\\n{colors[v]}"];')
+    for i, j in pairs:
+        lines.append(f'  "{names[i]}" -- "{names[j]}" [label="{labels[vs[i], vs[j]]}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"
 

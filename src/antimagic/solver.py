@@ -138,14 +138,17 @@ def solve_chi_la(
         # no labeling has fewer colors than the lower bound: nothing to search
         return SolveResult(None, initial_witness, "exact", 0, time.monotonic() - start)
 
-    vs = g.sorted_vertices()
-    vidx = {v: i for i, v in enumerate(vs)}
+    vs, _, pairs = g.listing()
     edges = g.sorted_edges()
-    deg = [g.degree(v) for v in vs]
-    pairs = [(vidx[a], vidx[b]) for a, b in edges]
+    deg = [0] * len(vs)
+    neighbor_ids: list[list[int]] = [[] for _ in vs]
+    for a, b in pairs:
+        deg[a] += 1
+        deg[b] += 1
+        neighbor_ids[a].append(b)
+        neighbor_ids[b].append(a)
     order = _search_order(deg, pairs)
     ends = [pairs[i] for i in order]
-    neighbor_ids = [[vidx[u] for u in g.neighbors(v)] for v in vs]
 
     best = incumbent_count if incumbent_count is not None else q + 2
     target = cfg.target_colors

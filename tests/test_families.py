@@ -1,6 +1,8 @@
 """Per-family construction tests: golden palettes, frozen label sequences,
 structure checks, and the parameter guards."""
 
+import dataclasses
+
 import pytest
 
 from antimagic import families
@@ -717,3 +719,16 @@ def test_failure_report_names_the_edges_sharing_a_label():
     labels[es[3]] = labels[es[4]]
     with pytest.raises(InvariantError, match=r"duplicate_label at u_2-x and u_3-w_3 \(label 5\)"):
         verify_instance(g, EdgeLabeling(labels), inst)
+
+
+def test_failure_report_names_each_census_degree_that_differs():
+    g, f, inst = build_fb(5)  # census {2: 10, 3: 5, 15: 1}
+    doctored = dataclasses.replace(inst, expected_census={2: 10, 3: 7, 4: 1})
+    with pytest.raises(InvariantError) as info:
+        verify_instance(g, f, doctored)
+    assert str(info.value) == (
+        "fb{'n': 5, 'k': 2} failed: "
+        "degree 3: 5 vertices, expected 7; "
+        "degree 4: 0 vertices, expected 1; "
+        "degree 15: 1 vertices, expected 0"
+    )

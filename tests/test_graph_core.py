@@ -62,6 +62,23 @@ def _views(g):
     return (
         {v: (g.neighbors(v), g.degree(v)) for v in g.vertices},
         g.connected_components(),
+        g.listing(),
+    )
+
+
+def test_listing_is_one_sort_of_the_vertices_and_edges():
+    g, _, _ = build_family("gn", n=10, indices=(1,))
+    vs, names, pairs = g.listing()
+    assert list(vs) == sorted(g.vertices) == g.sorted_vertices()
+    assert list(names) == [str(v) for v in sorted(g.vertices)]
+    assert [(vs[i], vs[j]) for i, j in pairs] == sorted(g.edges) == g.sorted_edges()
+    assert all(i < j for i, j in pairs)
+    assert g.listing() is g.listing()
+    # the order of a vertex's names is not the order of its ids
+    assert VertexId("x", (10,)) < VertexId("x1") < VertexId("x1", (2,))
+    h = Graph([V("x", 10), V("x1"), V("x", 2)], [edge(V("x", 10), V("x1"))])
+    assert h.listing() == (
+        (V("x", 2), V("x", 10), V("x1")), ("x_2", "x_10", "x1"), ((1, 2),)
     )
 
 
@@ -74,10 +91,12 @@ def test_derived_structures_agree_across_a_surgery_round():
     h1, h2 = V("h", 1), V("h", 2)
     split, _ = split_vertices(g, [(hub, incident[:1], incident[1:], h1, h2)])
     assert split.degree(h1) == 1 and split.degree(h2) == len(incident) - 1
+    assert split.listing() != before[2]
     back, _ = merge_vertices(split, [{h1, h2}], [hub])
     assert back == g
     assert _views(g) == before
     assert _views(back) == before
+    assert back.listing() == g.listing() and back.sorted_edges() == g.sorted_edges()
 
 
 def test_connected_components_hands_back_a_copy():

@@ -13,7 +13,7 @@ from antimagic import families, io
 from antimagic.cli import main
 from antimagic.errors import InvalidParity, InvariantError, UsageError
 from antimagic.families import build_family
-from antimagic.graph import certify
+from antimagic.graph import VertexId, certify
 from antimagic.tables import table_m3
 
 
@@ -96,6 +96,109 @@ def test_smallest_grid_point_artifacts_are_byte_stable():
         cert = families.verify_instance(g, f, inst)
         text = io.dumps(io.graph_to_doc(g, f, inst, cert)) + io.graph_to_dot(g, f)
         assert hashlib.sha256(text.encode()).hexdigest() == digest, (family, params)
+
+
+# sha256 of the JSON document plus the DOT export of one instance of each band
+# of the benchmark's large workload, recorded while documents were still
+# written by json.dumps and listed by sorting the graph for each artifact
+LARGE_ARTIFACT_DIGESTS = [
+    ("fb", {"n": 751}, "e1176ea1c6f16ff943057dc86debfe47285069e4ff82db79072781a2c05bdef6"),
+    ("tb", {"n": 750}, "4228cd94ec28f4e4b38abbab14eee0af0a427b20585c22dea871d9e110d24162"),
+    ("pt3", {"n": 360, "r": 2}, "86b11a6b5dd25c667b051f9a5cf7fe689590e1c35c69ada70aad23cbd1ff57c3"),
+    ("gn", {"n": 510, "indices": (1, 2, 4, 8, 16, 32, 64)},
+     "1b05e3cb157257d86d5c6a737b139b3483e8adfd4805ded69fa355e79714fc34"),
+    ("gb", {"n": 560, "r": 3, "s": 187},
+     "fb9997fc1923aa4a21d4cd9a6a0cc7ea9f88ce3ab588827b06f962a4ea5a3217"),
+]
+
+
+@pytest.mark.parametrize("family, params, digest", LARGE_ARTIFACT_DIGESTS,
+                         ids=[family for family, _, _ in LARGE_ARTIFACT_DIGESTS])
+def test_large_instance_artifacts_are_byte_stable(family, params, digest):
+    g, f, inst = build_family(family, **params)
+    cert = families.verify_instance(g, f, inst)
+    doc = io.graph_to_doc(g, f, inst, cert)
+    text = io.dumps(doc)
+    assert text == json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    text += io.graph_to_dot(g, f)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+_TEXT = st.text(max_size=5) | st.sampled_from(
+    ["", "%", "%s", "%%(a)s", '"', "\\", "\n", "\x00\x1f", "\u2028", "é", "😀", "a_1"]
+)
+_KEYS = st.sampled_from(["a", "b", "id", "label", "indices", "%s", "é", "\t"]) | _TEXT
+_INTS = st.integers() | st.integers(-3, 40)
+_SCALARS = st.none() | st.booleans() | _INTS | st.floats() | _TEXT
+
+
+def _record_lists(*kinds):
+    """Non-empty lists of records sharing one key set; the values of each key
+    come from one of ``kinds``, so most lists take the writer's template."""
+    def rows(columns):
+        return st.lists(st.fixed_dictionaries(dict(columns)), min_size=1, max_size=4)
+    column = st.tuples(_KEYS, st.sampled_from(kinds))
+    return st.lists(column, min_size=1, max_size=3, unique_by=lambda c: c[0]).flatmap(rows)
+
+
+_FLAT = (_TEXT, _INTS, st.lists(_INTS, max_size=3), _TEXT | _INTS | st.lists(_INTS, max_size=3))
+
+
+@st.composite
+def _ragged_record_lists(draw):
+    """Record lists in which one record gains or loses a key."""
+    rows = [dict(r) for r in draw(_record_lists(*_FLAT))]
+    row = rows[draw(st.integers(0, len(rows) - 1))]
+    if draw(st.booleans()):
+        row[draw(_KEYS)] = draw(_FLAT[-1])
+    else:
+        del row[draw(st.sampled_from(sorted(row)))]
+    return rows
+
+
+def _dumps_inputs():
+    return st.recursive(
+        _SCALARS
+        | _record_lists(*_FLAT)
+        | _record_lists(*_FLAT, _SCALARS, st.lists(_SCALARS, max_size=2).map(tuple))
+        | st.dictionaries(_KEYS, _INTS, max_size=4),
+        lambda inner: st.lists(inner, max_size=4)
+        | st.lists(inner, max_size=3).map(tuple)
+        | st.dictionaries(_KEYS, inner, max_size=4)
+        | st.lists(st.dictionaries(_KEYS, inner, max_size=3), max_size=3),
+        max_leaves=30,
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(_dumps_inputs())
+def test_dumps_equals_the_standard_library(value):
+    assert io.dumps(value) == json.dumps(value, sort_keys=True, indent=2) + "\n"
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    _record_lists(*_FLAT)
+    | _ragged_record_lists()
+    | st.dictionaries(_KEYS, _record_lists(*_FLAT), min_size=1, max_size=3)
+    | st.lists(_record_lists(*_FLAT), min_size=1, max_size=3)
+)
+def test_dumps_renders_record_lists_as_the_standard_library_does(value):
+    assert io.dumps(value) == json.dumps(value, sort_keys=True, indent=2) + "\n"
+
+
+def test_dumps_equals_the_standard_library_on_the_documents_it_writes():
+    g, f, inst = build_family("df", r=1, s=1)
+    cert = certify(g, f, inst.expected_palette)
+    docs = [
+        io.graph_to_doc(g, f, inst, cert),
+        io.graph_to_doc(g, f),
+        io.certificate_to_doc(cert),
+        io.labeling_to_doc(f),
+        {"records": families.sweep_family("fb", max_size=15)},
+    ]
+    for doc in docs:
+        assert io.dumps(doc) == json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
 # --- CLI -------------------------------------------------------------------------
@@ -282,6 +385,12 @@ def _broken_docs():
     doc = _tb2_doc()
     doc["edges"][0]["b"] = doc["edges"][0]["a"]
     cases.append(("loop", doc))
+    doc = _tb2_doc()
+    doc["vertices"] += [
+        {"id": "p", "role": "x_1", "indices": []},
+        {"id": "q", "role": "x", "indices": [1]},
+    ]
+    cases.append(("ids that are not the names of their vertices", doc))
     return cases
 
 
@@ -290,6 +399,19 @@ def test_doc_to_graph_rejects_malformed_documents():
         with pytest.raises(UsageError):
             io.doc_to_graph(doc)
             pytest.fail(f"{what} was accepted")
+
+
+def test_doc_to_graph_rejects_an_id_that_does_not_round_trip():
+    # both vertices print as x_1: read under other ids they would be written
+    # back as two vertices of one name
+    p = {"id": "p", "role": "x_1", "indices": []}
+    q = {"id": "q", "role": "x", "indices": [1]}
+    doc = {"vertices": [p, q], "edges": [{"a": "p", "b": "q", "label": 1}]}
+    with pytest.raises(UsageError, match="vertex id 'p' is not 'x_1'"):
+        io.doc_to_graph(doc)
+    doc = {"vertices": [dict(p, id="x_1"), dict(q, id="x_1")], "edges": []}
+    with pytest.raises(UsageError, match="duplicate vertex 'x_1'"):
+        io.doc_to_graph(doc)
 
 
 def _json_values():
@@ -333,6 +455,45 @@ def test_doc_to_graph_returns_a_graph_or_raises_usage_error(doc):
     except UsageError:
         return
     assert set(f.labels) == g.edges
+
+
+@st.composite
+def _named_documents(draw):
+    """Documents near the accepted ones: distinct vertices, several of which
+    print alike, whose ids name them but for at most one, joined by distinct
+    edges."""
+    pool = [("x", ()), ("x", (1,)), ("x_1", ()), ("x", (1, 2)), ("x_1", (2,)), ("x_1_2", ()),
+            ("x1", ()), ("x", (-1,)), ("x", (2,)), ("x", (10,))]
+    vertices = [
+        {"id": str(VertexId(role, indices)), "role": role, "indices": list(indices)}
+        for role, indices in draw(st.lists(st.sampled_from(pool), max_size=6, unique=True))
+    ]
+    if vertices and draw(st.booleans()):
+        i = draw(st.integers(0, len(vertices) - 1))
+        vertices[i] = dict(vertices[i], id=draw(st.sampled_from(["p", "x", "x_1", "x_1_2"])))
+    ends = st.integers(0, max(len(vertices) - 1, 0))
+    pairs = draw(st.lists(
+        st.tuples(ends, ends).filter(lambda p: p[0] != p[1]),
+        max_size=8, unique_by=frozenset,
+    )) if len(vertices) > 1 else []
+    edges = [
+        {"a": vertices[i]["id"], "b": vertices[j]["id"], "label": draw(st.integers(-1, 5))}
+        for i, j in pairs
+    ]
+    return {"vertices": vertices, "edges": edges}
+
+
+@settings(max_examples=300, deadline=None)
+@given(_named_documents())
+def test_an_accepted_document_is_written_back_as_an_accepted_one(doc):
+    try:
+        g, f = io.doc_to_graph(doc)
+    except UsageError:
+        return
+    again = json.loads(io.dumps(io.graph_to_doc(g, f)))
+    g2, f2 = io.doc_to_graph(again)
+    assert g2 == g and f2 == f
+    assert io.graph_to_dot(g2, f2) == io.graph_to_dot(g, f)
 
 
 def test_cli_certify_and_solve_reject_bad_json(tmp_path):
