@@ -82,7 +82,7 @@ def _build_params(args) -> dict:
             params["indices"] = tuple(int(x) for x in args.indices.split(","))
         except ValueError:
             raise UsageError(f"indices are not comma-separated ints: {args.indices!r}") from None
-    if args.base and args.family == "gb":
+    if args.base:
         params["base"] = args.base
     return params
 

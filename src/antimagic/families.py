@@ -406,72 +406,42 @@ def build_tb(n: int) -> BuildResult:
     return g, f, inst
 
 
-def _no_conflict_partition(
-    g: Graph, items: Sequence[VertexId], r: int, budget: int = 500_000
-) -> list[list[VertexId]]:
-    """Partition ``items`` into r equal blocks whose members are pairwise
-    non-adjacent and share no neighbors, by first-fit with backtracking."""
-    s = len(items) // r
-
-    def clashes(a: VertexId, b: VertexId) -> bool:
-        return b in g.neighbors(a) or bool(g.neighbors(a) & g.neighbors(b))
-
-    blocks: list[list[VertexId]] = [[] for _ in range(r)]
-    nodes = 0
-
-    def place(idx: int) -> bool:
-        nonlocal nodes
-        if idx == len(items):
-            return True
-        nodes += 1
-        if nodes > budget:
-            raise NoValidPartition("partition search budget exhausted")
-        it = items[idx]
-        opened_empty = False
-        for b in range(r):
-            if len(blocks[b]) == s:
-                continue
-            if not blocks[b]:
-                if opened_empty:
-                    continue
-                opened_empty = True
-            if any(clashes(it, m) for m in blocks[b]):
-                continue
-            blocks[b].append(it)
-            if place(idx + 1):
-                return True
-            blocks[b].pop()
-        return False
-
-    if not place(0):
-        raise NoValidPartition(
-            f"no conflict-free partition of {len(items)} vertices into {r} blocks of {s}"
-        )
-    return blocks
-
-
 def _merge_class(
     g: Graph,
     f: EdgeLabeling,
-    items: Sequence[VertexId],
+    rims: Sequence[Sequence[VertexId]],
     r: int,
 ) -> tuple[Graph, EdgeLabeling, list[list[VertexId]]]:
-    """Merge the color class ``items`` into r equal blocks ``m_1..m_r``.
+    """Merge an independent color class into r equal blocks ``m_1..m_r``.
 
-    The stride-r round-robin is merged first: items arrive in cycle order and
-    conflicts are local, so it almost always works.  The class is independent,
-    so the merge rejects it exactly when two block members share a neighbor;
-    the backtracking search then finds blocks without common neighbors.
+    The caller hands the class over as ``rims``, cycles on which two members
+    share a neighbor only when they are consecutive, cyclically.  The rims
+    are laid end to end and position i goes to block i mod r, so consecutive
+    members land in different blocks when r >= 2.  A rim a_0..a_(L-1) whose
+    first member is in block p closes from block p+L-1 back to p, which
+    clashes exactly when L = 1 (mod r) and L > 1, so L >= r+1.  Then a_(L-2)
+    and a_(L-1) swap, into blocks p and p-1: the first has its rim neighbors
+    a_(L-3) and a_(L-1) in blocks p-2 and p-1, the second both of its own in
+    block p, and for r >= 3 these all differ.  Block sizes are unchanged.
+    With r = 1 the premise is that no two members share a neighbor at all.
+
+    The merge is the certificate: a shared neighbor in a block makes it
+    raise, which means the rims broke the premise, an invariant failure.
     """
-    new_ids = [V("m", b + 1) for b in range(r)]
-    if r < 1 or len(items) % r:
-        raise NoValidPartition(f"{len(items)} vertices do not split into {r} blocks")
-    blocks = [list(items[b::r]) for b in range(r)]
+    size = sum(len(rim) for rim in rims)
+    if r < 1 or size % r:
+        raise NoValidPartition(f"{size} vertices do not split into {r} blocks")
+    order: list[VertexId] = []
+    for rim in rims:
+        rim = list(rim)
+        if len(rim) > 1 and len(rim) % r == 1:
+            rim[-2], rim[-1] = rim[-1], rim[-2]
+        order += rim
+    blocks = [order[b::r] for b in range(r)]
     try:
-        g, emap = merge_vertices(g, blocks, new_ids)
-    except (MergeWouldCreateLoop, MergeWouldCreateParallelEdge):
-        blocks = _no_conflict_partition(g, items, r)
-        g, emap = merge_vertices(g, blocks, new_ids)
+        g, emap = merge_vertices(g, blocks, [V("m", b + 1) for b in range(r)])
+    except (MergeWouldCreateLoop, MergeWouldCreateParallelEdge) as exc:
+        raise InvariantError(f"the deal of the rims into {r} blocks clashes: {exc}") from None
     return g, f.remapped(emap), blocks
 
 
@@ -527,7 +497,7 @@ def build_pt_tb_merged(base: str, variant: int, n: int, r: int) -> BuildResult:
                 if colors[items[-1]] != color:
                     raise InvariantError(f"rung {j} has no endpoint of color {color}")
 
-    g, f, blocks = _merge_class(g, f, items, r)
+    g, f, blocks = _merge_class(g, f, [items], r)
     palette, census = _scaled(base_inst, color, degree, r, s)
 
     inst = FamilyInstance(
@@ -615,12 +585,15 @@ def build_gb(
     indices: Sequence[int] | None = None,
 ) -> BuildResult:
     """Generalized bracelet: merge the n+1 degree-4 vertices of a bracelet
-    (or bracelet union) into r blocks of s without common neighbors."""
+    (or bracelet union) into r blocks of s without common neighbors, dealt
+    bracelet by bracelet along the rims (see :func:`_merge_class`)."""
     if n < 8 or n % 2:
         raise InvalidParity(f"need even n >= 8, got {n}")
     if r < 3 or s < 3 or r * s != n + 1:
         raise InvalidFactorization(f"need n+1 = r*s with r, s >= 3, got {r}*{s}")
     if base == "tb":
+        if indices is not None:
+            raise InvalidParams("base 'tb' takes no split index list")
         g, f, base_inst = build_tb(n)
     elif base == "gn":
         if not indices:
@@ -630,8 +603,9 @@ def build_gb(
         raise InvalidParams(f"base must be 'tb' or 'gn', got {base!r}")
     k = base_inst.params["k"]
 
-    hubs = sorted(v for v in g.vertices if g.degree(v) == 4)
-    g, f, blocks = _merge_class(g, f, hubs, r)
+    # each bracelet's hubs, in index order, are its rim in cycle order
+    rims = [sorted(v for v in comp if g.degree(v) == 4) for comp in g.connected_components()]
+    g, f, blocks = _merge_class(g, f, rims, r)
 
     palette, census = _scaled(base_inst, 20 * k + 12, 4, r, s)
     params = {"n": n, "k": k, "r": r, "s": s, "base": base}

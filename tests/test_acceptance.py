@@ -17,6 +17,7 @@ from antimagic.families import (
     build_gn,
     build_tb,
     sweep_family,
+    valid_gn_index_lists,
     verify_instance,
     _fan_cells,
 )
@@ -33,6 +34,7 @@ from antimagic.graph import (
 from antimagic.partition import ApSpec, partition_ap
 from antimagic.solver import SearchConfig, solve_chi_la
 from antimagic.tables import (
+    _odd_factorizations,
     check_m1_observations,
     check_m3_observations,
     table_m1,
@@ -104,8 +106,10 @@ def test_criterion_3_family_certification_sweep():
                    "pt", "tb", "pt1", "pt2", "pt3", "tb1", "tb2", "tb3",
                    "gb", "gn", "np3o3"):
         records = sweep_family(family)
-        fails = [r for r in records if r["status"] == "fail"]
-        assert not fails, f"{family}: {fails[:3]}"
+        # a build that raises a usage error on a grid point is an `error`,
+        # as wrong a result as a failed certificate
+        bad = [r for r in records if r["status"] not in ("pass", "excluded")]
+        assert not bad, f"{family}: {bad[:3]}"
         totals[family] = (
             sum(1 for r in records if r["status"] == "pass"),
             sum(1 for r in records if r["status"] == "excluded"),
@@ -117,6 +121,24 @@ def test_criterion_3_family_certification_sweep():
     assert elapsed < 300.0
     counts = ", ".join(f"{fam}:{n}" for fam, (n, _) in totals.items())
     _report(f"3 (family sweep: {counts})", started)
+
+
+def test_criterion_3_gb_over_every_gn_base_up_to_n44():
+    # every index list of every shape: the deal must cover them all
+    started = time.monotonic()
+    shapes = 0
+    for n in range(8, 45, 2):
+        for r, s in _odd_factorizations(n + 1, 3):
+            if s < 3:
+                continue
+            for indices in valid_gn_index_lists(n):
+                g, f, inst = build_family("gb", n=n, r=r, s=s, base="gn", indices=indices)
+                verify_instance(g, f, inst)
+                shapes += 1
+    assert shapes == 142
+    elapsed = time.monotonic() - started
+    assert elapsed < 30.0
+    _report(f"3 (gb over gn, {shapes} shapes with n <= 44)", started)
 
 
 def test_criterion_4_golden_value_spot_checks():

@@ -483,9 +483,13 @@ def test_gb_over_gn_base():
     assert cert.palette[2] == 5 * (20 * 7 + 12)
 
 
-def test_gb_over_gn_falls_back_when_the_round_robin_clashes():
-    # the stride-r round-robin of the hubs puts two hubs with a common
-    # neighbor into one block, so the backtracking search must take over
+def _bracelet_rims(g):
+    return [sorted(v for v in comp if g.degree(v) == 4) for comp in g.connected_components()]
+
+
+def test_gb_over_gn_deals_each_bracelet_rim():
+    # the stride-r round-robin of the sorted hubs puts two hubs with a common
+    # neighbor into one block; the deal goes bracelet by bracelet instead
     g, _, _ = build_gn(20, (1, 2))
     hubs = sorted(v for v in g.vertices if g.degree(v) == 4)
     round_robin = [hubs[b::3] for b in range(3)]
@@ -497,6 +501,38 @@ def test_gb_over_gn_falls_back_when_the_round_robin_clashes():
     assert inst.partition_record != tuple(
         tuple(str(v) for v in sorted(b)) for b in round_robin
     )
+    # rims of 11, 3 and 7 hubs; the one of 7 = 1 (mod 3) swaps its last two
+    rims = _bracelet_rims(g)
+    assert [len(rim) for rim in rims] == [11, 3, 7]
+    order = rims[0] + rims[1] + rims[2][:5] + [rims[2][6], rims[2][5]]
+    assert inst.partition_record == tuple(
+        tuple(str(v) for v in sorted(order[b::3])) for b in range(3)
+    )
+
+
+def test_gb_over_gn_swaps_the_end_of_a_rim_of_1_mod_r():
+    g, _, _ = build_gn(38, (5,))
+    rims = _bracelet_rims(g)
+    assert sorted(len(rim) for rim in rims) == [19, 20]
+    dealt = rims[0] + rims[1]
+    with pytest.raises(MergeWouldCreateParallelEdge):
+        merge_vertices(g, [dealt[b::3] for b in range(3)], [V("m", b + 1) for b in range(3)])
+    built_ok("gb", n=38, r=3, s=13, base="gn", indices=(5,))
+
+
+def test_merge_class_out_of_rim_order_is_an_invariant_error():
+    g, f, _ = build_tb(8)
+    (rim,) = _bracelet_rims(g)
+    families._merge_class(g, f, [rim], 3)
+    # rim neighbors z_0 and z_2 both at a position = 0 (mod 3)
+    scrambled = rim[:1] + rim[2:4] + rim[1:2] + rim[4:]
+    with pytest.raises(InvariantError, match="clashes"):
+        families._merge_class(g, f, [scrambled], 3)
+
+
+def test_gb_over_tb_rejects_split_indices():
+    with pytest.raises(InvalidParams, match="index list"):
+        build_family("gb", n=14, r=3, s=5, indices=(1,))
 
 
 # --- triple-hub joins --------------------------------------------------------------

@@ -538,6 +538,23 @@ def test_cli_bad_palette_is_usage(tmp_path):
                      "--expect-palette", "auto"]) == 0, good
 
 
+def test_cli_build_base_is_usage_outside_gb(tmp_path):
+    code = main(["--out", str(tmp_path), "build", "--family", "tb", "--n", "8", "--base", "gn"])
+    assert code == 2
+    entry = json.loads((tmp_path / "manifest.jsonl").read_text())
+    assert entry["outcome"].startswith("usage error")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["manifest.jsonl"]
+
+
+def test_cli_build_gb_over_gn_with_a_rim_of_1_mod_r_certifies(tmp_path):
+    # the bracelet of index 2 has 7 hubs, 7 = 1 (mod 3)
+    code = main([
+        "--out", str(tmp_path), "build", "--family", "gb", "--n", "44", "--r", "3",
+        "--s", "15", "--base", "gn", "--indices", "2", "--certify",
+    ])
+    assert code == 0
+
+
 @pytest.mark.parametrize("argv", [
     ["--out", "afile", "table", "--kind", "m1", "--k", "1"],
     ["--out", "afile", "--bogus"],
