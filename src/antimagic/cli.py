@@ -13,7 +13,7 @@ from pathlib import Path
 
 from . import __version__, io
 from .errors import AntimagicError, InvariantError, UsageError
-from .families import FAMILY_TAGS, build_family, sweep_family
+from .families import FAMILY_TAGS, GRID_BOUND, build_family, sweep_family, verify_instance
 from .graph import certify
 from .partition import ApSpec, partition_ap
 from .solver import SearchConfig, solve_chi_la
@@ -102,20 +102,12 @@ def cmd_build(args, out_dir: Path) -> tuple[int, str, list[str]]:
     params = _build_params(args)
     g, f, inst = build_family(args.family, **params)
     cert = None
-    code, outcome = 0, "built"
     if args.certify:
-        expected = (
-            inst.expected_palette
-            if args.expect_palette == "auto"
-            else _parse_palette(args.expect_palette)
-        )
-        cert = certify(g, f, expected)
-        ok = cert.ok() and cert.color_count == 3
-        code, outcome = (0, "pass") if ok else (1, "fail")
+        # a false claim raises, so a failed build writes no document
+        cert = verify_instance(g, f, inst)
         print(
             f"{args.family}{inst.params}: colors={cert.color_count} "
-            f"palette={list(cert.palette)} "
-            f"{'OK' if ok else 'FAILED: ' + json.dumps([dict(v) for v in cert.violations])}"
+            f"palette={list(cert.palette)} OK"
         )
     stem = _param_stem(args.family, inst.params)
     outputs = []
@@ -125,7 +117,7 @@ def cmd_build(args, out_dir: Path) -> tuple[int, str, list[str]]:
         )
     if args.emit in ("dot", "both"):
         outputs.append(_write(out_dir, stem + ".dot", io.graph_to_dot(g, f)))
-    return code, outcome, outputs
+    return 0, ("pass" if args.certify else "built"), outputs
 
 
 def cmd_partition(args, out_dir: Path) -> tuple[int, str, list[str]]:
@@ -139,6 +131,13 @@ def cmd_partition(args, out_dir: Path) -> tuple[int, str, list[str]]:
     return 0, f"target={part.target}", outputs
 
 
+_BOUNDS = ("max_size", "max_n", "gn_max_n")
+
+
+def _flag(bound: str) -> str:
+    return "--" + bound.replace("_", "-")
+
+
 def cmd_sweep(args, out_dir: Path) -> tuple[int, str, list[str]]:
     report_name = args.report or "sweep_report.json"
     if Path(report_name).name != report_name or report_name == "..":
@@ -146,13 +145,15 @@ def cmd_sweep(args, out_dir: Path) -> tuple[int, str, list[str]]:
     if report_name == "manifest.jsonl":
         raise UsageError("--report must not name the run manifest, manifest.jsonl")
     families = FAMILY_TAGS if args.family == "all" else (args.family,)
-    grid_kwargs = {}
-    if args.max_size is not None:
-        grid_kwargs["max_size"] = args.max_size
-    if args.max_n is not None:
-        grid_kwargs["max_n"] = args.max_n
-    if args.gn_max_n is not None:
-        grid_kwargs["gn_max_n"] = args.gn_max_n
+    grid_kwargs = {b: getattr(args, b) for b in _BOUNDS if getattr(args, b) is not None}
+    if args.family != "all":
+        read = GRID_BOUND[args.family]
+        unread = sorted(set(grid_kwargs) - {read})
+        if unread:
+            flags = [_flag(b) for b in [read] + unread]
+            raise UsageError(
+                f"the {args.family} grid reads only {flags[0]}, not {', '.join(flags[1:])}"
+            )
 
     all_records = []
     for family in families:
@@ -260,9 +261,8 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--base", choices=["tb", "gn"], help="gb base graph")
     p.add_argument("--emit", choices=["json", "dot", "both"], default="json",
                    help="files to write (default: json)")
-    p.add_argument("--certify", action="store_true")
-    p.add_argument("--expect-palette", default="auto",
-                   help="'auto' or comma-separated color values")
+    p.add_argument("--certify", action="store_true",
+                   help="verify every claim of the instance before writing")
 
     p = sub.add_parser("partition", help="equal-sum partition of an AP")
     p.add_argument("--first", required=True, type=int)
@@ -272,9 +272,9 @@ def make_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="build + certify a family grid")
     p.add_argument("--family", required=True, choices=list(FAMILY_TAGS) + ["all"])
-    p.add_argument("--max-size", type=int, help="size bound for fb/tfb/df/np3o3 grids")
-    p.add_argument("--max-n", type=int, help="order-parameter bound for pt/tb grids")
-    p.add_argument("--gn-max-n", type=int, help="bound for the gn grid")
+    for bound in _BOUNDS:
+        readers = "/".join(t for t in FAMILY_TAGS if GRID_BOUND[t] == bound)
+        p.add_argument(_flag(bound), type=int, help=f"bound of the {readers} grids")
     p.add_argument("--report", help="report file name inside --out")
 
     p = sub.add_parser("solve", help="exact chi_la search on a graph document")

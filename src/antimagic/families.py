@@ -56,14 +56,22 @@ FAMILY_TAGS = (
 
 @dataclass(frozen=True)
 class FamilyInstance:
-    """Family tag, validated parameters, and the claims to certify."""
+    """Family tag, validated parameters, the claims to certify and, for a
+    family that merges a class into blocks, those blocks in merge order."""
 
     family: str
     params: dict
     expected_palette: tuple[int, ...]
     expected_census: dict[int, int]
-    partition_record: tuple[tuple[str, ...], ...] | None = None
+    blocks: tuple[frozenset[VertexId], ...] | None = None
     expected_component_orders: tuple[int, ...] | None = None
+
+    @property
+    def partition_record(self) -> tuple[tuple[str, ...], ...] | None:
+        """The merged blocks by vertex name, each sorted, in merge order."""
+        if self.blocks is None:
+            return None
+        return tuple(tuple(str(v) for v in sorted(b)) for b in self.blocks)
 
 
 BuildResult = tuple[Graph, EdgeLabeling, FamilyInstance]
@@ -84,16 +92,34 @@ def _census(*pairs: tuple[int, int]) -> dict[int, int]:
     return out
 
 
-def _scaled(
-    base: FamilyInstance, color: int, degree: int, r: int, s: int
-) -> tuple[tuple[int, ...], dict[int, int]]:
-    """Palette and census of ``base`` after merging its independent class of
-    ``color`` and ``degree`` into r blocks of s.
+def _merged(
+    built: BuildResult,
+    family: str,
+    params: dict,
+    blocks: Iterable[Iterable[VertexId]],
+    new_ids: Iterable[VertexId],
+    color: int,
+    degree: int,
+) -> BuildResult:
+    """Merge ``blocks`` of a built base instance into ``new_ids``: the merged
+    graph, its transferred labels, and the base claims scaled to match.
 
-    Labels travel with their edges, so a block of s vertices of color c and
-    degree d is one vertex of color s*c and degree s*d: the color becomes
-    s*color and r*s vertices of degree d become r vertices of degree s*d.
+    The blocks are r blocks of s vertices of one independent class of
+    ``color`` and ``degree``, and r and s are read off them.  Labels travel
+    with their edges, so a block is one vertex of color s*color and degree
+    s*degree: the color becomes s*color and r*s vertices of degree d become
+    r vertices of degree s*d.
+
+    The merge is the certificate: adjacent members or a shared neighbor in
+    a block make it raise, which means the builder's own blocks broke their
+    premise, an invariant failure.
     """
+    g, f, base = built
+    blocks = tuple(frozenset(b) for b in blocks)
+    sizes = {len(b) for b in blocks}
+    if len(sizes) != 1:
+        raise InvariantError(f"{family}{params}: blocks of unequal sizes {sorted(sizes)}")
+    r, (s,) = len(blocks), sizes
     if color not in base.expected_palette or base.expected_census.get(degree, 0) < r * s:
         raise InvariantError(
             f"{base.family}{base.params} claims no {r * s} vertices of color "
@@ -104,11 +130,14 @@ def _scaled(
     census[degree] -= r * s
     if not census[degree]:
         del census[degree]
-    return palette, _census(*census.items(), (s * degree, r))
-
-
-def _record(blocks: Iterable[Iterable[VertexId]]) -> tuple[tuple[str, ...], ...]:
-    return tuple(tuple(str(v) for v in sorted(b)) for b in blocks)
+    try:
+        g, emap = merge_vertices(g, blocks, new_ids)
+    except (MergeWouldCreateLoop, MergeWouldCreateParallelEdge) as exc:
+        raise InvariantError(f"{family}{params}: the blocks clash: {exc}") from None
+    inst = FamilyInstance(
+        family, params, palette, _census(*census.items(), (s * degree, r)), blocks=blocks
+    )
+    return g, f.remapped(emap), inst
 
 
 # ---------------------------------------------------------------------------
@@ -168,16 +197,15 @@ def _tfb(t: int, s: int) -> tuple[Graph, EdgeLabeling, FamilyInstance, list[list
     # hub sum of cell i is 23k+14-2i, descending left to right
     part = partition_ap(ApSpec(19 * k + 12, 2, 2 * k + 1), t, s)
     columns = [sorted((23 * k + 14 - value) // 2 for value in blk) for blk in part.blocks]
-    blocks = [{V("x", c) for c in cols} for cols in columns]
-    new_ids = [V("y", a) for a in range(1, t + 1)]
-    g, emap = merge_vertices(g, blocks, new_ids)
+    blocks = tuple(frozenset(V("x", c) for c in cols) for cols in columns)
+    g, emap = merge_vertices(g, blocks, [V("y", a) for a in range(1, t + 1)])
     f = f.remapped(emap)
 
     palette = _palette(9 * k + 6, 10 * k + 6, s * (21 * k + 12))
     inst = FamilyInstance(
         "tfb", {"t": t, "s": s, "k": k}, palette,
         _census((2, 2 * t * s), (3, t * s), (3 * s, t)),
-        partition_record=_record(blocks),
+        blocks=blocks,
         expected_component_orders=tuple([3 * s + 1] * t),
     )
     return g, f, inst, columns
@@ -232,6 +260,13 @@ def build_df(r: int, s: int) -> BuildResult:
     return g, f, inst
 
 
+def _fan_class(variant: int, k: int) -> tuple[tuple[str, ...], int, int]:
+    """Roles, color and degree of the fan cell class that variant 1 (the
+    degree-2 rim vertices u, v) or variant 2 (the degree-3 path centers w)
+    merges."""
+    return (("u", "v"), 10 * k + 6, 2) if variant == 1 else (("w",), 9 * k + 6, 3)
+
+
 def build_fb_merged(variant: int, r: int, s: int) -> BuildResult:
     """Merge the degree-2 rim vertices (variant 1) or the degree-3 path
     centers (variant 2) across the t = r fan components."""
@@ -245,31 +280,14 @@ def build_fb_merged(variant: int, r: int, s: int) -> BuildResult:
             f"k = {k} = 2 (mod 4): r(10k+6) may equal s(21k+12), excluded"
         )
     g, f, base, comp_cols = _tfb(r, s)
-
-    blocks: list[set[VertexId]] = []
-    new_ids: list[VertexId] = []
-    for j in range(1, s + 1):
-        picked = [cols[j - 1] for cols in comp_cols]
-        if variant == 1:
-            blocks.append({V("u", c) for c in picked})
-            new_ids.append(V("u", j))
-            blocks.append({V("v", c) for c in picked})
-            new_ids.append(V("v", j))
-        else:
-            blocks.append({V("w", c) for c in picked})
-            new_ids.append(V("w", j))
-    g, emap = merge_vertices(g, blocks, new_ids)
-    f = f.remapped(emap)
-
-    if variant == 1:
-        palette, census = _scaled(base, 10 * k + 6, 2, 2 * s, r)
-    else:
-        palette, census = _scaled(base, 9 * k + 6, 3, s, r)
-    inst = FamilyInstance(
-        f"fb{variant}", {"r": r, "s": s, "k": k}, palette, census,
-        partition_record=_record(blocks),
+    roles, color, degree = _fan_class(variant, k)
+    # block (j, role) takes the j-th cell of every fan component
+    rows = list(zip(*comp_cols))
+    return _merged(
+        (g, f, base), f"fb{variant}", {"r": r, "s": s, "k": k},
+        [[V(role, c) for c in row] for row in rows for role in roles],
+        [V(role, j) for j in range(1, s + 1) for role in roles], color, degree,
     )
-    return g, f, inst
 
 
 def build_df_merged(variant: int, r: int, s: int, r1: int | None = None) -> BuildResult:
@@ -293,63 +311,29 @@ def build_df_merged(variant: int, r: int, s: int, r1: int | None = None) -> Buil
             f"k = {k} = 2 (mod 4): (2r+1)(10k+6) may equal s(21k+12), excluded"
         )
 
-    hub_cols = _df_block_cols(r + 1, s)
-    blocks: list[set[VertexId]] = []
-    new_ids: list[VertexId] = []
-
-    if variant == 1:
-        fan_rim = [V("u", i) for i in hub_cols] + [V("v", i) for i in hub_cols]
-        sides = []
-        for j in range(1, r + 1):
-            near, far = _df_block_cols(j, s), _df_block_cols(2 * r + 2 - j, s)
-            z_side = [V("u", i) for i in near] + [V("v", i) for i in near]
-            y_side = [V("u", i) for i in far] + [V("v", i) for i in far]
-            sides.append((z_side, y_side))
-        for b in range(2 * s):
-            block = {fan_rim[b]}
-            for z_side, y_side in sides:
-                block |= {z_side[b], y_side[b]}
-            blocks.append(block)
-            new_ids.append(V("m", b + 1))
-        palette, census = _scaled(base, 10 * k + 6, 2, 2 * s, 2 * r + 1)
-    elif variant == 2:
-        fan_centers = [V("w", i) for i in hub_cols]
-        sides = []
-        for j in range(1, r + 1):
-            near, far = _df_block_cols(j, s), _df_block_cols(2 * r + 2 - j, s)
-            sides.append(([V("w", i) for i in near], [V("w", i) for i in far]))
-        for b in range(s):
-            block = {fan_centers[b]}
-            for y_side, z_side in sides:
-                block |= {y_side[b], z_side[b]}
-            blocks.append(block)
-            new_ids.append(V("m", b + 1))
-        palette, census = _scaled(base, 9 * k + 6, 3, s, 2 * r + 1)
-    else:
+    params = {"r": r, "s": s, "k": k}
+    if variant == 3:
         if r1 is None or r1 < 3 or (2 * r + 1) % r1 or (2 * r + 1) // r1 < 3:
             raise InvalidFactorization(
                 f"variant 3 needs 2r+1 = r1*r2 with r1, r2 >= 3, got r={r}, r1={r1}"
             )
         r2 = (2 * r + 1) // r1
-        hubs = [V("x")]
+        params.update(r1=r1, r2=r2)
+        hubs = [V("x")] + [V(hub, j) for j in range(1, r + 1) for hub in ("y", "z")]
+        blocks = [hubs[c * r2: (c + 1) * r2] for c in range(r1)]
+        color, degree = s * (21 * k + 12), 3 * s
+    else:
+        # one column of cells for the fan, one for each hub side of each
+        # diamond; block b takes the b-th class member of every column
+        roles, color, degree = _fan_class(variant, k)
+        columns = [_df_block_cols(r + 1, s)]
         for j in range(1, r + 1):
-            hubs += [V("y", j), V("z", j)]
-        for c in range(r1):
-            blocks.append(set(hubs[c * r2: (c + 1) * r2]))
-            new_ids.append(V("m", c + 1))
-        palette, census = _scaled(base, s * (21 * k + 12), 3 * s, r1, r2)
-
-    g, emap = merge_vertices(g, blocks, new_ids)
-    f = f.remapped(emap)
-    params = {"r": r, "s": s, "k": k}
-    if variant == 3:
-        params["r1"] = r1
-        params["r2"] = (2 * r + 1) // r1
-    inst = FamilyInstance(
-        f"df{variant}", params, palette, census,
-        partition_record=_record(blocks),
+            columns += [_df_block_cols(j, s), _df_block_cols(2 * r + 2 - j, s)]
+        blocks = list(zip(*([V(role, i) for role in roles for i in cols] for cols in columns)))
+    return _merged(
+        (g, f, base), f"df{variant}", params, blocks,
+        [V("m", b + 1) for b in range(len(blocks))], color, degree,
     )
-    return g, f, inst
 
 
 # ---------------------------------------------------------------------------
@@ -392,27 +376,15 @@ def build_pt(n: int) -> BuildResult:
 
 def build_tb(n: int) -> BuildResult:
     """Triangular bracelet: the peanut with its rails zipped together."""
-    g, f, base = build_pt(n)
-    k = base.params["k"]
-    blocks = [{V("x"), V("y")}]
-    new_ids = [V("z", 0)]
-    for i in range(1, n + 1):
-        blocks.append({V("u", 2 * i), V("v", 2 * i)})
-        new_ids.append(V("z", 2 * i))
-    g, emap = merge_vertices(g, blocks, new_ids)
-    f = f.remapped(emap)
-    palette, census = _scaled(base, 10 * k + 6, 2, n + 1, 2)
-    inst = FamilyInstance("tb", {"n": n, "k": k}, palette, census)
-    return g, f, inst
+    pairs = [(V("x"), V("y"))] + [(V("u", 2 * i), V("v", 2 * i)) for i in range(1, n + 1)]
+    return _merged(
+        build_pt(n), "tb", {"n": n, "k": n // 2}, pairs,
+        [V("z", 2 * i) for i in range(n + 1)], 10 * (n // 2) + 6, 2,
+    )
 
 
-def _merge_class(
-    g: Graph,
-    f: EdgeLabeling,
-    rims: Sequence[Sequence[VertexId]],
-    r: int,
-) -> tuple[Graph, EdgeLabeling, list[list[VertexId]]]:
-    """Merge an independent color class into r equal blocks ``m_1..m_r``.
+def _deal(rims: Sequence[Sequence[VertexId]], r: int) -> list[list[VertexId]]:
+    """Deal an independent color class into r equal blocks.
 
     The caller hands the class over as ``rims``, cycles on which two members
     share a neighbor only when they are consecutive, cyclically.  The rims
@@ -425,8 +397,8 @@ def _merge_class(
     block p, and for r >= 3 these all differ.  Block sizes are unchanged.
     With r = 1 the premise is that no two members share a neighbor at all.
 
-    The merge is the certificate: a shared neighbor in a block makes it
-    raise, which means the rims broke the premise, an invariant failure.
+    The merge of the blocks (:func:`_merged`) certifies the deal: a shared
+    neighbor in a block means the rims broke the premise.
     """
     size = sum(len(rim) for rim in rims)
     if r < 1 or size % r:
@@ -437,12 +409,7 @@ def _merge_class(
         if len(rim) > 1 and len(rim) % r == 1:
             rim[-2], rim[-1] = rim[-1], rim[-2]
         order += rim
-    blocks = [order[b::r] for b in range(r)]
-    try:
-        g, emap = merge_vertices(g, blocks, [V("m", b + 1) for b in range(r)])
-    except (MergeWouldCreateLoop, MergeWouldCreateParallelEdge) as exc:
-        raise InvariantError(f"the deal of the rims into {r} blocks clashes: {exc}") from None
-    return g, f.remapped(emap), blocks
+    return [order[b::r] for b in range(r)]
 
 
 def build_pt_tb_merged(base: str, variant: int, n: int, r: int) -> BuildResult:
@@ -459,7 +426,8 @@ def build_pt_tb_merged(base: str, variant: int, n: int, r: int) -> BuildResult:
     if variant not in (1, 2, 3):
         raise InvalidParams(f"variant must be 1, 2 or 3, got {variant}")
 
-    g, f, base_inst = (build_pt if base == "pt" else build_tb)(n)
+    built = (build_pt if base == "pt" else build_tb)(n)
+    g, f, base_inst = built
     k = base_inst.params["k"]
 
     # the merged class: its color and degree in the base graph
@@ -497,14 +465,10 @@ def build_pt_tb_merged(base: str, variant: int, n: int, r: int) -> BuildResult:
                 if colors[items[-1]] != color:
                     raise InvariantError(f"rung {j} has no endpoint of color {color}")
 
-    g, f, blocks = _merge_class(g, f, [items], r)
-    palette, census = _scaled(base_inst, color, degree, r, s)
-
-    inst = FamilyInstance(
-        f"{base}{variant}", {"n": n, "k": k, "r": r, "s": s}, palette, census,
-        partition_record=_record(blocks),
+    return _merged(
+        built, f"{base}{variant}", {"n": n, "k": k, "r": r, "s": s},
+        _deal([items], r), [V("m", b + 1) for b in range(r)], color, degree,
     )
-    return g, f, inst
 
 
 def valid_gn_index_lists(n: int) -> list[tuple[int, ...]]:
@@ -586,7 +550,7 @@ def build_gb(
 ) -> BuildResult:
     """Generalized bracelet: merge the n+1 degree-4 vertices of a bracelet
     (or bracelet union) into r blocks of s without common neighbors, dealt
-    bracelet by bracelet along the rims (see :func:`_merge_class`)."""
+    bracelet by bracelet along the rims (see :func:`_deal`)."""
     if n < 8 or n % 2:
         raise InvalidParity(f"need even n >= 8, got {n}")
     if r < 3 or s < 3 or r * s != n + 1:
@@ -605,16 +569,13 @@ def build_gb(
 
     # each bracelet's hubs, in index order, are its rim in cycle order
     rims = [sorted(v for v in comp if g.degree(v) == 4) for comp in g.connected_components()]
-    g, f, blocks = _merge_class(g, f, rims, r)
-
-    palette, census = _scaled(base_inst, 20 * k + 12, 4, r, s)
     params = {"n": n, "k": k, "r": r, "s": s, "base": base}
     if indices:
         params["indices"] = tuple(indices)
-    inst = FamilyInstance(
-        "gb", params, palette, census, partition_record=_record(blocks),
+    return _merged(
+        (g, f, base_inst), "gb", params, _deal(rims, r),
+        [V("m", b + 1) for b in range(r)], 20 * k + 12, 4,
     )
-    return g, f, inst
 
 
 # ---------------------------------------------------------------------------
@@ -755,6 +716,14 @@ def verify_instance(g: Graph, f: EdgeLabeling, inst: FamilyInstance):
             f"{inst.family}{inst.params} failed: " + "; ".join(problems)
         )
     return cert
+
+
+# the one bound of family_grid that each family's grid reads
+GRID_BOUND = {
+    **dict.fromkeys(("fb", "tfb", "df", "fb1", "fb2", "df1", "df2", "df3", "np3o3"), "max_size"),
+    **dict.fromkeys(("pt", "tb", "pt1", "pt2", "pt3", "tb1", "tb2", "tb3", "gb"), "max_n"),
+    "gn": "gn_max_n",
+}
 
 
 def family_grid(

@@ -521,13 +521,91 @@ def test_gb_over_gn_swaps_the_end_of_a_rim_of_1_mod_r():
 
 
 def test_merge_class_out_of_rim_order_is_an_invariant_error():
-    g, f, _ = build_tb(8)
-    (rim,) = _bracelet_rims(g)
-    families._merge_class(g, f, [rim], 3)
+    built = build_tb(8)
+    (rim,) = _bracelet_rims(built[0])
+    params, ids = {"n": 8, "k": 4, "r": 3, "s": 3}, [V("m", b + 1) for b in range(3)]
+    families._merged(built, "tb3", params, families._deal([rim], 3), ids, 92, 4)
     # rim neighbors z_0 and z_2 both at a position = 0 (mod 3)
     scrambled = rim[:1] + rim[2:4] + rim[1:2] + rim[4:]
-    with pytest.raises(InvariantError, match="clashes"):
-        families._merge_class(g, f, [scrambled], 3)
+    with pytest.raises(InvariantError, match="clash"):
+        families._merged(built, "tb3", params, families._deal([scrambled], 3), ids, 92, 4)
+
+
+@pytest.mark.parametrize(
+    "base, family, color, degree, block",
+    [
+        # u_1 and v_1 share their path center w_1 and their fan hub
+        (lambda: build_tfb(3, 3), "fb1", 10 * 4 + 6, 2, [V("u", 1), V("v", 1)]),
+        # w_4 and w_5 both hang on the fan hub x
+        (lambda: build_df(1, 3), "df2", 9 * 4 + 6, 3, [V("w", 4), V("w", 5)]),
+        # u_2 and u_4 share the rail vertex u_3
+        (lambda: build_pt(2), "tb", 10 * 1 + 6, 2, [V("u", 2), V("u", 4)]),
+        # z_0 and u_1 are adjacent
+        (lambda: build_tb(8), "gb", 20 * 4 + 12, 4, [V("z", 0), V("u", 1)]),
+    ],
+    ids=["shared-neighbor-fb1", "shared-neighbor-df2", "shared-neighbor-tb", "adjacent-gb"],
+)
+def test_clashing_blocks_of_a_merged_family_are_an_invariant_error(
+    base, family, color, degree, block
+):
+    with pytest.raises(InvariantError, match="clash"):
+        families._merged(base(), family, {}, [block], [V("m", 1)], color, degree)
+
+
+def test_unequal_blocks_are_an_invariant_error():
+    blocks = [[V("u", 2), V("v", 2)], [V("u", 4)]]
+    with pytest.raises(InvariantError, match="unequal sizes"):
+        families._merged(build_pt(2), "tb", {}, blocks, [V("m", 1), V("m", 2)], 16, 2)
+
+
+def test_a_clash_in_fb1_blocks_fails_its_sweep_point(monkeypatch):
+    real = families._tfb
+
+    def swapped(t, s):
+        g, f, inst, comp_cols = real(t, s)
+        # the first row of cells now takes two cells of the first fan, whose
+        # rim vertices meet at its hub
+        comp_cols[0][1], comp_cols[1][0] = comp_cols[1][0], comp_cols[0][1]
+        return g, f, inst, comp_cols
+
+    monkeypatch.setattr(families, "_tfb", swapped)
+    (rec,) = sweep_family("fb1", max_size=9)
+    assert rec["status"] == "fail"
+    assert rec["reason"].startswith("fb1{'r': 3, 's': 3, 'k': 4}: the blocks clash")
+
+
+@pytest.mark.parametrize(
+    "family, params, base",
+    [
+        ("fb1", {"r": 3, "s": 5}, lambda: build_tfb(3, 5)),
+        ("df2", {"r": 2, "s": 3}, lambda: build_df(2, 3)),
+        ("tb", {"n": 10}, lambda: build_pt(10)),
+        ("pt3", {"n": 10, "r": 2}, lambda: build_pt(10)),
+        ("gb", {"n": 14, "r": 5, "s": 3}, lambda: build_tb(14)),
+    ],
+    ids=["fb_merged", "df_merged", "tb", "pt_tb_merged", "gb"],
+)
+def test_partition_record_names_the_merged_blocks(family, params, base):
+    g0, f0, _ = base()
+    g, f, inst = build_family(family, **params)
+    by_name = {str(v): v for v in g0.vertices}
+    record = [[by_name[name] for name in b] for b in inst.partition_record]
+    assert all(b == sorted(b) for b in record)
+    # labels travel with their edges: each named block is the merged vertex
+    # that carries exactly the labels of its members
+    at = {frozenset(f.labels[edge(v, u)] for u in g.neighbors(v)): v for v in g.vertices}
+    merged = {
+        at[frozenset(f0.labels[edge(v, u)] for v in b for u in g0.neighbors(v))] for b in record
+    }
+    assert len(merged) == len(record)
+    assert len(g.vertices) == len(g0.vertices) - sum(map(len, record)) + len(record)
+
+
+def test_tb_records_its_zipped_rail_pairs():
+    _, _, inst = build_tb(4)
+    assert inst.partition_record == (
+        ("x", "y"), ("u_2", "v_2"), ("u_4", "v_4"), ("u_6", "v_6"), ("u_8", "v_8"),
+    )
 
 
 def test_gb_over_tb_rejects_split_indices():
@@ -580,6 +658,15 @@ def test_fb1_grid_marks_exclusions():
     assert (("r", 3), ("s", 7)) in excluded  # rs=21 -> k=10 = 2 (mod 4)
     allowed = [p for p, reason in grid if not reason]
     assert {"r": 3, "s": 3} in allowed
+
+
+def test_grid_bound_names_the_one_bound_each_grid_reads():
+    small = {"max_size": 9, "max_n": 4, "gn_max_n": 10}
+    for family in families.FAMILY_TAGS:
+        read = families.GRID_BOUND[family]
+        default = family_grid(family)
+        assert family_grid(family, **{b: 0 for b in small if b != read}) == default, family
+        assert family_grid(family, **{read: small[read]}) != default, family
 
 
 def test_gn_grid_respects_conditions():

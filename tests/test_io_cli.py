@@ -1,5 +1,6 @@
 """Serialization round-trips, export formats, and the command-line front end."""
 
+import dataclasses
 import hashlib
 import json
 import tempfile
@@ -92,6 +93,41 @@ def test_smallest_grid_point_artifacts_are_byte_stable():
     assert set(ARTIFACT_DIGESTS) == set(families.FAMILY_TAGS)
     for family, digest in ARTIFACT_DIGESTS.items():
         params = next(p for p, reason in families.family_grid(family) if reason is None)
+        g, f, inst = build_family(family, **params)
+        cert = families.verify_instance(g, f, inst)
+        text = io.dumps(io.graph_to_doc(g, f, inst, cert)) + io.graph_to_dot(g, f)
+        assert hashlib.sha256(text.encode()).hexdigest() == digest, (family, params)
+
+
+# the same digests for the last (largest) non-excluded default-grid point of
+# every family, recorded before the merged families shared one merge step
+LAST_ARTIFACT_DIGESTS = {
+    "fb": "ab0a1ff605c73d93a8eab96a509e400e3aa19d783e3a18f9ed6b6b58bfc2bff7",
+    "tfb": "22a0f7d4abb6d892b56a484e2c408d61e1f75cbd2005a868634bd0cd1cfeb0c1",
+    "df": "a97b0247e5bbc1f8a449e53417f6ecb43bb7456a730eda9b60250a6d8b1c0e9a",
+    "fb1": "df3a23ed1ed2afae708bac6c70cdb09c9d225db82da9faf837bef5d15141ee93",
+    "fb2": "d8fc1c6496baab4d4d5d00d39d1650efe2bb9c3db9652d803b9fd2974e1efd2e",
+    "df1": "8dc2270c994380c569af9dae63837126ddc690626f7ddf3c365e5d8570f1b8dd",
+    "df2": "3a9b54b7ab332dad41e047fc3bb6175ecf508012e79ca9947b1f26ea29d543d7",
+    "df3": "bb4735fa2366fb31c9de6fb6e446f5aa66dab27843a1293c7304c63ddf694fac",
+    "pt": "2e2d1f4104346d11eae3e813f4b3fead52989326bd18d0bf0672e3b0ee1adb5d",
+    "tb": "1d2ec51850e3f2972e0977f15709f7ce2fc03e977f123467cea136ebe2b9ba49",
+    "pt1": "93237252ae499a5e8e0b29bbee201d1d8c953d44c117d476bf54d39820925f26",
+    "pt2": "7da0391b526b5c693001fb026146fbfbbc1a869c3bea90b93c8150132ce06425",
+    "pt3": "0e9ca421a452fc5590062659ba9cc2c5774fcf8cdc5148a43a644a2f219246a6",
+    "tb1": "fe3ca2162634df8e15f8b74d89b0de52cbf628a9096dabfdb09ce158babdce50",
+    "tb2": "b384a1627e8fccb58c729629a8f69e467f4e87239252c56a6ba512f4e060de6a",
+    "tb3": "5d1c1c230933960e8341b0c6d64252d8e8c6371374761d7b79d4b2803dc9392f",
+    "gn": "5c45e5b71d1598a82c441b32fe15ea45e3072b5ce1477f6d5075bda16d3c8f74",
+    "gb": "e62e7f66ccf666bf6c43ee32f42a2faea1da69c3f9346db88a3d24f64143b1ce",
+    "np3o3": "73155537843a4968ed13c675782b73c24e151288a332bd9426660802af8b7d64",
+}
+
+
+def test_last_grid_point_artifacts_are_byte_stable():
+    assert set(LAST_ARTIFACT_DIGESTS) == set(families.FAMILY_TAGS)
+    for family, digest in LAST_ARTIFACT_DIGESTS.items():
+        params = [p for p, reason in families.family_grid(family) if reason is None][-1]
         g, f, inst = build_family(family, **params)
         cert = families.verify_instance(g, f, inst)
         text = io.dumps(io.graph_to_doc(g, f, inst, cert)) + io.graph_to_dot(g, f)
@@ -512,15 +548,23 @@ def test_cli_certify_and_solve_reject_bad_json(tmp_path):
 
 
 def test_cli_bad_palette_is_usage(tmp_path):
-    code = main([
-        "--out", str(tmp_path), "build", "--family", "fb", "--n", "3",
-        "--certify", "--expect-palette", "abc",
-    ])
-    assert code == 2
+    # build checks the instance's own claims and takes no palette
+    with pytest.raises(SystemExit) as info:
+        main(["--out", str(tmp_path), "build", "--family", "fb", "--n", "9",
+              "--expect-palette", "1,2,3"])
+    assert info.value.code == 2
     entry = json.loads((tmp_path / "manifest.jsonl").read_text())
     assert entry["outcome"].startswith("usage error")
-    # a document's own expected_palette must be absent, null or a list of ints
+    assert not (tmp_path / "fb_n9.json").exists()
     assert main(["--out", str(tmp_path), "build", "--family", "tb", "--n", "2"]) == 0
+    code = main([
+        "--out", str(tmp_path), "certify", "--input", str(tmp_path / "tb_n2.json"),
+        "--expect-palette", "abc",
+    ])
+    assert code == 2
+    entry = json.loads((tmp_path / "manifest.jsonl").read_text().splitlines()[-1])
+    assert entry["outcome"].startswith("usage error")
+    # a document's own expected_palette must be absent, null or a list of ints
     doc = json.loads((tmp_path / "tb_n2.json").read_text())
     for bad in (5, [1, "a"], "abc", [[1]], [15, True, 33]):
         path = tmp_path / "bad_palette.json"
@@ -536,6 +580,54 @@ def test_cli_bad_palette_is_usage(tmp_path):
         path.write_text(json.dumps(dict(doc, expected_palette=good)))
         assert main(["--out", str(tmp_path), "certify", "--input", str(path),
                      "--expect-palette", "auto"]) == 0, good
+
+
+def test_cli_build_certify_checks_every_claim(tmp_path, monkeypatch):
+    real = families._BUILDERS["gn"]
+
+    def false_claims(n, indices):
+        g, f, inst = real(n, indices)
+        return g, f, dataclasses.replace(
+            inst, expected_census={3: 22, 4: 10}, expected_component_orders=(9, 25)
+        )
+
+    argv = ["build", "--family", "gn", "--n", "10", "--indices", "1", "--certify"]
+    monkeypatch.setitem(families._BUILDERS, "gn", false_claims)
+    assert main(["--out", str(tmp_path / "false")] + argv) == 1
+    entry = json.loads((tmp_path / "false" / "manifest.jsonl").read_text())
+    assert entry["outcome"] == (
+        "invariant failure: gn{'n': 10, 'k': 5, 'indices': (1,), 's': 7} failed: "
+        "degree 4: 11 vertices, expected 10; "
+        "component orders (9, 24) != expected (9, 25)"
+    )
+    assert entry["outputs"] == []
+    assert list((tmp_path / "false").iterdir()) == [tmp_path / "false" / "manifest.jsonl"]
+
+    # the true claims pass, and the document holds the certificate of every claim
+    monkeypatch.undo()
+    assert main(["--out", str(tmp_path / "true")] + argv) == 0
+    g, f, inst = build_family("gn", n=10, indices=(1,))
+    cert = families.verify_instance(g, f, inst)
+    assert (tmp_path / "true" / "gn_indices1_n10_s7.json").read_text() == io.dumps(
+        io.graph_to_doc(g, f, inst, cert)
+    )
+
+
+def test_cli_sweep_bound_the_family_grid_ignores_is_usage(tmp_path, capsys):
+    code = main(["--out", str(tmp_path), "sweep", "--family", "pt", "--max-size", "3",
+                 "--gn-max-n", "2"])
+    assert code == 2
+    assert "pt:" not in capsys.readouterr().out  # rejected before sweeping
+    entry = json.loads((tmp_path / "manifest.jsonl").read_text())
+    assert entry["outcome"] == (
+        "usage error: the pt grid reads only --max-n, not --gn-max-n, --max-size"
+    )
+    assert entry["outputs"] == []
+    # a family's own bound is read, and the whole sweep reads all three
+    assert main(["--out", str(tmp_path), "sweep", "--family", "pt", "--max-n", "4"]) == 0
+    assert main(["--out", str(tmp_path), "sweep", "--family", "all", "--max-size", "5",
+                 "--max-n", "2", "--gn-max-n", "2"]) == 0
+    assert "gn: 0 pass" in capsys.readouterr().out
 
 
 def test_cli_build_base_is_usage_outside_gb(tmp_path):
@@ -643,7 +735,6 @@ _ARGV_OPTIONS = {
         "--family": ["fb", "tb", "df", "gn", "pt3", "zz"], "--n": _SMALL + ["10"],
         "--t": _SMALL, "--s": _SMALL, "--r": _SMALL, "--indices": ["1", "1,2", "x"],
         "--emit": ["json", "dot", "both", "zz"], "--certify": None,
-        "--expect-palette": ["auto", "1,2,3", "x"],
     },
     "partition": {"--first": _SMALL, "--step": _SMALL, "--t": _SMALL, "--s": _SMALL},
     "solve": {"--input": ["absent.json"], "--max-edges": _SMALL, "--use-witness": None},
