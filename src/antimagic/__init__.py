@@ -5,11 +5,9 @@ from .graph import (
     Certificate,
     EdgeLabeling,
     Graph,
-    InducedColoring,
     V,
     VertexId,
     certify,
-    degree_census,
     edge,
     induce_coloring,
     merge_vertices,
@@ -17,7 +15,7 @@ from .graph import (
     split_vertices,
 )
 from .families import FamilyInstance, build_family, sweep_family, verify_instance
-from .partition import ApSpec, EqualSumPartition, partition_ap
+from .partition import EqualSumPartition, partition_ap
 from .solver import SearchConfig, SolveResult, solve_chi_la, verify_lower_bound
 from .tables import (
     LabelTable,
@@ -33,13 +31,11 @@ from .tables import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "ApSpec",
     "Certificate",
     "EdgeLabeling",
     "EqualSumPartition",
     "FamilyInstance",
     "Graph",
-    "InducedColoring",
     "LabelTable",
     "SearchConfig",
     "SolveResult",
@@ -50,7 +46,6 @@ __all__ = [
     "certify",
     "check_m1_observations",
     "check_m3_observations",
-    "degree_census",
     "edge",
     "induce_coloring",
     "merge_vertices",

@@ -12,10 +12,10 @@ import sys
 from pathlib import Path
 
 from . import __version__, io
-from .errors import AntimagicError, InvariantError, UsageError
+from .errors import InvariantError, UsageError
 from .families import FAMILY_TAGS, GRID_BOUND, build_family, sweep_family, verify_instance
 from .graph import certify
-from .partition import ApSpec, partition_ap
+from .partition import partition_ap
 from .solver import SearchConfig, solve_chi_la
 from .tables import (
     check_m1_observations,
@@ -25,9 +25,7 @@ from .tables import (
 )
 
 
-def _parse_palette(text: str) -> list[int] | None:
-    if text == "auto":
-        return None
+def _parse_palette(text: str) -> list[int]:
     try:
         return [int(x) for x in text.split(",")]
     except ValueError:
@@ -121,8 +119,7 @@ def cmd_build(args, out_dir: Path) -> tuple[int, str, list[str]]:
 
 
 def cmd_partition(args, out_dir: Path) -> tuple[int, str, list[str]]:
-    spec = ApSpec(args.first, args.step, args.t * args.s)
-    part = partition_ap(spec, args.t, args.s)
+    part = partition_ap(args.first, args.step, args.t, args.s)
     csv = io.partition_to_csv(part)
     sys.stdout.write(csv)
     outputs = [
@@ -192,7 +189,7 @@ def cmd_solve(args, out_dir: Path) -> tuple[int, str, list[str]]:
         "status": result.status,
         "chi_la": result.chi_la,
         "nodes": result.nodes,
-        "witness": io.labeling_to_doc(result.witness) if result.witness else None,
+        "witness": io.labeling_to_doc(g, result.witness) if result.witness else None,
     }
     print(f"chi_la = {result.chi_la} ({result.status}, {result.nodes} nodes)")
     outputs = [_write(out_dir, Path(args.input).stem + "_solve.json", io.dumps(summary))]
@@ -351,9 +348,6 @@ def main(argv: list[str] | None = None) -> int:
     except InvariantError as exc:
         print(f"invariant failure: {exc}", file=sys.stderr)
         code, outcome, outputs = 1, f"invariant failure: {exc}", []
-    except AntimagicError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        code, outcome, outputs = 2, str(exc), []
 
     io.append_manifest(
         out_dir,

@@ -40,11 +40,10 @@ from .graph import (
     VertexId,
     certify,
     edge,
-    induce_coloring,
     merge_vertices,
     split_vertices,
 )
-from .partition import ApSpec, partition_ap
+from .partition import partition_ap
 from .tables import _odd_factorizations, table_m1, table_m3, table_pt, trace_sequences
 
 FAMILY_TAGS = (
@@ -195,7 +194,7 @@ def _tfb(t: int, s: int) -> tuple[Graph, EdgeLabeling, FamilyInstance, list[list
     g, f = _fan_cells(k)
 
     # hub sum of cell i is 23k+14-2i, descending left to right
-    part = partition_ap(ApSpec(19 * k + 12, 2, 2 * k + 1), t, s)
+    part = partition_ap(19 * k + 12, 2, t, s)
     columns = [sorted((23 * k + 14 - value) // 2 for value in blk) for blk in part.blocks]
     blocks = tuple(frozenset(V("x", c) for c in cols) for cols in columns)
     g, emap = merge_vertices(g, blocks, [V("y", a) for a in range(1, t + 1)])
@@ -427,8 +426,7 @@ def build_pt_tb_merged(base: str, variant: int, n: int, r: int) -> BuildResult:
         raise InvalidParams(f"variant must be 1, 2 or 3, got {variant}")
 
     built = (build_pt if base == "pt" else build_tb)(n)
-    g, f, base_inst = built
-    k = base_inst.params["k"]
+    k = built[2].params["k"]
 
     # the merged class: its color and degree in the base graph
     color, degree = {
@@ -456,14 +454,17 @@ def build_pt_tb_merged(base: str, variant: int, n: int, r: int) -> BuildResult:
         if variant == 3:
             items = [V("z", 0)] + [V("z", 2 * i) for i in range(1, n + 1)]
         else:
-            # one member per rung, ordered along the cycle so conflicts are local
-            colors = induce_coloring(g, f).colors
-            items = []
-            for j in range(1, n + 2):
-                u, v = V("u", 2 * j - 1), V("v", 2 * j - 1)
-                items.append(u if colors[u] == color else v)
-                if colors[items[-1]] != color:
-                    raise InvariantError(f"rung {j} has no endpoint of color {color}")
+            # one member per rung, ordered along the cycle so conflicts are
+            # local.  Rung j joins u_(2j-1) and v_(2j-1), whose rail edges
+            # carry pair j of S1 and of S2.  S1 opens with an (R2, R1) pair
+            # and then alternates (R5, R4) and (R2, R1) pairs, the odd-k tail
+            # included.  So by property (C), which every peanut build checks
+            # in trace_sequences, u_(2j-1) has color 9k+6 for odd j and
+            # 21k+12 for even j, and v_(2j-1) the other one.  The bracelet
+            # zips only even rail vertices, so its rungs keep these colors.
+            items = [
+                V("u" if j % 2 == variant % 2 else "v", 2 * j - 1) for j in range(1, n + 2)
+            ]
 
     return _merged(
         built, f"{base}{variant}", {"n": n, "k": k, "r": r, "s": s},
@@ -776,26 +777,20 @@ def family_grid(
                     out.append(({"r": r, "s": s, "r1": r1}, None))
     elif family in ("pt", "tb"):
         out = [({"n": n}, None) for n in range(2, max_n + 1, 2)]
-    elif family in ("pt1", "pt2"):
-        for n in range(2, max_n + 1, 2):
-            for r, s in _odd_factorizations(n + 1, 1):
-                if s >= 3:
-                    out.append(({"n": n, "r": r}, None))
     elif family == "pt3":
         for n in range(2, max_n + 1, 2):
             for r in range(2, 2 * n + 3):
                 if (2 * n + 2) % r == 0 and 2 <= (2 * n + 2) // r <= n + 1:
                     out.append(({"n": n, "r": r}, None))
-    elif family in ("tb1", "tb2", "tb3"):
-        for n in range(8 if family == "tb3" else 2, max_n + 1, 2):
-            for r, s in _odd_factorizations(n + 1, 3):
+    elif family in ("pt1", "pt2", "tb1", "tb2", "tb3", "gb"):
+        # n+1 = r*s with s >= 3; the bracelets also need r >= 3, which no
+        # n < 8 allows, since 3, 5 and 7 are prime
+        least = 1 if family in ("pt1", "pt2") else 3
+        for n in range(2, max_n + 1, 2):
+            for r, s in _odd_factorizations(n + 1, least):
                 if s >= 3:
-                    out.append(({"n": n, "r": r}, None))
-    elif family == "gb":
-        for n in range(8, max_n + 1, 2):
-            for r, s in _odd_factorizations(n + 1, 3):
-                if s >= 3:
-                    out.append(({"n": n, "r": r, "s": s}, None))
+                    params = {"n": n, "r": r, "s": s} if family == "gb" else {"n": n, "r": r}
+                    out.append((params, None))
     elif family == "gn":
         for n in range(2, gn_max_n + 1, 2):
             for indices in valid_gn_index_lists(n):

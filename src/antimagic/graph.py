@@ -1,4 +1,4 @@
-"""Graph, labeling and induced-coloring types plus the certification engine.
+"""Graph and labeling types, the induced coloring and the certification engine.
 
 A *local antimagic labeling* of a graph with q edges is a bijection from the
 edge set onto [1, q] such that the two endpoints of every edge receive
@@ -101,7 +101,7 @@ class Graph:
             es.add(e)
         self.vertices: frozenset[VertexId] = vs
         self.edges: frozenset[Edge] = frozenset(es)
-        self._adj: dict[VertexId, frozenset[VertexId]] | None = None
+        self._adj: dict[VertexId, set[VertexId]] | None = None
         self._components: list[frozenset[VertexId]] | None = None
         self._listing: Listing | None = None
 
@@ -115,20 +115,22 @@ class Graph:
         g._adj = g._components = g._listing = None
         return g
 
-    def _adjacency(self) -> dict[VertexId, frozenset[VertexId]]:
+    def _adjacency(self) -> dict[VertexId, set[VertexId]]:
+        """The neighbor sets, built on first use and only ever read;
+        :meth:`neighbors` hands out a frozen copy."""
         adj = self._adj
         if adj is None:
-            sets: dict[VertexId, set[VertexId]] = {v: set() for v in self.vertices}
+            adj = {v: set() for v in self.vertices}
             for a, b in self.edges:
-                sets[a].add(b)
-                sets[b].add(a)
-            adj = self._adj = {v: frozenset(ns) for v, ns in sets.items()}
+                adj[a].add(b)
+                adj[b].add(a)
+            self._adj = adj
         return adj
 
     # -- queries --------------------------------------------------------------
 
     def neighbors(self, v: VertexId) -> frozenset[VertexId]:
-        return self._adjacency()[v]
+        return frozenset(self._adjacency()[v])
 
     def degree(self, v: VertexId) -> int:
         return len(self._adjacency()[v])
@@ -201,15 +203,6 @@ class Graph:
         return False
 
 
-def degree_census(g: Graph) -> dict[int, int]:
-    """Exact map degree -> vertex count, used to validate family inventories."""
-    census: dict[int, int] = {}
-    for v in g.vertices:
-        d = g.degree(v)
-        census[d] = census.get(d, 0) + 1
-    return census
-
-
 @dataclass(frozen=True)
 class EdgeLabeling:
     """Edge -> positive integer map intended to be a bijection onto [1, q].
@@ -232,17 +225,8 @@ class EdgeLabeling:
         return isinstance(other, EdgeLabeling) and dict(self.labels) == dict(other.labels)
 
 
-@dataclass(frozen=True)
-class InducedColoring:
-    """Vertex -> incident-label sum, with the distinct-color census."""
-
-    colors: Mapping[VertexId, int]
-    palette: tuple[int, ...]
-    count: int
-
-
-def induce_coloring(g: Graph, f: EdgeLabeling) -> InducedColoring:
-    """Sum incident labels at every vertex; palette is ascending."""
+def induce_coloring(g: Graph, f: EdgeLabeling) -> dict[VertexId, int]:
+    """The vertex -> color map: each vertex's sum of incident labels."""
     # frozenset() reuses the hashes the dict stores; a keys view would
     # re-hash every edge to look it up in g.edges
     if frozenset(f.labels) != g.edges:
@@ -254,8 +238,7 @@ def induce_coloring(g: Graph, f: EdgeLabeling) -> InducedColoring:
     for (a, b), lab in f.labels.items():
         colors[a] += lab
         colors[b] += lab
-    palette = tuple(sorted(set(colors.values())))
-    return InducedColoring(colors, palette, len(palette))
+    return colors
 
 
 @dataclass(frozen=True)
@@ -298,8 +281,8 @@ def certify(
     Only the offending edges are sorted, so ``violations`` still lists them in
     canonical edge order (duplicates by label).
     """
-    coloring = induce_coloring(g, f)
-    colors = coloring.colors
+    colors = induce_coloring(g, f)
+    palette = tuple(sorted(set(colors.values())))
     labels = f.labels
     q = len(g.edges)
 
@@ -338,17 +321,17 @@ def certify(
     pairs = Counter(zip(map(len, map(adj.__getitem__, colors)), colors.values()))
     census: dict[int, tuple[int, tuple[int, ...]]] = {}
     for (d, c), n in sorted(pairs.items()):
-        count, palette = census.get(d, (0, ()))
-        census[d] = (count + n, palette + (c,))
+        count, shades = census.get(d, (0, ()))
+        census[d] = (count + n, shades + (c,))
 
     expected = tuple(sorted(expected_palette)) if expected_palette is not None else None
-    palette_ok = None if expected is None else coloring.palette == expected
+    palette_ok = None if expected is None else palette == expected
 
     return Certificate(
         is_bijective=is_bijective,
         is_local_antimagic=is_local_antimagic,
-        color_count=coloring.count,
-        palette=coloring.palette,
+        color_count=len(palette),
+        palette=palette,
         degree_census=census,
         violations=tuple(violations),
         has_triangle=g.has_triangle(),

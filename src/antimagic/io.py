@@ -49,15 +49,21 @@ def _jsonable(value):
     return value
 
 
+def _edge_records(g: Graph, f: EdgeLabeling) -> list[dict]:
+    """One ``{"a", "b", "label"}`` record per edge, in listing order."""
+    labels = f.labels
+    vs, names, pairs = g.listing()
+    return [{"a": names[i], "b": names[j], "label": labels[vs[i], vs[j]]} for i, j in pairs]
+
+
 def graph_to_doc(
     g: Graph,
     f: EdgeLabeling,
     instance: FamilyInstance | None = None,
     cert: Certificate | None = None,
 ) -> dict:
-    colors = induce_coloring(g, f).colors
-    labels = f.labels
-    vs, names, pairs = g.listing()
+    colors = induce_coloring(g, f)
+    vs, names, _ = g.listing()
     doc = {
         "family": instance.family if instance else None,
         "params": _jsonable(instance.params) if instance else {},
@@ -65,10 +71,7 @@ def graph_to_doc(
             {"id": name, "role": v.role, "indices": list(v.indices)}
             for v, name in zip(vs, names)
         ],
-        "edges": [
-            {"a": names[i], "b": names[j], "label": labels[vs[i], vs[j]]}
-            for i, j in pairs
-        ],
+        "edges": _edge_records(g, f),
         "colors": dict(zip(names, map(colors.__getitem__, vs))),
         "certificate": certificate_to_doc(cert) if cert else None,
     }
@@ -205,7 +208,7 @@ def _records(rows: list, nl: str) -> str | None:
 
 def graph_to_dot(g: Graph, f: EdgeLabeling) -> str:
     """DOT with vertex labels "role/indices\\ncolor" and edge labels f(e)."""
-    colors = induce_coloring(g, f).colors
+    colors = induce_coloring(g, f)
     labels = f.labels
     vs, names, pairs = g.listing()
     lines = ["graph antimagic {"]
@@ -233,14 +236,9 @@ def partition_to_csv(p: EqualSumPartition) -> str:
     return "\n".join(lines) + "\n"
 
 
-def labeling_to_doc(f: EdgeLabeling) -> dict:
-    return {
-        "q": len(f.labels),
-        "labels": [
-            {"a": str(a), "b": str(b), "label": lab}
-            for (a, b), lab in sorted(f.labels.items())
-        ],
-    }
+def labeling_to_doc(g: Graph, f: EdgeLabeling) -> dict:
+    """A labeling of ``g``'s edges, listed as :func:`graph_to_doc` lists them."""
+    return {"q": len(f.labels), "labels": _edge_records(g, f)}
 
 
 def sha256_file(path: str | Path) -> str:

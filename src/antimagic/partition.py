@@ -24,18 +24,6 @@ from .errors import InfeasibleShape, InvariantError
 
 
 @dataclass(frozen=True)
-class ApSpec:
-    """Arithmetic progression ``first, first+step, ...`` of ``length`` terms."""
-
-    first: int
-    step: int
-    length: int
-
-    def values(self) -> list[int]:
-        return [self.first + self.step * i for i in range(self.length)]
-
-
-@dataclass(frozen=True)
 class EqualSumPartition:
     blocks: tuple[tuple[int, ...], ...]
     target: int
@@ -75,8 +63,9 @@ def _position_blocks(t: int, s: int) -> list[list[int]]:
     return blocks
 
 
-def partition_ap(spec: ApSpec, t: int, s: int) -> EqualSumPartition:
-    """Partition the AP into t blocks of s terms with equal block sums.
+def partition_ap(first: int, step: int, t: int, s: int) -> EqualSumPartition:
+    """Partition the t*s terms ``first, first+step, ...`` into t blocks of s
+    terms with equal block sums.
 
     Only odd t and s are in scope; a singleton-block shape with t > 1 is
     mathematically infeasible and raises :class:`InfeasibleShape`.  Within a
@@ -87,12 +76,10 @@ def partition_ap(spec: ApSpec, t: int, s: int) -> EqualSumPartition:
         raise InfeasibleShape(f"block shape {t}x{s} is not positive")
     if t % 2 == 0 or s % 2 == 0:
         raise InfeasibleShape(f"block shape {t}x{s} has an even side")
-    if spec.length != t * s:
-        raise InfeasibleShape(f"AP length {spec.length} != {t}*{s}")
-    if spec.step < 1:
+    if step < 1:
         raise InfeasibleShape("AP step must be positive")
 
-    values = spec.values()
+    values = [first + step * i for i in range(t * s)]
     blocks = [[values[p] for p in blk] for blk in _position_blocks(t, s)]
     target = sum(values) // t
 

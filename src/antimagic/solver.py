@@ -20,7 +20,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
-from .errors import K2Component
+from .errors import K2Component, UsageError
 from .graph import EdgeLabeling, Graph, certify
 
 _TIME_CHECK_MASK = 0xFFF
@@ -101,11 +101,11 @@ def solve_chi_la(
 ) -> SolveResult:
     """Minimum distinct-color count over all local antimagic labelings.
 
-    ``initial_witness`` seeds the incumbent (it must itself be a valid local
-    antimagic labeling).  ``cfg.target_colors`` is an early-exit bound: the
-    search stops as soon as a labeling that good is found; exhausting the
-    pruned space instead still proves either the exact minimum or that the
-    minimum exceeds the target.  An incumbent that meets
+    ``initial_witness`` seeds the incumbent; one that is not a local antimagic
+    labeling of ``g`` is a :class:`UsageError`.  ``cfg.target_colors`` is an
+    early-exit bound: the search stops as soon as a labeling that good is
+    found; exhausting the pruned space instead still proves either the exact
+    minimum or that the minimum exceeds the target.  An incumbent that meets
     :func:`verify_lower_bound` is optimal, so the search ends there (with 0
     nodes when the seeded witness already does).  Graphs with a K2 component
     admit no local antimagic labeling at all and are rejected loudly.
@@ -117,17 +117,18 @@ def solve_chi_la(
     q = len(g.edges)
     if q == 0:
         return SolveResult(1 if g.vertices else 0, EdgeLabeling({}), "exact")
+    start = time.monotonic()
+    # checked first, so that no result carries a witness that is not one
+    cert = None if initial_witness is None else certify(g, initial_witness)
+    if cert is not None and not (cert.is_bijective and cert.is_local_antimagic):
+        raise UsageError("initial witness is not a local antimagic labeling")
     if q > cfg.max_edges:
         return SolveResult(None, initial_witness, "infeasible_size")
 
-    start = time.monotonic()
     floor = verify_lower_bound(g)
     incumbent_count: int | None = None
     incumbent: dict | None = None
-    if initial_witness is not None:
-        cert = certify(g, initial_witness)
-        if not (cert.is_bijective and cert.is_local_antimagic):
-            raise ValueError("initial witness is not a local antimagic labeling")
+    if cert is not None:
         incumbent_count = cert.color_count
         if incumbent_count == floor:
             return SolveResult(

@@ -142,9 +142,7 @@ def _odd_factorizations(n: int, min_r: int = 3):
             yield r, n // r
 
 
-def check_m1_observations(
-    t: LabelTable, r: int | None = None, s: int | None = None
-) -> dict:
+def check_m1_observations(t: LabelTable) -> dict:
     """Verify the six structural properties of the fan-blade matrix.
 
     1. columns of the first three rows sum to S1 = 9k+6;
@@ -152,13 +150,13 @@ def check_m1_observations(
     3. last-three-row column sums form the AP 23k+12 .. 19k+12, step -2;
     4. rows (4,5) column sums form an AP with step -1;
     5. the last three rows total S = (7k+4)(6k+3);
-    6. splitting the columns into r blocks of s, the row-3 sum of block j plus
-       the rows-(4,5) sum of block r+1-j is S3 = s(21k+12), and the middle
-       block's last-three-row sum is also S3.
+    6. for every factorization 2k+1 = r*s with r >= 3, splitting the columns
+       into r blocks of s, the row-3 sum of block j plus the rows-(4,5) sum of
+       block r+1-j is S3 = s(21k+12), and the middle block's last-three-row
+       sum is also S3.
 
-    With ``r``/``s`` omitted, (6) runs over every factorization 2k+1 = r*s
-    with r >= 3.  Raises :class:`ObservationViolated` on the first failure;
-    returns a report of the computed constants.
+    Raises :class:`ObservationViolated` on the first failure; returns a
+    report of the computed constants.
     """
     if t.kind != "m1":
         raise InvalidK("observations (1)-(6) apply to the m1 table")
@@ -188,11 +186,8 @@ def check_m1_observations(
     if grand != (7 * k + 4) * (6 * k + 3):
         raise ObservationViolated(5, f"last-3-rows total {grand} != (7k+4)(6k+3)")
 
-    shapes = [(r, s)] if r is not None else list(_odd_factorizations(n))
     block_sums: dict[tuple[int, int], int] = {}
-    for br, bs in shapes:
-        if br * bs != n:
-            raise ObservationViolated(6, f"block shape {br}x{bs} does not tile {n} columns")
+    for br, bs in _odd_factorizations(n):
         s3 = bs * (21 * k + 12)
         for j in range(1, br + 1):
             cols_j = range((j - 1) * bs, j * bs)

@@ -4,6 +4,7 @@ All checks are exact integer identities (tolerance zero).  Each criterion
 prints one PASS line with its runtime; run with ``pytest -s`` to see them.
 """
 
+import hashlib
 import json
 import random
 import time
@@ -13,6 +14,7 @@ import pytest
 from antimagic import io
 from antimagic.errors import InfeasibleShape
 from antimagic.families import (
+    FAMILY_TAGS,
     build_family,
     build_gn,
     build_tb,
@@ -31,7 +33,7 @@ from antimagic.graph import (
     merge_vertices,
     split_vertex,
 )
-from antimagic.partition import ApSpec, partition_ap
+from antimagic.partition import partition_ap
 from antimagic.solver import SearchConfig, solve_chi_la
 from antimagic.tables import (
     _odd_factorizations,
@@ -102,10 +104,11 @@ def test_criterion_2_observation_suites():
 def test_criterion_3_family_certification_sweep():
     started = time.monotonic()
     totals = {}
+    swept = {}
     for family in ("fb", "tfb", "df", "fb1", "fb2", "df1", "df2", "df3",
                    "pt", "tb", "pt1", "pt2", "pt3", "tb1", "tb2", "tb3",
                    "gb", "gn", "np3o3"):
-        records = sweep_family(family)
+        records = swept[family] = sweep_family(family)
         # a build that raises a usage error on a grid point is an `error`,
         # as wrong a result as a failed certificate
         bad = [r for r in records if r["status"] not in ("pass", "excluded")]
@@ -117,6 +120,12 @@ def test_criterion_3_family_certification_sweep():
     assert totals["fb"][0] == 99
     assert totals["pt"][0] == totals["tb"][0] == 100
     assert totals["fb1"][1] > 0  # the k = 2 (mod 4) exclusions are reported
+    # the report that `sweep --family all` writes, pinned byte for byte
+    report = [r for family in FAMILY_TAGS for r in swept[family]]
+    assert len(report) == 3411
+    assert hashlib.sha256(io.dumps({"records": report}).encode()).hexdigest() == (
+        "517b565a8117032d170844da78a2e77aa69fa0feeab14ad2196d2888be177b74"
+    )
     elapsed = time.monotonic() - started
     assert elapsed < 300.0
     counts = ", ".join(f"{fam}:{n}" for fam, (n, _) in totals.items())
@@ -177,8 +186,8 @@ def test_criterion_4_golden_value_spot_checks():
         {V("x", 2), V("x", 6), V("x", 7)},
     ]
     merged, emap = merge_vertices(g9, blocks, [V("y", a) for a in (1, 2, 3)])
-    col = induce_coloring(merged, f9.remapped(emap))
-    assert [col.colors[V("y", a)] for a in (1, 2, 3)] == [288, 288, 288]
+    colors = induce_coloring(merged, f9.remapped(emap))
+    assert [colors[V("y", a)] for a in (1, 2, 3)] == [288, 288, 288]
 
     _report("4 (golden-value spot checks)", started)
 
@@ -221,13 +230,12 @@ def test_criterion_6_magic_partition():
     started = time.monotonic()
     for t in range(1, 226, 2):
         for s in range(1, 226 // t + 1, 2):
-            spec = ApSpec(19 * 7 + 12, 2, t * s)
             if t > 1 and s == 1:
                 with pytest.raises(InfeasibleShape):
-                    partition_ap(spec, t, s)
+                    partition_ap(19 * 7 + 12, 2, t, s)
                 continue
-            part = partition_ap(spec, t, s)
-            total = sum(spec.values())
+            part = partition_ap(19 * 7 + 12, 2, t, s)
+            total = sum(19 * 7 + 12 + 2 * i for i in range(t * s))
             assert all(sum(b) == total // t for b in part.blocks)
             assert t * (total // t) == total
 
@@ -236,7 +244,7 @@ def test_criterion_6_magic_partition():
             values = [5 + 3 * i for i in range(t * s)]
             oracle = brute_force_feasible(values, t, s)
             try:
-                partition_ap(ApSpec(5, 3, t * s), t, s)
+                partition_ap(5, 3, t, s)
                 assert oracle, f"{t}x{s}: produced a partition the oracle rejects"
             except InfeasibleShape:
                 assert not oracle, f"{t}x{s}: oracle finds a partition we refuse"

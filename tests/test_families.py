@@ -2,10 +2,11 @@
 structure checks, and the parameter guards."""
 
 import dataclasses
+import sys
 
 import pytest
 
-from antimagic import families
+from antimagic import families, graph
 from antimagic.errors import (
     ConditionViolated,
     InvalidFactorization,
@@ -38,7 +39,7 @@ from antimagic.families import (
 from antimagic.graph import (
     EdgeLabeling,
     V,
-    degree_census,
+    certify,
     edge,
     induce_coloring,
     merge_vertices,
@@ -64,8 +65,7 @@ def test_fb_small_palettes():
 
 def test_fb9_hub_color_is_last_three_rows_total():
     g, f, _ = build_fb(9)
-    col = induce_coloring(g, f)
-    assert col.colors[V("x")] == (7 * 4 + 4) * (6 * 4 + 3) == 864
+    assert induce_coloring(g, f)[V("x")] == (7 * 4 + 4) * (6 * 4 + 3) == 864
     assert g.degree(V("x")) == 27
 
 
@@ -85,8 +85,8 @@ def test_tfb_3x3_matches_the_example_blocks():
         frozenset({"x_3", "x_4", "x_8"}),
         frozenset({"x_2", "x_6", "x_7"}),
     }
-    col = induce_coloring(g, f)
-    assert [col.colors[V("y", a)] for a in (1, 2, 3)] == [288, 288, 288]
+    colors = induce_coloring(g, f)
+    assert [colors[V("y", a)] for a in (1, 2, 3)] == [288, 288, 288]
 
 
 def test_tfb_3x5_palette():
@@ -98,9 +98,9 @@ def test_tfb_merged_hub_color_equals_row_sum():
     for t, s in [(3, 3), (5, 3), (3, 7)]:
         g, f, inst = build_tfb(t, s)
         k = inst.params["k"]
-        col = induce_coloring(g, f)
+        colors = induce_coloring(g, f)
         for a in range(1, t + 1):
-            assert col.colors[V("y", a)] == s * (21 * k + 12)
+            assert colors[V("y", a)] == s * (21 * k + 12)
 
 
 # --- diamond fans ---------------------------------------------------------------
@@ -131,11 +131,12 @@ def test_df_1_1_palette():
 
 def test_df_census_formula():
     for r, s in [(1, 3), (2, 3), (3, 1), (2, 5)]:
-        g, _, _ = build_df(r, s)
+        g, f, _ = build_df(r, s)
         expected = {}
         for d, c in ((2, (4 * r + 2) * s), (3, (2 * r + 1) * s), (3 * s, 2 * r + 1)):
             expected[d] = expected.get(d, 0) + c
-        assert degree_census(g) == expected
+        census = certify(g, f).degree_census
+        assert {d: count for d, (count, _) in census.items()} == expected
 
 
 # --- merged fans -----------------------------------------------------------------
@@ -275,18 +276,18 @@ def test_pt2_smallest_case():
 
 def test_pt_degree2_color_is_10k_plus_6():
     g, f, inst = build_pt(4)
-    col = induce_coloring(g, f)
+    colors = induce_coloring(g, f)
     for v in g.vertices:
         if g.degree(v) == 2:
-            assert col.colors[v] == 26
+            assert colors[v] == 26
 
 
 def test_pt_degree3_colors_alternate_along_rails():
     g, f, inst = build_pt(8)
     k = 4
-    col = induce_coloring(g, f)
-    u_colors = [col.colors[V("u", 2 * j - 1)] for j in range(1, 2 * k + 2)]
-    v_colors = [col.colors[V("v", 2 * j - 1)] for j in range(1, 2 * k + 2)]
+    colors = induce_coloring(g, f)
+    u_colors = [colors[V("u", 2 * j - 1)] for j in range(1, 2 * k + 2)]
+    v_colors = [colors[V("v", 2 * j - 1)] for j in range(1, 2 * k + 2)]
     lo, hi = 9 * k + 6, 21 * k + 12
     assert u_colors == [lo if j % 2 else hi for j in range(1, 2 * k + 2)]
     assert v_colors == [hi if j % 2 else lo for j in range(1, 2 * k + 2)]
@@ -390,17 +391,38 @@ def test_merged_block_with_common_neighbors_rejected():
 
 
 @pytest.mark.parametrize(
-    "base, variant, n, r", [("pt", 3, 2, 3), ("tb", 3, 8, 3)], ids=["pt3", "tb3"]
+    "base, variant, n, r",
+    [("pt", 1, 8, 3), ("pt", 2, 8, 3), ("pt", 3, 2, 3),
+     ("tb", 1, 8, 3), ("tb", 2, 8, 3), ("tb", 3, 8, 3)],
+    ids=["pt1", "pt2", "pt3", "tb1", "tb2", "tb3"],
 )
 def test_degree_class_merges_induce_no_coloring(monkeypatch, base, variant, n, r):
-    # only the degree-3 merges pick their class by colour
+    # the construction states every merged class; none is read off a coloring.
+    # Every module of the package holding the function is patched, so a
+    # builder that imports it by name is caught too.
     calls = []
-    real = families.induce_coloring
-    monkeypatch.setattr(
-        families, "induce_coloring", lambda g, f: calls.append(1) or real(g, f)
-    )
+    real = graph.induce_coloring
+    for name, module in list(sys.modules.items()):
+        if name.startswith("antimagic") and getattr(module, "induce_coloring", None) is real:
+            monkeypatch.setattr(
+                module, "induce_coloring", lambda g, f: calls.append(1) or real(g, f)
+            )
     build_pt_tb_merged(base, variant, n, r)
     assert calls == []
+
+
+def test_rung_endpoint_colors_alternate_for_every_peanut_and_bracelet():
+    # the oracle for the rung classes that the degree-3 merges take from the
+    # construction: u_(2j-1) has 9k+6 for odd j and 21k+12 for even j
+    for n in range(2, 201, 2):
+        k = n // 2
+        lo, hi = 9 * k + 6, 21 * k + 12
+        for build in (build_pt, build_tb):
+            g, f, _ = build(n)
+            colors = induce_coloring(g, f)
+            for j in range(1, n + 2):
+                u, v = colors[V("u", 2 * j - 1)], colors[V("v", 2 * j - 1)]
+                assert (u, v) == ((lo, hi) if j % 2 else (hi, lo)), (build.__name__, n, j)
 
 
 def test_merged_shape_guards():
@@ -637,11 +659,11 @@ def test_np3o3_palettes():
 
 def test_np3o3_center_colors():
     g, f, _ = build_np3_o3(7)
-    col = induce_coloring(g, f)
+    colors = induce_coloring(g, f)
     k = 3
     for i in range(1, 8):
-        assert col.colors[V("w", i)] == 25 * k + 15
-        assert col.colors[V("u", i)] == col.colors[V("v", i)] == 50 * k + 27
+        assert colors[V("w", i)] == 25 * k + 15
+        assert colors[V("u", i)] == colors[V("v", i)] == 50 * k + 27
 
 
 def test_np3o3_rejects_even():

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from antimagic import families, io
+from antimagic import errors, families, io
 from antimagic.cli import main
 from antimagic.errors import InvalidParity, InvariantError, UsageError
 from antimagic.families import build_family
@@ -230,7 +230,7 @@ def test_dumps_equals_the_standard_library_on_the_documents_it_writes():
         io.graph_to_doc(g, f, inst, cert),
         io.graph_to_doc(g, f),
         io.certificate_to_doc(cert),
-        io.labeling_to_doc(f),
+        io.labeling_to_doc(g, f),
         {"records": families.sweep_family("fb", max_size=15)},
     ]
     for doc in docs:
@@ -682,6 +682,40 @@ def test_cli_solve_infeasible_size_is_usage(tmp_path):
     assert code == 2
     entry = json.loads((tmp_path / "manifest.jsonl").read_text().splitlines()[-1])
     assert entry["outcome"] == "infeasible_size"
+
+
+@pytest.mark.parametrize("max_edges", ["15", "10"], ids=["searched", "above-max-edges"])
+def test_cli_solve_witness_that_is_not_local_antimagic_is_usage(tmp_path, capsys, max_edges):
+    # above --max-edges the witness used to be echoed unchecked into the document
+    main(["--out", str(tmp_path), "build", "--family", "fb", "--n", "3"])
+    doc_path = tmp_path / "fb_n3.json"
+    doc = json.loads(doc_path.read_text())
+    doc["edges"][1]["label"] = doc["edges"][0]["label"]  # two edges share a label
+    doc_path.write_text(json.dumps(doc))
+    code = main([
+        "--out", str(tmp_path), "solve", "--input", str(doc_path),
+        "--max-edges", max_edges, "--use-witness",
+    ])
+    assert code == 2
+    message = "usage error: initial witness is not a local antimagic labeling"
+    assert message in capsys.readouterr().err
+    lines = (tmp_path / "manifest.jsonl").read_text().splitlines()
+    assert len(lines) == 2  # the build's and the solve's
+    entry = json.loads(lines[-1])
+    assert (entry["command"], entry["outcome"], entry["outputs"]) == ("solve", message, [])
+    assert not (tmp_path / "fb_n3_solve.json").exists()
+
+
+def test_every_error_is_a_usage_error_or_an_invariant_failure():
+    # main maps these two kinds to exit 2 and 1; no third kind can reach it
+    kinds = [
+        c for c in vars(errors).values()
+        if isinstance(c, type) and issubclass(c, errors.AntimagicError)
+        and c is not errors.AntimagicError
+    ]
+    assert len(kinds) > 2
+    for kind in kinds:
+        assert issubclass(kind, (UsageError, InvariantError)), kind.__name__
 
 
 def test_cli_build_emits_json_by_default_and_has_no_global_format(tmp_path):

@@ -38,7 +38,7 @@ def doubled(t, s):
 for corrupt in (swapped, doubled):
     partition._position_blocks = corrupt
     try:
-        partition.partition_ap(partition.ApSpec(1, 1, 15), 3, 5)
+        partition.partition_ap(1, 1, 3, 5)
     except InvariantError:
         continue
     sys.exit(f"{corrupt.__name__} partition was not rejected")

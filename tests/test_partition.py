@@ -3,7 +3,7 @@
 import pytest
 
 from antimagic.errors import InfeasibleShape
-from antimagic.partition import ApSpec, partition_ap
+from antimagic.partition import partition_ap
 
 
 def brute_force_feasible(values, t, s):
@@ -42,7 +42,7 @@ def brute_force_feasible(values, t, s):
 
 
 def test_nine_term_shape_3x3():
-    part = partition_ap(ApSpec(88, 2, 9), 3, 3)
+    part = partition_ap(88, 2, 3, 3)
     assert part.target == 288
     assert {frozenset(b) for b in part.blocks} == {
         frozenset({104, 96, 88}),
@@ -52,13 +52,13 @@ def test_nine_term_shape_3x3():
 
 
 def test_single_block():
-    part = partition_ap(ApSpec(5, 3, 7), 1, 7)
+    part = partition_ap(5, 3, 1, 7)
     assert part.target == sum(5 + 3 * i for i in range(7))
     assert len(part.blocks) == 1
 
 
 def test_unit_ap_3x3():
-    part = partition_ap(ApSpec(1, 1, 9), 3, 3)
+    part = partition_ap(1, 1, 3, 3)
     assert part.target == 15
     assert brute_force_feasible(list(range(1, 10)), 3, 3)
 
@@ -68,7 +68,7 @@ def test_feasibility_agrees_with_oracle(t, s):
     values = [7 + 2 * i for i in range(t * s)]
     oracle = brute_force_feasible(values, t, s)
     try:
-        part = partition_ap(ApSpec(7, 2, t * s), t, s)
+        part = partition_ap(7, 2, t, s)
         produced = True
         assert all(sum(b) == part.target for b in part.blocks)
     except InfeasibleShape:
@@ -81,16 +81,16 @@ def test_block_sums_across_grid():
         for s in range(1, 226 // t + 1, 2):
             if t > 1 and s == 1:
                 continue
-            spec = ApSpec(19, 2, t * s)
-            part = partition_ap(spec, t, s)
-            mean_times_s = s * (2 * spec.first + spec.step * (spec.length - 1)) // 2
+            part = partition_ap(19, 2, t, s)
+            values = [19 + 2 * i for i in range(t * s)]
+            mean_times_s = s * (values[0] + values[-1]) // 2
             assert all(sum(b) == mean_times_s for b in part.blocks)
-            assert sorted(v for b in part.blocks for v in b) == spec.values()
+            assert sorted(v for b in part.blocks for v in b) == values
 
 
 def test_deterministic():
-    a = partition_ap(ApSpec(100, 4, 35), 7, 5)
-    b = partition_ap(ApSpec(100, 4, 35), 7, 5)
+    a = partition_ap(100, 4, 7, 5)
+    b = partition_ap(100, 4, 7, 5)
     assert a == b
     # canonical descending order inside blocks
     assert all(list(blk) == sorted(blk, reverse=True) for blk in a.blocks)
@@ -98,10 +98,10 @@ def test_deterministic():
 
 def test_infeasible_shapes():
     with pytest.raises(InfeasibleShape):
-        partition_ap(ApSpec(1, 1, 6), 2, 3)  # even t out of scope
+        partition_ap(1, 1, 2, 3)  # even t out of scope
     with pytest.raises(InfeasibleShape):
-        partition_ap(ApSpec(1, 1, 6), 3, 2)  # even s out of scope
+        partition_ap(1, 1, 3, 2)  # even s out of scope
     with pytest.raises(InfeasibleShape):
-        partition_ap(ApSpec(1, 1, 3), 3, 1)  # distinct singletons can't tie
+        partition_ap(1, 1, 3, 1)  # distinct singletons can't tie
     with pytest.raises(InfeasibleShape):
-        partition_ap(ApSpec(1, 1, 10), 3, 3)  # length mismatch
+        partition_ap(1, 0, 3, 3)  # a constant progression has no step

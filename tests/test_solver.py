@@ -4,7 +4,7 @@ from itertools import permutations
 
 import pytest
 
-from antimagic.errors import K2Component
+from antimagic.errors import K2Component, UsageError
 from antimagic.families import build_family, build_fb
 from antimagic.graph import EdgeLabeling, Graph, V, certify, edge
 from antimagic.solver import SearchConfig, solve_chi_la, verify_lower_bound
@@ -215,5 +215,5 @@ def test_invalid_witness_rejected():
     g = fan_one_blade()
     labels = {e: i + 1 for i, e in enumerate(g.sorted_edges())}
     labels[g.sorted_edges()[0]] = 2  # duplicate
-    with pytest.raises(ValueError):
+    with pytest.raises(UsageError):
         solve_chi_la(g, initial_witness=EdgeLabeling.from_dict(labels))

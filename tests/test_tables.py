@@ -156,7 +156,7 @@ def test_m1_observation_constants_k1():
 
 
 def test_m1_observation_block_k4():
-    report = check_m1_observations(table_m1(4), r=3, s=3)
+    report = check_m1_observations(table_m1(4))
     assert report["block_sums"][(3, 3)] == 288 == 3 * (21 * 4 + 12)
 
 
