@@ -18,7 +18,7 @@ freely across concurrent sweeps.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Mapping, NamedTuple
 
 from .errors import (
@@ -50,7 +50,7 @@ class VertexId(NamedTuple):
     def __str__(self) -> str:
         if not self.indices:
             return self.role
-        return self.role + "_" + "_".join(str(i) for i in self.indices)
+        return self.role + "_" + "_".join(map(str, self.indices))
 
 
 Edge = tuple[VertexId, VertexId]
@@ -75,8 +75,9 @@ def edge(a: VertexId, b: VertexId) -> Edge:
 
 
 def V(role: str, *indices: int) -> VertexId:
-    """Shorthand constructor used throughout the builders."""
-    return VertexId(role, tuple(indices))
+    """Shorthand constructor used throughout the builders; ``indices`` is a
+    tuple already, so the named tuple's ``__new__`` is skipped."""
+    return tuple.__new__(VertexId, (role, indices))
 
 
 class Graph:
@@ -218,8 +219,13 @@ class EdgeLabeling:
         return cls(dict(labels))
 
     def remapped(self, edge_map: Mapping[Edge, Edge]) -> "EdgeLabeling":
-        """Transfer labels edge-wise through a surgery edge map."""
-        return EdgeLabeling({edge_map.get(e, e): lab for e, lab in self.labels.items()})
+        """Transfer labels edge-wise through a surgery edge map, which lists
+        the edges that move: each is taken out before any is put back, since
+        one may move onto another's old place."""
+        labels = dict(self.labels)
+        moved = list(map(labels.pop, edge_map))
+        labels.update(zip(edge_map.values(), moved))
+        return EdgeLabeling(labels)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, EdgeLabeling) and dict(self.labels) == dict(other.labels)
@@ -248,6 +254,8 @@ class Certificate:
     ``violations`` collects every bijectivity or adjacency failure (never
     fail-fast); it is empty iff both flags hold.  A palette mismatch against
     ``expected_palette`` is recorded in ``palette_ok`` separately.
+    ``colors``, the induced coloring the checks read, is kept for the writers
+    and takes no part in ``==``, ``repr`` or the certificate's document.
     """
 
     is_bijective: bool
@@ -258,6 +266,7 @@ class Certificate:
     violations: tuple[dict, ...]
     has_triangle: bool
     is_connected: bool
+    colors: dict[VertexId, int] = field(compare=False, repr=False)
     expected_palette: tuple[int, ...] | None = None
     palette_ok: bool | None = None
 
@@ -336,6 +345,7 @@ def certify(
         violations=tuple(violations),
         has_triangle=g.has_triangle(),
         is_connected=g.is_connected(),
+        colors=colors,
         expected_palette=expected,
         palette_ok=palette_ok,
     )

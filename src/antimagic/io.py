@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from itertools import chain
+from itertools import chain, repeat
 from operator import itemgetter
 from pathlib import Path
 
@@ -62,7 +62,7 @@ def graph_to_doc(
     instance: FamilyInstance | None = None,
     cert: Certificate | None = None,
 ) -> dict:
-    colors = induce_coloring(g, f)
+    colors = cert.colors if cert else induce_coloring(g, f)
     vs, names, _ = g.listing()
     doc = {
         "family": instance.family if instance else None,
@@ -80,6 +80,55 @@ def graph_to_doc(
     return doc
 
 
+def doc_to_graph(doc: dict) -> tuple[Graph, EdgeLabeling]:
+    """Read a graph document back; any malformed part is a :class:`UsageError`.
+
+    A vertex id must be the name its role and indices print as, so that every
+    document accepted here is written back as one that is accepted again.
+    Labels are not range-checked here: that is the certificate's job.  A
+    well-formed document is read a column at a time; any other is read record
+    by record, which names the first bad record.
+    """
+    read = _read_columns(doc)
+    return read if read is not None else _read_records(doc)
+
+
+def _read_columns(doc) -> tuple[Graph, EdgeLabeling] | None:
+    """A well-formed document's graph and labeling, each column of a record
+    list checked in one pass; None on any irregularity, without naming it."""
+    if type(doc) is not dict:
+        return None
+    vds, eds = doc.get("vertices"), doc.get("edges")
+    if type(vds) is not list or type(eds) is not list:
+        return None
+    if not set(map(type, vds)) <= {dict} or not set(map(type, eds)) <= {dict}:
+        return None
+    try:
+        ids, roles, indices = (list(map(itemgetter(k), vds)) for k in ("id", "role", "indices"))
+        ends_a, ends_b, label_col = (list(map(itemgetter(k), eds)) for k in ("a", "b", "label"))
+    except KeyError:
+        return None
+    # exact types: a bool is no int, and a subclass is left to the records
+    if not (
+        set(map(type, chain(ids, roles, ends_a, ends_b))) <= {str}
+        and set(map(type, indices)) <= {list}
+        and set(map(type, chain.from_iterable(indices))) <= {int}
+        and set(map(type, label_col)) <= {int}
+    ):
+        return None
+    vs = list(map(tuple.__new__, repeat(VertexId), zip(roles, map(tuple, indices))))
+    by_id = dict(zip(ids, vs))
+    if len(by_id) != len(ids) or list(map(str, vs)) != ids:
+        return None
+    va, vb = list(map(by_id.get, ends_a)), list(map(by_id.get, ends_b))
+    if None in va or None in vb or True in map(str.__eq__, ends_a, ends_b):
+        return None
+    labels = dict(zip([(a, b) if a < b else (b, a) for a, b in zip(va, vb)], label_col))
+    if len(labels) != len(label_col):
+        return None
+    return Graph._checked(frozenset(vs), frozenset(labels)), EdgeLabeling(labels)
+
+
 def _field(obj, key: str, kind: type):
     """``obj[key]``, which must exist and be a ``kind`` (a bool is no int)."""
     if not isinstance(obj, dict) or key not in obj:
@@ -90,13 +139,8 @@ def _field(obj, key: str, kind: type):
     return value
 
 
-def doc_to_graph(doc: dict) -> tuple[Graph, EdgeLabeling]:
-    """Read a graph document back; any malformed part is a :class:`UsageError`.
-
-    A vertex id must be the name its role and indices print as, so that every
-    document accepted here is written back as one that is accepted again.
-    Labels are not range-checked here: that is the certificate's job.
-    """
+def _read_records(doc) -> tuple[Graph, EdgeLabeling]:
+    """:func:`doc_to_graph` one field at a time, raising at the first fault."""
     by_id: dict[str, VertexId] = {}
     for vd in _field(doc, "vertices", list):
         indices = _field(vd, "indices", list)
@@ -206,9 +250,10 @@ def _records(rows: list, nl: str) -> str | None:
     return "[" + row_nl + ("," + row_nl).join(map(template.__mod__, zip(*rendered))) + nl + "]"
 
 
-def graph_to_dot(g: Graph, f: EdgeLabeling) -> str:
-    """DOT with vertex labels "role/indices\\ncolor" and edge labels f(e)."""
-    colors = induce_coloring(g, f)
+def graph_to_dot(g: Graph, f: EdgeLabeling, cert: Certificate | None = None) -> str:
+    """DOT with vertex labels "role/indices\\ncolor" and edge labels f(e);
+    the colors are read off ``cert`` when it is given."""
+    colors = cert.colors if cert else induce_coloring(g, f)
     labels = f.labels
     vs, names, pairs = g.listing()
     lines = ["graph antimagic {"]

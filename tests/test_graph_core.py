@@ -1,5 +1,6 @@
 """Graph surgery, coloring and certification engine tests."""
 
+import dataclasses
 import hashlib
 import sys
 import threading
@@ -55,6 +56,15 @@ def test_vertex_id_orders_hashes_and_prints_as_its_tuple():
     for field, value in (("role", "v"), ("indices", (2,))):
         with pytest.raises(AttributeError):
             setattr(V("u", 1), field, value)
+
+
+def test_v_makes_exactly_the_vertex_id_of_its_arguments():
+    for role, indices in (("u", ()), ("x", (1,)), ("x1", (2, 1)), ("m", (0, 5, 70))):
+        v = V(role, *indices)
+        assert type(v) is VertexId
+        assert v == VertexId(role, tuple(indices))
+        assert (v.role, v.indices) == (role, indices) and type(v.indices) is tuple
+        assert str(v) == "_".join([role, *map(str, indices)])
 
 
 def _views(g):
@@ -307,6 +317,22 @@ def test_certify_adjacent_equal_color_reported():
     assert bad and bad[0]["color"] == 10
 
 
+@pytest.mark.parametrize(
+    "family, params", [("fb", {"n": 9}), ("tb", {"n": 8}), ("gn", {"n": 10, "indices": (1,)})]
+)
+def test_certificate_carries_the_coloring_outside_its_fields(family, params):
+    g, f, inst = build_family(family, **params)
+    cert = certify(g, f, inst.expected_palette)
+    assert cert.colors == induce_coloring(g, f)
+    assert "colors" not in io.certificate_to_doc(cert)
+    assert "colors" not in repr(cert)
+    assert dataclasses.replace(cert, colors={}) == cert
+    with_cert, without = io.graph_to_doc(g, f, inst, cert), io.graph_to_doc(g, f, inst)
+    assert with_cert.pop("certificate") == io.certificate_to_doc(cert)
+    assert without.pop("certificate") is None
+    assert with_cert == without
+
+
 def test_certificate_palette_mismatch_flagged_separately():
     g, f, _ = build_fb(3)
     cert = certify(g, f, expected_palette=[1, 2, 3])
@@ -554,6 +580,14 @@ def _outcome(surgery, *args):
     return g, emap
 
 
+def _assert_labels_transfer(g, edge_map, reference_map):
+    """``remapped`` through the surgery's map of moved edges relabels as the
+    full rewrite of every label through the reference's map does."""
+    f = EdgeLabeling.from_dict({e: lab for lab, e in enumerate(sorted(g.edges), start=1)})
+    want = {reference_map.get(e, e): lab for e, lab in f.labels.items()}
+    assert f.remapped(edge_map).labels == want
+
+
 # vertex names: a graph holds a prefix of a_0..a_5, m_0..m_5 are fresh (m_5
 # also serves as a vertex the graph lacks)
 NAMES = [V("a", i) for i in range(6)] + [V("m", i) for i in range(6)]
@@ -592,6 +626,7 @@ def test_merge_matches_the_full_rewrite_reference(g, data):
     got = _outcome(merge_vertices, g, blocks, new_ids)
     want = _outcome(reference_merge, g, blocks, new_ids)
     if isinstance(want[0], Graph):
+        _assert_labels_transfer(g, got[1], want[1])
         # an edge the map leaves out keeps its identity, as one mapped onto itself
         want = (want[0], {e: ne for e, ne in want[1].items() if ne != e})
         assert got[0].edges == Graph(got[0].vertices, got[0].edges).edges  # canonical
@@ -624,5 +659,6 @@ def test_split_matches_the_full_rewrite_reference(g, data):
     got = _outcome(split_vertices, g, splits)
     want = _outcome(reference_split, g, splits)
     if isinstance(want[0], Graph):
+        _assert_labels_transfer(g, got[1], want[1])
         assert got[0].edges == Graph(got[0].vertices, got[0].edges).edges  # canonical
     assert got == want

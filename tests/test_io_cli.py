@@ -1,8 +1,11 @@
 """Serialization round-trips, export formats, and the command-line front end."""
 
 import dataclasses
+import functools
 import hashlib
 import json
+import random
+import re
 import tempfile
 from pathlib import Path
 
@@ -10,11 +13,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from antimagic import errors, families, io
+from antimagic import errors, families, graph, io
 from antimagic.cli import main
 from antimagic.errors import InvalidParity, InvariantError, UsageError
 from antimagic.families import build_family
-from antimagic.graph import VertexId, certify
+from antimagic.graph import Edge, EdgeLabeling, Graph, VertexId, certify
 from antimagic.tables import table_m3
 
 
@@ -275,6 +278,24 @@ def test_cli_build_certify(tmp_path, capsys):
     assert "864" in dot
 
 
+def test_cli_certified_build_induces_the_coloring_once(tmp_path, monkeypatch):
+    calls = []
+    real = io.induce_coloring
+    for module in (graph, io):
+        monkeypatch.setattr(module, "induce_coloring", lambda g, f: calls.append(1) or real(g, f))
+    code = main([
+        "--out", str(tmp_path), "build", "--family", "tb", "--n", "8",
+        "--certify", "--emit", "both",
+    ])
+    assert code == 0
+    assert len(calls) == 1  # the certificate's; both writers read its colors
+
+
+def test_dot_is_the_same_with_and_without_the_certificate():
+    for point, g, f, _ in _sample_documents():
+        assert io.graph_to_dot(g, f, certify(g, f)) == io.graph_to_dot(g, f), point
+
+
 def test_cli_build_parity_error_is_usage(tmp_path):
     code = main(["--out", str(tmp_path), "build", "--family", "fb", "--n", "8"])
     assert code == 2
@@ -395,44 +416,49 @@ def _tb2_doc():
 
 
 def _broken_docs():
-    """(what is wrong, document) for each malformation doc_to_graph rejects."""
+    """(what is wrong, the message naming it, document) for each malformation
+    doc_to_graph rejects."""
     cases = []
     doc = _tb2_doc()
     del doc["edges"]
-    cases.append(("missing key", doc))
+    cases.append(("missing key", "missing key 'edges'", doc))
     doc = _tb2_doc()
     del doc["vertices"][0]["role"]
-    cases.append(("missing vertex key", doc))
+    cases.append(("missing vertex key", "missing key 'role'", doc))
     doc = _tb2_doc()
     doc["edges"][0]["a"] = "nowhere_9"
-    cases.append(("unknown vertex id", doc))
+    cases.append(("unknown vertex id", "unknown vertex id 'nowhere_9'", doc))
     doc = _tb2_doc()
     doc["edges"][0]["label"] = "7"
-    cases.append(("string label", doc))
+    cases.append(("string label", "'label' is not a int: '7'", doc))
     doc = _tb2_doc()
     doc["edges"][0]["label"] = True
-    cases.append(("bool label", doc))
+    cases.append(("bool label", "'label' is not a int: True", doc))
     doc = _tb2_doc()
     doc["edges"].append(dict(doc["edges"][0], label=99))
-    cases.append(("duplicate edge", doc))
+    cases.append(("duplicate edge", "duplicate edge 'u_1' -- 'v_1'", doc))
     doc = _tb2_doc()
     doc["edges"].append({"a": doc["edges"][0]["b"], "b": doc["edges"][0]["a"], "label": 99})
-    cases.append(("reversed duplicate edge", doc))
+    cases.append(("reversed duplicate edge", "duplicate edge 'v_1' -- 'u_1'", doc))
     doc = _tb2_doc()
     doc["edges"][0]["b"] = doc["edges"][0]["a"]
-    cases.append(("loop", doc))
+    cases.append(("loop", "loop edge at 'u_1'", doc))
     doc = _tb2_doc()
     doc["vertices"] += [
         {"id": "p", "role": "x_1", "indices": []},
         {"id": "q", "role": "x", "indices": [1]},
     ]
-    cases.append(("ids that are not the names of their vertices", doc))
+    cases.append((
+        "ids that are not the names of their vertices",
+        "vertex id 'p' is not 'x_1', the name of its role and indices",
+        doc,
+    ))
     return cases
 
 
 def test_doc_to_graph_rejects_malformed_documents():
-    for what, doc in _broken_docs():
-        with pytest.raises(UsageError):
+    for what, message, doc in _broken_docs():
+        with pytest.raises(UsageError, match="^graph document: " + re.escape(message) + "$"):
             io.doc_to_graph(doc)
             pytest.fail(f"{what} was accepted")
 
@@ -532,13 +558,190 @@ def test_an_accepted_document_is_written_back_as_an_accepted_one(doc):
     assert io.graph_to_dot(g2, f2) == io.graph_to_dot(g, f)
 
 
+# --- the reader against its per-record reference ----------------------------------
+
+
+def _reference_field(obj, key, kind):
+    if not isinstance(obj, dict) or key not in obj:
+        raise UsageError(f"graph document: missing key {key!r}")
+    value = obj[key]
+    if not isinstance(value, kind) or isinstance(value, bool):
+        raise UsageError(f"graph document: {key!r} is not a {kind.__name__}: {value!r}")
+    return value
+
+
+def reference_doc_to_graph(doc):
+    """The reader as it was before it read a well-formed document a column at a
+    time: every field of every record checked in turn, the first fault raised."""
+    by_id = {}
+    for vd in _reference_field(doc, "vertices", list):
+        indices = _reference_field(vd, "indices", list)
+        for i in indices:
+            if not isinstance(i, int) or isinstance(i, bool):
+                raise UsageError(f"graph document: vertex index is not an int: {i!r}")
+        v = VertexId(_reference_field(vd, "role", str), tuple(indices))
+        vid = _reference_field(vd, "id", str)
+        if vid in by_id:
+            raise UsageError(f"graph document: duplicate vertex {vid!r}")
+        if vid != str(v):
+            raise UsageError(
+                f"graph document: vertex id {vid!r} is not {str(v)!r}, "
+                "the name of its role and indices"
+            )
+        by_id[vid] = v
+    labels: dict[Edge, int] = {}
+    for ed in _reference_field(doc, "edges", list):
+        a, b = _reference_field(ed, "a", str), _reference_field(ed, "b", str)
+        va, vb = by_id.get(a), by_id.get(b)
+        if va is None:
+            raise UsageError(f"graph document: unknown vertex id {a!r}")
+        if vb is None:
+            raise UsageError(f"graph document: unknown vertex id {b!r}")
+        if a == b:
+            raise UsageError(f"graph document: loop edge at {a!r}")
+        e = (va, vb) if va < vb else (vb, va)
+        if e in labels:
+            raise UsageError(f"graph document: duplicate edge {a!r} -- {b!r}")
+        labels[e] = _reference_field(ed, "label", int)
+    return Graph._checked(frozenset(by_id.values()), frozenset(labels)), EdgeLabeling(labels)
+
+
+def _read(reader, doc):
+    """The graph and labeling read, with its dict order, or the usage error's
+    message; any other exception propagates."""
+    try:
+        g, f = reader(doc)
+    except UsageError as exc:
+        return "rejected", str(exc)
+    return g, f, list(f.labels.items())
+
+
+def _grid_sample(stride):
+    """Every ``stride``-th non-excluded point of each family's default grid,
+    the first included, in grid order."""
+    return [
+        (family, params)
+        for family in families.FAMILY_TAGS
+        for params in [p for p, reason in families.family_grid(family) if reason is None][::stride]
+    ]
+
+
+@functools.lru_cache(maxsize=None)
+def _sample_documents():
+    """The graph, labeling and emitted document text of each point of a
+    1-in-50 sample of the default grid, built once for the tests that share
+    them."""
+    out = []
+    for family, params in _grid_sample(50):
+        g, f, inst = build_family(family, **params)
+        out.append(((family, params), g, f, io.dumps(io.graph_to_doc(g, f, inst))))
+    return out
+
+
+def _some(rng, records, keep=lambda r: True):
+    """A random record that is a dict and passes ``keep``, so that a second
+    fault never trips over the first."""
+    return rng.choice([r for r in records if isinstance(r, dict) and keep(r)])
+
+
+def _has_list_indices(record):
+    return isinstance(record.get("indices"), list)
+
+
+def _bool_index(rng, doc):
+    vd = _some(rng, doc["vertices"], _has_list_indices)
+    vd["indices"] = vd["indices"] + [rng.choice([True, False])]
+    rng.shuffle(vd["indices"])
+
+
+def _bool_label(rng, doc):
+    _some(rng, doc["edges"])["label"] = rng.choice([True, False])
+
+
+def _listed_vertex(rng, doc):
+    i = rng.randrange(len(doc["vertices"]))
+    doc["vertices"][i] = rng.choice([list, str])(doc["vertices"][i])
+
+
+def _listed_edge(rng, doc):
+    i = rng.randrange(len(doc["edges"]))
+    doc["edges"][i] = rng.choice([list, str])(doc["edges"][i])
+
+
+def _string_indices(rng, doc):
+    vd = _some(rng, doc["vertices"], _has_list_indices)
+    vd["indices"] = ",".join(map(str, vd["indices"])) or "1"
+
+
+def _missing_key(rng, doc):
+    records, keys = rng.choice([(doc["vertices"], ["id", "role", "indices"]),
+                                (doc["edges"], ["a", "b", "label"])])
+    key = rng.choice(keys)
+    del _some(rng, records, lambda r: key in r)[key]
+
+
+def _unknown_end(rng, doc):
+    _some(rng, doc["edges"])[rng.choice("ab")] = rng.choice(["nowhere", "u_0", "", "x_1_1_1"])
+
+
+def _loop(rng, doc):
+    ed = _some(rng, doc["edges"], lambda r: "a" in r)
+    ed["b"] = ed["a"]
+
+
+def _reversed_duplicate(rng, doc):
+    ed = _some(rng, doc["edges"], lambda r: {"a", "b", "label"} <= r.keys())
+    doc["edges"].insert(rng.randrange(len(doc["edges"]) + 1),
+                        {"a": ed["b"], "b": ed["a"], "label": ed["label"]})
+
+
+def _swapped_ids(rng, doc):
+    first = _some(rng, doc["vertices"], lambda r: "id" in r)
+    second = _some(rng, doc["vertices"], lambda r: "id" in r and r["id"] != first["id"])
+    first["id"], second["id"] = second["id"], first["id"]
+
+
+FAULTS = [_bool_index, _bool_label, _listed_vertex, _listed_edge, _string_indices,
+          _missing_key, _unknown_end, _loop, _reversed_duplicate, _swapped_ids]
+
+
+def _extra_keys(rng, doc):
+    _some(rng, doc["vertices"])["note"] = rng.choice([None, 1, "x", [True]])
+    _some(rng, doc["edges"])[rng.choice(["color", "id", "role"])] = 0
+
+
+def _two_faults(rng, doc):
+    for fault in rng.sample(FAULTS, 2):
+        fault(rng, doc)
+
+
+@pytest.mark.parametrize("mutation", FAULTS + [_two_faults, _extra_keys],
+                         ids=lambda m: m.__name__.lstrip("_"))
+def test_doc_to_graph_matches_the_per_record_reference_on_mutated_documents(mutation):
+    rng = random.Random(mutation.__name__)
+    for point, g, f, text in _sample_documents():
+        assert _read(io.doc_to_graph, json.loads(text))[:2] == (g, f)
+        doc = json.loads(text)
+        mutation(rng, doc)
+        want = _read(reference_doc_to_graph, doc)
+        # every fault is one the reference rejects; extra keys are read past
+        assert (want[0] == "rejected") == (mutation is not _extra_keys), point
+        assert _read(io.doc_to_graph, doc) == want, point
+
+
+@settings(max_examples=300, deadline=None)
+@given(_json_values() | _near_documents() | _named_documents())
+def test_doc_to_graph_matches_the_per_record_reference(doc):
+    assert _read(io.doc_to_graph, doc) == _read(reference_doc_to_graph, doc)
+
+
 def test_cli_certify_and_solve_reject_bad_json(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     for command in ("certify", "solve"):
         assert main(["--out", str(tmp_path), command, "--input", str(bad)]) == 2
     broken = _broken_docs()
-    for what, doc in broken:
+    for what, _, doc in broken:
         path = tmp_path / "broken.json"
         path.write_text(json.dumps(doc))
         assert main(["--out", str(tmp_path), "certify", "--input", str(path)]) == 2, what
