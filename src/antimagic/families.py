@@ -4,9 +4,9 @@ Each builder returns ``(graph, labeling, instance)`` where the instance pins
 the family tag, validated parameters, the closed-form expected palette and
 the expected degree census.  The builders perform the constructions exactly:
 label a disjoint union of base cells from one of the three matrices, then
-merge (and sometimes split) vertices.  Labels are always transferred by
-incident-edge identity, never recomputed, so the surgery is robust to any
-table regeneration.
+merge (and sometimes split) vertices, all in index space: cells by column
+arithmetic, labels read off the table rows, and surgery that only rewrites
+edge ends, so labels stay with their edges.  One graph is made per build.
 
 Correctness authority is the certificate, not the construction: every
 builder's output is expected to pass :func:`antimagic.graph.certify` with
@@ -18,7 +18,8 @@ from __future__ import annotations
 import inspect
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Iterable, Sequence
+from itertools import chain, repeat
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import (
     ConditionViolated,
@@ -33,16 +34,7 @@ from .errors import (
     PaletteCollision,
     UsageError,
 )
-from .graph import (
-    EdgeLabeling,
-    Graph,
-    V,
-    VertexId,
-    certify,
-    edge,
-    merge_vertices,
-    split_vertices,
-)
+from .graph import EdgeLabeling, Graph, V, VertexId, _Draft, certify
 from .partition import partition_ap
 from .tables import _odd_factorizations, table_m1, table_m3, table_pt, trace_sequences
 
@@ -91,20 +83,36 @@ def _census(*pairs: tuple[int, int]) -> dict[int, int]:
     return out
 
 
+Built = tuple[_Draft, FamilyInstance]
+
+
+def _vertices(role: str, *columns: Iterable[int]) -> Iterator[VertexId]:
+    """``_vertices("u", range(1, 4))`` is u_1, u_2, u_3, made in C."""
+    return map(tuple.__new__, repeat(VertexId), zip(repeat(role), zip(*columns)))
+
+
+def _built(built: Built) -> BuildResult:
+    return (*built[0].finish(), built[1])
+
+
+def _named(d: _Draft, blocks: Iterable[Iterable[int]]) -> tuple[frozenset[VertexId], ...]:
+    """The blocks by vertex name, for :attr:`FamilyInstance.blocks`."""
+    return tuple(frozenset(map(d.names.__getitem__, b)) for b in blocks)
+
+
 def _merged(
-    built: BuildResult,
+    built: Built,
     family: str,
     params: dict,
-    blocks: Iterable[Iterable[VertexId]],
-    new_ids: Iterable[VertexId],
+    blocks: Iterable[Iterable[int]],
+    new_ids: Sequence[VertexId],
     color: int,
     degree: int,
-) -> BuildResult:
-    """Merge ``blocks`` of a built base instance into ``new_ids``: the merged
-    graph, its transferred labels, and the base claims scaled to match.
+) -> Built:
+    """Merge ``blocks`` of a base into ``new_ids``; scale its claims to match.
 
     The blocks are r blocks of s vertices of one independent class of
-    ``color`` and ``degree``, and r and s are read off them.  Labels travel
+    ``color`` and ``degree``, and r and s are read off them.  Labels stay
     with their edges, so a block is one vertex of color s*color and degree
     s*degree: the color becomes s*color and r*s vertices of degree d become
     r vertices of degree s*d.
@@ -113,9 +121,9 @@ def _merged(
     a block make it raise, which means the builder's own blocks broke their
     premise, an invariant failure.
     """
-    g, f, base = built
-    blocks = tuple(frozenset(b) for b in blocks)
-    sizes = {len(b) for b in blocks}
+    d, base = built
+    blocks = [list(b) for b in blocks]
+    sizes = set(map(len, blocks))
     if len(sizes) != 1:
         raise InvariantError(f"{family}{params}: blocks of unequal sizes {sorted(sizes)}")
     r, (s,) = len(blocks), sizes
@@ -130,13 +138,14 @@ def _merged(
     if not census[degree]:
         del census[degree]
     try:
-        g, emap = merge_vertices(g, blocks, new_ids)
+        d.merge(blocks, new_ids)
     except (MergeWouldCreateLoop, MergeWouldCreateParallelEdge) as exc:
         raise InvariantError(f"{family}{params}: the blocks clash: {exc}") from None
     inst = FamilyInstance(
-        family, params, palette, _census(*census.items(), (s * degree, r)), blocks=blocks
+        family, params, palette, _census(*census.items(), (s * degree, r)),
+        blocks=_named(d, blocks),
     )
-    return g, f.remapped(emap), inst
+    return d, inst
 
 
 # ---------------------------------------------------------------------------
@@ -144,20 +153,22 @@ def _merged(
 # ---------------------------------------------------------------------------
 
 
-def _fan_cells(k: int):
+def _fan_at(role: str, i: int, k: int) -> int:
+    """The index of ``role``_i in :func:`_fan_cells`: a run of 2k+1 per role."""
+    return "uvwx".index(role) * (2 * k + 1) + i - 1
+
+
+def _fan_cells(k: int) -> _Draft:
     """2k+1 disjoint fan cells (one P3 plus its own hub) labeled column-wise."""
-    t = table_m1(k)
-    vertices: list[VertexId] = []
-    labels: dict = {}
-    for i in range(1, 2 * k + 2):
-        u, v, w, x = V("u", i), V("v", i), V("w", i), V("x", i)
-        vertices += [u, v, w, x]
-        labels[edge(u, w)] = t.entry("uw", i)
-        labels[edge(v, w)] = t.entry("vw", i)
-        labels[edge(x, w)] = t.entry("xw", i)
-        labels[edge(x, u)] = t.entry("xu", i)
-        labels[edge(x, v)] = t.entry("xv", i)
-    return Graph(vertices, labels.keys()), EdgeLabeling.from_dict(labels)
+    n = 2 * k + 1
+    u, v, w, x = (range(j * n, (j + 1) * n) for j in range(4))
+    rows = table_m1(k).rows
+    return _Draft(
+        list(chain.from_iterable(_vertices(role, range(1, n + 1)) for role in "uvwx")),
+        [*u, *v, *x, *x, *x],
+        [*w, *w, *w, *u, *v],
+        [*rows["uw"], *rows["vw"], *rows["xw"], *rows["xu"], *rows["xv"]],
+    )
 
 
 def build_fb(n: int) -> BuildResult:
@@ -167,47 +178,43 @@ def build_fb(n: int) -> BuildResult:
     if n < 3 or n % 2 == 0:
         raise InvalidParity(f"fan builder needs odd n >= 3, got {n}")
     k = (n - 1) // 2
-    g, f = _fan_cells(k)
-    block = [{V("x", i) for i in range(1, n + 1)}]
-    g, emap = merge_vertices(g, block, [V("x")])
-    f = f.remapped(emap)
+    d = _fan_cells(k)
+    d.merge([range(_fan_at("x", 1, k), _fan_at("x", n + 1, k))], [V("x")])
     palette = _palette(9 * k + 6, 10 * k + 6, (7 * k + 4) * (6 * k + 3))
     inst = FamilyInstance(
         "fb", {"n": n, "k": k}, palette,
         _census((2, 2 * n), (3, n), (3 * n, 1)),
     )
-    return g, f, inst
+    return _built((d, inst))
 
 
 def build_tfb(t: int, s: int) -> BuildResult:
     """t disjoint fans with s blades each, hubs grouped by an equal-sum
     partition of the cell hub sums (an arithmetic progression)."""
-    g, f, inst, _ = _tfb(t, s)
-    return g, f, inst
+    return _built(_tfb(t, s)[:2])
 
 
-def _tfb(t: int, s: int) -> tuple[Graph, EdgeLabeling, FamilyInstance, list[list[int]]]:
-    """:func:`build_tfb`, plus the sorted cell columns of each fan component."""
+def _tfb(t: int, s: int) -> tuple[_Draft, FamilyInstance, list[list[int]]]:
+    """:func:`build_tfb` unfinished, plus each fan's sorted cell columns."""
     if t < 3 or s < 3 or t % 2 == 0 or s % 2 == 0:
         raise InvalidFactorization(f"need odd t, s >= 3, got t={t}, s={s}")
     k = (t * s - 1) // 2
-    g, f = _fan_cells(k)
+    d = _fan_cells(k)
 
     # hub sum of cell i is 23k+14-2i, descending left to right
     part = partition_ap(19 * k + 12, 2, t, s)
     columns = [sorted((23 * k + 14 - value) // 2 for value in blk) for blk in part.blocks]
-    blocks = tuple(frozenset(V("x", c) for c in cols) for cols in columns)
-    g, emap = merge_vertices(g, blocks, [V("y", a) for a in range(1, t + 1)])
-    f = f.remapped(emap)
+    blocks = [[_fan_at("x", c, k) for c in cols] for cols in columns]
+    d.merge(blocks, [V("y", a) for a in range(1, t + 1)])
 
     palette = _palette(9 * k + 6, 10 * k + 6, s * (21 * k + 12))
     inst = FamilyInstance(
         "tfb", {"t": t, "s": s, "k": k}, palette,
         _census((2, 2 * t * s), (3, t * s), (3 * s, t)),
-        blocks=blocks,
+        blocks=_named(d, blocks),
         expected_component_orders=tuple([3 * s + 1] * t),
     )
-    return g, f, inst, columns
+    return d, inst, columns
 
 
 def _df_block_cols(j: int, s: int) -> list[int]:
@@ -217,38 +224,37 @@ def _df_block_cols(j: int, s: int) -> list[int]:
 def build_df(r: int, s: int) -> BuildResult:
     """r diamond fans plus one fan: split the hub of every cell outside the
     middle block and cross-merge the halves between opposite blocks."""
+    return _built(_df(r, s))
+
+
+def _df(r: int, s: int) -> Built:
+    """:func:`build_df` unfinished; the last vertices are x, y_1, z_1, ..., z_r."""
     if r < 1 or s < 1 or s % 2 == 0:
         raise InvalidParams(f"need r >= 1 and odd s >= 1, got r={r}, s={s}")
     m = (2 * r + 1) * s
     k = (m - 1) // 2
     if k < 1:
         raise InvalidParams("graph too small: (2r+1)s must be at least 3")
-    g, f = _fan_cells(k)
+    d = _fan_cells(k)
 
-    splits = []
-    for j in range(1, 2 * r + 2):
-        if j == r + 1:
-            continue
-        for i in _df_block_cols(j, s):
-            x = V("x", i)
-            to_w = [edge(x, V("w", i))]
-            to_uv = [edge(x, V("u", i)), edge(x, V("v", i))]
-            splits.append((x, to_w, to_uv, V("x1", i), V("x2", i)))
-    g, emap = split_vertices(g, splits)
-    f = f.remapped(emap)
+    outer = [i for j in range(1, 2 * r + 2) if j != r + 1 for i in _df_block_cols(j, s)]
+    half = len(d.names)  # split t appends x1_i and x2_i here, at 2t and 2t + 1
+    x, w, u, v = (_fan_at(role, 0, k) for role in "xwuv")
+    d.split([
+        (x + i, [(x + i, w + i)], [(x + i, u + i), (x + i, v + i)], id1, id2)
+        for i, id1, id2 in zip(outer, _vertices("x1", outer), _vertices("x2", outer))
+    ])
+    x1 = dict(zip(outer, range(half, len(d.names), 2)))
 
-    blocks: list[set[VertexId]] = []
-    new_ids: list[VertexId] = []
+    blocks = [[_fan_at("x", i, k) for i in _df_block_cols(r + 1, s)]]
+    new_ids = [V("x")]
     for j in range(1, r + 1):
         near, far = _df_block_cols(j, s), _df_block_cols(2 * r + 2 - j, s)
-        blocks.append({V("x1", i) for i in near} | {V("x2", i) for i in far})
+        blocks.append([x1[i] for i in near] + [x1[i] + 1 for i in far])
         new_ids.append(V("y", j))
-        blocks.append({V("x2", i) for i in near} | {V("x1", i) for i in far})
+        blocks.append([x1[i] + 1 for i in near] + [x1[i] for i in far])
         new_ids.append(V("z", j))
-    blocks.append({V("x", i) for i in _df_block_cols(r + 1, s)})
-    new_ids.append(V("x"))
-    g, emap = merge_vertices(g, blocks, new_ids)
-    f = f.remapped(emap)
+    d.merge(blocks, new_ids)
 
     palette = _palette(10 * k + 6, 9 * k + 6, s * (21 * k + 12))
     inst = FamilyInstance(
@@ -256,13 +262,12 @@ def build_df(r: int, s: int) -> BuildResult:
         _census((2, (4 * r + 2) * s), (3, (2 * r + 1) * s), (3 * s, 2 * r + 1)),
         expected_component_orders=tuple(sorted([6 * s + 2] * r + [3 * s + 1])),
     )
-    return g, f, inst
+    return d, inst
 
 
 def _fan_class(variant: int, k: int) -> tuple[tuple[str, ...], int, int]:
     """Roles, color and degree of the fan cell class that variant 1 (the
-    degree-2 rim vertices u, v) or variant 2 (the degree-3 path centers w)
-    merges."""
+    degree-2 rim vertices u, v) or 2 (the degree-3 path centers w) merges."""
     return (("u", "v"), 10 * k + 6, 2) if variant == 1 else (("w",), 9 * k + 6, 3)
 
 
@@ -278,15 +283,15 @@ def build_fb_merged(variant: int, r: int, s: int) -> BuildResult:
         raise PaletteCollision(
             f"k = {k} = 2 (mod 4): r(10k+6) may equal s(21k+12), excluded"
         )
-    g, f, base, comp_cols = _tfb(r, s)
+    d, base, comp_cols = _tfb(r, s)
     roles, color, degree = _fan_class(variant, k)
     # block (j, role) takes the j-th cell of every fan component
     rows = list(zip(*comp_cols))
-    return _merged(
-        (g, f, base), f"fb{variant}", {"r": r, "s": s, "k": k},
-        [[V(role, c) for c in row] for row in rows for role in roles],
+    return _built(_merged(
+        (d, base), f"fb{variant}", {"r": r, "s": s, "k": k},
+        [[_fan_at(role, c, k) for c in row] for row in rows for role in roles],
         [V(role, j) for j in range(1, s + 1) for role in roles], color, degree,
-    )
+    ))
 
 
 def build_df_merged(variant: int, r: int, s: int, r1: int | None = None) -> BuildResult:
@@ -302,7 +307,7 @@ def build_df_merged(variant: int, r: int, s: int, r1: int | None = None) -> Buil
         raise InvalidParams(f"variant must be 1, 2 or 3, got {variant}")
     if variant in (1, 2) and s < 3:
         raise InvalidParams(f"variant {variant} needs odd s >= 3, got s={s}")
-    g, f, base = build_df(r, s)
+    d, base = _df(r, s)
     k = base.params["k"]
 
     if variant == 1 and k % 4 == 2:
@@ -318,7 +323,7 @@ def build_df_merged(variant: int, r: int, s: int, r1: int | None = None) -> Buil
             )
         r2 = (2 * r + 1) // r1
         params.update(r1=r1, r2=r2)
-        hubs = [V("x")] + [V(hub, j) for j in range(1, r + 1) for hub in ("y", "z")]
+        hubs = range(len(d.names) - (2 * r + 1), len(d.names))
         blocks = [hubs[c * r2: (c + 1) * r2] for c in range(r1)]
         color, degree = s * (21 * k + 12), 3 * s
     else:
@@ -328,11 +333,13 @@ def build_df_merged(variant: int, r: int, s: int, r1: int | None = None) -> Buil
         columns = [_df_block_cols(r + 1, s)]
         for j in range(1, r + 1):
             columns += [_df_block_cols(j, s), _df_block_cols(2 * r + 2 - j, s)]
-        blocks = list(zip(*([V(role, i) for role in roles for i in cols] for cols in columns)))
-    return _merged(
-        (g, f, base), f"df{variant}", params, blocks,
+        blocks = list(zip(*(
+            [_fan_at(role, i, k) for role in roles for i in cols] for cols in columns
+        )))
+    return _built(_merged(
+        (d, base), f"df{variant}", params, blocks,
         [V("m", b + 1) for b in range(len(blocks))], color, degree,
-    )
+    ))
 
 
 # ---------------------------------------------------------------------------
@@ -342,6 +349,11 @@ def build_df_merged(variant: int, r: int, s: int, r1: int | None = None) -> Buil
 
 def build_pt(n: int) -> BuildResult:
     """Peanut graph: two 3-cycles and n 6-cycles on two rails plus rungs."""
+    return _built(_pt(n))
+
+
+def _pt(n: int) -> Built:
+    """:func:`build_pt` unfinished: x, y, u_i, v_i are 0, 1, 1+i, 2n+2+i."""
     if n < 2 or n % 2:
         raise InvalidParity(
             f"peanut builder needs even n >= 2 (odd n is open), got {n}"
@@ -350,39 +362,45 @@ def build_pt(n: int) -> BuildResult:
     t = table_pt(k)
     tr = trace_sequences(t)
 
-    x, y = V("x"), V("y")
-    us = [V("u", i) for i in range(1, 4 * k + 2)]
-    vs = [V("v", i) for i in range(1, 4 * k + 2)]
-    rail1 = [x] + us + [y]
-    rail2 = [x] + vs + [y]
-
-    labels: dict = {}
-    for m in range(1, 4 * k + 3):
-        labels[edge(rail1[m - 1], rail1[m])] = tr.s1[m - 1]
-        labels[edge(rail2[m - 1], rail2[m])] = tr.s2[m - 1]
-    for j, col in enumerate(tr.r3_columns, start=1):
-        labels[edge(V("u", 2 * j - 1), V("v", 2 * j - 1))] = t.entry("R3", col)
-
-    g = Graph([x, y] + us + vs, labels.keys())
-    f = EdgeLabeling.from_dict(labels)
+    top = 2 * n + 1
+    rail1 = [0, *range(2, top + 2), 1]
+    rail2 = [0, *range(top + 2, 2 * top + 2), 1]
+    r3 = t.rows["R3"]
+    # rung j joins u_(2j-1) and v_(2j-1)
+    d = _Draft(
+        [V("x"), V("y"), *_vertices("u", range(1, top + 1)), *_vertices("v", range(1, top + 1))],
+        rail1[:-1] + rail2[:-1] + list(range(2, top + 2, 2)),
+        rail1[1:] + rail2[1:] + list(range(top + 2, 2 * top + 2, 2)),
+        [*tr.s1, *tr.s2, *(r3[col - 1] for col in tr.r3_columns)],
+    )
     palette = _palette(10 * k + 6, 9 * k + 6, 21 * k + 12)
     inst = FamilyInstance(
         "pt", {"n": n, "k": k}, palette,
         _census((2, 2 * n + 2), (3, 2 * n + 2)),
     )
-    return g, f, inst
+    return d, inst
 
 
 def build_tb(n: int) -> BuildResult:
     """Triangular bracelet: the peanut with its rails zipped together."""
-    pairs = [(V("x"), V("y"))] + [(V("u", 2 * i), V("v", 2 * i)) for i in range(1, n + 1)]
+    return _built(_tb(n))
+
+
+def _tb_hub(n: int, m: int) -> int:
+    """The index of hub z_m (m = 0, 2, ..., 2n) of :func:`_tb`."""
+    return 4 * n + 4 + m // 2
+
+
+def _tb(n: int) -> Built:
+    """:func:`build_tb` unfinished: x, y and each u_(2i), v_(2i) zip into z_(2i)."""
+    pairs = [(0, 1)] + [(1 + 2 * i, 2 * n + 2 + 2 * i) for i in range(1, n + 1)]
     return _merged(
-        build_pt(n), "tb", {"n": n, "k": n // 2}, pairs,
-        [V("z", 2 * i) for i in range(n + 1)], 10 * (n // 2) + 6, 2,
+        _pt(n), "tb", {"n": n, "k": n // 2}, pairs,
+        list(_vertices("z", range(0, 2 * n + 1, 2))), 10 * (n // 2) + 6, 2,
     )
 
 
-def _deal(rims: Sequence[Sequence[VertexId]], r: int) -> list[list[VertexId]]:
+def _deal(rims: Sequence[Sequence[int]], r: int) -> list[list[int]]:
     """Deal an independent color class into r equal blocks.
 
     The caller hands the class over as ``rims``, cycles on which two members
@@ -402,7 +420,7 @@ def _deal(rims: Sequence[Sequence[VertexId]], r: int) -> list[list[VertexId]]:
     size = sum(len(rim) for rim in rims)
     if r < 1 or size % r:
         raise NoValidPartition(f"{size} vertices do not split into {r} blocks")
-    order: list[VertexId] = []
+    order: list[int] = []
     for rim in rims:
         rim = list(rim)
         if len(rim) > 1 and len(rim) % r == 1:
@@ -425,8 +443,8 @@ def build_pt_tb_merged(base: str, variant: int, n: int, r: int) -> BuildResult:
     if variant not in (1, 2, 3):
         raise InvalidParams(f"variant must be 1, 2 or 3, got {variant}")
 
-    built = (build_pt if base == "pt" else build_tb)(n)
-    k = built[2].params["k"]
+    built = (_pt if base == "pt" else _tb)(n)
+    k = built[1].params["k"]
 
     # the merged class: its color and degree in the base graph
     color, degree = {
@@ -440,10 +458,8 @@ def build_pt_tb_merged(base: str, variant: int, n: int, r: int) -> BuildResult:
             raise NoValidPartition(
                 f"need r >= 2 with block size 2 <= (2n+2)/r <= n+1, got r={r}, n={n}"
             )
-        items = [V("x")]
-        items += [V("u", 2 * i) for i in range(1, n + 1)]
-        items += [V("y")]
-        items += [V("v", 2 * i) for i in range(n, 0, -1)]
+        # x, u_2, ..., u_(2n), y, v_(2n), ..., v_2
+        items = [0, *range(3, 2 * n + 2, 2), 1, *range(4 * n + 2, 2 * n + 3, -2)]
     else:
         least = 1 if base == "pt" else 3
         s = (n + 1) // r if r >= 1 and (n + 1) % r == 0 else 0
@@ -452,7 +468,7 @@ def build_pt_tb_merged(base: str, variant: int, n: int, r: int) -> BuildResult:
                 f"need odd r >= {least} with odd block size (n+1)/r >= 3, got r={r}, n={n}"
             )
         if variant == 3:
-            items = [V("z", 0)] + [V("z", 2 * i) for i in range(1, n + 1)]
+            items = [_tb_hub(n, m) for m in range(0, 2 * n + 1, 2)]
         else:
             # one member per rung, ordered along the cycle so conflicts are
             # local.  Rung j joins u_(2j-1) and v_(2j-1), whose rail edges
@@ -463,13 +479,13 @@ def build_pt_tb_merged(base: str, variant: int, n: int, r: int) -> BuildResult:
             # 21k+12 for even j, and v_(2j-1) the other one.  The bracelet
             # zips only even rail vertices, so its rungs keep these colors.
             items = [
-                V("u" if j % 2 == variant % 2 else "v", 2 * j - 1) for j in range(1, n + 2)
+                2 * j if j % 2 == variant % 2 else 2 * n + 1 + 2 * j for j in range(1, n + 2)
             ]
 
-    return _merged(
+    return _built(_merged(
         built, f"{base}{variant}", {"n": n, "k": k, "r": r, "s": s},
         _deal([items], r), [V("m", b + 1) for b in range(r)], color, degree,
-    )
+    ))
 
 
 def valid_gn_index_lists(n: int) -> list[tuple[int, ...]]:
@@ -494,8 +510,14 @@ def build_gn(n: int, indices: Sequence[int]) -> BuildResult:
     For each index ia, the two degree-4 vertices at cycle positions 8*ia-2
     and 16*ia-4 are split into their lower and upper halves and re-merged
     crosswise, which detaches one bracelet with 4*ia-2 rim cells.  Split
-    halves inherit labels by incident-edge identity.
+    halves keep the labels of their edges.
     """
+    return _built(_gn(n, indices))
+
+
+def _gn(n: int, indices: Sequence[int]) -> Built:
+    """:func:`build_gn` unfinished; its last vertices are each index's
+    re-merged z_(8ia-2) and z_(16ia-4)."""
     indices = tuple(indices)
     if not indices or any(i < 1 for i in indices) or list(indices) != sorted(set(indices)):
         raise InvalidIndices(f"indices must be strictly increasing positives, got {indices}")
@@ -507,29 +529,29 @@ def build_gn(n: int, indices: Sequence[int]) -> BuildResult:
     if n < 8 * indices[-1] - 2:
         raise ConditionViolated("b", f"n = {n} < 8*{indices[-1]} - 2")
 
-    g, f, base = build_tb(n)
+    d, base = _tb(n)
     k = base.params["k"]
 
     # the split vertices are distinct and pairwise non-adjacent, so one
-    # simultaneous split equals splitting them one at a time
+    # simultaneous split equals splitting them one at a time.  The lower
+    # half of z_m keeps u_(m-1), v_(m-1) (vertices m, 2n+1+m), the upper
+    # u_(m+1), v_(m+1); split t appends z1_m and z2_m at half + 2t, 2t + 1
+    half = len(d.names)
     splits = []
-    blocks: list[set[VertexId]] = []
+    blocks = []
     new_ids: list[VertexId] = []
-    for ia in indices:
+    for a, ia in enumerate(indices):
         lo, hi = 8 * ia - 2, 16 * ia - 4
         for m in (lo, hi):
-            z = V("z", m)
-            lower = [edge(z, V("u", m - 1)), edge(z, V("v", m - 1))]
-            upper = [edge(z, V("u", m + 1)), edge(z, V("v", m + 1))]
+            z = _tb_hub(n, m)
+            lower = [(z, m), (z, 2 * n + 1 + m)]
+            upper = [(z, m + 2), (z, 2 * n + 3 + m)]
             splits.append((z, lower, upper, V("z1", m), V("z2", m)))
-        blocks.append({V("z1", lo), V("z2", hi)})
-        new_ids.append(V("z", lo))
-        blocks.append({V("z2", lo), V("z1", hi)})
-        new_ids.append(V("z", hi))
-    g, emap = split_vertices(g, splits)
-    f = f.remapped(emap)
-    g, emap = merge_vertices(g, blocks, new_ids)
-    f = f.remapped(emap)
+        z1_lo = half + 4 * a
+        blocks += [[z1_lo, z1_lo + 3], [z1_lo + 1, z1_lo + 2]]
+        new_ids += [V("z", lo), V("z", hi)]
+    d.split(splits)
+    d.merge(blocks, new_ids)
 
     s = n - sum(4 * ia - 1 for ia in indices)
     orders = sorted([3 * (s + 1)] + [3 * (4 * ia - 1) for ia in indices])
@@ -539,7 +561,7 @@ def build_gn(n: int, indices: Sequence[int]) -> BuildResult:
         base.expected_palette, base.expected_census,
         expected_component_orders=tuple(orders),
     )
-    return g, f, inst
+    return d, inst
 
 
 def build_gb(
@@ -559,24 +581,32 @@ def build_gb(
     if base == "tb":
         if indices is not None:
             raise InvalidParams("base 'tb' takes no split index list")
-        g, f, base_inst = build_tb(n)
+        d, base_inst = _tb(n)
     elif base == "gn":
         if not indices:
             raise InvalidParams("base 'gn' needs the split index list")
-        g, f, base_inst = build_gn(n, indices)
+        d, base_inst = _gn(n, indices)
     else:
         raise InvalidParams(f"base must be 'tb' or 'gn', got {base!r}")
     k = base_inst.params["k"]
 
-    # each bracelet's hubs, in index order, are its rim in cycle order
-    rims = [sorted(v for v in comp if g.degree(v) == 4) for comp in g.connected_components()]
+    # the hubs z_m in cycle order; gn re-merged two per index and cut
+    # z_(8ia) .. z_(16ia-4) out into a bracelet of their own
+    hub = {m: _tb_hub(n, m) for m in range(0, 2 * n + 1, 2)}
+    cuts = []
+    remerged = len(d.names) - 2 * len(indices or ())
+    for a, ia in enumerate(indices or ()):
+        hub[8 * ia - 2], hub[16 * ia - 4] = remerged + 2 * a, remerged + 2 * a + 1
+        cuts.append(range(8 * ia, 16 * ia - 3, 2))
+    cut = set().union(*cuts)
+    rims = [[hub[m] for m in hub if m not in cut]] + [[hub[m] for m in c] for c in cuts]
     params = {"n": n, "k": k, "r": r, "s": s, "base": base}
     if indices:
         params["indices"] = tuple(indices)
-    return _merged(
-        (g, f, base_inst), "gb", params, _deal(rims, r),
+    return _built(_merged(
+        (d, base_inst), "gb", params, _deal(rims, r),
         [V("m", b + 1) for b in range(r)], 20 * k + 12, 4,
-    )
+    ))
 
 
 # ---------------------------------------------------------------------------
@@ -590,34 +620,28 @@ def build_np3_o3(n: int) -> BuildResult:
     if n < 3 or n % 2 == 0:
         raise InvalidParity(f"need odd n >= 3, got {n}")
     k = (n - 1) // 2
-    t = table_m3(k)
+    rows = table_m3(k).rows
 
-    vertices: list[VertexId] = []
-    labels: dict = {}
-    for i in range(1, n + 1):
-        u, v, w = V("u", i), V("v", i), V("w", i)
-        vertices += [u, v, w]
-        labels[edge(u, w)] = t.entry("L", i)
-        labels[edge(v, w)] = t.entry("R", i)
-        for a in (1, 2, 3):
-            xia = V("x", i, a)
-            vertices.append(xia)
-            labels[edge(w, xia)] = t.entry(f"C{a}", i)
-            labels[edge(u, xia)] = t.entry(f"L{a}", i)
-            labels[edge(v, xia)] = t.entry(f"R{a}", i)
-    g = Graph(vertices, labels.keys())
-    f = EdgeLabeling.from_dict(labels)
-
-    blocks = [{V("x", i, a) for i in range(1, n + 1)} for a in (1, 2, 3)]
-    g, emap = merge_vertices(g, blocks, [V("x", a) for a in (1, 2, 3)])
-    f = f.remapped(emap)
+    # a run of n indices for each of u, v, w, x_*_1, x_*_2, x_*_3
+    u, v, w, *x = (range(j * n, (j + 1) * n) for j in range(6))
+    ends_a, ends_b, labels = [*u, *v], [*w, *w], [*rows["L"], *rows["R"]]
+    for a, xa in enumerate(x, start=1):
+        ends_a += [*w, *u, *v]
+        ends_b += [*xa, *xa, *xa]
+        labels += [*rows[f"C{a}"], *rows[f"L{a}"], *rows[f"R{a}"]]
+    d = _Draft(
+        [*chain.from_iterable(_vertices(role, range(1, n + 1)) for role in "uvw"),
+         *chain.from_iterable(_vertices("x", range(1, n + 1), repeat(a)) for a in (1, 2, 3))],
+        ends_a, ends_b, labels,
+    )
+    d.merge(x, [V("x", a) for a in (1, 2, 3)])
 
     palette = _palette(25 * k + 15, 50 * k + 27, (2 * k + 1) * (39 * k + 21))
     inst = FamilyInstance(
         "np3o3", {"n": n, "k": k}, palette,
         _census((4, 2 * n), (5, n), (3 * n, 3)),
     )
-    return g, f, inst
+    return _built((d, inst))
 
 
 # ---------------------------------------------------------------------------
@@ -646,6 +670,9 @@ _BUILDERS: dict[str, Callable[..., BuildResult]] = {
     "np3o3": build_np3_o3,
 }
 
+# the parameters each family's builder binds, read once
+_SIGNATURES = {family: inspect.signature(builder) for family, builder in _BUILDERS.items()}
+
 
 def build_family(family: str, **params) -> BuildResult:
     try:
@@ -655,7 +682,7 @@ def build_family(family: str, **params) -> BuildResult:
     # only a binding failure is a usage error; a TypeError raised inside a
     # builder is a bug and propagates unchanged
     try:
-        inspect.signature(builder).bind(**params)
+        _SIGNATURES[family].bind(**params)
     except TypeError as exc:
         raise InvalidParams(f"bad parameters for {family}: {exc}") from None
     return builder(**params)

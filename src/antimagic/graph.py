@@ -19,7 +19,9 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, NamedTuple
+from itertools import chain, compress, repeat
+from operator import add, eq, itemgetter, mul, ne, or_
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import (
     EmptyPart,
@@ -72,6 +74,14 @@ def edge(a: VertexId, b: VertexId) -> Edge:
     if a == b:
         raise MergeWouldCreateLoop(f"loop edge at {a}")
     return (a, b) if a < b else (b, a)
+
+
+def _id_strings(vertices: Sequence[VertexId]) -> list[str]:
+    """The id string of each vertex, as ``str`` prints it, through one ``%``
+    template per index count."""
+    top = max(map(len, map(itemgetter(1), vertices)), default=0)
+    templates = ["%s" + "_%s" * k for k in range(top + 1)]
+    return [templates[len(indices)] % (role, *indices) for role, indices in vertices]
 
 
 def V(role: str, *indices: int) -> VertexId:
@@ -160,7 +170,7 @@ class Graph:
             vs = sorted(self.vertices)
             rank = dict(zip(vs, range(len(vs))))
             pairs = sorted([(rank[a], rank[b]) for a, b in self.edges])
-            lst = self._listing = Listing(tuple(vs), tuple(map(str, vs)), tuple(pairs))
+            lst = self._listing = Listing(tuple(vs), tuple(_id_strings(vs)), tuple(pairs))
         return lst
 
     def sorted_vertices(self) -> list[VertexId]:
@@ -354,77 +364,248 @@ def certify(
 # -- surgery -------------------------------------------------------------------
 
 
+class _Draft:
+    """A graph under construction, in index space.
+
+    Vertex i is named ``names[i]``; ``index`` maps the name of each live
+    vertex to its index, so a vertex dies when a surgery takes its name out.
+    Edge p joins ``a[p]`` and ``b[p]`` and carries ``labels[p]``.  Surgery
+    only rewrites edge ends, and appends each new vertex to ``names`` in the
+    order it is given, so every label stays at its edge's position and
+    nothing is remapped.  :meth:`finish` makes the one :class:`Graph` and
+    :class:`EdgeLabeling`.
+    """
+
+    __slots__ = ("names", "index", "a", "b", "labels")
+
+    def __init__(self, names: Iterable[VertexId], a: list[int], b: list[int], labels: list):
+        self.names = list(names)
+        self.index = dict(zip(self.names, range(len(self.names))))
+        if len(self.index) != len(self.names):
+            raise IdCollision("vertex names are not distinct")
+        if not len(a) == len(b) == len(labels):
+            raise LabelDomainMismatch(f"{len(a)} and {len(b)} edge ends for {len(labels)} labels")
+        if a and not 0 <= min(min(a), min(b)) <= max(max(a), max(b)) < len(self.names):
+            raise UnknownVertex("an edge has an endpoint outside the vertex list")
+        loops = list(map(eq, a, b))
+        if True in loops:
+            raise MergeWouldCreateLoop(f"loop edge at {self.names[a[loops.index(True)]]}")
+        self.a, self.b, self.labels = a, b, labels
+
+    def finish(self) -> tuple[Graph, EdgeLabeling]:
+        """The graph of the live vertices, each edge named canonically once,
+        and its labeling."""
+        names = self.names
+        ends = zip(map(names.__getitem__, self.a), map(names.__getitem__, self.b))
+        labels = dict(zip([(x, y) if x < y else (y, x) for x, y in ends], self.labels))
+        if len(labels) != len(self.labels):
+            raise MergeWouldCreateParallelEdge("two edges join the same two vertices")
+        # both frozensets reuse the hashes their dicts hold
+        return Graph._checked(frozenset(self.index), frozenset(labels)), EdgeLabeling(labels)
+
+    def _edge(self, x: int, y: int) -> Edge:
+        """The canonical edge between the vertices at ``x`` and ``y``."""
+        return edge(self.names[x], self.names[y])
+
+    def merge(self, blocks: Sequence[Sequence[int]], new_ids: Sequence[VertexId]) -> list[int]:
+        """Replace each block of vertices by one new vertex named by
+        ``new_ids``; returns the positions of the rewritten edges.
+
+        All blocks are applied as one simultaneous relabeling of edge ends,
+        with a global check that no loop or parallel edge arises (the global
+        check also catches collisions between edges from *different* blocks,
+        which a per-block common-neighbor test alone would miss).  Only the
+        edges at a block vertex are rewritten and checked: every other edge
+        keeps both its ends, while a rewritten edge ends at a new vertex, so
+        the two kinds never collide.
+        """
+        if len(blocks) != len(new_ids):
+            raise OverlappingBlocks(f"{len(blocks)} blocks but {len(new_ids)} replacement ids")
+        if len(set(new_ids)) != len(new_ids):
+            raise IdCollision("replacement ids are not distinct")
+        names, index = self.names, self.index
+        members = list(chain.from_iterable(blocks))
+        if (
+            0 in map(len, blocks)
+            or list(map(index.get, map(names.__getitem__, members))) != members
+            or len(set(members)) < len(members)
+        ):
+            self._bad_blocks(blocks)
+        # each member goes to its block's new vertex, appended in block order
+        to = dict(zip(members, chain.from_iterable(
+            map(repeat, range(len(names), len(names) + len(blocks)), map(len, blocks))
+        )))
+        for nid in new_ids:
+            i = index.get(nid)
+            if i is not None and i not in to:
+                raise IdCollision(f"replacement id {nid} collides with an existing vertex")
+
+        a, b = self.a, self.b
+        a2, b2 = list(map(to.get, a, a)), list(map(to.get, b, b))
+        touched = list(compress(range(len(a)), map(or_, map(ne, a, a2), map(ne, b, b2))))
+        xs, ys = list(map(a2.__getitem__, touched)), list(map(b2.__getitem__, touched))
+        # named before the edges are checked, so that a clash can name them;
+        # they are not live until the edges move
+        names += new_ids
+        # an unordered pair of ends is fixed by their sum and their product
+        if True in map(eq, xs, ys) or len(set(zip(map(add, xs, ys), map(mul, xs, ys)))) < len(xs):
+            self._clash(touched, xs, ys)
+        self.a, self.b = a2, b2
+        for v in to:
+            del index[names[v]]
+        index.update(zip(new_ids, range(len(names) - len(new_ids), len(names))))
+        return touched
+
+    def _bad_blocks(self, blocks: Sequence[Sequence[int]]) -> None:
+        """Raise for the first empty block, or member that is not live or is
+        in an earlier block, in block order."""
+        names, index = self.names, self.index
+        seen: set[int] = set()
+        for block in blocks:
+            if not block:
+                raise OverlappingBlocks("empty block")
+            for v in block:
+                if index.get(names[v]) != v:
+                    raise UnknownVertex(f"{names[v]} not in graph")
+                if v in seen:
+                    raise OverlappingBlocks(f"{names[v]} appears in two blocks")
+                seen.add(v)
+
+    def _clash(self, touched: list[int], xs: list[int], ys: list[int]) -> None:
+        """Raise for the first edge, in edge order, that a merge would turn
+        into a loop or into an edge it has already made: edge p of
+        ``touched`` would join ``xs[p]`` and ``ys[p]``."""
+        a, b = self.a, self.b
+        made: dict[tuple[int, int], int] = {}
+        for p, x, y in zip(touched, xs, ys):
+            if x == y:
+                raise MergeWouldCreateLoop(
+                    "block members %s and %s are adjacent" % self._edge(a[p], b[p])
+                )
+            key = (x, y) if x < y else (y, x)
+            if key in made:
+                q = made[key]
+                raise MergeWouldCreateParallelEdge(
+                    f"edges {self._edge(a[q], b[q])} and {self._edge(a[p], b[p])} both "
+                    f"become {self._edge(x, y)} (two merged vertices share a neighbor)"
+                )
+            made[key] = p
+
+    def split(
+        self, splits: Sequence[tuple[int, Sequence[tuple[int, int]], Sequence[tuple[int, int]],
+                                     VertexId, VertexId]]
+    ) -> list[int]:
+        """Split several vertices at once, each into two halves named by the
+        given ids and carrying the two given parts of its edges, each edge
+        named by its two ends; returns the positions of the rewritten edges.
+
+        Equivalent to applying the splits one at a time (an edge joining two
+        split vertices is re-pointed at both ends).  Each vertex's two parts
+        must partition its edges and both be nonempty, and all half ids must
+        be distinct and fresh, so a rewritten edge meets no other edge.
+        """
+        names, index, a, b = self.names, self.index, self.a, self.b
+        # one pass over the edges finds the edges at the split vertices, each
+        # under both orders of its ends, and so the degrees of those vertices
+        hit = bytearray(len(names))
+        for split in splits:
+            hit[split[0]] = 1
+        touched = list(compress(
+            range(len(a)), map(or_, map(hit.__getitem__, a), map(hit.__getitem__, b))
+        ))
+        ta, tb = list(map(a.__getitem__, touched)), list(map(b.__getitem__, touched))
+        at = dict(zip(zip(ta, tb), touched))
+        at.update(zip(zip(tb, ta), touched))
+        degree = Counter(chain(ta, tb))
+        halves: dict[int, tuple[set[int], set[int]]] = {}
+        fresh: set[VertexId] = set()
+        for v, part1, part2, id1, id2 in splits:
+            if index.get(names[v]) != v:
+                raise UnknownVertex(f"{names[v]} not in graph")
+            if v in halves:
+                raise OverlappingBlocks(f"{names[v]} split twice")
+            for x, y in chain(part1, part2):
+                if x == y:
+                    raise MergeWouldCreateLoop(f"loop edge at {names[x]}")
+            if not part1 or not part2:
+                raise EmptyPart(f"both parts of the split at {names[v]} must be nonempty")
+            p1, p2 = set(), set()
+            for part, positions in ((part1, p1), (part2, p2)):
+                for x, y in part:
+                    p = at.get((x, y)) if v == x or v == y else None
+                    if p is None:
+                        raise NotIncident(f"{self._edge(x, y)} is not incident to {names[v]}")
+                    positions.add(p)
+            if p1 & p2 or len(p1) + len(p2) != degree[v]:
+                raise NotIncident(f"parts at {names[v]} must partition its incident edges")
+            if id1 == id2:
+                raise IdCollision(f"split ids at {names[v]} coincide")
+            for nid in (id1, id2):
+                if nid in fresh:
+                    raise IdCollision(f"split id {nid} is used by two splits")
+                fresh.add(nid)
+            halves[v] = (p1, p2)
+        for nid in fresh:
+            i = index.get(nid)
+            if i is not None and i not in halves:
+                raise IdCollision(f"split id {nid} collides with an existing vertex")
+
+        for v, _, _, id1, id2 in splits:
+            del index[names[v]]
+            for part, nid in zip(halves[v], (id1, id2)):
+                index[nid] = h = len(names)
+                names.append(nid)
+                for p in part:
+                    if a[p] == v:
+                        a[p] = h
+                    else:
+                        b[p] = h
+        return touched
+
+
+def _surgery(g: Graph, operate) -> tuple[Graph, dict[Edge, Edge]]:
+    """Run one surgery kernel on ``g`` by name: ``operate(draft, at)`` gets
+    ``g`` as a draft whose edges are labeled with themselves, and ``at``,
+    which gives the index of a vertex name.  A name ``g`` lacks gets an
+    index that is not live, so the kernel reports it.  Returns the new graph
+    and the old-edge -> new-edge map of the edges that move."""
+    edges = list(g.edges)
+    rank = dict(zip(g.vertices, range(len(g.vertices))))
+    d = _Draft(rank, [rank[x] for x, _ in edges], [rank[y] for _, y in edges], edges)
+    index, names = d.index, d.names
+
+    def at(v: VertexId) -> int:
+        i = index.get(v)
+        if i is None:
+            i = len(names)
+            names.append(v)
+        return i
+
+    edge_map: dict[Edge, Edge] = {}
+    for p in operate(d, at):
+        ne = d._edge(d.a[p], d.b[p])
+        if ne != edges[p]:
+            edge_map[edges[p]] = ne
+    return (
+        Graph._checked(frozenset(index), g.edges.difference(edge_map).union(edge_map.values())),
+        edge_map,
+    )
+
+
 def merge_vertices(
     g: Graph,
     blocks: Iterable[Iterable[VertexId]],
     new_ids: Iterable[VertexId],
 ) -> tuple[Graph, dict[Edge, Edge]]:
-    """Replace each block of vertices by a single new vertex.
-
-    All blocks are applied as one simultaneous relabeling of edge endpoints,
-    with a global check that no loop or parallel edge arises (the global check
-    also catches collisions between edges from *different* blocks, which a
-    per-block common-neighbor test alone would miss).
-
-    Only the edges at a block vertex are rewritten and checked.  Every other
-    edge is carried over as it is: both its ends survive, while a rewritten
-    edge ends at a replacement id, which is checked to be fresh, so the two
-    kinds never collide.
+    """Replace each block of vertices by a single new vertex, as
+    :meth:`_Draft.merge` does.
 
     Returns the merged graph and the old-edge -> new-edge map of the edges
     that move, through which any edge labeling transfers unchanged.
     """
     blocks = [frozenset(b) for b in blocks]
     new_ids = list(new_ids)
-    if len(blocks) != len(new_ids):
-        raise OverlappingBlocks(
-            f"{len(blocks)} blocks but {len(new_ids)} replacement ids"
-        )
-    if len(set(new_ids)) != len(new_ids):
-        raise IdCollision("replacement ids are not distinct")
-
-    vmap: dict[VertexId, VertexId] = {}
-    for block, nid in zip(blocks, new_ids):
-        if not block:
-            raise OverlappingBlocks("empty block")
-        for v in block:
-            if v not in g.vertices:
-                raise UnknownVertex(f"{v} not in graph")
-            if v in vmap:
-                raise OverlappingBlocks(f"{v} appears in two blocks")
-            vmap[v] = nid
-
-    survivors = g.vertices.difference(vmap)
-    for nid in new_ids:
-        if nid in survivors:
-            raise IdCollision(f"replacement id {nid} collides with an existing vertex")
-
-    touched = [e for e in g.edges if e[0] in vmap or e[1] in vmap]
-    edge_map: dict[Edge, Edge] = {}
-    new_edges: dict[Edge, Edge] = {}
-    for e in touched:
-        a, b = vmap.get(e[0], e[0]), vmap.get(e[1], e[1])
-        if a == b:
-            raise MergeWouldCreateLoop(
-                f"block members {e[0]} and {e[1]} are adjacent"
-            )
-        ne = (a, b) if a < b else (b, a)
-        if ne in new_edges:
-            other = new_edges[ne]
-            raise MergeWouldCreateParallelEdge(
-                f"edges {other} and {e} both become {ne} "
-                "(two merged vertices share a neighbor)"
-            )
-        new_edges[ne] = e
-        if ne != e:
-            edge_map[e] = ne
-
-    return (
-        Graph._checked(
-            survivors.union(new_ids), g.edges.difference(edge_map).union(new_edges)
-        ),
-        edge_map,
-    )
+    return _surgery(g, lambda d, at: d.merge([list(map(at, b)) for b in blocks], new_ids))
 
 
 def split_vertices(
@@ -432,67 +613,14 @@ def split_vertices(
     splits: Iterable[tuple[VertexId, Iterable[Edge], Iterable[Edge], VertexId, VertexId]],
 ) -> tuple[Graph, dict[Edge, Edge]]:
     """Split several vertices at once, each into two halves carrying the two
-    given incident-edge parts.
-
-    Equivalent to applying the splits sequentially (an edge joining two split
-    vertices is re-pointed at both ends), but rebuilds the graph only once.
-    Each vertex's two parts must partition its incident edges and both be
-    nonempty, and all half ids must be distinct and fresh.  Only the edges at
-    a split vertex are rewritten; as every half id is new and used once, a
-    rewritten edge meets no other edge.  Labels transfer edge-wise through the
-    returned map of the edges that move.
+    given incident-edge parts, as :meth:`_Draft.split` does.  Labels transfer
+    edge-wise through the returned map of the edges that move.
     """
     splits = list(splits)
-    # one pass over the edges finds the incident edges of every split vertex
-    incident: dict[VertexId, set[Edge]] = {s[0]: set() for s in splits}
-    touched = [e for e in g.edges if e[0] in incident or e[1] in incident]
-    for e in touched:
-        for v in e:
-            if v in incident:
-                incident[v].add(e)
-    # half[v] maps each of v's incident edges to its receiving half id
-    half: dict[VertexId, dict[Edge, VertexId]] = {}
-    fresh: set[VertexId] = set()
-    for v, part1, part2, id1, id2 in splits:
-        if v not in g.vertices:
-            raise UnknownVertex(f"{v} not in graph")
-        if v in half:
-            raise OverlappingBlocks(f"{v} split twice")
-        p1 = {edge(*e) for e in part1}
-        p2 = {edge(*e) for e in part2}
-        if not p1 or not p2:
-            raise EmptyPart(f"both parts of the split at {v} must be nonempty")
-        for e in p1 | p2:
-            if e not in incident[v]:
-                raise NotIncident(f"{e} is not incident to {v}")
-        if p1 & p2 or p1 | p2 != incident[v]:
-            raise NotIncident(f"parts at {v} must partition its incident edges")
-        if id1 == id2:
-            raise IdCollision(f"split ids at {v} coincide")
-        for nid in (id1, id2):
-            if nid in fresh:
-                raise IdCollision(f"split id {nid} is used by two splits")
-            fresh.add(nid)
-        half[v] = dict.fromkeys(p1, id1)
-        half[v].update(dict.fromkeys(p2, id2))
-    survivors = g.vertices.difference(half)
-    for nid in fresh:
-        if nid in survivors:
-            raise IdCollision(f"split id {nid} collides with an existing vertex")
-
-    edge_map: dict[Edge, Edge] = {}
-    for e in touched:
-        a = half[e[0]][e] if e[0] in half else e[0]
-        b = half[e[1]][e] if e[1] in half else e[1]
-        ne = (a, b) if a < b else (b, a)
-        if ne != e:
-            edge_map[e] = ne
-    return (
-        Graph._checked(
-            survivors | fresh, g.edges.difference(edge_map).union(edge_map.values())
-        ),
-        edge_map,
-    )
+    return _surgery(g, lambda d, at: d.split([
+        (at(v), [(at(x), at(y)) for x, y in part1], [(at(x), at(y)) for x, y in part2], id1, id2)
+        for v, part1, part2, id1, id2 in splits
+    ]))
 
 
 def split_vertex(

@@ -16,7 +16,7 @@ from pathlib import Path
 
 from .errors import UsageError
 from .families import FamilyInstance
-from .graph import Certificate, Edge, EdgeLabeling, Graph, VertexId, induce_coloring
+from .graph import Certificate, Edge, EdgeLabeling, Graph, VertexId, _id_strings, induce_coloring
 from .partition import EqualSumPartition
 from .tables import LabelTable
 
@@ -118,7 +118,7 @@ def _read_columns(doc) -> tuple[Graph, EdgeLabeling] | None:
         return None
     vs = list(map(tuple.__new__, repeat(VertexId), zip(roles, map(tuple, indices))))
     by_id = dict(zip(ids, vs))
-    if len(by_id) != len(ids) or list(map(str, vs)) != ids:
+    if len(by_id) != len(ids) or _id_strings(vs) != ids:
         return None
     va, vb = list(map(by_id.get, ends_a)), list(map(by_id.get, ends_b))
     if None in va or None in vb or True in map(str.__eq__, ends_a, ends_b):

@@ -542,28 +542,36 @@ def test_gb_over_gn_swaps_the_end_of_a_rim_of_1_mod_r():
     built_ok("gb", n=38, r=3, s=13, base="gn", indices=(5,))
 
 
+def _merged_by_name(base, family, params, blocks, new_ids, color, degree):
+    """``families._merged`` on a fresh unfinished base, its blocks given by
+    vertex name."""
+    d, inst = base()
+    blocks = [[d.index[v] for v in block] for block in blocks]
+    return families._merged((d, inst), family, params, blocks, new_ids, color, degree)
+
+
 def test_merge_class_out_of_rim_order_is_an_invariant_error():
-    built = build_tb(8)
-    (rim,) = _bracelet_rims(built[0])
+    built = lambda: families._tb(8)  # noqa: E731
+    (rim,) = _bracelet_rims(build_tb(8)[0])
     params, ids = {"n": 8, "k": 4, "r": 3, "s": 3}, [V("m", b + 1) for b in range(3)]
-    families._merged(built, "tb3", params, families._deal([rim], 3), ids, 92, 4)
+    _merged_by_name(built, "tb3", params, families._deal([rim], 3), ids, 92, 4)
     # rim neighbors z_0 and z_2 both at a position = 0 (mod 3)
     scrambled = rim[:1] + rim[2:4] + rim[1:2] + rim[4:]
     with pytest.raises(InvariantError, match="clash"):
-        families._merged(built, "tb3", params, families._deal([scrambled], 3), ids, 92, 4)
+        _merged_by_name(built, "tb3", params, families._deal([scrambled], 3), ids, 92, 4)
 
 
 @pytest.mark.parametrize(
     "base, family, color, degree, block",
     [
         # u_1 and v_1 share their path center w_1 and their fan hub
-        (lambda: build_tfb(3, 3), "fb1", 10 * 4 + 6, 2, [V("u", 1), V("v", 1)]),
+        (lambda: families._tfb(3, 3)[:2], "fb1", 10 * 4 + 6, 2, [V("u", 1), V("v", 1)]),
         # w_4 and w_5 both hang on the fan hub x
-        (lambda: build_df(1, 3), "df2", 9 * 4 + 6, 3, [V("w", 4), V("w", 5)]),
+        (lambda: families._df(1, 3), "df2", 9 * 4 + 6, 3, [V("w", 4), V("w", 5)]),
         # u_2 and u_4 share the rail vertex u_3
-        (lambda: build_pt(2), "tb", 10 * 1 + 6, 2, [V("u", 2), V("u", 4)]),
+        (lambda: families._pt(2), "tb", 10 * 1 + 6, 2, [V("u", 2), V("u", 4)]),
         # z_0 and u_1 are adjacent
-        (lambda: build_tb(8), "gb", 20 * 4 + 12, 4, [V("z", 0), V("u", 1)]),
+        (lambda: families._tb(8), "gb", 20 * 4 + 12, 4, [V("z", 0), V("u", 1)]),
     ],
     ids=["shared-neighbor-fb1", "shared-neighbor-df2", "shared-neighbor-tb", "adjacent-gb"],
 )
@@ -571,24 +579,24 @@ def test_clashing_blocks_of_a_merged_family_are_an_invariant_error(
     base, family, color, degree, block
 ):
     with pytest.raises(InvariantError, match="clash"):
-        families._merged(base(), family, {}, [block], [V("m", 1)], color, degree)
+        _merged_by_name(base, family, {}, [block], [V("m", 1)], color, degree)
 
 
 def test_unequal_blocks_are_an_invariant_error():
     blocks = [[V("u", 2), V("v", 2)], [V("u", 4)]]
     with pytest.raises(InvariantError, match="unequal sizes"):
-        families._merged(build_pt(2), "tb", {}, blocks, [V("m", 1), V("m", 2)], 16, 2)
+        _merged_by_name(lambda: families._pt(2), "tb", {}, blocks, [V("m", 1), V("m", 2)], 16, 2)
 
 
 def test_a_clash_in_fb1_blocks_fails_its_sweep_point(monkeypatch):
     real = families._tfb
 
     def swapped(t, s):
-        g, f, inst, comp_cols = real(t, s)
+        d, inst, comp_cols = real(t, s)
         # the first row of cells now takes two cells of the first fan, whose
         # rim vertices meet at its hub
         comp_cols[0][1], comp_cols[1][0] = comp_cols[1][0], comp_cols[0][1]
-        return g, f, inst, comp_cols
+        return d, inst, comp_cols
 
     monkeypatch.setattr(families, "_tfb", swapped)
     (rec,) = sweep_family("fb1", max_size=9)
@@ -795,6 +803,31 @@ def test_derived_claims_equal_the_closed_forms(family):
 
 
 # --- dispatch and sweeps -----------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "family, params",
+    [(family, next(p for p, reason in family_grid(family) if reason is None))
+     for family in families.FAMILY_TAGS]
+    + [("gb", {"n": 14, "r": 3, "s": 5, "base": "gn", "indices": (1,)})],
+    ids=list(families.FAMILY_TAGS) + ["gb-over-gn"],
+)
+def test_a_build_makes_one_graph_and_no_surgery_by_name(monkeypatch, family, params):
+    calls = []
+    init, checked = graph.Graph.__init__, graph.Graph._checked.__func__
+
+    def made(*args):
+        calls.append("graph")
+        return checked(*args)
+
+    monkeypatch.setattr(graph.Graph, "__init__", lambda *args: calls.append("graph") or init(*args))
+    monkeypatch.setattr(graph.Graph, "_checked", classmethod(made))
+    for name in ("merge_vertices", "split_vertices", "split_vertex"):
+        monkeypatch.setattr(graph, name, lambda *args, name=name: calls.append(name))
+    monkeypatch.setattr(graph.EdgeLabeling, "remapped", lambda *args: calls.append("remapped"))
+    g, f, inst = build_family(family, **params)
+    assert calls == ["graph"]
+    verify_instance(g, f, inst)
 
 
 def test_build_family_unknown_keyword_is_invalid_params():

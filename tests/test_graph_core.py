@@ -141,7 +141,7 @@ def test_threads_sharing_a_graph_fill_its_caches_consistently():
 
 
 def test_merge_nine_cells_into_one_fan():
-    g, f = _fan_cells(4)  # 9 cells, 45 edges
+    g, f = _fan_cells(4).finish()  # 9 cells, 45 edges
     assert len(g.edges) == 45
     merged, emap = merge_vertices(g, [{V("x", i) for i in range(1, 10)}], [V("x")])
     f2 = f.remapped(emap)
@@ -151,14 +151,14 @@ def test_merge_nine_cells_into_one_fan():
 
 
 def test_merge_empty_block_list_is_identity():
-    g, f = _fan_cells(1)
+    g, f = _fan_cells(1).finish()
     merged, emap = merge_vertices(g, [], [])
     assert merged == g
     assert f.remapped(emap) == f
 
 
 def test_merge_into_three_fans():
-    g, _ = _fan_cells(4)
+    g, _ = _fan_cells(4).finish()
     blocks = [
         {V("x", 1), V("x", 5), V("x", 9)},
         {V("x", 3), V("x", 4), V("x", 8)},
@@ -209,7 +209,7 @@ def test_split_degree_two_conserves_edges():
 
 
 def test_split_fan_hub_like_diamond_construction():
-    g, _ = _fan_cells(1)
+    g, _ = _fan_cells(1).finish()
     x1 = V("x", 1)
     to_w = [edge(x1, V("w", 1))]
     to_uv = [edge(x1, V("u", 1)), edge(x1, V("v", 1))]
