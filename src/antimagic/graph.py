@@ -473,8 +473,8 @@ class _Draft:
 
     def _clash(self, touched: list[int], xs: list[int], ys: list[int]) -> None:
         """Raise for the first edge, in edge order, that a merge would turn
-        into a loop or into an edge it has already made: edge p of
-        ``touched`` would join ``xs[p]`` and ``ys[p]``."""
+        into a loop or into an edge it has already made: the i-th edge of
+        ``touched`` would join ``xs[i]`` and ``ys[i]``."""
         a, b = self.a, self.b
         made: dict[tuple[int, int], int] = {}
         for p, x, y in zip(touched, xs, ys):
