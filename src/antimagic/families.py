@@ -512,12 +512,12 @@ def build_gn(n: int, indices: Sequence[int]) -> BuildResult:
     crosswise, which detaches one bracelet with 4*ia-2 rim cells.  Split
     halves keep the labels of their edges.
     """
-    return _built(_gn(n, indices))
+    return _built(_gn(n, indices)[:2])
 
 
-def _gn(n: int, indices: Sequence[int]) -> Built:
-    """:func:`build_gn` unfinished; its last vertices are each index's
-    re-merged z_(8ia-2) and z_(16ia-4)."""
+def _gn(n: int, indices: Sequence[int]) -> tuple[_Draft, FamilyInstance, list[list[int]]]:
+    """:func:`build_gn` unfinished, plus the hubs of each bracelet in cycle
+    order, the bracelet of u_1 first."""
     indices = tuple(indices)
     if not indices or any(i < 1 for i in indices) or list(indices) != sorted(set(indices)):
         raise InvalidIndices(f"indices must be strictly increasing positives, got {indices}")
@@ -539,7 +539,7 @@ def _gn(n: int, indices: Sequence[int]) -> Built:
     half = len(d.names)
     splits = []
     blocks = []
-    new_ids: list[VertexId] = []
+    remerged: list[int] = []
     for a, ia in enumerate(indices):
         lo, hi = 8 * ia - 2, 16 * ia - 4
         for m in (lo, hi):
@@ -549,9 +549,17 @@ def _gn(n: int, indices: Sequence[int]) -> Built:
             splits.append((z, lower, upper, V("z1", m), V("z2", m)))
         z1_lo = half + 4 * a
         blocks += [[z1_lo, z1_lo + 3], [z1_lo + 1, z1_lo + 2]]
-        new_ids += [V("z", lo), V("z", hi)]
+        remerged += [lo, hi]
     d.split(splits)
-    d.merge(blocks, new_ids)
+    d.merge(blocks, list(_vertices("z", remerged)))
+
+    # index ia cuts z_(8ia) .. z_(16ia-4) out into a bracelet of their own;
+    # the merge appended the re-merged hubs last, in order
+    hub = {m: _tb_hub(n, m) for m in range(0, 2 * n + 1, 2)}
+    hub.update(zip(remerged, range(len(d.names) - len(remerged), len(d.names))))
+    cuts = [range(8 * ia, 16 * ia - 3, 2) for ia in indices]
+    cut = set().union(*cuts)
+    rims = [[hub[m] for m in hub if m not in cut]] + [[hub[m] for m in c] for c in cuts]
 
     s = n - sum(4 * ia - 1 for ia in indices)
     orders = sorted([3 * (s + 1)] + [3 * (4 * ia - 1) for ia in indices])
@@ -561,7 +569,7 @@ def _gn(n: int, indices: Sequence[int]) -> Built:
         base.expected_palette, base.expected_census,
         expected_component_orders=tuple(orders),
     )
-    return d, inst
+    return d, inst, rims
 
 
 def build_gb(
@@ -582,24 +590,14 @@ def build_gb(
         if indices is not None:
             raise InvalidParams("base 'tb' takes no split index list")
         d, base_inst = _tb(n)
+        rims = [[_tb_hub(n, m) for m in range(0, 2 * n + 1, 2)]]
     elif base == "gn":
         if not indices:
             raise InvalidParams("base 'gn' needs the split index list")
-        d, base_inst = _gn(n, indices)
+        d, base_inst, rims = _gn(n, indices)
     else:
         raise InvalidParams(f"base must be 'tb' or 'gn', got {base!r}")
     k = base_inst.params["k"]
-
-    # the hubs z_m in cycle order; gn re-merged two per index and cut
-    # z_(8ia) .. z_(16ia-4) out into a bracelet of their own
-    hub = {m: _tb_hub(n, m) for m in range(0, 2 * n + 1, 2)}
-    cuts = []
-    remerged = len(d.names) - 2 * len(indices or ())
-    for a, ia in enumerate(indices or ()):
-        hub[8 * ia - 2], hub[16 * ia - 4] = remerged + 2 * a, remerged + 2 * a + 1
-        cuts.append(range(8 * ia, 16 * ia - 3, 2))
-    cut = set().union(*cuts)
-    rims = [[hub[m] for m in hub if m not in cut]] + [[hub[m] for m in c] for c in cuts]
     params = {"n": n, "k": k, "r": r, "s": s, "base": base}
     if indices:
         params["indices"] = tuple(indices)
