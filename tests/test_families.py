@@ -551,14 +551,14 @@ def _merged_by_name(base, family, params, blocks, new_ids, color, degree):
 
 
 def test_merge_class_out_of_rim_order_is_an_invariant_error():
-    built = lambda: families._tb(8)  # noqa: E731
     (rim,) = _bracelet_rims(build_tb(8)[0])
     params, ids = {"n": 8, "k": 4, "r": 3, "s": 3}, [V("m", b + 1) for b in range(3)]
-    _merged_by_name(built, "tb3", params, families._deal([rim], 3), ids, 92, 4)
+    base = lambda: families._tb(8)  # noqa: E731 -- a merge consumes its draft
+    _merged_by_name(base, "tb3", params, families._deal([rim], 3), ids, 92, 4)
     # rim neighbors z_0 and z_2 both at a position = 0 (mod 3)
     scrambled = rim[:1] + rim[2:4] + rim[1:2] + rim[4:]
     with pytest.raises(InvariantError, match="clash"):
-        _merged_by_name(built, "tb3", params, families._deal([scrambled], 3), ids, 92, 4)
+        _merged_by_name(base, "tb3", params, families._deal([scrambled], 3), ids, 92, 4)
 
 
 @pytest.mark.parametrize(
