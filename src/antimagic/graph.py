@@ -19,8 +19,8 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import chain, compress, repeat
-from operator import add, eq, itemgetter, mul, ne, or_
+from itertools import chain, compress
+from operator import eq, itemgetter, ne, or_
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import (
@@ -424,17 +424,17 @@ class _Draft:
         if len(set(new_ids)) != len(new_ids):
             raise IdCollision("replacement ids are not distinct")
         names, index = self.names, self.index
-        members = list(chain.from_iterable(blocks))
-        if (
-            0 in map(len, blocks)
-            or list(map(index.get, map(names.__getitem__, members))) != members
-            or len(set(members)) < len(members)
-        ):
-            self._bad_blocks(blocks)
         # each member goes to its block's new vertex, appended in block order
-        to = dict(zip(members, chain.from_iterable(
-            map(repeat, range(len(names), len(names) + len(blocks)), map(len, blocks))
-        )))
+        to: dict[int, int] = {}
+        for h, block in enumerate(blocks, start=len(names)):
+            if not block:
+                raise OverlappingBlocks("empty block")
+            for v in block:
+                if index.get(names[v]) != v:
+                    raise UnknownVertex(f"{names[v]} not in graph")
+                if v in to:
+                    raise OverlappingBlocks(f"{names[v]} appears in two blocks")
+                to[v] = h
         for nid in new_ids:
             i = index.get(nid)
             if i is not None and i not in to:
@@ -443,41 +443,12 @@ class _Draft:
         a, b = self.a, self.b
         a2, b2 = list(map(to.get, a, a)), list(map(to.get, b, b))
         touched = list(compress(range(len(a)), map(or_, map(ne, a, a2), map(ne, b, b2))))
-        xs, ys = list(map(a2.__getitem__, touched)), list(map(b2.__getitem__, touched))
         # named before the edges are checked, so that a clash can name them;
         # they are not live until the edges move
         names += new_ids
-        # an unordered pair of ends is fixed by their sum and their product
-        if True in map(eq, xs, ys) or len(set(zip(map(add, xs, ys), map(mul, xs, ys)))) < len(xs):
-            self._clash(touched, xs, ys)
-        self.a, self.b = a2, b2
-        for v in to:
-            del index[names[v]]
-        index.update(zip(new_ids, range(len(names) - len(new_ids), len(names))))
-        return touched
-
-    def _bad_blocks(self, blocks: Sequence[Sequence[int]]) -> None:
-        """Raise for the first empty block, or member that is not live or is
-        in an earlier block, in block order."""
-        names, index = self.names, self.index
-        seen: set[int] = set()
-        for block in blocks:
-            if not block:
-                raise OverlappingBlocks("empty block")
-            for v in block:
-                if index.get(names[v]) != v:
-                    raise UnknownVertex(f"{names[v]} not in graph")
-                if v in seen:
-                    raise OverlappingBlocks(f"{names[v]} appears in two blocks")
-                seen.add(v)
-
-    def _clash(self, touched: list[int], xs: list[int], ys: list[int]) -> None:
-        """Raise for the first edge, in edge order, that a merge would turn
-        into a loop or into an edge it has already made: the i-th edge of
-        ``touched`` would join ``xs[i]`` and ``ys[i]``."""
-        a, b = self.a, self.b
         made: dict[tuple[int, int], int] = {}
-        for p, x, y in zip(touched, xs, ys):
+        for p in touched:
+            x, y = a2[p], b2[p]
             if x == y:
                 raise MergeWouldCreateLoop(
                     "block members %s and %s are adjacent" % self._edge(a[p], b[p])
@@ -490,6 +461,11 @@ class _Draft:
                     f"become {self._edge(x, y)} (two merged vertices share a neighbor)"
                 )
             made[key] = p
+        self.a, self.b = a2, b2
+        for v in to:
+            del index[names[v]]
+        index.update(zip(new_ids, range(len(names) - len(new_ids), len(names))))
+        return touched
 
     def split(
         self, splits: Sequence[tuple[int, Sequence[tuple[int, int]], Sequence[tuple[int, int]],
@@ -550,8 +526,11 @@ class _Draft:
             if i is not None and i not in halves:
                 raise IdCollision(f"split id {nid} collides with an existing vertex")
 
-        for v, _, _, id1, id2 in splits:
+        # every split name goes before any half comes in, since a half may
+        # take the name of a vertex split later in the same call
+        for v in halves:
             del index[names[v]]
+        for v, _, _, id1, id2 in splits:
             for part, nid in zip(halves[v], (id1, id2)):
                 index[nid] = h = len(names)
                 names.append(nid)

@@ -662,3 +662,18 @@ def test_split_matches_the_full_rewrite_reference(g, data):
         _assert_labels_transfer(g, got[1], want[1])
         assert got[0].edges == Graph(got[0].vertices, got[0].edges).edges  # canonical
     assert got == want
+
+
+@pytest.mark.parametrize("later_first", [False, True])
+def test_a_half_may_take_the_name_of_a_vertex_split_in_the_same_call(later_first):
+    a = [V("a", i) for i in range(4)]
+    g = Graph(a, [edge(a[i], a[(i + 1) % 4]) for i in range(4)])
+    splits = [
+        (a[0], [(a[0], a[1])], [(a[0], a[3])], a[1], V("m", 0)),
+        (a[1], [(a[1], a[0])], [(a[1], a[2])], V("m", 1), V("m", 2)),
+    ]
+    if later_first:
+        splits.reverse()
+    got = split_vertices(g, splits)
+    assert got == reference_split(g, splits)
+    assert got[0].vertices == {a[1], a[2], a[3], V("m", 0), V("m", 1), V("m", 2)}
