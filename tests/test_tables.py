@@ -5,9 +5,11 @@ encoded per-column endpoint formulas, against frozen full matrices for
 small k, and against frozen traced-sequence values.
 """
 
+import re
+
 import pytest
 
-from antimagic.errors import InvalidK, ObservationViolated
+from antimagic.errors import InvalidK, ObservationViolated, SequenceSchemeViolated
 from antimagic.tables import (
     check_m1_observations,
     check_m3_observations,
@@ -245,6 +247,32 @@ def test_sequences_odd_k_tail_columns():
         tr = trace_sequences(table_pt(k))
         tail_cols = [col for _, col in tr.s1_sources[-4:]]
         assert tail_cols == [(k + 1) // 2, (k + 1) // 2, (3 * k + 3) // 2, (3 * k + 3) // 2]
+
+
+def _pt3_swapped(row_a, col_a, row_b, col_b):
+    """table_pt(3) with the cells (row_a, col_a) and (row_b, col_b) swapped."""
+    t = table_pt(3)
+    rows = {name: list(row) for name, row in t.rows.items()}
+    rows[row_a][col_a - 1], rows[row_b][col_b - 1] = (
+        rows[row_b][col_b - 1], rows[row_a][col_a - 1],
+    )
+    return type(t)("pt", 3, {name: tuple(row) for name, row in rows.items()})
+
+
+@pytest.mark.parametrize(
+    "table, message",
+    [
+        (_pt3_swapped("R1", 4, "R2", 4), "first/last cross-sequence sums are off (A)"),
+        (_pt3_swapped("R1", 1, "R1", 2), "positions 2,3 do not sum to 36 (B)"),
+        (_pt3_swapped("R3", 1, "R3", 2), "pair 2 + row-3 entry sums to 74, expected 75 (C)"),
+        (table_m1(3), "sequences are traced from the pt table"),
+    ],
+    ids=["A", "B", "C", "m1"],
+)
+def test_sequence_checks_reject_a_corrupted_table(table, message):
+    # each swap breaks one property; (A), (B), (C) are checked in that order
+    with pytest.raises(SequenceSchemeViolated, match=re.escape(message)):
+        trace_sequences(table)
 
 
 def test_sequence_pair_sums():
