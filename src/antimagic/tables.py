@@ -20,16 +20,13 @@ from dataclasses import dataclass
 
 from .errors import InvalidK, InvariantError, ObservationViolated, SequenceSchemeViolated
 
-M1_ROWS = ("uw", "vw", "xw", "xu", "xv")
-PT_ROWS = ("R1", "R2", "R3", "R4", "R5")
-M3_ROWS = ("L", "R", "C1", "C2", "C3", "L1", "L2", "L3", "R1", "R2", "R3")
-
-_SPANS = {"m1": M1_ROWS, "pt": PT_ROWS, "m3": M3_ROWS}
-
 
 @dataclass(frozen=True)
 class LabelTable:
-    """One named-row integer matrix with 2k+1 columns."""
+    """One named-row integer matrix with 2k+1 columns.
+
+    The key order of ``rows`` is the row order of the matrix.
+    """
 
     kind: str
     k: int
@@ -37,7 +34,7 @@ class LabelTable:
 
     @property
     def row_names(self) -> tuple[str, ...]:
-        return _SPANS[self.kind]
+        return tuple(self.rows)
 
     @property
     def columns(self) -> int:
@@ -52,17 +49,14 @@ class LabelTable:
         return self.rows[row][i - 1]
 
     def all_entries(self) -> list[int]:
-        out: list[int] = []
-        for name in self.row_names:
-            out.extend(self.rows[name])
-        return out
+        return [x for row in self.rows.values() for x in row]
 
     def is_bijective(self) -> bool:
         return sorted(self.all_entries()) == list(range(1, self.max_entry + 1))
 
 
 def _check_k(k: int) -> None:
-    if not isinstance(k, int) or k < 1:
+    if not isinstance(k, int) or isinstance(k, bool) or k < 1:
         raise InvalidK(f"k must be a positive integer, got {k!r}")
 
 
@@ -163,7 +157,7 @@ def check_m1_observations(t: LabelTable) -> dict:
     k = t.k
     n = t.columns
     s1, s2 = 9 * k + 6, 10 * k + 6
-    uw, vw, xw, xu, xv = (t.rows[name] for name in M1_ROWS)
+    uw, vw, xw, xu, xv = t.rows.values()
 
     for i in range(n):
         if uw[i] + vw[i] + xw[i] != s1:
@@ -228,7 +222,7 @@ def check_m3_observations(t: LabelTable) -> dict:
     class_total = (2 * k + 1) * (39 * k + 21)
 
     for i in range(n):
-        col = {name: t.rows[name][i] for name in M3_ROWS}
+        col = {name: row[i] for name, row in t.rows.items()}
         if col["L"] + col["R"] + col["C1"] + col["C2"] + col["C3"] != top:
             raise ObservationViolated("a", f"column {i + 1}: first-5-rows sum != {top}")
         if col["L"] + col["L1"] + col["L2"] + col["L3"] != side:
@@ -250,8 +244,6 @@ def check_m3_observations(t: LabelTable) -> dict:
 
 # -- traced sequences -----------------------------------------------------------
 
-Source = tuple[str, int]
-
 
 @dataclass(frozen=True)
 class TracedSequences:
@@ -264,75 +256,55 @@ class TracedSequences:
 
     s1: tuple[int, ...]
     s2: tuple[int, ...]
-    s1_sources: tuple[Source, ...]
-    s2_sources: tuple[Source, ...]
     r3_columns: tuple[int, ...]
 
 
-def _sequence_sources(k: int) -> tuple[list[Source], list[Source]]:
-    """Cell walk for S1/S2: even k uses k/2 eight-term segments, odd k uses
-    (k-1)/2 segments plus explicit four-term tails."""
-    s1: list[Source] = [("R2", k + 1), ("R1", k + 1)]
-    s2: list[Source] = [("R4", k + 1), ("R5", k + 1)]
+def _peanut_walk(k: int) -> list[tuple[int, bool]]:
+    """The columns S1 and S2 visit, in order, each with whether it is a top pair.
 
-    def segment(i: int) -> None:
-        s1.extend(
-            [
-                ("R5", i), ("R4", i),
-                ("R2", 2 * k + 2 - i), ("R1", 2 * k + 2 - i),
-                ("R5", k + 1 + i), ("R4", k + 1 + i),
-                ("R2", k + 1 - i), ("R1", k + 1 - i),
-            ]
-        )
-        s2.extend(
-            [
-                ("R1", i), ("R2", i),
-                ("R4", 2 * k + 2 - i), ("R5", 2 * k + 2 - i),
-                ("R1", k + 1 + i), ("R2", k + 1 + i),
-                ("R4", k + 1 - i), ("R5", k + 1 - i),
-            ]
-        )
-
-    if k % 2 == 0:
-        for i in range(1, k // 2 + 1):
-            segment(i)
-    else:
-        for i in range(1, (k - 1) // 2 + 1):
-            segment(i)
-        half, tail_col = (k + 1) // 2, (3 * k + 3) // 2
-        s1.extend([("R5", half), ("R4", half), ("R2", tail_col), ("R1", tail_col)])
-        s2.extend([("R1", half), ("R2", half), ("R4", tail_col), ("R5", tail_col)])
-    return s1, s2
+    At a top column S1 takes (R2, R1) and S2 takes (R4, R5); at any other
+    column S1 takes (R5, R4) and S2 takes (R1, R2).  Odd k ends on a
+    two-column tail.
+    """
+    walk = [(k + 1, True)]
+    for i in range(1, k // 2 + 1):
+        walk += [(i, False), (2 * k + 2 - i, True), (k + 1 + i, False), (k + 1 - i, True)]
+    if k % 2:
+        walk += [((k + 1) // 2, False), ((3 * k + 3) // 2, True)]
+    return walk
 
 
 def trace_sequences(t: LabelTable) -> TracedSequences:
-    """Trace S1 and S2 and assert their three defining properties:
+    """Trace S1 and S2 and check their three defining properties:
 
     (A) first terms of S1 and S2 sum to 10k+6, and so do the last terms;
     (B) within each sequence the terms at positions (2r, 2r+1) sum to 10k+6;
-    (C) the terms at positions (2j-1, 2j) share a column (the same column in
-        both sequences), and together with that column's row-3 entry sum to
-        9k+6 when drawn from the top two rows or 21k+12 from the bottom two.
+    (C) the terms at positions (2j-1, 2j), which share a column, sum with
+        that column's row-3 entry to 9k+6 when drawn from the top two rows
+        or 21k+12 from the bottom two.
+
+    Each pair is read from one column of the walk, so S1 and S2 cover rows
+    R1, R2, R4 and R5 exactly once when the walk visits every column once.
     """
     if t.kind != "pt":
         raise SequenceSchemeViolated("sequences are traced from the pt table")
     k = t.k
-    src1, src2 = _sequence_sources(k)
-    s1 = [t.entry(row, col) for row, col in src1]
-    s2 = [t.entry(row, col) for row, col in src2]
+    walk = _peanut_walk(k)
+    r3_columns = [col for col, _ in walk]
+    if sorted(r3_columns) != list(range(1, 2 * k + 2)):
+        raise SequenceSchemeViolated("row-3 pairing must use every column once")
 
-    length = 4 * k + 2
-    if len(s1) != length or len(s2) != length:
-        raise SequenceSchemeViolated(f"sequences must have {length} terms")
-
-    used = set(src1) | set(src2)
-    wanted = {
-        (row, col)
-        for row in ("R1", "R2", "R4", "R5")
-        for col in range(1, 2 * k + 2)
-    }
-    if used != wanted or len(src1) + len(src2) != len(wanted):
-        raise SequenceSchemeViolated("trace must cover rows R1,R2,R4,R5 exactly once")
+    r1, r2, r3, r4, r5 = t.rows.values()
+    s1: list[int] = []
+    s2: list[int] = []
+    for col, top in walk:
+        i = col - 1
+        if top:
+            s1 += (r2[i], r1[i])
+            s2 += (r4[i], r5[i])
+        else:
+            s1 += (r5[i], r4[i])
+            s2 += (r1[i], r2[i])
 
     pair_sum = 10 * k + 6
     if s1[0] + s2[0] != pair_sum or s1[-1] + s2[-1] != pair_sum:
@@ -344,28 +316,16 @@ def trace_sequences(t: LabelTable) -> TracedSequences:
                     f"positions {2 * r},{2 * r + 1} do not sum to {pair_sum} (B)"
                 )
 
-    r3_columns: list[int] = []
-    for j in range(2 * k + 1):
-        (row_a, col_a), (row_b, col_b) = src1[2 * j], src1[2 * j + 1]
-        (row_c, col_c), (row_d, col_d) = src2[2 * j], src2[2 * j + 1]
-        if not (col_a == col_b == col_c == col_d):
-            raise SequenceSchemeViolated(f"pair {j + 1} spans several columns (C)")
-        top = {row_a, row_b} <= {"R1", "R2"}
-        with_r3 = s1[2 * j] + s1[2 * j + 1] + t.entry("R3", col_a)
-        expected = 9 * k + 6 if top else 21 * k + 12
+    low, high = 9 * k + 6, 21 * k + 12
+    for j, (col, top) in enumerate(walk):
+        with_r3 = s1[2 * j] + s1[2 * j + 1] + r3[col - 1]
+        expected, complement = (low, high) if top else (high, low)
         if with_r3 != expected:
             raise SequenceSchemeViolated(
                 f"pair {j + 1} + row-3 entry sums to {with_r3}, expected {expected} (C)"
             )
         # the companion pair in S2 sits in the complementary row class
-        other = s2[2 * j] + s2[2 * j + 1] + t.entry("R3", col_a)
-        if other != (21 * k + 12 if top else 9 * k + 6):
+        if s2[2 * j] + s2[2 * j + 1] + r3[col - 1] != complement:
             raise SequenceSchemeViolated(f"pair {j + 1} of S2 breaks the complement (C)")
-        r3_columns.append(col_a)
 
-    if sorted(r3_columns) != list(range(1, 2 * k + 2)):
-        raise SequenceSchemeViolated("row-3 pairing must use every column once")
-
-    return TracedSequences(
-        tuple(s1), tuple(s2), tuple(src1), tuple(src2), tuple(r3_columns)
-    )
+    return TracedSequences(tuple(s1), tuple(s2), tuple(r3_columns))

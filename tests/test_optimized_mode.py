@@ -10,7 +10,8 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 SCRIPT = """
 import sys
 from antimagic import partition
-from antimagic.errors import InvariantError
+from antimagic.errors import InvariantError, SequenceSchemeViolated
+from antimagic.tables import LabelTable, table_pt, trace_sequences
 from antimagic.families import FAMILY_TAGS, build_family, family_grid, verify_instance
 
 if not sys.flags.optimize:
@@ -42,6 +43,35 @@ for corrupt in (swapped, doubled):
     except InvariantError:
         continue
     sys.exit(f"{corrupt.__name__} partition was not rejected")
+partition._position_blocks = real
+
+# triple offsets with the right sums that are no permutation: only the
+# certificate's cover check can tell
+real_offsets = partition._triple_offsets
+
+def repeated(t):
+    h = (t - 1) // 2
+    return [h] * t, [2 * h - i for i in range(t)]
+
+partition._triple_offsets = repeated
+try:
+    partition.partition_ap(1, 1, 3, 5)
+except InvariantError:
+    pass
+else:
+    sys.exit("repeated triple offsets were not rejected")
+partition._triple_offsets = real_offsets
+
+# a corrupted pt table breaks the traced sequences, not an assert
+pt = table_pt(3)
+rows = dict(pt.rows)
+rows["R3"] = (rows["R3"][1], rows["R3"][0], *rows["R3"][2:])
+try:
+    trace_sequences(LabelTable("pt", 3, rows))
+except SequenceSchemeViolated:
+    pass
+else:
+    sys.exit("corrupted pt table was not rejected")
 print("ok")
 """
 

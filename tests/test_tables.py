@@ -143,6 +143,9 @@ def test_invalid_k():
             maker(0)
         with pytest.raises(InvalidK):
             maker(-3)
+        for flag in (True, False):
+            with pytest.raises(InvalidK):
+                maker(flag)
 
 
 # --- m1 observations ---------------------------------------------------------
@@ -245,8 +248,7 @@ def test_sequences_properties_sweep(k):
 def test_sequences_odd_k_tail_columns():
     for k in (1, 3, 5, 9, 15):
         tr = trace_sequences(table_pt(k))
-        tail_cols = [col for _, col in tr.s1_sources[-4:]]
-        assert tail_cols == [(k + 1) // 2, (k + 1) // 2, (3 * k + 3) // 2, (3 * k + 3) // 2]
+        assert list(tr.r3_columns[-2:]) == [(k + 1) // 2, (3 * k + 3) // 2]
 
 
 def _pt3_swapped(row_a, col_a, row_b, col_b):
