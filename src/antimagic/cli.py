@@ -75,12 +75,12 @@ def _build_params(args) -> dict:
         val = getattr(args, key)
         if val is not None:
             params[key] = val
-    if args.indices:
+    if args.indices is not None:
         try:
             params["indices"] = tuple(int(x) for x in args.indices.split(","))
         except ValueError:
             raise UsageError(f"indices are not comma-separated ints: {args.indices!r}") from None
-    if args.base:
+    if args.base is not None:
         params["base"] = args.base
     return params
 
@@ -136,8 +136,8 @@ def _flag(bound: str) -> str:
 
 
 def cmd_sweep(args, out_dir: Path) -> tuple[int, str, list[str]]:
-    report_name = args.report or "sweep_report.json"
-    if Path(report_name).name != report_name or report_name == "..":
+    report_name = "sweep_report.json" if args.report is None else args.report
+    if Path(report_name).name != report_name or report_name in ("", ".."):
         raise UsageError(f"--report must be a file name inside --out, got {report_name!r}")
     if report_name == "manifest.jsonl":
         raise UsageError("--report must not name the run manifest, manifest.jsonl")
@@ -336,7 +336,7 @@ def main(argv: list[str] | None = None) -> int:
 
     input_hashes = {}
     try:
-        if getattr(args, "input", None):
+        if getattr(args, "input", None) is not None:
             try:
                 input_hashes[args.input] = io.sha256_file(args.input)
             except OSError as exc:

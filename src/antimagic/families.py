@@ -91,8 +91,9 @@ def _vertices(role: str, *columns: Iterable[int]) -> Iterator[VertexId]:
     return map(tuple.__new__, repeat(VertexId), zip(repeat(role), zip(*columns)))
 
 
-def _built(built: Built) -> BuildResult:
-    return (*built[0].finish(), built[1])
+def _built(d: _Draft, inst: FamilyInstance, *_) -> BuildResult:
+    """The finished build of an unfinished one, whatever else it hands on."""
+    return (*d.finish(), inst)
 
 
 def _named(d: _Draft, blocks: Iterable[Iterable[int]]) -> tuple[frozenset[VertexId], ...]:
@@ -108,8 +109,9 @@ def _merged(
     new_ids: Sequence[VertexId],
     color: int,
     degree: int,
-) -> Built:
+) -> tuple[_Draft, FamilyInstance, range]:
     """Merge ``blocks`` of a base into ``new_ids``; scale its claims to match.
+    Returns the merged base and the indices of the new vertices.
 
     The blocks are r blocks of s vertices of one independent class of
     ``color`` and ``degree``, and r and s are read off them.  Labels stay
@@ -138,14 +140,14 @@ def _merged(
     if not census[degree]:
         del census[degree]
     try:
-        d.merge(blocks, new_ids)
+        new = d.merge(blocks, new_ids)
     except (MergeWouldCreateLoop, MergeWouldCreateParallelEdge) as exc:
         raise InvariantError(f"{family}{params}: the blocks clash: {exc}") from None
     inst = FamilyInstance(
         family, params, palette, _census(*census.items(), (s * degree, r)),
         blocks=_named(d, blocks),
     )
-    return d, inst
+    return d, inst, new
 
 
 # ---------------------------------------------------------------------------
@@ -185,13 +187,13 @@ def build_fb(n: int) -> BuildResult:
         "fb", {"n": n, "k": k}, palette,
         _census((2, 2 * n), (3, n), (3 * n, 1)),
     )
-    return _built((d, inst))
+    return _built(d, inst)
 
 
 def build_tfb(t: int, s: int) -> BuildResult:
     """t disjoint fans with s blades each, hubs grouped by an equal-sum
     partition of the cell hub sums (an arithmetic progression)."""
-    return _built(_tfb(t, s)[:2])
+    return _built(*_tfb(t, s))
 
 
 def _tfb(t: int, s: int) -> tuple[_Draft, FamilyInstance, list[list[int]]]:
@@ -224,11 +226,11 @@ def _df_block_cols(j: int, s: int) -> list[int]:
 def build_df(r: int, s: int) -> BuildResult:
     """r diamond fans plus one fan: split the hub of every cell outside the
     middle block and cross-merge the halves between opposite blocks."""
-    return _built(_df(r, s))
+    return _built(*_df(r, s))
 
 
-def _df(r: int, s: int) -> Built:
-    """:func:`build_df` unfinished; the last vertices are x, y_1, z_1, ..., z_r."""
+def _df(r: int, s: int) -> tuple[_Draft, FamilyInstance, range]:
+    """:func:`build_df` unfinished, plus its hubs x, y_1, z_1, ..., y_r, z_r."""
     if r < 1 or s < 1 or s % 2 == 0:
         raise InvalidParams(f"need r >= 1 and odd s >= 1, got r={r}, s={s}")
     m = (2 * r + 1) * s
@@ -238,23 +240,21 @@ def _df(r: int, s: int) -> Built:
     d = _fan_cells(k)
 
     outer = [i for j in range(1, 2 * r + 2) if j != r + 1 for i in _df_block_cols(j, s)]
-    half = len(d.names)  # split t appends x1_i and x2_i here, at 2t and 2t + 1
     x, w, u, v = (_fan_at(role, 0, k) for role in "xwuv")
-    d.split([
+    x1, x2 = (dict(zip(outer, h)) for h in zip(*d.split([
         (x + i, [(x + i, w + i)], [(x + i, u + i), (x + i, v + i)], id1, id2)
         for i, id1, id2 in zip(outer, _vertices("x1", outer), _vertices("x2", outer))
-    ])
-    x1 = dict(zip(outer, range(half, len(d.names), 2)))
+    ])))
 
     blocks = [[_fan_at("x", i, k) for i in _df_block_cols(r + 1, s)]]
     new_ids = [V("x")]
     for j in range(1, r + 1):
         near, far = _df_block_cols(j, s), _df_block_cols(2 * r + 2 - j, s)
-        blocks.append([x1[i] for i in near] + [x1[i] + 1 for i in far])
+        blocks.append([x1[i] for i in near] + [x2[i] for i in far])
         new_ids.append(V("y", j))
-        blocks.append([x1[i] + 1 for i in near] + [x1[i] for i in far])
+        blocks.append([x2[i] for i in near] + [x1[i] for i in far])
         new_ids.append(V("z", j))
-    d.merge(blocks, new_ids)
+    hubs = d.merge(blocks, new_ids)
 
     palette = _palette(10 * k + 6, 9 * k + 6, s * (21 * k + 12))
     inst = FamilyInstance(
@@ -262,7 +262,7 @@ def _df(r: int, s: int) -> Built:
         _census((2, (4 * r + 2) * s), (3, (2 * r + 1) * s), (3 * s, 2 * r + 1)),
         expected_component_orders=tuple(sorted([6 * s + 2] * r + [3 * s + 1])),
     )
-    return d, inst
+    return d, inst, hubs
 
 
 def _fan_class(variant: int, k: int) -> tuple[tuple[str, ...], int, int]:
@@ -287,7 +287,7 @@ def build_fb_merged(variant: int, r: int, s: int) -> BuildResult:
     roles, color, degree = _fan_class(variant, k)
     # block (j, role) takes the j-th cell of every fan component
     rows = list(zip(*comp_cols))
-    return _built(_merged(
+    return _built(*_merged(
         (d, base), f"fb{variant}", {"r": r, "s": s, "k": k},
         [[_fan_at(role, c, k) for c in row] for row in rows for role in roles],
         [V(role, j) for j in range(1, s + 1) for role in roles], color, degree,
@@ -307,7 +307,7 @@ def build_df_merged(variant: int, r: int, s: int, r1: int | None = None) -> Buil
         raise InvalidParams(f"variant must be 1, 2 or 3, got {variant}")
     if variant in (1, 2) and s < 3:
         raise InvalidParams(f"variant {variant} needs odd s >= 3, got s={s}")
-    d, base = _df(r, s)
+    d, base, hubs = _df(r, s)
     k = base.params["k"]
 
     if variant == 1 and k % 4 == 2:
@@ -323,7 +323,6 @@ def build_df_merged(variant: int, r: int, s: int, r1: int | None = None) -> Buil
             )
         r2 = (2 * r + 1) // r1
         params.update(r1=r1, r2=r2)
-        hubs = range(len(d.names) - (2 * r + 1), len(d.names))
         blocks = [hubs[c * r2: (c + 1) * r2] for c in range(r1)]
         color, degree = s * (21 * k + 12), 3 * s
     else:
@@ -336,7 +335,7 @@ def build_df_merged(variant: int, r: int, s: int, r1: int | None = None) -> Buil
         blocks = list(zip(*(
             [_fan_at(role, i, k) for role in roles for i in cols] for cols in columns
         )))
-    return _built(_merged(
+    return _built(*_merged(
         (d, base), f"df{variant}", params, blocks,
         [V("m", b + 1) for b in range(len(blocks))], color, degree,
     ))
@@ -349,7 +348,7 @@ def build_df_merged(variant: int, r: int, s: int, r1: int | None = None) -> Buil
 
 def build_pt(n: int) -> BuildResult:
     """Peanut graph: two 3-cycles and n 6-cycles on two rails plus rungs."""
-    return _built(_pt(n))
+    return _built(*_pt(n))
 
 
 def _pt(n: int) -> Built:
@@ -383,16 +382,12 @@ def _pt(n: int) -> Built:
 
 def build_tb(n: int) -> BuildResult:
     """Triangular bracelet: the peanut with its rails zipped together."""
-    return _built(_tb(n))
+    return _built(*_tb(n))
 
 
-def _tb_hub(n: int, m: int) -> int:
-    """The index of hub z_m (m = 0, 2, ..., 2n) of :func:`_tb`."""
-    return 4 * n + 4 + m // 2
-
-
-def _tb(n: int) -> Built:
-    """:func:`build_tb` unfinished: x, y and each u_(2i), v_(2i) zip into z_(2i)."""
+def _tb(n: int) -> tuple[_Draft, FamilyInstance, range]:
+    """:func:`build_tb` unfinished: x, y and each u_(2i), v_(2i) zip into z_(2i);
+    plus the hubs z_0, z_2, ..., z_(2n) in rim order."""
     pairs = [(0, 1)] + [(1 + 2 * i, 2 * n + 2 + 2 * i) for i in range(1, n + 1)]
     return _merged(
         _pt(n), "tb", {"n": n, "k": n // 2}, pairs,
@@ -443,8 +438,11 @@ def build_pt_tb_merged(base: str, variant: int, n: int, r: int) -> BuildResult:
     if variant not in (1, 2, 3):
         raise InvalidParams(f"variant must be 1, 2 or 3, got {variant}")
 
-    built = (_pt if base == "pt" else _tb)(n)
-    k = built[1].params["k"]
+    if base == "pt":
+        d, inst = _pt(n)
+    else:
+        d, inst, hubs = _tb(n)
+    k = inst.params["k"]
 
     # the merged class: its color and degree in the base graph
     color, degree = {
@@ -468,7 +466,7 @@ def build_pt_tb_merged(base: str, variant: int, n: int, r: int) -> BuildResult:
                 f"need odd r >= {least} with odd block size (n+1)/r >= 3, got r={r}, n={n}"
             )
         if variant == 3:
-            items = [_tb_hub(n, m) for m in range(0, 2 * n + 1, 2)]
+            items = hubs
         else:
             # one member per rung, ordered along the cycle so conflicts are
             # local.  Rung j joins u_(2j-1) and v_(2j-1), whose rail edges
@@ -482,8 +480,8 @@ def build_pt_tb_merged(base: str, variant: int, n: int, r: int) -> BuildResult:
                 2 * j if j % 2 == variant % 2 else 2 * n + 1 + 2 * j for j in range(1, n + 2)
             ]
 
-    return _built(_merged(
-        built, f"{base}{variant}", {"n": n, "k": k, "r": r, "s": s},
+    return _built(*_merged(
+        (d, inst), f"{base}{variant}", {"n": n, "k": k, "r": r, "s": s},
         _deal([items], r), [V("m", b + 1) for b in range(r)], color, degree,
     ))
 
@@ -512,7 +510,7 @@ def build_gn(n: int, indices: Sequence[int]) -> BuildResult:
     crosswise, which detaches one bracelet with 4*ia-2 rim cells.  Split
     halves keep the labels of their edges.
     """
-    return _built(_gn(n, indices)[:2])
+    return _built(*_gn(n, indices))
 
 
 def _gn(n: int, indices: Sequence[int]) -> tuple[_Draft, FamilyInstance, list[list[int]]]:
@@ -529,34 +527,32 @@ def _gn(n: int, indices: Sequence[int]) -> tuple[_Draft, FamilyInstance, list[li
     if n < 8 * indices[-1] - 2:
         raise ConditionViolated("b", f"n = {n} < 8*{indices[-1]} - 2")
 
-    d, base = _tb(n)
+    d, base, hubs = _tb(n)
     k = base.params["k"]
+    hub = dict(zip(range(0, 2 * n + 1, 2), hubs))
 
     # the split vertices are distinct and pairwise non-adjacent, so one
     # simultaneous split equals splitting them one at a time.  The lower
     # half of z_m keeps u_(m-1), v_(m-1) (vertices m, 2n+1+m), the upper
-    # u_(m+1), v_(m+1); split t appends z1_m and z2_m at half + 2t, 2t + 1
-    half = len(d.names)
+    # u_(m+1), v_(m+1)
     splits = []
-    blocks = []
     remerged: list[int] = []
-    for a, ia in enumerate(indices):
+    for ia in indices:
         lo, hi = 8 * ia - 2, 16 * ia - 4
         for m in (lo, hi):
-            z = _tb_hub(n, m)
+            z = hub[m]
             lower = [(z, m), (z, 2 * n + 1 + m)]
             upper = [(z, m + 2), (z, 2 * n + 3 + m)]
             splits.append((z, lower, upper, V("z1", m), V("z2", m)))
-        z1_lo = half + 4 * a
-        blocks += [[z1_lo, z1_lo + 3], [z1_lo + 1, z1_lo + 2]]
         remerged += [lo, hi]
-    d.split(splits)
-    d.merge(blocks, list(_vertices("z", remerged)))
+    halves = d.split(splits)
+    # the lower half of z_lo goes with the upper half of z_hi, and crosswise
+    blocks = []
+    for (lo1, lo2), (hi1, hi2) in zip(halves[::2], halves[1::2]):
+        blocks += [[lo1, hi2], [lo2, hi1]]
+    hub.update(zip(remerged, d.merge(blocks, list(_vertices("z", remerged)))))
 
-    # index ia cuts z_(8ia) .. z_(16ia-4) out into a bracelet of their own;
-    # the merge appended the re-merged hubs last, in order
-    hub = {m: _tb_hub(n, m) for m in range(0, 2 * n + 1, 2)}
-    hub.update(zip(remerged, range(len(d.names) - len(remerged), len(d.names))))
+    # index ia cuts z_(8ia) .. z_(16ia-4) out into a bracelet of their own
     cuts = [range(8 * ia, 16 * ia - 3, 2) for ia in indices]
     cut = set().union(*cuts)
     rims = [[hub[m] for m in hub if m not in cut]] + [[hub[m] for m in c] for c in cuts]
@@ -589,8 +585,8 @@ def build_gb(
     if base == "tb":
         if indices is not None:
             raise InvalidParams("base 'tb' takes no split index list")
-        d, base_inst = _tb(n)
-        rims = [[_tb_hub(n, m) for m in range(0, 2 * n + 1, 2)]]
+        d, base_inst, hubs = _tb(n)
+        rims = [hubs]
     elif base == "gn":
         if not indices:
             raise InvalidParams("base 'gn' needs the split index list")
@@ -601,7 +597,7 @@ def build_gb(
     params = {"n": n, "k": k, "r": r, "s": s, "base": base}
     if indices:
         params["indices"] = tuple(indices)
-    return _built(_merged(
+    return _built(*_merged(
         (d, base_inst), "gb", params, _deal(rims, r),
         [V("m", b + 1) for b in range(r)], 20 * k + 12, 4,
     ))
@@ -639,7 +635,7 @@ def build_np3_o3(n: int) -> BuildResult:
         "np3o3", {"n": n, "k": k}, palette,
         _census((4, 2 * n), (5, n), (3 * n, 3)),
     )
-    return _built((d, inst))
+    return _built(d, inst)
 
 
 # ---------------------------------------------------------------------------

@@ -371,9 +371,9 @@ class _Draft:
     vertex to its index, so a vertex dies when a surgery takes its name out.
     Edge p joins ``a[p]`` and ``b[p]`` and carries ``labels[p]``.  Surgery
     only rewrites edge ends, and appends each new vertex to ``names`` in the
-    order it is given, so every label stays at its edge's position and
-    nothing is remapped.  :meth:`finish` makes the one :class:`Graph` and
-    :class:`EdgeLabeling`.
+    order it is given and returns the indices it appends, so every label
+    stays at its edge's position and nothing is remapped.  :meth:`finish`
+    makes the one :class:`Graph` and :class:`EdgeLabeling`.
     """
 
     __slots__ = ("names", "index", "a", "b", "labels")
@@ -407,9 +407,9 @@ class _Draft:
         """The canonical edge between the vertices at ``x`` and ``y``."""
         return edge(self.names[x], self.names[y])
 
-    def merge(self, blocks: Sequence[Sequence[int]], new_ids: Sequence[VertexId]) -> list[int]:
+    def merge(self, blocks: Sequence[Sequence[int]], new_ids: Sequence[VertexId]) -> range:
         """Replace each block of vertices by one new vertex named by
-        ``new_ids``; returns the positions of the rewritten edges.
+        ``new_ids``; returns the indices of the new vertices, in block order.
 
         All blocks are applied as one simultaneous relabeling of edge ends,
         with a global check that no loop or parallel edge arises (the global
@@ -425,8 +425,9 @@ class _Draft:
             raise IdCollision("replacement ids are not distinct")
         names, index = self.names, self.index
         # each member goes to its block's new vertex, appended in block order
+        new = range(len(names), len(names) + len(new_ids))
         to: dict[int, int] = {}
-        for h, block in enumerate(blocks, start=len(names)):
+        for h, block in zip(new, blocks):
             if not block:
                 raise OverlappingBlocks("empty block")
             for v in block:
@@ -464,16 +465,16 @@ class _Draft:
         self.a, self.b = a2, b2
         for v in to:
             del index[names[v]]
-        index.update(zip(new_ids, range(len(names) - len(new_ids), len(names))))
-        return touched
+        index.update(zip(new_ids, new))
+        return new
 
     def split(
         self, splits: Sequence[tuple[int, Sequence[tuple[int, int]], Sequence[tuple[int, int]],
                                      VertexId, VertexId]]
-    ) -> list[int]:
+    ) -> list[tuple[int, int]]:
         """Split several vertices at once, each into two halves named by the
         given ids and carrying the two given parts of its edges, each edge
-        named by its two ends; returns the positions of the rewritten edges.
+        named by its two ends; returns each split's two half indices.
 
         Equivalent to applying the splits one at a time (an edge joining two
         split vertices is re-pointed at both ends).  Each vertex's two parts
@@ -530,7 +531,9 @@ class _Draft:
         # take the name of a vertex split later in the same call
         for v in halves:
             del index[names[v]]
+        made = []
         for v, _, _, id1, id2 in splits:
+            made.append((len(names), len(names) + 1))
             for part, nid in zip(halves[v], (id1, id2)):
                 index[nid] = h = len(names)
                 names.append(nid)
@@ -539,7 +542,7 @@ class _Draft:
                         a[p] = h
                     else:
                         b[p] = h
-        return touched
+        return made
 
 
 def _surgery(g: Graph, operate) -> tuple[Graph, dict[Edge, Edge]]:
@@ -560,15 +563,9 @@ def _surgery(g: Graph, operate) -> tuple[Graph, dict[Edge, Edge]]:
             names.append(v)
         return i
 
-    edge_map: dict[Edge, Edge] = {}
-    for p in operate(d, at):
-        ne = d._edge(d.a[p], d.b[p])
-        if ne != edges[p]:
-            edge_map[edges[p]] = ne
-    return (
-        Graph._checked(frozenset(index), g.edges.difference(edge_map).union(edge_map.values())),
-        edge_map,
-    )
+    operate(d, at)
+    h, f = d.finish()
+    return h, {old: e for e, old in f.labels.items() if e != old}
 
 
 def merge_vertices(

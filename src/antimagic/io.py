@@ -14,9 +14,11 @@ from itertools import chain, repeat
 from operator import itemgetter
 from pathlib import Path
 
-from .errors import UsageError
+from .errors import GraphSurgeryError, UsageError
 from .families import FamilyInstance
-from .graph import Certificate, Edge, EdgeLabeling, Graph, VertexId, _id_strings, induce_coloring
+from .graph import (
+    Certificate, Edge, EdgeLabeling, Graph, VertexId, _Draft, _id_strings, induce_coloring,
+)
 from .partition import EqualSumPartition
 from .tables import LabelTable
 
@@ -117,16 +119,17 @@ def _read_columns(doc) -> tuple[Graph, EdgeLabeling] | None:
     ):
         return None
     vs = list(map(tuple.__new__, repeat(VertexId), zip(roles, map(tuple, indices))))
-    by_id = dict(zip(ids, vs))
-    if len(by_id) != len(ids) or _id_strings(vs) != ids:
+    if _id_strings(vs) != ids:
         return None
-    va, vb = list(map(by_id.get, ends_a)), list(map(by_id.get, ends_b))
-    if None in va or None in vb or True in map(str.__eq__, ends_a, ends_b):
+    # two roles may print alike (role "a_1" and role "a" with index 1)
+    at = dict(zip(ids, range(len(ids))))
+    a, b = list(map(at.get, ends_a)), list(map(at.get, ends_b))
+    if len(at) != len(ids) or None in a or None in b:
         return None
-    labels = dict(zip([(a, b) if a < b else (b, a) for a, b in zip(va, vb)], label_col))
-    if len(labels) != len(label_col):
+    try:
+        return _Draft(vs, a, b, label_col).finish()
+    except GraphSurgeryError:
         return None
-    return Graph._checked(frozenset(vs), frozenset(labels)), EdgeLabeling(labels)
 
 
 def _field(obj, key: str, kind: type):

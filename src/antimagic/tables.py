@@ -44,10 +44,6 @@ class LabelTable:
     def max_entry(self) -> int:
         return len(self.rows) * self.columns
 
-    def entry(self, row: str, i: int) -> int:
-        """1-based column access, mirroring the usual subscript convention."""
-        return self.rows[row][i - 1]
-
     def all_entries(self) -> list[int]:
         return [x for row in self.rows.values() for x in row]
 

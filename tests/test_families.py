@@ -553,7 +553,7 @@ def _merged_by_name(base, family, params, blocks, new_ids, color, degree):
 def test_merge_class_out_of_rim_order_is_an_invariant_error():
     (rim,) = _bracelet_rims(build_tb(8)[0])
     params, ids = {"n": 8, "k": 4, "r": 3, "s": 3}, [V("m", b + 1) for b in range(3)]
-    base = lambda: families._tb(8)  # noqa: E731 -- a merge consumes its draft
+    base = lambda: families._tb(8)[:2]  # noqa: E731 -- a merge consumes its draft
     _merged_by_name(base, "tb3", params, families._deal([rim], 3), ids, 92, 4)
     # rim neighbors z_0 and z_2 both at a position = 0 (mod 3)
     scrambled = rim[:1] + rim[2:4] + rim[1:2] + rim[4:]
@@ -567,11 +567,11 @@ def test_merge_class_out_of_rim_order_is_an_invariant_error():
         # u_1 and v_1 share their path center w_1 and their fan hub
         (lambda: families._tfb(3, 3)[:2], "fb1", 10 * 4 + 6, 2, [V("u", 1), V("v", 1)]),
         # w_4 and w_5 both hang on the fan hub x
-        (lambda: families._df(1, 3), "df2", 9 * 4 + 6, 3, [V("w", 4), V("w", 5)]),
+        (lambda: families._df(1, 3)[:2], "df2", 9 * 4 + 6, 3, [V("w", 4), V("w", 5)]),
         # u_2 and u_4 share the rail vertex u_3
         (lambda: families._pt(2), "tb", 10 * 1 + 6, 2, [V("u", 2), V("u", 4)]),
         # z_0 and u_1 are adjacent
-        (lambda: families._tb(8), "gb", 20 * 4 + 12, 4, [V("z", 0), V("u", 1)]),
+        (lambda: families._tb(8)[:2], "gb", 20 * 4 + 12, 4, [V("z", 0), V("u", 1)]),
     ],
     ids=["shared-neighbor-fb1", "shared-neighbor-df2", "shared-neighbor-tb", "adjacent-gb"],
 )
@@ -650,12 +650,12 @@ def test_np3o3_k1_labels_match_table():
     g, f, _ = build_np3_o3(3)
     t = table_m3(1)
     for i in (1, 2, 3):
-        assert f.labels[edge(V("u", i), V("w", i))] == t.entry("L", i)
-        assert f.labels[edge(V("v", i), V("w", i))] == t.entry("R", i)
+        assert f.labels[edge(V("u", i), V("w", i))] == t.rows["L"][i - 1]
+        assert f.labels[edge(V("v", i), V("w", i))] == t.rows["R"][i - 1]
         for a in (1, 2, 3):
-            assert f.labels[edge(V("w", i), V("x", a))] == t.entry(f"C{a}", i)
-            assert f.labels[edge(V("u", i), V("x", a))] == t.entry(f"L{a}", i)
-            assert f.labels[edge(V("v", i), V("x", a))] == t.entry(f"R{a}", i)
+            assert f.labels[edge(V("w", i), V("x", a))] == t.rows[f"C{a}"][i - 1]
+            assert f.labels[edge(V("u", i), V("x", a))] == t.rows[f"L{a}"][i - 1]
+            assert f.labels[edge(V("v", i), V("x", a))] == t.rows[f"R{a}"][i - 1]
 
 
 def test_np3o3_palettes():

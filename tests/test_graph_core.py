@@ -25,6 +25,7 @@ from antimagic.graph import (
     Graph,
     V,
     VertexId,
+    _Draft,
     certify,
     edge,
     induce_coloring,
@@ -580,6 +581,30 @@ def _outcome(surgery, *args):
     return g, emap
 
 
+def _draft(g):
+    """``g`` as a draft whose edges are labeled with themselves, and the
+    index of each vertex."""
+    at = {v: i for i, v in enumerate(sorted(g.vertices))}
+    es = sorted(g.edges)
+    return _Draft(at, [at[x] for x, _ in es], [at[y] for _, y in es], es), at
+
+
+def _merged_names(g, blocks, new_ids):
+    """The names of the vertices that ``_Draft.merge`` returns, in order."""
+    d, at = _draft(g)
+    return [d.names[h] for h in d.merge([[at[v] for v in b] for b in blocks], new_ids)]
+
+
+def _split_names(g, splits):
+    """The names of each pair of halves that ``_Draft.split`` returns."""
+    d, at = _draft(g)
+    made = d.split([
+        (at[v], [(at[x], at[y]) for x, y in part1], [(at[x], at[y]) for x, y in part2], id1, id2)
+        for v, part1, part2, id1, id2 in splits
+    ])
+    return [(d.names[h1], d.names[h2]) for h1, h2 in made]
+
+
 def _assert_labels_transfer(g, edge_map, reference_map):
     """``remapped`` through the surgery's map of moved edges relabels as the
     full rewrite of every label through the reference's map does."""
@@ -627,6 +652,7 @@ def test_merge_matches_the_full_rewrite_reference(g, data):
     want = _outcome(reference_merge, g, blocks, new_ids)
     if isinstance(want[0], Graph):
         _assert_labels_transfer(g, got[1], want[1])
+        assert _merged_names(g, blocks, new_ids) == new_ids
         # an edge the map leaves out keeps its identity, as one mapped onto itself
         want = (want[0], {e: ne for e, ne in want[1].items() if ne != e})
         assert got[0].edges == Graph(got[0].vertices, got[0].edges).edges  # canonical
@@ -660,6 +686,7 @@ def test_split_matches_the_full_rewrite_reference(g, data):
     want = _outcome(reference_split, g, splits)
     if isinstance(want[0], Graph):
         _assert_labels_transfer(g, got[1], want[1])
+        assert _split_names(g, splits) == [(id1, id2) for *_, id1, id2 in splits]
         assert got[0].edges == Graph(got[0].vertices, got[0].edges).edges  # canonical
     assert got == want
 
@@ -677,3 +704,4 @@ def test_a_half_may_take_the_name_of_a_vertex_split_in_the_same_call(later_first
     got = split_vertices(g, splits)
     assert got == reference_split(g, splits)
     assert got[0].vertices == {a[1], a[2], a[3], V("m", 0), V("m", 1), V("m", 2)}
+    assert _split_names(g, splits) == [(id1, id2) for *_, id1, id2 in splits]

@@ -876,6 +876,21 @@ def test_cli_missing_input_writes_a_manifest_line(tmp_path):
     assert entry["outcome"].startswith("usage error")
 
 
+@pytest.mark.parametrize("argv", [
+    ["certify", "--input", ""],
+    ["solve", "--input", ""],
+    ["build", "--family", "tb", "--n", "8", "--indices", ""],
+    ["sweep", "--family", "fb", "--max-size", "5", "--report", ""],
+], ids=["certify-input", "solve-input", "build-indices", "sweep-report"])
+def test_cli_empty_string_flags_are_usage(tmp_path, monkeypatch, argv):
+    # an empty value is checked as given, not taken for an absent flag
+    monkeypatch.chdir(tmp_path)
+    assert main(["--out", "out"] + argv) == 2
+    (line,) = (tmp_path / "out" / "manifest.jsonl").read_text().splitlines()
+    assert json.loads(line)["outcome"].startswith("usage error")
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ["manifest.jsonl", "out"]
+
+
 def test_cli_solve_infeasible_size_is_usage(tmp_path):
     main(["--out", str(tmp_path), "build", "--family", "tb", "--n", "2"])
     code = main([
