@@ -119,8 +119,9 @@ class Graph:
     @classmethod
     def _checked(cls, vertices: frozenset[VertexId], edges: frozenset[Edge]) -> "Graph":
         """A graph from parts that are already canonical and consistent: every
-        edge an ordered pair of distinct members of ``vertices``.  Surgery
-        builds its results here, having checked each edge it moved."""
+        edge an ordered pair of distinct members of ``vertices``.
+        :meth:`_Draft.finish` and the document reader build here, having
+        checked every edge."""
         g = object.__new__(cls)
         g.vertices, g.edges = vertices, edges
         g._adj = g._components = g._listing = None
@@ -564,8 +565,8 @@ def _surgery(g: Graph, operate) -> tuple[Graph, dict[Edge, Edge]]:
         return i
 
     operate(d, at)
-    h, f = d.finish()
-    return h, {old: e for e, old in f.labels.items() if e != old}
+    out, f = d.finish()
+    return out, {old: e for e, old in f.labels.items() if e != old}
 
 
 def merge_vertices(
