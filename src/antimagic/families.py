@@ -1,12 +1,14 @@
 """Builders for every labeled graph family, via table-driven merge/split surgery.
 
-Each builder returns ``(graph, labeling, instance)`` where the instance pins
-the family tag, validated parameters, the closed-form expected palette and
-the expected degree census.  The builders perform the constructions exactly:
-label a disjoint union of base cells from one of the three matrices, then
-merge (and sometimes split) vertices, all in index space: cells by column
-arithmetic, labels read off the table rows, and surgery that only rewrites
-edge ends, so labels stay with their edges.  One graph is made per build.
+Each builder returns its unfinished ``(draft, instance, *extras)``: the
+instance pins the family tag, validated parameters, the closed-form expected
+palette and the expected degree census.  :func:`build_family` alone finishes
+a draft, into ``(graph, labeling, instance)``.  The builders perform the
+constructions exactly: label a disjoint union of base cells from one of the
+three matrices, then merge (and sometimes split) vertices, all in index
+space: cells by column arithmetic, labels read off the table rows, and
+surgery that only rewrites edge ends, so labels stay with their edges.  One
+graph is made per build.
 
 Correctness authority is the certificate, not the construction: every
 builder's output is expected to pass :func:`antimagic.graph.certify` with
@@ -91,11 +93,6 @@ def _vertices(role: str, *columns: Iterable[int]) -> Iterator[VertexId]:
     return map(tuple.__new__, repeat(VertexId), zip(repeat(role), zip(*columns)))
 
 
-def _built(d: _Draft, inst: FamilyInstance, *_) -> BuildResult:
-    """The finished build of an unfinished one, whatever else it hands on."""
-    return (*d.finish(), inst)
-
-
 def _named(d: _Draft, blocks: Iterable[Iterable[int]]) -> tuple[frozenset[VertexId], ...]:
     """The blocks by vertex name, for :attr:`FamilyInstance.blocks`."""
     return tuple(frozenset(map(d.names.__getitem__, b)) for b in blocks)
@@ -173,7 +170,7 @@ def _fan_cells(k: int) -> _Draft:
     )
 
 
-def build_fb(n: int) -> BuildResult:
+def _fb(n: int) -> Built:
     """Fan with n blades: all 2k+1 cell hubs merged into one vertex."""
     if n == 1:
         raise InvalidParity("n = 1 is handled by the exact solver, not a builder")
@@ -187,17 +184,13 @@ def build_fb(n: int) -> BuildResult:
         "fb", {"n": n, "k": k}, palette,
         _census((2, 2 * n), (3, n), (3 * n, 1)),
     )
-    return _built(d, inst)
-
-
-def build_tfb(t: int, s: int) -> BuildResult:
-    """t disjoint fans with s blades each, hubs grouped by an equal-sum
-    partition of the cell hub sums (an arithmetic progression)."""
-    return _built(*_tfb(t, s))
+    return d, inst
 
 
 def _tfb(t: int, s: int) -> tuple[_Draft, FamilyInstance, list[list[int]]]:
-    """:func:`build_tfb` unfinished, plus each fan's sorted cell columns."""
+    """t disjoint fans with s blades each, hubs grouped by an equal-sum
+    partition of the cell hub sums (an arithmetic progression); plus each
+    fan's sorted cell columns."""
     if t < 3 or s < 3 or t % 2 == 0 or s % 2 == 0:
         raise InvalidFactorization(f"need odd t, s >= 3, got t={t}, s={s}")
     k = (t * s - 1) // 2
@@ -223,14 +216,10 @@ def _df_block_cols(j: int, s: int) -> list[int]:
     return list(range((j - 1) * s + 1, j * s + 1))
 
 
-def build_df(r: int, s: int) -> BuildResult:
-    """r diamond fans plus one fan: split the hub of every cell outside the
-    middle block and cross-merge the halves between opposite blocks."""
-    return _built(*_df(r, s))
-
-
 def _df(r: int, s: int) -> tuple[_Draft, FamilyInstance, range]:
-    """:func:`build_df` unfinished, plus its hubs x, y_1, z_1, ..., y_r, z_r."""
+    """r diamond fans plus one fan: split the hub of every cell outside the
+    middle block and cross-merge the halves between opposite blocks; plus
+    the hubs x, y_1, z_1, ..., y_r, z_r."""
     if r < 1 or s < 1 or s % 2 == 0:
         raise InvalidParams(f"need r >= 1 and odd s >= 1, got r={r}, s={s}")
     m = (2 * r + 1) * s
@@ -271,11 +260,9 @@ def _fan_class(variant: int, k: int) -> tuple[tuple[str, ...], int, int]:
     return (("u", "v"), 10 * k + 6, 2) if variant == 1 else (("w",), 9 * k + 6, 3)
 
 
-def build_fb_merged(variant: int, r: int, s: int) -> BuildResult:
+def _fb_merged(variant: int, r: int, s: int) -> tuple[_Draft, FamilyInstance, range]:
     """Merge the degree-2 rim vertices (variant 1) or the degree-3 path
     centers (variant 2) across the t = r fan components."""
-    if variant not in (1, 2):
-        raise InvalidParams(f"variant must be 1 or 2, got {variant}")
     if r < 3 or s < 3 or r % 2 == 0 or s % 2 == 0:
         raise InvalidFactorization(f"need odd r, s >= 3, got r={r}, s={s}")
     k = (r * s - 1) // 2
@@ -287,14 +274,16 @@ def build_fb_merged(variant: int, r: int, s: int) -> BuildResult:
     roles, color, degree = _fan_class(variant, k)
     # block (j, role) takes the j-th cell of every fan component
     rows = list(zip(*comp_cols))
-    return _built(*_merged(
+    return _merged(
         (d, base), f"fb{variant}", {"r": r, "s": s, "k": k},
         [[_fan_at(role, c, k) for c in row] for row in rows for role in roles],
         [V(role, j) for j in range(1, s + 1) for role in roles], color, degree,
-    ))
+    )
 
 
-def build_df_merged(variant: int, r: int, s: int, r1: int | None = None) -> BuildResult:
+def _df_merged(
+    variant: int, r: int, s: int, r1: int | None = None
+) -> tuple[_Draft, FamilyInstance, range]:
     """Merge one full color class of a diamond-fan union into equal blocks.
 
     Variant 1 merges the degree-2 class into 2s blocks, variant 2 the
@@ -303,8 +292,6 @@ def build_df_merged(variant: int, r: int, s: int, r1: int | None = None) -> Buil
     sides, so block members never share a neighbor).  Variant 3 merges the
     2r+1 hubs into r1 blocks of r2 = (2r+1)/r1.
     """
-    if variant not in (1, 2, 3):
-        raise InvalidParams(f"variant must be 1, 2 or 3, got {variant}")
     if variant in (1, 2) and s < 3:
         raise InvalidParams(f"variant {variant} needs odd s >= 3, got s={s}")
     d, base, hubs = _df(r, s)
@@ -335,10 +322,10 @@ def build_df_merged(variant: int, r: int, s: int, r1: int | None = None) -> Buil
         blocks = list(zip(*(
             [_fan_at(role, i, k) for role in roles for i in cols] for cols in columns
         )))
-    return _built(*_merged(
+    return _merged(
         (d, base), f"df{variant}", params, blocks,
         [V("m", b + 1) for b in range(len(blocks))], color, degree,
-    ))
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -346,13 +333,9 @@ def build_df_merged(variant: int, r: int, s: int, r1: int | None = None) -> Buil
 # ---------------------------------------------------------------------------
 
 
-def build_pt(n: int) -> BuildResult:
-    """Peanut graph: two 3-cycles and n 6-cycles on two rails plus rungs."""
-    return _built(*_pt(n))
-
-
 def _pt(n: int) -> Built:
-    """:func:`build_pt` unfinished: x, y, u_i, v_i are 0, 1, 1+i, 2n+2+i."""
+    """Peanut graph: two 3-cycles and n 6-cycles on two rails plus rungs;
+    x, y, u_i, v_i are 0, 1, 1+i, 2n+2+i."""
     if n < 2 or n % 2:
         raise InvalidParity(
             f"peanut builder needs even n >= 2 (odd n is open), got {n}"
@@ -380,14 +363,10 @@ def _pt(n: int) -> Built:
     return d, inst
 
 
-def build_tb(n: int) -> BuildResult:
-    """Triangular bracelet: the peanut with its rails zipped together."""
-    return _built(*_tb(n))
-
-
 def _tb(n: int) -> tuple[_Draft, FamilyInstance, range]:
-    """:func:`build_tb` unfinished: x, y and each u_(2i), v_(2i) zip into z_(2i);
-    plus the hubs z_0, z_2, ..., z_(2n) in rim order."""
+    """Triangular bracelet: the peanut with its rails zipped together, x, y
+    and each u_(2i), v_(2i) into z_(2i); plus the hubs z_0, z_2, ..., z_(2n)
+    in rim order."""
     pairs = [(0, 1)] + [(1 + 2 * i, 2 * n + 2 + 2 * i) for i in range(1, n + 1)]
     return _merged(
         _pt(n), "tb", {"n": n, "k": n // 2}, pairs,
@@ -424,7 +403,9 @@ def _deal(rims: Sequence[Sequence[int]], r: int) -> list[list[int]]:
     return [order[b::r] for b in range(r)]
 
 
-def build_pt_tb_merged(base: str, variant: int, n: int, r: int) -> BuildResult:
+def _pt_tb_merged(
+    base: str, variant: int, n: int, r: int
+) -> tuple[_Draft, FamilyInstance, range]:
     """Merge one color class of the peanut or bracelet into r equal blocks.
 
     Variants 1 and 2 merge the two degree-3 classes, variant 3 the degree-2
@@ -433,11 +414,6 @@ def build_pt_tb_merged(base: str, variant: int, n: int, r: int) -> BuildResult:
     (r >= 1) because its class members never share a neighbor, while the
     bracelet variants require r and the block size to be odd and >= 3.
     """
-    if base not in ("pt", "tb"):
-        raise InvalidParams(f"base must be 'pt' or 'tb', got {base!r}")
-    if variant not in (1, 2, 3):
-        raise InvalidParams(f"variant must be 1, 2 or 3, got {variant}")
-
     if base == "pt":
         d, inst = _pt(n)
     else:
@@ -480,10 +456,10 @@ def build_pt_tb_merged(base: str, variant: int, n: int, r: int) -> BuildResult:
                 2 * j if j % 2 == variant % 2 else 2 * n + 1 + 2 * j for j in range(1, n + 2)
             ]
 
-    return _built(*_merged(
+    return _merged(
         (d, inst), f"{base}{variant}", {"n": n, "k": k, "r": r, "s": s},
         _deal([items], r), [V("m", b + 1) for b in range(r)], color, degree,
-    ))
+    )
 
 
 def valid_gn_index_lists(n: int) -> list[tuple[int, ...]]:
@@ -502,20 +478,15 @@ def valid_gn_index_lists(n: int) -> list[tuple[int, ...]]:
     return sorted(out)
 
 
-def build_gn(n: int, indices: Sequence[int]) -> BuildResult:
-    """Disjoint union of bracelets cut out of one big bracelet.
+def _gn(n: int, indices: Sequence[int]) -> tuple[_Draft, FamilyInstance, list[list[int]]]:
+    """Disjoint union of bracelets cut out of one big bracelet; plus the
+    hubs of each bracelet in cycle order, the bracelet of u_1 first.
 
     For each index ia, the two degree-4 vertices at cycle positions 8*ia-2
     and 16*ia-4 are split into their lower and upper halves and re-merged
     crosswise, which detaches one bracelet with 4*ia-2 rim cells.  Split
     halves keep the labels of their edges.
     """
-    return _built(*_gn(n, indices))
-
-
-def _gn(n: int, indices: Sequence[int]) -> tuple[_Draft, FamilyInstance, list[list[int]]]:
-    """:func:`build_gn` unfinished, plus the hubs of each bracelet in cycle
-    order, the bracelet of u_1 first."""
     indices = tuple(indices)
     if not indices or any(i < 1 for i in indices) or list(indices) != sorted(set(indices)):
         raise InvalidIndices(f"indices must be strictly increasing positives, got {indices}")
@@ -568,13 +539,13 @@ def _gn(n: int, indices: Sequence[int]) -> tuple[_Draft, FamilyInstance, list[li
     return d, inst, rims
 
 
-def build_gb(
+def _gb(
     n: int,
     r: int,
     s: int,
     base: str = "tb",
     indices: Sequence[int] | None = None,
-) -> BuildResult:
+) -> tuple[_Draft, FamilyInstance, range]:
     """Generalized bracelet: merge the n+1 degree-4 vertices of a bracelet
     (or bracelet union) into r blocks of s without common neighbors, dealt
     bracelet by bracelet along the rims (see :func:`_deal`)."""
@@ -597,10 +568,10 @@ def build_gb(
     params = {"n": n, "k": k, "r": r, "s": s, "base": base}
     if indices:
         params["indices"] = tuple(indices)
-    return _built(*_merged(
+    return _merged(
         (d, base_inst), "gb", params, _deal(rims, r),
         [V("m", b + 1) for b in range(r)], 20 * k + 12, 4,
-    ))
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -608,7 +579,7 @@ def build_gb(
 # ---------------------------------------------------------------------------
 
 
-def build_np3_o3(n: int) -> BuildResult:
+def _np3_o3(n: int) -> Built:
     """n paths P3 joined to three independent hubs, labeled by the 11-row
     matrix and merged hub-wise."""
     if n < 3 or n % 2 == 0:
@@ -635,33 +606,34 @@ def build_np3_o3(n: int) -> BuildResult:
         "np3o3", {"n": n, "k": k}, palette,
         _census((4, 2 * n), (5, n), (3 * n, 3)),
     )
-    return _built(d, inst)
+    return d, inst
 
 
 # ---------------------------------------------------------------------------
 # Dispatch, verification and sweep grids
 # ---------------------------------------------------------------------------
 
-_BUILDERS: dict[str, Callable[..., BuildResult]] = {
-    "fb": build_fb,
-    "tfb": build_tfb,
-    "df": build_df,
-    "fb1": partial(build_fb_merged, 1),
-    "fb2": partial(build_fb_merged, 2),
-    "df1": partial(build_df_merged, 1),
-    "df2": partial(build_df_merged, 2),
-    "df3": partial(build_df_merged, 3),
-    "pt": build_pt,
-    "tb": build_tb,
-    "pt1": partial(build_pt_tb_merged, "pt", 1),
-    "pt2": partial(build_pt_tb_merged, "pt", 2),
-    "pt3": partial(build_pt_tb_merged, "pt", 3),
-    "tb1": partial(build_pt_tb_merged, "tb", 1),
-    "tb2": partial(build_pt_tb_merged, "tb", 2),
-    "tb3": partial(build_pt_tb_merged, "tb", 3),
-    "gn": build_gn,
-    "gb": build_gb,
-    "np3o3": build_np3_o3,
+# each returns its unfinished (draft, instance, *extras)
+_BUILDERS: dict[str, Callable[..., tuple]] = {
+    "fb": _fb,
+    "tfb": _tfb,
+    "df": _df,
+    "fb1": partial(_fb_merged, 1),
+    "fb2": partial(_fb_merged, 2),
+    "df1": partial(_df_merged, 1),
+    "df2": partial(_df_merged, 2),
+    "df3": partial(_df_merged, 3),
+    "pt": _pt,
+    "tb": _tb,
+    "pt1": partial(_pt_tb_merged, "pt", 1),
+    "pt2": partial(_pt_tb_merged, "pt", 2),
+    "pt3": partial(_pt_tb_merged, "pt", 3),
+    "tb1": partial(_pt_tb_merged, "tb", 1),
+    "tb2": partial(_pt_tb_merged, "tb", 2),
+    "tb3": partial(_pt_tb_merged, "tb", 3),
+    "gn": _gn,
+    "gb": _gb,
+    "np3o3": _np3_o3,
 }
 
 # the parameters each family's builder binds, read once
@@ -669,6 +641,7 @@ _SIGNATURES = {family: inspect.signature(builder) for family, builder in _BUILDE
 
 
 def build_family(family: str, **params) -> BuildResult:
+    """Build one instance of ``family``: its builder's draft, finished."""
     try:
         builder = _BUILDERS[family]
     except KeyError:
@@ -679,7 +652,9 @@ def build_family(family: str, **params) -> BuildResult:
         _SIGNATURES[family].bind(**params)
     except TypeError as exc:
         raise InvalidParams(f"bad parameters for {family}: {exc}") from None
-    return builder(**params)
+    # drop the extras before the finish: held through it, they raise peak RSS
+    d, inst = builder(**params)[:2]
+    return (*d.finish(), inst)
 
 
 def _first_violations(cert, kinds: tuple[str, ...]) -> str:

@@ -109,6 +109,8 @@ class Graph:
             e = edge(a, b)
             if e[0] not in vs or e[1] not in vs:
                 raise UnknownVertex(f"edge {e} has an endpoint outside the vertex set")
+            if e in es:
+                raise MergeWouldCreateParallelEdge("two edges join the same two vertices")
             es.add(e)
         self.vertices: frozenset[VertexId] = vs
         self.edges: frozenset[Edge] = frozenset(es)

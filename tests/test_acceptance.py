@@ -16,8 +16,6 @@ from antimagic.errors import InfeasibleShape
 from antimagic.families import (
     FAMILY_TAGS,
     build_family,
-    build_gn,
-    build_tb,
     sweep_family,
     valid_gn_index_lists,
     verify_instance,
@@ -164,15 +162,15 @@ def test_criterion_4_golden_value_spot_checks():
             sizes.append(m)
         return sorted(sizes)
 
-    g30, f30, inst30 = build_gn(30, (1, 2, 4))
+    g30, f30, inst30 = build_family("gn", n=30, indices=(1, 2, 4))
     verify_instance(g30, f30, inst30)
     assert bracelet_sizes(g30) == [2, 5, 6, 14]
 
-    g10, f10, inst10 = build_gn(10, (1,))
+    g10, f10, inst10 = build_family("gn", n=10, indices=(1,))
     verify_instance(g10, f10, inst10)
     assert bracelet_sizes(g10) == [2, 7]
 
-    _, ftb, _ = build_tb(30)
+    _, ftb, _ = build_family("tb", n=30)
     rungs = [ftb.labels[edge(V("u", 2 * j - 1), V("v", 2 * j - 1))] for j in range(1, 32)]
     assert rungs == [
         63, 78, 79, 93, 64, 77, 80, 92, 65, 76, 81, 91, 66, 75, 82, 90, 67,

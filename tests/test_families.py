@@ -19,18 +19,7 @@ from antimagic.errors import (
     PaletteCollision,
 )
 from antimagic.families import (
-    build_df,
-    build_df_merged,
     build_family,
-    build_fb,
-    build_fb_merged,
-    build_gb,
-    build_gn,
-    build_np3_o3,
-    build_pt,
-    build_pt_tb_merged,
-    build_tb,
-    build_tfb,
     family_grid,
     sweep_family,
     valid_gn_index_lists,
@@ -64,20 +53,20 @@ def test_fb_small_palettes():
 
 
 def test_fb9_hub_color_is_last_three_rows_total():
-    g, f, _ = build_fb(9)
+    g, f, _ = build_family("fb", n=9)
     assert induce_coloring(g, f)[V("x")] == (7 * 4 + 4) * (6 * 4 + 3) == 864
     assert g.degree(V("x")) == 27
 
 
 def test_fb_rejects_even_and_unit():
     with pytest.raises(InvalidParity):
-        build_fb(8)
+        build_family("fb", n=8)
     with pytest.raises(InvalidParity):
-        build_fb(1)
+        build_family("fb", n=1)
 
 
 def test_tfb_3x3_matches_the_example_blocks():
-    g, f, inst = build_tfb(3, 3)
+    g, f, inst = build_family("tfb", t=3, s=3)
     assert inst.partition_record is not None
     as_sets = {frozenset(b) for b in inst.partition_record}
     assert as_sets == {
@@ -96,7 +85,7 @@ def test_tfb_3x5_palette():
 
 def test_tfb_merged_hub_color_equals_row_sum():
     for t, s in [(3, 3), (5, 3), (3, 7)]:
-        g, f, inst = build_tfb(t, s)
+        g, f, inst = build_family("tfb", t=t, s=s)
         k = inst.params["k"]
         colors = induce_coloring(g, f)
         for a in range(1, t + 1):
@@ -114,7 +103,7 @@ def test_df_1_3_is_df6_plus_fb3():
 
 
 def test_df_4_1_component_pairing():
-    g, f, inst = build_df(4, 1)
+    g, f, inst = build_family("df", r=4, s=1)
     # the j-th diamond couples cells j and 10-j; hub y_j sees w_j and u/v_{10-j}
     for j in range(1, 5):
         nbrs = g.neighbors(V("y", j))
@@ -131,7 +120,7 @@ def test_df_1_1_palette():
 
 def test_df_census_formula():
     for r, s in [(1, 3), (2, 3), (3, 1), (2, 5)]:
-        g, f, _ = build_df(r, s)
+        g, f, _ = build_family("df", r=r, s=s)
         expected = {}
         for d, c in ((2, (4 * r + 2) * s), (3, (2 * r + 1) * s), (3 * s, 2 * r + 1)):
             expected[d] = expected.get(d, 0) + c
@@ -152,15 +141,15 @@ def test_fb_merged_palettes():
 def test_fb1_rejects_k_2_mod_4():
     # rs = 21 gives k = 10 = 2 (mod 4)
     with pytest.raises(PaletteCollision):
-        build_fb_merged(1, 3, 7)
+        build_family("fb1", r=3, s=7)
     built_ok("fb2", r=3, s=7)  # variant 2 stays fine
 
 
 def test_fb_merged_rejects_bad_shapes():
     with pytest.raises(InvalidFactorization):
-        build_fb_merged(2, 2, 5)
+        build_family("fb2", r=2, s=5)
     with pytest.raises(InvalidFactorization):
-        build_fb_merged(2, 3, 1)
+        build_family("fb2", r=3, s=1)
 
 
 def test_df_merged_palettes():
@@ -173,13 +162,13 @@ def test_df_merged_palettes():
 def test_df1_rejects_k_2_mod_4():
     # (2r+1)s = 21 gives k = 10 = 2 (mod 4)
     with pytest.raises(PaletteCollision):
-        build_df_merged(1, 1, 7)
+        build_family("df1", r=1, s=7)
     built_ok("df2", r=1, s=7)
 
 
 def test_df3_needs_composite_hub_count():
     with pytest.raises(InvalidFactorization):
-        build_df_merged(3, 3, 1, r1=3)  # 2r+1 = 7 prime
+        build_family("df3", r=3, s=1, r1=3)  # 2r+1 = 7 prime
 
 
 # --- peanuts ---------------------------------------------------------------------
@@ -241,7 +230,7 @@ def test_pt_labels_agree_with_traced_sequences():
     # sequences, the oracle above uses piecewise closed forms; they must
     # produce the same labeling
     for k in range(1, 25):
-        g, f, _ = build_pt(2 * k)
+        g, f, _ = build_family("pt", n=2 * k)
         p1, p2, rungs = pt_label_arrays(k)
         rail1 = [V("x")] + [V("u", i) for i in range(1, 4 * k + 2)] + [V("y")]
         rail2 = [V("x")] + [V("v", i) for i in range(1, 4 * k + 2)] + [V("y")]
@@ -275,7 +264,7 @@ def test_pt2_smallest_case():
 
 
 def test_pt_degree2_color_is_10k_plus_6():
-    g, f, inst = build_pt(4)
+    g, f, inst = build_family("pt", n=4)
     colors = induce_coloring(g, f)
     for v in g.vertices:
         if g.degree(v) == 2:
@@ -283,7 +272,7 @@ def test_pt_degree2_color_is_10k_plus_6():
 
 
 def test_pt_degree3_colors_alternate_along_rails():
-    g, f, inst = build_pt(8)
+    g, f, inst = build_family("pt", n=8)
     k = 4
     colors = induce_coloring(g, f)
     u_colors = [colors[V("u", 2 * j - 1)] for j in range(1, 2 * k + 2)]
@@ -295,7 +284,7 @@ def test_pt_degree3_colors_alternate_along_rails():
 
 def test_pt_rejects_odd():
     with pytest.raises(InvalidParity):
-        build_pt(5)
+        build_family("pt", n=5)
 
 
 # --- bracelets -------------------------------------------------------------------
@@ -313,7 +302,7 @@ def test_tb2_order_size_palette():
 
 
 def test_tb30_rung_sequence_golden():
-    _, f30, _ = build_tb(30)
+    _, f30, _ = build_family("tb", n=30)
     rungs = [f30.labels[edge(V("u", 2 * j - 1), V("v", 2 * j - 1))] for j in range(1, 32)]
     assert rungs == [
         63, 78, 79, 93, 64, 77, 80, 92, 65, 76, 81, 91, 66, 75, 82, 90, 67,
@@ -323,7 +312,7 @@ def test_tb30_rung_sequence_golden():
 
 def _tb_cycle_labels(n, rail):
     """Consecutive edge labels of the bracelet cycle through one rail."""
-    g, f, _ = build_tb(n)
+    g, f, _ = build_family("tb", n=n)
     cycle = [V("z", 0)]
     for j in range(1, n + 2):
         cycle.append(V(rail, 2 * j - 1))
@@ -383,7 +372,7 @@ def test_merged_block_assignment_explicit():
 
 def test_merged_block_with_common_neighbors_rejected():
     # consecutive bracelet hubs share two rim vertices: parallel edge guard
-    g, _, _ = build_tb(8)
+    g, _, _ = build_family("tb", n=8)
     items = [V("z", 0)] + [V("z", 2 * i) for i in range(1, 9)]
     blocks = [items[0:3], items[3:6], items[6:9]]
     with pytest.raises(MergeWouldCreateParallelEdge):
@@ -407,7 +396,7 @@ def test_degree_class_merges_induce_no_coloring(monkeypatch, base, variant, n, r
             monkeypatch.setattr(
                 module, "induce_coloring", lambda g, f: calls.append(1) or real(g, f)
             )
-    build_pt_tb_merged(base, variant, n, r)
+    build_family(f"{base}{variant}", n=n, r=r)
     assert calls == []
 
 
@@ -417,21 +406,21 @@ def test_rung_endpoint_colors_alternate_for_every_peanut_and_bracelet():
     for n in range(2, 201, 2):
         k = n // 2
         lo, hi = 9 * k + 6, 21 * k + 12
-        for build in (build_pt, build_tb):
-            g, f, _ = build(n)
+        for family in ("pt", "tb"):
+            g, f, _ = build_family(family, n=n)
             colors = induce_coloring(g, f)
             for j in range(1, n + 2):
                 u, v = colors[V("u", 2 * j - 1)], colors[V("v", 2 * j - 1)]
-                assert (u, v) == ((lo, hi) if j % 2 else (hi, lo)), (build.__name__, n, j)
+                assert (u, v) == ((lo, hi) if j % 2 else (hi, lo)), (family, n, j)
 
 
 def test_merged_shape_guards():
     with pytest.raises(NoValidPartition):
-        build_pt_tb_merged("pt", 1, 4, 2)  # r must be odd and divide n+1
+        build_family("pt1", n=4, r=2)  # r must be odd and divide n+1
     with pytest.raises(NoValidPartition):
-        build_pt_tb_merged("tb", 3, 6, 7)  # n+1 = 7 prime, no r=7 with s>=3
+        build_family("tb3", n=6, r=7)  # n+1 = 7 prime, no r=7 with s>=3
     with pytest.raises(NoValidPartition):
-        build_pt_tb_merged("tb", 3, 4, 5)  # n < 8
+        build_family("tb3", n=4, r=5)  # n < 8
 
 
 # --- bracelet unions --------------------------------------------------------------
@@ -462,7 +451,7 @@ def test_gn_split_vertices_carry_the_stated_labels():
     # after the crosswise re-merge the two surgery vertices carry the two
     # label pairs of each half; check both parities of k
     for n, ia in [(10, 1), (12, 1)]:
-        g, f, _ = build_gn(n, [ia])
+        g, f, _ = build_family("gn", n=n, indices=[ia])
         k = n // 2
         lo, hi = 8 * ia - 2, 16 * ia - 4
         lo_labels = {f.labels[edge(V("z", lo), nb)] for nb in g.neighbors(V("z", lo))}
@@ -480,15 +469,15 @@ def test_gn_split_vertices_carry_the_stated_labels():
 
 def test_gn_condition_guards():
     with pytest.raises(ConditionViolated) as info:
-        build_gn(30, [2, 3])  # 8*3 = 24 <= 16*2 - 2 = 30
+        build_family("gn", n=30, indices=[2, 3])  # 8*3 = 24 <= 16*2 - 2 = 30
     assert info.value.which == "a"
     with pytest.raises(ConditionViolated) as info:
-        build_gn(10, [2])  # 10 < 8*2 - 2
+        build_family("gn", n=10, indices=[2])  # 10 < 8*2 - 2
     assert info.value.which == "b"
     with pytest.raises(InvalidIndices):
-        build_gn(10, [])
+        build_family("gn", n=10, indices=[])
     with pytest.raises(InvalidIndices):
-        build_gn(10, [2, 1])
+        build_family("gn", n=10, indices=[2, 1])
 
 
 def test_gn_index_list_enumeration_n30():
@@ -512,7 +501,7 @@ def _bracelet_rims(g):
 def test_gb_over_gn_deals_each_bracelet_rim():
     # the stride-r round-robin of the sorted hubs puts two hubs with a common
     # neighbor into one block; the deal goes bracelet by bracelet instead
-    g, _, _ = build_gn(20, (1, 2))
+    g, _, _ = build_family("gn", n=20, indices=(1, 2))
     hubs = sorted(v for v in g.vertices if g.degree(v) == 4)
     round_robin = [hubs[b::3] for b in range(3)]
     with pytest.raises(MergeWouldCreateParallelEdge):
@@ -533,7 +522,7 @@ def test_gb_over_gn_deals_each_bracelet_rim():
 
 
 def test_gb_over_gn_swaps_the_end_of_a_rim_of_1_mod_r():
-    g, _, _ = build_gn(38, (5,))
+    g, _, _ = build_family("gn", n=38, indices=(5,))
     rims = _bracelet_rims(g)
     assert sorted(len(rim) for rim in rims) == [19, 20]
     dealt = rims[0] + rims[1]
@@ -551,7 +540,7 @@ def _merged_by_name(base, family, params, blocks, new_ids, color, degree):
 
 
 def test_merge_class_out_of_rim_order_is_an_invariant_error():
-    (rim,) = _bracelet_rims(build_tb(8)[0])
+    (rim,) = _bracelet_rims(build_family("tb", n=8)[0])
     params, ids = {"n": 8, "k": 4, "r": 3, "s": 3}, [V("m", b + 1) for b in range(3)]
     base = lambda: families._tb(8)[:2]  # noqa: E731 -- a merge consumes its draft
     _merged_by_name(base, "tb3", params, families._deal([rim], 3), ids, 92, 4)
@@ -607,11 +596,11 @@ def test_a_clash_in_fb1_blocks_fails_its_sweep_point(monkeypatch):
 @pytest.mark.parametrize(
     "family, params, base",
     [
-        ("fb1", {"r": 3, "s": 5}, lambda: build_tfb(3, 5)),
-        ("df2", {"r": 2, "s": 3}, lambda: build_df(2, 3)),
-        ("tb", {"n": 10}, lambda: build_pt(10)),
-        ("pt3", {"n": 10, "r": 2}, lambda: build_pt(10)),
-        ("gb", {"n": 14, "r": 5, "s": 3}, lambda: build_tb(14)),
+        ("fb1", {"r": 3, "s": 5}, lambda: build_family("tfb", t=3, s=5)),
+        ("df2", {"r": 2, "s": 3}, lambda: build_family("df", r=2, s=3)),
+        ("tb", {"n": 10}, lambda: build_family("pt", n=10)),
+        ("pt3", {"n": 10, "r": 2}, lambda: build_family("pt", n=10)),
+        ("gb", {"n": 14, "r": 5, "s": 3}, lambda: build_family("tb", n=14)),
     ],
     ids=["fb_merged", "df_merged", "tb", "pt_tb_merged", "gb"],
 )
@@ -632,7 +621,7 @@ def test_partition_record_names_the_merged_blocks(family, params, base):
 
 
 def test_tb_records_its_zipped_rail_pairs():
-    _, _, inst = build_tb(4)
+    _, _, inst = build_family("tb", n=4)
     assert inst.partition_record == (
         ("x", "y"), ("u_2", "v_2"), ("u_4", "v_4"), ("u_6", "v_6"), ("u_8", "v_8"),
     )
@@ -647,7 +636,7 @@ def test_gb_over_tb_rejects_split_indices():
 
 
 def test_np3o3_k1_labels_match_table():
-    g, f, _ = build_np3_o3(3)
+    g, f, _ = build_family("np3o3", n=3)
     t = table_m3(1)
     for i in (1, 2, 3):
         assert f.labels[edge(V("u", i), V("w", i))] == t.rows["L"][i - 1]
@@ -666,7 +655,7 @@ def test_np3o3_palettes():
 
 
 def test_np3o3_center_colors():
-    g, f, _ = build_np3_o3(7)
+    g, f, _ = build_family("np3o3", n=7)
     colors = induce_coloring(g, f)
     k = 3
     for i in range(1, 8):
@@ -676,7 +665,7 @@ def test_np3o3_center_colors():
 
 def test_np3o3_rejects_even():
     with pytest.raises(InvalidParity):
-        build_np3_o3(4)
+        build_family("np3o3", n=4)
 
 
 # --- grids ---------------------------------------------------------------------
@@ -830,6 +819,12 @@ def test_a_build_makes_one_graph_and_remaps_no_labels(monkeypatch, family, param
     verify_instance(g, f, inst)
 
 
+def test_the_tables_that_name_the_families_agree():
+    # the CLI choices, the builders and the sweep grids each list the tags
+    assert len(set(families.FAMILY_TAGS)) == len(families.FAMILY_TAGS)
+    assert set(families._BUILDERS) == set(families.FAMILY_TAGS) == set(families.GRID_BOUND)
+
+
 def test_build_family_unknown_keyword_is_invalid_params():
     with pytest.raises(InvalidParams):
         build_family("fb", n=9, m=3)
@@ -862,7 +857,7 @@ def test_sweep_records_a_usage_error_and_goes_on(monkeypatch):
 
 
 def test_failure_report_names_the_first_violations():
-    g, f, inst = build_fb(5)
+    g, f, inst = build_family("fb", n=5)
     es = g.sorted_edges()
     labels = dict(f.labels)
     labels[es[17]], labels[es[21]] = labels[es[21]], labels[es[17]]
@@ -891,7 +886,7 @@ def test_failure_report_names_the_first_violations():
 
 
 def test_failure_report_names_the_edges_sharing_a_label():
-    g, f, inst = build_fb(5)
+    g, f, inst = build_family("fb", n=5)
     es = g.sorted_edges()
     labels = dict(f.labels)
     labels[es[3]] = labels[es[4]]
@@ -900,7 +895,7 @@ def test_failure_report_names_the_edges_sharing_a_label():
 
 
 def test_failure_report_names_each_census_degree_that_differs():
-    g, f, inst = build_fb(5)  # census {2: 10, 3: 5, 15: 1}
+    g, f, inst = build_family("fb", n=5)  # census {2: 10, 3: 5, 15: 1}
     doctored = dataclasses.replace(inst, expected_census={2: 10, 3: 7, 4: 1})
     with pytest.raises(InvariantError) as info:
         verify_instance(g, f, doctored)

@@ -19,7 +19,7 @@ from antimagic.errors import (
     OverlappingBlocks,
     UnknownVertex,
 )
-from antimagic.families import _fan_cells, build_df, build_family, build_fb, build_tb
+from antimagic.families import _fan_cells, build_family
 from antimagic.graph import (
     EdgeLabeling,
     Graph,
@@ -40,6 +40,22 @@ def path3():
     g = Graph([a, b, c], [edge(a, b), edge(b, c)])
     f = EdgeLabeling.from_dict({edge(a, b): 1, edge(b, c): 2})
     return g, f, (a, b, c)
+
+
+@pytest.mark.parametrize(
+    "edges, error",
+    [
+        ([(V("a"), V("b")), (V("b"), V("a")), (V("b"), V("c"))], MergeWouldCreateParallelEdge),
+        ([(V("a"), V("b")), (V("b"), V("b"))], MergeWouldCreateLoop),
+        ([(V("a"), V("b")), (V("c"), V("d"))], UnknownVertex),
+    ],
+    ids=["repeated_edge", "loop", "endpoint_outside"],
+)
+def test_graph_rejects_what_a_simple_graph_cannot_hold(edges, error):
+    # a repeated edge would collapse into one, and labels zipped onto the
+    # edge list would then certify as a non-bijection with no reason given
+    with pytest.raises(error):
+        Graph([V("a"), V("b"), V("c")], edges)
 
 
 # --- vertex ids and derived structures ------------------------------------------
@@ -267,7 +283,7 @@ def test_induce_coloring_single_edge():
 
 
 def test_induce_coloring_fan3():
-    g, f, _ = build_fb(3)
+    g, f, _ = build_family("fb", n=3)
     assert sorted(set(induce_coloring(g, f).values())) == [15, 16, 99]
 
 
@@ -282,7 +298,7 @@ def test_certify_path3():
 
 
 def test_certify_fan9_expected_palette():
-    g, f, _ = build_fb(9)
+    g, f, _ = build_family("fb", n=9)
     cert = certify(g, f, expected_palette=[42, 46, 864])
     assert cert.ok()
     assert cert.palette == (42, 46, 864)
@@ -335,7 +351,7 @@ def test_certificate_carries_the_coloring_outside_its_fields(family, params):
 
 
 def test_certificate_palette_mismatch_flagged_separately():
-    g, f, _ = build_fb(3)
+    g, f, _ = build_family("fb", n=3)
     cert = certify(g, f, expected_palette=[1, 2, 3])
     assert cert.palette_ok is False
     assert cert.is_bijective and cert.is_local_antimagic
@@ -425,7 +441,7 @@ def test_mixed_violations_keep_their_order():
 
 
 def test_certify_is_pure():
-    g, f, _ = build_fb(5)
+    g, f, _ = build_family("fb", n=5)
     assert certify(g, f) == certify(g, f)
 
 
@@ -437,17 +453,17 @@ def _census(g, f):
 
 
 def test_degree_census_examples():
-    g, f, _ = build_fb(7)
+    g, f, _ = build_family("fb", n=7)
     assert _census(g, f) == {2: 14, 3: 7, 21: 1}
-    g, f, _ = build_df(2, 3)  # r=2, s=3: degrees 2, 3 and 3s=9
+    g, f, _ = build_family("df", r=2, s=3)  # r=2, s=3: degrees 2, 3 and 3s=9
     assert _census(g, f) == {2: 30, 3: 15, 9: 5}
-    g, f, _ = build_tb(6)
+    g, f, _ = build_family("tb", n=6)
     assert _census(g, f) == {3: 14, 4: 7}
 
 
 def test_triangle_census_of_bracelet():
     for n in (2, 6, 10):
-        g, _, _ = build_tb(n)
+        g, _, _ = build_family("tb", n=n)
         # each triangle is counted once at each of its three edges
         triangles = sum(len(g.neighbors(a) & g.neighbors(b)) for a, b in g.edges) // 3
         assert triangles == 2 * n + 2
@@ -460,7 +476,7 @@ def test_triangle_census_of_bracelet():
 @settings(max_examples=60, deadline=None)
 @given(st.permutations(list(range(1, 16))))
 def test_fan3_any_bijection_certifies_bijective(perm):
-    g, f, _ = build_fb(3)
+    g, f, _ = build_family("fb", n=3)
     relabeled = EdgeLabeling.from_dict(
         {e: perm[lab - 1] for e, lab in f.labels.items()}
     )
@@ -473,7 +489,7 @@ def test_fan3_any_bijection_certifies_bijective(perm):
 @settings(max_examples=40, deadline=None)
 @given(st.data())
 def test_random_split_then_merge_roundtrip(data):
-    g, f, _ = build_fb(3)
+    g, f, _ = build_family("fb", n=3)
     candidates = [v for v in g.sorted_vertices() if g.degree(v) >= 2]
     v = data.draw(st.sampled_from(candidates))
     incident = sorted(g.incident_edges(v))

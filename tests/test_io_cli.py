@@ -5,7 +5,10 @@ import functools
 import hashlib
 import json
 import random
+import os
 import re
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -276,6 +279,30 @@ def test_cli_build_certify(tmp_path, capsys):
     assert doc["certificate"]["palette"] == [42, 46, 864]
     dot = (tmp_path / "fb_n9.dot").read_text()
     assert "864" in dot
+
+
+def test_python_dash_m_antimagic_runs_the_cli_and_returns_its_exit_code(tmp_path):
+    # __main__ is the module the interpreter runs; main() is tested in process
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(Path(families.__file__).parents[1]), env.get("PYTHONPATH")])
+    )
+
+    def run(out, *argv):
+        cmd = [sys.executable, "-m", "antimagic", "--out", str(out), *argv]
+        return subprocess.run(cmd, env=env, cwd=tmp_path, capture_output=True, timeout=120)
+
+    built = run(
+        tmp_path / "build", "build", "--family", "fb", "--n", "9", "--certify", "--emit", "both"
+    )
+    assert built.returncode == 0, built.stderr
+    assert sorted(p.name for p in (tmp_path / "build").iterdir()) == [
+        "fb_n9.dot", "fb_n9.json", "manifest.jsonl",
+    ]
+    assert len((tmp_path / "build" / "manifest.jsonl").read_text().splitlines()) == 1
+    bare = run(tmp_path / "bare")
+    assert bare.returncode == 2, bare.stderr
+    assert len((tmp_path / "bare" / "manifest.jsonl").read_text().splitlines()) == 1
 
 
 def test_cli_certified_build_induces_the_coloring_once(tmp_path, monkeypatch):
@@ -789,10 +816,10 @@ def test_cli_build_certify_checks_every_claim(tmp_path, monkeypatch):
     real = families._BUILDERS["gn"]
 
     def false_claims(n, indices):
-        g, f, inst = real(n, indices)
-        return g, f, dataclasses.replace(
+        d, inst, *extras = real(n, indices)
+        return d, dataclasses.replace(
             inst, expected_census={3: 22, 4: 10}, expected_component_orders=(9, 25)
-        )
+        ), *extras
 
     argv = ["build", "--family", "gn", "--n", "10", "--indices", "1", "--certify"]
     monkeypatch.setitem(families._BUILDERS, "gn", false_claims)

@@ -5,7 +5,7 @@ from itertools import permutations
 import pytest
 
 from antimagic.errors import K2Component, UsageError
-from antimagic.families import build_family, build_fb
+from antimagic.families import build_family
 from antimagic.graph import EdgeLabeling, Graph, V, certify, edge
 from antimagic.solver import SearchConfig, solve_chi_la, verify_lower_bound
 
@@ -126,7 +126,7 @@ def test_lower_bound_values():
     assert verify_lower_bound(fan_one_blade()) == 3
     assert verify_lower_bound(cycle(4)) == 2
     assert verify_lower_bound(Graph([V("a")], [])) == 1
-    g, _, _ = build_fb(5)
+    g, _, _ = build_family("fb", n=5)
     assert verify_lower_bound(g) == 3
 
 
@@ -157,7 +157,7 @@ def test_k2_rejected():
 
 
 def test_oversized_graph_reports_infeasible_size():
-    g, f, _ = build_fb(3)  # 15 edges > default cap of 10
+    g, f, _ = build_family("fb", n=3)  # 15 edges > default cap of 10
     res = solve_chi_la(g, initial_witness=f)
     assert res.status == "infeasible_size"
     assert res.chi_la is None
@@ -206,7 +206,7 @@ def test_target_mode_without_witness_reports_nonexistence():
 def test_target_below_the_lower_bound_is_exact_without_search():
     # fb3 has a triangle, so no labeling has 2 colors; the search used to
     # spend its whole budget proving that
-    g, _, _ = build_fb(3)
+    g, _, _ = build_family("fb", n=3)
     res = solve_chi_la(g, SearchConfig(max_edges=15, target_colors=2, time_budget=0.5))
     assert (res.status, res.chi_la, res.nodes) == ("exact", None, 0)
 
