@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -30,6 +31,16 @@ def _parse_palette(text: str) -> list[int]:
         return [int(x) for x in text.split(",")]
     except ValueError:
         raise UsageError(f"palette is not 'auto' or comma-separated ints: {text!r}") from None
+
+
+def _seconds(text: str) -> float:
+    try:
+        seconds = float(text)
+    except ValueError:
+        seconds = math.nan
+    if not 0 < seconds < math.inf:
+        raise argparse.ArgumentTypeError(f"not a finite positive number of seconds: {text!r}")
+    return seconds
 
 
 def _load_doc(path: str) -> dict:
@@ -278,7 +289,7 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True)
     p.add_argument("--max-edges", type=int, default=10)
     p.add_argument("--target", type=int)
-    p.add_argument("--time-budget", type=float)
+    p.add_argument("--time-budget", type=_seconds)
     p.add_argument("--use-witness", action="store_true",
                    help="seed the incumbent with the document's labeling")
 

@@ -49,22 +49,13 @@ FAMILY_TAGS = (
 
 @dataclass(frozen=True)
 class FamilyInstance:
-    """Family tag, validated parameters, the claims to certify and, for a
-    family that merges a class into blocks, those blocks in merge order."""
+    """Family tag, validated parameters and the claims to certify."""
 
     family: str
     params: dict
     expected_palette: tuple[int, ...]
     expected_census: dict[int, int]
-    blocks: tuple[frozenset[VertexId], ...] | None = None
     expected_component_orders: tuple[int, ...] | None = None
-
-    @property
-    def partition_record(self) -> tuple[tuple[str, ...], ...] | None:
-        """The merged blocks by vertex name, each sorted, in merge order."""
-        if self.blocks is None:
-            return None
-        return tuple(tuple(str(v) for v in sorted(b)) for b in self.blocks)
 
 
 BuildResult = tuple[Graph, EdgeLabeling, FamilyInstance]
@@ -91,11 +82,6 @@ Built = tuple[_Draft, FamilyInstance]
 def _vertices(role: str, *columns: Iterable[int]) -> Iterator[VertexId]:
     """``_vertices("u", range(1, 4))`` is u_1, u_2, u_3, made in C."""
     return map(tuple.__new__, repeat(VertexId), zip(repeat(role), zip(*columns)))
-
-
-def _named(d: _Draft, blocks: Iterable[Iterable[int]]) -> tuple[frozenset[VertexId], ...]:
-    """The blocks by vertex name, for :attr:`FamilyInstance.blocks`."""
-    return tuple(frozenset(map(d.names.__getitem__, b)) for b in blocks)
 
 
 def _merged(
@@ -140,10 +126,7 @@ def _merged(
         new = d.merge(blocks, new_ids)
     except (MergeWouldCreateLoop, MergeWouldCreateParallelEdge) as exc:
         raise InvariantError(f"{family}{params}: the blocks clash: {exc}") from None
-    inst = FamilyInstance(
-        family, params, palette, _census(*census.items(), (s * degree, r)),
-        blocks=_named(d, blocks),
-    )
+    inst = FamilyInstance(family, params, palette, _census(*census.items(), (s * degree, r)))
     return d, inst, new
 
 
@@ -206,7 +189,6 @@ def _tfb(t: int, s: int) -> tuple[_Draft, FamilyInstance, list[list[int]]]:
     inst = FamilyInstance(
         "tfb", {"t": t, "s": s, "k": k}, palette,
         _census((2, 2 * t * s), (3, t * s), (3 * s, t)),
-        blocks=_named(d, blocks),
         expected_component_orders=tuple([3 * s + 1] * t),
     )
     return d, inst, columns

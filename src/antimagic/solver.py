@@ -112,7 +112,7 @@ def solve_chi_la(
     """
     for comp in g.connected_components():
         if len(comp) == 2:
-            raise K2Component(f"component {sorted(comp)} is a K2")
+            raise K2Component(f"component {'-'.join(map(str, sorted(comp)))} is a K2")
 
     q = len(g.edges)
     if q == 0:

@@ -9,9 +9,12 @@ Three integer matrices drive every construction in this package:
 * ``m3`` -- 11 x (2k+1) bijective on [1, 22k+11] for the triple-hub join
   families.
 
-This module commits to per-column closed forms; the test suite gates them
-behind frozen endpoint golden values, so any mismatch fails loudly instead
-of silently reindexing.
+Each row is stated once, in ``_PIECES``, as one or two pieces (c0, c1, d),
+the entry c0 + c1*k + d*i in column i: the first piece on columns 1..k+1,
+the last on k+2..2k+1 (a row of one piece uses it on both), each evaluated
+with one ``range``.  ``tests/test_table_proofs.py`` proves from the same
+pieces each bijection, observations (1)-(5) and (a)-(c), and properties
+(A)-(C) for every k >= 1; the checks here still run on every table built.
 """
 
 from __future__ import annotations
@@ -62,64 +65,68 @@ def _bijective(t: LabelTable) -> LabelTable:
     return t
 
 
-def _row(k: int, low, high=None):
-    """Build one 2k+1 row from per-column formulas (low: i<=k+1, high: rest)."""
-    if high is None:
-        high = low
-    return tuple(low(i) if i <= k + 1 else high(i) for i in range(1, 2 * k + 2))
+# the rows of each kind as pieces (see above), in row order
+_PIECES = {
+    "m1": {
+        "uw": ((-1, 0, 2), (-2, -2, 2)),
+        "vw": ((3, 3, -1), (4, 5, -1)),
+        "xw": ((4, 6, -1),),
+        "xu": ((7, 10, -2), (8, 12, -2)),
+        "xv": ((3, 7, 1), (2, 5, 1)),
+    },
+    "pt": {
+        "R1": ((-1, 0, 2), (-2, -2, 2)),
+        "R2": ((3, 4, -1),),
+        "R3": ((4, 5, -1), (5, 7, -1)),
+        "R4": ((5, 8, -1),),
+        "R5": ((3, 8, 2), (2, 6, 2)),
+    },
+    "m3": {
+        "L": ((-1, 0, 2), (-2, -2, 2)),
+        "R": ((3, 3, -1), (4, 5, -1)),
+        "C1": ((4, 6, -1),),
+        "C2": ((6, 10, -1),),
+        "C3": ((3, 6, 1),),
+        "L1": ((9, 14, -2), (10, 16, -2)),
+        "L2": ((8, 18, 2), (7, 16, 2)),
+        "L3": ((11, 18, -2), (12, 20, -2)),
+        "R1": ((13, 22, -2), (14, 24, -2)),
+        "R2": ((5, 11, 1), (4, 9, 1)),
+        "R3": ((6, 14, 2), (5, 12, 2)),
+    },
+}
+
+
+def _table(kind: str, k: int) -> LabelTable:
+    """The ``kind`` matrix at k, each row as the two ``range``s of its pieces."""
+    _check_k(k)
+    rows = {}
+    for name, pieces in _PIECES[kind].items():
+        (a0, a1, a), (b0, b1, b) = pieces[0], pieces[-1]
+        at1, at2 = a0 + a1 * k + a, b0 + b1 * k + b * (k + 2)  # columns 1 and k+2
+        rows[name] = (*range(at1, at1 + a * (k + 1), a), *range(at2, at2 + b * k, b))
+    return _bijective(LabelTable(kind, k, rows))
 
 
 def table_m1(k: int) -> LabelTable:
     """The fan-blade matrix: entries are a permutation of [1, 10k+5]."""
-    _check_k(k)
-    rows = {
-        "uw": _row(k, lambda i: 2 * i - 1, lambda i: 2 * i - 2 * k - 2),
-        "vw": _row(k, lambda i: 3 * k + 3 - i, lambda i: 5 * k + 4 - i),
-        "xw": _row(k, lambda i: 6 * k + 4 - i),
-        "xu": _row(k, lambda i: 10 * k + 7 - 2 * i, lambda i: 12 * k + 8 - 2 * i),
-        "xv": _row(k, lambda i: 7 * k + 3 + i, lambda i: 5 * k + 2 + i),
-    }
-    return _bijective(LabelTable("m1", k, rows))
+    return _table("m1", k)
 
 
 def table_pt(k: int) -> LabelTable:
     """The peanut matrix: entries are a permutation of [1, 10k+5]."""
-    _check_k(k)
-    rows = {
-        "R1": _row(k, lambda i: 2 * i - 1, lambda i: 2 * i - 2 * k - 2),
-        "R2": _row(k, lambda i: 4 * k + 3 - i),
-        "R3": _row(k, lambda i: 5 * k + 4 - i, lambda i: 7 * k + 5 - i),
-        "R4": _row(k, lambda i: 8 * k + 5 - i),
-        "R5": _row(k, lambda i: 8 * k + 3 + 2 * i, lambda i: 6 * k + 2 + 2 * i),
-    }
-    return _bijective(LabelTable("pt", k, rows))
+    return _table("pt", k)
 
 
 def table_m3(k: int) -> LabelTable:
     """The triple-hub matrix: entries are a permutation of [1, 22k+11]."""
-    _check_k(k)
-    rows = {
-        "L": _row(k, lambda i: 2 * i - 1, lambda i: 2 * i - 2 * k - 2),
-        "R": _row(k, lambda i: 3 * k + 3 - i, lambda i: 5 * k + 4 - i),
-        "C1": _row(k, lambda i: 6 * k + 4 - i),
-        "C2": _row(k, lambda i: 10 * k + 6 - i),
-        "C3": _row(k, lambda i: 6 * k + 3 + i),
-        "L1": _row(k, lambda i: 14 * k + 9 - 2 * i, lambda i: 16 * k + 10 - 2 * i),
-        "L2": _row(k, lambda i: 18 * k + 8 + 2 * i, lambda i: 16 * k + 7 + 2 * i),
-        "L3": _row(k, lambda i: 18 * k + 11 - 2 * i, lambda i: 20 * k + 12 - 2 * i),
-        "R1": _row(k, lambda i: 22 * k + 13 - 2 * i, lambda i: 24 * k + 14 - 2 * i),
-        "R2": _row(k, lambda i: 11 * k + 5 + i, lambda i: 9 * k + 4 + i),
-        "R3": _row(k, lambda i: 14 * k + 6 + 2 * i, lambda i: 12 * k + 5 + 2 * i),
-    }
-    return _bijective(LabelTable("m3", k, rows))
+    return _table("m3", k)
 
 
 def make_table(kind: str, k: int) -> LabelTable:
-    try:
-        maker = {"m1": table_m1, "pt": table_pt, "m3": table_m3}[kind]
-    except KeyError:
-        raise InvalidK(f"unknown table kind {kind!r}") from None
-    return maker(k)
+    if kind not in _PIECES:
+        raise InvalidK(f"unknown table kind {kind!r}")
+    return {"m1": table_m1, "pt": table_pt, "m3": table_m3}[kind](k)
 
 
 # -- m1 observations ------------------------------------------------------------

@@ -33,13 +33,45 @@ from antimagic.graph import (
     induce_coloring,
     merge_vertices,
 )
-from antimagic.tables import table_m3
+from antimagic.tables import table_m1, table_m3
 
 
 def built_ok(family, **params):
     g, f, inst = build_family(family, **params)
     cert = verify_instance(g, f, inst)
     return g, f, inst, cert
+
+
+def _labels_at(g, f, v):
+    return {f.labels[edge(v, u)] for u in g.neighbors(v)}
+
+
+def _blocks_read_off(g, f, new, members):
+    """The merged blocks of a build, read off its graph: for each vertex of
+    ``new``, in order, the sorted names of the ``members`` (vertex -> labels in
+    the base) whose labels it carries.  Labels travel with their edges, so a
+    merged vertex carries exactly the labels of its block."""
+    blocks = []
+    for m in new:
+        labels = _labels_at(g, f, m)
+        block = sorted(v for v, own in members.items() if own <= labels)
+        assert set().union(*(members[v] for v in block)) == labels
+        blocks.append(tuple(map(str, block)))
+    return tuple(blocks)
+
+
+def _merged_blocks(base, merged):
+    """The blocks a merged build made of its base build, in the order of the
+    merged vertices' ids.  A merge may reuse a member's name, so vertices are
+    told apart by labels: the members are the base vertices whose labels no
+    merged vertex carries alone, and the new vertices those whose labels no
+    base vertex does."""
+    (g0, f0, _), (g, f, _) = base, merged
+    before = {frozenset(_labels_at(g0, f0, v)): v for v in g0.vertices}
+    after = {frozenset(_labels_at(g, f, v)): v for v in g.vertices}
+    members = {v: set(labels) for labels, v in before.items() if labels not in after}
+    new = sorted(v for labels, v in after.items() if labels not in before)
+    return _blocks_read_off(g, f, new, members)
 
 
 # --- fans ---------------------------------------------------------------------
@@ -67,8 +99,11 @@ def test_fb_rejects_even_and_unit():
 
 def test_tfb_3x3_matches_the_example_blocks():
     g, f, inst = build_family("tfb", t=3, s=3)
-    assert inst.partition_record is not None
-    as_sets = {frozenset(b) for b in inst.partition_record}
+    # hub x_c of fan cell c carries column c of rows xw, xu and xv
+    rows = table_m1(inst.params["k"]).rows
+    members = {V("x", c): {rows[r][c - 1] for r in ("xw", "xu", "xv")} for c in range(1, 10)}
+    record = _blocks_read_off(g, f, [V("y", a) for a in (1, 2, 3)], members)
+    as_sets = {frozenset(b) for b in record}
     assert as_sets == {
         frozenset({"x_1", "x_5", "x_9"}),
         frozenset({"x_3", "x_4", "x_8"}),
@@ -365,7 +400,7 @@ def test_merged_block_assignment_explicit():
     blocks = [items[b::3] for b in range(3)]
     g, f, inst, cert = built_ok("tb3", n=8, r=3)
     assert cert.palette == (42, 96, 276)
-    assert inst.partition_record == tuple(
+    assert _merged_blocks(build_family("tb", n=8), (g, f, inst)) == tuple(
         tuple(str(v) for v in sorted(b)) for b in blocks
     )
 
@@ -501,22 +536,24 @@ def _bracelet_rims(g):
 def test_gb_over_gn_deals_each_bracelet_rim():
     # the stride-r round-robin of the sorted hubs puts two hubs with a common
     # neighbor into one block; the deal goes bracelet by bracelet instead
-    g, _, _ = build_family("gn", n=20, indices=(1, 2))
+    base = build_family("gn", n=20, indices=(1, 2))
+    g = base[0]
     hubs = sorted(v for v in g.vertices if g.degree(v) == 4)
     round_robin = [hubs[b::3] for b in range(3)]
     with pytest.raises(MergeWouldCreateParallelEdge):
         merge_vertices(g, round_robin, [V("m", b + 1) for b in range(3)])
 
-    _, _, inst, cert = built_ok("gb", n=20, r=3, s=7, base="gn", indices=(1, 2))
+    *merged, cert = built_ok("gb", n=20, r=3, s=7, base="gn", indices=(1, 2))
     assert cert.palette[2] == 7 * (20 * 10 + 12)
-    assert inst.partition_record != tuple(
+    record = _merged_blocks(base, merged)
+    assert record != tuple(
         tuple(str(v) for v in sorted(b)) for b in round_robin
     )
     # rims of 11, 3 and 7 hubs; the one of 7 = 1 (mod 3) swaps its last two
     rims = _bracelet_rims(g)
     assert [len(rim) for rim in rims] == [11, 3, 7]
     order = rims[0] + rims[1] + rims[2][:5] + [rims[2][6], rims[2][5]]
-    assert inst.partition_record == tuple(
+    assert record == tuple(
         tuple(str(v) for v in sorted(order[b::3])) for b in range(3)
     )
 
@@ -607,22 +644,17 @@ def test_a_clash_in_fb1_blocks_fails_its_sweep_point(monkeypatch):
 def test_partition_record_names_the_merged_blocks(family, params, base):
     g0, f0, _ = base()
     g, f, inst = build_family(family, **params)
-    by_name = {str(v): v for v in g0.vertices}
-    record = [[by_name[name] for name in b] for b in inst.partition_record]
-    assert all(b == sorted(b) for b in record)
-    # labels travel with their edges: each named block is the merged vertex
-    # that carries exactly the labels of its members
-    at = {frozenset(f.labels[edge(v, u)] for u in g.neighbors(v)): v for v in g.vertices}
-    merged = {
-        at[frozenset(f0.labels[edge(v, u)] for v in b for u in g0.neighbors(v))] for b in record
-    }
-    assert len(merged) == len(record)
+    # each merged vertex carries exactly the labels of its block's members,
+    # and no base vertex is in two blocks
+    record = _merged_blocks((g0, f0, None), (g, f, inst))
+    assert record and all(record)
+    assert sum(map(len, record)) == len(set().union(*record))
+    assert len({len(b) for b in record}) == 1
     assert len(g.vertices) == len(g0.vertices) - sum(map(len, record)) + len(record)
 
 
 def test_tb_records_its_zipped_rail_pairs():
-    _, _, inst = build_family("tb", n=4)
-    assert inst.partition_record == (
+    assert _merged_blocks(build_family("pt", n=4), build_family("tb", n=4)) == (
         ("x", "y"), ("u_2", "v_2"), ("u_4", "v_4"), ("u_6", "v_6"), ("u_8", "v_8"),
     )
 

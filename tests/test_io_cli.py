@@ -918,6 +918,26 @@ def test_cli_empty_string_flags_are_usage(tmp_path, monkeypatch, argv):
     assert sorted(p.name for p in tmp_path.rglob("*")) == ["manifest.jsonl", "out"]
 
 
+@pytest.mark.parametrize("budget", ["nan", "-1", "0", "inf", "x"])
+def test_cli_solve_budget_that_is_not_finite_and_positive_is_usage(tmp_path, capsys, budget):
+    # a nan budget used to be accepted and then never stopped the search
+    main(["--out", str(tmp_path), "build", "--family", "fb", "--n", "3"])
+    with pytest.raises(SystemExit) as exit_info:
+        main([
+            "--out", str(tmp_path), "solve", "--input", str(tmp_path / "fb_n3.json"),
+            "--max-edges", "15", "--time-budget", budget,
+        ])
+    assert exit_info.value.code == 2
+    message = f"not a finite positive number of seconds: {budget!r}"
+    assert message in capsys.readouterr().err
+    lines = (tmp_path / "manifest.jsonl").read_text().splitlines()
+    assert len(lines) == 2  # the build's and the solve's
+    entry = json.loads(lines[-1])
+    assert (entry["command"], entry["outputs"]) == ("solve", [])
+    assert entry["outcome"].startswith("usage error") and message in entry["outcome"]
+    assert not (tmp_path / "fb_n3_solve.json").exists()
+
+
 def test_cli_solve_infeasible_size_is_usage(tmp_path):
     main(["--out", str(tmp_path), "build", "--family", "tb", "--n", "2"])
     code = main([

@@ -147,12 +147,12 @@ def test_automorphic_relabeling_same_answer():
 
 def test_k2_rejected():
     a, b = V("a"), V("b")
-    with pytest.raises(K2Component):
+    with pytest.raises(K2Component, match="^component a-b is a K2$"):
         solve_chi_la(Graph([a, b], [edge(a, b)]))
-    # also inside a disjoint union
-    c, d, e = V("c"), V("d"), V("e")
-    g = Graph([a, b, c, d, e], [edge(a, b), edge(c, d), edge(d, e)])
-    with pytest.raises(K2Component):
+    # also inside a disjoint union, named by id strings as an edge is
+    c, d, e = V("c", 1), V("d", 1, 2), V("e")
+    g = Graph([a, b, c, d, e], [edge(a, e), edge(c, d), edge(b, e)])
+    with pytest.raises(K2Component, match="^component c_1-d_1_2 is a K2$"):
         solve_chi_la(g)
 
 

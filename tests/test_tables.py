@@ -5,14 +5,17 @@ encoded per-column endpoint formulas, against frozen full matrices for
 small k, and against frozen traced-sequence values.
 """
 
+import hashlib
 import re
 
 import pytest
 
+from antimagic import io
 from antimagic.errors import InvalidK, ObservationViolated, SequenceSchemeViolated
 from antimagic.tables import (
     check_m1_observations,
     check_m3_observations,
+    make_table,
     table_m1,
     table_m3,
     table_pt,
@@ -285,3 +288,22 @@ def test_sequence_pair_sums():
                 assert seq[2 * r - 1] + seq[2 * r] == 10 * k + 6
         assert tr.s1[0] + tr.s2[0] == 10 * k + 6
         assert tr.s1[-1] + tr.s2[-1] == 10 * k + 6
+
+
+# --- frozen digests -------------------------------------------------------------
+
+
+def test_table_csvs_for_k_up_to_200_are_frozen():
+    h = hashlib.sha256()
+    for kind in ("m1", "pt", "m3"):
+        for k in range(1, 201):
+            h.update(io.table_to_csv(make_table(kind, k)).encode())
+    assert h.hexdigest() == "1d05018bb088118d4418ddd105e64e7b697b4ffdc17df38e833493a8a822481f"
+
+
+def test_traced_sequences_for_k_up_to_500_are_frozen():
+    h = hashlib.sha256()
+    for k in range(1, 501):
+        tr = trace_sequences(table_pt(k))
+        h.update(repr((k, tr.s1, tr.s2, tr.r3_columns)).encode())
+    assert h.hexdigest() == "b5344c7d343868cbffb422ac00118a7f283bc95483b179015c51b728e94c02b0"
