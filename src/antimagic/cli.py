@@ -200,9 +200,18 @@ def cmd_solve(args, out_dir: Path) -> tuple[int, str, list[str]]:
         "status": result.status,
         "chi_la": result.chi_la,
         "nodes": result.nodes,
+        "floor": result.floor,
+        "floor_rule": result.floor_rule,
+        "passes": result.passes,
+        "prunes": result.prunes,
         "witness": io.labeling_to_doc(g, result.witness) if result.witness else None,
     }
-    print(f"chi_la = {result.chi_la} ({result.status}, {result.nodes} nodes)")
+    prunes = " ".join(f"{reason}={n}" for reason, n in result.prunes.items())
+    print(
+        f"chi_la = {result.chi_la} ({result.status}, {result.nodes} nodes, "
+        f"floor {result.floor} by {result.floor_rule}, {result.passes} passes, "
+        f"prunes {prunes}, {result.elapsed:.3f} s)"
+    )
     outputs = [_write(out_dir, Path(args.input).stem + "_solve.json", io.dumps(summary))]
     return (2 if result.status == "infeasible_size" else 0), result.status, outputs
 

@@ -1,29 +1,34 @@
 """Exact branch-and-bound search for the local antimagic chromatic number.
 
-Desk-scale independent oracle: exhaustively assigns the labels 1..q to edges
-depth-first, pruning a branch as soon as a fully-assigned vertex matches an
-adjacent fully-assigned vertex's sum, or the count of distinct completed
-colors reaches the current bound.  Completed-vertex colors are final, so the
-distinct count is monotone along a branch and the prune is safe.  The search
-ends as soon as an incumbent meets the lower bound of
-:func:`verify_lower_bound`, which proves it optimal.
+Desk-scale independent oracle: assigns the labels 1..q to edges depth-first
+and proves chi_la at a floor, the lower bound of :func:`_floor` (an odd
+cycle, the pendant vertices, or the two-colour sum rule).  The search runs in
+passes, with a colour target of floor, floor + 1, and so on: a pass prunes a
+branch when a completed vertex matches an adjacent completed vertex's sum
+(``clash``), when the distinct completed colours exceed the target
+(``colour_bound``), or when the target is full and a vertex the last edge
+touched can end on none of the colours it may take (``interval``).
+Completed-vertex colours are final, so the distinct count is monotone along
+a branch and every prune is safe.  A pass that is exhausted proves chi_la
+above its target, so the first labeling a pass finds is optimal.
 
-The searcher is meant for graphs of at most ~10 edges, where it re-derives,
+The searcher is meant for graphs of up to about 15 edges, where it re-derives,
 independently of the constructions, values such as chi_la of the one-blade
-fan.  Larger graphs can still be probed with a time budget; the result then
-carries the best incumbent and is claimed exact only if it meets the lower
-bound.
+fan and of the smallest built instances.  Larger graphs can be probed with a
+time budget; the result is then exact only if a pass finished the proof.
 """
 
 from __future__ import annotations
 
+import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import K2Component, UsageError
 from .graph import EdgeLabeling, Graph, certify
 
 _TIME_CHECK_MASK = 0xFFF
+PRUNE_REASONS = ("clash", "colour_bound", "interval")
 
 
 @dataclass(frozen=True)
@@ -32,19 +37,35 @@ class SearchConfig:
     target_colors: int | None = None
     time_budget: float | None = None  # seconds
 
+    def __post_init__(self):
+        budget = self.time_budget
+        if budget is not None and not (
+            isinstance(budget, (int, float)) and not isinstance(budget, bool)
+            and 0 < budget < math.inf
+        ):
+            # nan compares false with everything, so it never stopped a search
+            raise UsageError(f"time budget is not a finite positive number of seconds: {budget!r}")
+
 
 @dataclass(frozen=True)
 class SolveResult:
     """``status`` semantics:
 
-    * ``exact`` -- the pruned space was exhausted, or the incumbent meets
-      :func:`verify_lower_bound`: ``chi_la`` is the proven minimum (or, in
-      target mode with no witness found, ``None`` meaning the minimum exceeds
-      the target).
-    * ``budget_exhausted`` -- stopped early (time budget, or the early-exit
-      target was reached) above the lower bound; ``witness`` holds the best
-      incumbent found.
+    * ``exact`` -- ``chi_la`` is the proven minimum: a pass found a labeling
+      with as many colours as its target after every lower target was
+      exhausted, or the seeded witness meets the floor or has one colour
+      more than the last exhausted target.  ``chi_la`` is ``None`` when the search proved that
+      no labeling has at most ``target_colors`` colours (or none is local
+      antimagic at all); ``witness`` then passes back the seeded witness.
+    * ``budget_exhausted`` -- the time budget ran out before the proof;
+      ``witness`` passes back the seeded witness, if any.
     * ``infeasible_size`` -- the graph exceeds ``max_edges``.
+
+    ``floor`` is the lower bound proved before the search and ``floor_rule``
+    the rule of :func:`_floor` that gave it; ``passes`` counts the targets
+    searched and ``prunes`` the branches cut for each reason of
+    ``PRUNE_REASONS``.  All of these, and ``nodes``, depend on the graph only,
+    not on its vertex names; ``elapsed`` is the wall time.
     """
 
     chi_la: int | None
@@ -52,15 +73,84 @@ class SolveResult:
     status: str
     nodes: int = 0
     elapsed: float = 0.0
+    floor: int = 0
+    floor_rule: str = ""
+    passes: int = 0
+    prunes: dict[str, int] = field(default_factory=lambda: dict.fromkeys(PRUNE_REASONS, 0))
+
+
+def _sides(g: Graph) -> list[int] | None:
+    """A proper 2-colouring of ``g.listing()``'s vertices (0 or 1 each), or
+    ``None`` if ``g`` has an odd cycle."""
+    vs, _, pairs = g.listing()
+    nbrs: list[list[int]] = [[] for _ in vs]
+    for a, b in pairs:
+        nbrs[a].append(b)
+        nbrs[b].append(a)
+    side = [-1] * len(vs)
+    for root in range(len(vs)):
+        if side[root] >= 0:
+            continue
+        side[root] = 0
+        stack = [root]
+        while stack:
+            v = stack.pop()
+            for w in nbrs[v]:
+                if side[w] < 0:
+                    side[w] = 1 - side[v]
+                    stack.append(w)
+                elif side[w] == side[v]:
+                    return None
+    return side
 
 
 def verify_lower_bound(g: Graph) -> int:
-    """The cheap chromatic lower bound: 3 with a triangle, 2 with an edge."""
-    if g.has_triangle():
-        return 3
-    if g.edges:
-        return 2
-    return 1
+    """The chromatic lower bound: 3 if ``g`` is not bipartite, 2 with an
+    edge, 1 otherwise.  A local antimagic colouring is a proper vertex
+    colouring, since adjacent vertices take different sums, and a graph with
+    an odd cycle has no proper 2-colouring."""
+    if not g.edges:
+        return 1
+    return 2 if _sides(g) is not None else 3
+
+
+def _floor(g: Graph) -> tuple[int, str]:
+    """The largest proved lower bound on chi_la of ``g`` and the rule behind
+    it, for a graph with an edge and no K2 component.  The rules:
+
+    * ``edge`` 2 and ``odd_cycle`` 3: :func:`verify_lower_bound`.
+    * ``sum`` 3, for a connected bipartite graph with sides A and B, when
+      |A| = |B| or one of them does not divide q(q+1)/2.  A connected
+      bipartite graph has one proper 2-colouring up to swapping the colours,
+      so a 2-colour labeling gives A one colour c1 and B another c2.  Every
+      edge has one end in A, so |A|·c1 is the sum of all labels, q(q+1)/2,
+      and so is |B|·c2; equal sides would give c1 = c2 on adjacent vertices.
+    * ``pendant`` l + 1, with l ≥ 1 vertices of degree 1.  No two of them
+      are adjacent (that would be a K2 component), so their edges are l
+      distinct edges and their colours l distinct labels, each at most q.
+      The edge labelled q has an end of degree at least 2, again since no
+      K2 component exists, and that end's colour exceeds q.
+
+    The first of the largest bounds in that order wins.
+    """
+    sides = _sides(g)
+    rules = [(2, "edge") if sides is not None else (3, "odd_cycle")]
+    if sides is not None and g.is_connected():
+        q = len(g.edges)
+        half = q * (q + 1) // 2
+        side_a = sides.count(0)
+        side_b = len(sides) - side_a
+        if side_a == side_b or half % side_a or half % side_b:
+            rules.append((3, "sum"))
+    vs, _, pairs = g.listing()
+    deg = [0] * len(vs)
+    for a, b in pairs:
+        deg[a] += 1
+        deg[b] += 1
+    leaves = deg.count(1)
+    if leaves:
+        rules.append((leaves + 1, "pendant"))
+    return max(rules, key=lambda rule: rule[0])
 
 
 def _search_order(deg: list[int], ends: list[tuple[int, int]]) -> list[int]:
@@ -101,14 +191,15 @@ def solve_chi_la(
 ) -> SolveResult:
     """Minimum distinct-color count over all local antimagic labelings.
 
-    ``initial_witness`` seeds the incumbent; one that is not a local antimagic
-    labeling of ``g`` is a :class:`UsageError`.  ``cfg.target_colors`` is an
-    early-exit bound: the search stops as soon as a labeling that good is
-    found; exhausting the pruned space instead still proves either the exact
-    minimum or that the minimum exceeds the target.  An incumbent that meets
-    :func:`verify_lower_bound` is optimal, so the search ends there (with 0
-    nodes when the seeded witness already does).  Graphs with a K2 component
-    admit no local antimagic labeling at all and are rejected loudly.
+    The search runs one pass per colour target, from the floor of
+    :func:`_floor` up, and ends at the first labeling a pass finds: every
+    lower target was exhausted, so it is optimal.  The passes stop below the
+    colour count of ``initial_witness`` (whose count is then proven if they
+    are all exhausted), at ``cfg.target_colors`` and at |V| colours; a
+    seeded witness at the floor is exact with 0 nodes.  ``cfg.time_budget``
+    covers all passes.  A witness that is not a local antimagic labeling of
+    ``g`` is a :class:`UsageError`.  Graphs with a K2 component admit no
+    local antimagic labeling at all and are rejected loudly.
     """
     for comp in g.connected_components():
         if len(comp) == 2:
@@ -116,28 +207,17 @@ def solve_chi_la(
 
     q = len(g.edges)
     if q == 0:
-        return SolveResult(1 if g.vertices else 0, EdgeLabeling({}), "exact")
+        chi = 1 if g.vertices else 0
+        return SolveResult(chi, EdgeLabeling({}), "exact", floor=chi, floor_rule="no_edges")
     start = time.monotonic()
     # checked first, so that no result carries a witness that is not one
     cert = None if initial_witness is None else certify(g, initial_witness)
     if cert is not None and not (cert.is_bijective and cert.is_local_antimagic):
         raise UsageError("initial witness is not a local antimagic labeling")
+    floor, floor_rule = _floor(g)
     if q > cfg.max_edges:
-        return SolveResult(None, initial_witness, "infeasible_size")
-
-    floor = verify_lower_bound(g)
-    incumbent_count: int | None = None
-    incumbent: dict | None = None
-    if cert is not None:
-        incumbent_count = cert.color_count
-        if incumbent_count == floor:
-            return SolveResult(
-                incumbent_count, initial_witness, "exact", 0, time.monotonic() - start
-            )
-        incumbent = dict(initial_witness.labels)
-    if cfg.target_colors is not None and cfg.target_colors < floor:
-        # no labeling has fewer colors than the lower bound: nothing to search
-        return SolveResult(None, initial_witness, "exact", 0, time.monotonic() - start)
+        return SolveResult(None, initial_witness, "infeasible_size",
+                           floor=floor, floor_rule=floor_rule)
 
     vs, _, pairs = g.listing()
     edges = g.sorted_edges()
@@ -151,16 +231,18 @@ def solve_chi_la(
     order = _search_order(deg, pairs)
     ends = [pairs[i] for i in order]
 
-    best = incumbent_count if incumbent_count is not None else q + 2
-    target = cfg.target_colors
-
     sums = [0] * len(vs)
     remaining = deg[:]
     assigned = [0] * q
     used = [False] * (q + 1)
     # isolated vertices carry the empty-sum color 0 in every labeling
     completed: dict[int, int] = {0: deg.count(0)} if 0 in deg else {}
+    prunes = dict.fromkeys(PRUNE_REASONS, 0)
+    budget = cfg.time_budget
     nodes = 0
+    target = floor
+    found: dict | None = None
+    timed_out = False
 
     def complete_vertex(vid: int) -> bool:
         c = sums[vid]
@@ -176,46 +258,69 @@ def solve_chi_la(
         if not completed[c]:
             del completed[c]
 
+    def may_end(vid: int) -> bool:
+        """With the target full, an open vertex must end on a completed
+        colour that none of its completed neighbours has.  Its open edges
+        take distinct unused labels, so its colour lies between its sum plus
+        the smallest and its sum plus the largest of them."""
+        d = remaining[vid]
+        lo = hi = sums[vid]
+        lab, taken = 1, 0
+        while taken < d:
+            if not used[lab]:
+                lo += lab
+                taken += 1
+            lab += 1
+        lab, taken = q, 0
+        while taken < d:
+            if not used[lab]:
+                hi += lab
+                taken += 1
+            lab -= 1
+        blocked = {sums[nb] for nb in neighbor_ids[vid] if remaining[nb] == 0}
+        return any(lo <= c <= hi and c not in blocked for c in completed)
+
     def dfs(pos: int) -> bool:
-        """Returns True to end the whole search (time budget, target or the
-        lower bound reached)."""
-        nonlocal nodes, best, incumbent, incumbent_count
+        """Returns True to end the pass: a labeling within the target was
+        found, or the time budget ran out."""
+        nonlocal nodes, found, timed_out
         if pos == q:
-            count = len(completed)
-            if count < best:
-                best = count
-                incumbent_count = count
-                incumbent = {edges[order[p]]: assigned[p] for p in range(q)}
-                if count == floor or (target is not None and count <= target):
-                    return True
-            return False
+            found = {edges[order[p]]: assigned[p] for p in range(q)}
+            return True
         nodes += 1
-        if cfg.time_budget is not None and nodes & _TIME_CHECK_MASK == 0:
-            if time.monotonic() - start > cfg.time_budget:
+        if budget is not None and nodes & _TIME_CHECK_MASK == 0:
+            if time.monotonic() - start > budget:
+                timed_out = True
                 return True
         a, b = ends[pos]
         for lab in range(1, q + 1):
             if used[lab]:
                 continue
-            bound = best if target is None else min(best, target + 1)
             used[lab] = True
             assigned[pos] = lab
             sums[a] += lab
             sums[b] += lab
             remaining[a] -= 1
             remaining[b] -= 1
-            alive = True
+            reason = None
             entered = []
             for vid in (a, b):
                 if remaining[vid] == 0:
                     if complete_vertex(vid):
                         entered.append(vid)
                     else:
-                        alive = False
+                        reason = "clash"
                         break
-            if alive and len(completed) >= bound:
-                alive = False
-            if alive and dfs(pos + 1):
+            if reason is None:
+                if len(completed) > target:
+                    reason = "colour_bound"
+                elif len(completed) == target and not all(
+                    remaining[vid] == 0 or may_end(vid) for vid in (a, b)
+                ):
+                    reason = "interval"
+            if reason is not None:
+                prunes[reason] += 1
+            elif dfs(pos + 1):
                 return True
             for vid in entered:
                 uncomplete_vertex(vid)
@@ -226,15 +331,30 @@ def solve_chi_la(
             used[lab] = False
         return False
 
-    aborted = dfs(0)
-    elapsed = time.monotonic() - start
-    witness = EdgeLabeling(incumbent) if incumbent is not None else None
+    # a labeling has at most |V| colours; a pass below the witness can only
+    # improve on it; a pass above the user's target is not asked for
+    last = len(vs)
+    witness_count = None if cert is None else cert.color_count
+    if witness_count is not None:
+        last = min(last, witness_count - 1)
+    if cfg.target_colors is not None:
+        last = min(last, cfg.target_colors)
+    passes = 0
+    while target <= last and found is None and not timed_out:
+        passes += 1
+        dfs(0)
+        if found is None and not timed_out:
+            target += 1  # the pass proved chi_la > target
 
-    # above the lower bound, an abort (time budget, or the target reached)
-    # leaves minimality unproven; a target above the witness only proves that
-    # nothing <= target exists, so the witness bound is loose
-    if incumbent_count != floor and (aborted or (
-        target is not None and incumbent_count is not None and incumbent_count > target + 1
-    )):
-        return SolveResult(None, witness, "budget_exhausted", nodes, elapsed)
-    return SolveResult(incumbent_count, witness, "exact", nodes, elapsed)
+    def result(chi_la, witness, status) -> SolveResult:
+        return SolveResult(chi_la, witness, status, nodes, time.monotonic() - start,
+                           floor, floor_rule, passes, prunes)
+
+    if found is not None:
+        return result(target, EdgeLabeling(found), "exact")
+    if timed_out:
+        return result(None, initial_witness, "budget_exhausted")
+    # every target up to last is exhausted: chi_la > last
+    if witness_count == target:
+        return result(witness_count, initial_witness, "exact")
+    return result(None, initial_witness, "exact")

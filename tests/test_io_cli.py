@@ -417,6 +417,30 @@ def test_cli_solve_and_certify_roundtrip(tmp_path, capsys):
         assert solve_doc["chi_la"] == 3
 
 
+def test_cli_solve_reports_the_floor_passes_and_prunes(tmp_path, capsys):
+    main(["--out", str(tmp_path), "build", "--family", "fb", "--n", "3"])
+    capsys.readouterr()
+    code = main([
+        "--out", str(tmp_path), "solve", "--input", str(tmp_path / "fb_n3.json"),
+        "--max-edges", "15",
+    ])
+    assert code == 0
+    doc = json.loads((tmp_path / "fb_n3_solve.json").read_text())
+    assert (doc["status"], doc["chi_la"], doc["floor"], doc["floor_rule"], doc["passes"]) == (
+        "exact", 3, 3, "odd_cycle", 1
+    )
+    assert list(doc["prunes"]) == ["clash", "colour_bound", "interval"]
+    # the counters are deterministic; the time is on stdout only
+    assert "elapsed" not in doc and "time" not in doc
+    prunes = " ".join(f"{k}={v}" for k, v in doc["prunes"].items())
+    out = capsys.readouterr().out
+    assert re.fullmatch(
+        rf"chi_la = 3 \(exact, {doc['nodes']} nodes, floor 3 by odd_cycle, 1 passes, "
+        rf"prunes {prunes}, \d+\.\d{{3}} s\)\n",
+        out,
+    ), out
+
+
 def test_cli_manifest_appends(tmp_path):
     main(["--out", str(tmp_path), "table", "--kind", "m1", "--k", "2"])
     main(["--out", str(tmp_path), "table", "--kind", "pt", "--k", "2"])

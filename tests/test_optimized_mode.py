@@ -72,6 +72,25 @@ except SequenceSchemeViolated:
     pass
 else:
     sys.exit("corrupted pt table was not rejected")
+
+# the solver's floors and prunes hold without asserts: chi_la(K1,4) = 5 by
+# the pendant floor, C4 and P5 by the sum floor, C5 by the odd cycle
+from antimagic.graph import Graph, V, edge
+from antimagic.solver import solve_chi_la
+
+def graph(n, pairs):
+    vs = [V("v", i) for i in range(n)]
+    return Graph(vs, [edge(vs[a], vs[b]) for a, b in pairs])
+
+for name, g, known in [
+    ("K1,4", graph(5, [(0, i) for i in range(1, 5)]), 5),
+    ("C4", graph(4, [(i, (i + 1) % 4) for i in range(4)]), 3),
+    ("C5", graph(5, [(i, (i + 1) % 5) for i in range(5)]), 3),
+    ("P5", graph(5, [(i, i + 1) for i in range(4)]), 3),
+]:
+    res = solve_chi_la(g)
+    if (res.status, res.chi_la) != ("exact", known):
+        sys.exit(f"{name}: {res.status} {res.chi_la}, expected exact {known}")
 print("ok")
 """
 

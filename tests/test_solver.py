@@ -7,7 +7,9 @@ import pytest
 from antimagic.errors import K2Component, UsageError
 from antimagic.families import build_family
 from antimagic.graph import EdgeLabeling, Graph, V, certify, edge
-from antimagic.solver import SearchConfig, solve_chi_la, verify_lower_bound
+from antimagic.solver import (
+    PRUNE_REASONS, SearchConfig, _floor, solve_chi_la, verify_lower_bound,
+)
 
 
 def brute_chi_la(g):
@@ -57,6 +59,11 @@ def star(n):
     return Graph([hub] + leaves, [edge(hub, leaf) for leaf in leaves])
 
 
+def complete(n):
+    vs = [V("k", i) for i in range(n)]
+    return Graph(vs, [edge(vs[i], vs[j]) for j in range(n) for i in range(j)])
+
+
 def test_fan_one_blade_is_three():
     res = solve_chi_la(fan_one_blade())
     assert res.status == "exact"
@@ -103,17 +110,52 @@ def test_cycle_proof_node_bound(n):
     assert res.nodes <= 10_000
 
 
+@pytest.mark.parametrize(
+    "g, known, ceiling",
+    [(cycle(9), 3, 1_779), (cycle(10), 3, 2_036), (path(10), 3, 537),
+     (path(11), 3, 3_035), (star(8), 9, 69_281)],
+    ids=["C9", "C10", "P10", "P11", "K1,8"],
+)
+def test_proofs_take_no_more_nodes_than_the_exhaustive_search(g, known, ceiling):
+    # the ceilings are the node counts of the search that proved these
+    # values by exhausting the tree under the triangle bound
+    res = solve_chi_la(g)
+    assert (res.status, res.chi_la) == ("exact", known)
+    assert res.nodes <= ceiling
+
+
+@pytest.mark.parametrize(
+    "family, params, ceiling",
+    [("fb", {"n": 3}, 10_000), ("pt", {"n": 2}, 40_000), ("df", {"r": 1, "s": 1}, 40_000)],
+    ids=["fb3", "pt2", "df11"],
+)
+def test_q15_instances_are_proved_without_a_witness(family, params, ceiling):
+    # an independent check of chi_la = 3 that does not use the construction;
+    # the ceilings are about twice the node counts of these proofs
+    g, _, _ = build_family(family, **params)
+    res = solve_chi_la(g, SearchConfig(max_edges=15))
+    assert (res.status, res.chi_la, res.floor, res.passes) == ("exact", 3, 3, 1)
+    assert certify(g, res.witness).color_count == 3
+    assert res.nodes <= ceiling
+
+
 @pytest.mark.parametrize("shape", [cycle, path])
 def test_search_does_not_depend_on_vertex_names(shape):
     """Renaming the vertices leaves the search tree unchanged, so the solver's
-    cost is a property of the graph."""
+    cost and its counters are properties of the graph."""
     g = shape(10)
-    nodes = {solve_chi_la(g).nodes}
+
+    def counters(res):
+        return res.nodes, res.floor, res.floor_rule, res.passes, tuple(res.prunes.items())
+
+    seen = {counters(solve_chi_la(g))}
     for shift in (3, 7):
         rename = {v: V("r", (v.indices[0] * shift) % 10) for v in g.vertices}
         renamed = Graph(list(rename.values()), [edge(rename[a], rename[b]) for a, b in g.edges])
-        nodes.add(solve_chi_la(renamed).nodes)
-    assert len(nodes) == 1
+        seen.add(counters(solve_chi_la(renamed)))
+    assert len(seen) == 1
+    (counts,) = seen
+    assert counts[4][0][0] == "clash" and sum(n for _, n in counts[4]) > 0
 
 
 def test_result_at_least_lower_bound():
@@ -128,6 +170,92 @@ def test_lower_bound_values():
     assert verify_lower_bound(Graph([V("a")], [])) == 1
     g, _, _ = build_family("fb", n=5)
     assert verify_lower_bound(g) == 3
+    # an odd cycle without a triangle: no proper 2-colouring
+    assert verify_lower_bound(cycle(5)) == 3
+    assert verify_lower_bound(cycle(6)) == 2
+
+
+@pytest.mark.parametrize(
+    "g, floor",
+    [
+        (fan_one_blade(), (3, "odd_cycle")),
+        (cycle(9), (3, "odd_cycle")),
+        # 2 + 2 vertices: equal sides
+        (cycle(4), (3, "sum")),
+        # sides 3 and 3
+        (cycle(6), (3, "sum")),
+        # sides 3 and 2, q(q+1)/2 = 10: 3 does not divide it
+        (path(5), (3, "sum")),
+        # sides 2 and 1, q(q+1)/2 = 3; the sum rule comes before the leaves
+        (path(3), (3, "sum")),
+        # sides 1 and 3, q(q+1)/2 = 6: both divide it, so only the leaves count
+        (star(3), (4, "pendant")),
+        (star(8), (9, "pendant")),
+        # K1,3 plus a triangle: the three leaves beat the odd cycle
+        (Graph([V("h"), *[V("l", i) for i in range(3)], V("a"), V("b"), V("c")],
+               [edge(V("h"), V("l", i)) for i in range(3)]
+               + [edge(V("a"), V("b")), edge(V("b"), V("c")), edge(V("a"), V("c"))]),
+         (4, "pendant")),
+    ],
+    ids=["fan", "C9", "C4", "C6", "P5", "P3", "K1,3", "K1,8", "K13+K3"],
+)
+def test_floor_rules(g, floor):
+    assert _floor(g) == floor
+    assert floor[0] >= verify_lower_bound(g)
+
+
+def test_sum_rule_needs_a_connected_graph():
+    # 2K1,2 (two paths P3): each path's sides are 2 and 1, but the two
+    # components may swap their colours, so only the leaves count
+    g = Graph(
+        [V("a", i) for i in range(3)] + [V("b", i) for i in range(3)],
+        [edge(V(r, 0), V(r, 1)) for r in "ab"] + [edge(V(r, 1), V(r, 2)) for r in "ab"],
+    )
+    assert _floor(g) == (5, "pendant")
+    assert solve_chi_la(g).chi_la == brute_chi_la(g)
+
+
+def test_deepening_raises_the_floor_pass_by_pass():
+    # chi_la(K4) = 4 (Arumugam et al.): the odd-cycle floor 3 is exhausted
+    # first, then the first labeling of the second pass is optimal
+    res = solve_chi_la(complete(4))
+    assert (res.status, res.chi_la, res.floor, res.floor_rule, res.passes) == (
+        "exact", 4, 3, "odd_cycle", 2
+    )
+    assert set(res.prunes) == set(PRUNE_REASONS)
+
+
+def test_passes_stop_below_the_seeded_witness():
+    # a 4-colour witness of K4: exhausting target 3 proves it optimal, and the
+    # seeded witness is the one passed back
+    g = complete(4)
+    first = solve_chi_la(g)
+    res = solve_chi_la(g, initial_witness=first.witness)
+    assert (res.status, res.chi_la, res.passes) == ("exact", 4, 1)
+    assert res.witness == first.witness
+    assert res.nodes < first.nodes
+
+
+@pytest.mark.parametrize("budget", [float("nan"), float("inf"), 0, -1, 0.0, True, "1"])
+def test_search_config_rejects_a_budget_that_is_not_finite_and_positive(budget):
+    # a nan budget used to be accepted and then never stopped the search
+    with pytest.raises(UsageError, match="time budget is not a finite positive number"):
+        SearchConfig(time_budget=budget)
+
+
+def test_search_config_accepts_a_finite_positive_budget():
+    assert SearchConfig(time_budget=0.5).time_budget == 0.5
+    assert SearchConfig(time_budget=2).time_budget == 2
+    assert SearchConfig().time_budget is None
+
+
+def test_time_budget_covers_every_pass():
+    # tb2 needs far more than 4,096 nodes at its floor, so the first time
+    # check ends the search
+    g, _, _ = build_family("tb", n=2)
+    res = solve_chi_la(g, SearchConfig(max_edges=15, time_budget=1e-9))
+    assert (res.status, res.chi_la, res.witness, res.passes) == ("budget_exhausted", None, None, 1)
+    assert res.nodes == 4_096
 
 
 def test_witness_certifies_result():
