@@ -62,7 +62,8 @@ class SolveResult:
     * ``infeasible_size`` -- the graph exceeds ``max_edges``.
 
     ``floor`` is the lower bound proved before the search and ``floor_rule``
-    the rule of :func:`_floor` that gave it; ``passes`` counts the targets
+    the rule of :func:`_floor` that gave it (``no_edges`` for a graph
+    without edges); ``passes`` counts the targets
     searched and ``prunes`` the branches cut for each reason of
     ``PRUNE_REASONS``.  All of these, and ``nodes``, depend on the graph only,
     not on its vertex names; ``elapsed`` is the wall time.
@@ -334,9 +335,8 @@ def solve_chi_la(
     # a labeling has at most |V| colours; a pass below the witness can only
     # improve on it; a pass above the user's target is not asked for
     last = len(vs)
-    witness_count = None if cert is None else cert.color_count
-    if witness_count is not None:
-        last = min(last, witness_count - 1)
+    if cert is not None:
+        last = min(last, cert.color_count - 1)
     if cfg.target_colors is not None:
         last = min(last, cfg.target_colors)
     passes = 0
@@ -354,7 +354,7 @@ def solve_chi_la(
         return result(target, EdgeLabeling(found), "exact")
     if timed_out:
         return result(None, initial_witness, "budget_exhausted")
-    # every target up to last is exhausted: chi_la > last
-    if witness_count == target:
-        return result(witness_count, initial_witness, "exact")
+    # chi_la >= target: the floor, raised past every exhausted pass
+    if cert is not None and cert.color_count == target:
+        return result(target, initial_witness, "exact")
     return result(None, initial_witness, "exact")
