@@ -139,7 +139,7 @@ def cmd_partition(args, out_dir: Path) -> tuple[int, str, list[str]]:
     return 0, f"target={part.target}", outputs
 
 
-_BOUNDS = ("max_size", "max_n", "gn_max_n")
+_BOUNDS = tuple(dict.fromkeys(GRID_BOUND.values()))  # the family_grid bounds, once each
 
 
 def _flag(bound: str) -> str:

@@ -10,7 +10,9 @@ branch when a completed vertex matches an adjacent completed vertex's sum
 touched can end on none of the colours it may take (``interval``).
 Completed-vertex colours are final, so the distinct count is monotone along
 a branch and every prune is safe.  A pass that is exhausted proves chi_la
-above its target, so the first labeling a pass finds is optimal.
+above its target, so the first labeling a pass finds is optimal.  The K2
+check, the floor and the search read the graph in one walk of its listing,
+:func:`_walk`: its neighbour lists, 2-colouring and components.
 
 The searcher is meant for graphs of up to about 15 edges, where it re-derives,
 independently of the constructions, values such as chi_la of the one-blade
@@ -22,6 +24,7 @@ from __future__ import annotations
 
 import math
 import time
+from collections import namedtuple
 from dataclasses import dataclass, field
 
 from .errors import K2Component, UsageError
@@ -29,6 +32,7 @@ from .graph import EdgeLabeling, Graph, certify
 
 _TIME_CHECK_MASK = 0xFFF
 PRUNE_REASONS = ("clash", "colour_bound", "interval")
+_Walk = namedtuple("_Walk", "nbrs sides comps")  # what the solver reads of a graph
 
 
 @dataclass(frozen=True)
@@ -38,7 +42,11 @@ class SearchConfig:
     time_budget: float | None = None  # seconds
 
     def __post_init__(self):
-        budget = self.time_budget
+        edges, target, budget = self.max_edges, self.target_colors, self.time_budget
+        if type(edges) is not int or edges < 0:  # ``type``: a bool is no count
+            raise UsageError(f"max_edges is not an int >= 0: {edges!r}")
+        if target is not None and (type(target) is not int or target < 1):
+            raise UsageError(f"target_colors is not None or an int >= 1: {target!r}")
         if budget is not None and not (
             isinstance(budget, (int, float)) and not isinstance(budget, bool)
             and 0 < budget < math.inf
@@ -80,29 +88,32 @@ class SolveResult:
     prunes: dict[str, int] = field(default_factory=lambda: dict.fromkeys(PRUNE_REASONS, 0))
 
 
-def _sides(g: Graph) -> list[int] | None:
-    """A proper 2-colouring of ``g.listing()``'s vertices (0 or 1 each), or
-    ``None`` if ``g`` has an odd cycle."""
+def _walk(g: Graph) -> _Walk:
+    """One walk over ``g.listing().pairs``: each rank's neighbours in ``pairs``
+    order, a proper 2-colouring (0 or 1 each) or ``None`` if ``g`` has an odd
+    cycle, and the components as rank lists in order of their smallest rank."""
     vs, _, pairs = g.listing()
     nbrs: list[list[int]] = [[] for _ in vs]
     for a, b in pairs:
         nbrs[a].append(b)
         nbrs[b].append(a)
     side = [-1] * len(vs)
+    bipartite = True
+    comps = []
     for root in range(len(vs)):
         if side[root] >= 0:
             continue
         side[root] = 0
-        stack = [root]
-        while stack:
-            v = stack.pop()
+        comp = [root]
+        for v in comp:  # the loop reads the vertices it appends
             for w in nbrs[v]:
                 if side[w] < 0:
                     side[w] = 1 - side[v]
-                    stack.append(w)
+                    comp.append(w)
                 elif side[w] == side[v]:
-                    return None
-    return side
+                    bipartite = False
+        comps.append(comp)
+    return _Walk(nbrs, side if bipartite else None, comps)
 
 
 def verify_lower_bound(g: Graph) -> int:
@@ -112,12 +123,12 @@ def verify_lower_bound(g: Graph) -> int:
     an odd cycle has no proper 2-colouring."""
     if not g.edges:
         return 1
-    return 2 if _sides(g) is not None else 3
+    return 2 if _walk(g).sides is not None else 3
 
 
-def _floor(g: Graph) -> tuple[int, str]:
-    """The largest proved lower bound on chi_la of ``g`` and the rule behind
-    it, for a graph with an edge and no K2 component.  The rules:
+def _floor(walk: _Walk, q: int) -> tuple[int, str]:
+    """The largest proved lower bound on chi_la of a graph with q ≥ 1 edges,
+    no K2 component and the walk ``walk``, and the rule behind it.  The rules:
 
     * ``edge`` 2 and ``odd_cycle`` 3: :func:`verify_lower_bound`.
     * ``sum`` 3, for a connected bipartite graph with sides A and B, when
@@ -134,21 +145,14 @@ def _floor(g: Graph) -> tuple[int, str]:
 
     The first of the largest bounds in that order wins.
     """
-    sides = _sides(g)
+    sides = walk.sides
     rules = [(2, "edge") if sides is not None else (3, "odd_cycle")]
-    if sides is not None and g.is_connected():
-        q = len(g.edges)
+    if sides is not None and len(walk.comps) == 1:
         half = q * (q + 1) // 2
-        side_a = sides.count(0)
-        side_b = len(sides) - side_a
+        side_a, side_b = sides.count(0), sides.count(1)
         if side_a == side_b or half % side_a or half % side_b:
             rules.append((3, "sum"))
-    vs, _, pairs = g.listing()
-    deg = [0] * len(vs)
-    for a, b in pairs:
-        deg[a] += 1
-        deg[b] += 1
-    leaves = deg.count(1)
+    leaves = sum(len(nb) == 1 for nb in walk.nbrs)
     if leaves:
         rules.append((leaves + 1, "pendant"))
     return max(rules, key=lambda rule: rule[0])
@@ -202,9 +206,11 @@ def solve_chi_la(
     ``g`` is a :class:`UsageError`.  Graphs with a K2 component admit no
     local antimagic labeling at all and are rejected loudly.
     """
-    for comp in g.connected_components():
+    vs, names, pairs = g.listing()
+    walk = _walk(g)
+    for comp in walk.comps:
         if len(comp) == 2:
-            raise K2Component(f"component {'-'.join(map(str, sorted(comp)))} is a K2")
+            raise K2Component(f"component {names[min(comp)]}-{names[max(comp)]} is a K2")
 
     q = len(g.edges)
     if q == 0:
@@ -215,20 +221,13 @@ def solve_chi_la(
     cert = None if initial_witness is None else certify(g, initial_witness)
     if cert is not None and not (cert.is_bijective and cert.is_local_antimagic):
         raise UsageError("initial witness is not a local antimagic labeling")
-    floor, floor_rule = _floor(g)
+    floor, floor_rule = _floor(walk, q)
     if q > cfg.max_edges:
         return SolveResult(None, initial_witness, "infeasible_size",
                            floor=floor, floor_rule=floor_rule)
 
-    vs, _, pairs = g.listing()
-    edges = g.sorted_edges()
-    deg = [0] * len(vs)
-    neighbor_ids: list[list[int]] = [[] for _ in vs]
-    for a, b in pairs:
-        deg[a] += 1
-        deg[b] += 1
-        neighbor_ids[a].append(b)
-        neighbor_ids[b].append(a)
+    nbrs = walk.nbrs
+    deg = [len(nb) for nb in nbrs]
     order = _search_order(deg, pairs)
     ends = [pairs[i] for i in order]
 
@@ -247,7 +246,7 @@ def solve_chi_la(
 
     def complete_vertex(vid: int) -> bool:
         c = sums[vid]
-        for nb in neighbor_ids[vid]:
+        for nb in nbrs[vid]:
             if remaining[nb] == 0 and sums[nb] == c:
                 return False
         completed[c] = completed.get(c, 0) + 1
@@ -278,7 +277,7 @@ def solve_chi_la(
                 hi += lab
                 taken += 1
             lab -= 1
-        blocked = {sums[nb] for nb in neighbor_ids[vid] if remaining[nb] == 0}
+        blocked = {sums[nb] for nb in nbrs[vid] if remaining[nb] == 0}
         return any(lo <= c <= hi and c not in blocked for c in completed)
 
     def dfs(pos: int) -> bool:
@@ -286,7 +285,7 @@ def solve_chi_la(
         found, or the time budget ran out."""
         nonlocal nodes, found, timed_out
         if pos == q:
-            found = {edges[order[p]]: assigned[p] for p in range(q)}
+            found = {(vs[a], vs[b]): assigned[p] for p, (a, b) in enumerate(ends)}
             return True
         nodes += 1
         if budget is not None and nodes & _TIME_CHECK_MASK == 0:

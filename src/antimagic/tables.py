@@ -126,7 +126,7 @@ def table_m3(k: int) -> LabelTable:
 def make_table(kind: str, k: int) -> LabelTable:
     if kind not in _PIECES:
         raise InvalidK(f"unknown table kind {kind!r}")
-    return {"m1": table_m1, "pt": table_pt, "m3": table_m3}[kind](k)
+    return _table(kind, k)
 
 
 # -- m1 observations ------------------------------------------------------------

@@ -70,6 +70,23 @@ def _label_out_of_range(rng, doc):
 MUTATIONS = (_swap_at_a_vertex, _duplicate_label, _label_out_of_range)
 
 
+def _move_an_edge_end(rng, doc):
+    """Move one end of one edge to a vertex that is neither that end nor a
+    neighbour of the other end; the edge keeps its label.  The labels stay a
+    bijection, so only the sums can give the move away."""
+    neighbours = {v["id"]: {v["id"]} for v in doc["vertices"]}
+    for e in doc["edges"]:
+        neighbours[e["a"]].add(e["b"])
+        neighbours[e["b"]].add(e["a"])
+    while True:
+        e = rng.choice(doc["edges"])
+        moved, kept = rng.sample(("a", "b"), 2)
+        targets = sorted(neighbours.keys() - neighbours[e[kept]])
+        if targets:
+            e[moved] = rng.choice(targets)
+            return
+
+
 @functools.lru_cache(maxsize=None)
 def stride_sample():
     """Each sampled point with its instance, its JSON document text and its
@@ -144,6 +161,21 @@ def test_the_oracle_and_the_certificate_agree_on_mutated_documents(family):
         assert verdict(certify(g, f, inst.expected_palette)) == want, (params, mutate.__name__)
         if mutate is not _swap_at_a_vertex:
             assert not want[0], (params, mutate.__name__)
+        if want != ACCEPTED:
+            with pytest.raises(InvariantError):
+                families.verify_instance(g, f, inst)
+
+
+@pytest.mark.parametrize("family", families.FAMILY_TAGS)
+def test_the_oracle_and_the_certificate_agree_when_an_edge_end_moves(family):
+    rng = random.Random("move " + family)
+    for params, inst, text, _ in stride_sample()[family]:
+        doc = json.loads(text)
+        _move_an_edge_end(rng, doc)
+        g, f = io.doc_to_graph(doc)
+        want = oracle(doc)
+        assert want[0], params
+        assert verdict(certify(g, f, inst.expected_palette)) == want, params
         if want != ACCEPTED:
             with pytest.raises(InvariantError):
                 families.verify_instance(g, f, inst)

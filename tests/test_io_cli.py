@@ -962,6 +962,28 @@ def test_cli_solve_budget_that_is_not_finite_and_positive_is_usage(tmp_path, cap
     assert not (tmp_path / "fb_n3_solve.json").exists()
 
 
+@pytest.mark.parametrize("flag, value, message", [
+    ("--max-edges", "-5", "max_edges is not an int >= 0: -5"),
+    ("--target", "0", "target_colors is not None or an int >= 1: 0"),
+    ("--target", "-2", "target_colors is not None or an int >= 1: -2"),
+])
+def test_cli_solve_max_edges_or_target_out_of_range_is_usage(tmp_path, capsys, flag, value, message):
+    # both used to run and print a vacuous answer
+    main(["--out", str(tmp_path / "build"), "build", "--family", "fb", "--n", "3"])
+    code = main([
+        "--out", str(tmp_path / "solve"), "solve",
+        "--input", str(tmp_path / "build" / "fb_n3.json"), flag, value,
+    ])
+    assert code == 2
+    assert f"usage error: {message}" in capsys.readouterr().err
+    (line,) = (tmp_path / "solve" / "manifest.jsonl").read_text().splitlines()
+    entry = json.loads(line)
+    assert (entry["command"], entry["outcome"], entry["outputs"]) == (
+        "solve", f"usage error: {message}", []
+    )
+    assert sorted(p.name for p in (tmp_path / "solve").iterdir()) == ["manifest.jsonl"]
+
+
 def test_cli_solve_infeasible_size_is_usage(tmp_path):
     main(["--out", str(tmp_path), "build", "--family", "tb", "--n", "2"])
     code = main([

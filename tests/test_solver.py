@@ -8,7 +8,7 @@ from antimagic.errors import K2Component, UsageError
 from antimagic.families import build_family
 from antimagic.graph import EdgeLabeling, Graph, V, certify, edge
 from antimagic.solver import (
-    PRUNE_REASONS, SearchConfig, _floor, solve_chi_la, verify_lower_bound,
+    PRUNE_REASONS, SearchConfig, _floor, _walk, solve_chi_la, verify_lower_bound,
 )
 
 
@@ -202,7 +202,7 @@ def test_lower_bound_values():
     ids=["fan", "C9", "C4", "C6", "P5", "P3", "K1,3", "K1,8", "K13+K3"],
 )
 def test_floor_rules(g, floor):
-    assert _floor(g) == floor
+    assert _floor(_walk(g), len(g.edges)) == floor
     assert floor[0] >= verify_lower_bound(g)
 
 
@@ -213,7 +213,7 @@ def test_sum_rule_needs_a_connected_graph():
         [V("a", i) for i in range(3)] + [V("b", i) for i in range(3)],
         [edge(V(r, 0), V(r, 1)) for r in "ab"] + [edge(V(r, 1), V(r, 2)) for r in "ab"],
     )
-    assert _floor(g) == (5, "pendant")
+    assert _floor(_walk(g), len(g.edges)) == (5, "pendant")
     assert solve_chi_la(g).chi_la == brute_chi_la(g)
 
 
@@ -266,6 +266,28 @@ def test_search_config_accepts_a_finite_positive_budget():
     assert SearchConfig().time_budget is None
 
 
+@pytest.mark.parametrize("max_edges", [-1, -5, 1.5, 10.0, True, False, "10", None])
+def test_search_config_rejects_a_max_edges_that_is_not_a_count(max_edges):
+    # a negative cap used to pass and make every graph "infeasible_size"
+    with pytest.raises(UsageError, match=r"^max_edges is not an int >= 0: "):
+        SearchConfig(max_edges=max_edges)
+
+
+@pytest.mark.parametrize("target", [0, -1, 2.0, True, False, "3"])
+def test_search_config_rejects_a_target_that_is_not_a_positive_count(target):
+    # target 0 used to pass and report a vacuous "nothing has 0 colours"
+    with pytest.raises(UsageError, match=r"^target_colors is not None or an int >= 1: "):
+        SearchConfig(target_colors=target)
+
+
+def test_search_config_accepts_counts():
+    assert SearchConfig(max_edges=0).max_edges == 0
+    assert SearchConfig(max_edges=15, target_colors=1).target_colors == 1
+    assert SearchConfig().target_colors is None
+    res = solve_chi_la(triangle(), SearchConfig(max_edges=0))
+    assert (res.status, res.chi_la, res.floor) == ("infeasible_size", None, 3)
+
+
 def test_time_budget_covers_every_pass():
     # tb2 needs far more than 4,096 nodes at its floor, so the first time
     # check ends the search
@@ -299,6 +321,25 @@ def test_k2_rejected():
     g = Graph([a, b, c, d, e], [edge(a, e), edge(c, d), edge(b, e)])
     with pytest.raises(K2Component, match="^component c_1-d_1_2 is a K2$"):
         solve_chi_la(g)
+    # ends in vertex order, which is not the order of their id strings
+    x1, x_1 = V("x1"), V("x", 1)
+    assert x_1 < x1 and str(x1) < str(x_1)
+    with pytest.raises(K2Component, match="^component x_1-x1 is a K2$"):
+        solve_chi_la(Graph([a, b, e, x1, x_1], [edge(a, e), edge(b, e), edge(x1, x_1)]))
+
+
+def test_a_witness_free_solve_reads_the_graph_only_through_its_listing(monkeypatch):
+    # the K2 check, the floor and the search share one walk of the listing
+    cases = [(cycle(9), 3), (path(10), 3), (star(8), 9)]
+
+    def refuse(*args):
+        raise AssertionError("the solver read the graph past its listing")
+
+    for name in ("connected_components", "is_connected", "sorted_edges", "_adjacency"):
+        monkeypatch.setattr(Graph, name, refuse)
+    for g, known in cases:
+        res = solve_chi_la(g)
+        assert (res.status, res.chi_la) == ("exact", known)
 
 
 def test_oversized_graph_reports_infeasible_size():
