@@ -9,19 +9,24 @@ local antimagic chromatic number of the graph is 3 (upper bound by witness,
 lower bound by the chromatic number).
 
 Values here are observationally immutable and the functions pure.  A
-:class:`Graph` derives its adjacency, its connected components and its
-canonical listing on first use and caches them; the fill is idempotent (a
-racing second fill computes the same value), so graphs can still be shared
-freely across concurrent sweeps.
+:class:`Graph` is the finished :class:`_Draft` of a build: vertex names, the
+live index and two int arrays of edge ends, and a labeling from the same
+finish holds the label at each edge position.  :func:`certify` and the
+writers work on those arrays.  The frozenset views ``vertices`` and
+``edges``, the int adjacency with its components and the canonical listing
+are each built on first use and cached; the fill is idempotent (a racing
+second fill computes the same value), so graphs can still be shared freely
+across concurrent sweeps.
 """
 
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
-from itertools import chain, compress
+from itertools import chain, compress, repeat
 from operator import eq, itemgetter, ne, or_
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import NamedTuple
 
 from .errors import (
     EmptyPart,
@@ -91,66 +96,117 @@ def V(role: str, *indices: int) -> VertexId:
 
 
 class Graph:
-    """Simple undirected graph over :class:`VertexId` vertices.
+    """Simple undirected graph over :class:`VertexId` vertices, held in index
+    space as the :class:`_Draft` that made it left it.
 
-    May be disconnected; loops and parallel edges are impossible by
-    construction.  ``vertices`` and ``edges`` are fixed at construction;
-    the adjacency, the connected components and the canonical listing are
-    derived from them on first use and cached, so a graph that only passes
-    through surgery never builds them.
+    Vertex i is named ``names[i]``; ``index`` maps the name of each live
+    vertex to its index (a vertex that surgery took out keeps its place in
+    ``names`` but leaves ``index``); edge p joins ``a[p]`` and ``b[p]``.  The
+    four are fixed at construction and only ever read.  Loops and parallel
+    edges are impossible by construction; the graph may be disconnected.
+
+    ``vertices`` and ``edges`` are frozenset views, and the int adjacency with
+    its components and the canonical listing are derived structures: each is
+    built on first use and cached.  A fill is idempotent (a racing second fill
+    computes the same value), so graphs can be shared across threads.
     """
 
-    __slots__ = ("vertices", "edges", "_adj", "_components", "_listing")
+    __slots__ = ("names", "index", "a", "b", "_vertices", "_edges", "_walk", "_listing")
 
     def __init__(self, vertices: Iterable[VertexId], edges: Iterable[Edge]):
-        vs = frozenset(vertices)
+        names = list(dict.fromkeys(vertices))
+        index = dict(zip(names, range(len(names))))
         es = set()
         for a, b in edges:
             e = edge(a, b)
-            if e[0] not in vs or e[1] not in vs:
+            if e[0] not in index or e[1] not in index:
                 raise UnknownVertex(f"edge {e} has an endpoint outside the vertex set")
             if e in es:
                 raise MergeWouldCreateParallelEdge("two edges join the same two vertices")
             es.add(e)
-        self.vertices: frozenset[VertexId] = vs
-        self.edges: frozenset[Edge] = frozenset(es)
-        self._adj: dict[VertexId, set[VertexId]] | None = None
-        self._components: list[frozenset[VertexId]] | None = None
-        self._listing: Listing | None = None
+        # the edge positions follow the view's iteration order
+        view = frozenset(es)
+        self._fill(names, index, [index[x] for x, _ in view], [index[y] for _, y in view])
+        self._edges = view
 
     @classmethod
-    def _checked(cls, vertices: frozenset[VertexId], edges: frozenset[Edge]) -> "Graph":
-        """A graph from parts that are already canonical and consistent: every
-        edge an ordered pair of distinct members of ``vertices``.
-        :meth:`_Draft.finish` and the document reader build here, having
-        checked every edge."""
+    def _of(cls, names: list[VertexId], index: dict[VertexId, int], a: list[int], b: list[int]
+            ) -> "Graph":
+        """A graph over arrays that :meth:`_Draft.finish` has checked."""
         g = object.__new__(cls)
-        g.vertices, g.edges = vertices, edges
-        g._adj = g._components = g._listing = None
+        g._fill(names, index, a, b)
         return g
 
-    def _adjacency(self) -> dict[VertexId, set[VertexId]]:
-        """The neighbor sets, built on first use and only ever read;
-        :meth:`neighbors` hands out a frozen copy."""
-        adj = self._adj
-        if adj is None:
-            adj = {v: set() for v in self.vertices}
-            for a, b in self.edges:
-                adj[a].add(b)
-                adj[b].add(a)
-            self._adj = adj
-        return adj
+    def _fill(self, names, index, a, b) -> None:
+        self.names, self.index, self.a, self.b = names, index, a, b
+        self._vertices = self._edges = self._walk = self._listing = None
+
+    @property
+    def order(self) -> int:
+        return len(self.index)
+
+    @property
+    def size(self) -> int:
+        return len(self.a)
+
+    @property
+    def vertices(self) -> frozenset[VertexId]:
+        vs = self._vertices
+        if vs is None:
+            vs = self._vertices = frozenset(self.index)
+        return vs
+
+    @property
+    def edges(self) -> frozenset[Edge]:
+        es = self._edges
+        if es is None:
+            es = self._edges = frozenset(self._named_edges())
+        return es
+
+    def _named_edges(self) -> list[Edge]:
+        """The canonical edge at each position."""
+        names = self.names
+        ends = zip(map(names.__getitem__, self.a), map(names.__getitem__, self.b))
+        return [(x, y) if x < y else (y, x) for x, y in ends]
+
+    def _walked(self) -> tuple[list, list[list[int]]]:
+        """The neighbour list of each live vertex by index, and the components
+        as index lists, from one walk of the edge arrays."""
+        walk = self._walk
+        if walk is None:
+            # a vertex that surgery took out ends no edge; it keeps an empty tuple
+            adj: list = [()] * len(self.names)
+            for i in self.index.values():
+                adj[i] = []
+            for x, y in zip(self.a, self.b):
+                adj[x].append(y)
+                adj[y].append(x)
+            seen = bytearray(len(adj))
+            comps = []
+            for start in self.index.values():
+                if seen[start]:
+                    continue
+                seen[start] = 1
+                comp = [start]
+                for v in comp:  # the loop reads the vertices it appends
+                    for w in adj[v]:
+                        if not seen[w]:
+                            seen[w] = 1
+                            comp.append(w)
+                comps.append(comp)
+            walk = self._walk = (adj, comps)
+        return walk
 
     # -- queries --------------------------------------------------------------
 
     def neighbors(self, v: VertexId) -> frozenset[VertexId]:
-        return frozenset(self._adjacency()[v])
+        return frozenset(map(self.names.__getitem__, self._walked()[0][self.index[v]]))
 
     def degree(self, v: VertexId) -> int:
-        return len(self._adjacency()[v])
+        return len(self._walked()[0][self.index[v]])
 
     def incident_edges(self, v: VertexId) -> list[Edge]:
-        return [edge(v, n) for n in self._adjacency()[v]]
+        return [edge(v, n) for n in self.neighbors(v)]
 
     def __eq__(self, other) -> bool:
         return (
@@ -163,18 +219,32 @@ class Graph:
         return hash((self.vertices, self.edges))
 
     def __repr__(self) -> str:
-        return f"Graph(order={len(self.vertices)}, size={len(self.edges)})"
+        return f"Graph(order={self.order}, size={self.size})"
+
+    def _listed(self) -> tuple[Listing, list[int], list[int]]:
+        """The canonical listing, the vertex index at each rank, and the edge
+        position of each listed edge, from one sort of the vertices and one
+        of the edges."""
+        listed = self._listing
+        if listed is None:
+            index = self.index
+            vs = sorted(index)
+            at = list(map(index.__getitem__, vs))
+            n = len(at)
+            rank = dict(zip(at, range(n)))
+            # each edge as lower rank times n plus higher rank, which sorts
+            # as the rank pair does
+            ends = zip(map(rank.__getitem__, self.a), map(rank.__getitem__, self.b))
+            keys = [x * n + y if x < y else y * n + x for x, y in ends]
+            pos = sorted(range(len(keys)), key=keys.__getitem__)
+            pairs = tuple(map(divmod, map(keys.__getitem__, pos), repeat(n)))
+            listed = self._listing = (Listing(tuple(vs), tuple(_id_strings(vs)), pairs), at, pos)
+        return listed
 
     def listing(self) -> Listing:
         """The canonical listing: one sort of the vertices, one id string per
         vertex, and the edges sorted as pairs of vertex ranks."""
-        lst = self._listing
-        if lst is None:
-            vs = sorted(self.vertices)
-            rank = dict(zip(vs, range(len(vs))))
-            pairs = sorted([(rank[a], rank[b]) for a, b in self.edges])
-            lst = self._listing = Listing(tuple(vs), tuple(_id_strings(vs)), tuple(pairs))
-        return lst
+        return self._listed()[0]
 
     def sorted_vertices(self) -> list[VertexId]:
         return list(self.listing().vertices)
@@ -185,51 +255,64 @@ class Graph:
 
     def connected_components(self) -> list[frozenset[VertexId]]:
         """Components as vertex sets, sorted by their smallest vertex."""
-        comps = self._components
-        if comps is None:
-            adj = self._adjacency()
-            seen: set[VertexId] = set()
-            comps = []
-            for start in adj:
-                if start in seen:
-                    continue
-                stack = [start]
-                comp = {start}
-                while stack:
-                    fresh = adj[stack.pop()] - comp
-                    comp |= fresh
-                    stack.extend(fresh)
-                seen |= comp
-                comps.append(frozenset(comp))
-            # components are disjoint, so their smallest vertices are distinct
-            comps.sort(key=min)
-            self._components = comps
-        return list(comps)
+        names = self.names
+        comps = [frozenset(map(names.__getitem__, comp)) for comp in self._walked()[1]]
+        # components are disjoint, so their smallest vertices are distinct
+        comps.sort(key=min)
+        return comps
 
     def is_connected(self) -> bool:
-        return len(self.connected_components()) <= 1
+        return len(self._walked()[1]) <= 1
 
     def has_triangle(self) -> bool:
-        adj = self._adjacency()
-        for a, b in self.edges:
-            if adj[a] & adj[b]:
+        """Whether the two ends of some edge share a neighbour.  The larger
+        end's neighbours are made a set, once, and the smaller end's are
+        looked up in it, so no edge costs more than its smaller degree."""
+        adj = self._walked()[0]
+        sets: dict[int, set[int]] = {}
+        for x, y in zip(self.a, self.b):
+            if len(adj[x]) < len(adj[y]):
+                x, y = y, x
+            near = sets.get(x)
+            if near is None:
+                near = sets[x] = set(adj[x])
+            if not near.isdisjoint(adj[y]):
                 return True
         return False
 
 
-@dataclass(frozen=True)
 class EdgeLabeling:
     """Edge -> positive integer map intended to be a bijection onto [1, q].
 
     The bijection is *checked* by :func:`certify`, not enforced here, so that
-    broken labelings can be represented and reported.
+    broken labelings can be represented and reported.  A labeling made by
+    name holds its mapping; one that :meth:`_Draft.finish` makes holds its
+    graph and the label at each edge position, and builds ``labels`` from
+    them on first use.
     """
 
-    labels: Mapping[Edge, int]
+    __slots__ = ("_labels", "_graph", "_array")
+
+    def __init__(self, labels: Mapping[Edge, int]):
+        self._labels, self._graph, self._array = labels, None, None
 
     @classmethod
     def from_dict(cls, labels: Mapping[Edge, int]) -> "EdgeLabeling":
         return cls(dict(labels))
+
+    @classmethod
+    def _at(cls, g: Graph, array: list) -> "EdgeLabeling":
+        """The labeling of ``g`` with ``array[p]`` on the edge at position p."""
+        f = object.__new__(cls)
+        f._labels, f._graph, f._array = None, g, array
+        return f
+
+    @property
+    def labels(self) -> Mapping[Edge, int]:
+        labels = self._labels
+        if labels is None:
+            labels = self._labels = dict(zip(self._graph._named_edges(), self._array))
+        return labels
 
     def remapped(self, edge_map: Mapping[Edge, Edge]) -> "EdgeLabeling":
         """Transfer labels edge-wise through a surgery edge map, which lists
@@ -243,21 +326,58 @@ class EdgeLabeling:
     def __eq__(self, other) -> bool:
         return isinstance(other, EdgeLabeling) and dict(self.labels) == dict(other.labels)
 
+    def __repr__(self) -> str:
+        return f"EdgeLabeling(labels={self.labels!r})"
 
-def induce_coloring(g: Graph, f: EdgeLabeling) -> dict[VertexId, int]:
-    """The vertex -> color map: each vertex's sum of incident labels."""
-    # frozenset() reuses the hashes the dict stores; a keys view would
-    # re-hash every edge to look it up in g.edges
-    if frozenset(f.labels) != g.edges:
+
+def _aligned(g: Graph, f: EdgeLabeling) -> list:
+    """The label at each of ``g``'s edge positions: the array of a labeling
+    that a finish made with ``g``, or else one lookup by name per edge, which
+    also checks that ``f`` labels exactly the edges of ``g``."""
+    if f._graph is g:
+        return f._array
+    labels = f.labels
+    try:
+        array = list(map(labels.__getitem__, g._named_edges()))
+    except KeyError:
+        array = None
+    if array is None or len(labels) != len(array):
         raise LabelDomainMismatch(
             "labeling domain does not match the edge set "
-            f"({len(f.labels)} labels vs {len(g.edges)} edges)"
+            f"({len(labels)} labels vs {g.size} edges)"
         )
-    colors = {v: 0 for v in g.vertices}
-    for (a, b), lab in f.labels.items():
-        colors[a] += lab
-        colors[b] += lab
-    return colors
+    return array
+
+
+class Coloring(Mapping):
+    """The induced color of each live vertex of ``graph``, a read-only map
+    held as ``array``, the color at each vertex index."""
+
+    __slots__ = ("graph", "array")
+
+    def __init__(self, graph: Graph, array: list[int]):
+        self.graph, self.array = graph, array
+
+    def __getitem__(self, v: VertexId) -> int:
+        return self.array[self.graph.index[v]]
+
+    def __iter__(self):
+        return iter(self.graph.index)
+
+    def __len__(self) -> int:
+        return len(self.graph.index)
+
+    def __repr__(self) -> str:
+        return f"Coloring({dict(self)!r})"
+
+
+def induce_coloring(g: Graph, f: EdgeLabeling) -> Coloring:
+    """The vertex -> color map: each vertex's sum of incident labels."""
+    colors = [0] * len(g.names)
+    for x, y, lab in zip(g.a, g.b, _aligned(g, f)):
+        colors[x] += lab
+        colors[y] += lab
+    return Coloring(g, colors)
 
 
 @dataclass(frozen=True)
@@ -267,8 +387,10 @@ class Certificate:
     ``violations`` collects every bijectivity or adjacency failure (never
     fail-fast); it is empty iff both flags hold.  A palette mismatch against
     ``expected_palette`` is recorded in ``palette_ok`` separately.
-    ``colors``, the induced coloring the checks read, is kept for the writers
-    and takes no part in ``==``, ``repr`` or the certificate's document.
+    ``colors``, the induced coloring the checks read, is kept for the writers,
+    and ``component_orders``, the sorted vertex counts of the components, for
+    :func:`~antimagic.families.verify_instance`; neither takes part in
+    ``==``, ``repr`` or the certificate's document.
     """
 
     is_bijective: bool
@@ -279,7 +401,8 @@ class Certificate:
     violations: tuple[dict, ...]
     has_triangle: bool
     is_connected: bool
-    colors: dict[VertexId, int] = field(compare=False, repr=False)
+    colors: Mapping[VertexId, int] = field(compare=False, repr=False)
+    component_orders: tuple[int, ...] = field(compare=False, repr=False)
     expected_palette: tuple[int, ...] | None = None
     palette_ok: bool | None = None
 
@@ -291,6 +414,22 @@ class Certificate:
         )
 
 
+def _in_edge_order(g: Graph, positions: Iterable[int]) -> list[tuple[Edge, int]]:
+    """Each given edge position with its canonical edge, in canonical edge
+    order."""
+    names, a, b = g.names, g.a, g.b
+    named = []
+    for p in positions:
+        x, y = names[a[p]], names[b[p]]
+        named.append(((x, y) if x < y else (y, x), p))
+    named.sort()
+    return named
+
+
+def _edge_names(e: Edge) -> list[str]:
+    return [str(e[0]), str(e[1])]
+
+
 def certify(
     g: Graph, f: EdgeLabeling, expected_palette: Iterable[int] | None = None
 ) -> Certificate:
@@ -299,52 +438,55 @@ def certify(
     All failures are reported inside the certificate; the only exception is a
     labeling whose domain is not the edge set, which is a type error.
 
-    A valid labeling costs one pass over the labels and one over the edges.
-    Only the offending edges are sorted, so ``violations`` still lists them in
-    canonical edge order (duplicates by label).
+    The checks run over the edge arrays, with no sort: one accumulation of
+    the colors, a count of the labels, one comparison of end colors per edge
+    and one walk of the int adjacency.  Only the offending edges are named
+    and sorted, so ``violations`` still lists them in canonical edge order
+    (duplicates by label).
     """
-    colors = induce_coloring(g, f)
-    palette = tuple(sorted(set(colors.values())))
-    labels = f.labels
-    q = len(g.edges)
+    coloring = induce_coloring(g, f)
+    colors, labels, a, b = coloring.array, _aligned(g, f), g.a, g.b
+    live = list(g.index.values())
+    shades = list(map(colors.__getitem__, live))
+    palette = tuple(sorted(set(shades)))
+    q = len(a)
 
     violations: list[dict] = []
-    counts = Counter(labels.values())
+    counts = Counter(labels)
     if counts and (min(counts) < 1 or max(counts) > q):
-        for e in sorted(e for e, lab in labels.items() if not 1 <= lab <= q):
+        outside = [p for p, lab in enumerate(labels) if not 1 <= lab <= q]
+        for e, p in _in_edge_order(g, outside):
             violations.append(
-                {"kind": "label_out_of_range", "edge": [str(e[0]), str(e[1])], "label": labels[e]}
+                {"kind": "label_out_of_range", "edge": _edge_names(e), "label": labels[p]}
             )
     if len(counts) < q:
         shared = {lab for lab, n in counts.items() if n > 1}
         by_label: dict[int, list[Edge]] = {}
-        for e in sorted(e for e, lab in labels.items() if lab in shared):
-            by_label.setdefault(labels[e], []).append(e)
+        for e, p in _in_edge_order(g, [p for p, lab in enumerate(labels) if lab in shared]):
+            by_label.setdefault(labels[p], []).append(e)
         for lab, es in sorted(by_label.items()):
             violations.append(
-                {
-                    "kind": "duplicate_label",
-                    "label": lab,
-                    "edges": [[str(a), str(b)] for a, b in es],
-                }
+                {"kind": "duplicate_label", "label": lab, "edges": list(map(_edge_names, es))}
             )
     is_bijective = not violations
 
-    clashes = sorted((a, b) for a, b in g.edges if colors[a] == colors[b])
+    clashes = _in_edge_order(g, compress(
+        range(q), map(eq, map(colors.__getitem__, a), map(colors.__getitem__, b))
+    ))
     is_local_antimagic = not clashes
-    for a, b in clashes:
+    for e, p in clashes:
         violations.append(
-            {"kind": "adjacent_equal_color", "edge": [str(a), str(b)], "color": colors[a]}
+            {"kind": "adjacent_equal_color", "edge": _edge_names(e), "color": colors[a[p]]}
         )
 
     # (degree, color) -> vertex count, with the degrees read off the adjacency
-    # that the triangle and connectivity checks build anyway
-    adj = g._adjacency()
-    pairs = Counter(zip(map(len, map(adj.__getitem__, colors)), colors.values()))
+    # that the triangle and component checks walk
+    adj, comps = g._walked()
+    pairs = Counter(zip(map(len, map(adj.__getitem__, live)), shades))
     census: dict[int, tuple[int, tuple[int, ...]]] = {}
     for (d, c), n in sorted(pairs.items()):
-        count, shades = census.get(d, (0, ()))
-        census[d] = (count + n, shades + (c,))
+        count, tones = census.get(d, (0, ()))
+        census[d] = (count + n, tones + (c,))
 
     expected = tuple(sorted(expected_palette)) if expected_palette is not None else None
     palette_ok = None if expected is None else palette == expected
@@ -357,8 +499,9 @@ def certify(
         degree_census=census,
         violations=tuple(violations),
         has_triangle=g.has_triangle(),
-        is_connected=g.is_connected(),
-        colors=colors,
+        is_connected=len(comps) <= 1,
+        colors=coloring,
+        component_orders=tuple(sorted(map(len, comps))),
         expected_palette=expected,
         palette_ok=palette_ok,
     )
@@ -376,7 +519,8 @@ class _Draft:
     only rewrites edge ends, and appends each new vertex to ``names`` in the
     order it is given and returns the indices it appends, so every label
     stays at its edge's position and nothing is remapped.  :meth:`finish`
-    makes the one :class:`Graph` and :class:`EdgeLabeling`.
+    makes the one :class:`Graph` and :class:`EdgeLabeling`, which take over
+    the draft's lists, so a finished draft is not operated on again.
     """
 
     __slots__ = ("names", "index", "a", "b", "labels")
@@ -396,15 +540,16 @@ class _Draft:
         self.a, self.b, self.labels = a, b, labels
 
     def finish(self) -> tuple[Graph, EdgeLabeling]:
-        """The graph of the live vertices, each edge named canonically once,
-        and its labeling."""
-        names = self.names
-        ends = zip(map(names.__getitem__, self.a), map(names.__getitem__, self.b))
-        labels = dict(zip([(x, y) if x < y else (y, x) for x, y in ends], self.labels))
-        if len(labels) != len(self.labels):
+        """The graph of the live vertices and its labeling, over the draft's
+        arrays, once no two edges are found to join the same two vertices."""
+        a, b = self.a, self.b
+        # no edge is a loop, so two edges join the same two vertices exactly
+        # when an end pair repeats, in the same order or reversed
+        ends = set(zip(a, b))
+        if len(ends) != len(a) or not ends.isdisjoint(zip(b, a)):
             raise MergeWouldCreateParallelEdge("two edges join the same two vertices")
-        # both frozensets reuse the hashes their dicts hold
-        return Graph._checked(frozenset(self.index), frozenset(labels)), EdgeLabeling(labels)
+        g = Graph._of(self.names, self.index, a, b)
+        return g, EdgeLabeling._at(g, self.labels)
 
     def _edge(self, x: int, y: int) -> Edge:
         """The canonical edge between the vertices at ``x`` and ``y``."""
@@ -549,14 +694,14 @@ class _Draft:
 
 
 def _surgery(g: Graph, operate) -> tuple[Graph, dict[Edge, Edge]]:
-    """Run one surgery kernel on ``g`` by name: ``operate(draft, at)`` gets
-    ``g`` as a draft whose edges are labeled with themselves, and ``at``,
-    which gives the index of a vertex name.  A name ``g`` lacks gets an
-    index that is not live, so the kernel reports it.  Returns the new graph
-    and the old-edge -> new-edge map of the edges that move."""
-    edges = list(g.edges)
-    rank = dict(zip(g.vertices, range(len(g.vertices))))
-    d = _Draft(rank, [rank[x] for x, _ in edges], [rank[y] for _, y in edges], edges)
+    """Run one surgery kernel on ``g`` by name: ``operate(draft, at)`` gets a
+    copy of ``g``'s arrays as a draft, and ``at``, which gives the index of a
+    vertex name.  A name ``g`` lacks gets an index that is not live, so the
+    kernel reports it.  Returns the new graph and the old-edge -> new-edge map
+    of the edges that move."""
+    d = object.__new__(_Draft)
+    d.names, d.index, d.a, d.b = list(g.names), dict(g.index), list(g.a), list(g.b)
+    d.labels = before = g._named_edges()
     index, names = d.index, d.names
 
     def at(v: VertexId) -> int:
@@ -567,8 +712,8 @@ def _surgery(g: Graph, operate) -> tuple[Graph, dict[Edge, Edge]]:
         return i
 
     operate(d, at)
-    out, f = d.finish()
-    return out, {old: e for e, old in f.labels.items() if e != old}
+    out, _ = d.finish()
+    return out, {old: e for old, e in zip(before, out._named_edges()) if e != old}
 
 
 def merge_vertices(

@@ -17,7 +17,7 @@ from pathlib import Path
 from .errors import GraphSurgeryError, UsageError
 from .families import FamilyInstance
 from .graph import (
-    Certificate, Edge, EdgeLabeling, Graph, VertexId, _Draft, _id_strings, induce_coloring,
+    Certificate, EdgeLabeling, Graph, VertexId, _aligned, _Draft, _id_strings, induce_coloring,
 )
 from .partition import EqualSumPartition
 from .tables import LabelTable
@@ -53,9 +53,19 @@ def _jsonable(value):
 
 def _edge_records(g: Graph, f: EdgeLabeling) -> list[dict]:
     """One ``{"a", "b", "label"}`` record per edge, in listing order."""
-    labels = f.labels
-    vs, names, pairs = g.listing()
-    return [{"a": names[i], "b": names[j], "label": labels[vs[i], vs[j]]} for i, j in pairs]
+    (_, names, pairs), _, positions = g._listed()
+    labels = map(_aligned(g, f).__getitem__, positions)
+    return [{"a": names[i], "b": names[j], "label": lab} for (i, j), lab in zip(pairs, labels)]
+
+
+def _listed_colors(g: Graph, f: EdgeLabeling, cert: Certificate | None) -> list[int]:
+    """The color of each vertex in listing order, read off ``cert`` when it
+    is given."""
+    colors = cert.colors if cert else induce_coloring(g, f)
+    (vs, _, _), at, _ = g._listed()
+    if colors.graph is g:
+        return list(map(colors.array.__getitem__, at))
+    return list(map(colors.__getitem__, vs))
 
 
 def graph_to_doc(
@@ -64,7 +74,7 @@ def graph_to_doc(
     instance: FamilyInstance | None = None,
     cert: Certificate | None = None,
 ) -> dict:
-    colors = cert.colors if cert else induce_coloring(g, f)
+    colors = _listed_colors(g, f, cert)
     vs, names, _ = g.listing()
     doc = {
         "family": instance.family if instance else None,
@@ -74,7 +84,7 @@ def graph_to_doc(
             for v, name in zip(vs, names)
         ],
         "edges": _edge_records(g, f),
-        "colors": dict(zip(names, map(colors.__getitem__, vs))),
+        "colors": dict(zip(names, colors)),
         "certificate": certificate_to_doc(cert) if cert else None,
     }
     if instance is not None:
@@ -161,22 +171,26 @@ def _read_records(doc) -> tuple[Graph, EdgeLabeling]:
             )
         by_id[vid] = v
     # ids and vertices correspond one to one, so each edge is checked once
-    # here and the graph needs no second pass
-    labels: dict[Edge, int] = {}
+    # here and the draft's finish finds nothing more
+    at = dict(zip(by_id, range(len(by_id))))
+    ends_a, ends_b, labels, seen = [], [], [], set()
     for ed in _field(doc, "edges", list):
         a, b = _field(ed, "a", str), _field(ed, "b", str)
-        va, vb = by_id.get(a), by_id.get(b)
-        if va is None:
+        x, y = at.get(a), at.get(b)
+        if x is None:
             raise UsageError(f"graph document: unknown vertex id {a!r}")
-        if vb is None:
+        if y is None:
             raise UsageError(f"graph document: unknown vertex id {b!r}")
         if a == b:
             raise UsageError(f"graph document: loop edge at {a!r}")
-        e = (va, vb) if va < vb else (vb, va)
-        if e in labels:
+        pair = (x, y) if x < y else (y, x)
+        if pair in seen:
             raise UsageError(f"graph document: duplicate edge {a!r} -- {b!r}")
-        labels[e] = _field(ed, "label", int)
-    return Graph._checked(frozenset(by_id.values()), frozenset(labels)), EdgeLabeling(labels)
+        seen.add(pair)
+        ends_a.append(x)
+        ends_b.append(y)
+        labels.append(_field(ed, "label", int))
+    return _Draft(by_id.values(), ends_a, ends_b, labels).finish()
 
 
 def dumps(doc) -> str:
@@ -241,10 +255,13 @@ def _records(rows: list, nl: str) -> str | None:
         elif kinds == {int}:
             rendered.append(map(_int, column))
         elif kinds == {list} and set(map(type, chain.from_iterable(column))) <= {int}:
-            rendered.append(
-                "[" + item_nl + ("," + item_nl).join(map(_int, xs)) + key_nl + "]" if xs else "[]"
-                for xs in column
-            )
+            # one template per list length; %d prints an int as its repr
+            lengths = list(map(len, column))
+            lists = {
+                k: "[" + item_nl + ("," + item_nl).join(["%d"] * k) + key_nl + "]" if k else "[]"
+                for k in set(lengths)
+            }
+            rendered.append(map(str.__mod__, map(lists.__getitem__, lengths), map(tuple, column)))
         else:
             return None
     template = "{" + key_nl + ("," + key_nl).join(
@@ -256,15 +273,15 @@ def _records(rows: list, nl: str) -> str | None:
 def graph_to_dot(g: Graph, f: EdgeLabeling, cert: Certificate | None = None) -> str:
     """DOT with vertex labels "role/indices\\ncolor" and edge labels f(e);
     the colors are read off ``cert`` when it is given."""
-    colors = cert.colors if cert else induce_coloring(g, f)
-    labels = f.labels
-    vs, names, pairs = g.listing()
+    colors = _listed_colors(g, f, cert)
+    (vs, names, pairs), _, positions = g._listed()
     lines = ["graph antimagic {"]
-    for v, name in zip(vs, names):
+    for v, name, color in zip(vs, names, colors):
         tag = v.role + ("/" + ",".join(map(str, v.indices)) if v.indices else "")
-        lines.append(f'  "{name}" [label="{tag}\\n{colors[v]}"];')
-    for i, j in pairs:
-        lines.append(f'  "{names[i]}" -- "{names[j]}" [label="{labels[vs[i], vs[j]]}"];')
+        lines.append(f'  "{name}" [label="{tag}\\n{color}"];')
+    labels = map(_aligned(g, f).__getitem__, positions)
+    for (i, j), label in zip(pairs, labels):
+        lines.append(f'  "{names[i]}" -- "{names[j]}" [label="{label}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"
 
@@ -286,7 +303,8 @@ def partition_to_csv(p: EqualSumPartition) -> str:
 
 def labeling_to_doc(g: Graph, f: EdgeLabeling) -> dict:
     """A labeling of ``g``'s edges, listed as :func:`graph_to_doc` lists them."""
-    return {"q": len(f.labels), "labels": _edge_records(g, f)}
+    records = _edge_records(g, f)
+    return {"q": len(records), "labels": records}
 
 
 def sha256_file(path: str | Path) -> str:

@@ -121,7 +121,7 @@ def verify_lower_bound(g: Graph) -> int:
     edge, 1 otherwise.  A local antimagic colouring is a proper vertex
     colouring, since adjacent vertices take different sums, and a graph with
     an odd cycle has no proper 2-colouring."""
-    if not g.edges:
+    if not g.size:
         return 1
     return 2 if _walk(g).sides is not None else 3
 
@@ -212,9 +212,9 @@ def solve_chi_la(
         if len(comp) == 2:
             raise K2Component(f"component {names[min(comp)]}-{names[max(comp)]} is a K2")
 
-    q = len(g.edges)
+    q = len(pairs)
     if q == 0:
-        chi = 1 if g.vertices else 0
+        chi = 1 if vs else 0
         return SolveResult(chi, EdgeLabeling({}), "exact", floor=chi, floor_rule="no_edges")
     start = time.monotonic()
     # checked first, so that no result carries a witness that is not one

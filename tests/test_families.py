@@ -837,14 +837,14 @@ def test_a_build_makes_one_graph_and_remaps_no_labels(monkeypatch, family, param
     # merge_vertices, split_vertices and split_vertex each make a Graph too,
     # so a builder that called them would show here as a second graph
     calls = []
-    init, checked = graph.Graph.__init__, graph.Graph._checked.__func__
+    init, of = graph.Graph.__init__, graph.Graph._of.__func__
 
     def made(*args):
         calls.append("graph")
-        return checked(*args)
+        return of(*args)
 
     monkeypatch.setattr(graph.Graph, "__init__", lambda *args: calls.append("graph") or init(*args))
-    monkeypatch.setattr(graph.Graph, "_checked", classmethod(made))
+    monkeypatch.setattr(graph.Graph, "_of", classmethod(made))
     monkeypatch.setattr(graph.EdgeLabeling, "remapped", lambda *args: calls.append("remapped"))
     g, f, inst = build_family(family, **params)
     assert calls == ["graph"]

@@ -2,6 +2,7 @@
 
 import dataclasses
 import hashlib
+import random
 import sys
 import threading
 
@@ -13,6 +14,7 @@ from antimagic import io
 from antimagic.errors import (
     EmptyPart,
     IdCollision,
+    LabelDomainMismatch,
     MergeWouldCreateLoop,
     MergeWouldCreateParallelEdge,
     NotIncident,
@@ -443,6 +445,52 @@ def test_mixed_violations_keep_their_order():
 def test_certify_is_pure():
     g, f, _ = build_family("fb", n=5)
     assert certify(g, f) == certify(g, f)
+
+
+# --- labelings by name against the graph's edge positions -------------------------
+
+
+ALIGNED_CASES = [("fb", {"n": 9}), ("tb", {"n": 8}), ("gn", {"n": 10, "indices": (1,)})]
+
+
+def _artifacts(g, f, inst):
+    """The certificate, JSON and DOT bytes of one instance."""
+    cert = certify(g, f, inst.expected_palette)
+    return (
+        io.dumps(io.certificate_to_doc(cert)),
+        io.dumps(io.graph_to_doc(g, f, inst, cert)),
+        io.graph_to_dot(g, f),
+        io.dumps(io.labeling_to_doc(g, f)),
+    )
+
+
+@pytest.mark.parametrize("family, params", ALIGNED_CASES)
+def test_a_labeling_rebuilt_by_name_certifies_as_the_finished_one(family, params):
+    # as a harness that swaps two labels rebuilds it: by name, dict order shuffled
+    g, f, inst = build_family(family, **params)
+    items = list(f.labels.items())
+    random.Random(family).shuffle(items)
+    by_name = type(f).from_dict(dict(items))
+    assert list(by_name.labels) != list(f.labels)
+    assert _artifacts(g, by_name, inst) == _artifacts(g, f, inst)
+    # a finished labeling read on an equal graph is aligned by name as well
+    same = Graph(g.vertices, g.edges)
+    assert _artifacts(same, f, inst) == _artifacts(g, f, inst)
+
+
+def test_a_labeling_of_other_edges_is_a_label_domain_mismatch():
+    g, f, _ = build_family("fb", n=3)
+    first = g.sorted_edges()[0]
+    labels = dict(f.labels)
+    lacking = {e: lab for e, lab in labels.items() if e != first}
+    extra = {**labels, edge(V("p"), V("q")): 16}
+    moved = {**lacking, edge(V("p"), V("q")): labels[first]}
+    for bad, counts in ((lacking, "14 labels vs 15 edges"), (extra, "16 labels vs 15 edges"),
+                        (moved, "15 labels vs 15 edges")):
+        message = f"^labeling domain does not match the edge set \\({counts}\\)$"
+        for use in (certify, induce_coloring, io.graph_to_dot, io.labeling_to_doc):
+            with pytest.raises(LabelDomainMismatch, match=message):
+                use(g, EdgeLabeling(bad))
 
 
 # --- census --------------------------------------------------------------------

@@ -654,7 +654,7 @@ def reference_doc_to_graph(doc):
         if e in labels:
             raise UsageError(f"graph document: duplicate edge {a!r} -- {b!r}")
         labels[e] = _reference_field(ed, "label", int)
-    return Graph._checked(frozenset(by_id.values()), frozenset(labels)), EdgeLabeling(labels)
+    return Graph(by_id.values(), labels), EdgeLabeling(labels)
 
 
 def _read(reader, doc):

@@ -335,7 +335,7 @@ def test_a_witness_free_solve_reads_the_graph_only_through_its_listing(monkeypat
     def refuse(*args):
         raise AssertionError("the solver read the graph past its listing")
 
-    for name in ("connected_components", "is_connected", "sorted_edges", "_adjacency"):
+    for name in ("connected_components", "is_connected", "sorted_edges", "_walked"):
         monkeypatch.setattr(Graph, name, refuse)
     for g, known in cases:
         res = solve_chi_la(g)
