@@ -454,7 +454,7 @@ ALIGNED_CASES = [("fb", {"n": 9}), ("tb", {"n": 8}), ("gn", {"n": 10, "indices":
 
 
 def _artifacts(g, f, inst):
-    """The certificate, JSON and DOT bytes of one instance."""
+    """The certificate, graph, DOT and labeling texts of one instance."""
     cert = certify(g, f, inst.expected_palette)
     return (
         io.dumps(io.certificate_to_doc(cert)),
