@@ -5,9 +5,14 @@ and proves chi_la at a floor, the lower bound of :func:`_floor` (an odd
 cycle, the pendant vertices, or the two-colour sum rule).  The search runs in
 passes, with a colour target of floor, floor + 1, and so on: a pass prunes a
 branch when a completed vertex matches an adjacent completed vertex's sum
-(``clash``), when the distinct completed colours exceed the target
-(``colour_bound``), or when the target is full and a vertex the last edge
-touched can end on none of the colours it may take (``interval``).
+(``clash``) or when the distinct completed colours exceed the target
+(``colour_bound``).  Once the target is full every open vertex must end on a
+completed colour, and :func:`solve_chi_la` proves three more rules from that:
+an edge that completes a vertex tries only the labels that close it on a
+completed colour (the others count as ``colour_bound``); a vertex the last
+edge touched must be able to reach such a colour, exactly through its one
+open edge or within its sum interval (``interval``); and the open vertices'
+colours must add up to q(q+1) less the completed ones (``sum``).
 Completed-vertex colours are final, so the distinct count is monotone along
 a branch and every prune is safe.  A pass that is exhausted proves chi_la
 above its target, so the first labeling a pass finds is optimal.  The K2
@@ -31,7 +36,7 @@ from .errors import K2Component, UsageError
 from .graph import EdgeLabeling, Graph, certify
 
 _TIME_CHECK_MASK = 0xFFF
-PRUNE_REASONS = ("clash", "colour_bound", "interval")
+PRUNE_REASONS = ("clash", "colour_bound", "interval", "sum")
 _Walk = namedtuple("_Walk", "nbrs sides comps")  # what the solver reads of a graph
 
 
@@ -158,6 +163,29 @@ def _floor(walk: _Walk, q: int) -> tuple[int, str]:
     return max(rules, key=lambda rule: rule[0])
 
 
+def _sum_fits(colours: list[int], m: int, need: int) -> bool:
+    """Whether m ≥ 0 colours drawn, with repeats, from the sorted distinct
+    ``colours`` can add up to ``need``.
+
+    Each colour lies between the smallest and the largest, so the sum lies
+    between m times each.  With three colours c1 < c2 < c3 the test is exact:
+    x of c2, y of c3 and the rest of c1 add up to need if and only if
+    need − m·c1 = x(c2 − c1) + y(c3 − c1) with x, y ≥ 0 and x + y ≤ m, and
+    the loop tries every y.  Other counts get the bounds only.
+    """
+    if not m * colours[0] <= need <= m * colours[-1]:
+        return False
+    if len(colours) != 3:
+        return True
+    c1, c2, c3 = colours
+    rest = need - m * c1
+    for y in range(min(m, rest // (c3 - c1)) + 1):
+        x, r = divmod(rest - y * (c3 - c1), c2 - c1)
+        if not r and x + y <= m:
+            return True
+    return False
+
+
 def _search_order(deg: list[int], ends: list[tuple[int, int]]) -> list[int]:
     """Edge indices in the order the search labels them.
 
@@ -237,6 +265,9 @@ def solve_chi_la(
     used = [False] * (q + 1)
     # isolated vertices carry the empty-sum color 0 in every labeling
     completed: dict[int, int] = {0: deg.count(0)} if 0 in deg else {}
+    # the open vertices, and the sum their colours must reach: every label
+    # counts at both ends, so all colours add up to q(q+1)
+    left, need = len(vs) - deg.count(0), q * (q + 1)
     prunes = dict.fromkeys(PRUNE_REASONS, 0)
     budget = cfg.time_budget
     nodes = 0
@@ -245,25 +276,50 @@ def solve_chi_la(
     timed_out = False
 
     def complete_vertex(vid: int) -> bool:
+        nonlocal left, need
         c = sums[vid]
         for nb in nbrs[vid]:
             if remaining[nb] == 0 and sums[nb] == c:
                 return False
         completed[c] = completed.get(c, 0) + 1
+        left, need = left - 1, need - c
         return True
 
     def uncomplete_vertex(vid: int) -> None:
+        nonlocal left, need
         c = sums[vid]
+        left, need = left + 1, need + c
         completed[c] -= 1
         if not completed[c]:
             del completed[c]
 
+    def closing_labels(a: int, b: int) -> list[int]:
+        """With the target full, the edge (a, b) completes a, b or both, and
+        an end completed on a new colour would exceed the target.  So every
+        label is a ``colour_bound`` prune but the labels c − sum, for a
+        completed colour c, that close each end it completes: those, unused
+        and in 1..q, ascending, as the search would try them."""
+        v, w = (a, b) if remaining[a] == 1 else (b, a)
+        s = sums[v]
+        labels = [c - s for c in sorted(completed) if 0 < c - s <= q and not used[c - s]]
+        if remaining[w] == 1:
+            labels = [lab for lab in labels if sums[w] + lab in completed]
+        return labels
+
     def may_end(vid: int) -> bool:
         """With the target full, an open vertex must end on a completed
-        colour that none of its completed neighbours has.  Its open edges
-        take distinct unused labels, so its colour lies between its sum plus
-        the smallest and its sum plus the largest of them."""
+        colour that none of its completed neighbours has.  With one open
+        edge left, that edge's label is such a colour less its sum, and
+        must be unused and in 1..q: the test is exact.  With more, its open
+        edges take distinct unused labels, so its colour lies between its
+        sum plus the smallest and its sum plus the largest of them."""
         d = remaining[vid]
+        blocked = {sums[nb] for nb in nbrs[vid] if remaining[nb] == 0}
+        if d == 1:
+            s = sums[vid]
+            return any(
+                c not in blocked and 0 < c - s <= q and not used[c - s] for c in completed
+            )
         lo = hi = sums[vid]
         lab, taken = 1, 0
         while taken < d:
@@ -277,7 +333,6 @@ def solve_chi_la(
                 hi += lab
                 taken += 1
             lab -= 1
-        blocked = {sums[nb] for nb in nbrs[vid] if remaining[nb] == 0}
         return any(lo <= c <= hi and c not in blocked for c in completed)
 
     def dfs(pos: int) -> bool:
@@ -293,9 +348,12 @@ def solve_chi_la(
                 timed_out = True
                 return True
         a, b = ends[pos]
-        for lab in range(1, q + 1):
-            if used[lab]:
-                continue
+        if len(completed) == target and (remaining[a] == 1 or remaining[b] == 1):
+            labels = closing_labels(a, b)
+            prunes["colour_bound"] += q - pos - len(labels)  # q - pos labels are unused
+        else:
+            labels = [lab for lab in range(1, q + 1) if not used[lab]]
+        for lab in labels:
             used[lab] = True
             assigned[pos] = lab
             sums[a] += lab
@@ -314,10 +372,14 @@ def solve_chi_la(
             if reason is None:
                 if len(completed) > target:
                     reason = "colour_bound"
-                elif len(completed) == target and not all(
-                    remaining[vid] == 0 or may_end(vid) for vid in (a, b)
-                ):
-                    reason = "interval"
+                elif len(completed) == target:
+                    if not all(remaining[vid] == 0 or may_end(vid) for vid in (a, b)):
+                        reason = "interval"
+                    # the open vertices end on completed colours; the sum
+                    # changes only where a vertex completes, and the parent
+                    # checked the state this label leaves otherwise
+                    elif entered and not _sum_fits(sorted(completed), left, need):
+                        reason = "sum"
             if reason is not None:
                 prunes[reason] += 1
             elif dfs(pos + 1):

@@ -429,7 +429,7 @@ def test_cli_solve_reports_the_floor_passes_and_prunes(tmp_path, capsys):
     assert (doc["status"], doc["chi_la"], doc["floor"], doc["floor_rule"], doc["passes"]) == (
         "exact", 3, 3, "odd_cycle", 1
     )
-    assert list(doc["prunes"]) == ["clash", "colour_bound", "interval"]
+    assert list(doc["prunes"]) == ["clash", "colour_bound", "interval", "sum"]
     # the counters are deterministic; the time is on stdout only
     assert "elapsed" not in doc and "time" not in doc
     prunes = " ".join(f"{k}={v}" for k, v in doc["prunes"].items())

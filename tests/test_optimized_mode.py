@@ -74,9 +74,10 @@ else:
     sys.exit("corrupted pt table was not rejected")
 
 # the solver's floors and prunes hold without asserts: chi_la(K1,4) = 5 by
-# the pendant floor, C4 and P5 by the sum floor, C5 by the odd cycle
-from antimagic.graph import Graph, V, edge
-from antimagic.solver import solve_chi_la
+# the pendant floor, C4 and P5 by the sum floor, C5 by the odd cycle; the
+# colour-sum prune cuts the proofs for C9 and fb3
+from antimagic.graph import Graph, V, certify, edge
+from antimagic.solver import SearchConfig, solve_chi_la
 
 def graph(n, pairs):
     vs = [V("v", i) for i in range(n)]
@@ -87,10 +88,16 @@ for name, g, known in [
     ("C4", graph(4, [(i, (i + 1) % 4) for i in range(4)]), 3),
     ("C5", graph(5, [(i, (i + 1) % 5) for i in range(5)]), 3),
     ("P5", graph(5, [(i, i + 1) for i in range(4)]), 3),
+    ("C9", graph(9, [(i, (i + 1) % 9) for i in range(9)]), 3),
+    ("fb3", build_family("fb", n=3)[0], 3),
 ]:
-    res = solve_chi_la(g)
+    res = solve_chi_la(g, SearchConfig(max_edges=15))
     if (res.status, res.chi_la) != ("exact", known):
         sys.exit(f"{name}: {res.status} {res.chi_la}, expected exact {known}")
+    if certify(g, res.witness).color_count != known:
+        sys.exit(f"{name}: the witness does not have {known} colours")
+    if name in ("C9", "fb3") and not res.prunes["sum"]:
+        sys.exit(f"{name}: the colour-sum prune never fired")
 print("ok")
 """
 

@@ -1,6 +1,6 @@
 """Exact solver tests, gated by a plain permutation-enumeration oracle."""
 
-from itertools import permutations
+from itertools import combinations, combinations_with_replacement, permutations
 
 import pytest
 
@@ -8,7 +8,7 @@ from antimagic.errors import K2Component, UsageError
 from antimagic.families import build_family
 from antimagic.graph import EdgeLabeling, Graph, V, certify, edge
 from antimagic.solver import (
-    PRUNE_REASONS, SearchConfig, _floor, _walk, solve_chi_la, verify_lower_bound,
+    PRUNE_REASONS, SearchConfig, _floor, _sum_fits, _walk, solve_chi_la, verify_lower_bound,
 )
 
 
@@ -128,8 +128,13 @@ def test_proofs_take_no_more_nodes_than_the_exhaustive_search(g, known, name):
 
 @pytest.mark.parametrize(
     "family, params, ceiling",
-    [("fb", {"n": 3}, 10_000), ("pt", {"n": 2}, 40_000), ("df", {"r": 1, "s": 1}, 40_000)],
-    ids=["fb3", "pt2", "df11"],
+    [
+        ("fb", {"n": 3}, 2_200),
+        ("pt", {"n": 2}, 10_000),
+        ("df", {"r": 1, "s": 1}, 9_500),
+        ("tb", {"n": 2}, 225_000),
+    ],
+    ids=["fb3", "pt2", "df11", "tb2"],
 )
 def test_q15_instances_are_proved_without_a_witness(family, params, ceiling):
     # an independent check of chi_la = 3 that does not use the construction;
@@ -225,6 +230,35 @@ def test_deepening_raises_the_floor_pass_by_pass():
         "exact", 4, 3, "odd_cycle", 2
     )
     assert set(res.prunes) == set(PRUNE_REASONS)
+
+
+def _sums_of(colours, m):
+    """Every sum of m colours drawn with repeats from ``colours``, by enumeration."""
+    return {sum(pick) for pick in combinations_with_replacement(colours, m)}
+
+
+@pytest.mark.parametrize("top, most", [(40, 4), (20, 12)])
+def test_the_three_colour_sum_check_is_exact(top, most):
+    # every colour triple in 0..top and m <= most, and every need from one
+    # below the smallest sum to one above the largest
+    for colours in combinations(range(top + 1), 3):
+        for m in range(most + 1):
+            fits = {
+                need for need in range(m * colours[0] - 1, m * colours[2] + 2)
+                if _sum_fits(list(colours), m, need)
+            }
+            assert fits == _sums_of(colours, m), (colours, m)
+
+
+@pytest.mark.parametrize("count", [1, 2, 4])
+def test_the_sum_bounds_admit_every_reachable_sum(count):
+    # other colour counts get the bounds only: every sum between m times the
+    # smallest and m times the largest colour passes
+    for colours in combinations(range(13), count):
+        for m in range(9):
+            lo, hi = m * colours[0], m * colours[-1]
+            fits = {need for need in range(lo - 1, hi + 2) if _sum_fits(list(colours), m, need)}
+            assert _sums_of(colours, m) <= fits == set(range(lo, hi + 1)), (colours, m)
 
 
 def test_passes_stop_below_the_seeded_witness():

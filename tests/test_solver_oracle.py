@@ -9,18 +9,24 @@ component.  ``solve_chi_la`` must prove the same value as the permutation
 oracle on every graph without a K2 component.
 """
 
+import hashlib
 from itertools import permutations, product
 
 import pytest
 
+from antimagic import io
+from antimagic.families import build_family
 from antimagic.graph import Graph, V, edge
-from antimagic.solver import _floor, _walk, solve_chi_la
+from antimagic.solver import SearchConfig, _floor, _walk, solve_chi_la
 from test_solver import brute_chi_la
 
 MAX_EDGES = 7
 # graphs without isolated vertices and with m = 1..7 edges, up to isomorphism
 # (OEIS A000664)
 KNOWN_COUNTS = [1, 2, 5, 11, 26, 68, 177]
+# sha256 over io.dumps(labeling_to_doc(g, witness)) of the first labeling
+# found for every case below, in order, and then for fb3, pt2 and df(1,1)
+WITNESS_SHA256 = "b8a2430ede6788b08486f5be43d7dec3ebaed1e94808b8f6140b881b2a020c9e"
 
 
 def _refined_classes(vs: list[int], nbrs: dict[int, list[int]]) -> dict[int, int]:
@@ -124,3 +130,16 @@ def test_solver_equals_the_permutation_oracle_on_every_graph(size):
         assert (res.status, res.chi_la) == ("exact", brute), sorted(es)
         assert _floor(_walk(g), len(g.edges)) == (res.floor, res.floor_rule)
         assert res.floor <= brute, sorted(es)
+
+
+def test_the_first_labeling_found_is_pinned():
+    """A prune that cut a subtree holding a labeling within the target would
+    change the first labeling a pass finds."""
+    solved = [(_graph(es), SearchConfig()) for es in CASES] + [
+        (build_family(family, **params)[0], SearchConfig(max_edges=15))
+        for family, params in [("fb", {"n": 3}), ("pt", {"n": 2}), ("df", {"r": 1, "s": 1})]
+    ]
+    digest = hashlib.sha256()
+    for g, cfg in solved:
+        digest.update(io.dumps(io.labeling_to_doc(g, solve_chi_la(g, cfg).witness)).encode())
+    assert digest.hexdigest() == WITNESS_SHA256
