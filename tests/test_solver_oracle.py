@@ -27,6 +27,10 @@ KNOWN_COUNTS = [1, 2, 5, 11, 26, 68, 177]
 # sha256 over io.dumps(labeling_to_doc(g, witness)) of the first labeling
 # found for every case below, in order, and then for fb3, pt2 and df(1,1)
 WITNESS_SHA256 = "b8a2430ede6788b08486f5be43d7dec3ebaed1e94808b8f6140b881b2a020c9e"
+# sha256 over repr((nodes, floor, floor_rule, passes, prunes as items)) of the
+# solve of every case below, in order, and then of fb3, pt2, df(1,1) and tb2:
+# the search tree, which a faster kernel must leave as it is
+SEARCH_TREE_SHA256 = "e44f302bf4946dace45ca66379630afb3aebbffd81b968872c1fc1d1217d7013"
 
 
 def _refined_classes(vs: list[int], nbrs: dict[int, list[int]]) -> dict[int, int]:
@@ -132,13 +136,26 @@ def test_solver_equals_the_permutation_oracle_on_every_graph(size):
         assert res.floor <= brute, sorted(es)
 
 
+def _q15(*families: str) -> list:
+    params = {"fb": {"n": 3}, "pt": {"n": 2}, "df": {"r": 1, "s": 1}, "tb": {"n": 2}}
+    return [(build_family(f, **params[f])[0], SearchConfig(max_edges=15)) for f in families]
+
+
+def test_the_search_tree_is_pinned():
+    """The same labels tried in the same order with the same prunes give the
+    same node and prune counts on every graph."""
+    digest = hashlib.sha256()
+    for g, cfg in [(_graph(es), SearchConfig()) for es in CASES] + _q15("fb", "pt", "df", "tb"):
+        res = solve_chi_la(g, cfg)
+        tree = (res.nodes, res.floor, res.floor_rule, res.passes, tuple(res.prunes.items()))
+        digest.update(repr(tree).encode())
+    assert digest.hexdigest() == SEARCH_TREE_SHA256
+
+
 def test_the_first_labeling_found_is_pinned():
     """A prune that cut a subtree holding a labeling within the target would
     change the first labeling a pass finds."""
-    solved = [(_graph(es), SearchConfig()) for es in CASES] + [
-        (build_family(family, **params)[0], SearchConfig(max_edges=15))
-        for family, params in [("fb", {"n": 3}), ("pt", {"n": 2}), ("df", {"r": 1, "s": 1})]
-    ]
+    solved = [(_graph(es), SearchConfig()) for es in CASES] + _q15("fb", "pt", "df")
     digest = hashlib.sha256()
     for g, cfg in solved:
         digest.update(io.dumps(io.labeling_to_doc(g, solve_chi_la(g, cfg).witness)).encode())
