@@ -207,10 +207,12 @@ def cmd_solve(args, out_dir: Path) -> tuple[int, str, list[str]]:
         "witness": io.labeling_to_doc(g, result.witness) if result.witness else None,
     }
     prunes = " ".join(f"{reason}={n}" for reason, n in result.prunes.items())
+    # the search's speed, for stdout only: the JSON stays free of clock values
+    rate = result.nodes / result.elapsed if result.elapsed else 0.0
     print(
         f"chi_la = {result.chi_la} ({result.status}, {result.nodes} nodes, "
         f"floor {result.floor} by {result.floor_rule}, {result.passes} passes, "
-        f"prunes {prunes}, {result.elapsed:.3f} s)"
+        f"prunes {prunes}, {result.elapsed:.3f} s, {rate:.0f} nodes/s)"
     )
     outputs = [_write(out_dir, Path(args.input).stem + "_solve.json", io.dumps(summary))]
     return (2 if result.status == "infeasible_size" else 0), result.status, outputs

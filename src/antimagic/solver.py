@@ -19,6 +19,15 @@ above its target, so the first labeling a pass finds is optimal.  The K2
 check, the floor and the search read the graph in one walk of its listing,
 :func:`_walk`: its neighbour lists, 2-colouring and components.
 
+The search is one flat kernel, the recursive ``dfs`` of :func:`solve_chi_la`,
+since in Python most of a node's cost is calls: it moves the open-edge
+counts of an edge's two ends once per node, not once per label, checks each
+end the label completes against its neighbours and enters its colour in
+line, and undoes both after the label; only ``may_end`` and
+:func:`_sum_fits` are calls.  The witness is built by edge position, so it
+is a labeling of the graph itself and ``certify`` reads it without a lookup
+by name.
+
 The searcher is meant for graphs of up to about 15 edges, where it re-derives,
 independently of the constructions, values such as chi_la of the one-blade
 fan and of the smallest built instances.  Larger graphs can be probed with a
@@ -268,43 +277,12 @@ def solve_chi_la(
     # the open vertices, and the sum their colours must reach: every label
     # counts at both ends, so all colours add up to q(q+1)
     left, need = len(vs) - deg.count(0), q * (q + 1)
-    prunes = dict.fromkeys(PRUNE_REASONS, 0)
+    cut = [0] * len(PRUNE_REASONS)  # the prunes, by index into PRUNE_REASONS
     budget = cfg.time_budget
     nodes = 0
     target = floor
-    found: dict | None = None
+    found = False
     timed_out = False
-
-    def complete_vertex(vid: int) -> bool:
-        nonlocal left, need
-        c = sums[vid]
-        for nb in nbrs[vid]:
-            if remaining[nb] == 0 and sums[nb] == c:
-                return False
-        completed[c] = completed.get(c, 0) + 1
-        left, need = left - 1, need - c
-        return True
-
-    def uncomplete_vertex(vid: int) -> None:
-        nonlocal left, need
-        c = sums[vid]
-        left, need = left + 1, need + c
-        completed[c] -= 1
-        if not completed[c]:
-            del completed[c]
-
-    def closing_labels(a: int, b: int) -> list[int]:
-        """With the target full, the edge (a, b) completes a, b or both, and
-        an end completed on a new colour would exceed the target.  So every
-        label is a ``colour_bound`` prune but the labels c − sum, for a
-        completed colour c, that close each end it completes: those, unused
-        and in 1..q, ascending, as the search would try them."""
-        v, w = (a, b) if remaining[a] == 1 else (b, a)
-        s = sums[v]
-        labels = [c - s for c in sorted(completed) if 0 < c - s <= q and not used[c - s]]
-        if remaining[w] == 1:
-            labels = [lab for lab in labels if sums[w] + lab in completed]
-        return labels
 
     def may_end(vid: int) -> bool:
         """With the target full, an open vertex must end on a completed
@@ -312,35 +290,43 @@ def solve_chi_la(
         edge left, that edge's label is such a colour less its sum, and
         must be unused and in 1..q: the test is exact.  With more, its open
         edges take distinct unused labels, so its colour lies between its
-        sum plus the smallest and its sum plus the largest of them."""
-        d = remaining[vid]
-        blocked = {sums[nb] for nb in nbrs[vid] if remaining[nb] == 0}
+        sum plus the smallest and its sum plus the largest of them.  Each
+        colour that passes is then looked for among the neighbours."""
+        d, s = remaining[vid], sums[vid]
         if d == 1:
-            s = sums[vid]
-            return any(
-                c not in blocked and 0 < c - s <= q and not used[c - s] for c in completed
-            )
-        lo = hi = sums[vid]
-        lab, taken = 1, 0
-        while taken < d:
-            if not used[lab]:
-                lo += lab
-                taken += 1
-            lab += 1
-        lab, taken = q, 0
-        while taken < d:
-            if not used[lab]:
-                hi += lab
-                taken += 1
-            lab -= 1
-        return any(lo <= c <= hi and c not in blocked for c in completed)
+            lo, hi = s + 1, s + q
+        else:
+            lo = hi = s
+            lab, taken = 1, 0
+            while taken < d:
+                if not used[lab]:
+                    lo += lab
+                    taken += 1
+                lab += 1
+            lab, taken = q, 0
+            while taken < d:
+                if not used[lab]:
+                    hi += lab
+                    taken += 1
+                lab -= 1
+        for c in completed:
+            if lo <= c <= hi and (d > 1 or not used[c - s]):
+                for nb in nbrs[vid]:
+                    if sums[nb] == c and not remaining[nb]:
+                        break
+                else:
+                    return True
+        return False
 
     def dfs(pos: int) -> bool:
         """Returns True to end the pass: a labeling within the target was
-        found, or the time budget ran out."""
-        nonlocal nodes, found, timed_out
+        found, or the time budget ran out.  The edge at ``pos`` is (a, b);
+        their open-edge counts drop once for the node, and a label that
+        completes an end checks it against its completed neighbours and
+        enters its colour, which the loop undoes."""
+        nonlocal nodes, found, timed_out, left, need
         if pos == q:
-            found = {(vs[a], vs[b]): assigned[p] for p, (a, b) in enumerate(ends)}
+            found = True
             return True
         nodes += 1
         if budget is not None and nodes & _TIME_CHECK_MASK == 0:
@@ -348,49 +334,86 @@ def solve_chi_la(
                 timed_out = True
                 return True
         a, b = ends[pos]
-        if len(completed) == target and (remaining[a] == 1 or remaining[b] == 1):
-            labels = closing_labels(a, b)
-            prunes["colour_bound"] += q - pos - len(labels)  # q - pos labels are unused
+        remaining[a] -= 1
+        remaining[b] -= 1
+        ra, rb = remaining[a], remaining[b]
+        if len(completed) == target and not (ra and rb):
+            # the edge completes a, b or both, and an end completed on a new
+            # colour would exceed the target.  So every label is a
+            # colour_bound prune but the labels c - sum, for a completed
+            # colour c, that close each end it completes: those, unused and
+            # in 1..q, ascending, as the loop below would try them
+            v, w = (a, b) if not ra else (b, a)
+            s = sums[v]
+            labels = [c - s for c in sorted(completed) if 0 < c - s <= q and not used[c - s]]
+            if not (ra or rb):
+                s = sums[w]
+                labels = [lab for lab in labels if s + lab in completed]
+            cut[1] += q - pos - len(labels)  # q - pos labels are unused
         else:
             labels = [lab for lab in range(1, q + 1) if not used[lab]]
         for lab in labels:
             used[lab] = True
             assigned[pos] = lab
-            sums[a] += lab
-            sums[b] += lab
-            remaining[a] -= 1
-            remaining[b] -= 1
-            reason = None
-            entered = []
-            for vid in (a, b):
-                if remaining[vid] == 0:
-                    if complete_vertex(vid):
-                        entered.append(vid)
-                    else:
-                        reason = "clash"
+            sa = sums[a] = sums[a] + lab
+            sb = sums[b] = sums[b] + lab
+            reason = -1
+            enter_a = enter_b = False
+            if not ra:
+                for nb in nbrs[a]:
+                    if sums[nb] == sa and not remaining[nb]:
+                        reason = 0  # clash
                         break
-            if reason is None:
-                if len(completed) > target:
-                    reason = "colour_bound"
-                elif len(completed) == target:
-                    if not all(remaining[vid] == 0 or may_end(vid) for vid in (a, b)):
-                        reason = "interval"
+                else:
+                    enter_a = True
+                    completed[sa] = completed.get(sa, 0) + 1
+                    left -= 1
+                    need -= sa
+            if not rb and reason < 0:
+                for nb in nbrs[b]:
+                    if sums[nb] == sb and not remaining[nb]:
+                        reason = 0
+                        break
+                else:
+                    enter_b = True
+                    completed[sb] = completed.get(sb, 0) + 1
+                    left -= 1
+                    need -= sb
+            if reason < 0:
+                colours = len(completed)
+                if colours > target:
+                    reason = 1  # colour_bound
+                elif colours == target:
+                    if (ra and not may_end(a)) or (rb and not may_end(b)):
+                        reason = 2  # interval
                     # the open vertices end on completed colours; the sum
                     # changes only where a vertex completes, and the parent
                     # checked the state this label leaves otherwise
-                    elif entered and not _sum_fits(sorted(completed), left, need):
-                        reason = "sum"
-            if reason is not None:
-                prunes[reason] += 1
+                    elif (enter_a or enter_b) and not _sum_fits(sorted(completed), left, need):
+                        reason = 3  # sum
+            if reason >= 0:
+                cut[reason] += 1
             elif dfs(pos + 1):
                 return True
-            for vid in entered:
-                uncomplete_vertex(vid)
-            remaining[a] += 1
-            remaining[b] += 1
-            sums[a] -= lab
-            sums[b] -= lab
+            if enter_a:
+                left += 1
+                need += sa
+                if completed[sa] == 1:
+                    del completed[sa]
+                else:
+                    completed[sa] -= 1
+            if enter_b:
+                left += 1
+                need += sb
+                if completed[sb] == 1:
+                    del completed[sb]
+                else:
+                    completed[sb] -= 1
+            sums[a] = sa - lab
+            sums[b] = sb - lab
             used[lab] = False
+        remaining[a] = ra + 1
+        remaining[b] = rb + 1
         return False
 
     # a labeling has at most |V| colours; a pass below the witness can only
@@ -401,18 +424,23 @@ def solve_chi_la(
     if cfg.target_colors is not None:
         last = min(last, cfg.target_colors)
     passes = 0
-    while target <= last and found is None and not timed_out:
+    while target <= last and not found and not timed_out:
         passes += 1
         dfs(0)
-        if found is None and not timed_out:
+        if not found and not timed_out:
             target += 1  # the pass proved chi_la > target
 
     def result(chi_la, witness, status) -> SolveResult:
         return SolveResult(chi_la, witness, status, nodes, time.monotonic() - start,
-                           floor, floor_rule, passes, prunes)
+                           floor, floor_rule, passes, dict(zip(PRUNE_REASONS, cut)))
 
-    if found is not None:
-        return result(target, EdgeLabeling(found), "exact")
+    if found:
+        # the label of each edge, placed at that edge's position in g
+        labels = [0] * q
+        at = g._listed()[2]
+        for p, lab in zip(order, assigned):
+            labels[at[p]] = lab
+        return result(target, EdgeLabeling._at(g, labels), "exact")
     if timed_out:
         return result(None, initial_witness, "budget_exhausted")
     # chi_la >= target: the floor, raised past every exhausted pass

@@ -434,11 +434,13 @@ def test_cli_solve_reports_the_floor_passes_and_prunes(tmp_path, capsys):
     assert "elapsed" not in doc and "time" not in doc
     prunes = " ".join(f"{k}={v}" for k, v in doc["prunes"].items())
     out = capsys.readouterr().out
-    assert re.fullmatch(
+    line = re.fullmatch(
         rf"chi_la = 3 \(exact, {doc['nodes']} nodes, floor 3 by odd_cycle, 1 passes, "
-        rf"prunes {prunes}, \d+\.\d{{3}} s\)\n",
+        rf"prunes {prunes}, \d+\.\d{{3}} s, (\d+) nodes/s\)\n",
         out,
-    ), out
+    )
+    assert line and int(line[1]) > 0, out  # the search's speed, on stdout only
+    assert "nodes_per_s" not in doc
 
 
 def test_cli_manifest_appends(tmp_path):

@@ -75,9 +75,15 @@ else:
 
 # the solver's floors and prunes hold without asserts: chi_la(K1,4) = 5 by
 # the pendant floor, C4 and P5 by the sum floor, C5 by the odd cycle; the
-# colour-sum prune cuts the proofs for C9 and fb3
+# colour-sum prune cuts the proofs for C9 and fb3, and their prunes by
+# reason are those of the search tree that tests/test_solver_oracle.py pins
 from antimagic.graph import Graph, V, certify, edge
 from antimagic.solver import SearchConfig, solve_chi_la
+
+PRUNES = {
+    "C9": {"clash": 0, "colour_bound": 155, "interval": 115, "sum": 60},
+    "fb3": {"clash": 293, "colour_bound": 377, "interval": 3193, "sum": 1909},
+}
 
 def graph(n, pairs):
     vs = [V("v", i) for i in range(n)]
@@ -98,6 +104,8 @@ for name, g, known in [
         sys.exit(f"{name}: the witness does not have {known} colours")
     if name in ("C9", "fb3") and not res.prunes["sum"]:
         sys.exit(f"{name}: the colour-sum prune never fired")
+    if name in PRUNES and res.prunes != PRUNES[name]:
+        sys.exit(f"{name}: prunes {res.prunes}, expected {PRUNES[name]}")
 print("ok")
 """
 

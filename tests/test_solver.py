@@ -338,6 +338,22 @@ def test_witness_certifies_result():
     assert cert.color_count == res.chi_la
 
 
+def test_the_witness_is_built_by_edge_position():
+    # the edges (u, w), (v, w), (x, u), (x, v), (x, w) at positions 0..4, so
+    # the listing, which sorts x < w < v < u, reads them in reverse; the
+    # labels by name are the first labeling found
+    vs = [V("q", 9 - i) for i in range(4)]
+    u, v, w, x = vs
+    g = Graph._of(vs, {name: i for i, name in enumerate(vs)}, [0, 1, 3, 3, 3], [2, 2, 0, 1, 2])
+    assert g._listed()[2] == [4, 3, 2, 1, 0]
+    res = solve_chi_la(g)
+    assert res.witness._graph is g
+    assert res.witness == EdgeLabeling(
+        {edge(x, w): 1, edge(x, v): 2, edge(x, u): 3, edge(w, u): 4, edge(w, v): 5}
+    )
+    assert certify(g, res.witness) == certify(g, EdgeLabeling(dict(res.witness.labels)))
+
+
 def test_automorphic_relabeling_same_answer():
     # the same abstract graph under renamed vertex ids
     vs = [V("q", 9 - i) for i in range(4)]
