@@ -38,13 +38,7 @@ from .errors import (
 )
 from .graph import EdgeLabeling, Graph, V, VertexId, _Draft, certify
 from .partition import partition_ap
-from .tables import _odd_factorizations, table_m1, table_m3, table_pt, trace_sequences
-
-FAMILY_TAGS = (
-    "fb", "tfb", "df", "fb1", "fb2", "df1", "df2", "df3",
-    "pt", "tb", "pt1", "pt2", "pt3", "tb1", "tb2", "tb3",
-    "gn", "gb", "np3o3",
-)
+from .tables import _odd_factorizations, _sequences, table_m1, table_m3, table_pt
 
 
 @dataclass(frozen=True)
@@ -324,7 +318,7 @@ def _pt(n: int) -> Built:
         )
     k = n // 2
     t = table_pt(k)
-    tr = trace_sequences(t)
+    tr = _sequences(t)
 
     top = 2 * n + 1
     rail1 = [0, *range(2, top + 2), 1]
@@ -430,10 +424,11 @@ def _pt_tb_merged(
             # local.  Rung j joins u_(2j-1) and v_(2j-1), whose rail edges
             # carry pair j of S1 and of S2.  S1 opens with an (R2, R1) pair
             # and then alternates (R5, R4) and (R2, R1) pairs, the odd-k tail
-            # included.  So by property (C), which every peanut build checks
-            # in trace_sequences, u_(2j-1) has color 9k+6 for odd j and
-            # 21k+12 for even j, and v_(2j-1) the other one.  The bracelet
-            # zips only even rail vertices, so its rungs keep these colors.
+            # included.  So by property (C), which test_table_proofs proves
+            # for every k and the certificate checks in every build, u_(2j-1)
+            # has color 9k+6 for odd j and 21k+12 for even j, and v_(2j-1)
+            # the other one.  The bracelet zips only even rail vertices, so
+            # its rungs keep these colors.
             items = [
                 2 * j if j % 2 == variant % 2 else 2 * n + 1 + 2 * j for j in range(1, n + 2)
             ]
@@ -617,6 +612,7 @@ _BUILDERS: dict[str, Callable[..., tuple]] = {
     "gb": _gb,
     "np3o3": _np3_o3,
 }
+FAMILY_TAGS = tuple(_BUILDERS)
 
 # the parameters each family's builder binds, read once
 _SIGNATURES = {family: inspect.signature(builder) for family, builder in _BUILDERS.items()}

@@ -289,8 +289,8 @@ def graph_to_dot(g: Graph, f: EdgeLabeling, cert: Certificate | None = None) -> 
 def table_to_csv(t: LabelTable) -> str:
     header = "i," + ",".join(str(i) for i in range(1, t.columns + 1))
     lines = [header]
-    for name in t.row_names:
-        lines.append(name + "," + ",".join(str(x) for x in t.rows[name]))
+    for name, row in t.rows.items():
+        lines.append(name + "," + ",".join(str(x) for x in row))
     return "\n".join(lines) + "\n"
 
 

@@ -33,7 +33,7 @@ from antimagic.graph import (
     induce_coloring,
     merge_vertices,
 )
-from antimagic.tables import table_m1, table_m3
+from antimagic.tables import LabelTable, table_m1, table_m3, table_pt
 
 
 def built_ok(family, **params):
@@ -937,3 +937,56 @@ def test_failure_report_names_each_census_degree_that_differs():
         "degree 4: 0 vertices, expected 1; "
         "degree 15: 1 vertices, expected 0"
     )
+
+
+# --- a build trusts its table; the certificate catches a corrupted one ---------
+
+
+def _corrupted(t, cell, other, duplicate=False):
+    """``t`` with ``other``'s entry copied into ``cell``, or the two swapped;
+    each cell is (row name, 1-based column)."""
+    rows = {name: list(row) for name, row in t.rows.items()}
+    (ra, ca), (rb, cb) = cell, other
+    if duplicate:
+        rows[ra][ca - 1] = rows[rb][cb - 1]
+    else:
+        rows[ra][ca - 1], rows[rb][cb - 1] = rows[rb][cb - 1], rows[ra][ca - 1]
+    return LabelTable(t.kind, t.k, {name: tuple(row) for name, row in rows.items()})
+
+
+_PT_BUILDS = [
+    ("pt", {"n": 6}), ("tb", {"n": 6}), ("pt1", {"n": 6, "r": 1}), ("pt3", {"n": 6, "r": 2}),
+]
+# at k = 3: the swaps that break (A), (B) and (C) of the traced sequences
+# (test_tables.test_sequence_checks_reject_a_corrupted_table), and a swapped
+# and a duplicated cell of m1 and of m3
+_CORRUPTED = [
+    ("table_pt", table_pt(3), cells, False, family, params)
+    for cells in ((("R1", 4), ("R2", 4)), (("R1", 1), ("R1", 2)), (("R3", 1), ("R3", 2)))
+    for family, params in _PT_BUILDS
+] + [
+    (name, table, cells, duplicate, family, params)
+    for name, table, cells, builds in [
+        ("table_m1", table_m1(3), (("uw", 1), ("uw", 2)),
+         [("fb", {"n": 7}), ("df", {"r": 3, "s": 1})]),
+        ("table_m3", table_m3(3), (("L", 1), ("L", 2)), [("np3o3", {"n": 7})]),
+    ]
+    for duplicate in (False, True)
+    for family, params in builds
+]
+
+
+@pytest.mark.parametrize(
+    "table_fn, table, cells, duplicate, family, params", _CORRUPTED,
+    ids=[f"{t.kind}-{c[0][0]}{c[0][1]}{'dup' if dup else 'swap'}{c[1][0]}{c[1][1]}-{fam}"
+         for _, t, c, dup, fam, _ in _CORRUPTED],
+)
+def test_a_corrupted_table_is_rejected_by_the_certificate_not_the_build(
+    monkeypatch, table_fn, table, cells, duplicate, family, params
+):
+    bad = _corrupted(table, *cells, duplicate)
+    real = getattr(families, table_fn)
+    monkeypatch.setattr(families, table_fn, lambda k: bad if k == bad.k else real(k))
+    built = build_family(family, **params)
+    with pytest.raises(InvariantError):
+        verify_instance(*built)

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from antimagic import errors, families, graph, io
+from antimagic import errors, families, graph, io, tables
 from antimagic.cli import main
 from antimagic.errors import InvalidParity, InvariantError, UsageError
 from antimagic.families import build_family
@@ -265,6 +265,22 @@ def test_cli_table_check_m1_writes_its_report(tmp_path):
 def test_cli_table_usage_error(tmp_path):
     code = main(["--out", str(tmp_path), "table", "--kind", "m1", "--k", "0"])
     assert code == 2
+
+
+def test_cli_table_refuses_a_matrix_that_is_not_a_bijection(tmp_path, monkeypatch, capsys):
+    # R4 stepping by -2 instead of -1 repeats entries of other rows; a build
+    # trusts its table, so only the table command checks the bijection
+    monkeypatch.setitem(tables._PIECES["pt"], "R4", ((5, 8, -2),))
+    with pytest.raises(InvariantError, match=r"^pt matrix not bijective at k=2$"):
+        tables.make_table("pt", 2)
+    code = main(["--out", str(tmp_path), "table", "--kind", "pt", "--k", "2"])
+    assert code == 1
+    assert "invariant failure: pt matrix not bijective at k=2" in capsys.readouterr().err
+    entry = json.loads((tmp_path / "manifest.jsonl").read_text())
+    assert entry["outcome"] == "invariant failure: pt matrix not bijective at k=2"
+    assert entry["outputs"] == []
+    t = tables.table_pt(2)
+    assert sorted(t.all_entries()) != list(range(1, 26))
 
 
 def test_cli_build_certify(tmp_path, capsys):

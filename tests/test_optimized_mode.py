@@ -9,7 +9,7 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 
 SCRIPT = """
 import sys
-from antimagic import partition
+from antimagic import families, partition
 from antimagic.errors import InvariantError, SequenceSchemeViolated
 from antimagic.tables import LabelTable, table_pt, trace_sequences
 from antimagic.families import FAMILY_TAGS, build_family, family_grid, verify_instance
@@ -66,12 +66,25 @@ partition._triple_offsets = real_offsets
 pt = table_pt(3)
 rows = dict(pt.rows)
 rows["R3"] = (rows["R3"][1], rows["R3"][0], *rows["R3"][2:])
+corrupted = LabelTable("pt", 3, rows)
 try:
-    trace_sequences(LabelTable("pt", 3, rows))
+    trace_sequences(corrupted)
 except SequenceSchemeViolated:
     pass
 else:
     sys.exit("corrupted pt table was not rejected")
+
+# a build trusts its table: the same table builds, and the certificate
+# rejects the graph
+families.table_pt = lambda k: corrupted
+built = build_family("pt", n=6)
+try:
+    verify_instance(*built)
+except InvariantError:
+    pass
+else:
+    sys.exit("the pt build of a corrupted table was not rejected")
+families.table_pt = table_pt
 
 # the solver's floors and prunes hold without asserts: chi_la(K1,4) = 5 by
 # the pendant floor, C4 and P5 by the sum floor, C5 by the odd cycle; the
