@@ -188,10 +188,6 @@ def _tfb(t: int, s: int) -> tuple[_Draft, FamilyInstance, list[list[int]]]:
     return d, inst, columns
 
 
-def _df_block_cols(j: int, s: int) -> list[int]:
-    return list(range((j - 1) * s + 1, j * s + 1))
-
-
 def _df(r: int, s: int) -> tuple[_Draft, FamilyInstance, range]:
     """r diamond fans plus one fan: split the hub of every cell outside the
     middle block and cross-merge the halves between opposite blocks; plus
@@ -204,22 +200,25 @@ def _df(r: int, s: int) -> tuple[_Draft, FamilyInstance, range]:
         raise InvalidParams("graph too small: (2r+1)s must be at least 3")
     d = _fan_cells(k)
 
-    outer = [i for j in range(1, 2 * r + 2) if j != r + 1 for i in _df_block_cols(j, s)]
-    x, w, u, v = (_fan_at(role, 0, k) for role in "xwuv")
-    x1, x2 = (dict(zip(outer, h)) for h in zip(*d.split([
-        (x + i, [(x + i, w + i)], [(x + i, u + i), (x + i, v + i)], id1, id2)
-        for i, id1, id2 in zip(outer, _vertices("x1", outer), _vertices("x2", outer))
-    ])))
+    # block j holds cells (j-1)s+1 .. js, and the outer cells are those of
+    # blocks 1..r and then r+2..2r+1.  In the runs of _fan_cells cell i
+    # has its hub x_i at 3m+i-1 and the hub's edges to w_i, u_i, v_i at
+    # 2m+i-1, 3m+i-1, 4m+i-1; the first half keeps the edge to w_i
+    def outer(first: int) -> Iterator[int]:
+        return chain(range(first, first + r * s), range(first + (r + 1) * s, first + m))
 
-    blocks = [[_fan_at("x", i, k) for i in _df_block_cols(r + 1, s)]]
-    new_ids = [V("x")]
-    for j in range(1, r + 1):
-        near, far = _df_block_cols(j, s), _df_block_cols(2 * r + 2 - j, s)
-        blocks.append([x1[i] for i in near] + [x2[i] for i in far])
-        new_ids.append(V("y", j))
-        blocks.append([x2[i] for i in near] + [x1[i] for i in far])
-        new_ids.append(V("z", j))
-    hubs = d.merge(blocks, new_ids)
+    cells = list(outer(1))
+    halves = d.split(list(zip(
+        outer(3 * m), zip(outer(2 * m)), zip(outer(3 * m), outer(4 * m)),
+        _vertices("x1", cells), _vertices("x2", cells),
+    )))
+    # the first and second halves in cell order: block j <= r starts at
+    # (j-1)s of each, its opposite block 2r+2-j at (2r-j)s
+    x1, x2 = halves[::2], halves[1::2]
+    blocks = [range(3 * m + r * s, 3 * m + (r + 1) * s)]
+    for near, far in zip(range(0, r * s, s), range((2 * r - 1) * s, (r - 1) * s, -s)):
+        blocks += [[*x1[near:near + s], *x2[far:far + s]], [*x2[near:near + s], *x1[far:far + s]]]
+    hubs = d.merge(blocks, [V("x"), *(V(role, j) for j in range(1, r + 1) for role in "yz")])
 
     palette = _palette(10 * k + 6, 9 * k + 6, s * (21 * k + 12))
     inst = FamilyInstance(
@@ -289,14 +288,16 @@ def _df_merged(
         blocks = [hubs[c * r2: (c + 1) * r2] for c in range(r1)]
         color, degree = s * (21 * k + 12), 3 * s
     else:
-        # one column of cells for the fan, one for each hub side of each
-        # diamond; block b takes the b-th class member of every column
+        # one column of cells for the fan (block r+1), one for each hub side
+        # of each diamond (blocks j and 2r+2-j, which start at cells
+        # (j-1)s+1 and (2r+1-j)s+1); block b takes the b-th class member of
+        # every column
         roles, color, degree = _fan_class(variant, k)
-        columns = [_df_block_cols(r + 1, s)]
-        for j in range(1, r + 1):
-            columns += [_df_block_cols(j, s), _df_block_cols(2 * r + 2 - j, s)]
+        firsts = [_fan_at(role, 1, k) for role in roles]
+        starts = [r * s, *chain.from_iterable((j * s, (2 * r - j) * s) for j in range(r))]
         blocks = list(zip(*(
-            [_fan_at(role, i, k) for role in roles for i in cols] for cols in columns
+            [i for first in firsts for i in range(first + start, first + start + s)]
+            for start in starts
         )))
     return _merged(
         (d, base), f"df{variant}", params, blocks,
@@ -480,24 +481,18 @@ def _gn(n: int, indices: Sequence[int]) -> tuple[_Draft, FamilyInstance, list[li
     hub = dict(zip(range(0, 2 * n + 1, 2), hubs))
 
     # the split vertices are distinct and pairwise non-adjacent, so one
-    # simultaneous split equals splitting them one at a time.  The lower
-    # half of z_m keeps u_(m-1), v_(m-1) (vertices m, 2n+1+m), the upper
-    # u_(m+1), v_(m+1)
-    splits = []
-    remerged: list[int] = []
-    for ia in indices:
-        lo, hi = 8 * ia - 2, 16 * ia - 4
-        for m in (lo, hi):
-            z = hub[m]
-            lower = [(z, m), (z, 2 * n + 1 + m)]
-            upper = [(z, m + 2), (z, 2 * n + 3 + m)]
-            splits.append((z, lower, upper, V("z1", m), V("z2", m)))
-        remerged += [lo, hi]
-    halves = d.split(splits)
-    # the lower half of z_lo goes with the upper half of z_hi, and crosswise
-    blocks = []
-    for (lo1, lo2), (hi1, hi2) in zip(halves[::2], halves[1::2]):
-        blocks += [[lo1, hi2], [lo2, hi1]]
+    # simultaneous split equals splitting them one at a time.  On the rails
+    # of _pt the edge u_j u_(j+1) is at position j and v_j v_(j+1) at
+    # 2n+2+j, so the lower half of z_m keeps the edges to u_(m-1), v_(m-1),
+    # at m-1 and 2n+1+m, and the upper half those to u_(m+1), v_(m+1)
+    remerged = [m for ia in indices for m in (8 * ia - 2, 16 * ia - 4)]
+    halves = d.split([
+        (hub[m], (m - 1, 2 * n + 1 + m), (m, 2 * n + 2 + m), V("z1", m), V("z2", m))
+        for m in remerged
+    ])
+    # index ia's halves are lo1, lo2, hi1, hi2 at h .. h+3: the lower half
+    # of z_lo goes with the upper half of z_hi, and crosswise
+    blocks = [block for h in halves[::4] for block in ([h, h + 3], [h + 1, h + 2])]
     hub.update(zip(remerged, d.merge(blocks, list(_vertices("z", remerged)))))
 
     # index ia cuts z_(8ia) .. z_(16ia-4) out into a bracelet of their own

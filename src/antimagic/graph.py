@@ -25,11 +25,12 @@ from collections import Counter
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
 from itertools import chain, compress, repeat
-from operator import eq, itemgetter, ne, or_
+from operator import add, eq, itemgetter, ne, or_
 from typing import NamedTuple
 
 from .errors import (
     EmptyPart,
+    GraphSurgeryError,
     IdCollision,
     LabelDomainMismatch,
     MergeWouldCreateLoop,
@@ -617,80 +618,102 @@ class _Draft:
         return new
 
     def split(
-        self, splits: Sequence[tuple[int, Sequence[tuple[int, int]], Sequence[tuple[int, int]],
-                                     VertexId, VertexId]]
-    ) -> list[tuple[int, int]]:
+        self, splits: Sequence[tuple[int, Sequence[int], Sequence[int], VertexId, VertexId]]
+    ) -> range:
         """Split several vertices at once, each into two halves named by the
         given ids and carrying the two given parts of its edges, each edge
-        named by its two ends; returns each split's two half indices.
+        given by its position; returns the indices of the halves, split i's
+        at 2i and 2i+1.
 
         Equivalent to applying the splits one at a time (an edge joining two
         split vertices is re-pointed at both ends).  Each vertex's two parts
         must partition its edges and both be nonempty, and all half ids must
-        be distinct and fresh, so a rewritten edge meets no other edge.
+        be distinct and fresh, so a rewritten edge meets no other edge.  The
+        checks run over all splits at once, a column at a time; only when one
+        fails does :meth:`_split_fault` walk the splits to name the first
+        fault.
         """
         names, index, a, b = self.names, self.index, self.a, self.b
-        # one pass over the edges finds the edges at the split vertices, each
-        # under both orders of its ends, and so the degrees of those vertices
-        hit = bytearray(len(names))
-        for split in splits:
-            hit[split[0]] = 1
-        touched = list(compress(
-            range(len(a)), map(or_, map(hit.__getitem__, a), map(hit.__getitem__, b))
-        ))
-        ta, tb = list(map(a.__getitem__, touched)), list(map(b.__getitem__, touched))
-        at = dict(zip(zip(ta, tb), touched))
-        at.update(zip(zip(tb, ta), touched))
-        degree = Counter(chain(ta, tb))
-        halves: dict[int, tuple[set[int], set[int]]] = {}
+        made = range(len(names), len(names) + 2 * len(splits))
+        if not splits:
+            return made
+        vs, parts1, parts2, ids1, ids2 = zip(*splits)
+        # the parts and the ids of the halves, in the order the halves come
+        parts = list(chain.from_iterable(zip(parts1, parts2)))
+        ids = list(chain.from_iterable(zip(ids1, ids2)))
+        sizes = list(map(len, parts))
+        positions = list(chain.from_iterable(parts))
+        split = frozenset(vs)
+        if not (
+            tuple(map(index.get, map(names.__getitem__, vs))) == vs
+            and len(split) == len(vs)
+            and 0 not in sizes
+            and 0 <= min(positions)
+            and max(positions) < len(a)
+        ):
+            raise self._split_fault(splits)
+        owners = list(chain.from_iterable(map(repeat, chain.from_iterable(zip(vs, vs)), sizes)))
+        on_a = list(map(eq, map(a.__getitem__, positions), owners))
+        # the end of edge p at a[p] is 2p+1 and at b[p] is 2p.  The parts
+        # partition the edges of their vertices when they name every end at
+        # a split vertex, each once: as many ends as there are, all distinct
+        ends = list(map(add, map(add, positions, positions), on_a))
+        if not (
+            False not in map(or_, on_a, map(eq, map(b.__getitem__, positions), owners))
+            and len(set(ends)) == len(ends) == len(list(filter(split.__contains__, chain(a, b))))
+            and len(set(ids)) == len(ids)
+            and set(map(index.get, ids)) <= split | {None}
+        ):
+            raise self._split_fault(splits)
+
+        for p, h, at_a in zip(positions, chain.from_iterable(map(repeat, made, sizes)), on_a):
+            if at_a:
+                a[p] = h
+            else:
+                b[p] = h
+        # every split name goes before any half comes in, since a half may
+        # take the name of a vertex split later in the same call
+        list(map(index.pop, map(names.__getitem__, vs)))
+        names += ids
+        index.update(zip(ids, made))
+        return made
+
+    def _split_fault(
+        self, splits: Sequence[tuple[int, Sequence[int], Sequence[int], VertexId, VertexId]]
+    ) -> GraphSurgeryError:
+        """The first fault of a :meth:`split` that failed a column check, in
+        the order of the splits, as the error to raise."""
+        names, index, a, b = self.names, self.index, self.a, self.b
+        degree = Counter(chain(a, b))
+        split: set[int] = set()
         fresh: set[VertexId] = set()
         for v, part1, part2, id1, id2 in splits:
             if index.get(names[v]) != v:
-                raise UnknownVertex(f"{names[v]} not in graph")
-            if v in halves:
-                raise OverlappingBlocks(f"{names[v]} split twice")
-            for x, y in chain(part1, part2):
-                if x == y:
-                    raise MergeWouldCreateLoop(f"loop edge at {names[x]}")
+                return UnknownVertex(f"{names[v]} not in graph")
+            if v in split:
+                return OverlappingBlocks(f"{names[v]} split twice")
+            split.add(v)
             if not part1 or not part2:
-                raise EmptyPart(f"both parts of the split at {names[v]} must be nonempty")
-            p1, p2 = set(), set()
-            for part, positions in ((part1, p1), (part2, p2)):
-                for x, y in part:
-                    p = at.get((x, y)) if v == x or v == y else None
-                    if p is None:
-                        raise NotIncident(f"{self._edge(x, y)} is not incident to {names[v]}")
-                    positions.add(p)
-            if p1 & p2 or len(p1) + len(p2) != degree[v]:
-                raise NotIncident(f"parts at {names[v]} must partition its incident edges")
+                return EmptyPart(f"both parts of the split at {names[v]} must be nonempty")
+            both = [*part1, *part2]
+            for p in both:
+                if not 0 <= p < len(a):
+                    return NotIncident(f"edge position {p} is not incident to {names[v]}")
+                if v != a[p] and v != b[p]:
+                    return NotIncident(f"{self._edge(a[p], b[p])} is not incident to {names[v]}")
+            if len(set(both)) != len(both) or len(both) != degree[v]:
+                return NotIncident(f"parts at {names[v]} must partition its incident edges")
             if id1 == id2:
-                raise IdCollision(f"split ids at {names[v]} coincide")
+                return IdCollision(f"split ids at {names[v]} coincide")
             for nid in (id1, id2):
                 if nid in fresh:
-                    raise IdCollision(f"split id {nid} is used by two splits")
+                    return IdCollision(f"split id {nid} is used by two splits")
                 fresh.add(nid)
-            halves[v] = (p1, p2)
-        for nid in fresh:
+        # the column checks fail on one of these faults, so this loop returns
+        for nid in chain.from_iterable(s[3:] for s in splits):
             i = index.get(nid)
-            if i is not None and i not in halves:
-                raise IdCollision(f"split id {nid} collides with an existing vertex")
-
-        # every split name goes before any half comes in, since a half may
-        # take the name of a vertex split later in the same call
-        for v in halves:
-            del index[names[v]]
-        made = []
-        for v, _, _, id1, id2 in splits:
-            made.append((len(names), len(names) + 1))
-            for part, nid in zip(halves[v], (id1, id2)):
-                index[nid] = h = len(names)
-                names.append(nid)
-                for p in part:
-                    if a[p] == v:
-                        a[p] = h
-                    else:
-                        b[p] = h
-        return made
+            if i is not None and i not in split:
+                return IdCollision(f"split id {nid} collides with an existing vertex")
 
 
 def _surgery(g: Graph, operate) -> tuple[Graph, dict[Edge, Edge]]:
@@ -738,13 +761,33 @@ def split_vertices(
 ) -> tuple[Graph, dict[Edge, Edge]]:
     """Split several vertices at once, each into two halves carrying the two
     given incident-edge parts, as :meth:`_Draft.split` does.  Labels transfer
-    edge-wise through the returned map of the edges that move.
+    edge-wise through the returned map of the edges that move.  A part is
+    read as a set of edges: an edge named twice, or in both orders, counts
+    once.
     """
     splits = list(splits)
-    return _surgery(g, lambda d, at: d.split([
-        (at(v), [(at(x), at(y)) for x, y in part1], [(at(x), at(y)) for x, y in part2], id1, id2)
-        for v, part1, part2, id1, id2 in splits
-    ]))
+
+    def operate(d: _Draft, at) -> None:
+        # each edge under both orders of its ends
+        position = dict(zip(zip(d.a, d.b), range(len(d.a))))
+        position.update(zip(zip(d.b, d.a), range(len(d.b))))
+
+        def positions(v: VertexId, part: Iterable[Edge]) -> list[int]:
+            found: dict[int, None] = {}
+            for x, y in part:
+                p = position.get((at(x), at(y)))
+                if p is None:
+                    # edge() names a loop as one
+                    raise NotIncident(f"{edge(x, y)} is not incident to {v}")
+                found[p] = None
+            return list(found)
+
+        d.split([
+            (at(v), positions(v, part1), positions(v, part2), id1, id2)
+            for v, part1, part2, id1, id2 in splits
+        ])
+
+    return _surgery(g, operate)
 
 
 def split_vertex(

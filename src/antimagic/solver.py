@@ -263,9 +263,18 @@ def solve_chi_la(
         return SolveResult(None, initial_witness, "infeasible_size",
                            floor=floor, floor_rule=floor_rule)
 
+    # a labeling has at most |V| colours; a pass below the witness can only
+    # improve on it; a pass above the user's target is not asked for
+    last = len(vs)
+    if cert is not None:
+        last = min(last, cert.color_count - 1)
+    if cfg.target_colors is not None:
+        last = min(last, cfg.target_colors)
+
     nbrs = walk.nbrs
     deg = [len(nb) for nb in nbrs]
-    order = _search_order(deg, pairs)
+    # ordered only for a pass to search
+    order = _search_order(deg, pairs) if floor <= last else []
     ends = [pairs[i] for i in order]
 
     sums = [0] * len(vs)
@@ -416,13 +425,6 @@ def solve_chi_la(
         remaining[b] = rb + 1
         return False
 
-    # a labeling has at most |V| colours; a pass below the witness can only
-    # improve on it; a pass above the user's target is not asked for
-    last = len(vs)
-    if cert is not None:
-        last = min(last, cert.color_count - 1)
-    if cfg.target_colors is not None:
-        last = min(last, cfg.target_colors)
     passes = 0
     while target <= last and not found and not timed_out:
         passes += 1

@@ -2,6 +2,7 @@
 structure checks, and the parameter guards."""
 
 import dataclasses
+import hashlib
 import sys
 
 import pytest
@@ -204,6 +205,25 @@ def test_df1_rejects_k_2_mod_4():
 def test_df3_needs_composite_hub_count():
     with pytest.raises(InvalidFactorization):
         build_family("df3", r=3, s=1, r1=3)  # 2r+1 = 7 prime
+
+
+# sha256 over repr((names, a, b, labels)) of each finished draft below, in
+# turn: every vertex and edge position of the builds that split by edge
+# position, as the builders that split by end pairs left them
+SPLIT_DRAFTS = [
+    ("df", {"r": 1, "s": 1}), ("df", {"r": 3, "s": 5}), ("df1", {"r": 1, "s": 3}),
+    ("df2", {"r": 2, "s": 3}), ("df3", {"r": 4, "s": 1, "r1": 3}),
+    ("gn", {"n": 30, "indices": (1, 2, 4)}),
+]
+SPLIT_DRAFTS_SHA256 = "124a4ec521d58eae8b0490c0399fab2b12d4e2ae8d3385d560c4008385491dbe"
+
+
+def test_the_split_families_finish_their_pinned_drafts():
+    digest = hashlib.sha256()
+    for family, params in SPLIT_DRAFTS:
+        g, f, _ = build_family(family, **params)
+        digest.update(repr((g.names, g.a, g.b, f._array)).encode())
+    assert digest.hexdigest() == SPLIT_DRAFTS_SHA256
 
 
 # --- peanuts ---------------------------------------------------------------------

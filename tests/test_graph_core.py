@@ -2,9 +2,12 @@
 
 import dataclasses
 import hashlib
+import os
 import random
+import subprocess
 import sys
 import threading
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -13,6 +16,7 @@ from hypothesis import strategies as st
 from antimagic import io
 from antimagic.errors import (
     EmptyPart,
+    GraphSurgeryError,
     IdCollision,
     LabelDomainMismatch,
     MergeWouldCreateLoop,
@@ -601,7 +605,7 @@ def reference_split(g, splits):
     edges at a split vertex."""
     half = {}
     new_vertices = set(g.vertices)
-    fresh = set()
+    fresh = []  # in the order the splits give them, which a collision names
     for v, part1, part2, id1, id2 in splits:
         if v not in g.vertices:
             raise UnknownVertex(f"{v} not in graph")
@@ -621,7 +625,7 @@ def reference_split(g, splits):
             raise IdCollision(f"split ids at {v} coincide")
         half[v] = {**dict.fromkeys(p1, id1), **dict.fromkeys(p2, id2)}
         new_vertices.discard(v)
-        fresh.update((id1, id2))
+        fresh += (id1, id2)
     for nid in fresh:
         if nid in new_vertices:
             raise IdCollision(f"split id {nid} collides with an existing vertex")
@@ -633,7 +637,7 @@ def reference_split(g, splits):
         if ne != e:
             edge_map[e] = ne
         new_edges.append(ne)
-    return Graph(new_vertices | fresh, new_edges), edge_map
+    return Graph(new_vertices.union(fresh), new_edges), edge_map
 
 
 def _outcome(surgery, *args):
@@ -660,13 +664,19 @@ def _merged_names(g, blocks, new_ids):
 
 
 def _split_names(g, splits):
-    """The names of each pair of halves that ``_Draft.split`` returns."""
+    """The names of each pair of halves that ``_Draft.split`` returns, given
+    each part as the positions of its edges, an edge named twice once."""
     d, at = _draft(g)
+    position = {e: p for p, e in enumerate(sorted(g.edges))}
+
+    def positions(part):
+        return list(dict.fromkeys(position[edge(x, y)] for x, y in part))
+
     made = d.split([
-        (at[v], [(at[x], at[y]) for x, y in part1], [(at[x], at[y]) for x, y in part2], id1, id2)
+        (at[v], positions(part1), positions(part2), id1, id2)
         for v, part1, part2, id1, id2 in splits
     ])
-    return [(d.names[h1], d.names[h2]) for h1, h2 in made]
+    return [(d.names[h1], d.names[h2]) for h1, h2 in zip(made[::2], made[1::2])]
 
 
 def _assert_labels_transfer(g, edge_map, reference_map):
@@ -769,3 +779,97 @@ def test_a_half_may_take_the_name_of_a_vertex_split_in_the_same_call(later_first
     assert got == reference_split(g, splits)
     assert got[0].vertices == {a[1], a[2], a[3], V("m", 0), V("m", 1), V("m", 2)}
     assert _split_names(g, splits) == [(id1, id2) for *_, id1, id2 in splits]
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+COLLIDING_SPLIT = """
+from antimagic.graph import Graph, V, edge, split_vertices
+a = [V("a", i) for i in range(8)]
+g = Graph(a, [edge(a[i], a[i + 1]) for i in range(7)])
+try:
+    split_vertices(g, [(a[1], [(a[0], a[1])], [(a[1], a[2])], a[5], a[6])])
+except Exception as exc:
+    print(type(exc).__name__, exc)
+"""
+
+
+def test_a_split_names_the_first_colliding_id_in_the_order_given():
+    # both halves take the name of a vertex that stays; the error names the
+    # first of them under every hash seed
+    want = "IdCollision split id a_5 collides with an existing vertex"
+    for seed in range(6):
+        out = subprocess.run(
+            [sys.executable, "-c", COLLIDING_SPLIT], capture_output=True, text=True, check=True,
+            env={**os.environ, "PYTHONPATH": str(SRC), "PYTHONHASHSEED": str(seed)},
+        ).stdout.strip()
+        assert out == want, seed
+    a = [V("a", i) for i in range(8)]
+    g = Graph(a, [edge(a[i], a[i + 1]) for i in range(7)])
+    splits = [(a[1], [(a[0], a[1])], [(a[1], a[2])], a[5], a[6])]
+    assert _outcome(reference_split, g, splits) == (IdCollision, want.split(" ", 1)[1])
+
+
+def _chord_draft():
+    """The path a_0 a_1 a_2 a_3 with the chord a_1a_3, as a draft: edges
+    a_0a_1, a_1a_2, a_1a_3, a_2a_3 at positions 0..3, so a_1 has three edges
+    and a_2 owns the last one, at q-1."""
+    a = [V("a", i) for i in range(4)]
+    return _draft(Graph(a, [edge(a[0], a[1]), edge(a[1], a[2]), edge(a[1], a[3]),
+                            edge(a[2], a[3])]))[0]
+
+
+@pytest.mark.parametrize("v, part1, part2, message", [
+    # -1 would wrap to the last edge, which a_2 owns
+    (2, [1], [-1], "edge position -1 is not incident to a_2"),
+    (2, [1], [4], "edge position 4 is not incident to a_2"),
+    (2, [1], [0], "is not incident to a_2"),
+    (2, [1, 3], [3], "parts at a_2 must partition its incident edges"),
+    (2, [1], [1], "parts at a_2 must partition its incident edges"),
+    (2, [1, 1], [3], "parts at a_2 must partition its incident edges"),
+    (1, [0], [1], "parts at a_1 must partition its incident edges"),
+])
+def test_positions_that_do_not_partition_the_vertex_edges_are_not_incident(v, part1, part2, message):
+    d = _chord_draft()
+    with pytest.raises(NotIncident, match=message):
+        d.split([(v, part1, part2, V("h", 1), V("h", 2))])
+    # a failed split leaves the draft as it was
+    fresh = _chord_draft()
+    assert (d.names, d.index, d.a, d.b) == (fresh.names, fresh.index, fresh.a, fresh.b)
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_graphs(), st.data())
+def test_split_by_position_fails_only_with_a_surgery_error(g, data):
+    # positions a little outside 0..q-1 among the vertex's own ones
+    es = sorted(g.edges)
+    vs = data.draw(st.lists(st.sampled_from(sorted(g.vertices)), max_size=3))
+    ids = _ids(data, 2 * len(vs))
+    splits = []
+    for i, v in enumerate(vs):
+        own = data.draw(st.permutations([p for p, e in enumerate(es) if v in e]))
+        cut = data.draw(st.integers(min_value=0, max_value=len(own)))
+        part1, part2 = own[:cut], own[cut:]
+        tweak = data.draw(st.integers(min_value=0, max_value=9))
+        if tweak == 0:
+            part2.append(data.draw(st.integers(min_value=-2, max_value=len(es) + 1)))
+        elif tweak == 1 and part2:
+            part2.pop()  # leaves an edge out
+        elif tweak == 2 and part1:
+            part2.append(data.draw(st.sampled_from(part1)))  # in both parts
+        splits.append((v, part1, part2, ids[2 * i], ids[2 * i + 1]))
+    d, at = _draft(g)
+    try:
+        d.split([(at[v], part1, part2, id1, id2) for v, part1, part2, id1, id2 in splits])
+        got = d.finish()[0]
+    except GraphSurgeryError as exc:
+        got = type(exc), str(exc)
+    positions = [p for _, part1, part2, *_ in splits for p in (*part1, *part2)]
+    repeats = any(len(set(part)) != len(part) for _, *parts, _, _ in splits for part in parts)
+    if all(0 <= p < len(es) for p in positions) and not repeats:
+        named = [(v, [es[p] for p in part1], [es[p] for p in part2], id1, id2)
+                 for v, part1, part2, id1, id2 in splits]
+        want = _outcome(reference_split, g, named)
+        assert got == (want[0] if isinstance(want[0], Graph) else want)
+    else:
+        assert isinstance(got, tuple)

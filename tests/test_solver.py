@@ -4,6 +4,7 @@ from itertools import combinations, combinations_with_replacement, permutations
 
 import pytest
 
+from antimagic import solver
 from antimagic.errors import K2Component, UsageError
 from antimagic.families import build_family
 from antimagic.graph import EdgeLabeling, Graph, V, certify, edge
@@ -445,6 +446,20 @@ def test_target_below_the_lower_bound_is_exact_without_search():
     g, _, _ = build_family("fb", n=3)
     res = solve_chi_la(g, SearchConfig(max_edges=15, target_colors=2, time_budget=0.5))
     assert (res.status, res.chi_la, res.nodes) == ("exact", None, 0)
+
+
+def test_the_search_order_is_made_only_for_a_pass(monkeypatch):
+    calls = []
+    real = solver._search_order
+    monkeypatch.setattr(solver, "_search_order", lambda *args: calls.append(1) or real(*args))
+    g, f, _ = build_family("fb", n=3)
+    cfg = SearchConfig(max_edges=15, time_budget=0.5)
+    # a witness at the floor, and a target below it: no pass runs
+    assert solve_chi_la(g, cfg, initial_witness=f).nodes == 0
+    assert solve_chi_la(g, SearchConfig(max_edges=15, target_colors=2)).nodes == 0
+    assert calls == []
+    assert solve_chi_la(fan_one_blade()).chi_la == 3
+    assert calls == [1]
 
 
 def test_invalid_witness_rejected():
