@@ -196,8 +196,6 @@ def _df(r: int, s: int) -> tuple[_Draft, FamilyInstance, range]:
         raise InvalidParams(f"need r >= 1 and odd s >= 1, got r={r}, s={s}")
     m = (2 * r + 1) * s
     k = (m - 1) // 2
-    if k < 1:
-        raise InvalidParams("graph too small: (2r+1)s must be at least 3")
     d = _fan_cells(k)
 
     # block j holds cells (j-1)s+1 .. js, and the outer cells are those of
@@ -352,7 +350,8 @@ def _tb(n: int) -> tuple[_Draft, FamilyInstance, range]:
 
 
 def _deal(rims: Sequence[Sequence[int]], r: int) -> list[list[int]]:
-    """Deal an independent color class into r equal blocks.
+    """Deal an independent color class into r equal blocks; every caller
+    has checked that r >= 1 divides the class size.
 
     The caller hands the class over as ``rims``, cycles on which two members
     share a neighbor only when they are consecutive, cyclically.  The rims
@@ -368,9 +367,6 @@ def _deal(rims: Sequence[Sequence[int]], r: int) -> list[list[int]]:
     The merge of the blocks (:func:`_merged`) certifies the deal: a shared
     neighbor in a block means the rims broke the premise.
     """
-    size = sum(len(rim) for rim in rims)
-    if r < 1 or size % r:
-        raise NoValidPartition(f"{size} vertices do not split into {r} blocks")
     order: list[int] = []
     for rim in rims:
         rim = list(rim)

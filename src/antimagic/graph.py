@@ -115,20 +115,18 @@ class Graph:
     __slots__ = ("names", "index", "a", "b", "_vertices", "_edges", "_walk", "_listing")
 
     def __init__(self, vertices: Iterable[VertexId], edges: Iterable[Edge]):
+        """The graph that a :class:`_Draft` of ``vertices`` and ``edges``
+        finishes as, edge p being the p-th of ``edges``; the draft rejects a
+        loop, an end outside ``vertices`` and two edges on one vertex pair."""
         names = list(dict.fromkeys(vertices))
-        index = dict(zip(names, range(len(names))))
-        es = set()
-        for a, b in edges:
-            e = edge(a, b)
-            if e[0] not in index or e[1] not in index:
-                raise UnknownVertex(f"edge {e} has an endpoint outside the vertex set")
-            if e in es:
-                raise MergeWouldCreateParallelEdge("two edges join the same two vertices")
-            es.add(e)
-        # the edge positions follow the view's iteration order
-        view = frozenset(es)
-        self._fill(names, index, [index[x] for x, _ in view], [index[y] for _, y in view])
-        self._edges = view
+        at = dict(zip(names, range(len(names)))).get
+        a, b = [], []
+        for x, y in edges:
+            # an end outside the vertices gets -1, which the draft rejects
+            a.append(at(x, -1))
+            b.append(at(y, -1))
+        g, _ = _Draft(names, a, b, [0] * len(a)).finish()
+        self._fill(g.names, g.index, a, b)
 
     @classmethod
     def _of(cls, names: list[VertexId], index: dict[VertexId, int], a: list[int], b: list[int]
@@ -198,26 +196,12 @@ class Graph:
             walk = self._walk = (adj, comps)
         return walk
 
-    # -- queries --------------------------------------------------------------
-
-    def neighbors(self, v: VertexId) -> frozenset[VertexId]:
-        return frozenset(map(self.names.__getitem__, self._walked()[0][self.index[v]]))
-
-    def degree(self, v: VertexId) -> int:
-        return len(self._walked()[0][self.index[v]])
-
-    def incident_edges(self, v: VertexId) -> list[Edge]:
-        return [edge(v, n) for n in self.neighbors(v)]
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Graph)
             and self.vertices == other.vertices
             and self.edges == other.edges
         )
-
-    def __hash__(self):
-        return hash((self.vertices, self.edges))
 
     def __repr__(self) -> str:
         return f"Graph(order={self.order}, size={self.size})"
@@ -253,17 +237,6 @@ class Graph:
     def sorted_edges(self) -> list[Edge]:
         vs, _, pairs = self.listing()
         return [(vs[i], vs[j]) for i, j in pairs]
-
-    def connected_components(self) -> list[frozenset[VertexId]]:
-        """Components as vertex sets, sorted by their smallest vertex."""
-        names = self.names
-        comps = [frozenset(map(names.__getitem__, comp)) for comp in self._walked()[1]]
-        # components are disjoint, so their smallest vertices are distinct
-        comps.sort(key=min)
-        return comps
-
-    def is_connected(self) -> bool:
-        return len(self._walked()[1]) <= 1
 
     def has_triangle(self) -> bool:
         """Whether the two ends of some edge share a neighbour.  The larger
@@ -552,9 +525,10 @@ class _Draft:
         g = Graph._of(self.names, self.index, a, b)
         return g, EdgeLabeling._at(g, self.labels)
 
-    def _edge(self, x: int, y: int) -> Edge:
-        """The canonical edge between the vertices at ``x`` and ``y``."""
-        return edge(self.names[x], self.names[y])
+    def _edge(self, x: int, y: int) -> str:
+        """The edge between the vertices at ``x`` and ``y``, named as the
+        certificate names edges: ``b-c``, ends in canonical order."""
+        return "%s-%s" % edge(self.names[x], self.names[y])
 
     def merge(self, blocks: Sequence[Sequence[int]], new_ids: Sequence[VertexId]) -> range:
         """Replace each block of vertices by one new vertex named by
@@ -601,7 +575,7 @@ class _Draft:
             x, y = a2[p], b2[p]
             if x == y:
                 raise MergeWouldCreateLoop(
-                    "block members %s and %s are adjacent" % self._edge(a[p], b[p])
+                    "block members %s and %s are adjacent" % edge(names[a[p]], names[b[p]])
                 )
             key = (x, y) if x < y else (y, x)
             if key in made:
@@ -778,7 +752,7 @@ def split_vertices(
                 p = position.get((at(x), at(y)))
                 if p is None:
                     # edge() names a loop as one
-                    raise NotIncident(f"{edge(x, y)} is not incident to {v}")
+                    raise NotIncident(f"{d._edge(at(x), at(y))} is not incident to {v}")
                 found[p] = None
             return list(found)
 

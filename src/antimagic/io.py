@@ -60,12 +60,9 @@ def _edge_records(g: Graph, f: EdgeLabeling) -> list[dict]:
 
 def _listed_colors(g: Graph, f: EdgeLabeling, cert: Certificate | None) -> list[int]:
     """The color of each vertex in listing order, read off ``cert`` when it
-    is given."""
-    colors = cert.colors if cert else induce_coloring(g, f)
-    (vs, _, _), at, _ = g._listed()
-    if colors.graph is g:
-        return list(map(colors.array.__getitem__, at))
-    return list(map(colors.__getitem__, vs))
+    certifies ``g`` and induced from ``f`` otherwise."""
+    colors = cert.colors if cert and cert.colors.graph is g else induce_coloring(g, f)
+    return list(map(colors.array.__getitem__, g._listed()[1]))
 
 
 def graph_to_doc(
@@ -272,7 +269,7 @@ def _records(rows: list, nl: str) -> str | None:
 
 def graph_to_dot(g: Graph, f: EdgeLabeling, cert: Certificate | None = None) -> str:
     """DOT with vertex labels "role/indices\\ncolor" and edge labels f(e);
-    the colors are read off ``cert`` when it is given."""
+    the colors are read off ``cert`` when it certifies ``g``."""
     colors = _listed_colors(g, f, cert)
     (vs, names, pairs), _, positions = g._listed()
     lines = ["graph antimagic {"]

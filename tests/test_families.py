@@ -7,6 +7,7 @@ import sys
 
 import pytest
 
+from adjacency import components, neighbors
 from antimagic import families, graph
 from antimagic.errors import (
     ConditionViolated,
@@ -44,7 +45,7 @@ def built_ok(family, **params):
 
 
 def _labels_at(g, f, v):
-    return {f.labels[edge(v, u)] for u in g.neighbors(v)}
+    return {f.labels[edge(v, u)] for u in neighbors(g)[v]}
 
 
 def _blocks_read_off(g, f, new, members):
@@ -88,7 +89,31 @@ def test_fb_small_palettes():
 def test_fb9_hub_color_is_last_three_rows_total():
     g, f, _ = build_family("fb", n=9)
     assert induce_coloring(g, f)[V("x")] == (7 * 4 + 4) * (6 * 4 + 3) == 864
-    assert g.degree(V("x")) == 27
+    assert len(neighbors(g)[V("x")]) == 27
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: build_family("tfb", t=2, s=3), InvalidFactorization,
+     "need odd t, s >= 3, got t=2, s=3"),
+    (lambda: build_family("df", r=0, s=1), InvalidParams,
+     "need r >= 1 and odd s >= 1, got r=0, s=1"),
+    (lambda: build_family("df1", r=1, s=1), InvalidParams, "variant 1 needs odd s >= 3, got s=1"),
+    (lambda: build_family("gb", n=9, r=2, s=5), InvalidParity, "need even n >= 8, got 9"),
+    (lambda: build_family("gb", n=14, r=3, s=4), InvalidFactorization,
+     "need n+1 = r*s with r, s >= 3, got 3*4"),
+    (lambda: build_family("gb", n=14, r=3, s=5, base="gn"), InvalidParams,
+     "base 'gn' needs the split index list"),
+    (lambda: build_family("gb", n=14, r=3, s=5, base="xx"), InvalidParams,
+     "base must be 'tb' or 'gn', got 'xx'"),
+    (lambda: build_family("nope"), InvalidParams,
+     f"unknown family 'nope'; known: {families.FAMILY_TAGS}"),
+    (lambda: family_grid("nope"), InvalidParams, "unknown family 'nope'"),
+], ids=["tfb-t2", "df-r0", "df1-s1", "gb-n9", "gb-s4", "gb-gn-no-indices", "gb-base-xx",
+        "build-unknown", "grid-unknown"])
+def test_builder_usage_errors_raise_their_type_and_message(call, error, message):
+    with pytest.raises(error) as info:
+        call()
+    assert str(info.value) == message
 
 
 def test_fb_rejects_even_and_unit():
@@ -134,18 +159,19 @@ def test_tfb_merged_hub_color_equals_row_sum():
 def test_df_1_3_is_df6_plus_fb3():
     g, _, inst, cert = built_ok("df", r=1, s=3)
     assert cert.palette == (42, 46, 288)
-    orders = sorted(len(c) for c in g.connected_components())
+    orders = sorted(len(c) for c in components(g))
     assert orders == [10, 20]  # fan on 10 vertices + diamond fan on 20
 
 
 def test_df_4_1_component_pairing():
     g, f, inst = build_family("df", r=4, s=1)
     # the j-th diamond couples cells j and 10-j; hub y_j sees w_j and u/v_{10-j}
+    near = neighbors(g)
     for j in range(1, 5):
-        nbrs = g.neighbors(V("y", j))
+        nbrs = near[V("y", j)]
         assert V("w", j) in nbrs
         assert V("u", 10 - j) in nbrs and V("v", 10 - j) in nbrs
-    assert len(g.connected_components()) == 5
+    assert len(components(g)) == 5
     verify_instance(g, f, inst)
 
 
@@ -321,8 +347,8 @@ def test_pt2_smallest_case():
 def test_pt_degree2_color_is_10k_plus_6():
     g, f, inst = build_family("pt", n=4)
     colors = induce_coloring(g, f)
-    for v in g.vertices:
-        if g.degree(v) == 2:
+    for v, nbrs in neighbors(g).items():
+        if len(nbrs) == 2:
             assert colors[v] == 26
 
 
@@ -483,7 +509,7 @@ def test_merged_shape_guards():
 
 def test_gn_10_splits_into_tb7_and_tb2():
     g, _, inst, cert = built_ok("gn", n=10, indices=(1,))
-    orders = sorted(len(c) for c in g.connected_components())
+    orders = sorted(len(c) for c in components(g))
     assert orders == [9, 24]  # bracelets with 2 and 7 rim cells
     assert inst.params["s"] == 7
     assert cert.palette == (51, 112, 117)
@@ -491,14 +517,15 @@ def test_gn_10_splits_into_tb7_and_tb2():
 
 def test_gn_30_with_indices_1_2_4():
     g, _, inst, _ = built_ok("gn", n=30, indices=(1, 2, 4))
-    orders = sorted(len(c) for c in g.connected_components())
-    assert orders == [9, 18, 21, 45]
+    comps = components(g)
+    assert sorted(map(len, comps)) == [9, 18, 21, 45]
     # every component is a bracelet: order 3(m+1), size 5(m+1), census checks
-    for comp in g.connected_components():
+    near = neighbors(g)
+    for comp in comps:
         m = len(comp) // 3 - 1
         comp_edges = [e for e in g.edges if e[0] in comp]
         assert len(comp_edges) == 5 * m + 5
-        degs = sorted(g.degree(v) for v in comp)
+        degs = sorted(len(near[v]) for v in comp)
         assert degs == [3] * (2 * m + 2) + [4] * (m + 1)
 
 
@@ -509,8 +536,8 @@ def test_gn_split_vertices_carry_the_stated_labels():
         g, f, _ = build_family("gn", n=n, indices=[ia])
         k = n // 2
         lo, hi = 8 * ia - 2, 16 * ia - 4
-        lo_labels = {f.labels[edge(V("z", lo), nb)] for nb in g.neighbors(V("z", lo))}
-        hi_labels = {f.labels[edge(V("z", hi), nb)] for nb in g.neighbors(V("z", hi))}
+        lo_labels = _labels_at(g, f, V("z", lo))
+        hi_labels = _labels_at(g, f, V("z", hi))
         assert lo_labels == {
             2 * k + 2 - 2 * ia, 10 * k + 6 - 2 * ia,  # lower half kept
             2 * k + 1 + 2 * ia, 6 * k + 3 + 2 * ia,  # upper half of the mate
@@ -550,7 +577,8 @@ def test_gb_over_gn_base():
 
 
 def _bracelet_rims(g):
-    return [sorted(v for v in comp if g.degree(v) == 4) for comp in g.connected_components()]
+    near = neighbors(g)
+    return [sorted(v for v in comp if len(near[v]) == 4) for comp in components(g)]
 
 
 def test_gb_over_gn_deals_each_bracelet_rim():
@@ -558,7 +586,7 @@ def test_gb_over_gn_deals_each_bracelet_rim():
     # neighbor into one block; the deal goes bracelet by bracelet instead
     base = build_family("gn", n=20, indices=(1, 2))
     g = base[0]
-    hubs = sorted(v for v in g.vertices if g.degree(v) == 4)
+    hubs = sorted(v for v, nbrs in neighbors(g).items() if len(nbrs) == 4)
     round_robin = [hubs[b::3] for b in range(3)]
     with pytest.raises(MergeWouldCreateParallelEdge):
         merge_vertices(g, round_robin, [V("m", b + 1) for b in range(3)])

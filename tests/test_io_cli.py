@@ -262,6 +262,15 @@ def test_cli_table_check_m1_writes_its_report(tmp_path):
     assert report["block_sums"] == {"3x3": 288, "9x1": 96}
 
 
+def test_cli_table_check_pt_writes_the_traced_sequences(tmp_path, capsys):
+    code = main(["--out", str(tmp_path), "table", "--kind", "pt", "--k", "3", "--check"])
+    assert code == 0
+    assert "table pt k=3: all observations hold" in capsys.readouterr().out
+    traced = tables.trace_sequences(tables.table_pt(3))
+    report = json.loads((tmp_path / "table_pt_k3_report.json").read_text())
+    assert report == {"k": 3, "s1": list(traced.s1), "s2": list(traced.s2)}
+
+
 def test_cli_table_usage_error(tmp_path):
     code = main(["--out", str(tmp_path), "table", "--kind", "m1", "--k", "0"])
     assert code == 2

@@ -386,11 +386,19 @@ def test_a_witness_free_solve_reads_the_graph_only_through_its_listing(monkeypat
     def refuse(*args):
         raise AssertionError("the solver read the graph past its listing")
 
-    for name in ("connected_components", "is_connected", "sorted_edges", "_walked"):
+    for name in ("sorted_edges", "_walked"):
         monkeypatch.setattr(Graph, name, refuse)
     for g, known in cases:
         res = solve_chi_la(g)
         assert (res.status, res.chi_la) == ("exact", known)
+
+
+def test_a_graph_without_edges_is_solved_without_a_search():
+    res = solve_chi_la(Graph([V("a")], []))
+    assert (res.chi_la, res.status, res.floor, res.floor_rule) == (1, "exact", 1, "no_edges")
+    assert res.witness == EdgeLabeling({}) and res.nodes == 0
+    empty = solve_chi_la(Graph([], []))
+    assert (empty.chi_la, empty.status, empty.floor) == (0, "exact", 0)
 
 
 def test_oversized_graph_reports_infeasible_size():
