@@ -18,10 +18,9 @@ exactly three induced colors equal to the closed forms.
 from __future__ import annotations
 
 import inspect
-from dataclasses import dataclass
 from functools import partial
 from itertools import chain, repeat
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import (
     ConditionViolated,
@@ -41,8 +40,7 @@ from .partition import partition_ap
 from .tables import _odd_factorizations, _sequences, table_m1, table_m3, table_pt
 
 
-@dataclass(frozen=True)
-class FamilyInstance:
+class FamilyInstance(NamedTuple):
     """Family tag, validated parameters and the claims to certify."""
 
     family: str
@@ -605,9 +603,6 @@ _BUILDERS: dict[str, Callable[..., tuple]] = {
 }
 FAMILY_TAGS = tuple(_BUILDERS)
 
-# the parameters each family's builder binds, read once
-_SIGNATURES = {family: inspect.signature(builder) for family, builder in _BUILDERS.items()}
-
 
 def build_family(family: str, **params) -> BuildResult:
     """Build one instance of ``family``: its builder's draft, finished."""
@@ -616,13 +611,17 @@ def build_family(family: str, **params) -> BuildResult:
     except KeyError:
         raise InvalidParams(f"unknown family {family!r}; known: {FAMILY_TAGS}") from None
     # only a binding failure is a usage error; a TypeError raised inside a
-    # builder is a bug and propagates unchanged
+    # builder is a bug and propagates unchanged.  The signature is read only
+    # once a call has failed, so neither the import nor a good call pays for it
     try:
-        _SIGNATURES[family].bind(**params)
-    except TypeError as exc:
-        raise InvalidParams(f"bad parameters for {family}: {exc}") from None
-    # drop the extras before the finish: held through it, they raise peak RSS
-    d, inst = builder(**params)[:2]
+        # drop the extras before the finish: held through it, they raise peak RSS
+        d, inst = builder(**params)[:2]
+    except TypeError:
+        try:
+            inspect.signature(builder).bind(**params)
+        except TypeError as exc:
+            raise InvalidParams(f"bad parameters for {family}: {exc}") from None
+        raise
     return (*d.finish(), inst)
 
 

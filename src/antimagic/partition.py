@@ -18,13 +18,12 @@ depending on i.  The produced partition is still certified unconditionally.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import InfeasibleShape, InvariantError
 
 
-@dataclass(frozen=True)
-class EqualSumPartition:
+class EqualSumPartition(NamedTuple):
     blocks: tuple[tuple[int, ...], ...]
     target: int
 

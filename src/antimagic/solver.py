@@ -39,7 +39,7 @@ from __future__ import annotations
 import math
 import time
 from collections import namedtuple
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .errors import K2Component, UsageError
 from .graph import EdgeLabeling, Graph, certify
@@ -49,14 +49,20 @@ PRUNE_REASONS = ("clash", "colour_bound", "interval", "sum")
 _Walk = namedtuple("_Walk", "nbrs sides comps")  # what the solver reads of a graph
 
 
-@dataclass(frozen=True)
-class SearchConfig:
+class _SearchFields(NamedTuple):
     max_edges: int = 10
     target_colors: int | None = None
     time_budget: float | None = None  # seconds
 
-    def __post_init__(self):
-        edges, target, budget = self.max_edges, self.target_colors, self.time_budget
+
+class SearchConfig(_SearchFields):
+    """The search's bounds, checked whenever one is made, ``_replace`` too."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        edges, target, budget = self
         if type(edges) is not int or edges < 0:  # ``type``: a bool is no count
             raise UsageError(f"max_edges is not an int >= 0: {edges!r}")
         if target is not None and (type(target) is not int or target < 1):
@@ -67,10 +73,14 @@ class SearchConfig:
         ):
             # nan compares false with everything, so it never stopped a search
             raise UsageError(f"time budget is not a finite positive number of seconds: {budget!r}")
+        return self
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
 
-@dataclass(frozen=True)
-class SolveResult:
+class SolveResult(NamedTuple):
     """``status`` semantics:
 
     * ``exact`` -- ``chi_la`` is the proven minimum: a pass found a labeling
@@ -99,7 +109,7 @@ class SolveResult:
     floor: int = 0
     floor_rule: str = ""
     passes: int = 0
-    prunes: dict[str, int] = field(default_factory=lambda: dict.fromkeys(PRUNE_REASONS, 0))
+    prunes: dict[str, int] | None = None  # the solver passes a fresh dict to each result
 
 
 def _walk(g: Graph) -> _Walk:
@@ -252,7 +262,8 @@ def solve_chi_la(
     q = len(pairs)
     if q == 0:
         chi = 1 if vs else 0
-        return SolveResult(chi, EdgeLabeling({}), "exact", floor=chi, floor_rule="no_edges")
+        return SolveResult(chi, EdgeLabeling({}), "exact", floor=chi, floor_rule="no_edges",
+                           prunes=dict.fromkeys(PRUNE_REASONS, 0))
     start = time.monotonic()
     # checked first, so that no result carries a witness that is not one
     cert = None if initial_witness is None else certify(g, initial_witness)
@@ -260,8 +271,8 @@ def solve_chi_la(
         raise UsageError("initial witness is not a local antimagic labeling")
     floor, floor_rule = _floor(walk, q)
     if q > cfg.max_edges:
-        return SolveResult(None, initial_witness, "infeasible_size",
-                           floor=floor, floor_rule=floor_rule)
+        return SolveResult(None, initial_witness, "infeasible_size", floor=floor,
+                           floor_rule=floor_rule, prunes=dict.fromkeys(PRUNE_REASONS, 0))
 
     # a labeling has at most |V| colours; a pass below the witness can only
     # improve on it; a pass above the user's target is not asked for

@@ -21,13 +21,12 @@ checks what it builds; the checks here run only where a table is the output:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import InvalidK, InvariantError, ObservationViolated, SequenceSchemeViolated
 
 
-@dataclass(frozen=True)
-class LabelTable:
+class LabelTable(NamedTuple):
     """One named-row integer matrix with 2k+1 columns.
 
     The key order of ``rows`` is the row order of the matrix.
@@ -237,8 +236,7 @@ def check_m3_observations(t: LabelTable) -> dict:
 # -- traced sequences -----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TracedSequences:
+class TracedSequences(NamedTuple):
     """The two sequences S1, S2 walked out of the pt table.
 
     Positions are 1-based.  ``r3_columns[j-1]`` is the column whose pair of

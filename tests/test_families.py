@@ -1,9 +1,9 @@
 """Per-family construction tests: golden palettes, frozen label sequences,
 structure checks, and the parameter guards."""
 
-import dataclasses
 import hashlib
 import sys
+from functools import partial
 
 import pytest
 
@@ -906,10 +906,14 @@ def test_the_tables_that_name_the_families_agree():
 
 
 def test_build_family_unknown_keyword_is_invalid_params():
-    with pytest.raises(InvalidParams):
-        build_family("fb", n=9, m=3)
-    with pytest.raises(InvalidParams):
-        build_family("fb1", r=3)  # s missing
+    for family, params, message in [
+        ("fb", dict(n=9, m=3), "bad parameters for fb: got an unexpected keyword argument 'm'"),
+        ("fb1", dict(r=3), "bad parameters for fb1: missing a required argument: 's'"),
+        ("pt1", dict(n=5), "bad parameters for pt1: missing a required argument: 'r'"),
+    ]:
+        with pytest.raises(InvalidParams) as info:
+            build_family(family, **params)
+        assert str(info.value) == message
 
 
 def test_build_family_lets_a_builder_type_error_through(monkeypatch):
@@ -919,6 +923,16 @@ def test_build_family_lets_a_builder_type_error_through(monkeypatch):
     monkeypatch.setitem(families._BUILDERS, "fb", broken)
     with pytest.raises(TypeError, match="bug inside the builder"):
         build_family("fb", n=9)
+
+    # a partial-wrapped family binds the parameters its function has left
+    def broken_merge(base, variant, n, r):
+        raise TypeError(f"bug inside {base}{variant}")
+
+    monkeypatch.setitem(families._BUILDERS, "pt1", partial(broken_merge, "pt", 1))
+    with pytest.raises(TypeError, match="bug inside pt1"):
+        build_family("pt1", n=5, r=1)
+    with pytest.raises(InvalidParams, match="missing a required argument: 'r'"):
+        build_family("pt1", n=5)
 
 
 def test_sweep_records_a_usage_error_and_goes_on(monkeypatch):
@@ -976,7 +990,7 @@ def test_failure_report_names_the_edges_sharing_a_label():
 
 def test_failure_report_names_each_census_degree_that_differs():
     g, f, inst = build_family("fb", n=5)  # census {2: 10, 3: 5, 15: 1}
-    doctored = dataclasses.replace(inst, expected_census={2: 10, 3: 7, 4: 1})
+    doctored = inst._replace(expected_census={2: 10, 3: 7, 4: 1})
     with pytest.raises(InvariantError) as info:
         verify_instance(g, f, doctored)
     assert str(info.value) == (

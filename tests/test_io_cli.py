@@ -1,6 +1,5 @@
 """Serialization round-trips, export formats, and the command-line front end."""
 
-import dataclasses
 import functools
 import hashlib
 import json
@@ -868,8 +867,8 @@ def test_cli_build_certify_checks_every_claim(tmp_path, monkeypatch):
 
     def false_claims(n, indices):
         d, inst, *extras = real(n, indices)
-        return d, dataclasses.replace(
-            inst, expected_census={3: 22, 4: 10}, expected_component_orders=(9, 25)
+        return d, inst._replace(
+            expected_census={3: 22, 4: 10}, expected_component_orders=(9, 25)
         ), *extras
 
     argv = ["build", "--family", "gn", "--n", "10", "--indices", "1", "--certify"]

@@ -233,6 +233,22 @@ def test_deepening_raises_the_floor_pass_by_pass():
     assert set(res.prunes) == set(PRUNE_REASONS)
 
 
+def test_each_result_gets_its_own_prune_counts():
+    results = [
+        solve_chi_la(Graph([V("a")], [])),  # no edges
+        solve_chi_la(Graph([], [])),
+        solve_chi_la(cycle(12)),  # infeasible_size
+        solve_chi_la(cycle(13)),
+        solve_chi_la(cycle(5)),  # a search
+        solve_chi_la(cycle(7)),
+    ]
+    assert [r.status for r in results] == ["exact"] * 2 + ["infeasible_size"] * 2 + ["exact"] * 2
+    for r in results:
+        assert type(r.prunes) is dict and list(r.prunes) == list(PRUNE_REASONS)
+    assert [r.prunes == dict.fromkeys(PRUNE_REASONS, 0) for r in results] == [True] * 4 + [False] * 2
+    assert len({id(r.prunes) for r in results}) == len(results)
+
+
 def _sums_of(colours, m):
     """Every sum of m colours drawn with repeats from ``colours``, by enumeration."""
     return {sum(pick) for pick in combinations_with_replacement(colours, m)}
@@ -304,8 +320,10 @@ def test_search_config_accepts_a_finite_positive_budget():
 @pytest.mark.parametrize("max_edges", [-1, -5, 1.5, 10.0, True, False, "10", None])
 def test_search_config_rejects_a_max_edges_that_is_not_a_count(max_edges):
     # a negative cap used to pass and make every graph "infeasible_size"
-    with pytest.raises(UsageError, match=r"^max_edges is not an int >= 0: "):
-        SearchConfig(max_edges=max_edges)
+    for make in (lambda: SearchConfig(max_edges=max_edges), lambda: SearchConfig(max_edges),
+                 lambda: SearchConfig()._replace(max_edges=max_edges)):
+        with pytest.raises(UsageError, match=r"^max_edges is not an int >= 0: "):
+            make()
 
 
 @pytest.mark.parametrize("target", [0, -1, 2.0, True, False, "3"])
