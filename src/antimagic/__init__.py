@@ -16,7 +16,7 @@ from .graph import (
 )
 from .families import FamilyInstance, build_family, sweep_family, verify_instance
 from .partition import EqualSumPartition, partition_ap
-from .solver import SearchConfig, SolveResult, solve_chi_la, verify_lower_bound
+from .solver import SearchConfig, SolveResult, solve_chi_la
 from .tables import (
     LabelTable,
     TracedSequences,
@@ -59,5 +59,4 @@ __all__ = [
     "table_pt",
     "trace_sequences",
     "verify_instance",
-    "verify_lower_bound",
 ]

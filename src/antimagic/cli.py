@@ -125,7 +125,7 @@ def cmd_build(args, out_dir: Path) -> tuple[int, str, list[str]]:
             _write(out_dir, stem + ".json", io.dumps(io.graph_to_doc(g, f, inst, cert)))
         )
     if args.emit in ("dot", "both"):
-        outputs.append(_write(out_dir, stem + ".dot", io.graph_to_dot(g, f, cert)))
+        outputs.append(_write(out_dir, stem + ".dot", io.graph_to_dot(g, f)))
     return 0, ("pass" if args.certify else "built"), outputs
 
 

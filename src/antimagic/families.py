@@ -24,6 +24,7 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import (
     ConditionViolated,
+    GraphSurgeryError,
     InvalidFactorization,
     InvalidIndices,
     InvalidParams,
@@ -605,7 +606,9 @@ FAMILY_TAGS = tuple(_BUILDERS)
 
 
 def build_family(family: str, **params) -> BuildResult:
-    """Build one instance of ``family``: its builder's draft, finished."""
+    """Build one instance of ``family``: its builder's draft, finished.  The
+    builder chose every merge and split of the draft, so a surgery fault in
+    it, the finish's included, is an :class:`InvariantError`."""
     try:
         builder = _BUILDERS[family]
     except KeyError:
@@ -616,13 +619,15 @@ def build_family(family: str, **params) -> BuildResult:
     try:
         # drop the extras before the finish: held through it, they raise peak RSS
         d, inst = builder(**params)[:2]
+        return (*d.finish(), inst)
+    except GraphSurgeryError as exc:
+        raise InvariantError(f"{family}{params}: surgery on its own draft failed: {exc}") from None
     except TypeError:
         try:
             inspect.signature(builder).bind(**params)
         except TypeError as exc:
             raise InvalidParams(f"bad parameters for {family}: {exc}") from None
         raise
-    return (*d.finish(), inst)
 
 
 def _first_violations(cert, kinds: tuple[str, ...]) -> str:
@@ -642,8 +647,9 @@ def verify_instance(g: Graph, f: EdgeLabeling, inst: FamilyInstance):
 
     Checks: bijective labels, local antimagic, exactly 3 colors, palette
     equal to the closed forms, triangle present, degree census, and (when
-    recorded) the component orders.  Raises :class:`InvariantError` with the
-    full problem list on any failure; returns the certificate otherwise.
+    recorded) the component orders, read off the walk that the certificate
+    made.  Raises :class:`InvariantError` with the full problem list on any
+    failure; returns the certificate otherwise.
     """
     cert = certify(g, f, inst.expected_palette)
     problems = []
@@ -671,7 +677,7 @@ def verify_instance(g: Graph, f: EdgeLabeling, inst: FamilyInstance):
         if count != expected:
             problems.append(f"degree {d}: {count} vertices, expected {expected}")
     if inst.expected_component_orders is not None:
-        orders = cert.component_orders
+        orders = tuple(sorted(map(len, g._walked()[1])))
         if orders != inst.expected_component_orders:
             problems.append(
                 f"component orders {orders} != expected {inst.expected_component_orders}"

@@ -14,16 +14,16 @@ live index and two int arrays of edge ends, and a labeling from the same
 finish holds the label at each edge position.  :func:`certify` and the
 writers work on those arrays.  The frozenset views ``vertices`` and
 ``edges``, the int adjacency with its components and the canonical listing
-are each built on first use and cached; the fill is idempotent (a racing
-second fill computes the same value), so graphs can still be shared freely
-across concurrent sweeps.
+of a graph, and the induced coloring of a finished labeling, are each built
+on first use and cached; the fill is idempotent (a racing second fill
+computes the same value), so graphs can still be shared freely across
+concurrent sweeps.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from collections.abc import Iterable, Mapping, Sequence
-from dataclasses import dataclass, field
 from itertools import chain, compress, repeat
 from operator import add, eq, itemgetter, ne, or_
 from typing import NamedTuple
@@ -261,14 +261,14 @@ class EdgeLabeling:
     The bijection is *checked* by :func:`certify`, not enforced here, so that
     broken labelings can be represented and reported.  A labeling made by
     name holds its mapping; one that :meth:`_Draft.finish` makes holds its
-    graph and the label at each edge position, and builds ``labels`` from
-    them on first use.
+    graph and the label at each edge position, builds ``labels`` from them
+    on first use, and keeps the :func:`induce_coloring` of its graph.
     """
 
-    __slots__ = ("_labels", "_graph", "_array")
+    __slots__ = ("_labels", "_graph", "_array", "_coloring")
 
     def __init__(self, labels: Mapping[Edge, int]):
-        self._labels, self._graph, self._array = labels, None, None
+        self._labels, self._graph, self._array, self._coloring = labels, None, None, None
 
     @classmethod
     def from_dict(cls, labels: Mapping[Edge, int]) -> "EdgeLabeling":
@@ -278,7 +278,7 @@ class EdgeLabeling:
     def _at(cls, g: Graph, array: list) -> "EdgeLabeling":
         """The labeling of ``g`` with ``array[p]`` on the edge at position p."""
         f = object.__new__(cls)
-        f._labels, f._graph, f._array = None, g, array
+        f._labels, f._graph, f._array, f._coloring = None, g, array, None
         return f
 
     @property
@@ -346,25 +346,30 @@ class Coloring(Mapping):
 
 
 def induce_coloring(g: Graph, f: EdgeLabeling) -> Coloring:
-    """The vertex -> color map: each vertex's sum of incident labels."""
-    colors = [0] * len(g.names)
-    for x, y, lab in zip(g.a, g.b, _aligned(g, f)):
-        colors[x] += lab
-        colors[y] += lab
-    return Coloring(g, colors)
+    """The vertex -> color map: each vertex's sum of incident labels.  A
+    labeling that a finish made with ``g`` keeps the map, so the certificate
+    and the writers of a build share one accumulation."""
+    coloring = f._coloring
+    if coloring is None or coloring.graph is not g:
+        colors = [0] * len(g.names)
+        for x, y, lab in zip(g.a, g.b, _aligned(g, f)):
+            colors[x] += lab
+            colors[y] += lab
+        coloring = Coloring(g, colors)
+        if f._graph is g:
+            f._coloring = coloring
+    return coloring
 
 
-@dataclass(frozen=True)
-class Certificate:
-    """Machine-checked evidence about one (graph, labeling) pair.
+class Certificate(NamedTuple):
+    """Machine-checked evidence about one (graph, labeling) pair, the fields
+    of its document.
 
     ``violations`` collects every bijectivity or adjacency failure (never
     fail-fast); it is empty iff both flags hold.  A palette mismatch against
-    ``expected_palette`` is recorded in ``palette_ok`` separately.
-    ``colors``, the induced coloring the checks read, is kept for the writers,
-    and ``component_orders``, the sorted vertex counts of the components, for
-    :func:`~antimagic.families.verify_instance`; neither takes part in
-    ``==``, ``repr`` or the certificate's document.
+    ``expected_palette`` is recorded in ``palette_ok`` separately.  The
+    colors the checks read stay with the labeling (:func:`induce_coloring`)
+    and the components with the graph.
     """
 
     is_bijective: bool
@@ -375,8 +380,6 @@ class Certificate:
     violations: tuple[dict, ...]
     has_triangle: bool
     is_connected: bool
-    colors: Mapping[VertexId, int] = field(compare=False, repr=False)
-    component_orders: tuple[int, ...] = field(compare=False, repr=False)
     expected_palette: tuple[int, ...] | None = None
     palette_ok: bool | None = None
 
@@ -418,8 +421,7 @@ def certify(
     and sorted, so ``violations`` still lists them in canonical edge order
     (duplicates by label).
     """
-    coloring = induce_coloring(g, f)
-    colors, labels, a, b = coloring.array, _aligned(g, f), g.a, g.b
+    colors, labels, a, b = induce_coloring(g, f).array, _aligned(g, f), g.a, g.b
     live = list(g.index.values())
     shades = list(map(colors.__getitem__, live))
     palette = tuple(sorted(set(shades)))
@@ -474,8 +476,6 @@ def certify(
         violations=tuple(violations),
         has_triangle=g.has_triangle(),
         is_connected=len(comps) <= 1,
-        colors=coloring,
-        component_orders=tuple(sorted(map(len, comps))),
         expected_palette=expected,
         palette_ok=palette_ok,
     )

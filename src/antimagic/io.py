@@ -58,11 +58,9 @@ def _edge_records(g: Graph, f: EdgeLabeling) -> list[dict]:
     return [{"a": names[i], "b": names[j], "label": lab} for (i, j), lab in zip(pairs, labels)]
 
 
-def _listed_colors(g: Graph, f: EdgeLabeling, cert: Certificate | None) -> list[int]:
-    """The color of each vertex in listing order, read off ``cert`` when it
-    certifies ``g`` and induced from ``f`` otherwise."""
-    colors = cert.colors if cert and cert.colors.graph is g else induce_coloring(g, f)
-    return list(map(colors.array.__getitem__, g._listed()[1]))
+def _listed_colors(g: Graph, f: EdgeLabeling) -> list[int]:
+    """The color of each vertex in listing order."""
+    return list(map(induce_coloring(g, f).array.__getitem__, g._listed()[1]))
 
 
 def graph_to_doc(
@@ -71,7 +69,7 @@ def graph_to_doc(
     instance: FamilyInstance | None = None,
     cert: Certificate | None = None,
 ) -> dict:
-    colors = _listed_colors(g, f, cert)
+    colors = _listed_colors(g, f)
     vs, names, _ = g.listing()
     doc = {
         "family": instance.family if instance else None,
@@ -267,10 +265,9 @@ def _records(rows: list, nl: str) -> str | None:
     return "[" + row_nl + ("," + row_nl).join(map(template.__mod__, zip(*rendered))) + nl + "]"
 
 
-def graph_to_dot(g: Graph, f: EdgeLabeling, cert: Certificate | None = None) -> str:
-    """DOT with vertex labels "role/indices\\ncolor" and edge labels f(e);
-    the colors are read off ``cert`` when it certifies ``g``."""
-    colors = _listed_colors(g, f, cert)
+def graph_to_dot(g: Graph, f: EdgeLabeling) -> str:
+    """DOT with vertex labels "role/indices\\ncolor" and edge labels f(e)."""
+    colors = _listed_colors(g, f)
     (vs, names, pairs), _, positions = g._listed()
     lines = ["graph antimagic {"]
     for v, name, color in zip(vs, names, colors):

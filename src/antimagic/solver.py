@@ -140,21 +140,14 @@ def _walk(g: Graph) -> _Walk:
     return _Walk(nbrs, side if bipartite else None, comps)
 
 
-def verify_lower_bound(g: Graph) -> int:
-    """The chromatic lower bound: 3 if ``g`` is not bipartite, 2 with an
-    edge, 1 otherwise.  A local antimagic colouring is a proper vertex
-    colouring, since adjacent vertices take different sums, and a graph with
-    an odd cycle has no proper 2-colouring."""
-    if not g.size:
-        return 1
-    return 2 if _walk(g).sides is not None else 3
-
-
 def _floor(walk: _Walk, q: int) -> tuple[int, str]:
     """The largest proved lower bound on chi_la of a graph with q ≥ 1 edges,
     no K2 component and the walk ``walk``, and the rule behind it.  The rules:
 
-    * ``edge`` 2 and ``odd_cycle`` 3: :func:`verify_lower_bound`.
+    * ``edge`` 2, or ``odd_cycle`` 3 when the walk found no 2-colouring.  A
+      local antimagic colouring is a proper vertex colouring, since adjacent
+      vertices take different sums, and a graph with an odd cycle has no
+      proper 2-colouring.
     * ``sum`` 3, for a connected bipartite graph with sides A and B, when
       |A| = |B| or one of them does not divide q(q+1)/2.  A connected
       bipartite graph has one proper 2-colouring up to swapping the colours,

@@ -99,7 +99,7 @@ def stride_sample():
             g, f, inst = families.build_family(family, **params)
             cert = families.verify_instance(g, f, inst)
             text = io.dumps(io.graph_to_doc(g, f, inst, cert))
-            out[family].append((params, inst, text, io.graph_to_dot(g, f, cert)))
+            out[family].append((params, inst, text, io.graph_to_dot(g, f)))
     return out
 
 

@@ -9,6 +9,7 @@ import pytest
 
 from adjacency import components, neighbors
 from antimagic import families, graph
+from antimagic.cli import main
 from antimagic.errors import (
     ConditionViolated,
     InvalidFactorization,
@@ -676,6 +677,75 @@ def test_a_clash_in_fb1_blocks_fails_its_sweep_point(monkeypatch):
     (rec,) = sweep_family("fb1", max_size=9)
     assert rec["status"] == "fail"
     assert rec["reason"].startswith("fb1{'r': 3, 's': 3, 'k': 4}: the blocks clash")
+
+
+def _tfb_blocks_sharing_a_hub(monkeypatch):
+    """tfb's hub partition with the first hub sum of block 0, the sum of
+    hub x_1, put in block 1 as well."""
+    real = families.partition_ap
+
+    def shared(first, step, t, s):
+        part = real(first, step, t, s)
+        blocks = list(part.blocks)
+        blocks[1] = (blocks[0][0], *blocks[1][1:])
+        return part._replace(blocks=tuple(blocks))
+
+    monkeypatch.setattr(families, "partition_ap", shared)
+
+
+def _pt_tb_blocks_sharing_a_member(monkeypatch):
+    """Every deal with the first member of block 0 in block 1 as well."""
+    real = families._deal
+
+    def shared(rims, r):
+        blocks = real(rims, r)
+        blocks[1][0] = blocks[0][0]
+        return blocks
+
+    monkeypatch.setattr(families, "_deal", shared)
+
+
+def _fan_cells_with_a_parallel_edge(monkeypatch):
+    """Fan cells with edge 0 laid twice, which only the finish sees."""
+    real = families._fan_cells
+
+    def doubled(k):
+        d = real(k)
+        d.a.append(d.a[0])
+        d.b.append(d.b[0])
+        d.labels.append(len(d.labels) + 1)
+        return d
+
+    monkeypatch.setattr(families, "_fan_cells", doubled)
+
+
+@pytest.mark.parametrize(
+    "patch, family, params, fault",
+    [
+        # a builder's own merge: "x_1 appears in two blocks", a usage error
+        # before the build mapped it
+        (_tfb_blocks_sharing_a_hub, "tfb", {"t": 3, "s": 3}, "x_1 appears in two blocks"),
+        # a merge of _merged that is no clash of the blocks
+        (_pt_tb_blocks_sharing_a_member, "tb1", {"n": 8, "r": 3}, "u_1 appears in two blocks"),
+        # the finish of the draft
+        (_fan_cells_with_a_parallel_edge, "fb", {"n": 5}, "two edges join the same two vertices"),
+    ],
+    ids=["tfb-merge", "merged-overlap", "finish"],
+)
+def test_a_surgery_fault_in_a_builders_own_draft_is_an_invariant_error(
+    patch, family, params, fault, monkeypatch, tmp_path
+):
+    patch(monkeypatch)
+    with pytest.raises(InvariantError) as info:
+        build_family(family, **params)
+    assert str(info.value) == f"{family}{params}: surgery on its own draft failed: {fault}"
+    # so its sweep point fails, and a sweep exits 1, not 2
+    bound = families.GRID_BOUND[family]
+    limit = 27 if bound == "max_size" else 8
+    records = sweep_family(family, **{bound: limit})
+    assert records and {r["status"] for r in records} == {"fail"}
+    flag = "--" + bound.replace("_", "-")
+    assert main(["--out", str(tmp_path), "sweep", "--family", family, flag, str(limit)]) == 1
 
 
 @pytest.mark.parametrize(

@@ -1,9 +1,9 @@
 """Graph surgery, coloring and certification engine tests."""
 
-import dataclasses
 import hashlib
 import os
 import random
+import re
 import subprocess
 import sys
 import threading
@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from adjacency import components, incident_edges, neighbors
-from antimagic import io
+from antimagic import graph, io
 from antimagic.errors import (
     EmptyPart,
     GraphSurgeryError,
@@ -101,11 +101,13 @@ def test_v_makes_exactly_the_vertex_id_of_its_arguments():
 
 
 def _views(g):
-    """What ``certify`` reads off the cached adjacency (the census, the
-    component orders and the triangle flag) and the cached listing."""
+    """What ``certify`` reads off the cached adjacency (the census and the
+    triangle flag), the component orders that ``verify_instance`` reads off
+    it, and the cached listing."""
     f = EdgeLabeling.from_dict({e: lab for lab, e in enumerate(sorted(g.edges), start=1)})
     cert = certify(g, f)
-    return cert.degree_census, cert.component_orders, cert.has_triangle, g.listing()
+    orders = tuple(sorted(map(len, g._walked()[1])))
+    return cert.degree_census, orders, cert.has_triangle, g.listing()
 
 
 def test_listing_is_one_sort_of_the_vertices_and_edges():
@@ -358,17 +360,37 @@ def test_certify_adjacent_equal_color_reported():
 @pytest.mark.parametrize(
     "family, params", [("fb", {"n": 9}), ("tb", {"n": 8}), ("gn", {"n": 10, "indices": (1,)})]
 )
-def test_certificate_carries_the_coloring_outside_its_fields(family, params):
+def test_a_finished_build_induces_its_coloring_once(family, params, monkeypatch):
+    made = []
+    real = graph.Coloring
+    monkeypatch.setattr(graph, "Coloring", lambda g, colors: made.append(1) or real(g, colors))
     g, f, inst = build_family(family, **params)
+    coloring = induce_coloring(g, f)
     cert = certify(g, f, inst.expected_palette)
-    assert cert.colors == induce_coloring(g, f)
-    assert "colors" not in io.certificate_to_doc(cert)
-    assert "colors" not in repr(cert)
-    assert dataclasses.replace(cert, colors={}) == cert
+    assert induce_coloring(g, f) is coloring
+    # the writers print it, with or without the certificate
     with_cert, without = io.graph_to_doc(g, f, inst, cert), io.graph_to_doc(g, f, inst)
+    dot = io.graph_to_dot(g, f)
+    assert len(made) == 1
+    assert with_cert["colors"] == {str(v): c for v, c in coloring.items()}
+    printed = dict(re.findall(r'^  "([^"]+)" \[label="[^"]*\\n(\d+)"\];$', dot, re.M))
+    assert printed == {str(v): str(c) for v, c in coloring.items()}
     assert with_cert.pop("certificate") == io.certificate_to_doc(cert)
     assert without.pop("certificate") is None
     assert with_cert == without
+    # the coloring is the labeling's, not a field of the certificate
+    assert "colors" not in cert._fields and "component_orders" not in cert._fields
+    assert "colors" not in io.certificate_to_doc(cert)
+    # a labeling rebuilt by name accumulates its own, on every call
+    by_name = EdgeLabeling.from_dict(f.labels)
+    own = induce_coloring(g, by_name)
+    assert own == coloring and own is not coloring
+    assert induce_coloring(g, by_name) is not own and len(made) == 3
+    # and so does the finished labeling read on an equal graph, which leaves
+    # its own graph's coloring in place
+    same = Graph(g.vertices, g.edges)
+    assert induce_coloring(same, f) == coloring and induce_coloring(g, f) is coloring
+    assert certify(same, f, inst.expected_palette) == cert
 
 
 def test_certificate_palette_mismatch_flagged_separately():
@@ -510,6 +532,13 @@ def test_a_labeling_of_other_edges_is_a_label_domain_mismatch():
         for use in (certify, induce_coloring, io.graph_to_dot, io.labeling_to_doc):
             with pytest.raises(LabelDomainMismatch, match=message):
                 use(g, EdgeLabeling(bad))
+    # a finished labeling of another build, which keeps its own graph's coloring
+    other, finished, _ = build_family("fb", n=5)
+    induce_coloring(other, finished)
+    message = "^labeling domain does not match the edge set \\(25 labels vs 15 edges\\)$"
+    for use in (certify, induce_coloring, io.graph_to_dot, io.graph_to_doc, io.labeling_to_doc):
+        with pytest.raises(LabelDomainMismatch, match=message):
+            use(g, finished)
 
 
 # --- census --------------------------------------------------------------------

@@ -330,21 +330,21 @@ def test_python_dash_m_antimagic_runs_the_cli_and_returns_its_exit_code(tmp_path
 
 
 def test_cli_certified_build_induces_the_coloring_once(tmp_path, monkeypatch):
-    calls = []
-    real = io.induce_coloring
-    for module in (graph, io):
-        monkeypatch.setattr(module, "induce_coloring", lambda g, f: calls.append(1) or real(g, f))
+    made = []
+    real = graph.Coloring
+    monkeypatch.setattr(graph, "Coloring", lambda g, colors: made.append(1) or real(g, colors))
     code = main([
         "--out", str(tmp_path), "build", "--family", "tb", "--n", "8",
         "--certify", "--emit", "both",
     ])
     assert code == 0
-    assert len(calls) == 1  # the certificate's; both writers read its colors
+    assert len(made) == 1  # the certificate's; both writers read the labeling's
 
 
-def test_dot_is_the_same_with_and_without_the_certificate():
+def test_dot_is_the_same_from_the_certified_coloring_and_from_a_fresh_one():
     for point, g, f, _ in _sample_documents():
-        assert io.graph_to_dot(g, f, certify(g, f)) == io.graph_to_dot(g, f), point
+        certify(g, f)
+        assert io.graph_to_dot(g, f) == io.graph_to_dot(g, EdgeLabeling.from_dict(f.labels)), point
 
 
 def test_cli_build_parity_error_is_usage(tmp_path):

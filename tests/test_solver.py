@@ -9,7 +9,7 @@ from antimagic.errors import K2Component, UsageError
 from antimagic.families import build_family
 from antimagic.graph import EdgeLabeling, Graph, V, certify, edge
 from antimagic.solver import (
-    PRUNE_REASONS, SearchConfig, _floor, _sum_fits, _walk, solve_chi_la, verify_lower_bound,
+    PRUNE_REASONS, SearchConfig, _floor, _sum_fits, _walk, solve_chi_la,
 )
 
 
@@ -166,21 +166,47 @@ def test_search_does_not_depend_on_vertex_names(shape):
     assert counts[4][0][0] == "clash" and sum(n for _, n in counts[4]) > 0
 
 
+def _chromatic(g):
+    """The chromatic lower bound of a graph with an edge: 3 with an odd
+    cycle, 2 otherwise."""
+    return 2 if _walk(g).sides is not None else 3
+
+
 def test_result_at_least_lower_bound():
     for g in (fan_one_blade(), triangle(), path(4), cycle(6), star(3)):
         res = solve_chi_la(g)
-        assert res.chi_la >= verify_lower_bound(g)
+        assert res.chi_la >= _floor(_walk(g), g.size)[0] >= _chromatic(g)
 
 
-def test_lower_bound_values():
-    assert verify_lower_bound(fan_one_blade()) == 3
-    assert verify_lower_bound(cycle(4)) == 2
-    assert verify_lower_bound(Graph([V("a")], [])) == 1
+def disjoint(*graphs):
+    """The disjoint union, each graph's vertices tagged by its position."""
+
+    def tag(k, v):
+        return V(f"{v.role}{k}", *v.indices)
+
+    return Graph(
+        [tag(k, v) for k, h in enumerate(graphs) for v in h.vertices],
+        [edge(tag(k, a), tag(k, b)) for k, h in enumerate(graphs) for a, b in h.edges],
+    )
+
+
+def test_odd_cycle_and_edge_rules():
     g, _, _ = build_family("fb", n=5)
-    assert verify_lower_bound(g) == 3
-    # an odd cycle without a triangle: no proper 2-colouring
-    assert verify_lower_bound(cycle(5)) == 3
-    assert verify_lower_bound(cycle(6)) == 2
+    # an odd cycle without a triangle has no proper 2-colouring either
+    for h in (fan_one_blade(), g, cycle(5)):
+        assert _chromatic(h) == 3
+        assert _floor(_walk(h), h.size) == (3, "odd_cycle")
+    # bipartite, with no leaf, and disconnected, so the sum rule does not apply
+    for h in (disjoint(cycle(4), cycle(4)), disjoint(cycle(4), cycle(6))):
+        assert _chromatic(h) == 2
+        assert _floor(_walk(h), h.size) == (2, "edge")
+    # connected and bipartite: the sum rule beats the edge rule
+    for h in (cycle(4), cycle(6)):
+        assert _chromatic(h) == 2
+        assert _floor(_walk(h), h.size) == (3, "sum")
+    # no edge: the solver's own rule
+    res = solve_chi_la(Graph([V("a")], []))
+    assert (res.chi_la, res.floor, res.floor_rule) == (1, 1, "no_edges")
 
 
 @pytest.mark.parametrize(
@@ -209,7 +235,7 @@ def test_lower_bound_values():
 )
 def test_floor_rules(g, floor):
     assert _floor(_walk(g), len(g.edges)) == floor
-    assert floor[0] >= verify_lower_bound(g)
+    assert floor[0] >= _chromatic(g)
 
 
 def test_sum_rule_needs_a_connected_graph():

@@ -1,7 +1,9 @@
 """The value types' contract: field names, order, defaults and repr text,
 equality by fields, and fields that cannot be assigned."""
 
+import ast
 import dataclasses
+import hashlib
 import importlib
 import inspect
 import pkgutil
@@ -9,8 +11,9 @@ import pkgutil
 import pytest
 
 import antimagic
+from antimagic import io
 from antimagic.families import build_family
-from antimagic.graph import Certificate, Graph, V
+from antimagic.graph import Certificate, EdgeLabeling, Graph, V, certify
 from antimagic.partition import partition_ap
 from antimagic.solver import SearchConfig, solve_chi_la
 from antimagic.tables import table_m1, table_pt, trace_sequences
@@ -94,7 +97,7 @@ def test_defaults_of_the_value_types():
     )
 
 
-def test_certificate_is_the_one_dataclass():
+def test_no_class_is_a_dataclass():
     modules = [antimagic] + [
         importlib.import_module(f"antimagic.{m.name}")
         for m in pkgutil.iter_modules(antimagic.__path__) if m.name != "__main__"
@@ -103,5 +106,96 @@ def test_certificate_is_the_one_dataclass():
         cls for module in modules for _, cls in inspect.getmembers(module, inspect.isclass)
         if cls.__module__.startswith("antimagic")
     }
-    assert {cls for cls in classes if dataclasses.is_dataclass(cls)} == {Certificate}
-    assert {getattr(antimagic, name) for name in CASES} <= classes
+    assert not {cls for cls in classes if dataclasses.is_dataclass(cls)}
+    value_types = {Certificate} | {getattr(antimagic, name) for name in CASES}
+    assert value_types <= classes
+    assert all(issubclass(cls, tuple) and cls._fields for cls in value_types)
+    assert Certificate._fields == CERTIFICATE_FIELDS
+    assert Certificate._field_defaults == {"expected_palette": None, "palette_ok": None}
+    # no module imports dataclasses at all
+    for module in modules:
+        tree = ast.parse(inspect.getsource(module))
+        imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                    for alias in node.names}
+        imported |= {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
+        assert "dataclasses" not in imported, module.__name__
+
+
+def _broken_fb3():
+    """fb n=3 with one label out of range, one label shared and one edge
+    whose ends clash."""
+    g, f, inst = build_family("fb", n=3)
+    es = g.sorted_edges()
+    labels = dict(f.labels)
+    labels[es[0]] = 16
+    labels[es[1]] = labels[es[2]]
+    labels[es[3]], labels[es[5]] = labels[es[5]], labels[es[3]]
+    return g, EdgeLabeling(labels), inst
+
+
+# each certificate's repr, and the sha256 of its dumped certificate_to_doc
+CERTIFICATES = {
+    "fb9": (
+        lambda: build_family("fb", n=9),
+        "Certificate(is_bijective=True, is_local_antimagic=True, color_count=3, "
+        "palette=(42, 46, 864), degree_census={2: (18, (46,)), 3: (9, (42,)), "
+        "27: (1, (864,))}, violations=(), has_triangle=True, is_connected=True, "
+        "expected_palette=(42, 46, 864), palette_ok=True)",
+        "3605fac20074675f645f1ab91cc31668575285b280284ba98f93bd071efb699a",
+    ),
+    "tb8": (
+        lambda: build_family("tb", n=8),
+        "Certificate(is_bijective=True, is_local_antimagic=True, color_count=3, "
+        "palette=(42, 92, 96), degree_census={3: (18, (42, 96)), 4: (9, (92,))}, "
+        "violations=(), has_triangle=True, is_connected=True, "
+        "expected_palette=(42, 92, 96), palette_ok=True)",
+        "78b1e884e1c9cc18dfaf2700a23ec531bf9121e273efdfee64ffba8aef239fa1",
+    ),
+    "gn10": (
+        lambda: build_family("gn", n=10, indices=(1,)),
+        "Certificate(is_bijective=True, is_local_antimagic=True, color_count=3, "
+        "palette=(51, 112, 117), degree_census={3: (22, (51, 117)), 4: (11, (112,))}, "
+        "violations=(), has_triangle=True, is_connected=False, "
+        "expected_palette=(51, 112, 117), palette_ok=True)",
+        "ac06b14a0b2deb1913156c46a00842ae4f7098f72007aa19d9ba0a8b1d7d9b4f",
+    ),
+    "broken": (
+        _broken_fb3,
+        "Certificate(is_bijective=False, is_local_antimagic=False, color_count=6, "
+        "palette=(15, 16, 17, 19, 30, 87), degree_census={2: (6, (15, 16, 17, 19)), "
+        "3: (3, (15, 30)), 9: (1, (87,))}, violations=({'kind': 'label_out_of_range', "
+        "'edge': ['u_1', 'w_1'], 'label': 16}, {'kind': 'duplicate_label', 'label': 3, "
+        "'edges': [['u_1', 'x'], ['u_2', 'w_2']]}, {'kind': 'adjacent_equal_color', "
+        "'edge': ['u_3', 'w_3'], 'color': 15}), has_triangle=True, is_connected=True, "
+        "expected_palette=(15, 16, 99), palette_ok=False)",
+        "4cab893306a797436a28eea62a95c7992c6a0b132b0fda029da20ca973971e1d",
+    ),
+}
+CERTIFICATE_FIELDS = (
+    "is_bijective", "is_local_antimagic", "color_count", "palette", "degree_census",
+    "violations", "has_triangle", "is_connected", "expected_palette", "palette_ok",
+)
+
+
+@pytest.mark.parametrize("name", CERTIFICATES)
+def test_certificate_repr_equality_and_document(name):
+    make, text, digest = CERTIFICATES[name]
+    g, f, inst = make()
+    cert = certify(g, f, inst.expected_palette)
+    assert type(cert) is Certificate and cert.ok() == (name != "broken")
+    assert repr(cert) == text
+    doc = io.dumps(io.certificate_to_doc(cert))
+    assert hashlib.sha256(doc.encode()).hexdigest() == digest
+    # the certificate of the same labeling rebuilt by name is equal
+    again = certify(g, EdgeLabeling.from_dict(f.labels), inst.expected_palette)
+    assert again == cert and not again != cert
+    # one without the expected palette, or of another graph, is not
+    assert certify(g, f) != cert and not certify(g, f) == cert
+    for other, (make_other, _, _) in CERTIFICATES.items():
+        if other != name:
+            h, f2, inst2 = make_other()
+            assert certify(h, f2, inst2.expected_palette) != cert
+    for field in CERTIFICATE_FIELDS:
+        with pytest.raises(AttributeError):
+            setattr(cert, field, getattr(cert, field))
+    assert repr(cert) == text
