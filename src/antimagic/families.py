@@ -172,9 +172,9 @@ def _tfb(t: int, s: int) -> tuple[_Draft, FamilyInstance, list[list[int]]]:
     k = (t * s - 1) // 2
     d = _fan_cells(k)
 
-    # hub sum of cell i is 23k+14-2i, descending left to right
-    part = partition_ap(19 * k + 12, 2, t, s)
-    columns = [sorted((23 * k + 14 - value) // 2 for value in blk) for blk in part.blocks]
+    # cell i has hub sum 23k+14-2i, so cell 2k+1-p has the p-th smallest
+    part = partition_ap(0, 1, t, s)
+    columns = [sorted(2 * k + 1 - p for p in blk) for blk in part.blocks]
     blocks = [[_fan_at("x", c, k) for c in cols] for cols in columns]
     d.merge(blocks, [V("y", a) for a in range(1, t + 1)])
 

@@ -260,9 +260,12 @@ class EdgeLabeling:
 
     The bijection is *checked* by :func:`certify`, not enforced here, so that
     broken labelings can be represented and reported.  A labeling made by
-    name holds its mapping; one that :meth:`_Draft.finish` makes holds its
-    graph and the label at each edge position, builds ``labels`` from them
-    on first use, and keeps the :func:`induce_coloring` of its graph.
+    name holds its mapping, which each public function that reads it with a
+    graph looks up once, as its finished twin on that graph.  A finished
+    labeling, made by :meth:`_Draft.finish` or as a twin, holds its graph and
+    the label at each edge position, builds ``labels`` from them on first
+    use, and keeps the :func:`induce_coloring` of its graph.  Every labeling
+    the package returns is finished.
     """
 
     __slots__ = ("_labels", "_graph", "_array", "_coloring")
@@ -304,12 +307,12 @@ class EdgeLabeling:
         return f"EdgeLabeling(labels={self.labels!r})"
 
 
-def _aligned(g: Graph, f: EdgeLabeling) -> list:
-    """The label at each of ``g``'s edge positions: the array of a labeling
-    that a finish made with ``g``, or else one lookup by name per edge, which
-    also checks that ``f`` labels exactly the edges of ``g``."""
+def _finished(g: Graph, f: EdgeLabeling) -> EdgeLabeling:
+    """``f`` if a finish made it with ``g``, or else its finished twin on
+    ``g``, from one lookup by name per edge, which also checks that ``f``
+    labels exactly the edges of ``g``."""
     if f._graph is g:
-        return f._array
+        return f
     labels = f.labels
     try:
         array = list(map(labels.__getitem__, g._named_edges()))
@@ -320,7 +323,7 @@ def _aligned(g: Graph, f: EdgeLabeling) -> list:
             "labeling domain does not match the edge set "
             f"({len(labels)} labels vs {g.size} edges)"
         )
-    return array
+    return EdgeLabeling._at(g, array)
 
 
 class Coloring(Mapping):
@@ -347,17 +350,16 @@ class Coloring(Mapping):
 
 def induce_coloring(g: Graph, f: EdgeLabeling) -> Coloring:
     """The vertex -> color map: each vertex's sum of incident labels.  A
-    labeling that a finish made with ``g`` keeps the map, so the certificate
-    and the writers of a build share one accumulation."""
+    finished labeling keeps the map, so the certificate and the writers of a
+    build share one accumulation; a labeling by name gets a new twin each call."""
+    f = _finished(g, f)
     coloring = f._coloring
-    if coloring is None or coloring.graph is not g:
+    if coloring is None:
         colors = [0] * len(g.names)
-        for x, y, lab in zip(g.a, g.b, _aligned(g, f)):
+        for x, y, lab in zip(g.a, g.b, f._array):
             colors[x] += lab
             colors[y] += lab
-        coloring = Coloring(g, colors)
-        if f._graph is g:
-            f._coloring = coloring
+        coloring = f._coloring = Coloring(g, colors)
     return coloring
 
 
@@ -393,14 +395,11 @@ class Certificate(NamedTuple):
 
 def _in_edge_order(g: Graph, positions: Iterable[int]) -> list[tuple[Edge, int]]:
     """Each given edge position with its canonical edge, in canonical edge
-    order."""
-    names, a, b = g.names, g.a, g.b
-    named = []
-    for p in positions:
-        x, y = names[a[p]], names[b[p]]
-        named.append(((x, y) if x < y else (y, x), p))
-    named.sort()
-    return named
+    order; the edges are named only when some position is given."""
+    positions = list(positions)
+    if not positions:
+        return []
+    return sorted(zip(map(g._named_edges().__getitem__, positions), positions))
 
 
 def _edge_names(e: Edge) -> list[str]:
@@ -421,7 +420,8 @@ def certify(
     and sorted, so ``violations`` still lists them in canonical edge order
     (duplicates by label).
     """
-    colors, labels, a, b = induce_coloring(g, f).array, _aligned(g, f), g.a, g.b
+    f = _finished(g, f)
+    colors, labels, a, b = induce_coloring(g, f).array, f._array, g.a, g.b
     live = list(g.index.values())
     shades = list(map(colors.__getitem__, live))
     palette = tuple(sorted(set(shades)))

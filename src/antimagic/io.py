@@ -17,7 +17,7 @@ from pathlib import Path
 from .errors import GraphSurgeryError, UsageError
 from .families import FamilyInstance
 from .graph import (
-    Certificate, EdgeLabeling, Graph, VertexId, _aligned, _Draft, _id_strings, induce_coloring,
+    Certificate, EdgeLabeling, Graph, VertexId, _Draft, _finished, _id_strings, induce_coloring,
 )
 from .partition import EqualSumPartition
 from .tables import LabelTable
@@ -52,15 +52,10 @@ def _jsonable(value):
 
 
 def _edge_records(g: Graph, f: EdgeLabeling) -> list[dict]:
-    """One ``{"a", "b", "label"}`` record per edge, in listing order."""
+    """One ``{"a", "b", "label"}`` record per edge, in listing order; ``f`` is finished."""
     (_, names, pairs), _, positions = g._listed()
-    labels = map(_aligned(g, f).__getitem__, positions)
+    labels = map(f._array.__getitem__, positions)
     return [{"a": names[i], "b": names[j], "label": lab} for (i, j), lab in zip(pairs, labels)]
-
-
-def _listed_colors(g: Graph, f: EdgeLabeling) -> list[int]:
-    """The color of each vertex in listing order."""
-    return list(map(induce_coloring(g, f).array.__getitem__, g._listed()[1]))
 
 
 def graph_to_doc(
@@ -69,8 +64,8 @@ def graph_to_doc(
     instance: FamilyInstance | None = None,
     cert: Certificate | None = None,
 ) -> dict:
-    colors = _listed_colors(g, f)
-    vs, names, _ = g.listing()
+    f = _finished(g, f)
+    (vs, names, _), at, _ = g._listed()
     doc = {
         "family": instance.family if instance else None,
         "params": _jsonable(instance.params) if instance else {},
@@ -79,7 +74,7 @@ def graph_to_doc(
             for v, name in zip(vs, names)
         ],
         "edges": _edge_records(g, f),
-        "colors": dict(zip(names, colors)),
+        "colors": dict(zip(names, map(induce_coloring(g, f).array.__getitem__, at))),
         "certificate": certificate_to_doc(cert) if cert else None,
     }
     if instance is not None:
@@ -267,13 +262,14 @@ def _records(rows: list, nl: str) -> str | None:
 
 def graph_to_dot(g: Graph, f: EdgeLabeling) -> str:
     """DOT with vertex labels "role/indices\\ncolor" and edge labels f(e)."""
-    colors = _listed_colors(g, f)
-    (vs, names, pairs), _, positions = g._listed()
+    f = _finished(g, f)
+    (vs, names, pairs), at, positions = g._listed()
+    colors = map(induce_coloring(g, f).array.__getitem__, at)
     lines = ["graph antimagic {"]
     for v, name, color in zip(vs, names, colors):
         tag = v.role + ("/" + ",".join(map(str, v.indices)) if v.indices else "")
         lines.append(f'  "{name}" [label="{tag}\\n{color}"];')
-    labels = map(_aligned(g, f).__getitem__, positions)
+    labels = map(f._array.__getitem__, positions)
     for (i, j), label in zip(pairs, labels):
         lines.append(f'  "{names[i]}" -- "{names[j]}" [label="{label}"];')
     lines.append("}")
@@ -297,7 +293,7 @@ def partition_to_csv(p: EqualSumPartition) -> str:
 
 def labeling_to_doc(g: Graph, f: EdgeLabeling) -> dict:
     """A labeling of ``g``'s edges, listed as :func:`graph_to_doc` lists them."""
-    records = _edge_records(g, f)
+    records = _edge_records(g, _finished(g, f))
     return {"q": len(records), "labels": records}
 
 

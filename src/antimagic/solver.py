@@ -42,7 +42,7 @@ from collections import namedtuple
 from typing import NamedTuple
 
 from .errors import K2Component, UsageError
-from .graph import EdgeLabeling, Graph, certify
+from .graph import EdgeLabeling, Graph, _finished, certify
 
 _TIME_CHECK_MASK = 0xFFF
 PRUNE_REASONS = ("clash", "colour_bound", "interval", "sum")
@@ -88,9 +88,10 @@ class SolveResult(NamedTuple):
       exhausted, or the seeded witness meets the floor or has one colour
       more than the last exhausted target.  ``chi_la`` is ``None`` when the search proved that
       no labeling has at most ``target_colors`` colours (or none is local
-      antimagic at all); ``witness`` then passes back the seeded witness.
+      antimagic at all); ``witness`` is then the seed's finished twin on the
+      graph, equal to the seed.
     * ``budget_exhausted`` -- the time budget ran out before the proof;
-      ``witness`` passes back the seeded witness, if any.
+      ``witness`` is the seed's finished twin, if any.
     * ``infeasible_size`` -- the graph exceeds ``max_edges``.
 
     ``floor`` is the lower bound proved before the search and ``floor_rule``
@@ -253,18 +254,19 @@ def solve_chi_la(
             raise K2Component(f"component {names[min(comp)]}-{names[max(comp)]} is a K2")
 
     q = len(pairs)
-    if q == 0:
-        chi = 1 if vs else 0
-        return SolveResult(chi, EdgeLabeling({}), "exact", floor=chi, floor_rule="no_edges",
-                           prunes=dict.fromkeys(PRUNE_REASONS, 0))
     start = time.monotonic()
     # checked first, so that no result carries a witness that is not one
-    cert = None if initial_witness is None else certify(g, initial_witness)
+    seed = None if initial_witness is None else _finished(g, initial_witness)
+    if q == 0:
+        chi = 1 if vs else 0
+        return SolveResult(chi, EdgeLabeling._at(g, []), "exact", floor=chi, floor_rule="no_edges",
+                           prunes=dict.fromkeys(PRUNE_REASONS, 0))
+    cert = None if seed is None else certify(g, seed)
     if cert is not None and not (cert.is_bijective and cert.is_local_antimagic):
         raise UsageError("initial witness is not a local antimagic labeling")
     floor, floor_rule = _floor(walk, q)
     if q > cfg.max_edges:
-        return SolveResult(None, initial_witness, "infeasible_size", floor=floor,
+        return SolveResult(None, seed, "infeasible_size", floor=floor,
                            floor_rule=floor_rule, prunes=dict.fromkeys(PRUNE_REASONS, 0))
 
     # a labeling has at most |V| colours; a pass below the witness can only
@@ -448,8 +450,8 @@ def solve_chi_la(
             labels[at[p]] = lab
         return result(target, EdgeLabeling._at(g, labels), "exact")
     if timed_out:
-        return result(None, initial_witness, "budget_exhausted")
+        return result(None, seed, "budget_exhausted")
     # chi_la >= target: the floor, raised past every exhausted pass
     if cert is not None and cert.color_count == target:
-        return result(target, initial_witness, "exact")
-    return result(None, initial_witness, "exact")
+        return result(target, seed, "exact")
+    return result(None, seed, "exact")

@@ -680,7 +680,7 @@ def test_a_clash_in_fb1_blocks_fails_its_sweep_point(monkeypatch):
 
 
 def _tfb_blocks_sharing_a_hub(monkeypatch):
-    """tfb's hub partition with the first hub sum of block 0, the sum of
+    """tfb's hub partition with the first term of block 0, the position of
     hub x_1, put in block 1 as well."""
     real = families.partition_ap
 

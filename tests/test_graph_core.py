@@ -40,6 +40,7 @@ from antimagic.graph import (
     split_vertex,
     split_vertices,
 )
+from antimagic.solver import SearchConfig, solve_chi_la
 
 
 def path3():
@@ -393,6 +394,27 @@ def test_a_finished_build_induces_its_coloring_once(family, params, monkeypatch)
     assert certify(same, f, inst.expected_palette) == cert
 
 
+def test_a_labeling_by_name_is_looked_up_once_per_call(monkeypatch):
+    g, f, inst = build_family("fb", n=3)
+    by_name = EdgeLabeling.from_dict(f.labels)
+    calls = []
+    real = Graph._named_edges
+    monkeypatch.setattr(Graph, "_named_edges", lambda self: calls.append(1) or real(self))
+    uses = {
+        "certify": certify,
+        "induce_coloring": induce_coloring,
+        "graph_to_doc": io.graph_to_doc,
+        "graph_to_dot": io.graph_to_dot,
+        "labeling_to_doc": io.labeling_to_doc,
+        "seeded solve": lambda g, f: solve_chi_la(g, SearchConfig(max_edges=15), f),
+    }
+    for name, use in uses.items():
+        for labeling, lookups in ((by_name, 1), (f, 0)):
+            calls.clear()
+            use(g, labeling)
+            assert len(calls) == lookups, (name, labeling is f)
+
+
 def test_certificate_palette_mismatch_flagged_separately():
     g, f, _ = build_family("fb", n=3)
     cert = certify(g, f, expected_palette=[1, 2, 3])
@@ -514,7 +536,7 @@ def test_a_labeling_rebuilt_by_name_certifies_as_the_finished_one(family, params
     by_name = type(f).from_dict(dict(items))
     assert list(by_name.labels) != list(f.labels)
     assert _artifacts(g, by_name, inst) == _artifacts(g, f, inst)
-    # a finished labeling read on an equal graph is aligned by name as well
+    # a finished labeling read on an equal graph is looked up by name as well
     same = Graph(g.vertices, g.edges)
     assert _artifacts(same, f, inst) == _artifacts(g, f, inst)
 

@@ -5,9 +5,9 @@ from itertools import combinations, combinations_with_replacement, permutations
 import pytest
 
 from antimagic import solver
-from antimagic.errors import K2Component, UsageError
+from antimagic.errors import K2Component, LabelDomainMismatch, UsageError
 from antimagic.families import build_family
-from antimagic.graph import EdgeLabeling, Graph, V, certify, edge
+from antimagic.graph import EdgeLabeling, Graph, V, certify, edge, induce_coloring
 from antimagic.solver import (
     PRUNE_REASONS, SearchConfig, _floor, _sum_fits, _walk, solve_chi_la,
 )
@@ -330,6 +330,31 @@ def test_target_search_with_a_looser_witness_proves_only_the_target():
     assert solve_chi_la(g, initial_witness=witness).chi_la == 4 == brute_chi_la(g)
 
 
+def test_every_witness_the_solver_returns_keeps_its_coloring():
+    g = Graph([V("a"), V("b")], [])
+    cases = [(g, solve_chi_la(g), None)]
+    # a 3-colour witness of fb3 by name: exact at the floor, and too large
+    fb3, f, _ = build_family("fb", n=3)
+    seed = EdgeLabeling.from_dict(f.labels)
+    res = solve_chi_la(fb3, SearchConfig(max_edges=15), initial_witness=seed)
+    assert (res.status, res.chi_la, res.nodes) == ("exact", 3, 0)
+    cases.append((fb3, res, seed))
+    res = solve_chi_la(fb3, SearchConfig(max_edges=14), initial_witness=seed)
+    assert res.status == "infeasible_size"
+    cases.append((fb3, res, seed))
+    # a 5-colour witness by name, with target 3
+    vs = [V("v", i) for i in range(5)]
+    es = [edge(vs[a], vs[b]) for a, b in [(0, 1), (0, 2), (0, 3), (1, 2), (1, 4)]]
+    g = Graph(vs, es)
+    seed = EdgeLabeling.from_dict(dict(zip(es, [1, 2, 3, 5, 4])))
+    res = solve_chi_la(g, SearchConfig(target_colors=3), initial_witness=seed)
+    assert (res.status, res.chi_la) == ("exact", None)
+    cases.append((g, res, seed))
+    for g, res, seed in cases:
+        assert induce_coloring(g, res.witness) is induce_coloring(g, res.witness)
+        assert seed is None or res.witness == seed
+
+
 @pytest.mark.parametrize("budget", [float("nan"), float("inf"), 0, -1, 0.0, True, "1"])
 def test_search_config_rejects_a_budget_that_is_not_finite_and_positive(budget):
     # a nan budget used to be accepted and then never stopped the search
@@ -443,6 +468,11 @@ def test_a_graph_without_edges_is_solved_without_a_search():
     assert res.witness == EdgeLabeling({}) and res.nodes == 0
     empty = solve_chi_la(Graph([], []))
     assert (empty.chi_la, empty.status, empty.floor) == (0, "exact", 0)
+    # a seeded witness is checked against the edges here too
+    seeded = solve_chi_la(Graph([V("a")], []), initial_witness=EdgeLabeling({}))
+    assert seeded.witness == EdgeLabeling({}) and seeded.status == "exact"
+    with pytest.raises(LabelDomainMismatch, match=r"\(1 labels vs 0 edges\)"):
+        solve_chi_la(Graph([V("a")], []), initial_witness=EdgeLabeling({edge(V("a"), V("b")): 1}))
 
 
 def test_oversized_graph_reports_infeasible_size():
