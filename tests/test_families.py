@@ -2,6 +2,7 @@
 structure checks, and the parameter guards."""
 
 import hashlib
+import json
 import sys
 from functools import partial
 
@@ -836,6 +837,24 @@ def test_grid_bound_names_the_one_bound_each_grid_reads():
         default = family_grid(family)
         assert family_grid(family, **{b: 0 for b in small if b != read}) == default, family
         assert family_grid(family, **{read: small[read]}) != default, family
+
+
+# sha256 over json.dumps([family, bounds, grid]) of every family at each bound
+# set below, in turn, family by family: the defaults, a small set, a mid set,
+# all zero and one larger than the defaults
+GRID_BOUNDS = [
+    {}, dict(max_size=9, max_n=4, gn_max_n=10), dict(max_size=57, max_n=44, gn_max_n=30),
+    dict(max_size=0, max_n=0, gn_max_n=0), dict(max_size=401, max_n=300, gn_max_n=90),
+]
+GRIDS_SHA256 = "597862b4508b348b8c2df8029212562cb1144e0114bba0034930d3766d3fe1c3"
+
+
+def test_every_grid_at_five_bound_sets_is_pinned():
+    digest = hashlib.sha256()
+    for family in families.FAMILY_TAGS:
+        for bounds in GRID_BOUNDS:
+            digest.update(json.dumps([family, bounds, family_grid(family, **bounds)]).encode())
+    assert digest.hexdigest() == GRIDS_SHA256
 
 
 def test_gn_grid_respects_conditions():
