@@ -26,6 +26,7 @@ from collections import Counter
 from collections.abc import Iterable, Mapping, Sequence
 from itertools import chain, compress, repeat
 from operator import add, eq, itemgetter, ne, or_
+from types import MappingProxyType
 from typing import NamedTuple
 
 from .errors import (
@@ -260,22 +261,24 @@ class EdgeLabeling:
 
     The bijection is *checked* by :func:`certify`, not enforced here, so that
     broken labelings can be represented and reported.  A labeling made by
-    name holds its mapping, which each public function that reads it with a
-    graph looks up once, as its finished twin on that graph.  A finished
-    labeling, made by :meth:`_Draft.finish` or as a twin, holds its graph and
-    the label at each edge position, builds ``labels`` from them on first
-    use, and keeps the :func:`induce_coloring` of its graph.  Every labeling
-    the package returns is finished.
+    name holds a copy of its mapping, which each public function that reads
+    it with a graph looks up once, as its finished twin on that graph.  A
+    finished labeling, made by :meth:`_Draft.finish` or as a twin, holds its
+    graph and the label at each edge position, builds its mapping from them
+    on first use, and keeps the :func:`induce_coloring` of its graph.  Every
+    labeling the package returns is finished.  ``labels`` is a read-only
+    view, so a labeling is a value.
     """
 
     __slots__ = ("_labels", "_graph", "_array", "_coloring")
 
     def __init__(self, labels: Mapping[Edge, int]):
-        self._labels, self._graph, self._array, self._coloring = labels, None, None, None
+        self._labels, self._graph, self._array, self._coloring = dict(labels), None, None, None
 
     @classmethod
     def from_dict(cls, labels: Mapping[Edge, int]) -> "EdgeLabeling":
-        return cls(dict(labels))
+        """``EdgeLabeling(labels)``, which copies ``labels`` too."""
+        return cls(labels)
 
     @classmethod
     def _at(cls, g: Graph, array: list) -> "EdgeLabeling":
@@ -284,27 +287,36 @@ class EdgeLabeling:
         f._labels, f._graph, f._array, f._coloring = None, g, array, None
         return f
 
-    @property
-    def labels(self) -> Mapping[Edge, int]:
+    def _named(self) -> dict[Edge, int]:
         labels = self._labels
         if labels is None:
             labels = self._labels = dict(zip(self._graph._named_edges(), self._array))
         return labels
 
+    @property
+    def labels(self) -> Mapping[Edge, int]:
+        return MappingProxyType(self._named())
+
     def remapped(self, edge_map: Mapping[Edge, Edge]) -> "EdgeLabeling":
         """Transfer labels edge-wise through a surgery edge map, which lists
         the edges that move: each is taken out before any is put back, since
         one may move onto another's old place."""
-        labels = dict(self.labels)
-        moved = list(map(labels.pop, edge_map))
-        labels.update(zip(edge_map.values(), moved))
-        return EdgeLabeling(labels)
+        f = EdgeLabeling(self._named())
+        moved = list(map(f._labels.pop, edge_map))
+        f._labels.update(zip(edge_map.values(), moved))
+        return f
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, EdgeLabeling) and dict(self.labels) == dict(other.labels)
+        """Two finished labelings of one graph compare their label arrays;
+        any other two compare their labels by edge."""
+        if not isinstance(other, EdgeLabeling):
+            return False
+        if self._graph is not None and self._graph is other._graph:
+            return self._array == other._array
+        return self._named() == other._named()
 
     def __repr__(self) -> str:
-        return f"EdgeLabeling(labels={self.labels!r})"
+        return f"EdgeLabeling(labels={self._named()!r})"
 
 
 def _finished(g: Graph, f: EdgeLabeling) -> EdgeLabeling:
@@ -313,7 +325,7 @@ def _finished(g: Graph, f: EdgeLabeling) -> EdgeLabeling:
     labels exactly the edges of ``g``."""
     if f._graph is g:
         return f
-    labels = f.labels
+    labels = f._named()
     try:
         array = list(map(labels.__getitem__, g._named_edges()))
     except KeyError:

@@ -415,6 +415,37 @@ def test_a_labeling_by_name_is_looked_up_once_per_call(monkeypatch):
             assert len(calls) == lookups, (name, labeling is f)
 
 
+def test_a_labeling_is_a_value():
+    g, f, _ = build_family("fb", n=3)
+    e = g.sorted_edges()[0]
+    with pytest.raises(TypeError):
+        f.labels[e] = 999
+    assert f == build_family("fb", n=3)[1] and certify(g, f).is_bijective
+    # a labeling by name keeps a copy of the mapping it is given
+    m = dict(f.labels)
+    h, k = EdgeLabeling(m), EdgeLabeling.from_dict(m)
+    m[e] = 5
+    assert h.labels[e] == k.labels[e] == f.labels[e] != 5
+    with pytest.raises(TypeError):
+        h.labels[e] = 5
+    assert h == k == f and repr(h) == repr(f) == f"EdgeLabeling(labels={dict(f.labels)!r})"
+
+
+def test_finished_labelings_of_one_graph_compare_their_arrays(monkeypatch):
+    g, f, _ = build_family("fb", n=3)
+    twin = EdgeLabeling._at(g, list(f._array))
+    swapped = EdgeLabeling._at(g, f._array[::-1])
+    calls = []
+    real = Graph._named_edges
+    monkeypatch.setattr(Graph, "_named_edges", lambda self: calls.append(1) or real(self))
+    assert f == twin and f != swapped and twin != swapped
+    assert calls == []
+    # on two graphs, or with a labeling by name, they compare by edge
+    other, f2, _ = build_family("fb", n=3)
+    assert f == f2 and f == EdgeLabeling(f2.labels) and f2 != swapped
+    assert calls
+
+
 def test_certificate_palette_mismatch_flagged_separately():
     g, f, _ = build_family("fb", n=3)
     cert = certify(g, f, expected_palette=[1, 2, 3])
