@@ -78,14 +78,11 @@ def cmd_table(args, out_dir: Path) -> tuple[int, str, list[str]]:
     return 0, "pass", outputs
 
 
+_BUILD_INTS = ("n", "t", "s", "r", "r1")  # the int options of ``build``, in help order
+
+
 def _build_params(args) -> dict:
-    params: dict = {}
-    if args.n is not None:
-        params["n"] = args.n
-    for key in ("t", "s", "r", "r1"):
-        val = getattr(args, key)
-        if val is not None:
-            params[key] = val
+    params = {key: getattr(args, key) for key in _BUILD_INTS if getattr(args, key) is not None}
     if args.indices is not None:
         try:
             params["indices"] = tuple(int(x) for x in args.indices.split(","))
@@ -196,18 +193,11 @@ def cmd_solve(args, out_dir: Path) -> tuple[int, str, list[str]]:
         time_budget=args.time_budget,
     )
     result = solve_chi_la(g, cfg, initial_witness=f if args.use_witness else None)
-    summary = {
-        "status": result.status,
-        "chi_la": result.chi_la,
-        "nodes": result.nodes,
-        "floor": result.floor,
-        "floor_rule": result.floor_rule,
-        "passes": result.passes,
-        "prunes": result.prunes,
-        "witness": io.labeling_to_doc(g, result.witness) if result.witness else None,
-    }
+    # the JSON is the result's fields less the clock, which stdout alone shows
+    summary = result._asdict()
+    del summary["elapsed"]
+    summary["witness"] = io.labeling_to_doc(g, result.witness) if result.witness else None
     prunes = " ".join(f"{reason}={n}" for reason, n in result.prunes.items())
-    # the search's speed, for stdout only: the JSON stays free of clock values
     rate = result.nodes / result.elapsed if result.elapsed else 0.0
     print(
         f"chi_la = {result.chi_la} ({result.status}, {result.nodes} nodes, "
@@ -271,11 +261,8 @@ def make_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("build", help="build one labeled family instance")
     p.add_argument("--family", required=True, choices=list(FAMILY_TAGS))
-    p.add_argument("--n", type=int)
-    p.add_argument("--t", type=int)
-    p.add_argument("--s", type=int)
-    p.add_argument("--r", type=int)
-    p.add_argument("--r1", type=int)
+    for key in _BUILD_INTS:
+        p.add_argument("--" + key, type=int)
     p.add_argument("--indices", help="comma-separated split indices (gn/gb)")
     p.add_argument("--base", choices=["tb", "gn"], help="gb base graph")
     p.add_argument("--emit", choices=["json", "dot", "both"], default="json",

@@ -707,36 +707,17 @@ def family_grid(
     degree-2 class merges) and should be reported as skipped, not failed.
     """
     out: list[tuple[dict, str | None]] = []
-    if family == "fb":
+    if family in ("fb", "np3o3"):
         out = [({"n": n}, None) for n in range(3, max_size + 1, 2)]
-    elif family == "tfb":
-        for t in range(3, max_size // 3 + 1, 2):
-            for s in range(3, max_size // t + 1, 2):
-                out.append(({"t": t, "s": s}, None))
-    elif family == "df":
-        for r in range(1, (max_size - 1) // 2 + 1):
-            for s in range(1, max_size // (2 * r + 1) + 1, 2):
-                out.append(({"r": r, "s": s}, None))
-    elif family in ("fb1", "fb2"):
-        for r in range(3, max_size // 3 + 1, 2):
-            for s in range(3, max_size // r + 1, 2):
-                k = (r * s - 1) // 2
-                reason = (
-                    "k = 2 (mod 4) excluded"
-                    if family == "fb1" and k % 4 == 2
-                    else None
-                )
-                out.append(({"r": r, "s": s}, reason))
-    elif family in ("df1", "df2"):
-        for r in range(1, (max_size - 3) // 6 + 1):
-            for s in range(3, max_size // (2 * r + 1) + 1, 2):
-                k = ((2 * r + 1) * s - 1) // 2
-                reason = (
-                    "k = 2 (mod 4) excluded"
-                    if family == "df1" and k % 4 == 2
-                    else None
-                )
-                out.append(({"r": r, "s": s}, reason))
+    elif family in ("tfb", "fb1", "fb2", "df", "df1", "df2"):
+        # t fans of s blades, s odd; the diamond fans have t = 2r + 1 hubs
+        for t in range(3, max_size + 1, 2):
+            for s in range(1 if family == "df" else 3, max_size // t + 1, 2):
+                k = (t * s - 1) // 2
+                excluded = family in ("fb1", "df1") and k % 4 == 2
+                r = (t - 1) // 2 if family.startswith("df") else t
+                params = {"t" if family == "tfb" else "r": r, "s": s}
+                out.append((params, "k = 2 (mod 4) excluded" if excluded else None))
     elif family == "df3":
         for r in range(4, (max_size - 1) // 2 + 1):
             hubs = 2 * r + 1
@@ -765,8 +746,6 @@ def family_grid(
         for n in range(2, gn_max_n + 1, 2):
             for indices in valid_gn_index_lists(n):
                 out.append(({"n": n, "indices": indices}, None))
-    elif family == "np3o3":
-        out = [({"n": n}, None) for n in range(3, max_size + 1, 2)]
     else:
         raise InvalidParams(f"unknown family {family!r}")
     return out

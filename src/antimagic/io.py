@@ -24,22 +24,13 @@ from .tables import LabelTable
 
 
 def certificate_to_doc(cert: Certificate) -> dict:
-    doc = {
-        "is_bijective": cert.is_bijective,
-        "is_local_antimagic": cert.is_local_antimagic,
-        "color_count": cert.color_count,
-        "palette": list(cert.palette),
-        "degree_census": {
-            str(d): {"vertices": count, "colors": list(colors)}
-            for d, (count, colors) in cert.degree_census.items()
-        },
-        "violations": [dict(v) for v in cert.violations],
-        "has_triangle": cert.has_triangle,
-        "is_connected": cert.is_connected,
-    }
-    if cert.expected_palette is not None:
-        doc["expected_palette"] = list(cert.expected_palette)
-        doc["palette_ok"] = cert.palette_ok
+    """The certificate's fields, with each degree's census entry named, and
+    with no expected palette or verdict when none was expected."""
+    doc = _jsonable(cert._asdict())
+    census = doc["degree_census"].items()
+    doc["degree_census"] = {d: {"vertices": n, "colors": cs} for d, (n, cs) in census}
+    if cert.expected_palette is None:
+        del doc["expected_palette"], doc["palette_ok"]
     return doc
 
 
