@@ -696,6 +696,13 @@ GRID_BOUND = {
     "gn": "gn_max_n",
 }
 
+# the grids of t fans of s blades, s odd: the parameter, whether t = 2r + 1
+# hubs (the diamond fans), the least s, and whether k = 2 (mod 4) is excluded
+_FAN_GRIDS = {
+    "tfb": ("t", False, 3, False), "fb1": ("r", False, 3, True), "fb2": ("r", False, 3, False),
+    "df": ("r", True, 1, False), "df1": ("r", True, 3, True), "df2": ("r", True, 3, False),
+}
+
 
 def family_grid(
     family: str, max_size: int = 199, max_n: int = 200, gn_max_n: int = 60
@@ -709,14 +716,12 @@ def family_grid(
     out: list[tuple[dict, str | None]] = []
     if family in ("fb", "np3o3"):
         out = [({"n": n}, None) for n in range(3, max_size + 1, 2)]
-    elif family in ("tfb", "fb1", "fb2", "df", "df1", "df2"):
-        # t fans of s blades, s odd; the diamond fans have t = 2r + 1 hubs
-        for t in range(3, max_size + 1, 2):
-            for s in range(1 if family == "df" else 3, max_size // t + 1, 2):
-                k = (t * s - 1) // 2
-                excluded = family in ("fb1", "df1") and k % 4 == 2
-                r = (t - 1) // 2 if family.startswith("df") else t
-                params = {"t" if family == "tfb" else "r": r, "s": s}
+    elif family in _FAN_GRIDS:
+        name, hubs, least, excludes = _FAN_GRIDS[family]
+        for t in range(3, max_size // least + 1, 2):
+            for s in range(least, max_size // t + 1, 2):
+                excluded = excludes and (t * s - 1) // 2 % 4 == 2
+                params = {name: t // 2 if hubs else t, "s": s}
                 out.append((params, "k = 2 (mod 4) excluded" if excluded else None))
     elif family == "df3":
         for r in range(4, (max_size - 1) // 2 + 1):

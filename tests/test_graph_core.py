@@ -431,21 +431,6 @@ def test_a_labeling_is_a_value():
     assert h == k == f and repr(h) == repr(f) == f"EdgeLabeling(labels={dict(f.labels)!r})"
 
 
-def test_finished_labelings_of_one_graph_compare_their_arrays(monkeypatch):
-    g, f, _ = build_family("fb", n=3)
-    twin = EdgeLabeling._at(g, list(f._array))
-    swapped = EdgeLabeling._at(g, f._array[::-1])
-    calls = []
-    real = Graph._named_edges
-    monkeypatch.setattr(Graph, "_named_edges", lambda self: calls.append(1) or real(self))
-    assert f == twin and f != swapped and twin != swapped
-    assert calls == []
-    # on two graphs, or with a labeling by name, they compare by edge
-    other, f2, _ = build_family("fb", n=3)
-    assert f == f2 and f == EdgeLabeling(f2.labels) and f2 != swapped
-    assert calls
-
-
 def test_certificate_palette_mismatch_flagged_separately():
     g, f, _ = build_family("fb", n=3)
     cert = certify(g, f, expected_palette=[1, 2, 3])
