@@ -7,6 +7,7 @@ Every run appends one deterministic line to ``<out>/manifest.jsonl``.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import math
 import sys
@@ -41,13 +42,6 @@ def _seconds(text: str) -> float:
     if not 0 < seconds < math.inf:
         raise argparse.ArgumentTypeError(f"not a finite positive number of seconds: {text!r}")
     return seconds
-
-
-def _load_doc(path: str) -> dict:
-    try:
-        return json.loads(Path(path).read_text())
-    except ValueError as exc:
-        raise UsageError(f"{path} is not a JSON document: {exc}") from None
 
 
 def _write(out_dir: Path, name: str, content: str) -> str:
@@ -185,8 +179,8 @@ def cmd_sweep(args, out_dir: Path) -> tuple[int, str, list[str]]:
     return 0, "pass", outputs
 
 
-def cmd_solve(args, out_dir: Path) -> tuple[int, str, list[str]]:
-    g, f = io.doc_to_graph(_load_doc(args.input))
+def cmd_solve(args, out_dir: Path, doc: dict) -> tuple[int, str, list[str]]:
+    g, f = io.doc_to_graph(doc)
     cfg = SearchConfig(
         max_edges=args.max_edges,
         target_colors=args.target,
@@ -208,8 +202,7 @@ def cmd_solve(args, out_dir: Path) -> tuple[int, str, list[str]]:
     return (2 if result.status == "infeasible_size" else 0), result.status, outputs
 
 
-def cmd_certify(args, out_dir: Path) -> tuple[int, str, list[str]]:
-    doc = _load_doc(args.input)
+def cmd_certify(args, out_dir: Path, doc: dict) -> tuple[int, str, list[str]]:
     g, f = io.doc_to_graph(doc)
     expected = None
     if args.expect_palette == "auto":
@@ -343,14 +336,20 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     out_dir = Path(args.out)
 
-    input_hashes = {}
+    input_hashes, docs = {}, []
     try:
         if getattr(args, "input", None) is not None:
+            # one read: the manifest hashes the very bytes that are parsed
             try:
-                input_hashes[args.input] = io.sha256_file(args.input)
+                data = Path(args.input).read_bytes()
             except OSError as exc:
                 raise UsageError(f"cannot read {args.input}: {exc}") from None
-        code, outcome, outputs = _HANDLERS[args.command](args, out_dir)
+            input_hashes[args.input] = hashlib.sha256(data).hexdigest()
+            try:
+                docs.append(json.loads(data.decode()))
+            except ValueError as exc:
+                raise UsageError(f"{args.input} is not a JSON document: {exc}") from None
+        code, outcome, outputs = _HANDLERS[args.command](args, out_dir, *docs)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         code, outcome, outputs = 2, f"usage error: {exc}", []

@@ -117,9 +117,9 @@ class Graph:
 
     def __init__(self, vertices: Iterable[VertexId], edges: Iterable[Edge]):
         """The graph that a :class:`_Draft` of ``vertices`` and ``edges``
-        finishes as, edge p being the p-th of ``edges``; the draft rejects a
-        loop, an end outside ``vertices`` and two edges on one vertex pair."""
-        names = list(dict.fromkeys(vertices))
+        finishes as, edge p the p-th of ``edges``; the draft rejects a repeated
+        vertex, a loop, an end outside ``vertices`` and two parallel edges."""
+        names = list(vertices)
         at = dict(zip(names, range(len(names)))).get
         a, b = [], []
         for x, y in edges:

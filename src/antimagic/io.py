@@ -8,7 +8,6 @@ certificate bytes.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from itertools import chain, repeat
 from operator import itemgetter
@@ -286,10 +285,6 @@ def labeling_to_doc(g: Graph, f: EdgeLabeling) -> dict:
     """A labeling of ``g``'s edges, listed as :func:`graph_to_doc` lists them."""
     records = _edge_records(g, _finished(g, f))
     return {"q": len(records), "labels": records}
-
-
-def sha256_file(path: str | Path) -> str:
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
 def append_manifest(

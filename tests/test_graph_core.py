@@ -66,6 +66,13 @@ def test_graph_rejects_what_a_simple_graph_cannot_hold(edges, error):
         Graph([V("a"), V("b"), V("c")], edges)
 
 
+def test_graph_rejects_a_repeated_vertex():
+    # a repeat is a name clash, as in any draft, not a vertex to drop
+    a, b = V("a"), V("b")
+    with pytest.raises(IdCollision, match="^vertex names are not distinct$"):
+        Graph([a, b, a], [edge(a, b)])
+
+
 def test_a_graph_keeps_the_order_of_the_edges_it_is_given():
     # edge p is the p-th edge given, its ends as given, under every hash seed
     vs = [V("v", i) for i in range(9)]

@@ -1,7 +1,9 @@
 """Serialization round-trips, export formats, and the command-line front end."""
 
+import builtins
 import functools
 import hashlib
+import io as std_io
 import json
 import random
 import os
@@ -951,6 +953,59 @@ def test_cli_missing_input_writes_a_manifest_line(tmp_path):
     assert code == 2
     entry = json.loads((tmp_path / "manifest.jsonl").read_text())
     assert entry["outcome"].startswith("usage error")
+
+
+@pytest.mark.parametrize("argv", [
+    ["certify"],
+    ["solve", "--use-witness", "--max-edges", "15"],
+], ids=["certify", "solve"])
+def test_cli_reads_its_input_once_and_hashes_the_bytes_it_parsed(tmp_path, monkeypatch, argv):
+    # a second read could parse another file than the one the manifest hashes
+    main(["--out", str(tmp_path), "build", "--family", "fb", "--n", "3"])
+    path = tmp_path / "fb_n3.json"
+    opens = []
+    real_open = std_io.open
+
+    def counting_open(file, *args, **kwargs):
+        if isinstance(file, (str, os.PathLike)) and os.fspath(file) == str(path):
+            opens.append(file)
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr(std_io, "open", counting_open)
+    monkeypatch.setattr(builtins, "open", counting_open)
+    assert main(["--out", str(tmp_path), argv[0], "--input", str(path)] + argv[1:]) == 0
+    monkeypatch.undo()
+    assert len(opens) == 1, opens
+    entry = json.loads((tmp_path / "manifest.jsonl").read_text().splitlines()[-1])
+    assert entry["input_hashes"] == {str(path): hashlib.sha256(path.read_bytes()).hexdigest()}
+
+
+@pytest.mark.parametrize("name, data, message", [
+    ("absent.json", None, "cannot read {path}: [Errno 2] No such file or directory: '{path}'"),
+    ("adir", "dir", "cannot read {path}: [Errno 21] Is a directory: '{path}'"),
+    ("bad.json", b"{not json", "{path} is not a JSON document: Expecting property name "
+     "enclosed in double quotes: line 1 column 2 (char 1)"),
+    ("bom.json", b"\xef\xbb\xbf{}", "{path} is not a JSON document: Unexpected UTF-8 BOM "
+     "(decode using utf-8-sig): line 1 column 1 (char 0)"),
+    ("latin1.json", b'{"\xe9": 1}', "{path} is not a JSON document: 'utf-8' codec can't "
+     "decode byte 0xe9 in position 2: invalid continuation byte"),
+], ids=["missing", "directory", "bad-json", "bom", "invalid-utf-8"])
+def test_cli_input_that_cannot_be_read_or_parsed_is_usage(tmp_path, capsys, name, data, message):
+    # bytes that were read are hashed even when they do not parse
+    path = tmp_path / name
+    if data == "dir":
+        path.mkdir()
+    elif data is not None:
+        path.write_bytes(data)
+    message = "usage error: " + message.format(path=path)
+    for command in ("certify", "solve"):
+        out = tmp_path / command
+        assert main(["--out", str(out), command, "--input", str(path)]) == 2
+        assert capsys.readouterr().err == message + "\n"
+        entry = json.loads((out / "manifest.jsonl").read_text())
+        assert (entry["outcome"], entry["outputs"]) == (message, [])
+        hashed = {} if data in (None, "dir") else {str(path): hashlib.sha256(data).hexdigest()}
+        assert entry["input_hashes"] == hashed
 
 
 @pytest.mark.parametrize("argv", [
