@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import math
 import sys
 from pathlib import Path
 
@@ -32,16 +31,6 @@ def _parse_palette(text: str) -> list[int]:
         return [int(x) for x in text.split(",")]
     except ValueError:
         raise UsageError(f"palette is not 'auto' or comma-separated ints: {text!r}") from None
-
-
-def _seconds(text: str) -> float:
-    try:
-        seconds = float(text)
-    except ValueError:
-        seconds = math.nan
-    if not 0 < seconds < math.inf:
-        raise argparse.ArgumentTypeError(f"not a finite positive number of seconds: {text!r}")
-    return seconds
 
 
 def _write(out_dir: Path, name: str, content: str) -> str:
@@ -278,9 +267,10 @@ def make_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve", help="exact chi_la search on a graph document")
     p.add_argument("--input", required=True)
-    p.add_argument("--max-edges", type=int, default=10)
+    # SearchConfig checks the three bounds
+    p.add_argument("--max-edges", type=int, default=SearchConfig().max_edges)
     p.add_argument("--target", type=int)
-    p.add_argument("--time-budget", type=_seconds)
+    p.add_argument("--time-budget", type=float)
     p.add_argument("--use-witness", action="store_true",
                    help="seed the incumbent with the document's labeling")
 
@@ -347,7 +337,7 @@ def main(argv: list[str] | None = None) -> int:
             input_hashes[args.input] = hashlib.sha256(data).hexdigest()
             try:
                 docs.append(json.loads(data.decode()))
-            except ValueError as exc:
+            except (ValueError, RecursionError) as exc:  # json.loads recurses per nesting
                 raise UsageError(f"{args.input} is not a JSON document: {exc}") from None
         code, outcome, outputs = _HANDLERS[args.command](args, out_dir, *docs)
     except UsageError as exc:

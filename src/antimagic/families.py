@@ -37,7 +37,7 @@ from .errors import (
     UsageError,
 )
 from .graph import EdgeLabeling, Graph, V, VertexId, _Draft, certify
-from .partition import partition_ap
+from .partition import _position_blocks
 from .tables import _odd_factorizations, _sequences, table_m1, table_m3, table_pt
 
 
@@ -172,9 +172,9 @@ def _tfb(t: int, s: int) -> tuple[_Draft, FamilyInstance, list[list[int]]]:
     k = (t * s - 1) // 2
     d = _fan_cells(k)
 
-    # cell i has hub sum 23k+14-2i, so cell 2k+1-p has the p-th smallest
-    part = partition_ap(0, 1, t, s)
-    columns = [sorted(2 * k + 1 - p for p in blk) for blk in part.blocks]
+    # cell i has hub sum 23k+14-2i, so cell 2k+1-p has the p-th smallest;
+    # the positions are read unchecked, as tables are; the certificate checks the sums
+    columns = [sorted(2 * k + 1 - p for p in blk) for blk in _position_blocks(t, s)]
     blocks = [[_fan_at("x", c, k) for c in cols] for cols in columns]
     d.merge(blocks, [V("y", a) for a in range(1, t + 1)])
 

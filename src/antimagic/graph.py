@@ -435,8 +435,9 @@ def certify(
 
     violations: list[dict] = []
     counts = Counter(labels)
-    if counts and (min(counts) < 1 or max(counts) > q):
-        outside = [p for p, lab in enumerate(labels) if not 1 <= lab <= q]
+    # a bool or a float is out of range too: by its type, or as a repeat of an int
+    if set(map(type, counts)) - {int} or counts.keys() != set(range(1, q + 1)):
+        outside = [p for p, lab in enumerate(labels) if type(lab) is not int or not 1 <= lab <= q]
         for e, p in _in_edge_order(g, outside):
             violations.append(
                 {"kind": "label_out_of_range", "edge": _edge_names(e), "label": labels[p]}

@@ -77,12 +77,17 @@ def doc_to_graph(doc: dict) -> tuple[Graph, EdgeLabeling]:
 
     A vertex id must be the name its role and indices print as, so that every
     document accepted here is written back as one that is accepted again.
-    Labels are not range-checked here: that is the certificate's job.  A
-    well-formed document is read a column at a time; any other is read record
-    by record, which names the first bad record.
+    Labels are not range-checked here: that is the certificate's job.  The
+    graph is made one way, by reading the document a column at a time; a
+    document that this read refuses is walked record by record to name its
+    first bad record, and one with none holds a value of a type that
+    ``json.loads`` does not give, such as a subclass.
     """
     read = _read_columns(doc)
-    return read if read is not None else _read_records(doc)
+    if read is None:
+        _check_records(doc)
+        raise UsageError("graph document: a value is not of a type that json.loads gives")
+    return read
 
 
 def _read_columns(doc) -> tuple[Graph, EdgeLabeling] | None:
@@ -100,7 +105,7 @@ def _read_columns(doc) -> tuple[Graph, EdgeLabeling] | None:
         ends_a, ends_b, label_col = (list(map(itemgetter(k), eds)) for k in ("a", "b", "label"))
     except KeyError:
         return None
-    # exact types: a bool is no int, and a subclass is left to the records
+    # exact types: a bool is no int, and a subclass is refused
     if not (
         set(map(type, chain(ids, roles, ends_a, ends_b))) <= {str}
         and set(map(type, indices)) <= {list}
@@ -132,9 +137,9 @@ def _field(obj, key: str, kind: type):
     return value
 
 
-def _read_records(doc) -> tuple[Graph, EdgeLabeling]:
-    """:func:`doc_to_graph` one field at a time, raising at the first fault."""
-    by_id: dict[str, VertexId] = {}
+def _check_records(doc) -> None:
+    """Raise the first fault of a document, walking it one field at a time."""
+    ids: set[str] = set()
     for vd in _field(doc, "vertices", list):
         indices = _field(vd, "indices", list)
         for i in indices:
@@ -142,35 +147,27 @@ def _read_records(doc) -> tuple[Graph, EdgeLabeling]:
                 raise UsageError(f"graph document: vertex index is not an int: {i!r}")
         v = VertexId(_field(vd, "role", str), tuple(indices))
         vid = _field(vd, "id", str)
-        if vid in by_id:
+        if vid in ids:
             raise UsageError(f"graph document: duplicate vertex {vid!r}")
         if vid != str(v):
             raise UsageError(
                 f"graph document: vertex id {vid!r} is not {str(v)!r}, "
                 "the name of its role and indices"
             )
-        by_id[vid] = v
-    # ids and vertices correspond one to one, so each edge is checked once
-    # here and the draft's finish finds nothing more
-    at = dict(zip(by_id, range(len(by_id))))
-    ends_a, ends_b, labels, seen = [], [], [], set()
+        ids.add(vid)
+    seen = set()
     for ed in _field(doc, "edges", list):
         a, b = _field(ed, "a", str), _field(ed, "b", str)
-        x, y = at.get(a), at.get(b)
-        if x is None:
-            raise UsageError(f"graph document: unknown vertex id {a!r}")
-        if y is None:
-            raise UsageError(f"graph document: unknown vertex id {b!r}")
+        for end in (a, b):
+            if end not in ids:
+                raise UsageError(f"graph document: unknown vertex id {end!r}")
         if a == b:
             raise UsageError(f"graph document: loop edge at {a!r}")
-        pair = (x, y) if x < y else (y, x)
+        pair = (a, b) if a < b else (b, a)
         if pair in seen:
             raise UsageError(f"graph document: duplicate edge {a!r} -- {b!r}")
         seen.add(pair)
-        ends_a.append(x)
-        ends_b.append(y)
-        labels.append(_field(ed, "label", int))
-    return _Draft(by_id.values(), ends_a, ends_b, labels).finish()
+        _field(ed, "label", int)
 
 
 def dumps(doc) -> str:
@@ -296,10 +293,8 @@ def append_manifest(
     outcome: str,
     outputs: list[str],
 ) -> Path:
-    """Append one deterministic JSON line to the run manifest (append-only)."""
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    manifest = out_dir / "manifest.jsonl"
+    """Append one deterministic JSON line to the run manifest in ``out_dir``, which exists."""
+    manifest = Path(out_dir) / "manifest.jsonl"
     entry = {
         "command": command,
         "parameters": _jsonable(parameters),

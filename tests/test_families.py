@@ -681,17 +681,16 @@ def test_a_clash_in_fb1_blocks_fails_its_sweep_point(monkeypatch):
 
 
 def _tfb_blocks_sharing_a_hub(monkeypatch):
-    """tfb's hub partition with the first term of block 0, the position of
-    hub x_1, put in block 1 as well."""
-    real = families.partition_ap
+    """tfb's hub positions with the largest of block 0, the position of hub
+    x_1, put in block 1 as well, in place of its largest."""
+    real = families._position_blocks
 
-    def shared(first, step, t, s):
-        part = real(first, step, t, s)
-        blocks = list(part.blocks)
-        blocks[1] = (blocks[0][0], *blocks[1][1:])
-        return part._replace(blocks=tuple(blocks))
+    def shared(t, s):
+        blocks = real(t, s)
+        blocks[1][blocks[1].index(max(blocks[1]))] = max(blocks[0])
+        return blocks
 
-    monkeypatch.setattr(families, "partition_ap", shared)
+    monkeypatch.setattr(families, "_position_blocks", shared)
 
 
 def _pt_tb_blocks_sharing_a_member(monkeypatch):

@@ -25,6 +25,7 @@ from antimagic.errors import (
     NotIncident,
     OverlappingBlocks,
     UnknownVertex,
+    UsageError,
 )
 from antimagic.families import _fan_cells, build_family
 from antimagic.graph import (
@@ -509,6 +510,29 @@ def test_broken_labeling_certificates_match_their_goldens(case):
     g, f, expected = make()
     text = io.dumps(io.certificate_to_doc(certify(g, f, expected)))
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("labels, violations", [
+    ((1.5, 2), [{"kind": "label_out_of_range", "edge": ["a", "b"], "label": 1.5}]),
+    ((True, 2), [{"kind": "label_out_of_range", "edge": ["a", "b"], "label": True}]),
+    ((2, 1.0), [{"kind": "label_out_of_range", "edge": ["b", "c"], "label": 1.0}]),
+    # one equal to an int label is counted with it, and still named
+    ((1, 1.0), [
+        {"kind": "label_out_of_range", "edge": ["b", "c"], "label": 1.0},
+        {"kind": "duplicate_label", "label": 1, "edges": [["a", "b"], ["b", "c"]]},
+    ]),
+], ids=["float", "bool", "integral-float", "float-equal-to-an-int"])
+def test_a_label_that_is_not_an_int_is_out_of_range(labels, violations):
+    # the path a-b-c labelled (1.5, 2) used to certify as a bijection
+    a, b, c = V("a"), V("b"), V("c")
+    g = Graph([a, b, c], [edge(a, b), edge(b, c)])
+    f = EdgeLabeling(dict(zip([edge(a, b), edge(b, c)], labels)))
+    cert = certify(g, f)
+    assert not cert.is_bijective
+    assert list(cert.violations) == violations
+    # nor does the solver take it as its seed
+    with pytest.raises(UsageError, match="initial witness is not a local antimagic labeling"):
+        solve_chi_la(g, initial_witness=f)
 
 
 def test_mixed_violations_keep_their_order():

@@ -1,6 +1,7 @@
 """Serialization round-trips, export formats, and the command-line front end."""
 
 import builtins
+import collections
 import functools
 import hashlib
 import io as std_io
@@ -571,6 +572,9 @@ def _json_values():
     )
 
 
+NOT_JSON_TYPES = "graph document: a value is not of a type that json.loads gives"
+
+
 def _near_documents():
     vertex = st.fixed_dictionaries({
         "id": st.sampled_from(["u", "v", "x", "u_1"]),
@@ -593,7 +597,8 @@ def _near_documents():
 def test_doc_to_graph_returns_a_graph_or_raises_usage_error(doc):
     try:
         g, f = io.doc_to_graph(doc)
-    except UsageError:
+    except UsageError as exc:
+        assert str(exc) != NOT_JSON_TYPES  # every value here has a json.loads type
         return
     assert set(f.labels) == g.edges
 
@@ -814,6 +819,44 @@ def test_doc_to_graph_matches_the_per_record_reference(doc):
     assert _read(io.doc_to_graph, doc) == _read(reference_doc_to_graph, doc)
 
 
+class _Name(str):
+    pass
+
+
+class _Count(int):
+    pass
+
+
+def _ordered_record(doc):
+    doc["edges"][0] = collections.OrderedDict(doc["edges"][0])
+
+
+def _named_id(doc):
+    doc["vertices"][0]["id"] = _Name(doc["vertices"][0]["id"])
+
+
+def _counted_label(doc):
+    doc["edges"][-1]["label"] = _Count(doc["edges"][-1]["label"])
+
+
+def _ordered_document(doc):
+    return collections.OrderedDict(doc)
+
+
+@pytest.mark.parametrize("retype", [_ordered_record, _named_id, _counted_label, _ordered_document],
+                         ids=lambda r: r.__name__.lstrip("_"))
+def test_doc_to_graph_refuses_a_value_of_a_type_json_loads_does_not_give(retype):
+    # the record walk finds no fault in these, and the reference reads them;
+    # a graph is made only by the column read, which takes exact types
+    g, f, inst = build_family("fb", n=3)
+    doc = json.loads(io.dumps(io.graph_to_doc(g, f, inst)))
+    doc = retype(doc) or doc
+    assert _read(reference_doc_to_graph, doc)[:2] == (g, f)
+    with pytest.raises(UsageError) as info:
+        io.doc_to_graph(doc)
+    assert str(info.value) == NOT_JSON_TYPES
+
+
 def test_cli_certify_and_solve_reject_bad_json(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
@@ -989,9 +1032,11 @@ def test_cli_reads_its_input_once_and_hashes_the_bytes_it_parsed(tmp_path, monke
      "(decode using utf-8-sig): line 1 column 1 (char 0)"),
     ("latin1.json", b'{"\xe9": 1}', "{path} is not a JSON document: 'utf-8' codec can't "
      "decode byte 0xe9 in position 2: invalid continuation byte"),
-], ids=["missing", "directory", "bad-json", "bom", "invalid-utf-8"])
+    ("deep.json", b"[" * 200_000 + b"]" * 200_000, "{path} is not a JSON document: "),
+], ids=["missing", "directory", "bad-json", "bom", "invalid-utf-8", "too-deep"])
 def test_cli_input_that_cannot_be_read_or_parsed_is_usage(tmp_path, capsys, name, data, message):
-    # bytes that were read are hashed even when they do not parse
+    # bytes that were read are hashed even when they do not parse; a too-deep
+    # document's RecursionError is worded by CPython, so only its prefix is pinned
     path = tmp_path / name
     if data == "dir":
         path.mkdir()
@@ -1001,9 +1046,12 @@ def test_cli_input_that_cannot_be_read_or_parsed_is_usage(tmp_path, capsys, name
     for command in ("certify", "solve"):
         out = tmp_path / command
         assert main(["--out", str(out), command, "--input", str(path)]) == 2
-        assert capsys.readouterr().err == message + "\n"
+        err = capsys.readouterr().err
+        assert err.startswith(message) and err.count("\n") == 1 and err.endswith("\n")
+        if name != "deep.json":
+            assert err == message + "\n"
         entry = json.loads((out / "manifest.jsonl").read_text())
-        assert (entry["outcome"], entry["outputs"]) == (message, [])
+        assert (entry["outcome"], entry["outputs"]) == (err[:-1], [])
         hashed = {} if data in (None, "dir") else {str(path): hashlib.sha256(data).hexdigest()}
         assert entry["input_hashes"] == hashed
 
@@ -1025,21 +1073,33 @@ def test_cli_empty_string_flags_are_usage(tmp_path, monkeypatch, argv):
 
 @pytest.mark.parametrize("budget", ["nan", "-1", "0", "inf", "x"])
 def test_cli_solve_budget_that_is_not_finite_and_positive_is_usage(tmp_path, capsys, budget):
-    # a nan budget used to be accepted and then never stopped the search
+    # a nan budget used to be accepted and then never stopped the search;
+    # argparse reads a float and SearchConfig alone checks it, as it checks
+    # --max-edges and --target
     main(["--out", str(tmp_path), "build", "--family", "fb", "--n", "3"])
-    with pytest.raises(SystemExit) as exit_info:
-        main([
-            "--out", str(tmp_path), "solve", "--input", str(tmp_path / "fb_n3.json"),
-            "--max-edges", "15", "--time-budget", budget,
-        ])
-    assert exit_info.value.code == 2
-    message = f"not a finite positive number of seconds: {budget!r}"
-    assert message in capsys.readouterr().err
+    argv = [
+        "--out", str(tmp_path), "solve", "--input", str(tmp_path / "fb_n3.json"),
+        "--time-budget", budget,
+    ]
+    if budget == "x":
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        message = "antimagic solve: argument --time-budget: invalid float value: 'x'"
+    else:
+        assert main(argv) == 2
+        message = f"time budget is not a finite positive number of seconds: {float(budget)!r}"
+    assert f"usage error: {message}\n" in capsys.readouterr().err
     lines = (tmp_path / "manifest.jsonl").read_text().splitlines()
     assert len(lines) == 2  # the build's and the solve's
     entry = json.loads(lines[-1])
-    assert (entry["command"], entry["outputs"]) == ("solve", [])
-    assert entry["outcome"].startswith("usage error") and message in entry["outcome"]
+    assert (entry["command"], entry["outcome"], entry["outputs"]) == (
+        "solve", f"usage error: {message}", []
+    )
+    if budget == "x":
+        assert entry["parameters"] == {"argv": argv}
+    else:
+        assert entry["parameters"]["max_edges"] == 10  # SearchConfig's default
     assert not (tmp_path / "fb_n3_solve.json").exists()
 
 

@@ -45,6 +45,17 @@ for corrupt in (swapped, doubled):
     sys.exit(f"{corrupt.__name__} partition was not rejected")
 partition._position_blocks = real
 
+# a build trusts its positions, as it trusts its tables: positions with
+# unequal sums build, and the certificate rejects the graph
+families._position_blocks = swapped
+try:
+    verify_instance(*build_family("tfb", t=3, s=3))
+except InvariantError:
+    pass
+else:
+    sys.exit("the tfb build of positions with unequal sums was not rejected")
+families._position_blocks = real
+
 # triple offsets with the right sums that are no permutation: only the
 # certificate's cover check can tell
 real_offsets = partition._triple_offsets
