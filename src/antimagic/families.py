@@ -1,12 +1,14 @@
-"""Builders for every labeled graph family, via table-driven merge/split surgery.
+"""Builders for every labeled graph family, laid on their hubs or by table-driven surgery.
 
 Each builder returns its unfinished ``(draft, instance, *extras)``: the
 instance pins the family tag, validated parameters, the closed-form expected
 palette and the expected degree census.  :func:`build_family` alone finishes
 a draft, into ``(graph, labeling, instance)``.  The builders perform the
-constructions exactly: label a disjoint union of base cells from one of the
-three matrices, then merge (and sometimes split) vertices, all in index
-space: cells by column arithmetic, labels read off the table rows, and
+constructions exactly, all in index space, with labels read off the rows of
+one of the three matrices.  The bases ``fb``, ``tfb``, ``df`` and ``np3o3``
+lay each labeled cell straight onto the hubs it shares, and ``pt`` lays its
+rails and rungs.  Every other family merges blocks of a base's vertices
+through ``_merged``, and ``gn`` splits and re-merges a bracelet's hubs:
 surgery that only rewrites edge ends, so labels stay with their edges.  One
 graph is made per build.
 
@@ -72,9 +74,9 @@ def _census(*pairs: tuple[int, int]) -> dict[int, int]:
 Built = tuple[_Draft, FamilyInstance]
 
 
-def _vertices(role: str, *columns: Iterable[int]) -> Iterator[VertexId]:
+def _vertices(role: str, column: Iterable[int]) -> Iterator[VertexId]:
     """``_vertices("u", range(1, 4))`` is u_1, u_2, u_3, made in C."""
-    return map(tuple.__new__, repeat(VertexId), zip(repeat(role), zip(*columns)))
+    return map(tuple.__new__, repeat(VertexId), zip(repeat(role), zip(column)))
 
 
 def _merged(
@@ -130,31 +132,36 @@ def _merged(
 
 def _fan_at(role: str, i: int, k: int) -> int:
     """The index of ``role``_i in :func:`_fan_cells`: a run of 2k+1 per role."""
-    return "uvwx".index(role) * (2 * k + 1) + i - 1
+    return "uvw".index(role) * (2 * k + 1) + i - 1
 
 
-def _fan_cells(k: int) -> _Draft:
-    """2k+1 disjoint fan cells (one P3 plus its own hub) labeled column-wise."""
+def _fan_cells(
+    k: int, hubs: Sequence[VertexId], w_hub: Sequence[int], uv_hub: Sequence[int]
+) -> _Draft:
+    """2k+1 fan cells labeled column-wise and laid on their hubs: cell i is
+    the P3 u_i w_i v_i, with w_i joined to ``hubs[w_hub[i-1]]`` and u_i, v_i
+    to ``hubs[uv_hub[i-1]]``.  The u, v, w runs come first, then the hubs."""
     n = 2 * k + 1
-    u, v, w, x = (range(j * n, (j + 1) * n) for j in range(4))
+    u, v, w = (range(j * n, (j + 1) * n) for j in range(3))
+    xw, xuv = list(map((3 * n).__add__, w_hub)), list(map((3 * n).__add__, uv_hub))
     rows = table_m1(k).rows
     return _Draft(
-        list(chain.from_iterable(_vertices(role, range(1, n + 1)) for role in "uvwx")),
-        [*u, *v, *x, *x, *x],
+        [*chain.from_iterable(_vertices(role, range(1, n + 1)) for role in "uvw"), *hubs],
+        [*u, *v, *xw, *xuv, *xuv],
         [*w, *w, *w, *u, *v],
         [*rows["uw"], *rows["vw"], *rows["xw"], *rows["xu"], *rows["xv"]],
     )
 
 
 def _fb(n: int) -> Built:
-    """Fan with n blades: all 2k+1 cell hubs merged into one vertex."""
+    """Fan with n blades: all 2k+1 cells on one hub x."""
     if n == 1:
         raise InvalidParity("n = 1 is handled by the exact solver, not a builder")
     if n < 3 or n % 2 == 0:
         raise InvalidParity(f"fan builder needs odd n >= 3, got {n}")
     k = (n - 1) // 2
-    d = _fan_cells(k)
-    d.merge([range(_fan_at("x", 1, k), _fan_at("x", n + 1, k))], [V("x")])
+    hub = [0] * n
+    d = _fan_cells(k, [V("x")], hub, hub)
     palette = _palette(9 * k + 6, 10 * k + 6, (7 * k + 4) * (6 * k + 3))
     inst = FamilyInstance(
         "fb", {"n": n, "k": k}, palette,
@@ -164,19 +171,21 @@ def _fb(n: int) -> Built:
 
 
 def _tfb(t: int, s: int) -> tuple[_Draft, FamilyInstance, list[list[int]]]:
-    """t disjoint fans with s blades each, hubs grouped by an equal-sum
-    partition of the cell hub sums (an arithmetic progression); plus each
-    fan's sorted cell columns."""
+    """t disjoint fans with s blades each, the cells on hubs y_1..y_t grouped
+    by an equal-sum partition of the cell hub sums (an arithmetic
+    progression); plus each fan's sorted cell columns."""
     if t < 3 or s < 3 or t % 2 == 0 or s % 2 == 0:
         raise InvalidFactorization(f"need odd t, s >= 3, got t={t}, s={s}")
     k = (t * s - 1) // 2
-    d = _fan_cells(k)
 
     # cell i has hub sum 23k+14-2i, so cell 2k+1-p has the p-th smallest;
     # the positions are read unchecked, as tables are; the certificate checks the sums
     columns = [sorted(2 * k + 1 - p for p in blk) for blk in _position_blocks(t, s)]
-    blocks = [[_fan_at("x", c, k) for c in cols] for cols in columns]
-    d.merge(blocks, [V("y", a) for a in range(1, t + 1)])
+    hub = [0] * (2 * k + 1)
+    for a, cols in enumerate(columns):
+        for c in cols:
+            hub[c - 1] = a
+    d = _fan_cells(k, [V("y", a) for a in range(1, t + 1)], hub, hub)
 
     palette = _palette(9 * k + 6, 10 * k + 6, s * (21 * k + 12))
     inst = FamilyInstance(
@@ -188,34 +197,25 @@ def _tfb(t: int, s: int) -> tuple[_Draft, FamilyInstance, list[list[int]]]:
 
 
 def _df(r: int, s: int) -> tuple[_Draft, FamilyInstance, range]:
-    """r diamond fans plus one fan: split the hub of every cell outside the
-    middle block and cross-merge the halves between opposite blocks; plus
-    the hubs x, y_1, z_1, ..., y_r, z_r."""
+    """r diamond fans plus one fan: 2r+1 blocks of s cells, the middle
+    block on one hub x and every other cell's w on one hub and its u, v on
+    another, crosswise between opposite blocks; plus the hubs x, y_1, z_1,
+    ..., y_r, z_r."""
     if r < 1 or s < 1 or s % 2 == 0:
         raise InvalidParams(f"need r >= 1 and odd s >= 1, got r={r}, s={s}")
     m = (2 * r + 1) * s
     k = (m - 1) // 2
-    d = _fan_cells(k)
 
-    # block j holds cells (j-1)s+1 .. js, and the outer cells are those of
-    # blocks 1..r and then r+2..2r+1.  In the runs of _fan_cells cell i
-    # has its hub x_i at 3m+i-1 and the hub's edges to w_i, u_i, v_i at
-    # 2m+i-1, 3m+i-1, 4m+i-1; the first half keeps the edge to w_i
-    def outer(first: int) -> Iterator[int]:
-        return chain(range(first, first + r * s), range(first + (r + 1) * s, first + m))
+    # block j holds cells (j-1)s+1 .. js.  Hub y_j (at 2j-1) takes the w
+    # of block j <= r and the u, v of its opposite block 2r+2-j, hub z_j
+    # (at 2j) the other two, and the middle block r+1 is a fan on x (at 0)
+    ys, zs = range(1, 2 * r, 2), range(2, 2 * r + 1, 2)
 
-    cells = list(outer(1))
-    halves = d.split(list(zip(
-        outer(3 * m), zip(outer(2 * m)), zip(outer(3 * m), outer(4 * m)),
-        _vertices("x1", cells), _vertices("x2", cells),
-    )))
-    # the first and second halves in cell order: block j <= r starts at
-    # (j-1)s of each, its opposite block 2r+2-j at (2r-j)s
-    x1, x2 = halves[::2], halves[1::2]
-    blocks = [range(3 * m + r * s, 3 * m + (r + 1) * s)]
-    for near, far in zip(range(0, r * s, s), range((2 * r - 1) * s, (r - 1) * s, -s)):
-        blocks += [[*x1[near:near + s], *x2[far:far + s]], [*x2[near:near + s], *x1[far:far + s]]]
-    hubs = d.merge(blocks, [V("x"), *(V(role, j) for j in range(1, r + 1) for role in "yz")])
+    def by_block(near: range, far: range) -> list[int]:
+        return list(chain.from_iterable(repeat(h, s) for h in (*near, 0, *reversed(far))))
+
+    hubs = [V("x"), *(V(role, j) for j in range(1, r + 1) for role in "yz")]
+    d = _fan_cells(k, hubs, by_block(ys, zs), by_block(zs, ys))
 
     palette = _palette(10 * k + 6, 9 * k + 6, s * (21 * k + 12))
     inst = FamilyInstance(
@@ -223,7 +223,7 @@ def _df(r: int, s: int) -> tuple[_Draft, FamilyInstance, range]:
         _census((2, (4 * r + 2) * s), (3, (2 * r + 1) * s), (3 * s, 2 * r + 1)),
         expected_component_orders=tuple(sorted([6 * s + 2] * r + [3 * s + 1])),
     )
-    return d, inst, hubs
+    return d, inst, range(3 * m, 3 * m + 2 * r + 1)
 
 
 def _fan_class(variant: int, k: int) -> tuple[tuple[str, ...], int, int]:
@@ -547,26 +547,25 @@ def _gb(
 
 
 def _np3_o3(n: int) -> Built:
-    """n paths P3 joined to three independent hubs, labeled by the 11-row
-    matrix and merged hub-wise."""
+    """n paths P3 joined to three independent hubs x_1, x_2, x_3, labeled by
+    the 11-row matrix."""
     if n < 3 or n % 2 == 0:
         raise InvalidParity(f"need odd n >= 3, got {n}")
     k = (n - 1) // 2
     rows = table_m3(k).rows
 
-    # a run of n indices for each of u, v, w, x_*_1, x_*_2, x_*_3
-    u, v, w, *x = (range(j * n, (j + 1) * n) for j in range(6))
+    # a run of n indices for each of u, v, w, then x_1, x_2, x_3
+    u, v, w = (range(j * n, (j + 1) * n) for j in range(3))
     ends_a, ends_b, labels = [*u, *v], [*w, *w], [*rows["L"], *rows["R"]]
-    for a, xa in enumerate(x, start=1):
+    for a in (1, 2, 3):
         ends_a += [*w, *u, *v]
-        ends_b += [*xa, *xa, *xa]
+        ends_b += [3 * n + a - 1] * (3 * n)
         labels += [*rows[f"C{a}"], *rows[f"L{a}"], *rows[f"R{a}"]]
     d = _Draft(
         [*chain.from_iterable(_vertices(role, range(1, n + 1)) for role in "uvw"),
-         *chain.from_iterable(_vertices("x", range(1, n + 1), repeat(a)) for a in (1, 2, 3))],
+         V("x", 1), V("x", 2), V("x", 3)],
         ends_a, ends_b, labels,
     )
-    d.merge(x, [V("x", a) for a in (1, 2, 3)])
 
     palette = _palette(25 * k + 15, 50 * k + 27, (2 * k + 1) * (39 * k + 21))
     inst = FamilyInstance(

@@ -9,6 +9,7 @@ certificate bytes.
 from __future__ import annotations
 
 import json
+import math
 from itertools import chain, repeat
 from operator import itemgetter
 from pathlib import Path
@@ -38,6 +39,8 @@ def _jsonable(value):
         return [_jsonable(v) for v in value]
     if isinstance(value, dict):
         return {str(k): _jsonable(v) for k, v in value.items()}
+    if isinstance(value, float) and not math.isfinite(value):
+        return repr(value)  # strict JSON has no nan or infinity
     return value
 
 

@@ -1,0 +1,113 @@
+"""The fan-cell bases built by hub surgery: a reference for the builders that
+lay their cells on their hubs.
+
+Each reference labels 2k+1 cells with private hubs x_1 .. x_(2k+1) (np3o3:
+one run x_i_a per hub a), then merges the hubs as the surgery construction
+did, after splitting the outer hubs in ``df``.  It returns what its builder
+returns, with the instance taken from the builder itself: the claims do not
+depend on how the graph is laid.  ``BUILDERS`` holds the real builders as
+they were at import, so a reference still calls them while
+:func:`use_references` has put the references in their place.
+"""
+
+from itertools import chain, repeat
+
+from antimagic import families
+from antimagic.graph import V, VertexId, _Draft
+from antimagic.partition import _position_blocks
+from antimagic.tables import table_m1, table_m3
+
+BUILDERS = {"fb": families._fb, "tfb": families._tfb, "df": families._df, "np3o3": families._np3_o3}
+
+
+def _vertices(role, *columns):
+    return map(tuple.__new__, repeat(VertexId), zip(repeat(role), zip(*columns)))
+
+
+def _fan_at(role, i, k):
+    """The index of ``role``_i in :func:`surgery_cells`: a run of 2k+1 per role."""
+    return "uvwx".index(role) * (2 * k + 1) + i - 1
+
+
+def surgery_cells(k):
+    """2k+1 disjoint fan cells (one P3 plus its own hub) labeled column-wise."""
+    n = 2 * k + 1
+    u, v, w, x = (range(j * n, (j + 1) * n) for j in range(4))
+    rows = table_m1(k).rows
+    return _Draft(
+        list(chain.from_iterable(_vertices(role, range(1, n + 1)) for role in "uvwx")),
+        [*u, *v, *x, *x, *x],
+        [*w, *w, *w, *u, *v],
+        [*rows["uw"], *rows["vw"], *rows["xw"], *rows["xu"], *rows["xv"]],
+    )
+
+
+def fb(n):
+    _, inst = BUILDERS["fb"](n)
+    k = (n - 1) // 2
+    d = surgery_cells(k)
+    d.merge([range(_fan_at("x", 1, k), _fan_at("x", n + 1, k))], [V("x")])
+    return d, inst
+
+
+def tfb(t, s):
+    _, inst = BUILDERS["tfb"](t, s)[:2]
+    k = (t * s - 1) // 2
+    d = surgery_cells(k)
+    columns = [sorted(2 * k + 1 - p for p in blk) for blk in _position_blocks(t, s)]
+    blocks = [[_fan_at("x", c, k) for c in cols] for cols in columns]
+    d.merge(blocks, [V("y", a) for a in range(1, t + 1)])
+    return d, inst, columns
+
+
+def df(r, s):
+    _, inst = BUILDERS["df"](r, s)[:2]
+    m = (2 * r + 1) * s
+    k = (m - 1) // 2
+    d = surgery_cells(k)
+
+    # cell i has its hub x_i at 3m+i-1 and the hub's edges to w_i, u_i, v_i
+    # at 2m+i-1, 3m+i-1, 4m+i-1; the first half keeps the edge to w_i
+    def outer(first):
+        return chain(range(first, first + r * s), range(first + (r + 1) * s, first + m))
+
+    cells = list(outer(1))
+    halves = d.split(list(zip(
+        outer(3 * m), zip(outer(2 * m)), zip(outer(3 * m), outer(4 * m)),
+        _vertices("x1", cells), _vertices("x2", cells),
+    )))
+    x1, x2 = halves[::2], halves[1::2]
+    blocks = [range(3 * m + r * s, 3 * m + (r + 1) * s)]
+    for near, far in zip(range(0, r * s, s), range((2 * r - 1) * s, (r - 1) * s, -s)):
+        blocks += [[*x1[near:near + s], *x2[far:far + s]], [*x2[near:near + s], *x1[far:far + s]]]
+    hubs = d.merge(blocks, [V("x"), *(V(role, j) for j in range(1, r + 1) for role in "yz")])
+    return d, inst, hubs
+
+
+def np3o3(n):
+    _, inst = BUILDERS["np3o3"](n)
+    k = (n - 1) // 2
+    rows = table_m3(k).rows
+    u, v, w, *x = (range(j * n, (j + 1) * n) for j in range(6))
+    ends_a, ends_b, labels = [*u, *v], [*w, *w], [*rows["L"], *rows["R"]]
+    for a, xa in enumerate(x, start=1):
+        ends_a += [*w, *u, *v]
+        ends_b += [*xa, *xa, *xa]
+        labels += [*rows[f"C{a}"], *rows[f"L{a}"], *rows[f"R{a}"]]
+    d = _Draft(
+        [*chain.from_iterable(_vertices(role, range(1, n + 1)) for role in "uvw"),
+         *chain.from_iterable(_vertices("x", range(1, n + 1), repeat(a)) for a in (1, 2, 3))],
+        ends_a, ends_b, labels,
+    )
+    d.merge(x, [V("x", a) for a in (1, 2, 3)])
+    return d, inst
+
+
+REFERENCES = {"fb": fb, "tfb": tfb, "df": df, "np3o3": np3o3}
+
+
+def use_references(monkeypatch):
+    """Build the four bases, and every family merged from one, by surgery."""
+    for family, ref in REFERENCES.items():
+        monkeypatch.setattr(families, BUILDERS[family].__name__, ref)
+        monkeypatch.setitem(families._BUILDERS, family, ref)

@@ -9,6 +9,7 @@ from functools import partial
 import pytest
 
 from adjacency import components, neighbors
+from hub_reference import use_references
 from antimagic import families, graph
 from antimagic.cli import main
 from antimagic.errors import (
@@ -237,7 +238,8 @@ def test_df3_needs_composite_hub_count():
 
 # sha256 over repr((names, a, b, labels)) of each finished draft below, in
 # turn: every vertex and edge position of the builds that split by edge
-# position, as the builders that split by end pairs left them
+# position, as the builders that split by end pairs left them.  The df
+# drafts are those of hub surgery (hub_reference), which split df's hubs
 SPLIT_DRAFTS = [
     ("df", {"r": 1, "s": 1}), ("df", {"r": 3, "s": 5}), ("df1", {"r": 1, "s": 3}),
     ("df2", {"r": 2, "s": 3}), ("df3", {"r": 4, "s": 1, "r1": 3}),
@@ -246,7 +248,8 @@ SPLIT_DRAFTS = [
 SPLIT_DRAFTS_SHA256 = "124a4ec521d58eae8b0490c0399fab2b12d4e2ae8d3385d560c4008385491dbe"
 
 
-def test_the_split_families_finish_their_pinned_drafts():
+def test_the_split_families_finish_their_pinned_drafts(monkeypatch):
+    use_references(monkeypatch)
     digest = hashlib.sha256()
     for family, params in SPLIT_DRAFTS:
         g, f, _ = build_family(family, **params)
@@ -681,8 +684,8 @@ def test_a_clash_in_fb1_blocks_fails_its_sweep_point(monkeypatch):
 
 
 def _tfb_blocks_sharing_a_hub(monkeypatch):
-    """tfb's hub positions with the largest of block 0, the position of hub
-    x_1, put in block 1 as well, in place of its largest."""
+    """tfb's hub positions with the largest of block 0, the position of cell
+    1, put in block 1 as well, in place of its largest."""
     real = families._position_blocks
 
     def shared(t, s):
@@ -705,12 +708,24 @@ def _pt_tb_blocks_sharing_a_member(monkeypatch):
     monkeypatch.setattr(families, "_deal", shared)
 
 
+def _gn_splitting_a_hub_twice(monkeypatch):
+    """Bracelet hubs with z_6's in place of z_12's, so that gn's first index
+    splits z_6 twice."""
+    real = families._tb
+
+    def doubled(n):
+        d, inst, hubs = real(n)
+        return d, inst, [*hubs[:6], hubs[3], *hubs[7:]]
+
+    monkeypatch.setattr(families, "_tb", doubled)
+
+
 def _fan_cells_with_a_parallel_edge(monkeypatch):
     """Fan cells with edge 0 laid twice, which only the finish sees."""
     real = families._fan_cells
 
-    def doubled(k):
-        d = real(k)
+    def doubled(*args):
+        d = real(*args)
         d.a.append(d.a[0])
         d.b.append(d.b[0])
         d.labels.append(len(d.labels) + 1)
@@ -722,15 +737,15 @@ def _fan_cells_with_a_parallel_edge(monkeypatch):
 @pytest.mark.parametrize(
     "patch, family, params, fault",
     [
-        # a builder's own merge: "x_1 appears in two blocks", a usage error
-        # before the build mapped it
-        (_tfb_blocks_sharing_a_hub, "tfb", {"t": 3, "s": 3}, "x_1 appears in two blocks"),
+        # a builder's own split: "z_6 split twice", a usage error before the
+        # build mapped it
+        (_gn_splitting_a_hub_twice, "gn", {"n": 6, "indices": (1,)}, "z_6 split twice"),
         # a merge of _merged that is no clash of the blocks
         (_pt_tb_blocks_sharing_a_member, "tb1", {"n": 8, "r": 3}, "u_1 appears in two blocks"),
         # the finish of the draft
         (_fan_cells_with_a_parallel_edge, "fb", {"n": 5}, "two edges join the same two vertices"),
     ],
-    ids=["tfb-merge", "merged-overlap", "finish"],
+    ids=["gn-split", "merged-overlap", "finish"],
 )
 def test_a_surgery_fault_in_a_builders_own_draft_is_an_invariant_error(
     patch, family, params, fault, monkeypatch, tmp_path
@@ -746,6 +761,26 @@ def test_a_surgery_fault_in_a_builders_own_draft_is_an_invariant_error(
     assert records and {r["status"] for r in records} == {"fail"}
     flag = "--" + bound.replace("_", "-")
     assert main(["--out", str(tmp_path), "sweep", "--family", family, flag, str(limit)]) == 1
+
+
+def test_a_tfb_partition_with_a_cell_in_two_fans_builds_and_fails_its_certificate(
+    monkeypatch, tmp_path
+):
+    # tfb lays each cell on the hub of the last block naming it and trusts
+    # the partition, so the certificate, not a merge, rejects a bad one
+    _tfb_blocks_sharing_a_hub(monkeypatch)
+    g, f, inst = build_family("tfb", t=3, s=3)
+    # cell 1 moves to y_2, and cell 3, which no block names now, stays on
+    # y_1: their hub sums differ by 4
+    with pytest.raises(InvariantError) as info:
+        verify_instance(g, f, inst)
+    assert str(info.value) == (
+        "tfb{'t': 3, 's': 3, 'k': 4} failed: 5 colors instead of 3; "
+        "palette (42, 46, 284, 288, 292) != expected (42, 46, 288)"
+    )
+    records = sweep_family("tfb", max_size=27)
+    assert records and {r["status"] for r in records} == {"fail"}
+    assert main(["--out", str(tmp_path), "sweep", "--family", "tfb", "--max-size", "27"]) == 1
 
 
 @pytest.mark.parametrize(

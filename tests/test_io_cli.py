@@ -6,6 +6,7 @@ import functools
 import hashlib
 import io as std_io
 import json
+import math
 import random
 import os
 import re
@@ -1092,7 +1093,11 @@ def test_cli_solve_budget_that_is_not_finite_and_positive_is_usage(tmp_path, cap
     assert f"usage error: {message}\n" in capsys.readouterr().err
     lines = (tmp_path / "manifest.jsonl").read_text().splitlines()
     assert len(lines) == 2  # the build's and the solve's
-    entry = json.loads(lines[-1])
+
+    def refuse(constant):
+        raise ValueError(f"{constant} is not strict JSON")
+
+    entry = json.loads(lines[-1], parse_constant=refuse)
     assert (entry["command"], entry["outcome"], entry["outputs"]) == (
         "solve", f"usage error: {message}", []
     )
@@ -1100,6 +1105,11 @@ def test_cli_solve_budget_that_is_not_finite_and_positive_is_usage(tmp_path, cap
         assert entry["parameters"] == {"argv": argv}
     else:
         assert entry["parameters"]["max_edges"] == 10  # SearchConfig's default
+        # a budget that is not finite is kept as its repr
+        seconds = float(budget)
+        assert entry["parameters"]["time_budget"] == (
+            seconds if math.isfinite(seconds) else repr(seconds)
+        )
     assert not (tmp_path / "fb_n3_solve.json").exists()
 
 
