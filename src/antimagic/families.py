@@ -8,9 +8,9 @@ constructions exactly, all in index space, with labels read off the rows of
 one of the three matrices.  The bases ``fb``, ``tfb``, ``df`` and ``np3o3``
 lay each labeled cell straight onto the hubs it shares, and ``pt`` lays its
 rails and rungs.  Every other family merges blocks of a base's vertices
-through ``_merged``, and ``gn`` splits and re-merges a bracelet's hubs:
-surgery that only rewrites edge ends, so labels stay with their edges.  One
-graph is made per build.
+through ``_merged``, and ``gn`` swaps rail edges between pairs of a
+bracelet's hubs: both only rewrite edge ends, so labels stay with their
+edges.  One graph is made per build.
 
 Correctness authority is the certificate, not the construction: every
 builder's output is expected to pass :func:`antimagic.graph.certify` with
@@ -455,10 +455,9 @@ def _gn(n: int, indices: Sequence[int]) -> tuple[_Draft, FamilyInstance, list[li
     """Disjoint union of bracelets cut out of one big bracelet; plus the
     hubs of each bracelet in cycle order, the bracelet of u_1 first.
 
-    For each index ia, the two degree-4 vertices at cycle positions 8*ia-2
-    and 16*ia-4 are split into their lower and upper halves and re-merged
-    crosswise, which detaches one bracelet with 4*ia-2 rim cells.  Split
-    halves keep the labels of their edges.
+    For each index ia, the degree-4 hubs z_lo and z_hi at cycle positions
+    lo = 8*ia-2 and hi = 16*ia-4 swap their upper rail edges, which
+    detaches one bracelet with 4*ia-2 rim cells.  Edges keep their labels.
     """
     indices = tuple(indices)
     if not indices or any(i < 1 for i in indices) or list(indices) != sorted(set(indices)):
@@ -475,20 +474,15 @@ def _gn(n: int, indices: Sequence[int]) -> tuple[_Draft, FamilyInstance, list[li
     k = base.params["k"]
     hub = dict(zip(range(0, 2 * n + 1, 2), hubs))
 
-    # the split vertices are distinct and pairwise non-adjacent, so one
-    # simultaneous split equals splitting them one at a time.  On the rails
-    # of _pt the edge u_j u_(j+1) is at position j and v_j v_(j+1) at
-    # 2n+2+j, so the lower half of z_m keeps the edges to u_(m-1), v_(m-1),
-    # at m-1 and 2n+1+m, and the upper half those to u_(m+1), v_(m+1)
-    remerged = [m for ia in indices for m in (8 * ia - 2, 16 * ia - 4)]
-    halves = d.split([
-        (hub[m], (m - 1, 2 * n + 1 + m), (m, 2 * n + 2 + m), V("z1", m), V("z2", m))
-        for m in remerged
-    ])
-    # index ia's halves are lo1, lo2, hi1, hi2 at h .. h+3: the lower half
-    # of z_lo goes with the upper half of z_hi, and crosswise
-    blocks = [block for h in halves[::4] for block in ([h, h + 3], [h + 1, h + 2])]
-    hub.update(zip(remerged, d.merge(blocks, list(_vertices("z", remerged)))))
+    # on the rails of _pt the edges from z_m to u_(m+1) and v_(m+1) are at
+    # positions m and 2n+2+m, with z_m at end a.  Swapping them between z_lo
+    # and z_hi leaves z_lo its lower half and z_hi's upper half, and z_hi
+    # the other two
+    ends = d.a
+    for ia in indices:
+        lo, hi = 8 * ia - 2, 16 * ia - 4
+        for p, q in ((lo, hi), (2 * n + 2 + lo, 2 * n + 2 + hi)):
+            ends[p], ends[q] = ends[q], ends[p]
 
     # index ia cuts z_(8ia) .. z_(16ia-4) out into a bracelet of their own
     cuts = [range(8 * ia, 16 * ia - 3, 2) for ia in indices]
@@ -497,7 +491,7 @@ def _gn(n: int, indices: Sequence[int]) -> tuple[_Draft, FamilyInstance, list[li
 
     s = n - sum(4 * ia - 1 for ia in indices)
     orders = sorted([3 * (s + 1)] + [3 * (4 * ia - 1) for ia in indices])
-    # the split and the crosswise re-merge keep every color and degree
+    # the swaps keep every color and degree
     inst = FamilyInstance(
         "gn", {"n": n, "k": k, "indices": indices, "s": s},
         base.expected_palette, base.expected_census,
@@ -606,12 +600,22 @@ FAMILY_TAGS = tuple(_BUILDERS)
 
 def build_family(family: str, **params) -> BuildResult:
     """Build one instance of ``family``: its builder's draft, finished.  The
-    builder chose every merge and split of the draft, so a surgery fault in
-    it, the finish's included, is an :class:`InvariantError`."""
+    builder chose every merge of the draft, so a surgery fault in it, the
+    finish's included, is an :class:`InvariantError`."""
     try:
         builder = _BUILDERS[family]
     except KeyError:
         raise InvalidParams(f"unknown family {family!r}; known: {FAMILY_TAGS}") from None
+    # exact types: a bool passes for an int, and a float fails deep in a builder
+    for key, value in params.items():
+        if key == "indices":
+            if type(value) not in (list, tuple) or {type(i) for i in value} - {int}:
+                raise InvalidParams(
+                    f"bad parameters for {family}: indices must be a list or tuple of ints, "
+                    f"got {value!r}"
+                )
+        elif key != "base" and type(value) is not int:
+            raise InvalidParams(f"bad parameters for {family}: {key} must be an int, got {value!r}")
     # only a binding failure is a usage error; a TypeError raised inside a
     # builder is a bug and propagates unchanged.  The signature is read only
     # once a call has failed, so neither the import nor a good call pays for it

@@ -25,13 +25,12 @@ from __future__ import annotations
 from collections import Counter
 from collections.abc import Iterable, Mapping, Sequence
 from itertools import chain, compress, repeat
-from operator import add, eq, itemgetter, ne, or_
+from operator import eq, itemgetter, ne, or_
 from types import MappingProxyType
 from typing import NamedTuple
 
 from .errors import (
     EmptyPart,
-    GraphSurgeryError,
     IdCollision,
     LabelDomainMismatch,
     MergeWouldCreateLoop,
@@ -46,8 +45,8 @@ class VertexId(NamedTuple):
     """Role-annotated vertex identity, e.g. ``u_3`` or ``x_2_1``.
 
     ``role`` is the vertex family letter ("u", "v", "w", "x", "y", "z",
-    split halves "z1"/"z2"/"x1"/"x2", merged-block vertices "m", ...), and
-    ``indices`` are the 1-based subscripts.
+    merged-block vertices "m", ...), and ``indices`` are the 1-based
+    subscripts.
 
     As a tuple it hashes, compares and sorts as ``(role, indices)`` does, in
     C; set iteration and canonical edge order follow from that.
@@ -609,92 +608,56 @@ class _Draft:
         Equivalent to applying the splits one at a time (an edge joining two
         split vertices is re-pointed at both ends).  Each vertex's two parts
         must partition its edges and both be nonempty, and all half ids must
-        be distinct and fresh, so a rewritten edge meets no other edge.  The
-        checks run over all splits at once, a column at a time; only when one
-        fails does :meth:`_split_fault` walk the splits to name the first
-        fault.
+        be distinct and fresh, so a rewritten edge meets no other edge.  One
+        walk of the splits, in their order, raises the first fault before
+        any edge moves.
         """
-        names, index, a, b = self.names, self.index, self.a, self.b
-        made = range(len(names), len(names) + 2 * len(splits))
-        if not splits:
-            return made
-        vs, parts1, parts2, ids1, ids2 = zip(*splits)
-        # the parts and the ids of the halves, in the order the halves come
-        parts = list(chain.from_iterable(zip(parts1, parts2)))
-        ids = list(chain.from_iterable(zip(ids1, ids2)))
-        sizes = list(map(len, parts))
-        positions = list(chain.from_iterable(parts))
-        split = frozenset(vs)
-        if not (
-            tuple(map(index.get, map(names.__getitem__, vs))) == vs
-            and len(split) == len(vs)
-            and 0 not in sizes
-            and 0 <= min(positions)
-            and max(positions) < len(a)
-        ):
-            raise self._split_fault(splits)
-        owners = list(chain.from_iterable(map(repeat, chain.from_iterable(zip(vs, vs)), sizes)))
-        on_a = list(map(eq, map(a.__getitem__, positions), owners))
-        # the end of edge p at a[p] is 2p+1 and at b[p] is 2p.  The parts
-        # partition the edges of their vertices when they name every end at
-        # a split vertex, each once: as many ends as there are, all distinct
-        ends = list(map(add, map(add, positions, positions), on_a))
-        if not (
-            False not in map(or_, on_a, map(eq, map(b.__getitem__, positions), owners))
-            and len(set(ends)) == len(ends) == len(list(filter(split.__contains__, chain(a, b))))
-            and len(set(ids)) == len(ids)
-            and set(map(index.get, ids)) <= split | {None}
-        ):
-            raise self._split_fault(splits)
-
-        for p, h, at_a in zip(positions, chain.from_iterable(map(repeat, made, sizes)), on_a):
-            if at_a:
-                a[p] = h
-            else:
-                b[p] = h
-        # every split name goes before any half comes in, since a half may
-        # take the name of a vertex split later in the same call
-        list(map(index.pop, map(names.__getitem__, vs)))
-        names += ids
-        index.update(zip(ids, made))
-        return made
-
-    def _split_fault(
-        self, splits: Sequence[tuple[int, Sequence[int], Sequence[int], VertexId, VertexId]]
-    ) -> GraphSurgeryError:
-        """The first fault of a :meth:`split` that failed a column check, in
-        the order of the splits, as the error to raise."""
         names, index, a, b = self.names, self.index, self.a, self.b
         degree = Counter(chain(a, b))
         split: set[int] = set()
-        fresh: set[VertexId] = set()
+        # the half ids, in the order given, which a collision names
+        fresh: dict[VertexId, None] = {}
         for v, part1, part2, id1, id2 in splits:
             if index.get(names[v]) != v:
-                return UnknownVertex(f"{names[v]} not in graph")
+                raise UnknownVertex(f"{names[v]} not in graph")
             if v in split:
-                return OverlappingBlocks(f"{names[v]} split twice")
+                raise OverlappingBlocks(f"{names[v]} split twice")
             split.add(v)
             if not part1 or not part2:
-                return EmptyPart(f"both parts of the split at {names[v]} must be nonempty")
+                raise EmptyPart(f"both parts of the split at {names[v]} must be nonempty")
             both = [*part1, *part2]
             for p in both:
                 if not 0 <= p < len(a):
-                    return NotIncident(f"edge position {p} is not incident to {names[v]}")
+                    raise NotIncident(f"edge position {p} is not incident to {names[v]}")
                 if v != a[p] and v != b[p]:
-                    return NotIncident(f"{self._edge(a[p], b[p])} is not incident to {names[v]}")
+                    raise NotIncident(f"{self._edge(a[p], b[p])} is not incident to {names[v]}")
             if len(set(both)) != len(both) or len(both) != degree[v]:
-                return NotIncident(f"parts at {names[v]} must partition its incident edges")
+                raise NotIncident(f"parts at {names[v]} must partition its incident edges")
             if id1 == id2:
-                return IdCollision(f"split ids at {names[v]} coincide")
+                raise IdCollision(f"split ids at {names[v]} coincide")
             for nid in (id1, id2):
                 if nid in fresh:
-                    return IdCollision(f"split id {nid} is used by two splits")
-                fresh.add(nid)
-        # the column checks fail on one of these faults, so this loop returns
-        for nid in chain.from_iterable(s[3:] for s in splits):
+                    raise IdCollision(f"split id {nid} is used by two splits")
+                fresh[nid] = None
+        for nid in fresh:
             i = index.get(nid)
             if i is not None and i not in split:
-                return IdCollision(f"split id {nid} collides with an existing vertex")
+                raise IdCollision(f"split id {nid} collides with an existing vertex")
+
+        made = range(len(names), len(names) + len(fresh))
+        for (v, part1, part2, _, _), h in zip(splits, made[::2]):
+            for part, half in ((part1, h), (part2, h + 1)):
+                for p in part:
+                    if a[p] == v:
+                        a[p] = half
+                    else:
+                        b[p] = half
+        # every split name goes before any half comes in, since a half may
+        # take the name of a vertex split later in the same call
+        list(map(index.pop, map(names.__getitem__, split)))
+        names += fresh
+        index.update(zip(fresh, made))
+        return made
 
 
 def _surgery(g: Graph, operate) -> tuple[Graph, dict[Edge, Edge]]:

@@ -1,13 +1,15 @@
-"""The fan-cell bases built by hub surgery: a reference for the builders that
-lay their cells on their hubs.
+"""The bases built by hub surgery: a reference for the builders that lay
+their cells on their hubs, and for ``gn``, which swaps its hubs' rail edges.
 
-Each reference labels 2k+1 cells with private hubs x_1 .. x_(2k+1) (np3o3:
-one run x_i_a per hub a), then merges the hubs as the surgery construction
-did, after splitting the outer hubs in ``df``.  It returns what its builder
-returns, with the instance taken from the builder itself: the claims do not
-depend on how the graph is laid.  ``BUILDERS`` holds the real builders as
-they were at import, so a reference still calls them while
-:func:`use_references` has put the references in their place.
+Each fan-cell reference labels 2k+1 cells with private hubs x_1 .. x_(2k+1)
+(np3o3: one run x_i_a per hub a), then merges the hubs as the surgery
+construction did, after splitting the outer hubs in ``df``.  The ``gn``
+reference splits two hubs of the bracelet per index and re-merges the halves
+crosswise.  Each returns what its builder returns, with the instance taken
+from the builder itself: the claims do not depend on how the graph is laid.
+``BUILDERS`` holds the real builders as they were at import, so a reference
+still calls them while :func:`use_references` has put the references in
+their place.
 """
 
 from itertools import chain, repeat
@@ -17,7 +19,10 @@ from antimagic.graph import V, VertexId, _Draft
 from antimagic.partition import _position_blocks
 from antimagic.tables import table_m1, table_m3
 
-BUILDERS = {"fb": families._fb, "tfb": families._tfb, "df": families._df, "np3o3": families._np3_o3}
+BUILDERS = {
+    "fb": families._fb, "tfb": families._tfb, "df": families._df,
+    "np3o3": families._np3_o3, "gn": families._gn,
+}
 
 
 def _vertices(role, *columns):
@@ -103,11 +108,36 @@ def np3o3(n):
     return d, inst
 
 
-REFERENCES = {"fb": fb, "tfb": tfb, "df": df, "np3o3": np3o3}
+def gn(n, indices):
+    _, inst, _ = BUILDERS["gn"](n, indices)
+    d, _, hubs = families._tb(n)
+    hub = dict(zip(range(0, 2 * n + 1, 2), hubs))
+
+    # on the rails of _pt the edge u_j u_(j+1) is at position j and
+    # v_j v_(j+1) at 2n+2+j, so the lower half of z_m keeps the edges to
+    # u_(m-1), v_(m-1), at m-1 and 2n+1+m, and the upper half those to
+    # u_(m+1), v_(m+1)
+    remerged = [m for ia in indices for m in (8 * ia - 2, 16 * ia - 4)]
+    halves = d.split([
+        (hub[m], (m - 1, 2 * n + 1 + m), (m, 2 * n + 2 + m), V("z1", m), V("z2", m))
+        for m in remerged
+    ])
+    # index ia's halves are lo1, lo2, hi1, hi2 at h .. h+3: the lower half
+    # of z_lo goes with the upper half of z_hi, and crosswise
+    blocks = [block for h in halves[::4] for block in ([h, h + 3], [h + 1, h + 2])]
+    hub.update(zip(remerged, d.merge(blocks, list(_vertices("z", remerged)))))
+
+    cuts = [range(8 * ia, 16 * ia - 3, 2) for ia in indices]
+    cut = set().union(*cuts)
+    rims = [[hub[m] for m in hub if m not in cut]] + [[hub[m] for m in c] for c in cuts]
+    return d, inst, rims
+
+
+REFERENCES = {"fb": fb, "tfb": tfb, "df": df, "np3o3": np3o3, "gn": gn}
 
 
 def use_references(monkeypatch):
-    """Build the four bases, and every family merged from one, by surgery."""
+    """Build the five bases, and every family made from one, by surgery."""
     for family, ref in REFERENCES.items():
         monkeypatch.setattr(families, BUILDERS[family].__name__, ref)
         monkeypatch.setitem(families._BUILDERS, family, ref)

@@ -238,8 +238,8 @@ def test_df3_needs_composite_hub_count():
 
 # sha256 over repr((names, a, b, labels)) of each finished draft below, in
 # turn: every vertex and edge position of the builds that split by edge
-# position, as the builders that split by end pairs left them.  The df
-# drafts are those of hub surgery (hub_reference), which split df's hubs
+# position, as the builders that split by end pairs left them.  The drafts
+# are those of hub surgery (hub_reference), which splits the hubs of df and gn
 SPLIT_DRAFTS = [
     ("df", {"r": 1, "s": 1}), ("df", {"r": 3, "s": 5}), ("df1", {"r": 1, "s": 3}),
     ("df2", {"r": 2, "s": 3}), ("df3", {"r": 4, "s": 1, "r1": 3}),
@@ -708,18 +708,6 @@ def _pt_tb_blocks_sharing_a_member(monkeypatch):
     monkeypatch.setattr(families, "_deal", shared)
 
 
-def _gn_splitting_a_hub_twice(monkeypatch):
-    """Bracelet hubs with z_6's in place of z_12's, so that gn's first index
-    splits z_6 twice."""
-    real = families._tb
-
-    def doubled(n):
-        d, inst, hubs = real(n)
-        return d, inst, [*hubs[:6], hubs[3], *hubs[7:]]
-
-    monkeypatch.setattr(families, "_tb", doubled)
-
-
 def _fan_cells_with_a_parallel_edge(monkeypatch):
     """Fan cells with edge 0 laid twice, which only the finish sees."""
     real = families._fan_cells
@@ -737,15 +725,12 @@ def _fan_cells_with_a_parallel_edge(monkeypatch):
 @pytest.mark.parametrize(
     "patch, family, params, fault",
     [
-        # a builder's own split: "z_6 split twice", a usage error before the
-        # build mapped it
-        (_gn_splitting_a_hub_twice, "gn", {"n": 6, "indices": (1,)}, "z_6 split twice"),
         # a merge of _merged that is no clash of the blocks
         (_pt_tb_blocks_sharing_a_member, "tb1", {"n": 8, "r": 3}, "u_1 appears in two blocks"),
         # the finish of the draft
         (_fan_cells_with_a_parallel_edge, "fb", {"n": 5}, "two edges join the same two vertices"),
     ],
-    ids=["gn-split", "merged-overlap", "finish"],
+    ids=["merged-overlap", "finish"],
 )
 def test_a_surgery_fault_in_a_builders_own_draft_is_an_invariant_error(
     patch, family, params, fault, monkeypatch, tmp_path
@@ -1037,6 +1022,24 @@ def test_build_family_unknown_keyword_is_invalid_params():
         with pytest.raises(InvalidParams) as info:
             build_family(family, **params)
         assert str(info.value) == message
+
+
+@pytest.mark.parametrize("family, params, message", [
+    ("gn", dict(n=10, indices=(True,)), "indices must be a list or tuple of ints, got (True,)"),
+    ("gn", dict(n=10, indices=(1.0,)), "indices must be a list or tuple of ints, got (1.0,)"),
+    ("gn", dict(n=10, indices=1), "indices must be a list or tuple of ints, got 1"),
+    ("fb", dict(n=3.0), "n must be an int, got 3.0"),
+    ("fb", dict(n=True), "n must be an int, got True"),
+    ("tfb", dict(t=3.0, s=3), "t must be an int, got 3.0"),
+    ("gb", dict(n=8, r=3.0, s=3), "r must be an int, got 3.0"),
+    ("df3", dict(r=4, s=1, r1=3.0), "r1 must be an int, got 3.0"),
+    ("pt", dict(n=2.0), "n must be an int, got 2.0"),
+], ids=["gn-bool-index", "gn-float-index", "gn-int-indices", "fb-float", "fb-bool", "tfb-float",
+        "gb-float", "df3-float", "pt-float"])
+def test_build_family_takes_only_exact_int_parameters(family, params, message):
+    with pytest.raises(InvalidParams) as info:
+        build_family(family, **params)
+    assert str(info.value) == f"bad parameters for {family}: {message}"
 
 
 def test_build_family_lets_a_builder_type_error_through(monkeypatch):

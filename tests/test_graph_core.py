@@ -986,9 +986,13 @@ def test_split_by_position_fails_only_with_a_surgery_error(g, data):
     d, at = _draft(g)
     try:
         d.split([(at[v], part1, part2, id1, id2) for v, part1, part2, id1, id2 in splits])
-        got = d.finish()[0]
     except GraphSurgeryError as exc:
         got = type(exc), str(exc)
+        # a failed split leaves the draft as it was
+        fresh = _draft(g)[0]
+        assert (d.names, d.index, d.a, d.b) == (fresh.names, fresh.index, fresh.a, fresh.b)
+    else:
+        got = d.finish()[0]
     positions = [p for _, part1, part2, *_ in splits for p in (*part1, *part2)]
     repeats = any(len(set(part)) != len(part) for _, *parts, _, _ in splits for part in parts)
     if all(0 <= p < len(es) for p in positions) and not repeats:
