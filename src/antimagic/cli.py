@@ -71,8 +71,6 @@ def _build_params(args) -> dict:
             params["indices"] = tuple(int(x) for x in args.indices.split(","))
         except ValueError:
             raise UsageError(f"indices are not comma-separated ints: {args.indices!r}") from None
-    if args.base is not None:
-        params["base"] = args.base
     return params
 
 
@@ -245,8 +243,7 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--family", required=True, choices=list(FAMILY_TAGS))
     for key in _BUILD_INTS:
         p.add_argument("--" + key, type=int)
-    p.add_argument("--indices", help="comma-separated split indices (gn/gb)")
-    p.add_argument("--base", choices=["tb", "gn"], help="gb base graph")
+    p.add_argument("--indices", help="comma-separated split indices (gn, and gb over gn)")
     p.add_argument("--emit", choices=["json", "dot", "both"], default="json",
                    help="files to write (default: json)")
     p.add_argument("--certify", action="store_true",
@@ -303,31 +300,18 @@ def _usable_out(out: str) -> bool:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = make_parser()
+    # argparse fills ``args`` as it parses, so an ``--out`` given before a
+    # parse error is honoured; otherwise it still holds the default.  Until
+    # the parse succeeds, the manifest records the raw argv
     args = argparse.Namespace()
+    parameters = {"argv": list(sys.argv[1:] if argv is None else argv)}
+    parsed, input_hashes, docs, outputs = False, {}, [], []
     try:
-        parser.parse_args(argv, namespace=args)
-    except UsageError as exc:
-        # argparse fills ``args`` as it parses, so an ``--out`` given before
-        # the error is honoured; otherwise it still holds the default
-        print(f"usage error: {exc}", file=sys.stderr)
-        if _usable_out(args.out):
-            io.append_manifest(
-                args.out,
-                args.command,
-                {"argv": list(sys.argv[1:] if argv is None else argv)},
-                __version__,
-                {},
-                f"usage error: {exc}",
-                [],
-            )
-        raise SystemExit(2) from None
-    if not _usable_out(args.out):
-        return 2
-    out_dir = Path(args.out)
-
-    input_hashes, docs = {}, []
-    try:
+        make_parser().parse_args(argv, namespace=args)
+        parsed = True
+        if not _usable_out(args.out):
+            return 2
+        parameters = {k: v for k, v in vars(args).items() if k != "command"}
         if getattr(args, "input", None) is not None:
             # one read: the manifest hashes the very bytes that are parsed
             try:
@@ -339,23 +323,21 @@ def main(argv: list[str] | None = None) -> int:
                 docs.append(json.loads(data.decode()))
             except (ValueError, RecursionError) as exc:  # json.loads recurses per nesting
                 raise UsageError(f"{args.input} is not a JSON document: {exc}") from None
-        code, outcome, outputs = _HANDLERS[args.command](args, out_dir, *docs)
+        code, outcome, outputs = _HANDLERS[args.command](args, Path(args.out), *docs)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
-        code, outcome, outputs = 2, f"usage error: {exc}", []
+        code, outcome = 2, f"usage error: {exc}"
     except InvariantError as exc:
         print(f"invariant failure: {exc}", file=sys.stderr)
-        code, outcome, outputs = 1, f"invariant failure: {exc}", []
+        code, outcome = 1, f"invariant failure: {exc}"
 
-    io.append_manifest(
-        out_dir,
-        args.command,
-        {k: v for k, v in vars(args).items() if k not in ("command",)},
-        __version__,
-        input_hashes,
-        outcome,
-        outputs,
-    )
+    # a parsed run checked its --out before it ran; a parse error checks it now
+    if parsed or _usable_out(args.out):
+        io.append_manifest(
+            args.out, args.command, parameters, __version__, input_hashes, outcome, outputs
+        )
+    if not parsed:
+        raise SystemExit(2)
     return code
 
 

@@ -10,7 +10,8 @@ lay each labeled cell straight onto the hubs it shares, and ``pt`` lays its
 rails and rungs.  Every other family merges blocks of a base's vertices
 through ``_merged``, and ``gn`` swaps rail edges between pairs of a
 bracelet's hubs: both only rewrite edge ends, so labels stay with their
-edges.  One graph is made per build.
+edges.  One graph is made per build, and a builder takes only parameters
+its instance records: ``gb`` reads its base off ``indices``.
 
 Correctness authority is the certificate, not the construction: every
 builder's output is expected to pass :func:`antimagic.graph.certify` with
@@ -253,52 +254,52 @@ def _fb_merged(variant: int, r: int, s: int) -> tuple[_Draft, FamilyInstance, ra
     )
 
 
-def _df_merged(
-    variant: int, r: int, s: int, r1: int | None = None
-) -> tuple[_Draft, FamilyInstance, range]:
-    """Merge one full color class of a diamond-fan union into equal blocks.
-
-    Variant 1 merges the degree-2 class into 2s blocks, variant 2 the
-    degree-3 class into s blocks (each block takes one vertex from the fan
+def _df_merged(variant: int, r: int, s: int) -> tuple[_Draft, FamilyInstance, range]:
+    """Merge one fan cell class of a diamond-fan union into equal blocks:
+    variant 1 the degree-2 class into 2s blocks, variant 2 the degree-3
+    class into s blocks.  Each block takes one vertex from the fan
     component and, per diamond component, one from each of its two hub
-    sides, so block members never share a neighbor).  Variant 3 merges the
-    2r+1 hubs into r1 blocks of r2 = (2r+1)/r1.
+    sides, so block members never share a neighbor.
     """
-    if variant in (1, 2) and s < 3:
+    if s < 3:
         raise InvalidParams(f"variant {variant} needs odd s >= 3, got s={s}")
-    d, base, hubs = _df(r, s)
+    d, base, _ = _df(r, s)
     k = base.params["k"]
-
     if variant == 1 and k % 4 == 2:
         raise PaletteCollision(
             f"k = {k} = 2 (mod 4): (2r+1)(10k+6) may equal s(21k+12), excluded"
         )
 
-    params = {"r": r, "s": s, "k": k}
-    if variant == 3:
-        if r1 is None or r1 < 3 or (2 * r + 1) % r1 or (2 * r + 1) // r1 < 3:
-            raise InvalidFactorization(
-                f"variant 3 needs 2r+1 = r1*r2 with r1, r2 >= 3, got r={r}, r1={r1}"
-            )
-        r2 = (2 * r + 1) // r1
-        params.update(r1=r1, r2=r2)
-        blocks = [hubs[c * r2: (c + 1) * r2] for c in range(r1)]
-        color, degree = s * (21 * k + 12), 3 * s
-    else:
-        # one column of cells for the fan (block r+1), one for each hub side
-        # of each diamond (blocks j and 2r+2-j, which start at cells
-        # (j-1)s+1 and (2r+1-j)s+1); block b takes the b-th class member of
-        # every column
-        roles, color, degree = _fan_class(variant, k)
-        firsts = [_fan_at(role, 1, k) for role in roles]
-        starts = [r * s, *chain.from_iterable((j * s, (2 * r - j) * s) for j in range(r))]
-        blocks = list(zip(*(
-            [i for first in firsts for i in range(first + start, first + start + s)]
-            for start in starts
-        )))
+    # one column of cells for the fan (block r+1), one for each hub side of
+    # each diamond (blocks j and 2r+2-j, which start at cells (j-1)s+1 and
+    # (2r+1-j)s+1); block b takes the b-th class member of every column
+    roles, color, degree = _fan_class(variant, k)
+    firsts = [_fan_at(role, 1, k) for role in roles]
+    starts = [r * s, *chain.from_iterable((j * s, (2 * r - j) * s) for j in range(r))]
+    blocks = list(zip(*(
+        [i for first in firsts for i in range(first + start, first + start + s)]
+        for start in starts
+    )))
     return _merged(
-        (d, base), f"df{variant}", params, blocks,
+        (d, base), f"df{variant}", {"r": r, "s": s, "k": k}, blocks,
         [V("m", b + 1) for b in range(len(blocks))], color, degree,
+    )
+
+
+def _df3(r: int, s: int, r1: int) -> tuple[_Draft, FamilyInstance, range]:
+    """Merge the 2r+1 hubs of a diamond-fan union into r1 blocks of
+    r2 = (2r+1)/r1 consecutive hubs."""
+    d, base, hubs = _df(r, s)
+    k = base.params["k"]
+    if r1 < 3 or (2 * r + 1) % r1 or (2 * r + 1) // r1 < 3:
+        raise InvalidFactorization(
+            f"variant 3 needs 2r+1 = r1*r2 with r1, r2 >= 3, got r={r}, r1={r1}"
+        )
+    r2 = (2 * r + 1) // r1
+    return _merged(
+        (d, base), "df3", {"r": r, "s": s, "k": k, "r1": r1, "r2": r2},
+        [hubs[c * r2: (c + 1) * r2] for c in range(r1)],
+        [V("m", b + 1) for b in range(r1)], s * (21 * k + 12), 3 * s,
     )
 
 
@@ -501,33 +502,24 @@ def _gn(n: int, indices: Sequence[int]) -> tuple[_Draft, FamilyInstance, list[li
 
 
 def _gb(
-    n: int,
-    r: int,
-    s: int,
-    base: str = "tb",
-    indices: Sequence[int] | None = None,
+    n: int, r: int, s: int, indices: Sequence[int] | None = None
 ) -> tuple[_Draft, FamilyInstance, range]:
-    """Generalized bracelet: merge the n+1 degree-4 vertices of a bracelet
-    (or bracelet union) into r blocks of s without common neighbors, dealt
-    bracelet by bracelet along the rims (see :func:`_deal`)."""
+    """Generalized bracelet: merge the n+1 degree-4 vertices of the bracelet,
+    or of the bracelet union G(n; indices) when ``indices`` are given, into
+    r blocks of s without common neighbors, dealt bracelet by bracelet
+    along the rims (see :func:`_deal`).  The base is recorded as its family."""
     if n < 8 or n % 2:
         raise InvalidParity(f"need even n >= 8, got {n}")
     if r < 3 or s < 3 or r * s != n + 1:
         raise InvalidFactorization(f"need n+1 = r*s with r, s >= 3, got {r}*{s}")
-    if base == "tb":
-        if indices is not None:
-            raise InvalidParams("base 'tb' takes no split index list")
+    if indices is None:
         d, base_inst, hubs = _tb(n)
         rims = [hubs]
-    elif base == "gn":
-        if not indices:
-            raise InvalidParams("base 'gn' needs the split index list")
-        d, base_inst, rims = _gn(n, indices)
     else:
-        raise InvalidParams(f"base must be 'tb' or 'gn', got {base!r}")
+        d, base_inst, rims = _gn(n, indices)
     k = base_inst.params["k"]
-    params = {"n": n, "k": k, "r": r, "s": s, "base": base}
-    if indices:
+    params = {"n": n, "k": k, "r": r, "s": s, "base": base_inst.family}
+    if indices is not None:
         params["indices"] = tuple(indices)
     return _merged(
         (d, base_inst), "gb", params, _deal(rims, r),
@@ -582,7 +574,7 @@ _BUILDERS: dict[str, Callable[..., tuple]] = {
     "fb2": partial(_fb_merged, 2),
     "df1": partial(_df_merged, 1),
     "df2": partial(_df_merged, 2),
-    "df3": partial(_df_merged, 3),
+    "df3": _df3,
     "pt": _pt,
     "tb": _tb,
     "pt1": partial(_pt_tb_merged, "pt", 1),
@@ -598,6 +590,16 @@ _BUILDERS: dict[str, Callable[..., tuple]] = {
 FAMILY_TAGS = tuple(_BUILDERS)
 
 
+def _check_binding(family: str, builder: Callable, params: dict) -> None:
+    """Raise the usage error of parameters that ``builder`` does not take.
+    Called only once a check or a call has failed, so neither the import nor
+    a good call pays for reading the signature."""
+    try:
+        inspect.signature(builder).bind(**params)
+    except TypeError as exc:
+        raise InvalidParams(f"bad parameters for {family}: {exc}") from None
+
+
 def build_family(family: str, **params) -> BuildResult:
     """Build one instance of ``family``: its builder's draft, finished.  The
     builder chose every merge of the draft, so a surgery fault in it, the
@@ -606,19 +608,17 @@ def build_family(family: str, **params) -> BuildResult:
         builder = _BUILDERS[family]
     except KeyError:
         raise InvalidParams(f"unknown family {family!r}; known: {FAMILY_TAGS}") from None
-    # exact types: a bool passes for an int, and a float fails deep in a builder
+    # exact types: a bool passes for an int, and a float fails deep in a
+    # builder; a parameter the builder does not take is named as that first
     for key, value in params.items():
         if key == "indices":
-            if type(value) not in (list, tuple) or {type(i) for i in value} - {int}:
-                raise InvalidParams(
-                    f"bad parameters for {family}: indices must be a list or tuple of ints, "
-                    f"got {value!r}"
-                )
-        elif key != "base" and type(value) is not int:
-            raise InvalidParams(f"bad parameters for {family}: {key} must be an int, got {value!r}")
-    # only a binding failure is a usage error; a TypeError raised inside a
-    # builder is a bug and propagates unchanged.  The signature is read only
-    # once a call has failed, so neither the import nor a good call pays for it
+            ok = type(value) in (list, tuple) and not {type(i) for i in value} - {int}
+            kind = "a list or tuple of ints"
+        else:
+            ok, kind = type(value) is int, "an int"
+        if not ok:
+            _check_binding(family, builder, params)
+            raise InvalidParams(f"bad parameters for {family}: {key} must be {kind}, got {value!r}")
     try:
         # drop the extras before the finish: held through it, they raise peak RSS
         d, inst = builder(**params)[:2]
@@ -626,10 +626,9 @@ def build_family(family: str, **params) -> BuildResult:
     except GraphSurgeryError as exc:
         raise InvariantError(f"{family}{params}: surgery on its own draft failed: {exc}") from None
     except TypeError:
-        try:
-            inspect.signature(builder).bind(**params)
-        except TypeError as exc:
-            raise InvalidParams(f"bad parameters for {family}: {exc}") from None
+        # only a binding failure is a usage error; a TypeError raised inside
+        # a builder is a bug and propagates unchanged
+        _check_binding(family, builder, params)
         raise
 
 

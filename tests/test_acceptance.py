@@ -140,7 +140,7 @@ def test_criterion_3_gb_over_every_gn_base_up_to_n44():
             if s < 3:
                 continue
             for indices in valid_gn_index_lists(n):
-                g, f, inst = build_family("gb", n=n, r=r, s=s, base="gn", indices=indices)
+                g, f, inst = build_family("gb", n=n, r=r, s=s, indices=indices)
                 verify_instance(g, f, inst)
                 shapes += 1
     assert shapes == 142

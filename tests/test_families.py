@@ -2,6 +2,7 @@
 structure checks, and the parameter guards."""
 
 import hashlib
+import inspect
 import json
 import sys
 from functools import partial
@@ -105,13 +106,13 @@ def test_fb9_hub_color_is_last_three_rows_total():
     (lambda: build_family("gb", n=14, r=3, s=4), InvalidFactorization,
      "need n+1 = r*s with r, s >= 3, got 3*4"),
     (lambda: build_family("gb", n=14, r=3, s=5, base="gn"), InvalidParams,
-     "base 'gn' needs the split index list"),
-    (lambda: build_family("gb", n=14, r=3, s=5, base="xx"), InvalidParams,
-     "base must be 'tb' or 'gn', got 'xx'"),
+     "bad parameters for gb: got an unexpected keyword argument 'base'"),
+    (lambda: build_family("gb", n=14, r=3, s=5, indices=()), InvalidIndices,
+     "indices must be strictly increasing positives, got ()"),
     (lambda: build_family("nope"), InvalidParams,
      f"unknown family 'nope'; known: {families.FAMILY_TAGS}"),
     (lambda: family_grid("nope"), InvalidParams, "unknown family 'nope'"),
-], ids=["tfb-t2", "df-r0", "df1-s1", "gb-n9", "gb-s4", "gb-gn-no-indices", "gb-base-xx",
+], ids=["tfb-t2", "df-r0", "df1-s1", "gb-n9", "gb-s4", "gb-base-is-not-a-parameter", "gb-no-indices",
         "build-unknown", "grid-unknown"])
 def test_builder_usage_errors_raise_their_type_and_message(call, error, message):
     with pytest.raises(error) as info:
@@ -577,7 +578,7 @@ def test_gn_index_list_enumeration_n30():
 
 
 def test_gb_over_gn_base():
-    g, f, inst, cert = built_ok("gb", n=14, r=3, s=5, base="gn", indices=(1,))
+    g, f, inst, cert = built_ok("gb", n=14, r=3, s=5, indices=(1,))
     assert cert.palette[2] == 5 * (20 * 7 + 12)
 
 
@@ -596,7 +597,7 @@ def test_gb_over_gn_deals_each_bracelet_rim():
     with pytest.raises(MergeWouldCreateParallelEdge):
         merge_vertices(g, round_robin, [V("m", b + 1) for b in range(3)])
 
-    *merged, cert = built_ok("gb", n=20, r=3, s=7, base="gn", indices=(1, 2))
+    *merged, cert = built_ok("gb", n=20, r=3, s=7, indices=(1, 2))
     assert cert.palette[2] == 7 * (20 * 10 + 12)
     record = _merged_blocks(base, merged)
     assert record != tuple(
@@ -618,7 +619,7 @@ def test_gb_over_gn_swaps_the_end_of_a_rim_of_1_mod_r():
     dealt = rims[0] + rims[1]
     with pytest.raises(MergeWouldCreateParallelEdge):
         merge_vertices(g, [dealt[b::3] for b in range(3)], [V("m", b + 1) for b in range(3)])
-    built_ok("gb", n=38, r=3, s=13, base="gn", indices=(5,))
+    built_ok("gb", n=38, r=3, s=13, indices=(5,))
 
 
 def _merged_by_name(base, family, params, blocks, new_ids, color, degree):
@@ -797,9 +798,13 @@ def test_tb_records_its_zipped_rail_pairs():
     )
 
 
-def test_gb_over_tb_rejects_split_indices():
-    with pytest.raises(InvalidParams, match="index list"):
-        build_family("gb", n=14, r=3, s=5, indices=(1,))
+def test_gb_with_indices_builds_over_gn_and_records_its_base():
+    # the cut indices alone choose the base, which the instance records
+    g_tb, _, over_tb = build_family("gb", n=14, r=3, s=5)
+    g_gn, _, over_gn, _ = built_ok("gb", n=14, r=3, s=5, indices=[1])
+    assert over_tb.params == {"n": 14, "k": 7, "r": 3, "s": 5, "base": "tb"}
+    assert over_gn.params == {"n": 14, "k": 7, "r": 3, "s": 5, "base": "gn", "indices": (1,)}
+    assert g_gn != g_tb
 
 
 # --- triple-hub joins --------------------------------------------------------------
@@ -986,7 +991,7 @@ def test_derived_claims_equal_the_closed_forms(family):
     "family, params",
     [(family, next(p for p, reason in family_grid(family) if reason is None))
      for family in families.FAMILY_TAGS]
-    + [("gb", {"n": 14, "r": 3, "s": 5, "base": "gn", "indices": (1,)})],
+    + [("gb", {"n": 14, "r": 3, "s": 5, "indices": (1,)})],
     ids=list(families.FAMILY_TAGS) + ["gb-over-gn"],
 )
 def test_a_build_makes_one_graph_and_remaps_no_labels(monkeypatch, family, params):
@@ -1018,6 +1023,15 @@ def test_build_family_unknown_keyword_is_invalid_params():
         ("fb", dict(n=9, m=3), "bad parameters for fb: got an unexpected keyword argument 'm'"),
         ("fb1", dict(r=3), "bad parameters for fb1: missing a required argument: 's'"),
         ("pt1", dict(n=5), "bad parameters for pt1: missing a required argument: 'r'"),
+        # a parameter the family does not take is named as that, not by its type
+        ("fb", dict(n=3, color="red"),
+         "bad parameters for fb: got an unexpected keyword argument 'color'"),
+        ("gn", dict(n=6, indices=(1,), r=2.0),
+         "bad parameters for gn: got an unexpected keyword argument 'r'"),
+        # only df3 merges the hubs into r1 blocks
+        ("df1", dict(r=1, s=3, r1=99), "bad parameters for df1: got an unexpected keyword argument 'r1'"),
+        ("df2", dict(r=1, s=3, r1=99), "bad parameters for df2: got an unexpected keyword argument 'r1'"),
+        ("df3", dict(r=4, s=1), "bad parameters for df3: missing a required argument: 'r1'"),
     ]:
         with pytest.raises(InvalidParams) as info:
             build_family(family, **params)
@@ -1040,6 +1054,19 @@ def test_build_family_takes_only_exact_int_parameters(family, params, message):
     with pytest.raises(InvalidParams) as info:
         build_family(family, **params)
     assert str(info.value) == f"bad parameters for {family}: {message}"
+
+
+def test_no_builder_takes_a_parameter_its_family_never_records():
+    # an option a builder takes and ignores would show here as a name that
+    # no instance records
+    recorded = {family: set() for family in families.FAMILY_TAGS}
+    points = [(family, next(p for p, reason in family_grid(family) if reason is None))
+              for family in families.FAMILY_TAGS]
+    for family, params in points + [("gb", {"n": 14, "r": 3, "s": 5, "indices": (1,)})]:
+        recorded[family] |= set(build_family(family, **params)[2].params)
+    for family, builder in families._BUILDERS.items():
+        taken = set(inspect.signature(builder).parameters)
+        assert taken <= recorded[family], (family, taken - recorded[family])
 
 
 def test_build_family_lets_a_builder_type_error_through(monkeypatch):

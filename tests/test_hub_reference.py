@@ -19,7 +19,7 @@ def _points(family, **bounds):
 
 # gb over gn at n <= 60: each gb grid point with each of its first three index lists
 GB_OVER_GN = [
-    {**params, "base": "gn", "indices": indices}
+    {**params, "indices": indices}
     for params in _points("gb", max_n=60) for indices in valid_gn_index_lists(params["n"])[:3]
 ]
 

@@ -20,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from antimagic import errors, families, graph, io, tables
-from antimagic.cli import main
+from antimagic.cli import main, make_parser
 from antimagic.errors import InvalidParity, InvariantError, UsageError
 from antimagic.families import build_family
 from antimagic.graph import Edge, EdgeLabeling, Graph, VertexId, certify
@@ -956,19 +956,50 @@ def test_cli_sweep_bound_the_family_grid_ignores_is_usage(tmp_path, capsys):
     assert "gn: 0 pass" in capsys.readouterr().out
 
 
-def test_cli_build_base_is_usage_outside_gb(tmp_path):
-    code = main(["--out", str(tmp_path), "build", "--family", "tb", "--n", "8", "--base", "gn"])
-    assert code == 2
-    entry = json.loads((tmp_path / "manifest.jsonl").read_text())
-    assert entry["outcome"].startswith("usage error")
+def test_cli_build_base_is_an_unknown_option(tmp_path):
+    # gb reads its base off --indices, so build has no --base
+    argv = ["--out", str(tmp_path), "build", "--family", "gb", "--n", "14", "--r", "3",
+            "--s", "5", "--base", "gn"]
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 2
+    (line,) = (tmp_path / "manifest.jsonl").read_text().splitlines()
+    entry = json.loads(line)
+    assert entry["outcome"] == "usage error: antimagic: unrecognized arguments: --base gn"
+    assert entry["parameters"] == {"argv": argv}
     assert sorted(p.name for p in tmp_path.iterdir()) == ["manifest.jsonl"]
+
+
+@pytest.mark.parametrize("family", ["df1", "df2"])
+def test_cli_build_df1_and_df2_refuse_r1(tmp_path, family):
+    code = main(["--out", str(tmp_path), "build", "--family", family, "--r", "1", "--s", "3",
+                 "--r1", "99"])
+    assert code == 2
+    (line,) = (tmp_path / "manifest.jsonl").read_text().splitlines()
+    entry = json.loads(line)
+    assert (entry["outcome"], entry["outputs"]) == (
+        f"usage error: bad parameters for {family}: got an unexpected keyword argument 'r1'", []
+    )
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["manifest.jsonl"]
+
+
+def test_readme_cli_examples_parse():
+    # a removed option must not linger in the documented command lines
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = re.search(r"^## CLI\n\n```sh\n(.*?)^```", readme, re.M | re.S).group(1)
+    lines = block.splitlines()
+    assert lines and all(line.startswith("antimagic ") for line in lines)
+    assert "antimagic --out out build --family gb --n 14 --r 3 --s 5 --indices 1 --certify" in lines
+    parser = make_parser()
+    for line in lines:
+        parser.parse_args(line.split()[1:])
 
 
 def test_cli_build_gb_over_gn_with_a_rim_of_1_mod_r_certifies(tmp_path):
     # the bracelet of index 2 has 7 hubs, 7 = 1 (mod 3)
     code = main([
         "--out", str(tmp_path), "build", "--family", "gb", "--n", "44", "--r", "3",
-        "--s", "15", "--base", "gn", "--indices", "2", "--certify",
+        "--s", "15", "--indices", "2", "--certify",
     ])
     assert code == 0
 
