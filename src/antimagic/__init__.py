@@ -8,11 +8,7 @@ from .graph import (
     V,
     VertexId,
     certify,
-    edge,
     induce_coloring,
-    merge_vertices,
-    split_vertex,
-    split_vertices,
 )
 from .families import FamilyInstance, build_family, sweep_family, verify_instance
 from .partition import EqualSumPartition, partition_ap
@@ -46,13 +42,9 @@ __all__ = [
     "certify",
     "check_m1_observations",
     "check_m3_observations",
-    "edge",
     "induce_coloring",
-    "merge_vertices",
     "partition_ap",
     "solve_chi_la",
-    "split_vertex",
-    "split_vertices",
     "sweep_family",
     "table_m1",
     "table_m3",

@@ -12,7 +12,7 @@ import json
 import sys
 from pathlib import Path
 
-from . import __version__, io
+from . import io
 from .errors import InvariantError, UsageError
 from .families import FAMILY_TAGS, GRID_BOUND, build_family, sweep_family, verify_instance
 from .graph import certify
@@ -333,9 +333,7 @@ def main(argv: list[str] | None = None) -> int:
 
     # a parsed run checked its --out before it ran; a parse error checks it now
     if parsed or _usable_out(args.out):
-        io.append_manifest(
-            args.out, args.command, parameters, __version__, input_hashes, outcome, outputs
-        )
+        io.append_manifest(args.out, args.command, parameters, input_hashes, outcome, outputs)
     if not parsed:
         raise SystemExit(2)
     return code

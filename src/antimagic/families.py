@@ -33,8 +33,6 @@ from .errors import (
     InvalidParams,
     InvalidParity,
     InvariantError,
-    MergeWouldCreateLoop,
-    MergeWouldCreateParallelEdge,
     NoValidPartition,
     PaletteCollision,
     UsageError,
@@ -99,8 +97,9 @@ def _merged(
     r vertices of degree s*d.
 
     The merge is the certificate: adjacent members or a shared neighbor in
-    a block make it raise, which means the builder's own blocks broke their
-    premise, an invariant failure.
+    a block make it raise :class:`MergeWouldCreateLoop` or
+    :class:`MergeWouldCreateParallelEdge`, which :func:`build_family` reports
+    as the invariant failure of the builder's own draft.
     """
     d, base = built
     blocks = [list(b) for b in blocks]
@@ -118,12 +117,8 @@ def _merged(
     census[degree] -= r * s
     if not census[degree]:
         del census[degree]
-    try:
-        new = d.merge(blocks, new_ids)
-    except (MergeWouldCreateLoop, MergeWouldCreateParallelEdge) as exc:
-        raise InvariantError(f"{family}{params}: the blocks clash: {exc}") from None
     inst = FamilyInstance(family, params, palette, _census(*census.items(), (s * degree, r)))
-    return d, inst, new
+    return d, inst, d.merge(blocks, new_ids)
 
 
 # ---------------------------------------------------------------------------
@@ -410,7 +405,8 @@ def _pt_tb_merged(
     else:
         least = 1 if base == "pt" else 3
         s = (n + 1) // r if r >= 1 and (n + 1) % r == 0 else 0
-        if r < least or s < 3 or r % 2 == 0 or s % 2 == 0:
+        # n is even, so r and s, which divide n+1, are odd
+        if r < least or s < 3:
             raise NoValidPartition(
                 f"need odd r >= {least} with odd block size (n+1)/r >= 3, got r={r}, n={n}"
             )
@@ -602,8 +598,9 @@ def _check_binding(family: str, builder: Callable, params: dict) -> None:
 
 def build_family(family: str, **params) -> BuildResult:
     """Build one instance of ``family``: its builder's draft, finished.  The
-    builder chose every merge of the draft, so a surgery fault in it, the
-    finish's included, is an :class:`InvariantError`."""
+    builder chose every merge of the draft, so a surgery fault in it, a clash
+    of ``_merged``'s blocks and the finish's included, is an
+    :class:`InvariantError`, here and nowhere else."""
     try:
         builder = _BUILDERS[family]
     except KeyError:

@@ -13,11 +13,11 @@ Values here are observationally immutable and the functions pure.  A
 live index and two int arrays of edge ends, and a labeling from the same
 finish holds the label at each edge position.  :func:`certify` and the
 writers work on those arrays.  The frozenset views ``vertices`` and
-``edges``, the int adjacency with its components and the canonical listing
-of a graph, and the induced coloring of a finished labeling, are each built
-on first use and cached; the fill is idempotent (a racing second fill
-computes the same value), so graphs can still be shared freely across
-concurrent sweeps.
+``edges`` are computed on each call.  The int adjacency with its components
+and the canonical listing of a graph, and the induced coloring of a finished
+labeling, are each built on first use and cached; the fill is idempotent (a
+racing second fill computes the same value), so graphs can still be shared
+freely across concurrent sweeps.
 """
 
 from __future__ import annotations
@@ -106,13 +106,14 @@ class Graph:
     four are fixed at construction and only ever read.  Loops and parallel
     edges are impossible by construction; the graph may be disconnected.
 
-    ``vertices`` and ``edges`` are frozenset views, and the int adjacency with
-    its components and the canonical listing are derived structures: each is
-    built on first use and cached.  A fill is idempotent (a racing second fill
-    computes the same value), so graphs can be shared across threads.
+    ``vertices`` and ``edges`` are frozenset views computed on each call.  The
+    int adjacency with its components and the canonical listing are derived
+    structures: each is built on first use and cached.  A fill is idempotent
+    (a racing second fill computes the same value), so graphs can be shared
+    across threads.
     """
 
-    __slots__ = ("names", "index", "a", "b", "_vertices", "_edges", "_walk", "_listing")
+    __slots__ = ("names", "index", "a", "b", "_walk", "_listing")
 
     def __init__(self, vertices: Iterable[VertexId], edges: Iterable[Edge]):
         """The graph that a :class:`_Draft` of ``vertices`` and ``edges``
@@ -138,7 +139,7 @@ class Graph:
 
     def _fill(self, names, index, a, b) -> None:
         self.names, self.index, self.a, self.b = names, index, a, b
-        self._vertices = self._edges = self._walk = self._listing = None
+        self._walk = self._listing = None
 
     @property
     def order(self) -> int:
@@ -150,17 +151,11 @@ class Graph:
 
     @property
     def vertices(self) -> frozenset[VertexId]:
-        vs = self._vertices
-        if vs is None:
-            vs = self._vertices = frozenset(self.index)
-        return vs
+        return frozenset(self.index)
 
     @property
     def edges(self) -> frozenset[Edge]:
-        es = self._edges
-        if es is None:
-            es = self._edges = frozenset(self._named_edges())
-        return es
+        return frozenset(self._named_edges())
 
     def _named_edges(self) -> list[Edge]:
         """The canonical edge at each position."""

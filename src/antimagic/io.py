@@ -14,6 +14,7 @@ from itertools import chain, repeat
 from operator import itemgetter
 from pathlib import Path
 
+from . import __version__
 from .errors import GraphSurgeryError, UsageError
 from .families import FamilyInstance
 from .graph import (
@@ -291,7 +292,6 @@ def append_manifest(
     out_dir: str | Path,
     command: str,
     parameters: dict,
-    version: str,
     input_hashes: dict[str, str],
     outcome: str,
     outputs: list[str],
@@ -301,7 +301,7 @@ def append_manifest(
     entry = {
         "command": command,
         "parameters": _jsonable(parameters),
-        "version": version,
+        "version": __version__,
         "input_hashes": input_hashes,
         "outcome": outcome,
         "outputs": outputs,

@@ -11,7 +11,7 @@ import pytest
 
 from adjacency import components, neighbors
 from hub_reference import use_references
-from antimagic import families, graph
+from antimagic import families, graph, io
 from antimagic.cli import main
 from antimagic.errors import (
     ConditionViolated,
@@ -20,6 +20,7 @@ from antimagic.errors import (
     InvalidParams,
     InvalidParity,
     InvariantError,
+    MergeWouldCreateLoop,
     MergeWouldCreateParallelEdge,
     NoValidPartition,
     PaletteCollision,
@@ -440,6 +441,19 @@ def test_tb3_and_gb_examples():
     assert cert.palette == (69, 159, 760)
 
 
+def test_tb3_is_gb_over_the_bracelet_at_every_grid_point():
+    points = [params for params, excluded in family_grid("tb3") if excluded is None]
+    assert len(points) == 144
+    for params in points:
+        n, r = params["n"], params["r"]
+        g, f, inst = build_family("tb3", n=n, r=r)
+        g2, f2, inst2 = build_family("gb", n=n, r=r, s=(n + 1) // r)
+        assert io.graph_to_doc(g2, f2) == io.graph_to_doc(g, f), params
+        assert io.graph_to_dot(g2, f2) == io.graph_to_dot(g, f), params
+        assert inst2.expected_palette == inst.expected_palette, params
+        assert inst2.expected_census == inst.expected_census, params
+
+
 def test_pt1_merged_color_distinct_since_linear():
     # with block size 3 the merged color 3(9k+6) = 27k+18 always clears 21k+12
     g, f, inst, cert = built_ok("pt1", n=2, r=1)
@@ -630,36 +644,52 @@ def _merged_by_name(base, family, params, blocks, new_ids, color, degree):
     return families._merged((d, inst), family, params, blocks, new_ids, color, degree)
 
 
-def test_merge_class_out_of_rim_order_is_an_invariant_error():
+def _scrambled(rim):
+    """``rim`` with its second member moved behind its fourth: rim neighbors
+    z_0 and z_2 of a bracelet both land at a position = 0 (mod 3)."""
+    return [*rim[:1], *rim[2:4], rim[1], *rim[4:]]
+
+
+def test_merge_class_out_of_rim_order_raises_the_merge_fault():
     (rim,) = _bracelet_rims(build_family("tb", n=8)[0])
     params, ids = {"n": 8, "k": 4, "r": 3, "s": 3}, [V("m", b + 1) for b in range(3)]
     base = lambda: families._tb(8)[:2]  # noqa: E731 -- a merge consumes its draft
     _merged_by_name(base, "tb3", params, families._deal([rim], 3), ids, 92, 4)
-    # rim neighbors z_0 and z_2 both at a position = 0 (mod 3)
-    scrambled = rim[:1] + rim[2:4] + rim[1:2] + rim[4:]
-    with pytest.raises(InvariantError, match="clash"):
-        _merged_by_name(base, "tb3", params, families._deal([scrambled], 3), ids, 92, 4)
+    # _merged passes the merge's own fault on; build_family converts it
+    with pytest.raises(MergeWouldCreateParallelEdge) as info:
+        _merged_by_name(base, "tb3", params, families._deal([_scrambled(rim)], 3), ids, 92, 4)
+    assert str(info.value) == (
+        "edges u_1-z_0 and u_1-z_2 both become m_1-u_1 (two merged vertices share a neighbor)"
+    )
 
 
 @pytest.mark.parametrize(
-    "base, family, color, degree, block",
+    "base, family, color, degree, block, fault, message",
     [
         # u_1 and v_1 share their path center w_1 and their fan hub
-        (lambda: families._tfb(3, 3)[:2], "fb1", 10 * 4 + 6, 2, [V("u", 1), V("v", 1)]),
+        (lambda: families._tfb(3, 3)[:2], "fb1", 10 * 4 + 6, 2, [V("u", 1), V("v", 1)],
+         MergeWouldCreateParallelEdge,
+         "edges u_1-w_1 and v_1-w_1 both become m_1-w_1 (two merged vertices share a neighbor)"),
         # w_4 and w_5 both hang on the fan hub x
-        (lambda: families._df(1, 3)[:2], "df2", 9 * 4 + 6, 3, [V("w", 4), V("w", 5)]),
+        (lambda: families._df(1, 3)[:2], "df2", 9 * 4 + 6, 3, [V("w", 4), V("w", 5)],
+         MergeWouldCreateParallelEdge,
+         "edges w_4-x and w_5-x both become m_1-x (two merged vertices share a neighbor)"),
         # u_2 and u_4 share the rail vertex u_3
-        (lambda: families._pt(2), "tb", 10 * 1 + 6, 2, [V("u", 2), V("u", 4)]),
+        (lambda: families._pt(2), "tb", 10 * 1 + 6, 2, [V("u", 2), V("u", 4)],
+         MergeWouldCreateParallelEdge,
+         "edges u_2-u_3 and u_3-u_4 both become m_1-u_3 (two merged vertices share a neighbor)"),
         # z_0 and u_1 are adjacent
-        (lambda: families._tb(8)[:2], "gb", 20 * 4 + 12, 4, [V("z", 0), V("u", 1)]),
+        (lambda: families._tb(8)[:2], "gb", 20 * 4 + 12, 4, [V("z", 0), V("u", 1)],
+         MergeWouldCreateLoop, "block members u_1 and z_0 are adjacent"),
     ],
     ids=["shared-neighbor-fb1", "shared-neighbor-df2", "shared-neighbor-tb", "adjacent-gb"],
 )
-def test_clashing_blocks_of_a_merged_family_are_an_invariant_error(
-    base, family, color, degree, block
+def test_clashing_blocks_of_a_merged_family_raise_the_merge_fault(
+    base, family, color, degree, block, fault, message
 ):
-    with pytest.raises(InvariantError, match="clash"):
+    with pytest.raises(fault) as info:
         _merged_by_name(base, family, {}, [block], [V("m", 1)], color, degree)
+    assert type(info.value) is fault and str(info.value) == message
 
 
 def test_unequal_blocks_are_an_invariant_error():
@@ -681,7 +711,10 @@ def test_a_clash_in_fb1_blocks_fails_its_sweep_point(monkeypatch):
     monkeypatch.setattr(families, "_tfb", swapped)
     (rec,) = sweep_family("fb1", max_size=9)
     assert rec["status"] == "fail"
-    assert rec["reason"].startswith("fb1{'r': 3, 's': 3, 'k': 4}: the blocks clash")
+    assert rec["reason"] == (
+        "fb1{'r': 3, 's': 3}: surgery on its own draft failed: edges u_3-y_2 and u_4-y_2 "
+        "both become u_2-y_2 (two merged vertices share a neighbor)"
+    )
 
 
 def _tfb_blocks_sharing_a_hub(monkeypatch):
@@ -709,6 +742,12 @@ def _pt_tb_blocks_sharing_a_member(monkeypatch):
     monkeypatch.setattr(families, "_deal", shared)
 
 
+def _pt_tb_rims_out_of_order(monkeypatch):
+    """Every deal of rims scrambled as :func:`_scrambled` does."""
+    real = families._deal
+    monkeypatch.setattr(families, "_deal", lambda rims, r: real(list(map(_scrambled, rims)), r))
+
+
 def _fan_cells_with_a_parallel_edge(monkeypatch):
     """Fan cells with edge 0 laid twice, which only the finish sees."""
     real = families._fan_cells
@@ -728,10 +767,13 @@ def _fan_cells_with_a_parallel_edge(monkeypatch):
     [
         # a merge of _merged that is no clash of the blocks
         (_pt_tb_blocks_sharing_a_member, "tb1", {"n": 8, "r": 3}, "u_1 appears in two blocks"),
+        # a clash of the blocks of _merged
+        (_pt_tb_rims_out_of_order, "tb3", {"n": 8, "r": 3},
+         "edges u_1-z_0 and u_1-z_2 both become m_1-u_1 (two merged vertices share a neighbor)"),
         # the finish of the draft
         (_fan_cells_with_a_parallel_edge, "fb", {"n": 5}, "two edges join the same two vertices"),
     ],
-    ids=["merged-overlap", "finish"],
+    ids=["merged-overlap", "merged-clash", "finish"],
 )
 def test_a_surgery_fault_in_a_builders_own_draft_is_an_invariant_error(
     patch, family, params, fault, monkeypatch, tmp_path

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import antimagic
 from adjacency import components, incident_edges, neighbors
 from antimagic import graph, io
 from antimagic.errors import (
@@ -107,6 +108,15 @@ def test_v_makes_exactly_the_vertex_id_of_its_arguments():
         assert v == VertexId(role, tuple(indices))
         assert (v.role, v.indices) == (role, indices) and type(v.indices) is tuple
         assert str(v) == "_".join([role, *map(str, indices)])
+
+
+def test_the_package_leaves_the_surgery_api_to_its_graph_module():
+    surgery = {"edge", "merge_vertices", "split_vertex", "split_vertices"}
+    assert not surgery & set(antimagic.__all__)
+    assert not [name for name in antimagic.__all__ if not hasattr(antimagic, name)]
+    assert not [name for name in surgery if hasattr(antimagic, name)]
+    assert all(callable(getattr(graph, name)) for name in surgery)
+    assert callable(graph.EdgeLabeling.remapped)
 
 
 def _views(g):
