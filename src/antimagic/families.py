@@ -82,43 +82,36 @@ def _merged(
     built: Built,
     family: str,
     params: dict,
-    blocks: Iterable[Iterable[int]],
-    new_ids: Sequence[VertexId],
+    blocks: Sequence[Sequence[int]],
     color: int,
     degree: int,
+    new_ids: Sequence[VertexId] | None = None,
 ) -> tuple[_Draft, FamilyInstance, range]:
-    """Merge ``blocks`` of a base into ``new_ids``; scale its claims to match.
-    Returns the merged base and the indices of the new vertices.
+    """Merge ``blocks`` of a base into ``new_ids``, m_1..m_r unless given;
+    scale its claims to match.  Returns the merged base and the indices of
+    the new vertices.
 
-    The blocks are r blocks of s vertices of one independent class of
-    ``color`` and ``degree``, and r and s are read off them.  Labels stay
-    with their edges, so a block is one vertex of color s*color and degree
-    s*degree: the color becomes s*color and r*s vertices of degree d become
-    r vertices of degree s*d.
+    The blocks are trusted to be r blocks of s vertices of one independent
+    class of ``color`` and ``degree``, and r and s are read off them.  Labels
+    stay with their edges, so a block is one vertex of color s*color and
+    degree s*degree: the color becomes s*color and r*s vertices of degree d
+    become r vertices of degree s*d.  The certificate checks the scaled
+    palette and census, as it checks the tables and the partition.
 
-    The merge is the certificate: adjacent members or a shared neighbor in
-    a block make it raise :class:`MergeWouldCreateLoop` or
+    The merge is the certificate of the blocks: adjacent members or a shared
+    neighbor in a block make it raise :class:`MergeWouldCreateLoop` or
     :class:`MergeWouldCreateParallelEdge`, which :func:`build_family` reports
     as the invariant failure of the builder's own draft.
     """
     d, base = built
-    blocks = [list(b) for b in blocks]
-    sizes = set(map(len, blocks))
-    if len(sizes) != 1:
-        raise InvariantError(f"{family}{params}: blocks of unequal sizes {sorted(sizes)}")
-    r, (s,) = len(blocks), sizes
-    if color not in base.expected_palette or base.expected_census.get(degree, 0) < r * s:
-        raise InvariantError(
-            f"{base.family}{base.params} claims no {r * s} vertices of color "
-            f"{color} and degree {degree}"
-        )
+    r, s = len(blocks), len(blocks[0])
     palette = _palette(*(s * c if c == color else c for c in base.expected_palette))
     census = dict(base.expected_census)
-    census[degree] -= r * s
+    census[degree] = census.get(degree, 0) - r * s
     if not census[degree]:
         del census[degree]
     inst = FamilyInstance(family, params, palette, _census(*census.items(), (s * degree, r)))
-    return d, inst, d.merge(blocks, new_ids)
+    return d, inst, d.merge(blocks, new_ids or [V("m", b) for b in range(1, r + 1)])
 
 
 # ---------------------------------------------------------------------------
@@ -245,7 +238,7 @@ def _fb_merged(variant: int, r: int, s: int) -> tuple[_Draft, FamilyInstance, ra
     return _merged(
         (d, base), f"fb{variant}", {"r": r, "s": s, "k": k},
         [[_fan_at(role, c, k) for c in row] for row in rows for role in roles],
-        [V(role, j) for j in range(1, s + 1) for role in roles], color, degree,
+        color, degree, [V(role, j) for j in range(1, s + 1) for role in roles],
     )
 
 
@@ -275,26 +268,22 @@ def _df_merged(variant: int, r: int, s: int) -> tuple[_Draft, FamilyInstance, ra
         [i for first in firsts for i in range(first + start, first + start + s)]
         for start in starts
     )))
-    return _merged(
-        (d, base), f"df{variant}", {"r": r, "s": s, "k": k}, blocks,
-        [V("m", b + 1) for b in range(len(blocks))], color, degree,
-    )
+    return _merged((d, base), f"df{variant}", {"r": r, "s": s, "k": k}, blocks, color, degree)
 
 
 def _df3(r: int, s: int, r1: int) -> tuple[_Draft, FamilyInstance, range]:
     """Merge the 2r+1 hubs of a diamond-fan union into r1 blocks of
     r2 = (2r+1)/r1 consecutive hubs."""
-    d, base, hubs = _df(r, s)
-    k = base.params["k"]
     if r1 < 3 or (2 * r + 1) % r1 or (2 * r + 1) // r1 < 3:
         raise InvalidFactorization(
             f"variant 3 needs 2r+1 = r1*r2 with r1, r2 >= 3, got r={r}, r1={r1}"
         )
+    d, base, hubs = _df(r, s)
+    k = base.params["k"]
     r2 = (2 * r + 1) // r1
     return _merged(
         (d, base), "df3", {"r": r, "s": s, "k": k, "r1": r1, "r2": r2},
-        [hubs[c * r2: (c + 1) * r2] for c in range(r1)],
-        [V("m", b + 1) for b in range(r1)], s * (21 * k + 12), 3 * s,
+        [hubs[c * r2: (c + 1) * r2] for c in range(r1)], s * (21 * k + 12), 3 * s,
     )
 
 
@@ -339,8 +328,8 @@ def _tb(n: int) -> tuple[_Draft, FamilyInstance, range]:
     in rim order."""
     pairs = [(0, 1)] + [(1 + 2 * i, 2 * n + 2 + 2 * i) for i in range(1, n + 1)]
     return _merged(
-        _pt(n), "tb", {"n": n, "k": n // 2}, pairs,
-        list(_vertices("z", range(0, 2 * n + 1, 2))), 10 * (n // 2) + 6, 2,
+        _pt(n), "tb", {"n": n, "k": n // 2}, pairs, 10 * (n // 2) + 6, 2,
+        list(_vertices("z", range(0, 2 * n + 1, 2))),
     )
 
 
@@ -428,7 +417,7 @@ def _pt_tb_merged(
 
     return _merged(
         (d, inst), f"{base}{variant}", {"n": n, "k": k, "r": r, "s": s},
-        _deal([items], r), [V("m", b + 1) for b in range(r)], color, degree,
+        _deal([items], r), color, degree,
     )
 
 
@@ -517,10 +506,7 @@ def _gb(
     params = {"n": n, "k": k, "r": r, "s": s, "base": base_inst.family}
     if indices is not None:
         params["indices"] = tuple(indices)
-    return _merged(
-        (d, base_inst), "gb", params, _deal(rims, r),
-        [V("m", b + 1) for b in range(r)], 20 * k + 12, 4,
-    )
+    return _merged((d, base_inst), "gb", params, _deal(rims, r), 20 * k + 12, 4)
 
 
 # ---------------------------------------------------------------------------

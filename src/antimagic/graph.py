@@ -56,9 +56,7 @@ class VertexId(NamedTuple):
     indices: tuple[int, ...] = ()
 
     def __str__(self) -> str:
-        if not self.indices:
-            return self.role
-        return self.role + "_" + "_".join(map(str, self.indices))
+        return _id_strings([self])[0]
 
 
 Edge = tuple[VertexId, VertexId]
@@ -83,8 +81,8 @@ def edge(a: VertexId, b: VertexId) -> Edge:
 
 
 def _id_strings(vertices: Sequence[VertexId]) -> list[str]:
-    """The id string of each vertex, as ``str`` prints it, through one ``%``
-    template per index count."""
+    """The id string of each vertex, ``u_3`` or ``x``, through one ``%``
+    template per index count; ``str`` of a vertex is read off it too."""
     top = max(map(len, map(itemgetter(1), vertices)), default=0)
     templates = ["%s" + "_%s" * k for k in range(top + 1)]
     return [templates[len(indices)] % (role, *indices) for role, indices in vertices]

@@ -238,6 +238,23 @@ def test_df3_needs_composite_hub_count():
         build_family("df3", r=3, s=1, r1=3)  # 2r+1 = 7 prime
 
 
+@pytest.mark.parametrize(
+    "params", [{"r": 4, "s": 999, "r1": 2}, {"r": 0, "s": 1, "r1": 3}], ids=["r1", "r-and-r1"]
+)
+def test_df3_checks_r1_before_it_builds_its_base(params, monkeypatch):
+    def base(r, s):
+        raise AssertionError("df3 built its base before it checked r1")
+
+    # a bad r1 is refused first, also where r is bad too
+    monkeypatch.setattr(families, "_df", base)
+    with pytest.raises(InvalidFactorization) as info:
+        build_family("df3", **params)
+    assert str(info.value) == (
+        "variant 3 needs 2r+1 = r1*r2 with r1, r2 >= 3, "
+        f"got r={params['r']}, r1={params['r1']}"
+    )
+
+
 # sha256 over repr((names, a, b, labels)) of each finished draft below, in
 # turn: every vertex and edge position of the builds that split by edge
 # position, as the builders that split by end pairs left them.  The drafts
@@ -636,12 +653,12 @@ def test_gb_over_gn_swaps_the_end_of_a_rim_of_1_mod_r():
     built_ok("gb", n=38, r=3, s=13, indices=(5,))
 
 
-def _merged_by_name(base, family, params, blocks, new_ids, color, degree):
+def _merged_by_name(base, family, params, blocks, color, degree, new_ids=None):
     """``families._merged`` on a fresh unfinished base, its blocks given by
     vertex name."""
     d, inst = base()
     blocks = [[d.index[v] for v in block] for block in blocks]
-    return families._merged((d, inst), family, params, blocks, new_ids, color, degree)
+    return families._merged((d, inst), family, params, blocks, color, degree, new_ids)
 
 
 def _scrambled(rim):
@@ -652,12 +669,12 @@ def _scrambled(rim):
 
 def test_merge_class_out_of_rim_order_raises_the_merge_fault():
     (rim,) = _bracelet_rims(build_family("tb", n=8)[0])
-    params, ids = {"n": 8, "k": 4, "r": 3, "s": 3}, [V("m", b + 1) for b in range(3)]
+    params = {"n": 8, "k": 4, "r": 3, "s": 3}
     base = lambda: families._tb(8)[:2]  # noqa: E731 -- a merge consumes its draft
-    _merged_by_name(base, "tb3", params, families._deal([rim], 3), ids, 92, 4)
+    _merged_by_name(base, "tb3", params, families._deal([rim], 3), 92, 4)
     # _merged passes the merge's own fault on; build_family converts it
     with pytest.raises(MergeWouldCreateParallelEdge) as info:
-        _merged_by_name(base, "tb3", params, families._deal([_scrambled(rim)], 3), ids, 92, 4)
+        _merged_by_name(base, "tb3", params, families._deal([_scrambled(rim)], 3), 92, 4)
     assert str(info.value) == (
         "edges u_1-z_0 and u_1-z_2 both become m_1-u_1 (two merged vertices share a neighbor)"
     )
@@ -688,14 +705,44 @@ def test_clashing_blocks_of_a_merged_family_raise_the_merge_fault(
     base, family, color, degree, block, fault, message
 ):
     with pytest.raises(fault) as info:
-        _merged_by_name(base, family, {}, [block], [V("m", 1)], color, degree)
+        _merged_by_name(base, family, {}, [block], color, degree)
     assert type(info.value) is fault and str(info.value) == message
 
 
-def test_unequal_blocks_are_an_invariant_error():
-    blocks = [[V("u", 2), V("v", 2)], [V("u", 4)]]
-    with pytest.raises(InvariantError, match="unequal sizes"):
-        _merged_by_name(lambda: families._pt(2), "tb", {}, blocks, [V("m", 1), V("m", 2)], 16, 2)
+def _fb1_rim_blocks():
+    """fb1's rim blocks at r = s = 3, by name, as ``_fb_merged`` deals them."""
+    rows = zip(*families._tfb(3, 3)[2])
+    return [[V(role, c) for c in row] for row in rows for role in "uv"]
+
+
+@pytest.mark.parametrize(
+    "base, family, blocks, color, degree, message",
+    [
+        # m_1 = {u_2, v_2} has degree 4 and color 32, m_2 = {u_4} degree 2 and color 16
+        (lambda: families._pt(2), "tb", [[V("u", 2), V("v", 2)], [V("u", 4)]], 16, 2,
+         "tb{} failed: 4 colors instead of 3; palette (15, 16, 32, 33) != expected "
+         "(15, 32, 33); degree 2: 4 vertices, expected 2; degree 4: 1 vertices, expected 2"),
+        # the rim class, of color 46, claimed at the path centers' 42
+        (lambda: families._tfb(3, 3)[:2], "fb1", _fb1_rim_blocks(), 42, 2,
+         "fb1{} failed: palette (42, 138, 288) != expected (46, 126, 288)"),
+        # tb's own blocks, the whole degree-2 class, claimed at a degree the
+        # peanut has no vertex of
+        (lambda: families._pt(2), "tb", [[V("x"), V("y")], [V("u", 2), V("v", 2)],
+                                         [V("u", 4), V("v", 4)]], 16, 5,
+         "tb{} failed: degree 2: 0 vertices, expected 6; degree 4: 3 vertices, expected 0; "
+         "degree 5: 0 vertices, expected -6; degree 10: 0 vertices, expected 3"),
+    ],
+    ids=["unequal-blocks", "color-not-the-class", "degree-not-in-the-base"],
+)
+def test_a_wrong_claim_of_a_merge_fails_its_certificate(
+    base, family, blocks, color, degree, message
+):
+    # _merged trusts its blocks and its claim, and scales the claim as given
+    d, inst, _ = _merged_by_name(base, family, {}, blocks, color, degree)
+    g, f = d.finish()
+    with pytest.raises(InvariantError) as info:
+        verify_instance(g, f, inst)
+    assert str(info.value) == message
 
 
 def test_a_clash_in_fb1_blocks_fails_its_sweep_point(monkeypatch):
