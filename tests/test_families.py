@@ -255,6 +255,39 @@ def test_df3_checks_r1_before_it_builds_its_base(params, monkeypatch):
     )
 
 
+@pytest.mark.parametrize("family, params, error, message", [
+    ("pt1", {"n": 4, "r": 2}, NoValidPartition,
+     "need odd r >= 1 with odd block size (n+1)/r >= 3, got r=2, n=4"),
+    ("pt2", {"n": 4, "r": 5}, NoValidPartition,
+     "need odd r >= 1 with odd block size (n+1)/r >= 3, got r=5, n=4"),
+    ("pt3", {"n": 20000, "r": 7}, NoValidPartition,
+     "need r >= 2 with block size 2 <= (2n+2)/r <= n+1, got r=7, n=20000"),
+    ("pt1", {"n": 3, "r": 2}, NoValidPartition,
+     "need odd r >= 1 with odd block size (n+1)/r >= 3, got r=2, n=3"),
+    ("tb1", {"n": 20000, "r": 2}, NoValidPartition,
+     "need odd r >= 3 with odd block size (n+1)/r >= 3, got r=2, n=20000"),
+    ("tb2", {"n": 14, "r": 1}, NoValidPartition,
+     "need odd r >= 3 with odd block size (n+1)/r >= 3, got r=1, n=14"),
+    ("tb3", {"n": 14, "r": 15}, NoValidPartition,
+     "need odd r >= 3 with odd block size (n+1)/r >= 3, got r=15, n=14"),
+    ("df1", {"r": 1, "s": 7}, PaletteCollision, "df1 excludes k = 2 (mod 4), got k = 10"),
+    ("df2", {"r": 1, "s": 4}, InvalidParams, "variant 2 needs odd s >= 3, got s=4"),
+    ("fb1", {"r": 3, "s": 7}, PaletteCollision, "fb1 excludes k = 2 (mod 4), got k = 10"),
+], ids=["pt1", "pt2", "pt3", "pt1-odd-n", "tb1", "tb2", "tb3", "df1", "df2-even-s", "fb1"])
+def test_merged_builders_refuse_before_they_build_their_base(
+    family, params, error, message, monkeypatch
+):
+    def base(*args):
+        raise AssertionError(f"{family} built its base before it checked {params}")
+
+    # a bad parameter is refused first, also where the base would refuse n too
+    for name in ("_pt", "_tb", "_df", "_tfb"):
+        monkeypatch.setattr(families, name, base)
+    with pytest.raises(error) as info:
+        build_family(family, **params)
+    assert str(info.value) == message
+
+
 # sha256 over repr((names, a, b, labels)) of each finished draft below, in
 # turn: every vertex and edge position of the builds that split by edge
 # position, as the builders that split by end pairs left them.  The drafts

@@ -1,5 +1,6 @@
 """Certificates must survive ``python -O``, which strips every ``assert``."""
 
+import ast
 import os
 import subprocess
 import sys
@@ -143,3 +144,14 @@ def test_certificates_hold_under_python_O():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "ok"
+
+
+def test_the_package_has_no_assert():
+    # -O strips them, so no check of the package may be an assert
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted((SRC / "antimagic").rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []
