@@ -1,17 +1,18 @@
-"""Builders for every labeled graph family, laid on their hubs or by table-driven surgery.
+"""Builders for every labeled graph family, laid on their hubs and merged vertices.
 
-Each builder returns its unfinished ``(draft, instance, *extras)``: the
+Each builder returns its unfinished ``(lists, instance, *extras)``: the
 instance pins the family tag, validated parameters, the closed-form expected
 palette and the expected degree census.  :func:`build_family` alone finishes
-a draft, into ``(graph, labeling, instance)``.  The builders perform the
+the lists, into ``(graph, labeling, instance)``.  The builders perform the
 constructions exactly, all in index space, with labels read off the rows of
-one of the three matrices.  The bases ``fb``, ``tfb``, ``df`` and ``np3o3``
-lay each labeled cell straight onto the hubs it shares, and ``pt`` lays its
-rails and rungs.  Every other family merges blocks of a base's vertices
-through ``_merged``, and ``gn`` swaps rail edges between pairs of a
-bracelet's hubs: both only rewrite edge ends, so labels stay with their
-edges.  One graph is made per build, and a builder takes only parameters
-its instance records: ``gb`` reads its base off ``indices``.
+one of the three matrices, into plain lists.  The bases ``fb``, ``tfb``,
+``df`` and ``np3o3`` lay each labeled cell straight onto the hubs it shares,
+and ``pt`` lays its rails and rungs.  Every other family lays blocks of a
+base's vertices on merged vertices through ``_merged``, and ``gn`` swaps
+rail edges between pairs of a bracelet's hubs: both only rewrite edge ends,
+so labels stay with their edges.  One draft and one graph are made per
+build, and a builder takes only parameters its instance records: ``gb``
+reads its base off ``indices``.
 
 Correctness authority is the certificate, not the construction: every
 builder's output is expected to pass :func:`antimagic.graph.certify` with
@@ -68,7 +69,10 @@ def _census(*pairs: tuple[int, int]) -> dict[int, int]:
     return {d: c for d, c in out.items() if c}
 
 
-Built = tuple[_Draft, FamilyInstance]
+# the vertex names, the two ends of each edge by index and the label at each
+# edge position; past a merge, the replay of its merges (see _merged)
+Lists = tuple
+Built = tuple[Lists, FamilyInstance]
 
 
 def _vertices(role: str, column: Iterable[int]) -> Iterator[VertexId]:
@@ -84,10 +88,10 @@ def _merged(
     color: int,
     degree: int,
     new_ids: Sequence[VertexId] | None = None,
-) -> tuple[_Draft, FamilyInstance, range]:
-    """Merge ``blocks`` of a base into ``new_ids``, m_1..m_r unless given;
-    scale its claims to match.  Returns the merged base and the indices of
-    the new vertices.
+) -> tuple[Lists, FamilyInstance, range]:
+    """Lay ``blocks`` of a base on merged vertices named ``new_ids``, m_1..m_r
+    unless given, and scale its claims to match.  Returns the merged lists
+    and the indices of the new vertices.
 
     The blocks are trusted to be r blocks of s vertices of one independent
     class of ``color`` and ``degree``, and r and s are read off them.  Labels
@@ -96,17 +100,55 @@ def _merged(
     become r vertices of degree s*d.  The certificate checks the scaled
     palette and census, as it checks the tables and the partition.
 
-    The merge is the certificate of the blocks: adjacent members or a shared
-    neighbor in a block make it raise :class:`MergeWouldCreateLoop` or
-    :class:`MergeWouldCreateParallelEdge`, which :func:`build_family` reports
-    as the invariant failure of the builder's own draft.
+    One index list sends each member to its block's vertex and every other
+    vertex to its place once the members are gone; the names drop the
+    members and end with the new ids.  Nothing here checks the moved edges:
+    the build's one draft does (:func:`_finish`), and only when it finds a
+    fault, or a member is met in two blocks here, is the merge replayed
+    through :meth:`_Draft.merge`, whose fault names what the blocks broke.
     """
-    d, base = built
+    lists, base = built
+    names, a, b, labels = lists[:4]
     r, s = len(blocks), len(blocks[0])
     palette = _palette(*(s * c if c == color else c for c in base.expected_palette))
     census = _census(*base.expected_census.items(), (degree, -r * s), (s * degree, r))
-    inst = FamilyInstance(family, params, palette, census)
-    return d, inst, d.merge(blocks, new_ids or [V("m", b) for b in range(1, r + 1)])
+    ids = new_ids or [V("m", j) for j in range(1, r + 1)]
+
+    def replay() -> None:
+        # the base's own merges ran first, so they are replayed first
+        for earlier in lists[4:]:
+            earlier()
+        _Draft(names, a, b, labels).merge(blocks, ids)
+
+    # plain loops over a list: faster here than C-level maps over a dict
+    top = len(names) - sum(map(len, blocks))
+    new = range(top, top + r)
+    to: list = [None] * len(names)
+    for h, block in zip(new, blocks):
+        for v in block:
+            to[v] = h
+    if to.count(None) != top:
+        replay()  # a member in two blocks, which the kernel names and raises
+    kept = [v for v, h in enumerate(to) if h is None]
+    for i, v in enumerate(kept):
+        to[v] = i
+    laid = (
+        [*map(names.__getitem__, kept), *ids],
+        list(map(to.__getitem__, a)), list(map(to.__getitem__, b)), labels, replay,
+    )
+    return laid, FamilyInstance(family, params, palette, census), new
+
+
+def _finish(lists: Lists) -> tuple[Graph, EdgeLabeling]:
+    """The graph and labeling of a builder's lists, from the build's one
+    draft, which checks the names, loops and parallel edges.  On a fault a
+    merged build's merges are replayed first, to name a fault they made."""
+    try:
+        return _Draft(*lists[:4]).finish()
+    except GraphSurgeryError:
+        for replay in lists[4:]:
+            replay()
+        raise
 
 
 # ---------------------------------------------------------------------------
@@ -121,7 +163,7 @@ def _fan_at(role: str, i: int, k: int) -> int:
 
 def _fan_cells(
     k: int, hubs: Sequence[VertexId], w_hub: Sequence[int], uv_hub: Sequence[int]
-) -> _Draft:
+) -> Lists:
     """2k+1 fan cells labeled column-wise and laid on their hubs: cell i is
     the P3 u_i w_i v_i, with w_i joined to ``hubs[w_hub[i-1]]`` and u_i, v_i
     to ``hubs[uv_hub[i-1]]``.  The u, v, w runs come first, then the hubs."""
@@ -129,7 +171,7 @@ def _fan_cells(
     u, v, w = (range(j * n, (j + 1) * n) for j in range(3))
     xw, xuv = list(map((3 * n).__add__, w_hub)), list(map((3 * n).__add__, uv_hub))
     rows = table_m1(k).rows
-    return _Draft(
+    return (
         [*chain.from_iterable(_vertices(role, range(1, n + 1)) for role in "uvw"), *hubs],
         [*u, *v, *xw, *xuv, *xuv],
         [*w, *w, *w, *u, *v],
@@ -154,7 +196,7 @@ def _fb(n: int) -> Built:
     return d, inst
 
 
-def _tfb(t: int, s: int) -> tuple[_Draft, FamilyInstance, list[list[int]]]:
+def _tfb(t: int, s: int) -> tuple[Lists, FamilyInstance, list[list[int]]]:
     """t disjoint fans with s blades each, the cells on hubs y_1..y_t grouped
     by an equal-sum partition of the cell hub sums (an arithmetic
     progression); plus each fan's sorted cell columns."""
@@ -180,7 +222,7 @@ def _tfb(t: int, s: int) -> tuple[_Draft, FamilyInstance, list[list[int]]]:
     return d, inst, columns
 
 
-def _df(r: int, s: int) -> tuple[_Draft, FamilyInstance, range]:
+def _df(r: int, s: int) -> tuple[Lists, FamilyInstance, range]:
     """r diamond fans plus one fan: 2r+1 blocks of s cells, the middle
     block on one hub x and every other cell's w on one hub and its u, v on
     another, crosswise between opposite blocks; plus the hubs x, y_1, z_1,
@@ -222,7 +264,7 @@ def _refuse_k_2_mod_4(family: str, k: int) -> None:
         raise PaletteCollision(f"{family} excludes k = 2 (mod 4), got k = {k}")
 
 
-def _fb_merged(variant: int, r: int, s: int) -> tuple[_Draft, FamilyInstance, range]:
+def _fb_merged(variant: int, r: int, s: int) -> tuple[Lists, FamilyInstance, range]:
     """Merge the degree-2 rim vertices (variant 1) or the degree-3 path
     centers (variant 2) across the t = r fan components."""
     if r < 3 or s < 3 or r % 2 == 0 or s % 2 == 0:
@@ -241,7 +283,7 @@ def _fb_merged(variant: int, r: int, s: int) -> tuple[_Draft, FamilyInstance, ra
     )
 
 
-def _df_merged(variant: int, r: int, s: int) -> tuple[_Draft, FamilyInstance, range]:
+def _df_merged(variant: int, r: int, s: int) -> tuple[Lists, FamilyInstance, range]:
     """Merge one fan cell class of a diamond-fan union into equal blocks:
     variant 1 the degree-2 class into 2s blocks, variant 2 the degree-3
     class into s blocks.  Each block takes one vertex from the fan
@@ -268,7 +310,7 @@ def _df_merged(variant: int, r: int, s: int) -> tuple[_Draft, FamilyInstance, ra
     return _merged((d, base), f"df{variant}", {"r": r, "s": s, "k": k}, blocks, color, degree)
 
 
-def _df3(r: int, s: int, r1: int) -> tuple[_Draft, FamilyInstance, range]:
+def _df3(r: int, s: int, r1: int) -> tuple[Lists, FamilyInstance, range]:
     """Merge the 2r+1 hubs of a diamond-fan union into r1 blocks of
     r2 = (2r+1)/r1 consecutive hubs."""
     if r1 < 3 or (2 * r + 1) % r1 or (2 * r + 1) // r1 < 3:
@@ -305,7 +347,7 @@ def _pt(n: int) -> Built:
     rail2 = [0, *range(top + 2, 2 * top + 2), 1]
     r3 = t.rows["R3"]
     # rung j joins u_(2j-1) and v_(2j-1)
-    d = _Draft(
+    d = (
         [V("x"), V("y"), *_vertices("u", range(1, top + 1)), *_vertices("v", range(1, top + 1))],
         rail1[:-1] + rail2[:-1] + list(range(2, top + 2, 2)),
         rail1[1:] + rail2[1:] + list(range(top + 2, 2 * top + 2, 2)),
@@ -319,7 +361,7 @@ def _pt(n: int) -> Built:
     return d, inst
 
 
-def _tb(n: int) -> tuple[_Draft, FamilyInstance, range]:
+def _tb(n: int) -> tuple[Lists, FamilyInstance, range]:
     """Triangular bracelet: the peanut with its rails zipped together, x, y
     and each u_(2i), v_(2i) into z_(2i); plus the hubs z_0, z_2, ..., z_(2n)
     in rim order."""
@@ -345,8 +387,10 @@ def _deal(rims: Sequence[Sequence[int]], r: int) -> list[list[int]]:
     block p, and for r >= 3 these all differ.  Block sizes are unchanged.
     With r = 1 the premise is that no two members share a neighbor at all.
 
-    The merge of the blocks (:func:`_merged`) certifies the deal: a shared
-    neighbor in a block means the rims broke the premise.
+    The build's one draft certifies the deal, not a merge: :func:`_merged`
+    lays the blocks unchecked, and a shared neighbor in a block, which means
+    the rims broke the premise, is two edges joining the same two vertices,
+    which the draft's finish finds and the replayed merge names.
     """
     order: list[int] = []
     for rim in rims:
@@ -359,7 +403,7 @@ def _deal(rims: Sequence[Sequence[int]], r: int) -> list[list[int]]:
 
 def _pt_tb_merged(
     base: str, variant: int, n: int, r: int
-) -> tuple[_Draft, FamilyInstance, range]:
+) -> tuple[Lists, FamilyInstance, range]:
     """Merge one color class of the peanut or bracelet into r equal blocks.
 
     Variants 1 and 2 merge the two degree-3 classes, variant 3 the degree-2
@@ -381,8 +425,6 @@ def _pt_tb_merged(
             raise NoValidPartition(
                 f"need r >= 2 with block size 2 <= (2n+2)/r <= n+1, got r={r}, n={n}"
             )
-        # x, u_2, ..., u_(2n), y, v_(2n), ..., v_2
-        items = [0, *range(3, 2 * n + 2, 2), 1, *range(4 * n + 2, 2 * n + 3, -2)]
     else:
         least = 1 if base == "pt" else 3
         s = (n + 1) // r if r >= 1 and (n + 1) % r == 0 else 0
@@ -391,6 +433,15 @@ def _pt_tb_merged(
             raise NoValidPartition(
                 f"need odd r >= {least} with odd block size (n+1)/r >= 3, got r={r}, n={n}"
             )
+
+    d, inst, *hubs = (_pt if base == "pt" else _tb)(n)
+    if variant == 3:
+        # x, u_2, ..., u_(2n), y, v_(2n), ..., v_2 of the peanut, or the
+        # degree-4 hubs of the bracelet, which _tb returns in rim order
+        items = hubs[0] if hubs else [
+            0, *range(3, 2 * n + 2, 2), 1, *range(4 * n + 2, 2 * n + 3, -2)
+        ]
+    else:
         # one member per rung, ordered along the cycle so conflicts are
         # local.  Rung j joins u_(2j-1) and v_(2j-1), whose rail edges
         # carry pair j of S1 and of S2.  S1 opens with an (R2, R1) pair
@@ -399,16 +450,13 @@ def _pt_tb_merged(
         # for every k and the certificate checks in every build, u_(2j-1)
         # has color 9k+6 for odd j and 21k+12 for even j, and v_(2j-1)
         # the other one.  The bracelet zips only even rail vertices, so
-        # its rungs keep these colors.
-        items = None if variant == 3 else [
-            2 * j if j % 2 == variant % 2 else 2 * n + 1 + 2 * j for j in range(1, n + 2)
-        ]
-
-    # tb3 merges the degree-4 hubs, which _tb returns in rim order
-    d, inst, *hubs = (_pt if base == "pt" else _tb)(n)
+        # its rungs keep these colors.  Rung j is edge 4n+3+j, with
+        # u_(2j-1) at end a, in both: a merge moves no edge
+        ends = d[1], d[2]
+        items = [ends[j % 2 != variant % 2][4 * n + 3 + j] for j in range(1, n + 2)]
     return _merged(
         (d, inst), f"{base}{variant}", {"n": n, "k": k, "r": r, "s": s},
-        _deal([items or hubs[0]], r), color, degree,
+        _deal([items], r), color, degree,
     )
 
 
@@ -428,7 +476,7 @@ def valid_gn_index_lists(n: int) -> list[tuple[int, ...]]:
     return out
 
 
-def _gn(n: int, indices: Sequence[int]) -> tuple[_Draft, FamilyInstance, list[list[int]]]:
+def _gn(n: int, indices: Sequence[int]) -> tuple[Lists, FamilyInstance, list[list[int]]]:
     """Disjoint union of bracelets cut out of one big bracelet; plus the
     hubs of each bracelet in cycle order, the bracelet of u_1 first.
 
@@ -455,7 +503,7 @@ def _gn(n: int, indices: Sequence[int]) -> tuple[_Draft, FamilyInstance, list[li
     # positions m and 2n+2+m, with z_m at end a.  Swapping them between z_lo
     # and z_hi leaves z_lo its lower half and z_hi's upper half, and z_hi
     # the other two
-    ends = d.a
+    ends = d[1]
     for ia in indices:
         lo, hi = 8 * ia - 2, 16 * ia - 4
         for p, q in ((lo, hi), (2 * n + 2 + lo, 2 * n + 2 + hi)):
@@ -479,7 +527,7 @@ def _gn(n: int, indices: Sequence[int]) -> tuple[_Draft, FamilyInstance, list[li
 
 def _gb(
     n: int, r: int, s: int, indices: Sequence[int] | None = None
-) -> tuple[_Draft, FamilyInstance, range]:
+) -> tuple[Lists, FamilyInstance, range]:
     """Generalized bracelet: merge the n+1 degree-4 vertices of the bracelet,
     or of the bracelet union G(n; indices) when ``indices`` are given, into
     r blocks of s without common neighbors, dealt bracelet by bracelet
@@ -520,7 +568,7 @@ def _np3_o3(n: int) -> Built:
         ends_a += [*w, *u, *v]
         ends_b += [3 * n + a - 1] * (3 * n)
         labels += [*rows[f"C{a}"], *rows[f"L{a}"], *rows[f"R{a}"]]
-    d = _Draft(
+    d = (
         [*chain.from_iterable(_vertices(role, range(1, n + 1)) for role in "uvw"),
          V("x", 1), V("x", 2), V("x", 3)],
         ends_a, ends_b, labels,
@@ -538,7 +586,7 @@ def _np3_o3(n: int) -> Built:
 # Dispatch, verification and sweep grids
 # ---------------------------------------------------------------------------
 
-# each returns its unfinished (draft, instance, *extras)
+# each returns its unfinished (lists, instance, *extras)
 _BUILDERS: dict[str, Callable[..., tuple]] = {
     "fb": _fb,
     "tfb": _tfb,
@@ -574,10 +622,10 @@ def _check_binding(family: str, builder: Callable, params: dict) -> None:
 
 
 def build_family(family: str, **params) -> BuildResult:
-    """Build one instance of ``family``: its builder's draft, finished.  The
-    builder chose every merge of the draft, so a surgery fault in it, a clash
-    of ``_merged``'s blocks and the finish's included, is an
-    :class:`InvariantError`, here and nowhere else."""
+    """Build one instance of ``family``: its builder's lists, finished as the
+    build's one draft.  The builder chose every merge of the lists, so a
+    surgery fault in them, a clash of ``_merged``'s blocks and the finish's
+    included, is an :class:`InvariantError`, here and nowhere else."""
     try:
         builder = _BUILDERS[family]
     except KeyError:
@@ -595,8 +643,8 @@ def build_family(family: str, **params) -> BuildResult:
             raise InvalidParams(f"bad parameters for {family}: {key} must be {kind}, got {value!r}")
     try:
         # drop the extras before the finish: held through it, they raise peak RSS
-        d, inst = builder(**params)[:2]
-        return (*d.finish(), inst)
+        lists, inst = builder(**params)[:2]
+        return (*_finish(lists), inst)
     except GraphSurgeryError as exc:
         raise InvariantError(f"{family}{params}: surgery on its own draft failed: {exc}") from None
     except TypeError:
@@ -651,7 +699,9 @@ def verify_instance(g: Graph, f: EdgeLabeling, inst: FamilyInstance):
     for d in sorted(actual_census.keys() | inst.expected_census.keys()):
         count, expected = actual_census.get(d, 0), inst.expected_census.get(d, 0)
         if count != expected:
-            problems.append(f"degree {d}: {count} vertices, expected {expected}")
+            # a merge scales a claim it does not check, which can go negative
+            claim = f"an impossible claim of {expected}" if expected < 0 else f"expected {expected}"
+            problems.append(f"degree {d}: {count} vertices, {claim}")
     if inst.expected_component_orders is not None:
         orders = tuple(sorted(map(len, g._walked()[1])))
         if orders != inst.expected_component_orders:

@@ -493,7 +493,11 @@ class _Draft:
     order it is given and returns the indices it appends, so every label
     stays at its edge's position and nothing is remapped.  :meth:`finish`
     makes the one :class:`Graph` and :class:`EdgeLabeling`, which take over
-    the draft's lists, so a finished draft is not operated on again.
+    the draft's lists, so a finished draft is not operated on again.  A
+    family build makes one draft of the lists its builder laid and runs no
+    surgery; the kernels serve :func:`merge_vertices` and
+    :func:`split_vertices`, and :meth:`merge` names the fault of a build's
+    failed merge (``families._merged``).
     """
 
     __slots__ = ("names", "index", "a", "b", "labels")
@@ -514,13 +518,21 @@ class _Draft:
 
     def finish(self) -> tuple[Graph, EdgeLabeling]:
         """The graph of the live vertices and its labeling, over the draft's
-        arrays, once no two edges are found to join the same two vertices."""
+        arrays, once no two edges are found to join the same two vertices;
+        else the first two that do, in edge order, are named."""
         a, b = self.a, self.b
         # no edge is a loop, so two edges join the same two vertices exactly
         # when an end pair repeats, in the same order or reversed
         ends = set(zip(a, b))
         if len(ends) != len(a) or not ends.isdisjoint(zip(b, a)):
-            raise MergeWouldCreateParallelEdge("two edges join the same two vertices")
+            first: dict[tuple[int, int], int] = {}
+            for p, (x, y) in enumerate(zip(a, b)):
+                q = first.setdefault((x, y) if x < y else (y, x), p)
+                if q != p:
+                    u, v = edge(self.names[x], self.names[y])
+                    raise MergeWouldCreateParallelEdge(
+                        f"two edges join {u} and {v} (positions {q} and {p})"
+                    )
         g = Graph._of(self.names, self.index, a, b)
         return g, EdgeLabeling._at(g, self.labels)
 

@@ -1,12 +1,17 @@
-"""The bases built by hub surgery: a reference for the builders that lay
-their cells on their hubs, and for ``gn``, which swaps its hubs' rail edges.
+"""The bases built by hub surgery and the families merged by the merge
+kernel: a reference for the builders that lay their cells on their hubs, for
+``gn``, which swaps its hubs' rail edges, and for ``_merged``, which lays
+its blocks on their merged vertices.
 
 Each fan-cell reference labels 2k+1 cells with private hubs x_1 .. x_(2k+1)
 (np3o3: one run x_i_a per hub a), then merges the hubs as the surgery
 construction did, after splitting the outer hubs in ``df``.  The ``gn``
 reference splits two hubs of the bracelet per index and re-merges the halves
-crosswise.  Each returns what its builder returns, with the instance taken
-from the builder itself: the claims do not depend on how the graph is laid.
+crosswise.  :func:`merged` and :func:`tb` are ``_merged`` and ``_tb`` as
+they were when every merge ran :meth:`_Draft.merge`.  Each returns what its
+builder returns, with the instance taken from the builder itself, or scaled
+as ``_merged`` scales it (the claims do not depend on how the graph is
+laid), except that its lists end with the draft itself (:func:`handed`).
 ``BUILDERS`` holds the real builders as they were at import, so a reference
 still calls them while :func:`use_references` has put the references in
 their place.
@@ -21,8 +26,9 @@ from antimagic.tables import table_m1, table_m3
 
 BUILDERS = {
     "fb": families._fb, "tfb": families._tfb, "df": families._df,
-    "np3o3": families._np3_o3, "gn": families._gn,
+    "np3o3": families._np3_o3, "gn": families._gn, "tb": families._tb,
 }
+FINISH = families._finish
 
 
 def _vertices(role, *columns):
@@ -52,7 +58,7 @@ def fb(n):
     k = (n - 1) // 2
     d = surgery_cells(k)
     d.merge([range(_fan_at("x", 1, k), _fan_at("x", n + 1, k))], [V("x")])
-    return d, inst
+    return handed(d), inst
 
 
 def tfb(t, s):
@@ -62,7 +68,7 @@ def tfb(t, s):
     columns = [sorted(2 * k + 1 - p for p in blk) for blk in _position_blocks(t, s)]
     blocks = [[_fan_at("x", c, k) for c in cols] for cols in columns]
     d.merge(blocks, [V("y", a) for a in range(1, t + 1)])
-    return d, inst, columns
+    return handed(d), inst, columns
 
 
 def df(r, s):
@@ -86,7 +92,7 @@ def df(r, s):
     for near, far in zip(range(0, r * s, s), range((2 * r - 1) * s, (r - 1) * s, -s)):
         blocks += [[*x1[near:near + s], *x2[far:far + s]], [*x2[near:near + s], *x1[far:far + s]]]
     hubs = d.merge(blocks, [V("x"), *(V(role, j) for j in range(1, r + 1) for role in "yz")])
-    return d, inst, hubs
+    return handed(d), inst, hubs
 
 
 def np3o3(n):
@@ -105,12 +111,33 @@ def np3o3(n):
         ends_a, ends_b, labels,
     )
     d.merge(x, [V("x", a) for a in (1, 2, 3)])
-    return d, inst
+    return handed(d), inst
+
+
+def merged(built, family, params, blocks, color, degree, new_ids=None):
+    """``_merged`` through the merge kernel, on a reference's draft or a
+    builder's lists."""
+    lists, base = built
+    d = lists[-1] if isinstance(lists[-1], _Draft) else _Draft(*lists[:4])
+    r, s = len(blocks), len(blocks[0])
+    palette = families._palette(*(s * c if c == color else c for c in base.expected_palette))
+    census = families._census(*base.expected_census.items(), (degree, -r * s), (s * degree, r))
+    inst = families.FamilyInstance(family, params, palette, census)
+    new = d.merge(blocks, new_ids or [V("m", b) for b in range(1, r + 1)])
+    return handed(d), inst, new
+
+
+def tb(n):
+    pairs = [(0, 1)] + [(1 + 2 * i, 2 * n + 2 + 2 * i) for i in range(1, n + 1)]
+    return merged(
+        families._pt(n), "tb", {"n": n, "k": n // 2}, pairs, 10 * (n // 2) + 6, 2,
+        list(_vertices("z", range(0, 2 * n + 1, 2))),
+    )
 
 
 def gn(n, indices):
     _, inst, _ = BUILDERS["gn"](n, indices)
-    d, _, hubs = families._tb(n)
+    (*_, d), _, hubs = tb(n)
     hub = dict(zip(range(0, 2 * n + 1, 2), hubs))
 
     # on the rails of _pt the edge u_j u_(j+1) is at position j and
@@ -130,14 +157,29 @@ def gn(n, indices):
     cuts = [range(8 * ia, 16 * ia - 3, 2) for ia in indices]
     cut = set().union(*cuts)
     rims = [[hub[m] for m in hub if m not in cut]] + [[hub[m] for m in c] for c in cuts]
-    return d, inst, rims
+    return handed(d), inst, rims
 
 
-REFERENCES = {"fb": fb, "tfb": tfb, "df": df, "np3o3": np3o3, "gn": gn}
+REFERENCES = {"fb": fb, "tfb": tfb, "df": df, "np3o3": np3o3, "gn": gn, "tb": tb}
+
+
+def handed(d):
+    """A reference's draft as a builder's lists, with the draft itself at
+    their end, which :func:`finish` finishes as it is: a surgery draft keeps
+    the names of the vertices it took out, which no lists can say."""
+    return d.names, d.a, d.b, d.labels, d
+
+
+def finish(lists):
+    """``_finish``, which finishes a reference's own draft as it is."""
+    return lists[-1].finish() if isinstance(lists[-1], _Draft) else FINISH(lists)
 
 
 def use_references(monkeypatch):
-    """Build the five bases, and every family made from one, by surgery."""
+    """Build the six bases, and every family made from one, by surgery, and
+    make every merge through the merge kernel."""
     for family, ref in REFERENCES.items():
         monkeypatch.setattr(families, BUILDERS[family].__name__, ref)
         monkeypatch.setitem(families._BUILDERS, family, ref)
+    monkeypatch.setattr(families, "_merged", merged)
+    monkeypatch.setattr(families, "_finish", finish)

@@ -26,6 +26,7 @@ from antimagic.graph import (
     EdgeLabeling,
     Graph,
     V,
+    _Draft,
     certify,
     edge,
     induce_coloring,
@@ -179,7 +180,7 @@ def test_criterion_4_golden_value_spot_checks():
         74, 83, 89, 68, 73, 84, 88, 69, 72, 85, 87, 70, 71, 86,
     ]
 
-    g9, f9 = _fan_cells(4, [V("x", i) for i in range(1, 10)], range(9), range(9)).finish()
+    g9, f9 = _Draft(*_fan_cells(4, [V("x", i) for i in range(1, 10)], range(9), range(9))).finish()
     blocks = [
         {V("x", 1), V("x", 5), V("x", 9)},
         {V("x", 3), V("x", 4), V("x", 8)},

@@ -288,6 +288,30 @@ def test_merged_builders_refuse_before_they_build_their_base(
     assert str(info.value) == message
 
 
+def test_no_build_merges_or_splits_and_each_makes_one_draft(monkeypatch):
+    # every family lays its graph, so the kernels serve only merge_vertices,
+    # split_vertices and the naming of a build's fault
+    def kernel(*args):
+        raise AssertionError("a build ran a surgery kernel")
+
+    drafts = []
+    real = graph._Draft.__init__
+
+    def counted(self, *args):
+        drafts.append(args)
+        real(self, *args)
+
+    monkeypatch.setattr(graph._Draft, "merge", kernel)
+    monkeypatch.setattr(graph._Draft, "split", kernel)
+    monkeypatch.setattr(graph._Draft, "__init__", counted)
+    for family in families.FAMILY_TAGS:
+        for params, excluded in family_grid(family):
+            if excluded is None:
+                drafts.clear()
+                verify_instance(*build_family(family, **params))
+                assert len(drafts) == 1, (family, params)
+
+
 # sha256 over repr((names, a, b, labels)) of each finished draft below, in
 # turn: every vertex and edge position of the builds that split by edge
 # position, as the builders that split by end pairs left them.  The drafts
@@ -689,9 +713,16 @@ def test_gb_over_gn_swaps_the_end_of_a_rim_of_1_mod_r():
 def _merged_by_name(base, family, params, blocks, color, degree, new_ids=None):
     """``families._merged`` on a fresh unfinished base, its blocks given by
     vertex name."""
-    d, inst = base()
-    blocks = [[d.index[v] for v in block] for block in blocks]
-    return families._merged((d, inst), family, params, blocks, color, degree, new_ids)
+    lists, inst = base()
+    at = {v: i for i, v in enumerate(lists[0])}
+    blocks = [[at[v] for v in block] for block in blocks]
+    return families._merged((lists, inst), family, params, blocks, color, degree, new_ids)
+
+
+def _finished_merge(*args):
+    """The graph and labeling of :func:`_merged_by_name`'s lists, finished
+    as ``build_family`` finishes them."""
+    return families._finish(_merged_by_name(*args)[0])
 
 
 def _scrambled(rim):
@@ -703,11 +734,12 @@ def _scrambled(rim):
 def test_merge_class_out_of_rim_order_raises_the_merge_fault():
     (rim,) = _bracelet_rims(build_family("tb", n=8)[0])
     params = {"n": 8, "k": 4, "r": 3, "s": 3}
-    base = lambda: families._tb(8)[:2]  # noqa: E731 -- a merge consumes its draft
-    _merged_by_name(base, "tb3", params, families._deal([rim], 3), 92, 4)
-    # _merged passes the merge's own fault on; build_family converts it
+    base = lambda: families._tb(8)[:2]  # noqa: E731
+    _finished_merge(base, "tb3", params, families._deal([rim], 3), 92, 4)
+    # the finish replays the merge, whose own fault it passes on;
+    # build_family converts it
     with pytest.raises(MergeWouldCreateParallelEdge) as info:
-        _merged_by_name(base, "tb3", params, families._deal([_scrambled(rim)], 3), 92, 4)
+        _finished_merge(base, "tb3", params, families._deal([_scrambled(rim)], 3), 92, 4)
     assert str(info.value) == (
         "edges u_1-z_0 and u_1-z_2 both become m_1-u_1 (two merged vertices share a neighbor)"
     )
@@ -738,7 +770,7 @@ def test_clashing_blocks_of_a_merged_family_raise_the_merge_fault(
     base, family, color, degree, block, fault, message
 ):
     with pytest.raises(fault) as info:
-        _merged_by_name(base, family, {}, [block], color, degree)
+        _finished_merge(base, family, {}, [block], color, degree)
     assert type(info.value) is fault and str(info.value) == message
 
 
@@ -763,7 +795,7 @@ def _fb1_rim_blocks():
         (lambda: families._pt(2), "tb", [[V("x"), V("y")], [V("u", 2), V("v", 2)],
                                          [V("u", 4), V("v", 4)]], 16, 5,
          "tb{} failed: degree 2: 0 vertices, expected 6; degree 4: 3 vertices, expected 0; "
-         "degree 5: 0 vertices, expected -6; degree 10: 0 vertices, expected 3"),
+         "degree 5: 0 vertices, an impossible claim of -6; degree 10: 0 vertices, expected 3"),
     ],
     ids=["unequal-blocks", "color-not-the-class", "degree-not-in-the-base"],
 )
@@ -771,8 +803,8 @@ def test_a_wrong_claim_of_a_merge_fails_its_certificate(
     base, family, blocks, color, degree, message
 ):
     # _merged trusts its blocks and its claim, and scales the claim as given
-    d, inst, _ = _merged_by_name(base, family, {}, blocks, color, degree)
-    g, f = d.finish()
+    lists, inst, _ = _merged_by_name(base, family, {}, blocks, color, degree)
+    g, f = families._finish(lists)
     with pytest.raises(InvariantError) as info:
         verify_instance(g, f, inst)
     assert str(info.value) == message
@@ -833,11 +865,8 @@ def _fan_cells_with_a_parallel_edge(monkeypatch):
     real = families._fan_cells
 
     def doubled(*args):
-        d = real(*args)
-        d.a.append(d.a[0])
-        d.b.append(d.b[0])
-        d.labels.append(len(d.labels) + 1)
-        return d
+        names, a, b, labels = real(*args)
+        return names, [*a, a[0]], [*b, b[0]], [*labels, len(labels) + 1]
 
     monkeypatch.setattr(families, "_fan_cells", doubled)
 
@@ -851,7 +880,8 @@ def _fan_cells_with_a_parallel_edge(monkeypatch):
         (_pt_tb_rims_out_of_order, "tb3", {"n": 8, "r": 3},
          "edges u_1-z_0 and u_1-z_2 both become m_1-u_1 (two merged vertices share a neighbor)"),
         # the finish of the draft
-        (_fan_cells_with_a_parallel_edge, "fb", {"n": 5}, "two edges join the same two vertices"),
+        (_fan_cells_with_a_parallel_edge, "fb", {"n": 5},
+         "two edges join u_1 and w_1 (positions 0 and 25)"),
     ],
     ids=["merged-overlap", "merged-clash", "finish"],
 )

@@ -68,6 +68,15 @@ def test_graph_rejects_what_a_simple_graph_cannot_hold(edges, error):
         Graph([V("a"), V("b"), V("c")], edges)
 
 
+def test_a_repeated_edge_is_named_at_its_first_repeat_in_edge_order():
+    # the check itself is one set; only a failure walks the ends to name them
+    vs = [V("v", i) for i in range(5)]
+    edges = [(vs[0], vs[1]), (vs[3], vs[2]), (vs[1], vs[2]), (vs[2], vs[3]), (vs[1], vs[0])]
+    with pytest.raises(MergeWouldCreateParallelEdge) as info:
+        Graph(vs, edges)
+    assert str(info.value) == "two edges join v_2 and v_3 (positions 1 and 3)"
+
+
 def test_graph_rejects_a_repeated_vertex():
     # a repeat is a name clash, as in any draft, not a vertex to drop
     a, b = V("a"), V("b")
@@ -186,9 +195,9 @@ def test_threads_sharing_a_graph_fill_its_caches_consistently():
 
 
 def _disjoint_cells(k):
-    """2k+1 fan cells, cell i on its own hub x_i."""
+    """The draft of 2k+1 fan cells, cell i on its own hub x_i."""
     n = 2 * k + 1
-    return _fan_cells(k, [V("x", i) for i in range(1, n + 1)], range(n), range(n))
+    return _Draft(*_fan_cells(k, [V("x", i) for i in range(1, n + 1)], range(n), range(n)))
 
 
 def test_merge_nine_cells_into_one_fan():
