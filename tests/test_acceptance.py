@@ -15,9 +15,7 @@ from adjacency import components, incident_edges, neighbors
 from antimagic import io
 from antimagic.errors import InfeasibleShape
 from antimagic.families import (
-    FAMILY_TAGS,
     build_family,
-    sweep_family,
     valid_gn_index_lists,
     verify_instance,
     _fan_cells,
@@ -44,11 +42,12 @@ from antimagic.tables import (
     table_pt,
     trace_sequences,
 )
+from grid_pass import grid_pass
 from test_partition import brute_force_feasible
 
 
-def _report(criterion, started):
-    print(f"ACCEPTANCE {criterion}: PASS ({time.monotonic() - started:.2f}s)")
+def _report(criterion, elapsed):
+    print(f"ACCEPTANCE {criterion}: PASS ({elapsed:.2f}s)")
 
 
 def test_criterion_1_table_goldens():
@@ -87,7 +86,7 @@ def test_criterion_1_table_goldens():
 
     elapsed = time.monotonic() - started
     assert elapsed < 1.0
-    _report("1 (table goldens)", started)
+    _report("1 (table goldens)", elapsed)
 
 
 def test_criterion_2_observation_suites():
@@ -98,17 +97,13 @@ def test_criterion_2_observation_suites():
         check_m3_observations(table_m3(k))
     elapsed = time.monotonic() - started
     assert elapsed < 30.0
-    _report("2 (observation suites, k in [1,200])", started)
+    _report("2 (observation suites, k in [1,200])", elapsed)
 
 
 def test_criterion_3_family_certification_sweep():
-    started = time.monotonic()
+    swept = grid_pass()
     totals = {}
-    swept = {}
-    for family in ("fb", "tfb", "df", "fb1", "fb2", "df1", "df2", "df3",
-                   "pt", "tb", "pt1", "pt2", "pt3", "tb1", "tb2", "tb3",
-                   "gb", "gn", "np3o3"):
-        records = swept[family] = sweep_family(family)
+    for family, records in swept.records.items():
         # a build that raises a usage error on a grid point is an `error`,
         # as wrong a result as a failed certificate
         bad = [r for r in records if r["status"] not in ("pass", "excluded")]
@@ -121,15 +116,15 @@ def test_criterion_3_family_certification_sweep():
     assert totals["pt"][0] == totals["tb"][0] == 100
     assert totals["fb1"][1] > 0  # the k = 2 (mod 4) exclusions are reported
     # the report that `sweep --family all` writes, pinned byte for byte
-    report = [r for family in FAMILY_TAGS for r in swept[family]]
+    report = [r for records in swept.records.values() for r in records]
     assert len(report) == 3411
     assert hashlib.sha256(io.dumps({"records": report}).encode()).hexdigest() == (
         "517b565a8117032d170844da78a2e77aa69fa0feeab14ad2196d2888be177b74"
     )
-    elapsed = time.monotonic() - started
+    elapsed = swept.seconds  # the pass's own sweep
     assert elapsed < 300.0
     counts = ", ".join(f"{fam}:{n}" for fam, (n, _) in totals.items())
-    _report(f"3 (family sweep: {counts})", started)
+    _report(f"3 (family sweep: {counts})", elapsed)
 
 
 def test_criterion_3_gb_over_every_gn_base_up_to_n44():
@@ -147,7 +142,7 @@ def test_criterion_3_gb_over_every_gn_base_up_to_n44():
     assert shapes == 142
     elapsed = time.monotonic() - started
     assert elapsed < 30.0
-    _report(f"3 (gb over gn, {shapes} shapes with n <= 44)", started)
+    _report(f"3 (gb over gn, {shapes} shapes with n <= 44)", elapsed)
 
 
 def test_criterion_4_golden_value_spot_checks():
@@ -190,7 +185,7 @@ def test_criterion_4_golden_value_spot_checks():
     colors = induce_coloring(merged, f9.remapped(emap))
     assert [colors[V("y", a)] for a in (1, 2, 3)] == [288, 288, 288]
 
-    _report("4 (golden-value spot checks)", started)
+    _report("4 (golden-value spot checks)", time.monotonic() - started)
 
 
 def test_criterion_5_exact_solver():
@@ -224,7 +219,7 @@ def test_criterion_5_exact_solver():
         if res.status == "exact":
             assert res.chi_la == 3
 
-    _report("5 (exact solver)", started)
+    _report("5 (exact solver)", time.monotonic() - started)
 
 
 def test_criterion_6_magic_partition():
@@ -250,7 +245,7 @@ def test_criterion_6_magic_partition():
             except InfeasibleShape:
                 assert not oracle, f"{t}x{s}: oracle finds a partition we refuse"
 
-    _report("6 (equal-sum partitions)", started)
+    _report("6 (equal-sum partitions)", time.monotonic() - started)
 
 
 def test_criterion_7_roundtrips():
@@ -313,4 +308,4 @@ def test_criterion_7_roundtrips():
         assert io.dumps(io.certificate_to_doc(cert2)) == io.dumps(io.certificate_to_doc(cert))
         assert io.dumps(io.graph_to_doc(g2, f2, inst, cert2)) == text
 
-    _report("7 (10k merge/split round-trips + JSON round-trips)", started)
+    _report("7 (10k merge/split round-trips + JSON round-trips)", time.monotonic() - started)

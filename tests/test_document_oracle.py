@@ -17,8 +17,7 @@ import pytest
 from antimagic import families, io
 from antimagic.errors import InvariantError
 from antimagic.graph import certify
-
-STRIDE = 16
+from grid_pass import STRIDE, grid_pass
 
 
 def oracle(doc):
@@ -90,17 +89,11 @@ def _move_an_edge_end(rng, doc):
 @functools.lru_cache(maxsize=None)
 def stride_sample():
     """Each sampled point with its instance, its JSON document text and its
-    DOT export, grouped by family."""
-    out = {}
-    for family in families.FAMILY_TAGS:
-        points = [p for p, reason in families.family_grid(family) if reason is None]
-        out[family] = []
-        for params in points[::STRIDE]:
-            g, f, inst = families.build_family(family, **params)
-            cert = families.verify_instance(g, f, inst)
-            text = io.dumps(io.graph_to_doc(g, f, inst, cert))
-            out[family].append((params, inst, text, io.graph_to_dot(g, f)))
-    return out
+    DOT export, grouped by family, as the grid pass kept them."""
+    return {
+        family: [(p.params, p.instance, *p.texts) for p in points[::STRIDE]]
+        for family, points in grid_pass().points.items()
+    }
 
 
 # sha256 over the JSON documents plus the DOT exports of every 16th

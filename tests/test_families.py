@@ -10,6 +10,8 @@ from functools import partial
 import pytest
 
 from adjacency import components, neighbors
+from grid_artifacts import POINTS, grid_points
+from grid_pass import grid_pass
 from hub_reference import use_references
 from antimagic import families, graph, io
 from antimagic.cli import main
@@ -288,28 +290,24 @@ def test_merged_builders_refuse_before_they_build_their_base(
     assert str(info.value) == message
 
 
-def test_no_build_merges_or_splits_and_each_makes_one_draft(monkeypatch):
+def test_no_build_merges_or_splits_and_each_makes_one_draft():
     # every family lays its graph, so the kernels serve only merge_vertices,
-    # split_vertices and the naming of a build's fault
-    def kernel(*args):
-        raise AssertionError("a build ran a surgery kernel")
+    # split_vertices and the naming of a build's fault; the grid pass builds
+    # with both deleted, so that one would raise, and counts each build's drafts
+    for family, points in grid_pass().points.items():
+        for point in points:
+            assert point.drafts == 1, (family, point.params)
 
-    drafts = []
-    real = graph._Draft.__init__
 
-    def counted(self, *args):
-        drafts.append(args)
-        real(self, *args)
+# what the grid pass patches, as it was before any test ran the pass
+UNPATCHED = (graph._Draft.merge, graph._Draft.split, graph._Draft.__init__, families.build_family)
 
-    monkeypatch.setattr(graph._Draft, "merge", kernel)
-    monkeypatch.setattr(graph._Draft, "split", kernel)
-    monkeypatch.setattr(graph._Draft, "__init__", counted)
-    for family in families.FAMILY_TAGS:
-        for params, excluded in family_grid(family):
-            if excluded is None:
-                drafts.clear()
-                verify_instance(*build_family(family, **params))
-                assert len(drafts) == 1, (family, params)
+
+def test_the_grid_pass_walks_the_artifact_grid_and_undoes_its_patches():
+    walked = [(family, p.params) for family, points in grid_pass().points.items() for p in points]
+    assert len(walked) == POINTS and walked == grid_points()
+    patched = (graph._Draft.merge, graph._Draft.split, graph._Draft.__init__, families.build_family)
+    assert patched == UNPATCHED
 
 
 # sha256 over repr((names, a, b, labels)) of each finished draft below, in
@@ -516,16 +514,18 @@ def test_tb3_and_gb_examples():
 
 
 def test_tb3_is_gb_over_the_bracelet_at_every_grid_point():
-    points = [params for params, excluded in family_grid("tb3") if excluded is None]
-    assert len(points) == 144
-    for params in points:
-        n, r = params["n"], params["r"]
-        g, f, inst = build_family("tb3", n=n, r=r)
-        g2, f2, inst2 = build_family("gb", n=n, r=r, s=(n + 1) // r)
-        assert io.graph_to_doc(g2, f2) == io.graph_to_doc(g, f), params
-        assert io.graph_to_dot(g2, f2) == io.graph_to_dot(g, f), params
-        assert inst2.expected_palette == inst.expected_palette, params
-        assert inst2.expected_census == inst.expected_census, params
+    points = grid_pass().points
+    assert len(points["tb3"]) == len(points["gb"]) == 144
+    for tb3, gb in zip(points["tb3"], points["gb"]):
+        params, n, r = tb3.params, tb3.params["n"], tb3.params["r"]
+        assert gb.params == {"n": n, "r": r, "s": (n + 1) // r}, params
+        if gb.digest != tb3.digest:  # only a mismatch builds the two again
+            g, f, _ = build_family("tb3", n=n, r=r)
+            g2, f2, _ = build_family("gb", **gb.params)
+            assert io.graph_to_doc(g2, f2) == io.graph_to_doc(g, f), params
+            assert io.graph_to_dot(g2, f2) == io.graph_to_dot(g, f), params
+        assert gb.instance.expected_palette == tb3.instance.expected_palette, params
+        assert gb.instance.expected_census == tb3.instance.expected_census, params
 
 
 def test_pt1_merged_color_distinct_since_linear():

@@ -33,7 +33,7 @@ and c(21k+12), each base color scaled by the blocks merged into one vertex:
 
 import pytest
 
-from antimagic.families import build_family, family_grid
+from grid_pass import grid_pass
 
 
 def scaled(k, a=1, b=1, c=1):
@@ -119,9 +119,9 @@ def test_the_three_closed_form_colors_are_distinct(family):
 
 @pytest.mark.parametrize("family", FORMS)
 def test_the_forms_are_the_builders_claims(family):
-    # every 7th point of the default grid, excluded points skipped
-    points = [params for params, excluded in family_grid(family)[::7] if excluded is None]
+    # every non-excluded point of the default grid, as the grid pass built it
+    points = grid_pass().points[family]
     assert points
-    for params in points:
-        _, _, inst = build_family(family, **params)
-        assert inst.expected_palette == tuple(sorted(FORMS[family](**params))), params
+    for point in points:
+        claimed = point.instance.expected_palette
+        assert claimed == tuple(sorted(FORMS[family](**point.params))), point.params
