@@ -1,8 +1,9 @@
 """One walk of the default grid per test session: ``sweep_family`` over
 ``FAMILY_TAGS``, with the surgery kernels deleted, each ``_Draft`` counted
-and ``build_family`` wrapped, every patch undone before :func:`grid_pass`
-returns.  Each non-excluded point keeps what the tests read of its build,
-and no graph or labeling."""
+and ``build_family`` and ``verify_instance`` wrapped, every patch undone
+before :func:`grid_pass` returns.  Each non-excluded point keeps what the
+tests read of its build, every ``STRIDE``-th its texts, and no graph or
+labeling."""
 
 import functools
 import time
@@ -21,12 +22,12 @@ class Point(NamedTuple):
     instance: families.FamilyInstance
     drafts: int  # the drafts its build made
     digest: int  # see digest
-    texts: tuple[str, str] | None  # the JSON text and DOT export of every STRIDE-th point
 
 
 class GridPass(NamedTuple):
     records: dict[str, list[dict]]  # each family's sweep records
     points: dict[str, list[Point]]  # each family's non-excluded points, in grid order
+    stride: dict[str, list[tuple]]  # (params, instance, JSON text, DOT export) of every STRIDE-th
     seconds: float  # the sweep's time.monotonic() span
 
 
@@ -40,8 +41,8 @@ def digest(g, f) -> int:
 
 @functools.cache
 def grid_pass() -> GridPass:
-    records, points, made = {}, {}, [0]
-    build, init = families.build_family, _Draft.__init__
+    records, points, stride, made = {}, {}, {}, [0]
+    build, verify, init = families.build_family, families.verify_instance, _Draft.__init__
 
     def counted(self, *args):
         made[0] += 1
@@ -50,21 +51,25 @@ def grid_pass() -> GridPass:
     def kept(family, **params):
         before = made[0]
         g, f, inst = built = build(family, **params)
-        drafts, texts = made[0] - before, None
-        if len(points[family]) % STRIDE == 0:
-            cert = families.verify_instance(g, f, inst)
-            texts = io.dumps(io.graph_to_doc(g, f, inst, cert)), io.graph_to_dot(g, f)
-        points[family].append(Point(params, inst, drafts, digest(g, f), texts))
+        points[family].append(Point(params, inst, made[0] - before, digest(g, f)))
         return built
+
+    def sampled(g, f, inst):  # the sweep verifies each point right after its build
+        cert = verify(g, f, inst)
+        if (len(points[family]) - 1) % STRIDE == 0:
+            text = io.dumps(io.graph_to_doc(g, f, inst, cert))
+            stride[family].append((points[family][-1].params, inst, text, io.graph_to_dot(g, f)))
+        return cert
 
     with pytest.MonkeyPatch.context() as patch:
         patch.delattr(_Draft, "merge")  # so a build that runs a kernel raises
         patch.delattr(_Draft, "split")
         patch.setattr(_Draft, "__init__", counted)
         patch.setattr(families, "build_family", kept)
+        patch.setattr(families, "verify_instance", sampled)
         started = time.monotonic()
         for family in families.FAMILY_TAGS:
-            points[family] = []
+            points[family], stride[family] = [], []
             records[family] = families.sweep_family(family)
         seconds = time.monotonic() - started
-    return GridPass(records, points, seconds)
+    return GridPass(records, points, stride, seconds)

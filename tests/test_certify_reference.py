@@ -17,7 +17,8 @@ import pytest
 from antimagic import families, io
 from antimagic.errors import LabelDomainMismatch
 from antimagic.graph import Certificate, EdgeLabeling, Graph, certify, induce_coloring
-from test_document_oracle import MUTATIONS, _move_an_edge_end, stride_sample
+from grid_pass import grid_pass
+from test_document_oracle import MUTATIONS, _move_an_edge_end
 
 
 def _components(vertices, edges):
@@ -124,7 +125,7 @@ def _assert_same(g, f, expected_palette, where):
 
 @pytest.mark.parametrize("family", families.FAMILY_TAGS)
 def test_certify_matches_the_reference_on_every_sampled_document(family):
-    for params, inst, text, _ in stride_sample()[family]:
+    for params, inst, text, _ in grid_pass().stride[family]:
         g, f = io.doc_to_graph(json.loads(text))
         _assert_same(g, f, inst.expected_palette, params)
 
@@ -134,7 +135,7 @@ def test_certify_matches_the_reference_on_every_sampled_document(family):
 @pytest.mark.parametrize("family", families.FAMILY_TAGS)
 def test_certify_matches_the_reference_on_every_mutation(family, mutate):
     rng = random.Random(f"reference {family} {mutate.__name__}")
-    for params, inst, text, _ in stride_sample()[family]:
+    for params, inst, text, _ in grid_pass().stride[family]:
         doc = json.loads(text)
         mutate(rng, doc)
         g, f = io.doc_to_graph(doc)
@@ -149,7 +150,7 @@ def test_the_comparison_meets_moves_that_change_the_components():
     changed = joined = 0
     for family in families.FAMILY_TAGS:
         rng = random.Random(f"reference {family} {_move_an_edge_end.__name__}")
-        for params, inst, text, _ in stride_sample()[family]:
+        for params, inst, text, _ in grid_pass().stride[family]:
             doc = json.loads(text)
             _move_an_edge_end(rng, doc)
             (before, _, orders_before), (after, _, orders_after) = (

@@ -7,7 +7,6 @@ fault in the certifier cannot hide a fault in a builder.  The sample is every
 16th non-excluded point of each family's default grid (217 documents).
 """
 
-import functools
 import hashlib
 import json
 import random
@@ -17,7 +16,7 @@ import pytest
 from antimagic import families, io
 from antimagic.errors import InvariantError
 from antimagic.graph import certify
-from grid_pass import STRIDE, grid_pass
+from grid_pass import grid_pass
 
 
 def oracle(doc):
@@ -86,16 +85,6 @@ def _move_an_edge_end(rng, doc):
             return
 
 
-@functools.lru_cache(maxsize=None)
-def stride_sample():
-    """Each sampled point with its instance, its JSON document text and its
-    DOT export, grouped by family, as the grid pass kept them."""
-    return {
-        family: [(p.params, p.instance, *p.texts) for p in points[::STRIDE]]
-        for family, points in grid_pass().points.items()
-    }
-
-
 # sha256 over the JSON documents plus the DOT exports of every 16th
 # non-excluded default-grid point of each family, in grid order; recorded
 # while the builders still worked on VertexId-keyed graphs
@@ -125,14 +114,14 @@ STRIDE_DIGESTS = {
 @pytest.mark.parametrize("family", families.FAMILY_TAGS)
 def test_every_16th_grid_point_artifacts_are_byte_stable(family):
     digest = hashlib.sha256()
-    for _, _, text, dot in stride_sample()[family]:
+    for _, _, text, dot in grid_pass().stride[family]:
         digest.update((text + dot).encode())
     assert digest.hexdigest() == STRIDE_DIGESTS[family]
 
 
 @pytest.mark.parametrize("family", families.FAMILY_TAGS)
 def test_the_oracle_passes_every_sampled_document_as_its_certificate_does(family):
-    for params, inst, text, _ in stride_sample()[family]:
+    for params, inst, text, _ in grid_pass().stride[family]:
         doc = json.loads(text)
         cert = doc["certificate"]
         assert oracle(doc) == ACCEPTED, params
@@ -145,7 +134,7 @@ def test_the_oracle_passes_every_sampled_document_as_its_certificate_does(family
 @pytest.mark.parametrize("family", families.FAMILY_TAGS)
 def test_the_oracle_and_the_certificate_agree_on_mutated_documents(family):
     rng = random.Random(family)
-    for i, (params, inst, text, _) in enumerate(stride_sample()[family]):
+    for i, (params, inst, text, _) in enumerate(grid_pass().stride[family]):
         mutate = MUTATIONS[i % len(MUTATIONS)]
         doc = json.loads(text)
         mutate(rng, doc)
@@ -162,7 +151,7 @@ def test_the_oracle_and_the_certificate_agree_on_mutated_documents(family):
 @pytest.mark.parametrize("family", families.FAMILY_TAGS)
 def test_the_oracle_and_the_certificate_agree_when_an_edge_end_moves(family):
     rng = random.Random("move " + family)
-    for params, inst, text, _ in stride_sample()[family]:
+    for params, inst, text, _ in grid_pass().stride[family]:
         doc = json.loads(text)
         _move_an_edge_end(rng, doc)
         g, f = io.doc_to_graph(doc)

@@ -299,15 +299,21 @@ def test_no_build_merges_or_splits_and_each_makes_one_draft():
             assert point.drafts == 1, (family, point.params)
 
 
-# what the grid pass patches, as it was before any test ran the pass
-UNPATCHED = (graph._Draft.merge, graph._Draft.split, graph._Draft.__init__, families.build_family)
+def _patchable():
+    """What the grid pass patches, as it stands."""
+    return (
+        graph._Draft.merge, graph._Draft.split, graph._Draft.__init__,
+        families.build_family, families.verify_instance,
+    )
+
+
+UNPATCHED = _patchable()  # as it was before any test ran the pass
 
 
 def test_the_grid_pass_walks_the_artifact_grid_and_undoes_its_patches():
     walked = [(family, p.params) for family, points in grid_pass().points.items() for p in points]
     assert len(walked) == POINTS and walked == grid_points()
-    patched = (graph._Draft.merge, graph._Draft.split, graph._Draft.__init__, families.build_family)
-    assert patched == UNPATCHED
+    assert _patchable() == UNPATCHED
 
 
 # sha256 over repr((names, a, b, labels)) of each finished draft below, in

@@ -466,29 +466,6 @@ def test_a_labeling_is_a_value():
     assert h == k == f and repr(h) == repr(f) == f"EdgeLabeling(labels={dict(f.labels)!r})"
 
 
-def test_labelings_finished_on_one_graph_compare_their_arrays(monkeypatch):
-    g, f, _ = build_family("fb", n=3)
-    swapped = EdgeLabeling._at(g, f._array[::-1])
-    labelings = (
-        f, swapped, EdgeLabeling(f.labels), graph._finished(g, EdgeLabeling(f.labels)),
-        build_family("fb", n=3)[1], EdgeLabeling(swapped.labels),
-    )
-    # same-graph, twin, other-graph and by-name pairs: equal iff equal by edge
-    for x in labelings:
-        for y in labelings:
-            assert (x == y) == (dict(x.labels) == dict(y.labels))
-    assert f == labelings[3] and f != swapped
-    # on one graph no edge is named
-    g, f, _ = build_family("fb", n=3)
-    twin, swapped = EdgeLabeling._at(g, list(f._array)), EdgeLabeling._at(g, f._array[::-1])
-
-    def named(self):
-        raise AssertionError("named the edges")
-
-    monkeypatch.setattr(Graph, "_named_edges", named)
-    assert f == twin and twin == f and f != swapped and twin != swapped
-
-
 def test_certificate_palette_mismatch_flagged_separately():
     g, f, _ = build_family("fb", n=3)
     cert = certify(g, f, expected_palette=[1, 2, 3])
