@@ -483,6 +483,31 @@ def certify(
 # -- surgery -------------------------------------------------------------------
 
 
+def _merge_fault(
+    names: Sequence[VertexId], a: list[int], b: list[int], a2: list[int], b2: list[int]
+) -> MergeWouldCreateLoop | MergeWouldCreateParallelEdge | None:
+    """The first moved edge, in edge order, that a merge taking edge p from
+    ``a[p]``-``b[p]`` to ``a2[p]``-``b2[p]`` (``names`` naming both) makes a
+    loop or lays on the two vertices an earlier one joins, named; or None.
+    No other edge is read: one that keeps both its ends cannot meet a moved
+    edge, which ends at a merged vertex."""
+    made: dict[tuple[int, int], int] = {}
+    for p in compress(range(len(a)), map(or_, map(ne, a, a2), map(ne, b, b2))):
+        x, y = a2[p], b2[p]
+        if x == y:
+            return MergeWouldCreateLoop(
+                "block members %s and %s are adjacent" % edge(names[a[p]], names[b[p]])
+            )
+        q = made.setdefault((x, y) if x < y else (y, x), p)
+        if q != p:
+            return MergeWouldCreateParallelEdge(
+                "edges %s-%s and %s-%s both become %s-%s (two merged vertices share a neighbor)"
+                % (*edge(names[a[q]], names[b[q]]), *edge(names[a[p]], names[b[p]]),
+                   *edge(names[x], names[y]))
+            )
+    return None
+
+
 class _Draft:
     """A graph under construction, in index space.
 
@@ -495,9 +520,9 @@ class _Draft:
     makes the one :class:`Graph` and :class:`EdgeLabeling`, which take over
     the draft's lists, so a finished draft is not operated on again.  A
     family build makes one draft of the lists its builder laid and runs no
-    surgery; the kernels serve :func:`merge_vertices` and
-    :func:`split_vertices`, and :meth:`merge` names the fault of a build's
-    failed merge (``families._merged``).
+    surgery, failed or not: its merges are recorded as data, whose faults
+    :func:`_merge_fault` names as :meth:`merge` does.  The kernels serve
+    :func:`merge_vertices` and :func:`split_vertices`.
     """
 
     __slots__ = ("names", "index", "a", "b", "labels")
@@ -546,12 +571,10 @@ class _Draft:
         ``new_ids``; returns the indices of the new vertices, in block order.
 
         All blocks are applied as one simultaneous relabeling of edge ends,
-        with a global check that no loop or parallel edge arises (the global
-        check also catches collisions between edges from *different* blocks,
-        which a per-block common-neighbor test alone would miss).  Only the
-        edges at a block vertex are rewritten and checked: every other edge
-        keeps both its ends, while a rewritten edge ends at a new vertex, so
-        the two kinds never collide.
+        with a global check that no loop or parallel edge arises,
+        :func:`_merge_fault` (it also catches collisions between edges from
+        *different* blocks, which a per-block common-neighbor test alone
+        would miss).
         """
         if len(blocks) != len(new_ids):
             raise OverlappingBlocks(f"{len(blocks)} blocks but {len(new_ids)} replacement ids")
@@ -577,25 +600,11 @@ class _Draft:
 
         a, b = self.a, self.b
         a2, b2 = list(map(to.get, a, a)), list(map(to.get, b, b))
-        touched = list(compress(range(len(a)), map(or_, map(ne, a, a2), map(ne, b, b2))))
         # named before the edges are checked, so that a clash can name them;
         # they are not live until the edges move
         names += new_ids
-        made: dict[tuple[int, int], int] = {}
-        for p in touched:
-            x, y = a2[p], b2[p]
-            if x == y:
-                raise MergeWouldCreateLoop(
-                    "block members %s and %s are adjacent" % edge(names[a[p]], names[b[p]])
-                )
-            key = (x, y) if x < y else (y, x)
-            if key in made:
-                q = made[key]
-                raise MergeWouldCreateParallelEdge(
-                    f"edges {self._edge(a[q], b[q])} and {self._edge(a[p], b[p])} both "
-                    f"become {self._edge(x, y)} (two merged vertices share a neighbor)"
-                )
-            made[key] = p
+        if (fault := _merge_fault(names, a, b, a2, b2)) is not None:
+            raise fault
         self.a, self.b = a2, b2
         for v in to:
             del index[names[v]]

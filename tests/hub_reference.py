@@ -11,10 +11,13 @@ crosswise.  :func:`merged` and :func:`tb` are ``_merged`` and ``_tb`` as
 they were when every merge ran :meth:`_Draft.merge`.  Each returns what its
 builder returns, with the instance taken from the builder itself, or scaled
 as ``_merged`` scales it (the claims do not depend on how the graph is
-laid), except that its lists end with the draft itself (:func:`handed`).
-``BUILDERS`` holds the real builders as they were at import, so a reference
-still calls them while :func:`use_references` has put the references in
-their place.
+laid), except that its lists hold the draft itself where a builder's hold
+the records of its merges (:func:`handed`).  ``BUILDERS`` holds the real
+builders as they were at import, so a reference still calls them while
+:func:`use_references` has put the references in their place.  The
+references run under :func:`use_references`, which builds each base that a
+merge or ``gn`` reads once, and each merge and split runs on a fresh copy of
+it (:func:`fresh`).
 """
 
 from itertools import chain, repeat
@@ -26,8 +29,9 @@ from antimagic.tables import table_m1, table_m3
 
 BUILDERS = {
     "fb": families._fb, "tfb": families._tfb, "df": families._df,
-    "np3o3": families._np3_o3, "gn": families._gn, "tb": families._tb,
+    "np3o3": families._np3_o3, "gn": families._gn, "tb": families._tb, "pt": families._pt,
 }
+KEPT = ("tfb", "df", "tb")  # with _pt, the bases that use_references builds once
 FINISH = families._finish
 
 
@@ -118,7 +122,7 @@ def merged(built, family, params, blocks, color, degree, new_ids=None):
     """``_merged`` through the merge kernel, on a reference's draft or a
     builder's lists."""
     lists, base = built
-    d = lists[-1] if isinstance(lists[-1], _Draft) else _Draft(*lists[:4])
+    d = lists[4] if isinstance(lists[4], _Draft) else _Draft(*lists[:4])
     r, s = len(blocks), len(blocks[0])
     palette = families._palette(*(s * c if c == color else c for c in base.expected_palette))
     census = families._census(*base.expected_census.items(), (degree, -r * s), (s * degree, r))
@@ -137,7 +141,7 @@ def tb(n):
 
 def gn(n, indices):
     _, inst, _ = BUILDERS["gn"](n, indices)
-    (*_, d), _, hubs = tb(n)
+    (*_, d), _, hubs = families._tb(n)  # a copy of the kept tb reference
     hub = dict(zip(range(0, 2 * n + 1, 2), hubs))
 
     # on the rails of _pt the edge u_j u_(j+1) is at position j and
@@ -164,22 +168,53 @@ REFERENCES = {"fb": fb, "tfb": tfb, "df": df, "np3o3": np3o3, "gn": gn, "tb": tb
 
 
 def handed(d):
-    """A reference's draft as a builder's lists, with the draft itself at
-    their end, which :func:`finish` finishes as it is: a surgery draft keeps
-    the names of the vertices it took out, which no lists can say."""
+    """A reference's draft as a builder's lists, with the draft itself where
+    a builder's lists record their merges, which :func:`finish` finishes as
+    it is: a surgery draft keeps the names of the vertices it took out, which
+    no lists can say."""
     return d.names, d.a, d.b, d.labels, d
 
 
 def finish(lists):
     """``_finish``, which finishes a reference's own draft as it is."""
-    return lists[-1].finish() if isinstance(lists[-1], _Draft) else FINISH(lists)
+    draft = lists[4]
+    return draft.finish() if isinstance(draft, _Draft) else FINISH(lists)
 
 
-def use_references(monkeypatch):
+def fresh(lists):
+    """A copy of a builder's lists, or of a reference's own draft as lists,
+    for a kernel or a builder to rewrite: ``_Draft.merge`` and ``split``
+    rewrite their draft, and ``_gn`` swaps the ends of the lists it reads."""
+    names, a, b, labels, draft = lists
+    if not isinstance(draft, _Draft):
+        return names, list(a), list(b), labels, draft
+    d = object.__new__(_Draft)
+    d.names, d.index, d.a, d.b, d.labels = list(names), dict(draft.index), list(a), list(b), labels
+    return handed(d)
+
+
+def use_references(monkeypatch, kept=None):
     """Build the six bases, and every family made from one, by surgery, and
-    make every merge through the merge kernel."""
+    make every merge through the merge kernel.  The bases that a merge or
+    ``gn`` reads, ``_pt``, ``tfb``, ``df`` and ``tb``, are each built once
+    for each distinct argument list, into ``kept``, which a test passes to
+    keep them over several calls, and each call hands out a fresh copy."""
+    kept = {} if kept is None else kept
+
+    def once(builder):
+        def base(*args):
+            key = (builder, *args)
+            if key not in kept:
+                kept[key] = builder(*args)
+            lists, *extras = kept[key]
+            return fresh(lists), *extras
+        return base
+
     for family, ref in REFERENCES.items():
-        monkeypatch.setattr(families, BUILDERS[family].__name__, ref)
+        monkeypatch.setattr(
+            families, BUILDERS[family].__name__, once(ref) if family in KEPT else ref
+        )
         monkeypatch.setitem(families._BUILDERS, family, ref)
+    monkeypatch.setattr(families, "_pt", once(BUILDERS["pt"]))
     monkeypatch.setattr(families, "_merged", merged)
     monkeypatch.setattr(families, "_finish", finish)

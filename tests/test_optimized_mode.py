@@ -98,6 +98,39 @@ else:
     sys.exit("the pt build of a corrupted table was not rejected")
 families.table_pt = table_pt
 
+# a merged build names a fault of its merges from their records, with no
+# merge kernel and no assert: scrambled rims clash in tb3, and a member
+# dealt to two blocks overlaps in tb1
+from antimagic.graph import _Draft
+
+merge, real_deal = _Draft.merge, families._deal
+del _Draft.merge
+
+def scrambled(rims, r):
+    return real_deal([[*rim[:1], *rim[2:4], rim[1], *rim[4:]] for rim in rims], r)
+
+def shared(rims, r):
+    blocks = real_deal(rims, r)
+    blocks[1][0] = blocks[0][0]
+    return blocks
+
+for deal, family, fault in [
+    (scrambled, "tb3", "edges u_1-z_0 and u_1-z_2 both become m_1-u_1 "
+     "(two merged vertices share a neighbor)"),
+    (shared, "tb1", "u_1 appears in two blocks"),
+]:
+    families._deal = deal
+    params = {"n": 8, "r": 3}
+    try:
+        build_family(family, **params)
+    except InvariantError as exc:
+        if str(exc) != f"{family}{params}: surgery on its own draft failed: {fault}":
+            sys.exit(f"{family}: {exc}")
+    else:
+        sys.exit(f"the {family} build of faulty blocks was not rejected")
+families._deal = real_deal
+_Draft.merge = merge
+
 # the solver's floors and prunes hold without asserts: chi_la(K1,4) = 5 by
 # the pendant floor, C4 and P5 by the sum floor, C5 by the odd cycle; the
 # colour-sum prune cuts the proofs for C9 and fb3, and their prunes by
