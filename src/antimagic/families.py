@@ -21,7 +21,6 @@ exactly three induced colors equal to the closed forms.
 
 from __future__ import annotations
 
-import inspect
 from functools import partial
 from itertools import chain, repeat
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
@@ -39,7 +38,7 @@ from .errors import (
     PaletteCollision,
     UsageError,
 )
-from .graph import EdgeLabeling, Graph, V, VertexId, _Draft, _merge_fault, certify
+from .graph import EdgeLabeling, Graph, V, VertexId, _Draft, _merge_fault, certify, induce_coloring
 from .partition import _position_blocks
 from .tables import _odd_factorizations, _sequences, table_m1, table_m3, table_pt
 
@@ -629,6 +628,8 @@ def _check_binding(family: str, builder: Callable, params: dict) -> None:
     """Raise the usage error of parameters that ``builder`` does not take.
     Called only once a check or a call has failed, so neither the import nor
     a good call pays for reading the signature."""
+    import inspect
+
     try:
         inspect.signature(builder).bind(**params)
     except TypeError as exc:
@@ -680,6 +681,14 @@ def _first_violations(cert, kinds: tuple[str, ...]) -> str:
     return ": " + ", ".join(named[:3]) + (", ..." if len(named) > 3 else "")
 
 
+def _first_named(g: Graph, test: Callable[[int], bool]) -> str:
+    """`` (first x)``, naming x, the first vertex in listing order whose index
+    passes ``test``; empty when no vertex does."""
+    (_, names, _), at, _ = g._listed()
+    first = next((name for name, i in zip(names, at) if test(i)), None)
+    return "" if first is None else f" (first {first})"
+
+
 def verify_instance(g: Graph, f: EdgeLabeling, inst: FamilyInstance):
     """Certify one built instance against every claim it carries.
 
@@ -687,7 +696,8 @@ def verify_instance(g: Graph, f: EdgeLabeling, inst: FamilyInstance):
     equal to the closed forms, triangle present, degree census, and (when
     recorded) the component orders, read off the walk that the certificate
     made.  Raises :class:`InvariantError` with the full problem list on any
-    failure; returns the certificate otherwise.
+    failure, naming the first vertex in listing order outside the palette and
+    of each degree whose count is off; returns the certificate otherwise.
     """
     cert = certify(g, f, inst.expected_palette)
     problems = []
@@ -704,20 +714,26 @@ def verify_instance(g: Graph, f: EdgeLabeling, inst: FamilyInstance):
     if cert.color_count != 3:
         problems.append(f"{cert.color_count} colors instead of 3")
     if cert.palette_ok is False:
+        colors, allowed = induce_coloring(g, f).array, set(inst.expected_palette)
         problems.append(
             f"palette {cert.palette} != expected {inst.expected_palette}"
+            + _first_named(g, lambda i: colors[i] not in allowed)
         )
     if not cert.has_triangle:
         problems.append("no triangle: 3-color lower bound does not apply")
     actual_census = {d: count for d, (count, _) in cert.degree_census.items()}
+    adj, comps = g._walked()
     for d in sorted(actual_census.keys() | inst.expected_census.keys()):
         count, expected = actual_census.get(d, 0), inst.expected_census.get(d, 0)
         if count != expected:
             # a merge scales a claim it does not check, which can go negative
             claim = f"an impossible claim of {expected}" if expected < 0 else f"expected {expected}"
-            problems.append(f"degree {d}: {count} vertices, {claim}")
+            problems.append(
+                f"degree {d}: {count} vertices, {claim}"
+                + _first_named(g, lambda i: len(adj[i]) == d)
+            )
     if inst.expected_component_orders is not None:
-        orders = tuple(sorted(map(len, g._walked()[1])))
+        orders = tuple(sorted(map(len, comps)))
         if orders != inst.expected_component_orders:
             problems.append(
                 f"component orders {orders} != expected {inst.expected_component_orders}"

@@ -161,15 +161,13 @@ class Graph:
         ends = zip(map(names.__getitem__, self.a), map(names.__getitem__, self.b))
         return [(x, y) if x < y else (y, x) for x, y in ends]
 
-    def _walked(self) -> tuple[list, list[list[int]]]:
-        """The neighbour list of each live vertex by index, and the components
+    def _walked(self) -> tuple[list[list[int]], list[list[int]]]:
+        """The neighbour list of each vertex by index, and the components
         as index lists, from one walk of the edge arrays."""
         walk = self._walk
         if walk is None:
-            # a vertex that surgery took out ends no edge; it keeps an empty tuple
-            adj: list = [()] * len(self.names)
-            for i in self.index.values():
-                adj[i] = []
+            # a vertex that surgery took out ends no edge, so its list stays empty
+            adj: list[list[int]] = [[] for _ in self.names]
             for x, y in zip(self.a, self.b):
                 adj[x].append(y)
                 adj[y].append(x)
@@ -391,17 +389,14 @@ class Certificate(NamedTuple):
         )
 
 
-def _in_edge_order(g: Graph, positions: Iterable[int]) -> list[tuple[Edge, int]]:
-    """Each given edge position with its canonical edge, in canonical edge
-    order; the edges are named only when some position is given."""
-    positions = list(positions)
-    if not positions:
+def _reported(g: Graph, positions: Iterable[int]) -> list[tuple[int, list[str]]]:
+    """Each given edge position with its two end names, in the order of the
+    graph's listing; the listing is read only when some position is given."""
+    marked = set(positions)
+    if not marked:
         return []
-    return sorted(zip(map(g._named_edges().__getitem__, positions), positions))
-
-
-def _edge_names(e: Edge) -> list[str]:
-    return [str(e[0]), str(e[1])]
+    (_, names, pairs), _, pos = g._listed()
+    return [(p, [names[i], names[j]]) for p, (i, j) in zip(pos, pairs) if p in marked]
 
 
 def certify(
@@ -413,10 +408,10 @@ def certify(
     labeling whose domain is not the edge set, which is a type error.
 
     The checks run over the edge arrays, with no sort: one accumulation of
-    the colors, a count of the labels, one comparison of end colors per edge
-    and one walk of the int adjacency.  Only the offending edges are named
-    and sorted, so ``violations`` still lists them in canonical edge order
-    (duplicates by label).
+    the colors, the set of the labels, one comparison of end colors per edge
+    and one walk of the int adjacency.  Only offending edges are named, from
+    the graph's listing and in its order (duplicates grouped by label), and
+    the labels are counted only when one repeats.
     """
     f = _finished(g, f)
     colors, labels, a, b = induce_coloring(g, f).array, f._array, g.a, g.b
@@ -426,33 +421,30 @@ def certify(
     q = len(a)
 
     violations: list[dict] = []
-    counts = Counter(labels)
-    # a bool or a float is out of range too: by its type, or as a repeat of an int
-    if set(map(type, counts)) - {int} or counts.keys() != set(range(1, q + 1)):
+    distinct = set(labels)
+    # q distinct exact ints from 1 to q are [1, q]; a bool or a float fails by
+    # its type, or as a repeat of an int
+    if len(distinct) < q or set(map(type, distinct)) - {int} or (
+        distinct and (min(distinct) != 1 or max(distinct) != q)
+    ):
         outside = [p for p, lab in enumerate(labels) if type(lab) is not int or not 1 <= lab <= q]
-        for e, p in _in_edge_order(g, outside):
-            violations.append(
-                {"kind": "label_out_of_range", "edge": _edge_names(e), "label": labels[p]}
-            )
-    if len(counts) < q:
-        shared = {lab for lab, n in counts.items() if n > 1}
-        by_label: dict[int, list[Edge]] = {}
-        for e, p in _in_edge_order(g, [p for p, lab in enumerate(labels) if lab in shared]):
-            by_label.setdefault(labels[p], []).append(e)
-        for lab, es in sorted(by_label.items()):
-            violations.append(
-                {"kind": "duplicate_label", "label": lab, "edges": list(map(_edge_names, es))}
-            )
+        for p, ends in _reported(g, outside):
+            violations.append({"kind": "label_out_of_range", "edge": ends, "label": labels[p]})
+        if len(distinct) < q:
+            shared = {lab for lab, n in Counter(labels).items() if n > 1}
+            by_label: dict[int, list[list[str]]] = {}
+            for p, ends in _reported(g, [p for p, lab in enumerate(labels) if lab in shared]):
+                by_label.setdefault(labels[p], []).append(ends)
+            for lab, es in sorted(by_label.items()):
+                violations.append({"kind": "duplicate_label", "label": lab, "edges": es})
     is_bijective = not violations
 
-    clashes = _in_edge_order(g, compress(
+    clashes = _reported(g, compress(
         range(q), map(eq, map(colors.__getitem__, a), map(colors.__getitem__, b))
     ))
     is_local_antimagic = not clashes
-    for e, p in clashes:
-        violations.append(
-            {"kind": "adjacent_equal_color", "edge": _edge_names(e), "color": colors[a[p]]}
-        )
+    for p, ends in clashes:
+        violations.append({"kind": "adjacent_equal_color", "edge": ends, "color": colors[a[p]]})
 
     # (degree, color) -> vertex count, with the degrees read off the adjacency
     # that the triangle and component checks walk

@@ -804,15 +804,17 @@ def _fb1_rim_blocks():
         # m_1 = {u_2, v_2} has degree 4 and color 32, m_2 = {u_4} degree 2 and color 16
         (lambda: families._pt(2), "tb", [[V("u", 2), V("v", 2)], [V("u", 4)]], 16, 2,
          "tb{} failed: 4 colors instead of 3; palette (15, 16, 32, 33) != expected "
-         "(15, 32, 33); degree 2: 4 vertices, expected 2; degree 4: 1 vertices, expected 2"),
+         "(15, 32, 33) (first m_2); degree 2: 4 vertices, expected 2 (first m_2); "
+         "degree 4: 1 vertices, expected 2 (first m_1)"),
         # the rim class, of color 46, claimed at the path centers' 42
         (lambda: families._tfb(3, 3)[:2], "fb1", _fb1_rim_blocks(), 42, 2,
-         "fb1{} failed: palette (42, 138, 288) != expected (46, 126, 288)"),
+         "fb1{} failed: palette (42, 138, 288) != expected (46, 126, 288) (first m_1)"),
         # tb's own blocks, the whole degree-2 class, claimed at a degree the
         # peanut has no vertex of
         (lambda: families._pt(2), "tb", [[V("x"), V("y")], [V("u", 2), V("v", 2)],
                                          [V("u", 4), V("v", 4)]], 16, 5,
-         "tb{} failed: degree 2: 0 vertices, expected 6; degree 4: 3 vertices, expected 0; "
+         "tb{} failed: degree 2: 0 vertices, expected 6; "
+         "degree 4: 3 vertices, expected 0 (first m_1); "
          "degree 5: 0 vertices, an impossible claim of -6; degree 10: 0 vertices, expected 3"),
     ],
     ids=["unequal-blocks", "color-not-the-class", "degree-not-in-the-base"],
@@ -1030,7 +1032,7 @@ def test_a_tfb_partition_with_a_cell_in_two_fans_builds_and_fails_its_certificat
         verify_instance(g, f, inst)
     assert str(info.value) == (
         "tfb{'t': 3, 's': 3, 'k': 4} failed: 5 colors instead of 3; "
-        "palette (42, 46, 284, 288, 292) != expected (42, 46, 288)"
+        "palette (42, 46, 284, 288, 292) != expected (42, 46, 288) (first y_1)"
     )
     records = sweep_family("tfb", max_size=27)
     assert records and {r["status"] for r in records} == {"fail"}
@@ -1416,9 +1418,9 @@ def test_failure_report_names_each_census_degree_that_differs():
         verify_instance(g, f, doctored)
     assert str(info.value) == (
         "fb{'n': 5, 'k': 2} failed: "
-        "degree 3: 5 vertices, expected 7; "
+        "degree 3: 5 vertices, expected 7 (first w_1); "
         "degree 4: 0 vertices, expected 1; "
-        "degree 15: 1 vertices, expected 0"
+        "degree 15: 1 vertices, expected 0 (first x)"
     )
 
 

@@ -7,6 +7,7 @@ import re
 import subprocess
 import sys
 import threading
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -577,6 +578,86 @@ def test_mixed_violations_keep_their_order():
         {"kind": "adjacent_equal_color", "edge": ["v_1", "w_1"], "color": 16},
         {"kind": "adjacent_equal_color", "edge": ["v_3", "w_3"], "color": 9},
     ]
+
+
+def _reversed_gn():
+    """gn(10, (1,)) handed to ``Graph`` in reverse listing order, so that edge
+    position p is the (q-1-p)-th listed, with a labeling that breaks the
+    bijection both ways and makes two adjacent colors equal."""
+    g, f, _ = build_family("gn", n=10, indices=(1,))
+    h = Graph(sorted(g.vertices, reverse=True), g.sorted_edges()[::-1])
+    es = h.sorted_edges()
+    labels = dict(f.labels)
+    for k in range(0, len(es), 4):
+        labels[es[k]] = (7 * k) % 40
+    return h, EdgeLabeling(labels)
+
+
+def _merged_reversed_gn():
+    """The reversed gn with u_1 and u_9 merged into a_1, which lists first:
+    the merge leaves both dead and re-ranks their edges."""
+    h, f = _reversed_gn()
+    g, moved = merge_vertices(h, [[V("u", 1), V("u", 9)]], [V("a", 1)])
+    assert len(g.names) == g.order + 2
+    return g, f.remapped(moved)
+
+
+def _listed_violations(g, f):
+    """The violations read straight off ``g.listing()``: each listed edge
+    named by ``names``, in listing order (the duplicates grouped by label)."""
+    vs, names, pairs = g.listing()
+    ends = [[names[i], names[j]] for i, j in pairs]
+    labels = [f.labels[vs[i], vs[j]] for i, j in pairs]
+    colors = induce_coloring(g, f)
+    q = len(pairs)
+    by_label = {}
+    for e, lab in zip(ends, labels):
+        by_label.setdefault(lab, []).append(e)
+    return [
+        {"kind": "label_out_of_range", "edge": e, "label": lab}
+        for e, lab in zip(ends, labels) if type(lab) is not int or not 1 <= lab <= q
+    ] + [
+        {"kind": "duplicate_label", "label": lab, "edges": es}
+        for lab, es in sorted(by_label.items()) if len(es) > 1
+    ] + [
+        {"kind": "adjacent_equal_color", "edge": e, "color": colors[vs[i]]}
+        for e, (i, j) in zip(ends, pairs) if colors[vs[i]] == colors[vs[j]]
+    ]
+
+
+@pytest.mark.parametrize("make", [_reversed_gn, _merged_reversed_gn], ids=["reversed", "merged"])
+def test_violations_are_named_and_ordered_by_the_listing(make):
+    g, f = make()
+    positions = g._listed()[2]
+    assert positions != sorted(positions)
+    cert = certify(g, f)
+    kinds = Counter(v["kind"] for v in cert.violations)
+    assert kinds.keys() == {"label_out_of_range", "duplicate_label", "adjacent_equal_color"}
+    assert min(kinds.values()) >= 2
+    assert list(cert.violations) == _listed_violations(g, f)
+
+
+def test_a_passing_certificate_counts_only_its_census(monkeypatch):
+    g, f, inst = build_family("gn", n=10, indices=(1,))
+    es = g.sorted_edges()
+    labels = dict(f.labels)
+    # finished before the patch, as a build's labeling is
+    outside = graph._finished(g, EdgeLabeling({**labels, es[0]: 0}))
+    repeated = graph._finished(g, EdgeLabeling({**labels, es[0]: labels[es[1]]}))
+    made = []
+
+    class Counting(Counter):
+        def __init__(self, *args):
+            made.append(1)
+            super().__init__(*args)
+
+    monkeypatch.setattr(graph, "Counter", Counting)
+    monkeypatch.setattr(Graph, "_named_edges", lambda self: pytest.fail("an edge was named"))
+    # the labels are counted only when one repeats
+    for labeling, ok, counters in ((f, True, 1), (outside, False, 1), (repeated, False, 2)):
+        made.clear()
+        assert certify(g, labeling, inst.expected_palette).ok() is ok
+        assert len(made) == counters
 
 
 def test_certify_is_pure():

@@ -309,6 +309,18 @@ def test_cli_build_certify(tmp_path, capsys):
     assert "864" in dot
 
 
+def test_importing_the_package_leaves_inspect_unloaded():
+    # only a failed parameter check reads a builder's signature
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(Path(families.__file__).parents[1]), env.get("PYTHONPATH")])
+    )
+    code = "import sys, antimagic, antimagic.cli, antimagic.io; print('inspect' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         timeout=120, check=True)
+    assert out.stdout == "False\n"
+
+
 def test_python_dash_m_antimagic_runs_the_cli_and_returns_its_exit_code(tmp_path):
     # __main__ is the module the interpreter runs; main() is tested in process
     env = dict(os.environ)
@@ -923,7 +935,7 @@ def test_cli_build_certify_checks_every_claim(tmp_path, monkeypatch):
     entry = json.loads((tmp_path / "false" / "manifest.jsonl").read_text())
     assert entry["outcome"] == (
         "invariant failure: gn{'n': 10, 'k': 5, 'indices': (1,), 's': 7} failed: "
-        "degree 4: 11 vertices, expected 10; "
+        "degree 4: 11 vertices, expected 10 (first z_0); "
         "component orders (9, 24) != expected (9, 25)"
     )
     assert entry["outputs"] == []
