@@ -684,7 +684,7 @@ def _first_violations(cert, kinds: tuple[str, ...]) -> str:
 def _first_named(g: Graph, test: Callable[[int], bool]) -> str:
     """`` (first x)``, naming x, the first vertex in listing order whose index
     passes ``test``; empty when no vertex does."""
-    (_, names, _), at, _ = g._listed()
+    _, names, _, at, _, _ = g._listed()
     first = next((name for name, i in zip(names, at) if test(i)), None)
     return "" if first is None else f" (first {first})"
 
@@ -722,7 +722,7 @@ def verify_instance(g: Graph, f: EdgeLabeling, inst: FamilyInstance):
     if not cert.has_triangle:
         problems.append("no triangle: 3-color lower bound does not apply")
     actual_census = {d: count for d, (count, _) in cert.degree_census.items()}
-    adj, comps = g._walked()
+    degree, comps, _ = g._walked()
     for d in sorted(actual_census.keys() | inst.expected_census.keys()):
         count, expected = actual_census.get(d, 0), inst.expected_census.get(d, 0)
         if count != expected:
@@ -730,7 +730,7 @@ def verify_instance(g: Graph, f: EdgeLabeling, inst: FamilyInstance):
             claim = f"an impossible claim of {expected}" if expected < 0 else f"expected {expected}"
             problems.append(
                 f"degree {d}: {count} vertices, {claim}"
-                + _first_named(g, lambda i: len(adj[i]) == d)
+                + _first_named(g, lambda i: degree[i] == d)
             )
     if inst.expected_component_orders is not None:
         orders = tuple(sorted(map(len, comps)))

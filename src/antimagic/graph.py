@@ -13,18 +13,17 @@ Values here are observationally immutable and the functions pure.  A
 live index and two int arrays of edge ends, and a labeling from the same
 finish holds the label at each edge position.  :func:`certify` and the
 writers work on those arrays.  The frozenset views ``vertices`` and
-``edges`` are computed on each call.  The int adjacency with its components
-and the canonical listing of a graph, and the induced coloring of a finished
-labeling, are each built on first use and cached; the fill is idempotent (a
-racing second fill computes the same value), so graphs can still be shared
-freely across concurrent sweeps.
+``edges`` are computed on each call.  The walk and the flat listing of a
+graph, and the induced coloring of a finished labeling, are each built on
+first use and cached; the fill is idempotent (a racing second fill computes
+the same value), so graphs can still be shared freely across concurrent sweeps.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from collections.abc import Iterable, Mapping, Sequence
-from itertools import chain, compress, repeat
+from itertools import chain, compress
 from operator import eq, itemgetter, ne, or_
 from types import MappingProxyType
 from typing import NamedTuple
@@ -105,13 +104,13 @@ class Graph:
     edges are impossible by construction; the graph may be disconnected.
 
     ``vertices`` and ``edges`` are frozenset views computed on each call.  The
-    int adjacency with its components and the canonical listing are derived
-    structures: each is built on first use and cached.  A fill is idempotent
-    (a racing second fill computes the same value), so graphs can be shared
-    across threads.
+    walk (degrees, components, triangle; no neighbour list), the listing as
+    flat columns and the public :meth:`listing` are each built on first use
+    and cached.  A fill is idempotent (a racing second fill computes the same
+    value), so graphs can be shared across threads.
     """
 
-    __slots__ = ("names", "index", "a", "b", "_walk", "_listing")
+    __slots__ = ("names", "index", "a", "b", "_walk", "_columns", "_listing")
 
     def __init__(self, vertices: Iterable[VertexId], edges: Iterable[Edge]):
         """The graph that a :class:`_Draft` of ``vertices`` and ``edges``
@@ -137,7 +136,7 @@ class Graph:
 
     def _fill(self, names, index, a, b) -> None:
         self.names, self.index, self.a, self.b = names, index, a, b
-        self._walk = self._listing = None
+        self._walk = self._columns = self._listing = None
 
     @property
     def order(self) -> int:
@@ -161,9 +160,10 @@ class Graph:
         ends = zip(map(names.__getitem__, self.a), map(names.__getitem__, self.b))
         return [(x, y) if x < y else (y, x) for x, y in ends]
 
-    def _walked(self) -> tuple[list[list[int]], list[list[int]]]:
-        """The neighbour list of each vertex by index, and the components
-        as index lists, from one walk of the edge arrays."""
+    def _walked(self) -> tuple[list[int], list[list[int]], bool]:
+        """The degree of each vertex by index, the components as index lists
+        and whether some edge's ends share a neighbour, from one walk of the
+        edge arrays, whose neighbour lists are dropped once it is done."""
         walk = self._walk
         if walk is None:
             # a vertex that surgery took out ends no edge, so its list stays empty
@@ -184,7 +184,15 @@ class Graph:
                             seen[w] = 1
                             comp.append(w)
                 comps.append(comp)
-            walk = self._walk = (adj, comps)
+            # the larger end's neighbours are made a set, once, and the smaller
+            # end's looked up in it, so no edge costs more than its smaller degree
+            sets: dict[int, set[int]] = {}
+            big = ((x, y) if len(adj[x]) >= len(adj[y]) else (y, x) for x, y in zip(self.a, self.b))
+            triangle = any(
+                not (sets.get(x) or sets.setdefault(x, set(adj[x]))).isdisjoint(adj[y])
+                for x, y in big
+            )
+            walk = self._walk = (list(map(len, adj)), comps, triangle)
         return walk
 
     def __eq__(self, other) -> bool:
@@ -197,30 +205,36 @@ class Graph:
     def __repr__(self) -> str:
         return f"Graph(order={self.order}, size={self.size})"
 
-    def _listed(self) -> tuple[Listing, list[int], list[int]]:
-        """The canonical listing, the vertex index at each rank, and the edge
-        position of each listed edge, from one sort of the vertices and one
-        of the edges."""
-        listed = self._listing
+    def _listed(self) -> tuple[tuple, tuple, list[int], list[int], list[int], list[int]]:
+        """The canonical order as flat columns, from one sort of the vertices
+        and one of the edges: the sorted vertices, their id strings, the edge
+        position of each listed edge, the vertex index at each rank, and the
+        lower and higher end rank of each listed edge."""
+        listed = self._columns
         if listed is None:
             index = self.index
             vs = sorted(index)
             at = list(map(index.__getitem__, vs))
-            n = len(at)
-            rank = dict(zip(at, range(n)))
-            # each edge as lower rank times n plus higher rank, which sorts
-            # as the rank pair does
+            n, q = len(at), len(self.a)
+            ints = list(range(max(n, q)))
+            rank = dict(zip(at, ints))
+            # ranks and positions share one int per value; an edge's key is its
+            # lower rank times n plus its higher rank, which sorts as the pair does
             ends = zip(map(rank.__getitem__, self.a), map(rank.__getitem__, self.b))
             keys = [x * n + y if x < y else y * n + x for x, y in ends]
-            pos = sorted(range(len(keys)), key=keys.__getitem__)
-            pairs = tuple(map(divmod, map(keys.__getitem__, pos), repeat(n)))
-            listed = self._listing = (Listing(tuple(vs), tuple(_id_strings(vs)), pairs), at, pos)
+            pos = sorted(ints[:q], key=keys.__getitem__)
+            lo, hi = [ints[keys[p] // n] for p in pos], [ints[keys[p] % n] for p in pos]
+            listed = self._columns = (tuple(vs), tuple(_id_strings(vs)), pos, at, lo, hi)
         return listed
 
     def listing(self) -> Listing:
         """The canonical listing: one sort of the vertices, one id string per
-        vertex, and the edges sorted as pairs of vertex ranks."""
-        return self._listed()[0]
+        vertex, and the edges sorted as pairs of vertex ranks, made on first use."""
+        listing = self._listing
+        if listing is None:
+            vs, names, _, _, lo, hi = self._listed()
+            listing = self._listing = Listing(vs, names, tuple(zip(lo, hi)))
+        return listing
 
     def sorted_vertices(self) -> list[VertexId]:
         return list(self.listing().vertices)
@@ -230,20 +244,8 @@ class Graph:
         return [(vs[i], vs[j]) for i, j in pairs]
 
     def has_triangle(self) -> bool:
-        """Whether the two ends of some edge share a neighbour.  The larger
-        end's neighbours are made a set, once, and the smaller end's are
-        looked up in it, so no edge costs more than its smaller degree."""
-        adj = self._walked()[0]
-        sets: dict[int, set[int]] = {}
-        for x, y in zip(self.a, self.b):
-            if len(adj[x]) < len(adj[y]):
-                x, y = y, x
-            near = sets.get(x)
-            if near is None:
-                near = sets[x] = set(adj[x])
-            if not near.isdisjoint(adj[y]):
-                return True
-        return False
+        """Whether the two ends of some edge share a neighbour."""
+        return self._walked()[2]
 
 
 class EdgeLabeling:
@@ -395,8 +397,8 @@ def _reported(g: Graph, positions: Iterable[int]) -> list[tuple[int, list[str]]]
     marked = set(positions)
     if not marked:
         return []
-    (_, names, pairs), _, pos = g._listed()
-    return [(p, [names[i], names[j]]) for p, (i, j) in zip(pos, pairs) if p in marked]
+    _, names, pos, _, lo, hi = g._listed()
+    return [(p, [names[i], names[j]]) for p, i, j in zip(pos, lo, hi) if p in marked]
 
 
 def certify(
@@ -446,10 +448,10 @@ def certify(
     for p, ends in clashes:
         violations.append({"kind": "adjacent_equal_color", "edge": ends, "color": colors[a[p]]})
 
-    # (degree, color) -> vertex count, with the degrees read off the adjacency
-    # that the triangle and component checks walk
-    adj, comps = g._walked()
-    pairs = Counter(zip(map(len, map(adj.__getitem__, live)), shades))
+    # (degree, color) -> vertex count, with the degrees read off the walk
+    # that finds the triangle and the components
+    degree, comps, triangle = g._walked()
+    pairs = Counter(zip(map(degree.__getitem__, live), shades))
     census: dict[int, tuple[int, tuple[int, ...]]] = {}
     for (d, c), n in sorted(pairs.items()):
         count, tones = census.get(d, (0, ()))
@@ -465,7 +467,7 @@ def certify(
         palette=palette,
         degree_census=census,
         violations=tuple(violations),
-        has_triangle=g.has_triangle(),
+        has_triangle=triangle,
         is_connected=len(comps) <= 1,
         expected_palette=expected,
         palette_ok=palette_ok,

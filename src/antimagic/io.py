@@ -47,9 +47,9 @@ def _jsonable(value):
 
 def _edge_records(g: Graph, f: EdgeLabeling) -> list[dict]:
     """One ``{"a", "b", "label"}`` record per edge, in listing order; ``f`` is finished."""
-    (_, names, pairs), _, positions = g._listed()
+    _, names, positions, _, lo, hi = g._listed()
     labels = map(f._array.__getitem__, positions)
-    return [{"a": names[i], "b": names[j], "label": lab} for (i, j), lab in zip(pairs, labels)]
+    return [{"a": names[i], "b": names[j], "label": lab} for i, j, lab in zip(lo, hi, labels)]
 
 
 def graph_to_doc(
@@ -59,7 +59,7 @@ def graph_to_doc(
     cert: Certificate | None = None,
 ) -> dict:
     f = _finished(g, f)
-    (vs, names, _), at, _ = g._listed()
+    vs, names, _, at, _, _ = g._listed()
     doc = {
         "family": instance.family if instance else None,
         "params": _jsonable(instance.params) if instance else {},
@@ -177,10 +177,10 @@ def _check_records(doc) -> None:
 def dumps(doc) -> str:
     """``json.dumps(doc, sort_keys=True, indent=2) + "\\n"``, byte for byte.
 
-    Given ``indent``, the standard library encodes in pure Python.  The bulk
-    of a graph document is rendered here instead: a list of flat records with
-    one key set by one template, a map of str to int by one join.  Any other
-    shape is handed to ``json.dumps``.
+    Given ``indent``, the standard library encodes in pure Python and leaves
+    reference cycles.  Here a list of flat records takes one template, a map
+    of str to int one join, other lists and str-keyed maps go item by item,
+    and a scalar, ``[]`` or ``{}`` goes to the C encoder of plain ``json.dumps``.
     """
     return _encode(doc, "\n") + "\n"
 
@@ -197,7 +197,9 @@ def _encode(value, nl: str) -> str:
         return _str(value)
     if kind is int:
         return _int(value)
-    if kind is dict and value and set(map(type, value)) == {str}:
+    if kind is bool or kind is float or value is None or (kind in (list, dict) and not value):
+        return json.dumps(value)
+    if kind is dict and set(map(type, value)) == {str}:
         inner = nl + "  "
         keys = sorted(value)
         if set(map(type, value.values())) == {int}:
@@ -205,10 +207,10 @@ def _encode(value, nl: str) -> str:
         else:
             items = ((_str(k), _encode(value[k], inner)) for k in keys)
         return "{" + inner + ("," + inner).join(map(": ".join, items)) + nl + "}"
-    if kind is list and value:
-        text = _records(value, nl)
-        if text is not None:
-            return text
+    if kind is list:
+        inner = nl + "  "
+        return _records(value, nl) or "[" + inner + ("," + inner).join(
+            [_encode(v, inner) for v in value]) + nl + "]"
     return json.dumps(value, sort_keys=True, indent=2).replace("\n", nl)
 
 
@@ -254,17 +256,23 @@ def _records(rows: list, nl: str) -> str | None:
 def graph_to_dot(g: Graph, f: EdgeLabeling) -> str:
     """DOT with vertex labels "role/indices\\ncolor" and edge labels f(e)."""
     f = _finished(g, f)
-    (vs, names, pairs), at, positions = g._listed()
+    vs, names, positions, at, lo, hi = g._listed()
+    ids = list(map(_dot_escaped, names))
     colors = map(induce_coloring(g, f).array.__getitem__, at)
     lines = ["graph antimagic {"]
-    for v, name, color in zip(vs, names, colors):
-        tag = v.role + ("/" + ",".join(map(str, v.indices)) if v.indices else "")
+    for v, name, color in zip(vs, ids, colors):
+        tag = _dot_escaped(v.role) + ("/" + ",".join(map(str, v.indices)) if v.indices else "")
         lines.append(f'  "{name}" [label="{tag}\\n{color}"];')
     labels = map(f._array.__getitem__, positions)
-    for (i, j), label in zip(pairs, labels):
-        lines.append(f'  "{names[i]}" -- "{names[j]}" [label="{label}"];')
+    for i, j, label in zip(lo, hi, labels):
+        lines.append(f'  "{ids[i]}" -- "{ids[j]}" [label="{label}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"
+
+
+def _dot_escaped(text: str) -> str:
+    """``text`` in a quoted DOT string, where a quote or a backslash is escaped."""
+    return text.replace("\\", "\\\\").replace('"', '\\"')
 
 
 def table_to_csv(t: LabelTable) -> str:

@@ -7,7 +7,9 @@ import re
 import subprocess
 import sys
 import threading
+import tracemalloc
 from collections import Counter
+from itertools import chain
 from pathlib import Path
 
 import pytest
@@ -29,7 +31,7 @@ from antimagic.errors import (
     UnknownVertex,
     UsageError,
 )
-from antimagic.families import _fan_cells, build_family
+from antimagic.families import _fan_cells, build_family, verify_instance
 from antimagic.graph import (
     EdgeLabeling,
     Graph,
@@ -130,7 +132,7 @@ def test_the_package_leaves_the_surgery_api_to_its_graph_module():
 
 
 def _views(g):
-    """What ``certify`` reads off the cached adjacency (the census and the
+    """What ``certify`` reads off the cached walk (the census and the
     triangle flag), the component orders that ``verify_instance`` reads off
     it, and the cached listing."""
     f = EdgeLabeling.from_dict({e: lab for lab, e in enumerate(sorted(g.edges), start=1)})
@@ -190,6 +192,29 @@ def test_threads_sharing_a_graph_fill_its_caches_consistently():
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert results == [expected] * len(threads)
+
+
+def test_a_certified_written_graph_keeps_flat_columns_only():
+    # fb n=755 (q = 3,775): a walk that kept its neighbour lists would hold
+    # about 254 KB and a listing with a tuple per edge about 693 KB; the flat
+    # caches hold about 45 KB and 400 KB
+    g, f, inst = build_family("fb", n=755)
+    induce_coloring(g, f)  # the labeling's own cache, outside the count
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        verify_instance(g, f, inst)
+        walked = tracemalloc.get_traced_memory()[0] - start
+        io.graph_to_doc(g, f, inst)
+        io.graph_to_dot(g, f)
+        listed = tracemalloc.get_traced_memory()[0] - start - walked
+    finally:
+        tracemalloc.stop()
+    assert walked < 80_000 and listed < 480_000, (walked, listed)
+    # the walk keeps a degree per vertex and the components, no neighbour list
+    degree, comps, triangle = g._walked()
+    assert set(map(type, degree)) == {int} and triangle is True
+    assert sorted(chain.from_iterable(comps)) == sorted(g.index.values())
 
 
 # --- merge --------------------------------------------------------------------

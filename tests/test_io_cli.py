@@ -3,6 +3,7 @@
 import builtins
 import collections
 import functools
+import gc
 import hashlib
 import io as std_io
 import json
@@ -16,7 +17,7 @@ import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from antimagic import errors, families, graph, io, tables
@@ -217,6 +218,12 @@ def _dumps_inputs():
 
 @settings(max_examples=300, deadline=None)
 @given(_dumps_inputs())
+# nested lists of scalars, rendered item by item
+@example([[1, 2], [3, [4, -5]], [], [[]]])
+@example([True, False, None, [None, [True, False]], {}])
+@example([1.5, -0.0, 1e300, float("inf"), float("-inf"), float("nan"), [2.25, [-1e-7]]])
+@example({"a": [[1, None], [True, 0.5]], "b": [[], {}], "c": [], "d": {}})
+@example([[{"a": 1}], [{"a": True}, {"a": None}], {"a": [1.0, [None]]}])
 def test_dumps_equals_the_standard_library(value):
     assert io.dumps(value) == json.dumps(value, sort_keys=True, indent=2) + "\n"
 
@@ -244,6 +251,57 @@ def test_dumps_equals_the_standard_library_on_the_documents_it_writes():
     ]
     for doc in docs:
         assert io.dumps(doc) == json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
+def test_dumps_of_a_graph_document_leaves_no_reference_cycle():
+    # an indented json.dumps builds an encoder whose closures form cycles
+    g, f, inst = build_family("fb", n=755)
+    cert = families.verify_instance(g, f, inst)
+    docs = [io.graph_to_doc(g, f, inst, cert), io.graph_to_doc(g, f)]
+    gc.collect()
+    gc.disable()
+    try:
+        for doc in docs:
+            io.dumps(doc)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+# a quoted DOT string as a DOT reader scans it: a backslash takes the next
+# character with it, so an escaped quote does not end the string
+_DOT_STRING = re.compile(r'"((?:[^"\\]|\\.)*)"')
+
+
+def test_dot_of_every_accepted_document_scans_into_its_quoted_strings():
+    # a role may hold a double quote or end in a backslash
+    vertices = [('u"q', [1]), ("w\\", []), ("x", [])]
+    ids = ['u"q_1', "w\\", "x"]
+    doc = {
+        "vertices": [{"id": i, "role": r, "indices": ix} for i, (r, ix) in zip(ids, vertices)],
+        "edges": [{"a": ids[0], "b": ids[1], "label": 1}, {"a": ids[1], "b": ids[2], "label": 2},
+                  {"a": ids[0], "b": ids[2], "label": 3}],
+    }
+    g, f = io.doc_to_graph(doc)
+    lines = io.graph_to_dot(g, f).splitlines()
+    assert lines[0] == "graph antimagic {" and lines[-1] == "}"
+
+    def unescaped(text):
+        return re.sub(r'\\([\\"])', r"\1", text)
+
+    scanned = [
+        (_DOT_STRING.sub("Q", line), list(map(unescaped, _DOT_STRING.findall(line))))
+        for line in lines[1:-1]
+    ]
+    # the vertex label keeps DOT's own line break, \n, after the role
+    assert scanned == [
+        ("  Q [label=Q];", ['u"q_1', 'u"q/1\\n4']),
+        ("  Q [label=Q];", ["w\\", "w\\\\n3"]),
+        ("  Q [label=Q];", ["x", "x\\n5"]),
+        ("  Q -- Q [label=Q];", ['u"q_1', "w\\", "1"]),
+        ("  Q -- Q [label=Q];", ['u"q_1', "x", "3"]),
+        ("  Q -- Q [label=Q];", ["w\\", "x", "2"]),
+    ]
 
 
 # --- CLI -------------------------------------------------------------------------
