@@ -13,10 +13,10 @@ Values here are observationally immutable and the functions pure.  A
 live index and two int arrays of edge ends, and a labeling from the same
 finish holds the label at each edge position.  :func:`certify` and the
 writers work on those arrays.  The frozenset views ``vertices`` and
-``edges`` are computed on each call.  The walk and the flat listing of a
-graph, and the induced coloring of a finished labeling, are each built on
-first use and cached; the fill is idempotent (a racing second fill computes
-the same value), so graphs can still be shared freely across concurrent sweeps.
+``edges`` are computed on each call.  The walk and the one listing of a
+graph (flat columns), and the induced coloring of a finished labeling, are
+each built on first use and cached; the fill is idempotent (a racing second
+fill computes the same value), so graphs can be shared across concurrent sweeps.
 """
 
 from __future__ import annotations
@@ -61,17 +61,6 @@ class VertexId(NamedTuple):
 Edge = tuple[VertexId, VertexId]
 
 
-class Listing(NamedTuple):
-    """A graph in canonical order: ``vertices`` sorted, ``names[i]`` the id
-    string of ``vertices[i]``, and ``pairs`` the edges as index pairs
-    ``(i, j)`` with ``i < j``, sorted.  The ranks follow the vertex order, so
-    ``pairs`` lists the edges in the order ``sorted(edges)`` does."""
-
-    vertices: tuple[VertexId, ...]
-    names: tuple[str, ...]
-    pairs: tuple[tuple[int, int], ...]
-
-
 def edge(a: VertexId, b: VertexId) -> Edge:
     """Canonical unordered edge; loops are rejected."""
     if a == b:
@@ -104,13 +93,14 @@ class Graph:
     edges are impossible by construction; the graph may be disconnected.
 
     ``vertices`` and ``edges`` are frozenset views computed on each call.  The
-    walk (degrees, components, triangle; no neighbour list), the listing as
-    flat columns and the public :meth:`listing` are each built on first use
+    walk (degrees, components, triangle; no neighbour list) and the listing
+    (:meth:`_listed`, flat columns: the one edge order of the certificate, the
+    writers, the solver and :meth:`sorted_edges`) are each built on first use
     and cached.  A fill is idempotent (a racing second fill computes the same
     value), so graphs can be shared across threads.
     """
 
-    __slots__ = ("names", "index", "a", "b", "_walk", "_columns", "_listing")
+    __slots__ = ("names", "index", "a", "b", "_walk", "_columns")
 
     def __init__(self, vertices: Iterable[VertexId], edges: Iterable[Edge]):
         """The graph that a :class:`_Draft` of ``vertices`` and ``edges``
@@ -136,7 +126,7 @@ class Graph:
 
     def _fill(self, names, index, a, b) -> None:
         self.names, self.index, self.a, self.b = names, index, a, b
-        self._walk = self._columns = self._listing = None
+        self._walk = self._columns = None
 
     @property
     def order(self) -> int:
@@ -227,25 +217,12 @@ class Graph:
             listed = self._columns = (tuple(vs), tuple(_id_strings(vs)), pos, at, lo, hi)
         return listed
 
-    def listing(self) -> Listing:
-        """The canonical listing: one sort of the vertices, one id string per
-        vertex, and the edges sorted as pairs of vertex ranks, made on first use."""
-        listing = self._listing
-        if listing is None:
-            vs, names, _, _, lo, hi = self._listed()
-            listing = self._listing = Listing(vs, names, tuple(zip(lo, hi)))
-        return listing
-
     def sorted_vertices(self) -> list[VertexId]:
-        return list(self.listing().vertices)
+        return list(self._listed()[0])
 
     def sorted_edges(self) -> list[Edge]:
-        vs, _, pairs = self.listing()
-        return [(vs[i], vs[j]) for i, j in pairs]
-
-    def has_triangle(self) -> bool:
-        """Whether the two ends of some edge share a neighbour."""
-        return self._walked()[2]
+        vs, _, _, _, lo, hi = self._listed()
+        return list(zip(map(vs.__getitem__, lo), map(vs.__getitem__, hi)))
 
 
 class EdgeLabeling:

@@ -178,9 +178,9 @@ def dumps(doc) -> str:
     """``json.dumps(doc, sort_keys=True, indent=2) + "\\n"``, byte for byte.
 
     Given ``indent``, the standard library encodes in pure Python and leaves
-    reference cycles.  Here a list of flat records takes one template, a map
-    of str to int one join, other lists and str-keyed maps go item by item,
-    and a scalar, ``[]`` or ``{}`` goes to the C encoder of plain ``json.dumps``.
+    reference cycles.  Here flat records take one template, a str-to-int map one
+    join, other lists, tuples and str-keyed maps go item by item, empties and
+    scalars go to plain ``json.dumps``; only a non-str map key reaches ``indent``.
     """
     return _encode(doc, "\n") + "\n"
 
@@ -197,7 +197,7 @@ def _encode(value, nl: str) -> str:
         return _str(value)
     if kind is int:
         return _int(value)
-    if kind is bool or kind is float or value is None or (kind in (list, dict) and not value):
+    if kind in (bool, float) or value is None or (kind in (list, tuple, dict) and not value):
         return json.dumps(value)
     if kind is dict and set(map(type, value)) == {str}:
         inner = nl + "  "
@@ -207,7 +207,7 @@ def _encode(value, nl: str) -> str:
         else:
             items = ((_str(k), _encode(value[k], inner)) for k in keys)
         return "{" + inner + ("," + inner).join(map(": ".join, items)) + nl + "}"
-    if kind is list:
+    if kind is list or kind is tuple:
         inner = nl + "  "
         return _records(value, nl) or "[" + inner + ("," + inner).join(
             [_encode(v, inner) for v in value]) + nl + "]"

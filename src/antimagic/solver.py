@@ -114,12 +114,13 @@ class SolveResult(NamedTuple):
 
 
 def _walk(g: Graph) -> _Walk:
-    """One walk over ``g.listing().pairs``: each rank's neighbours in ``pairs``
-    order, a proper 2-colouring (0 or 1 each) or ``None`` if ``g`` has an odd
-    cycle, and the components as rank lists in order of their smallest rank."""
-    vs, _, pairs = g.listing()
+    """One walk over the listed edges of ``g._listed()``: each rank's neighbours
+    in listing order, a proper 2-colouring (0 or 1 each) or ``None`` if ``g``
+    has an odd cycle, and the components as rank lists in order of their
+    smallest rank."""
+    vs, _, _, _, lo, hi = g._listed()
     nbrs: list[list[int]] = [[] for _ in vs]
-    for a, b in pairs:
+    for a, b in zip(lo, hi):
         nbrs[a].append(b)
         nbrs[b].append(a)
     side = [-1] * len(vs)
@@ -247,13 +248,13 @@ def solve_chi_la(
     ``g`` is a :class:`UsageError`.  Graphs with a K2 component admit no
     local antimagic labeling at all and are rejected loudly.
     """
-    vs, names, pairs = g.listing()
+    vs, names, positions, _, lo, hi = g._listed()
     walk = _walk(g)
     for comp in walk.comps:
         if len(comp) == 2:
             raise K2Component(f"component {names[min(comp)]}-{names[max(comp)]} is a K2")
 
-    q = len(pairs)
+    q = len(lo)
     start = time.monotonic()
     # checked first, so that no result carries a witness that is not one
     seed = None if initial_witness is None else _finished(g, initial_witness)
@@ -280,8 +281,8 @@ def solve_chi_la(
     nbrs = walk.nbrs
     deg = [len(nb) for nb in nbrs]
     # ordered only for a pass to search
-    order = _search_order(deg, pairs) if floor <= last else []
-    ends = [pairs[i] for i in order]
+    order = _search_order(deg, list(zip(lo, hi))) if floor <= last else []
+    ends = [(lo[i], hi[i]) for i in order]
 
     sums = [0] * len(vs)
     remaining = deg[:]
@@ -445,9 +446,8 @@ def solve_chi_la(
     if found:
         # the label of each edge, placed at that edge's position in g
         labels = [0] * q
-        at = g._listed()[2]
         for p, lab in zip(order, assigned):
-            labels[at[p]] = lab
+            labels[positions[p]] = lab
         return result(target, EdgeLabeling._at(g, labels), "exact")
     if timed_out:
         return result(None, seed, "budget_exhausted")

@@ -131,29 +131,37 @@ def test_the_package_leaves_the_surgery_api_to_its_graph_module():
     assert callable(graph.EdgeLabeling.remapped)
 
 
+def _ranked(g):
+    """The listing's columns that hold no edge position or vertex index,
+    which a surgery round renumbers: the sorted vertices, their id strings
+    and each listed edge's two end ranks."""
+    vs, names, _, _, lo, hi = g._listed()
+    return vs, names, lo, hi
+
+
 def _views(g):
     """What ``certify`` reads off the cached walk (the census and the
     triangle flag), the component orders that ``verify_instance`` reads off
-    it, and the cached listing."""
+    it, and the cached listing's ranked columns."""
     f = EdgeLabeling.from_dict({e: lab for lab, e in enumerate(sorted(g.edges), start=1)})
     cert = certify(g, f)
     orders = tuple(sorted(map(len, g._walked()[1])))
-    return cert.degree_census, orders, cert.has_triangle, g.listing()
+    return cert.degree_census, orders, cert.has_triangle, _ranked(g)
 
 
 def test_listing_is_one_sort_of_the_vertices_and_edges():
     g, _, _ = build_family("gn", n=10, indices=(1,))
-    vs, names, pairs = g.listing()
+    vs, names, lo, hi = _ranked(g)
     assert list(vs) == sorted(g.vertices) == g.sorted_vertices()
     assert list(names) == [str(v) for v in sorted(g.vertices)]
-    assert [(vs[i], vs[j]) for i, j in pairs] == sorted(g.edges) == g.sorted_edges()
-    assert all(i < j for i, j in pairs)
-    assert g.listing() is g.listing()
+    assert [(vs[i], vs[j]) for i, j in zip(lo, hi)] == sorted(g.edges) == g.sorted_edges()
+    assert all(i < j for i, j in zip(lo, hi))
+    assert g._listed() is g._listed()
     # the order of a vertex's names is not the order of its ids
     assert VertexId("x", (10,)) < VertexId("x1") < VertexId("x1", (2,))
     h = Graph([V("x", 10), V("x1"), V("x", 2)], [edge(V("x", 10), V("x1"))])
-    assert h.listing() == (
-        (V("x", 2), V("x", 10), V("x1")), ("x_2", "x_10", "x1"), ((1, 2),)
+    assert _ranked(h) == (
+        (V("x", 2), V("x", 10), V("x1")), ("x_2", "x_10", "x1"), [1], [2]
     )
 
 
@@ -167,12 +175,12 @@ def test_derived_structures_agree_across_a_surgery_round():
     h1, h2 = V("h", 1), V("h", 2)
     split, _ = split_vertices(g, [(hub, incident[:1], incident[1:], h1, h2)])
     assert [len(neighbors(split)[h]) for h in (h1, h2)] == [1, len(incident) - 1]
-    assert split.listing() != before[3]
+    assert _ranked(split) != before[3]
     back, _ = merge_vertices(split, [{h1, h2}], [hub])
     assert back == g
     assert _views(g) == before
     assert _views(back) == before
-    assert back.listing() == g.listing() and back.sorted_edges() == g.sorted_edges()
+    assert _ranked(back) == _ranked(g) and back.sorted_edges() == g.sorted_edges()
 
 
 def test_threads_sharing_a_graph_fill_its_caches_consistently():
@@ -628,9 +636,11 @@ def _merged_reversed_gn():
 
 
 def _listed_violations(g, f):
-    """The violations read straight off ``g.listing()``: each listed edge
-    named by ``names``, in listing order (the duplicates grouped by label)."""
-    vs, names, pairs = g.listing()
+    """The violations read straight off the listing's ranked columns: each
+    listed edge named by ``names``, in listing order (the duplicates grouped
+    by label)."""
+    vs, names, lo, hi = _ranked(g)
+    pairs = list(zip(lo, hi))
     ends = [[names[i], names[j]] for i, j in pairs]
     labels = [f.labels[vs[i], vs[j]] for i, j in pairs]
     colors = induce_coloring(g, f)

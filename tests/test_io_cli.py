@@ -224,6 +224,8 @@ def _dumps_inputs():
 @example([1.5, -0.0, 1e300, float("inf"), float("-inf"), float("nan"), [2.25, [-1e-7]]])
 @example({"a": [[1, None], [True, 0.5]], "b": [[], {}], "c": [], "d": {}})
 @example([[{"a": 1}], [{"a": True}, {"a": None}], {"a": [1.0, [None]]}])
+# tuples, rendered as lists, and the empty one as []
+@example(((), (1, ("a", ())), [()], {"a": (None, 2.5)}))
 def test_dumps_equals_the_standard_library(value):
     assert io.dumps(value) == json.dumps(value, sort_keys=True, indent=2) + "\n"
 
@@ -266,6 +268,20 @@ def test_dumps_of_a_graph_document_leaves_no_reference_cycle():
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def test_dumps_of_a_sweep_report_leaves_no_reference_cycle():
+    # gn's records carry their indices as tuples, rendered as lists are
+    doc = {"records": families.sweep_family("gn")}
+    assert {type(r["params"]["indices"]) for r in doc["records"]} == {tuple}
+    gc.collect()
+    gc.disable()
+    try:
+        text = io.dumps(doc)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    assert text == json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
 # a quoted DOT string as a DOT reader scans it: a backslash takes the next

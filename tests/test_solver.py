@@ -455,8 +455,10 @@ def test_a_witness_free_solve_reads_the_graph_only_through_its_listing(monkeypat
     def refuse(*args):
         raise AssertionError("the solver read the graph past its listing")
 
-    for name in ("sorted_edges", "_walked"):
+    for name in ("sorted_vertices", "sorted_edges", "_named_edges", "_walked"):
         monkeypatch.setattr(Graph, name, refuse)
+    for name in ("vertices", "edges"):
+        monkeypatch.setattr(Graph, name, property(refuse))
     for g, known in cases:
         res = solve_chi_la(g)
         assert (res.status, res.chi_la) == ("exact", known)
