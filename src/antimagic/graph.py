@@ -9,8 +9,8 @@ local antimagic chromatic number of the graph is 3 (upper bound by witness,
 lower bound by the chromatic number).
 
 Values here are observationally immutable and the functions pure.  A
-:class:`Graph` is the finished :class:`_Draft` of a build: vertex names, the
-live index and two int arrays of edge ends, and a labeling from the same
+:class:`Graph` is the finished :class:`_Draft` of a build: the names of its
+vertices and two int arrays of edge ends, and a labeling from the same
 finish holds the label at each edge position.  :func:`certify` and the
 writers work on those arrays.  The frozenset views ``vertices`` and
 ``edges`` are computed on each call.  The walk and the one listing of a
@@ -84,13 +84,12 @@ def V(role: str, *indices: int) -> VertexId:
 
 class Graph:
     """Simple undirected graph over :class:`VertexId` vertices, held in index
-    space as the :class:`_Draft` that made it left it.
+    space as the :class:`_Draft` that made it finished it.
 
-    Vertex i is named ``names[i]``; ``index`` maps the name of each live
-    vertex to its index (a vertex that surgery took out keeps its place in
-    ``names`` but leaves ``index``); edge p joins ``a[p]`` and ``b[p]``.  The
-    four are fixed at construction and only ever read.  Loops and parallel
-    edges are impossible by construction; the graph may be disconnected.
+    Vertex i is named ``names[i]``, and every name is a vertex; edge p joins
+    ``a[p]`` and ``b[p]``.  The three are fixed at construction and only
+    ever read.  Loops and parallel edges are impossible by construction; the
+    graph may be disconnected.
 
     ``vertices`` and ``edges`` are frozenset views computed on each call.  The
     walk (degrees, components, triangle; no neighbour list) and the listing
@@ -100,7 +99,7 @@ class Graph:
     value), so graphs can be shared across threads.
     """
 
-    __slots__ = ("names", "index", "a", "b", "_walk", "_columns")
+    __slots__ = ("names", "a", "b", "_walk", "_columns")
 
     def __init__(self, vertices: Iterable[VertexId], edges: Iterable[Edge]):
         """The graph that a :class:`_Draft` of ``vertices`` and ``edges``
@@ -114,23 +113,22 @@ class Graph:
             a.append(at(x, -1))
             b.append(at(y, -1))
         g, _ = _Draft(names, a, b, [0] * len(a)).finish()
-        self._fill(g.names, g.index, a, b)
+        self._fill(g.names, g.a, g.b)
 
     @classmethod
-    def _of(cls, names: list[VertexId], index: dict[VertexId, int], a: list[int], b: list[int]
-            ) -> "Graph":
+    def _of(cls, names: list[VertexId], a: list[int], b: list[int]) -> "Graph":
         """A graph over arrays that :meth:`_Draft.finish` has checked."""
         g = object.__new__(cls)
-        g._fill(names, index, a, b)
+        g._fill(names, a, b)
         return g
 
-    def _fill(self, names, index, a, b) -> None:
-        self.names, self.index, self.a, self.b = names, index, a, b
+    def _fill(self, names, a, b) -> None:
+        self.names, self.a, self.b = names, a, b
         self._walk = self._columns = None
 
     @property
     def order(self) -> int:
-        return len(self.index)
+        return len(self.names)
 
     @property
     def size(self) -> int:
@@ -138,7 +136,7 @@ class Graph:
 
     @property
     def vertices(self) -> frozenset[VertexId]:
-        return frozenset(self.index)
+        return frozenset(self.names)
 
     @property
     def edges(self) -> frozenset[Edge]:
@@ -156,14 +154,13 @@ class Graph:
         edge arrays, whose neighbour lists are dropped once it is done."""
         walk = self._walk
         if walk is None:
-            # a vertex that surgery took out ends no edge, so its list stays empty
             adj: list[list[int]] = [[] for _ in self.names]
             for x, y in zip(self.a, self.b):
                 adj[x].append(y)
                 adj[y].append(x)
             seen = bytearray(len(adj))
             comps = []
-            for start in self.index.values():
+            for start in range(len(adj)):
                 if seen[start]:
                     continue
                 seen[start] = 1
@@ -202,11 +199,11 @@ class Graph:
         lower and higher end rank of each listed edge."""
         listed = self._columns
         if listed is None:
-            index = self.index
-            vs = sorted(index)
-            at = list(map(index.__getitem__, vs))
-            n, q = len(at), len(self.a)
+            names = self.names
+            n, q = len(names), len(self.a)
             ints = list(range(max(n, q)))
+            at = sorted(ints[:n], key=names.__getitem__)
+            vs = tuple(map(names.__getitem__, at))
             rank = dict(zip(at, ints))
             # ranks and positions share one int per value; an edge's key is its
             # lower rank times n plus its higher rank, which sorts as the pair does
@@ -214,7 +211,7 @@ class Graph:
             keys = [x * n + y if x < y else y * n + x for x, y in ends]
             pos = sorted(ints[:q], key=keys.__getitem__)
             lo, hi = [ints[keys[p] // n] for p in pos], [ints[keys[p] % n] for p in pos]
-            listed = self._columns = (tuple(vs), tuple(_id_strings(vs)), pos, at, lo, hi)
+            listed = self._columns = (vs, tuple(_id_strings(vs)), pos, at, lo, hi)
         return listed
 
     def sorted_vertices(self) -> list[VertexId]:
@@ -302,22 +299,25 @@ def _finished(g: Graph, f: EdgeLabeling) -> EdgeLabeling:
 
 
 class Coloring(Mapping):
-    """The induced color of each live vertex of ``graph``, a read-only map
-    held as ``array``, the color at each vertex index."""
+    """The induced color of each vertex of ``graph``, held as ``array`` by
+    vertex index: a read-only map whose first lookup builds its name dict."""
 
-    __slots__ = ("graph", "array")
+    __slots__ = ("graph", "array", "_by_name")
 
     def __init__(self, graph: Graph, array: list[int]):
-        self.graph, self.array = graph, array
+        self.graph, self.array, self._by_name = graph, array, None
 
     def __getitem__(self, v: VertexId) -> int:
-        return self.array[self.graph.index[v]]
+        by_name = self._by_name
+        if by_name is None:
+            by_name = self._by_name = dict(zip(self.graph.names, self.array))
+        return by_name[v]
 
     def __iter__(self):
-        return iter(self.graph.index)
+        return iter(self.graph.names)
 
     def __len__(self) -> int:
-        return len(self.graph.index)
+        return len(self.graph.names)
 
     def __repr__(self) -> str:
         return f"Coloring({dict(self)!r})"
@@ -394,9 +394,7 @@ def certify(
     """
     f = _finished(g, f)
     colors, labels, a, b = induce_coloring(g, f).array, f._array, g.a, g.b
-    live = list(g.index.values())
-    shades = list(map(colors.__getitem__, live))
-    palette = tuple(sorted(set(shades)))
+    palette = tuple(sorted(set(colors)))
     q = len(a)
 
     violations: list[dict] = []
@@ -428,7 +426,7 @@ def certify(
     # (degree, color) -> vertex count, with the degrees read off the walk
     # that finds the triangle and the components
     degree, comps, triangle = g._walked()
-    pairs = Counter(zip(map(degree.__getitem__, live), shades))
+    pairs = Counter(zip(degree, colors))
     census: dict[int, tuple[int, tuple[int, ...]]] = {}
     for (d, c), n in sorted(pairs.items()):
         count, tones = census.get(d, (0, ()))
@@ -487,13 +485,14 @@ class _Draft:
     Edge p joins ``a[p]`` and ``b[p]`` and carries ``labels[p]``.  Surgery
     only rewrites edge ends, and appends each new vertex to ``names`` in the
     order it is given and returns the indices it appends, so every label
-    stays at its edge's position and nothing is remapped.  :meth:`finish`
-    makes the one :class:`Graph` and :class:`EdgeLabeling`, which take over
-    the draft's lists, so a finished draft is not operated on again.  A
-    family build makes one draft of the lists its builder laid and runs no
-    surgery, failed or not: its merges are recorded as data, whose faults
-    :func:`_merge_fault` names as :meth:`merge` does.  The kernels serve
-    :func:`merge_vertices` and :func:`split_vertices`.
+    stays at its edge's position.  :meth:`finish` makes the one
+    :class:`Graph` and :class:`EdgeLabeling`, which take over the draft's
+    lists, renumbered onto the live vertices if a surgery took one out, so a
+    finished draft is not operated on again.  A family build makes one draft
+    of the lists its builder laid and runs no surgery, failed or not: its
+    merges are recorded as data, whose faults :func:`_merge_fault` names as
+    :meth:`merge` does.  The kernels serve :func:`merge_vertices` and
+    :func:`split_vertices`.
     """
 
     __slots__ = ("names", "index", "a", "b", "labels")
@@ -513,10 +512,14 @@ class _Draft:
         self.a, self.b, self.labels = a, b, labels
 
     def finish(self) -> tuple[Graph, EdgeLabeling]:
-        """The graph of the live vertices and its labeling, over the draft's
-        arrays, once no two edges are found to join the same two vertices;
-        else the first two that do, in edge order, are named."""
-        a, b = self.a, self.b
+        """The graph of the live vertices, renumbered in order if some died,
+        and its labeling, over the draft's arrays, once no two edges join the
+        same two vertices; else the first two that do, in edge order, are named."""
+        names, a, b = self.names, self.a, self.b
+        if len(self.index) != len(names):
+            live = sorted(self.index.values())
+            to = dict(zip(live, range(len(live)))).__getitem__
+            names, a, b = list(map(names.__getitem__, live)), list(map(to, a)), list(map(to, b))
         # no edge is a loop, so two edges join the same two vertices exactly
         # when an end pair repeats, in the same order or reversed
         ends = set(zip(a, b))
@@ -525,11 +528,11 @@ class _Draft:
             for p, (x, y) in enumerate(zip(a, b)):
                 q = first.setdefault((x, y) if x < y else (y, x), p)
                 if q != p:
-                    u, v = edge(self.names[x], self.names[y])
+                    u, v = edge(names[x], names[y])
                     raise MergeWouldCreateParallelEdge(
                         f"two edges join {u} and {v} (positions {q} and {p})"
                     )
-        g = Graph._of(self.names, self.index, a, b)
+        g = Graph._of(names, a, b)
         return g, EdgeLabeling._at(g, self.labels)
 
     def _edge(self, x: int, y: int) -> str:
@@ -651,21 +654,18 @@ def _surgery(g: Graph, operate) -> tuple[Graph, dict[Edge, Edge]]:
     vertex name.  A name ``g`` lacks gets an index that is not live, so the
     kernel reports it.  Returns the new graph and the old-edge -> new-edge map
     of the edges that move."""
-    d = object.__new__(_Draft)
-    d.names, d.index, d.a, d.b = list(g.names), dict(g.index), list(g.a), list(g.b)
-    d.labels = before = g._named_edges()
-    index, names = d.index, d.names
+    d = _Draft(g.names, list(g.a), list(g.b), g._named_edges())
 
     def at(v: VertexId) -> int:
-        i = index.get(v)
+        i = d.index.get(v)
         if i is None:
-            i = len(names)
-            names.append(v)
+            i = len(d.names)
+            d.names.append(v)
         return i
 
     operate(d, at)
     out, _ = d.finish()
-    return out, {old: e for old, e in zip(before, out._named_edges()) if e != old}
+    return out, {old: e for old, e in zip(d.labels, out._named_edges()) if e != old}
 
 
 def merge_vertices(

@@ -36,7 +36,7 @@ def digest(g, f) -> int:
     builds give the same one if ``g == g2 and f == f2``, and, but for a
     chance of about 2**-64, only then.  No sort, so it costs less than a
     digest of the canonical listing; it holds within one process."""
-    return hash((frozenset(g.index), frozenset(zip(g._named_edges(), f._array))))
+    return hash((frozenset(g.names), frozenset(zip(g._named_edges(), f._array))))
 
 
 @functools.cache

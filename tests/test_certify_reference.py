@@ -14,32 +14,12 @@ from collections import Counter
 
 import pytest
 
+from adjacency import components, neighbors
 from antimagic import families, io
 from antimagic.errors import LabelDomainMismatch
 from antimagic.graph import Certificate, EdgeLabeling, Graph, certify, induce_coloring
 from grid_pass import grid_pass
 from test_document_oracle import MUTATIONS, _move_an_edge_end
-
-
-def _components(vertices, edges):
-    """The neighbour sets and the components, sorted by their smallest vertex."""
-    adj = {v: set() for v in vertices}
-    for a, b in edges:
-        adj[a].add(b)
-        adj[b].add(a)
-    seen, comps = set(), []
-    for start in adj:
-        if start in seen:
-            continue
-        stack, comp = [start], {start}
-        while stack:
-            fresh = adj[stack.pop()] - comp
-            comp |= fresh
-            stack.extend(fresh)
-        seen |= comp
-        comps.append(frozenset(comp))
-    comps.sort(key=min)
-    return adj, comps
 
 
 def reference_certify(g, f, expected_palette=None):
@@ -86,7 +66,7 @@ def reference_certify(g, f, expected_palette=None):
             {"kind": "adjacent_equal_color", "edge": [str(a), str(b)], "color": colors[a]}
         )
 
-    adj, comps = _components(g.vertices, g.edges)
+    adj, comps = neighbors(g), components(g)
     pairs = Counter((len(adj[v]), c) for v, c in colors.items())
     census = {}
     for (d, c), n in sorted(pairs.items()):

@@ -1,6 +1,7 @@
 """Graph surgery, coloring and certification engine tests."""
 
 import hashlib
+import json
 import os
 import random
 import re
@@ -17,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import antimagic
+import hub_reference
 from adjacency import components, incident_edges, neighbors
 from antimagic import graph, io
 from antimagic.errors import (
@@ -94,6 +96,31 @@ def test_a_graph_keeps_the_order_of_the_edges_it_is_given():
     g = Graph(vs, es)
     assert [(g.names[x], g.names[y]) for x, y in zip(g.a, g.b)] == es
     assert g.sorted_edges() == sorted(edge(*e) for e in es)
+
+
+def test_every_graph_names_only_its_vertices():
+    # a surgery's dead vertices go at its finish, so each way to make a graph
+    # gives one whose names are its vertices, with no name index
+    hub_lists, _, _ = hub_reference.df(1, 1)  # splits, then merges, as one draft
+    built, f, inst = build_family("df", r=1, s=1)
+    g, _ = _disjoint_cells(1).finish()
+    x = [V("x", i) for i in (1, 2, 3)]
+    at_x1 = incident_edges(neighbors(g), x[0])
+    merged, _ = merge_vertices(g, [x], [V("x")])
+    # the live vertices keep their order, and the new one comes last
+    assert merged.names == [v for v in g.names if v not in x] + [V("x")]
+    graphs = [
+        built,
+        io.doc_to_graph(json.loads(io.dumps(io.graph_to_doc(built, f, inst))))[0],
+        Graph(built.vertices, built.edges),
+        merged,
+        split_vertices(g, [(x[0], at_x1[:1], at_x1[1:], V("h", 1), V("h", 2))])[0],
+        split_vertex(g, x[0], at_x1[1:], at_x1[:1], V("h", 1), V("h", 2))[0],
+        hub_reference.finish(hub_lists)[0],
+    ]
+    for h in graphs:
+        assert len(h.names) == h.order == len(set(h.names)) and not hasattr(h, "index")
+    assert graphs[-1] == built
 
 
 # --- vertex ids and derived structures ------------------------------------------
@@ -222,7 +249,7 @@ def test_a_certified_written_graph_keeps_flat_columns_only():
     # the walk keeps a degree per vertex and the components, no neighbour list
     degree, comps, triangle = g._walked()
     assert set(map(type, degree)) == {int} and triangle is True
-    assert sorted(chain.from_iterable(comps)) == sorted(g.index.values())
+    assert sorted(chain.from_iterable(comps)) == list(range(g.order))
 
 
 # --- merge --------------------------------------------------------------------
@@ -628,10 +655,10 @@ def _reversed_gn():
 
 def _merged_reversed_gn():
     """The reversed gn with u_1 and u_9 merged into a_1, which lists first:
-    the merge leaves both dead and re-ranks their edges."""
+    the merge takes both out, renumbers the rest and re-ranks their edges."""
     h, f = _reversed_gn()
     g, moved = merge_vertices(h, [[V("u", 1), V("u", 9)]], [V("a", 1)])
-    assert len(g.names) == g.order + 2
+    assert len(g.names) == g.order
     return g, f.remapped(moved)
 
 

@@ -414,7 +414,7 @@ def test_the_witness_is_built_by_edge_position():
     # labels by name are the first labeling found
     vs = [V("q", 9 - i) for i in range(4)]
     u, v, w, x = vs
-    g = Graph._of(vs, {name: i for i, name in enumerate(vs)}, [0, 1, 3, 3, 3], [2, 2, 0, 1, 2])
+    g = Graph._of(vs, [0, 1, 3, 3, 3], [2, 2, 0, 1, 2])
     assert g._listed()[2] == [4, 3, 2, 1, 0]
     res = solve_chi_la(g)
     assert res.witness._graph is g
