@@ -117,7 +117,7 @@ def cmd_partition(args, out_dir: Path) -> tuple[int, str, list[str]]:
     return 0, f"target={part.target}", outputs
 
 
-_BOUNDS = tuple(dict.fromkeys(GRID_BOUND.values()))  # the family_grid bounds, once each
+_BOUNDS = tuple(dict.fromkeys(GRID_BOUND.values()))  # the grid bounds, once each
 
 
 def _flag(bound: str) -> str:
@@ -131,10 +131,9 @@ def cmd_sweep(args, out_dir: Path) -> tuple[int, str, list[str]]:
     if report_name == "manifest.jsonl":
         raise UsageError("--report must not name the run manifest, manifest.jsonl")
     families = FAMILY_TAGS if args.family == "all" else (args.family,)
-    grid_kwargs = {b: getattr(args, b) for b in _BOUNDS if getattr(args, b) is not None}
     if args.family != "all":
         read = GRID_BOUND[args.family]
-        unread = sorted(set(grid_kwargs) - {read})
+        unread = sorted(b for b in _BOUNDS if b != read and getattr(args, b) is not None)
         if unread:
             flags = [_flag(b) for b in [read] + unread]
             raise UsageError(
@@ -143,7 +142,7 @@ def cmd_sweep(args, out_dir: Path) -> tuple[int, str, list[str]]:
 
     all_records = []
     for family in families:
-        records = sweep_family(family, **grid_kwargs)
+        records = sweep_family(family, getattr(args, GRID_BOUND[family]))
         counts = {
             status: sum(1 for r in records if r["status"] == status)
             for status in ("pass", "fail", "error", "excluded")

@@ -745,12 +745,13 @@ def verify_instance(g: Graph, f: EdgeLabeling, inst: FamilyInstance):
     return cert
 
 
-# the one bound of family_grid that each family's grid reads
+# the one bound each family's grid reads, and each bound's default
 GRID_BOUND = {
     **dict.fromkeys(("fb", "tfb", "df", "fb1", "fb2", "df1", "df2", "df3", "np3o3"), "max_size"),
     **dict.fromkeys(("pt", "tb", "pt1", "pt2", "pt3", "tb1", "tb2", "tb3", "gb"), "max_n"),
     "gn": "gn_max_n",
 }
+_BOUND_DEFAULT = {"max_size": 199, "max_n": 200, "gn_max_n": 60}
 
 # the grids of t fans of s blades, s odd: the parameter, whether t = 2r + 1
 # hubs (the diamond fans), the least s, and whether k = 2 (mod 4) is excluded
@@ -760,37 +761,39 @@ _FAN_GRIDS = {
 }
 
 
-def family_grid(
-    family: str, max_size: int = 199, max_n: int = 200, gn_max_n: int = 60
-) -> list[tuple[dict, str | None]]:
-    """Enumerate the sweepable parameter grid of one family.
+def family_grid(family: str, bound: int | None = None) -> list[tuple[dict, str | None]]:
+    """Enumerate one family's sweepable grid up to ``bound``, the one bound
+    ``GRID_BOUND[family]`` names, or up to that bound's default when None.
 
     Returns (params, excluded_reason) pairs; excluded entries are the
     combinations the statements explicitly carve out (k = 2 mod 4 for the
     degree-2 class merges) and should be reported as skipped, not failed.
     """
+    if family not in GRID_BOUND:
+        raise InvalidParams(f"unknown family {family!r}")
+    top = _BOUND_DEFAULT[GRID_BOUND[family]] if bound is None else bound
     out: list[tuple[dict, str | None]] = []
     if family in ("fb", "np3o3"):
-        out = [({"n": n}, None) for n in range(3, max_size + 1, 2)]
+        out = [({"n": n}, None) for n in range(3, top + 1, 2)]
     elif family in _FAN_GRIDS:
         name, hubs, least, excludes = _FAN_GRIDS[family]
-        for t in range(3, max_size // least + 1, 2):
-            for s in range(least, max_size // t + 1, 2):
+        for t in range(3, top // least + 1, 2):
+            for s in range(least, top // t + 1, 2):
                 excluded = excludes and (t * s - 1) // 2 % 4 == 2
                 params = {name: t // 2 if hubs else t, "s": s}
                 out.append((params, "k = 2 (mod 4) excluded" if excluded else None))
     elif family == "df3":
-        for r in range(4, (max_size - 1) // 2 + 1):
+        for r in range(4, (top - 1) // 2 + 1):
             hubs = 2 * r + 1
             for r1, r2 in _odd_factorizations(hubs, 3):
                 if r2 < 3:
                     continue
-                for s in range(1, max_size // hubs + 1, 2):
+                for s in range(1, top // hubs + 1, 2):
                     out.append(({"r": r, "s": s, "r1": r1}, None))
     elif family in ("pt", "tb"):
-        out = [({"n": n}, None) for n in range(2, max_n + 1, 2)]
+        out = [({"n": n}, None) for n in range(2, top + 1, 2)]
     elif family == "pt3":
-        for n in range(2, max_n + 1, 2):
+        for n in range(2, top + 1, 2):
             for r in range(2, 2 * n + 3):
                 if (2 * n + 2) % r == 0 and 2 <= (2 * n + 2) // r <= n + 1:
                     out.append(({"n": n, "r": r}, None))
@@ -798,28 +801,26 @@ def family_grid(
         # n+1 = r*s with s >= 3; the bracelets also need r >= 3, which no
         # n < 8 allows, since 3, 5 and 7 are prime
         least = 1 if family in ("pt1", "pt2") else 3
-        for n in range(2, max_n + 1, 2):
+        for n in range(2, top + 1, 2):
             for r, s in _odd_factorizations(n + 1, least):
                 if s >= 3:
                     params = {"n": n, "r": r, "s": s} if family == "gb" else {"n": n, "r": r}
                     out.append((params, None))
-    elif family == "gn":
-        for n in range(2, gn_max_n + 1, 2):
+    else:  # gn
+        for n in range(2, top + 1, 2):
             for indices in valid_gn_index_lists(n):
                 out.append(({"n": n, "indices": indices}, None))
-    else:
-        raise InvalidParams(f"unknown family {family!r}")
     return out
 
 
-def sweep_family(family: str, **grid_kwargs) -> list[dict]:
-    """Build and verify one family's whole grid; one record per instance.
+def sweep_family(family: str, bound: int | None = None) -> list[dict]:
+    """Build and verify one family's grid up to ``bound``; one record per instance.
 
     A point that fails its certificate is recorded as ``fail``, one whose
     build raises a usage error as ``error``; either way the sweep goes on.
     """
     records = []
-    for params, excluded in family_grid(family, **grid_kwargs):
+    for params, excluded in family_grid(family, bound):
         rec = {"family": family, "params": params}
         if excluded is not None:
             rec["status"] = "excluded"

@@ -303,7 +303,7 @@ def append_manifest(
     input_hashes: dict[str, str],
     outcome: str,
     outputs: list[str],
-) -> Path:
+) -> None:
     """Append one deterministic JSON line to the run manifest in ``out_dir``, which exists."""
     manifest = Path(out_dir) / "manifest.jsonl"
     entry = {
@@ -316,4 +316,3 @@ def append_manifest(
     }
     with manifest.open("a") as fh:
         fh.write(json.dumps(entry, sort_keys=True) + "\n")
-    return manifest

@@ -117,19 +117,18 @@ def test_fb9_hub_color_is_last_three_rows_total():
     (lambda: build_family("nope"), InvalidParams,
      f"unknown family 'nope'; known: {families.FAMILY_TAGS}"),
     (lambda: family_grid("nope"), InvalidParams, "unknown family 'nope'"),
+    (lambda: build_family("fb", n=8), InvalidParity, "fan builder needs odd n >= 3, got 8"),
+    (lambda: build_family("fb", n=1), InvalidParity,
+     "n = 1 is handled by the exact solver, not a builder"),
+    (lambda: build_family("pt", n=5), InvalidParity,
+     "peanut builder needs even n >= 2 (odd n is open), got 5"),
+    (lambda: build_family("np3o3", n=4), InvalidParity, "need odd n >= 3, got 4"),
 ], ids=["tfb-t2", "df-r0", "df1-s1", "gb-n9", "gb-s4", "gb-base-is-not-a-parameter", "gb-no-indices",
-        "build-unknown", "grid-unknown"])
+        "build-unknown", "grid-unknown", "fb-even", "fb-unit", "pt-odd", "np3o3-even"])
 def test_builder_usage_errors_raise_their_type_and_message(call, error, message):
     with pytest.raises(error) as info:
         call()
     assert str(info.value) == message
-
-
-def test_fb_rejects_even_and_unit():
-    with pytest.raises(InvalidParity):
-        build_family("fb", n=8)
-    with pytest.raises(InvalidParity):
-        build_family("fb", n=1)
 
 
 def test_tfb_3x3_matches_the_example_blocks():
@@ -209,20 +208,6 @@ def test_fb_merged_palettes():
     assert cert.palette == (46, 126, 288)
 
 
-def test_fb1_rejects_k_2_mod_4():
-    # rs = 21 gives k = 10 = 2 (mod 4)
-    with pytest.raises(PaletteCollision):
-        build_family("fb1", r=3, s=7)
-    built_ok("fb2", r=3, s=7)  # variant 2 stays fine
-
-
-def test_fb_merged_rejects_bad_shapes():
-    with pytest.raises(InvalidFactorization):
-        build_family("fb2", r=2, s=5)
-    with pytest.raises(InvalidFactorization):
-        build_family("fb2", r=3, s=1)
-
-
 def test_df_merged_palettes():
     _, _, _, cert = built_ok("df2", r=1, s=3)
     assert cert.palette == (46, 126, 288)
@@ -230,20 +215,10 @@ def test_df_merged_palettes():
     assert cert.palette == (42, 46, 288)
 
 
-def test_df1_rejects_k_2_mod_4():
-    # (2r+1)s = 21 gives k = 10 = 2 (mod 4)
-    with pytest.raises(PaletteCollision):
-        build_family("df1", r=1, s=7)
-    built_ok("df2", r=1, s=7)
-
-
-def test_df3_needs_composite_hub_count():
-    with pytest.raises(InvalidFactorization):
-        build_family("df3", r=3, s=1, r1=3)  # 2r+1 = 7 prime
-
-
 @pytest.mark.parametrize(
-    "params", [{"r": 4, "s": 999, "r1": 2}, {"r": 0, "s": 1, "r1": 3}], ids=["r1", "r-and-r1"]
+    "params",
+    [{"r": 4, "s": 999, "r1": 2}, {"r": 0, "s": 1, "r1": 3}, {"r": 3, "s": 1, "r1": 3}],
+    ids=["r1", "r-and-r1", "prime-hub-count"],  # 2r+1 = 7 is prime
 )
 def test_df3_checks_r1_before_it_builds_its_base(params, monkeypatch):
     def base(r, s):
@@ -274,10 +249,17 @@ def test_df3_checks_r1_before_it_builds_its_base(params, monkeypatch):
      "need odd r >= 3 with odd block size (n+1)/r >= 3, got r=1, n=14"),
     ("tb3", {"n": 14, "r": 15}, NoValidPartition,
      "need odd r >= 3 with odd block size (n+1)/r >= 3, got r=15, n=14"),
+    ("tb3", {"n": 6, "r": 7}, NoValidPartition,  # n+1 = 7 is prime, so no r = 7 with s >= 3
+     "need odd r >= 3 with odd block size (n+1)/r >= 3, got r=7, n=6"),
+    ("tb3", {"n": 4, "r": 5}, NoValidPartition,  # n < 8
+     "need odd r >= 3 with odd block size (n+1)/r >= 3, got r=5, n=4"),
     ("df1", {"r": 1, "s": 7}, PaletteCollision, "df1 excludes k = 2 (mod 4), got k = 10"),
     ("df2", {"r": 1, "s": 4}, InvalidParams, "variant 2 needs odd s >= 3, got s=4"),
     ("fb1", {"r": 3, "s": 7}, PaletteCollision, "fb1 excludes k = 2 (mod 4), got k = 10"),
-], ids=["pt1", "pt2", "pt3", "pt1-odd-n", "tb1", "tb2", "tb3", "df1", "df2-even-s", "fb1"])
+    ("fb2", {"r": 2, "s": 5}, InvalidFactorization, "need odd r, s >= 3, got r=2, s=5"),
+    ("fb2", {"r": 3, "s": 1}, InvalidFactorization, "need odd r, s >= 3, got r=3, s=1"),
+], ids=["pt1", "pt2", "pt3", "pt1-odd-n", "tb1", "tb2", "tb3", "tb3-prime", "tb3-small-n", "df1",
+        "df2-even-s", "fb1", "fb2-even-r", "fb2-unit-s"])
 def test_merged_builders_refuse_before_they_build_their_base(
     family, params, error, message, monkeypatch
 ):
@@ -457,11 +439,6 @@ def test_pt_degree3_colors_alternate_along_rails():
     assert v_colors == [hi if j % 2 else lo for j in range(1, 2 * k + 2)]
 
 
-def test_pt_rejects_odd():
-    with pytest.raises(InvalidParity):
-        build_family("pt", n=5)
-
-
 # --- bracelets -------------------------------------------------------------------
 
 
@@ -602,15 +579,6 @@ def test_rung_endpoint_colors_alternate_for_every_peanut_and_bracelet():
             for j in range(1, n + 2):
                 u, v = colors[V("u", 2 * j - 1)], colors[V("v", 2 * j - 1)]
                 assert (u, v) == ((lo, hi) if j % 2 else (hi, lo)), (family, n, j)
-
-
-def test_merged_shape_guards():
-    with pytest.raises(NoValidPartition):
-        build_family("pt1", n=4, r=2)  # r must be odd and divide n+1
-    with pytest.raises(NoValidPartition):
-        build_family("tb3", n=6, r=7)  # n+1 = 7 prime, no r=7 with s>=3
-    with pytest.raises(NoValidPartition):
-        build_family("tb3", n=4, r=5)  # n < 8
 
 
 # --- bracelet unions --------------------------------------------------------------
@@ -847,7 +815,7 @@ def test_a_clash_in_fb1_blocks_fails_its_sweep_point(monkeypatch):
         return d, inst, comp_cols
 
     monkeypatch.setattr(families, "_tfb", swapped)
-    (rec,) = sweep_family("fb1", max_size=9)
+    (rec,) = sweep_family("fb1", 9)
     assert rec["status"] == "fail"
     assert rec["reason"] == (
         "fb1{'r': 3, 's': 3}: surgery on its own draft failed: edges u_3-y_2 and u_4-y_2 "
@@ -928,7 +896,7 @@ def test_a_surgery_fault_in_a_builders_own_draft_is_an_invariant_error(
     # so its sweep point fails, and a sweep exits 1, not 2
     bound = families.GRID_BOUND[family]
     limit = 27 if bound == "max_size" else 8
-    records = sweep_family(family, **{bound: limit})
+    records = sweep_family(family, limit)
     assert records and {r["status"] for r in records} == {"fail"}
     flag = "--" + bound.replace("_", "-")
     assert main(["--out", str(tmp_path), "sweep", "--family", family, flag, str(limit)]) == 1
@@ -1040,7 +1008,7 @@ def test_a_tfb_partition_with_a_cell_in_two_fans_builds_and_fails_its_certificat
         "tfb{'t': 3, 's': 3, 'k': 4} failed: 5 colors instead of 3; "
         "palette (42, 46, 284, 288, 292) != expected (42, 46, 288) (first y_1)"
     )
-    records = sweep_family("tfb", max_size=27)
+    records = sweep_family("tfb", 27)
     assert records and {r["status"] for r in records} == {"fail"}
     assert main(["--out", str(tmp_path), "sweep", "--family", "tfb", "--max-size", "27"]) == 1
 
@@ -1114,16 +1082,11 @@ def test_np3o3_center_colors():
         assert colors[V("u", i)] == colors[V("v", i)] == 50 * k + 27
 
 
-def test_np3o3_rejects_even():
-    with pytest.raises(InvalidParity):
-        build_family("np3o3", n=4)
-
-
 # --- grids ---------------------------------------------------------------------
 
 
 def test_fb1_grid_marks_exclusions():
-    grid = family_grid("fb1", max_size=25)
+    grid = family_grid("fb1", 25)
     excluded = {tuple(sorted(p.items())) for p, reason in grid if reason}
     assert (("r", 3), ("s", 7)) in excluded  # rs=21 -> k=10 = 2 (mod 4)
     allowed = [p for p, reason in grid if not reason]
@@ -1134,14 +1097,18 @@ def test_grid_bound_names_the_one_bound_each_grid_reads():
     small = {"max_size": 9, "max_n": 4, "gn_max_n": 10}
     for family in families.FAMILY_TAGS:
         read = families.GRID_BOUND[family]
-        default = family_grid(family)
-        assert family_grid(family, **{b: 0 for b in small if b != read}) == default, family
-        assert family_grid(family, **{read: small[read]}) != default, family
+        assert family_grid(family, small[read]) != family_grid(family), family
+    # a bound the family does not read is refused, not ignored
+    with pytest.raises(TypeError):
+        family_grid("fb", max_n=4)
+    with pytest.raises(TypeError):
+        sweep_family("pt", max_size=3)
 
 
 # sha256 over json.dumps([family, bounds, grid]) of every family at each bound
-# set below, in turn, family by family: the defaults, a small set, a mid set,
-# all zero and one larger than the defaults
+# set below, in turn, family by family, each grid at the one bound of the set it
+# reads: the defaults, a small set, a mid set, all zero and one larger than the
+# defaults
 GRID_BOUNDS = [
     {}, dict(max_size=9, max_n=4, gn_max_n=10), dict(max_size=57, max_n=44, gn_max_n=30),
     dict(max_size=0, max_n=0, gn_max_n=0), dict(max_size=401, max_n=300, gn_max_n=90),
@@ -1152,13 +1119,15 @@ GRIDS_SHA256 = "597862b4508b348b8c2df8029212562cb1144e0114bba0034930d3766d3fe1c3
 def test_every_grid_at_five_bound_sets_is_pinned():
     digest = hashlib.sha256()
     for family in families.FAMILY_TAGS:
+        read = families.GRID_BOUND[family]
         for bounds in GRID_BOUNDS:
-            digest.update(json.dumps([family, bounds, family_grid(family, **bounds)]).encode())
+            grid = family_grid(family, bounds.get(read))
+            digest.update(json.dumps([family, bounds, grid]).encode())
     assert digest.hexdigest() == GRIDS_SHA256
 
 
 def test_gn_grid_respects_conditions():
-    grid = family_grid("gn", gn_max_n=30)
+    grid = family_grid("gn", 30)
     combos = {(p["n"], p["indices"]) for p, _ in grid}
     assert (30, (1, 2, 4)) in combos
     assert all(8 * idx[-1] - 2 <= n for n, idx in combos)
@@ -1373,7 +1342,7 @@ def test_sweep_records_a_usage_error_and_goes_on(monkeypatch):
         return real(n)
 
     monkeypatch.setitem(families._BUILDERS, "fb", flaky)
-    records = sweep_family("fb", max_size=11)
+    records = sweep_family("fb", 11)
     assert [r["params"]["n"] for r in records] == [3, 5, 7, 9, 11]
     assert [r["status"] for r in records] == ["pass", "pass", "error", "pass", "pass"]
     assert records[2]["reason"] == "injected"

@@ -822,25 +822,6 @@ def test_fan3_any_bijection_certifies_bijective(perm):
     assert bool(cert.violations) == (not cert.is_local_antimagic)
 
 
-@settings(max_examples=40, deadline=None)
-@given(st.data())
-def test_random_split_then_merge_roundtrip(data):
-    g, f, _ = build_family("fb", n=3)
-    near = neighbors(g)
-    candidates = [v for v in g.sorted_vertices() if len(near[v]) >= 2]
-    v = data.draw(st.sampled_from(candidates))
-    incident = incident_edges(near, v)
-    cut = data.draw(st.integers(min_value=1, max_value=len(incident) - 1))
-    shuffled = data.draw(st.permutations(incident))
-    part1, part2 = shuffled[:cut], shuffled[cut:]
-    h1, h2 = V("h", 1), V("h", 2)
-    split, emap = split_vertex(g, v, part1, part2, h1, h2)
-    fs = f.remapped(emap)
-    back, emap2 = merge_vertices(split, [{h1, h2}], [v])
-    assert back == g
-    assert fs.remapped(emap2) == f
-
-
 # --- surgery against the full-rewrite reference -----------------------------------
 
 

@@ -18,7 +18,7 @@ from hub_reference import REFERENCES, surgery_cells, use_references
 # of its first three index lists
 GB_OVER_GN = [
     {**params, "indices": indices}
-    for params, _ in family_grid("gb", max_n=60)
+    for params, _ in family_grid("gb", 60)
     for indices in valid_gn_index_lists(params["n"])[:3]
 ]
 

@@ -249,7 +249,7 @@ def test_dumps_equals_the_standard_library_on_the_documents_it_writes():
         io.graph_to_doc(g, f),
         io.certificate_to_doc(cert),
         io.labeling_to_doc(g, f),
-        {"records": families.sweep_family("fb", max_size=15)},
+        {"records": families.sweep_family("fb", 15)},
     ]
     for doc in docs:
         assert io.dumps(doc) == json.dumps(doc, sort_keys=True, indent=2) + "\n"
