@@ -35,7 +35,10 @@ def _parse_palette(text: str) -> list[int]:
 
 def _write(out_dir: Path, name: str, content: str) -> str:
     path = out_dir / name
-    path.write_text(content)
+    try:
+        path.write_text(content)
+    except OSError as exc:
+        raise UsageError(f"cannot write {path}: {exc}") from None
     return str(path)
 
 
@@ -155,6 +158,8 @@ def cmd_sweep(args, out_dir: Path) -> tuple[int, str, list[str]]:
             if rec["status"] in ("fail", "error"):
                 print(f"  {rec['status'].upper()} {rec['params']}: {rec['reason']}")
         all_records.extend(records)
+    if not all_records:
+        raise UsageError(f"the bounds leave the {args.family} sweep no grid point")
 
     outputs = [_write(out_dir, report_name, io.dumps({"records": all_records}))]
     statuses = {rec["status"] for rec in all_records}

@@ -38,7 +38,7 @@ from .errors import (
     PaletteCollision,
     UsageError,
 )
-from .graph import EdgeLabeling, Graph, V, VertexId, _Draft, _merge_fault, certify, induce_coloring
+from .graph import EdgeLabeling, Graph, V, VertexId, _Draft, certify, induce_coloring
 from .partition import _position_blocks
 from .tables import _odd_factorizations, _sequences, table_m1, table_m3, table_pt
 
@@ -69,9 +69,8 @@ def _census(*pairs: tuple[int, int]) -> dict[int, int]:
     return {d: c for d, c in out.items() if c}
 
 
-# the vertex names, the two ends of each edge by index, the label at each
-# edge position, and the record of each merge laid on them, in chain order
-# (see _merged); a laid base has none
+# the vertex names, the two ends of each edge by index and the label at
+# each edge position: the arguments of the build's one draft (see _finish)
 Lists = tuple
 Built = tuple[Lists, FamilyInstance]
 
@@ -104,14 +103,11 @@ def _merged(
     One index list sends each member to its block's vertex and every other
     vertex to its place once the members are gone; the names drop the
     members and end with the new ids.  Nothing here checks the moved edges:
-    the build's one draft does (:func:`_finish`).  The merge is recorded
-    after the base's merges as its input names and ends, the index of each
-    member's vertex in its output (None at every other vertex) and the new
-    ids.  A member met in two blocks is named here, after any fault of the
-    base's merges.
+    the build's one draft does (:func:`_finish`).  A member met in two
+    blocks is named here.
     """
     lists, base = built
-    names, a, b, labels, merges = lists
+    names, a, b, labels = lists
     r, s = len(blocks), len(blocks[0])
     palette = _palette(*(s * c if c == color else c for c in base.expected_palette))
     census = _census(*base.expected_census.items(), (degree, -r * s), (s * degree, r))
@@ -127,41 +123,21 @@ def _merged(
     if to.count(None) != top:
         seen: set[int] = set()  # the first member met again, in block order
         twice = next(v for v in chain.from_iterable(blocks) if v in seen or seen.add(v))
-        raise _recorded_fault(merges) or OverlappingBlocks(f"{names[twice]} appears in two blocks")
+        raise OverlappingBlocks(f"{names[twice]} appears in two blocks")
     kept = [v for v, h in enumerate(to) if h is None]
-    at = to.copy()
     for i, v in enumerate(kept):
-        at[v] = i
+        to[v] = i
     laid = (
         [*map(names.__getitem__, kept), *ids],
-        list(map(at.__getitem__, a)), list(map(at.__getitem__, b)), labels,
-        (*merges, (names, a, b, to, ids)),
+        list(map(to.__getitem__, a)), list(map(to.__getitem__, b)), labels,
     )
     return laid, FamilyInstance(family, params, palette, census), new
 
 
-def _recorded_fault(merges: Sequence[tuple]) -> GraphSurgeryError | None:
-    """The first fault of the recorded merges, the earliest merge's first, as
-    :meth:`_Draft.merge` names it (:func:`_merge_fault`); or None."""
-    for names, a, b, to, ids in merges:
-        # each merged vertex numbered after the merge's input, as a kernel numbers it
-        shift = len(names) - to.count(None)
-        at = [v if h is None else h + shift for v, h in enumerate(to)]
-        a2, b2 = list(map(at.__getitem__, a)), list(map(at.__getitem__, b))
-        if (fault := _merge_fault([*names, *ids], a, b, a2, b2)) is not None:
-            return fault
-    return None
-
-
 def _finish(lists: Lists) -> tuple[Graph, EdgeLabeling]:
     """The graph and labeling of a builder's lists, from the build's one
-    draft, which checks the names, loops and parallel edges.  On a fault, the
-    first fault of a recorded merge, if any, is raised in its place."""
-    names, a, b, labels, merges = lists
-    try:
-        return _Draft(names, a, b, labels).finish()
-    except GraphSurgeryError as fault:
-        raise _recorded_fault(merges) or fault
+    draft, which checks the names, loops and parallel edges."""
+    return _Draft(*lists).finish()
 
 
 # ---------------------------------------------------------------------------
@@ -200,7 +176,7 @@ def _fb(n: int) -> Built:
         raise InvalidParity(f"fan builder needs odd n >= 3, got {n}")
     k = (n - 1) // 2
     hub = [0] * n
-    d = (*_fan_cells(k, [V("x")], hub, hub), ())
+    d = _fan_cells(k, [V("x")], hub, hub)
     palette = _palette(9 * k + 6, 10 * k + 6, (7 * k + 4) * (6 * k + 3))
     inst = FamilyInstance(
         "fb", {"n": n, "k": k}, palette,
@@ -224,7 +200,7 @@ def _tfb(t: int, s: int) -> tuple[Lists, FamilyInstance, list[list[int]]]:
     for a, cols in enumerate(columns):
         for c in cols:
             hub[c - 1] = a
-    d = (*_fan_cells(k, [V("y", a) for a in range(1, t + 1)], hub, hub), ())
+    d = _fan_cells(k, [V("y", a) for a in range(1, t + 1)], hub, hub)
 
     palette = _palette(9 * k + 6, 10 * k + 6, s * (21 * k + 12))
     inst = FamilyInstance(
@@ -254,7 +230,7 @@ def _df(r: int, s: int) -> tuple[Lists, FamilyInstance, range]:
         return list(chain.from_iterable(repeat(h, s) for h in (*near, 0, *reversed(far))))
 
     hubs = [V("x"), *(V(role, j) for j in range(1, r + 1) for role in "yz")]
-    d = (*_fan_cells(k, hubs, by_block(ys, zs), by_block(zs, ys)), ())
+    d = _fan_cells(k, hubs, by_block(ys, zs), by_block(zs, ys))
 
     palette = _palette(10 * k + 6, 9 * k + 6, s * (21 * k + 12))
     inst = FamilyInstance(
@@ -364,7 +340,7 @@ def _pt(n: int) -> Built:
         [V("x"), V("y"), *_vertices("u", range(1, top + 1)), *_vertices("v", range(1, top + 1))],
         rail1[:-1] + rail2[:-1] + list(range(2, top + 2, 2)),
         rail1[1:] + rail2[1:] + list(range(top + 2, 2 * top + 2, 2)),
-        [*tr.s1, *tr.s2, *(r3[col - 1] for col in tr.r3_columns)], (),
+        [*tr.s1, *tr.s2, *(r3[col - 1] for col in tr.r3_columns)],
     )
     palette = _palette(10 * k + 6, 9 * k + 6, 21 * k + 12)
     inst = FamilyInstance(
@@ -403,7 +379,7 @@ def _deal(rims: Sequence[Sequence[int]], r: int) -> list[list[int]]:
     The build's one draft certifies the deal, not a merge: :func:`_merged`
     lays the blocks unchecked, and a shared neighbor in a block, which means
     the rims broke the premise, is two edges joining the same two vertices,
-    which the draft's finish finds and the recorded merge names.
+    which the draft's finish finds and names.
     """
     order: list[int] = []
     for rim in rims:
@@ -584,7 +560,7 @@ def _np3_o3(n: int) -> Built:
     d = (
         [*chain.from_iterable(_vertices(role, range(1, n + 1)) for role in "uvw"),
          V("x", 1), V("x", 2), V("x", 3)],
-        ends_a, ends_b, labels, (),
+        ends_a, ends_b, labels,
     )
 
     palette = _palette(25 * k + 15, 50 * k + 27, (2 * k + 1) * (39 * k + 21))

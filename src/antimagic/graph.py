@@ -452,31 +452,6 @@ def certify(
 # -- surgery -------------------------------------------------------------------
 
 
-def _merge_fault(
-    names: Sequence[VertexId], a: list[int], b: list[int], a2: list[int], b2: list[int]
-) -> MergeWouldCreateLoop | MergeWouldCreateParallelEdge | None:
-    """The first moved edge, in edge order, that a merge taking edge p from
-    ``a[p]``-``b[p]`` to ``a2[p]``-``b2[p]`` (``names`` naming both) makes a
-    loop or lays on the two vertices an earlier one joins, named; or None.
-    No other edge is read: one that keeps both its ends cannot meet a moved
-    edge, which ends at a merged vertex."""
-    made: dict[tuple[int, int], int] = {}
-    for p in compress(range(len(a)), map(or_, map(ne, a, a2), map(ne, b, b2))):
-        x, y = a2[p], b2[p]
-        if x == y:
-            return MergeWouldCreateLoop(
-                "block members %s and %s are adjacent" % edge(names[a[p]], names[b[p]])
-            )
-        q = made.setdefault((x, y) if x < y else (y, x), p)
-        if q != p:
-            return MergeWouldCreateParallelEdge(
-                "edges %s-%s and %s-%s both become %s-%s (two merged vertices share a neighbor)"
-                % (*edge(names[a[q]], names[b[q]]), *edge(names[a[p]], names[b[p]]),
-                   *edge(names[x], names[y]))
-            )
-    return None
-
-
 class _Draft:
     """A graph under construction, in index space.
 
@@ -489,10 +464,9 @@ class _Draft:
     :class:`Graph` and :class:`EdgeLabeling`, which take over the draft's
     lists, renumbered onto the live vertices if a surgery took one out, so a
     finished draft is not operated on again.  A family build makes one draft
-    of the lists its builder laid and runs no surgery, failed or not: its
-    merges are recorded as data, whose faults :func:`_merge_fault` names as
-    :meth:`merge` does.  The kernels serve :func:`merge_vertices` and
-    :func:`split_vertices`.
+    of the lists its builder laid and runs no surgery, failed or not: the
+    draft names the build's faults.  The kernels serve :func:`merge_vertices`
+    and :func:`split_vertices`.
     """
 
     __slots__ = ("names", "index", "a", "b", "labels")
@@ -545,10 +519,10 @@ class _Draft:
         ``new_ids``; returns the indices of the new vertices, in block order.
 
         All blocks are applied as one simultaneous relabeling of edge ends,
-        with a global check that no loop or parallel edge arises,
-        :func:`_merge_fault` (it also catches collisions between edges from
-        *different* blocks, which a per-block common-neighbor test alone
-        would miss).
+        checked by one walk of the moved edges in edge order, which names
+        the first loop or parallel pair (it also catches collisions between
+        edges from *different* blocks, which a per-block common-neighbor
+        test alone would miss).
         """
         if len(blocks) != len(new_ids):
             raise OverlappingBlocks(f"{len(blocks)} blocks but {len(new_ids)} replacement ids")
@@ -577,8 +551,22 @@ class _Draft:
         # named before the edges are checked, so that a clash can name them;
         # they are not live until the edges move
         names += new_ids
-        if (fault := _merge_fault(names, a, b, a2, b2)) is not None:
-            raise fault
+        # an edge that keeps both its ends cannot meet a moved edge, which
+        # ends at a merged vertex, so no other edge is read
+        made: dict[tuple[int, int], int] = {}
+        for p in compress(range(len(a)), map(or_, map(ne, a, a2), map(ne, b, b2))):
+            x, y = a2[p], b2[p]
+            if x == y:
+                raise MergeWouldCreateLoop(
+                    "block members %s and %s are adjacent" % edge(names[a[p]], names[b[p]])
+                )
+            q = made.setdefault((x, y) if x < y else (y, x), p)
+            if q != p:
+                raise MergeWouldCreateParallelEdge(
+                    "edges %s-%s and %s-%s both become %s-%s (two merged vertices share a neighbor)"
+                    % (*edge(names[a[q]], names[b[q]]), *edge(names[a[p]], names[b[p]]),
+                       *edge(names[x], names[y]))
+                )
         self.a, self.b = a2, b2
         for v in to:
             del index[names[v]]

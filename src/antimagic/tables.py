@@ -294,7 +294,7 @@ def trace_sequences(t: LabelTable) -> TracedSequences:
     once for every k, so S1 and S2 cover rows R1, R2, R4 and R5 exactly once.
     """
     if t.kind != "pt":
-        raise SequenceSchemeViolated("sequences are traced from the pt table")
+        raise InvalidK("sequences are traced from the pt table")
     k = t.k
     walk = _peanut_walk(k)
     tr = _sequences(t)

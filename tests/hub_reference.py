@@ -11,8 +11,9 @@ crosswise.  :func:`merged` and :func:`tb` are ``_merged`` and ``_tb`` as
 they were when every merge ran :meth:`_Draft.merge`.  Each returns what its
 builder returns, with the instance taken from the builder itself, or scaled
 as ``_merged`` scales it (the claims do not depend on how the graph is
-laid), except that its lists hold the draft itself where a builder's hold
-the records of its merges (:func:`handed`).  ``BUILDERS`` holds the real
+laid), except that its lists hold the draft itself in a fifth slot after a
+builder's four (:func:`handed`), which :func:`fresh`, :func:`merged` and
+:func:`finish` tell by the lists' length.  ``BUILDERS`` holds the real
 builders as they were at import, so a reference still calls them while
 :func:`use_references` has put the references in their place.  The
 references run under :func:`use_references`, which builds each base that a
@@ -122,7 +123,7 @@ def merged(built, family, params, blocks, color, degree, new_ids=None):
     """``_merged`` through the merge kernel, on a reference's draft or a
     builder's lists."""
     lists, base = built
-    d = lists[4] if isinstance(lists[4], _Draft) else _Draft(*lists[:4])
+    d = lists[4] if len(lists) == 5 else _Draft(*lists)
     r, s = len(blocks), len(blocks[0])
     palette = families._palette(*(s * c if c == color else c for c in base.expected_palette))
     census = families._census(*base.expected_census.items(), (degree, -r * s), (s * degree, r))
@@ -168,26 +169,25 @@ REFERENCES = {"fb": fb, "tfb": tfb, "df": df, "np3o3": np3o3, "gn": gn, "tb": tb
 
 
 def handed(d):
-    """A reference's draft as a builder's lists, with the draft itself where
-    a builder's lists record their merges, which :func:`finish` finishes as
-    it is: a surgery draft keeps the names of the vertices it took out, which
-    no lists can say."""
+    """A reference's draft as a builder's lists, with the draft itself in a
+    fifth slot, which :func:`finish` finishes as it is: a surgery draft keeps
+    the names of the vertices it took out, which no lists can say."""
     return d.names, d.a, d.b, d.labels, d
 
 
 def finish(lists):
     """``_finish``, which finishes a reference's own draft as it is."""
-    draft = lists[4]
-    return draft.finish() if isinstance(draft, _Draft) else FINISH(lists)
+    return lists[4].finish() if len(lists) == 5 else FINISH(lists)
 
 
 def fresh(lists):
     """A copy of a builder's lists, or of a reference's own draft as lists,
     for a kernel or a builder to rewrite: ``_Draft.merge`` and ``split``
     rewrite their draft, and ``_gn`` swaps the ends of the lists it reads."""
+    if len(lists) == 4:
+        names, a, b, labels = lists
+        return names, list(a), list(b), labels
     names, a, b, labels, draft = lists
-    if not isinstance(draft, _Draft):
-        return names, list(a), list(b), labels, draft
     d = object.__new__(_Draft)
     d.names, d.index, d.a, d.b, d.labels = list(names), dict(draft.index), list(a), list(b), labels
     return handed(d)

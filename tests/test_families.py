@@ -17,7 +17,6 @@ from antimagic import families, graph, io
 from antimagic.cli import main
 from antimagic.errors import (
     ConditionViolated,
-    GraphSurgeryError,
     InvalidFactorization,
     InvalidIndices,
     InvalidParams,
@@ -26,7 +25,6 @@ from antimagic.errors import (
     MergeWouldCreateLoop,
     MergeWouldCreateParallelEdge,
     NoValidPartition,
-    OverlappingBlocks,
     PaletteCollision,
 )
 from antimagic.families import (
@@ -719,40 +717,51 @@ def test_merge_class_out_of_rim_order_raises_the_merge_fault():
     params = {"n": 8, "k": 4, "r": 3, "s": 3}
     base = lambda: families._tb(8)[:2]  # noqa: E731
     _finished_merge(base, "tb3", params, families._deal([rim], 3), 92, 4)
-    # the finish names the recorded merge's fault; build_family converts it
+    # the draft's finish names the fault; build_family converts it
     with pytest.raises(MergeWouldCreateParallelEdge) as info:
         _finished_merge(base, "tb3", params, families._deal([_scrambled(rim)], 3), 92, 4)
-    assert str(info.value) == (
-        "edges u_1-z_0 and u_1-z_2 both become m_1-u_1 (two merged vertices share a neighbor)"
-    )
+    assert str(info.value) == "two edges join m_1 and u_1 (positions 0 and 1)"
 
 
 CLASHING_BLOCKS = [
     # u_1 and v_1 share their path center w_1 and their fan hub
     pytest.param(
         lambda: families._tfb(3, 3)[:2], "fb1", 10 * 4 + 6, 2, [V("u", 1), V("v", 1)],
-        MergeWouldCreateParallelEdge,
-        "edges u_1-w_1 and v_1-w_1 both become m_1-w_1 (two merged vertices share a neighbor)",
+        MergeWouldCreateParallelEdge, "two edges join m_1 and w_1 (positions 0 and 9)",
         id="shared-neighbor-fb1",
     ),
     # w_4 and w_5 both hang on the fan hub x
     pytest.param(
         lambda: families._df(1, 3)[:2], "df2", 9 * 4 + 6, 3, [V("w", 4), V("w", 5)],
-        MergeWouldCreateParallelEdge,
-        "edges w_4-x and w_5-x both become m_1-x (two merged vertices share a neighbor)",
+        MergeWouldCreateParallelEdge, "two edges join m_1 and x (positions 21 and 22)",
         id="shared-neighbor-df2",
     ),
     # u_2 and u_4 share the rail vertex u_3
     pytest.param(
         lambda: families._pt(2), "tb", 10 * 1 + 6, 2, [V("u", 2), V("u", 4)],
-        MergeWouldCreateParallelEdge,
-        "edges u_2-u_3 and u_3-u_4 both become m_1-u_3 (two merged vertices share a neighbor)",
+        MergeWouldCreateParallelEdge, "two edges join m_1 and u_3 (positions 2 and 3)",
         id="shared-neighbor-tb",
+    ),
+    # u_2 and u_4 share u_3, at positions 2 and 3, and v_1 and v_2 meet at 7:
+    # the draft names a loop before any parallel pair
+    pytest.param(
+        lambda: families._pt(2), "tb", 10 * 1 + 6, 2, [V("u", 2), V("u", 4), V("v", 1), V("v", 2)],
+        MergeWouldCreateLoop, "loop edge at m_1", id="loop-after-a-shared-neighbor-tb",
+    ),
+    # the clash of a base's own merge, u_2 and u_4 into z_2, outlives a
+    # later merge that is sound by itself
+    pytest.param(
+        lambda: _merged_by_name(
+            lambda: families._pt(2), "tb", {}, [[V("u", 2), V("u", 4)]], 16, 2, [V("z", 2)]
+        )[:2],
+        "gb", 20 * 1 + 12, 4, [V("x"), V("y")],
+        MergeWouldCreateParallelEdge, "two edges join u_3 and z_2 (positions 2 and 3)",
+        id="clash-in-the-base-gb",
     ),
     # z_0 and u_1 are adjacent
     pytest.param(
         lambda: families._tb(8)[:2], "gb", 20 * 4 + 12, 4, [V("z", 0), V("u", 1)],
-        MergeWouldCreateLoop, "block members u_1 and z_0 are adjacent", id="adjacent-gb",
+        MergeWouldCreateLoop, "loop edge at m_1", id="adjacent-gb",
     ),
 ]
 
@@ -818,8 +827,8 @@ def test_a_clash_in_fb1_blocks_fails_its_sweep_point(monkeypatch):
     (rec,) = sweep_family("fb1", 9)
     assert rec["status"] == "fail"
     assert rec["reason"] == (
-        "fb1{'r': 3, 's': 3}: surgery on its own draft failed: edges u_3-y_2 and u_4-y_2 "
-        "both become u_2-y_2 (two merged vertices share a neighbor)"
+        "fb1{'r': 3, 's': 3}: surgery on its own draft failed: "
+        "two edges join u_2 and y_2 (positions 29 and 30)"
     )
 
 
@@ -874,8 +883,7 @@ SURGERY_FAULTS = [
     # a clash of the blocks of _merged
     pytest.param(
         _pt_tb_rims_out_of_order, "tb3", {"n": 8, "r": 3},
-        "edges u_1-z_0 and u_1-z_2 both become m_1-u_1 (two merged vertices share a neighbor)",
-        id="merged-clash",
+        "two edges join m_1 and u_1 (positions 0 and 1)", id="merged-clash",
     ),
     # the finish of the draft
     pytest.param(
@@ -918,79 +926,6 @@ def test_no_build_path_runs_a_kernel(monkeypatch, tmp_path):
             patched.delattr(graph._Draft, "merge")
             patched.delattr(graph._Draft, "split")
             run(patched)
-
-
-def _kernel_fault(steps):
-    """The type and text of the fault that the merge kernel raises replaying
-    ``steps``, each ``(lists, blocks, ids)`` merged on a fresh draft of its
-    lists, in chain order: the reference for the fault that a build names."""
-    with pytest.raises(GraphSurgeryError) as info:
-        for lists, blocks, ids in steps:
-            graph._Draft(*lists[:4]).merge(blocks, ids)
-    return type(info.value), str(info.value)
-
-
-@pytest.mark.parametrize(
-    "blocks, fault",
-    [
-        # u_2 and u_4 share u_3, at positions 2 and 3; x and u_1 meet at 0
-        ([[V("u", 2), V("u", 4)], [V("x"), V("u", 1)]], MergeWouldCreateLoop),
-        # the same pair, then v_1 and v_2, which meet at 7
-        ([[V("u", 2), V("u", 4)], [V("v", 1), V("v", 2)]], MergeWouldCreateParallelEdge),
-    ],
-    ids=["loop-first", "parallel-pair-first"],
-)
-def test_a_merge_with_a_loop_and_a_parallel_pair_names_the_first_moved_edge(blocks, fault):
-    lists, inst = families._pt(2)
-    at = {v: i for i, v in enumerate(lists[0])}
-    blocks = [[at[v] for v in block] for block in blocks]
-    laid, _, _ = families._merged((lists, inst), "tb", {}, blocks, 16, 2)
-    with pytest.raises(fault) as info:
-        families._finish(laid)
-    assert (type(info.value), str(info.value)) == _kernel_fault(
-        [(lists, blocks, [V("m", 1), V("m", 2)])]
-    )
-
-
-def _noted_merges_over_a_clashing_tb(monkeypatch):
-    """Note each merge that ``families._merged`` lays, as ``(lists, blocks,
-    ids)``, with ``tb`` zipping u_2 with u_4 and v_2 with v_4, which share
-    u_3 and v_3, in place of u_2 with v_2 and u_4 with v_4."""
-    steps, real = [], families._merged
-
-    def noted(built, family, params, blocks, color, degree, new_ids=None):
-        if family == "tb":
-            blocks = [blocks[0], *zip(blocks[1], blocks[2]), *blocks[3:]]
-        steps.append((built[0], blocks, new_ids or [V("m", j + 1) for j in range(len(blocks))]))
-        return real(built, family, params, blocks, color, degree, new_ids)
-
-    monkeypatch.setattr(families, "_merged", noted)
-    return steps
-
-
-@pytest.mark.parametrize(
-    "patch, family, params, later",
-    [
-        (_pt_tb_rims_out_of_order, "tb3", {"n": 8, "r": 3}, MergeWouldCreateParallelEdge),
-        (_pt_tb_rims_out_of_order, "gb", {"n": 8, "r": 3, "s": 3}, MergeWouldCreateParallelEdge),
-        (_pt_tb_blocks_sharing_a_member, "tb1", {"n": 8, "r": 3}, OverlappingBlocks),
-    ],
-    ids=["clash-then-clash-tb3", "clash-then-clash-gb", "clash-then-overlap-tb1"],
-)
-def test_the_earlier_of_two_faulty_merges_of_a_chain_is_named(
-    patch, family, params, later, monkeypatch
-):
-    patch(monkeypatch)
-    steps = _noted_merges_over_a_clashing_tb(monkeypatch)
-    with pytest.raises(InvariantError) as info:
-        build_family(family, **params)
-    first = _kernel_fault(steps)
-    assert first[0] is MergeWouldCreateParallelEdge
-    assert str(info.value) == f"{family}{params}: surgery on its own draft failed: {first[1]}"
-    # the later merge makes a fault of its own, which the kernel names too
-    assert len(steps) == 2
-    second = _kernel_fault(steps[1:])
-    assert second[0] is later and second != first
 
 
 def test_a_tfb_partition_with_a_cell_in_two_fans_builds_and_fails_its_certificate(

@@ -497,6 +497,35 @@ def test_cli_sweep_report_named_manifest_is_usage(tmp_path, capsys):
     assert json.loads(lines[0])["outcome"].startswith("usage error: --report")
 
 
+@pytest.mark.parametrize("family, bounds", [
+    ("fb", ["--max-size", "-5"]),
+    ("gn", ["--gn-max-n", "1"]),
+    ("all", ["--max-size", "1", "--max-n", "1", "--gn-max-n", "1"]),
+], ids=["fb", "gn", "all"])
+def test_cli_sweep_with_no_grid_point_is_usage(tmp_path, family, bounds):
+    # a sweep that certifies nothing has passed nothing
+    assert main(["--out", str(tmp_path), "sweep", "--family", family, *bounds]) == 2
+    (line,) = (tmp_path / "manifest.jsonl").read_text().splitlines()
+    assert json.loads(line)["outcome"] == (
+        f"usage error: the bounds leave the {family} sweep no grid point"
+    )
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["manifest.jsonl"]
+
+
+@pytest.mark.parametrize("argv, output", [
+    (["sweep", "--family", "fb", "--max-size", "5", "--report", "x"], "x"),
+    (["build", "--family", "fb", "--n", "3"], "fb_n3.json"),
+], ids=["sweep-report", "build-document"])
+def test_cli_an_output_that_cannot_be_written_is_usage(tmp_path, capsys, argv, output):
+    (tmp_path / output).mkdir()  # a directory in the output's place
+    assert main(["--out", str(tmp_path), *argv]) == 2
+    prefix = f"usage error: cannot write {tmp_path / output}: "
+    assert prefix in capsys.readouterr().err
+    (line,) = (tmp_path / "manifest.jsonl").read_text().splitlines()
+    entry = json.loads(line)
+    assert entry["outcome"].startswith(prefix) and entry["outputs"] == []
+
+
 def test_cli_solve_and_certify_roundtrip(tmp_path, capsys):
     # emit the one-blade fan via the cells of the k=1 table is overkill here;
     # build a df(1,1), certify it from file, then solve a small subgraph doc

@@ -98,9 +98,9 @@ else:
     sys.exit("the pt build of a corrupted table was not rejected")
 families.table_pt = table_pt
 
-# a merged build names a fault of its merges from their records, with no
-# merge kernel and no assert: scrambled rims clash in tb3, and a member
-# dealt to two blocks overlaps in tb1
+# a merged build's one draft names the fault of its merges, with no merge
+# kernel and no assert: scrambled rims clash in tb3, and a member dealt to
+# two blocks overlaps in tb1
 from antimagic.graph import _Draft
 
 merge, real_deal = _Draft.merge, families._deal
@@ -115,8 +115,7 @@ def shared(rims, r):
     return blocks
 
 for deal, family, fault in [
-    (scrambled, "tb3", "edges u_1-z_0 and u_1-z_2 both become m_1-u_1 "
-     "(two merged vertices share a neighbor)"),
+    (scrambled, "tb3", "two edges join m_1 and u_1 (positions 0 and 1)"),
     (shared, "tb1", "u_1 appears in two blocks"),
 ]:
     families._deal = deal

@@ -151,6 +151,22 @@ def test_invalid_k():
                 maker(flag)
 
 
+@pytest.mark.parametrize(
+    "check, table, message",
+    [
+        (check_m1_observations, table_pt(3), "observations (1)-(6) apply to the m1 table"),
+        (check_m3_observations, table_m1(3), "observations (a)-(c) apply to the m3 table"),
+        (trace_sequences, table_m1(3), "sequences are traced from the pt table"),
+    ],
+    ids=["m1", "m3", "pt"],
+)
+def test_every_table_check_refuses_a_table_of_another_kind_as_misuse(check, table, message):
+    # a usage error, of one class in every check, not a broken invariant
+    with pytest.raises(InvalidK) as info:
+        check(table)
+    assert type(info.value) is InvalidK and str(info.value) == message
+
+
 # --- m1 observations ---------------------------------------------------------
 
 
@@ -270,9 +286,8 @@ def _pt3_swapped(row_a, col_a, row_b, col_b):
         (_pt3_swapped("R1", 4, "R2", 4), "first/last cross-sequence sums are off (A)"),
         (_pt3_swapped("R1", 1, "R1", 2), "positions 2,3 do not sum to 36 (B)"),
         (_pt3_swapped("R3", 1, "R3", 2), "pair 2 + row-3 entry sums to 74, expected 75 (C)"),
-        (table_m1(3), "sequences are traced from the pt table"),
     ],
-    ids=["A", "B", "C", "m1"],
+    ids=["A", "B", "C"],
 )
 def test_sequence_checks_reject_a_corrupted_table(table, message):
     # each swap breaks one property; (A), (B), (C) are checked in that order
