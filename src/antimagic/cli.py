@@ -1,7 +1,9 @@
 """Command-line front end: tables, builds, partitions, sweeps, solving.
 
 Exit codes: 0 all checks passed, 1 an invariant failed, 2 usage error.
-Every run appends one deterministic line to ``<out>/manifest.jsonl``.
+Every run appends one deterministic line to ``<out>/manifest.jsonl``, opened
+before the command runs (if it cannot be, exit 2 with nothing written); its
+``outputs`` names each file the run wrote, in order, even if a later step failed.
 """
 
 from __future__ import annotations
@@ -10,6 +12,7 @@ import argparse
 import hashlib
 import json
 import sys
+from functools import partial
 from pathlib import Path
 
 from . import io
@@ -33,18 +36,18 @@ def _parse_palette(text: str) -> list[int]:
         raise UsageError(f"palette is not 'auto' or comma-separated ints: {text!r}") from None
 
 
-def _write(out_dir: Path, name: str, content: str) -> str:
-    path = out_dir / name
+def _write(out: str, outputs: list[str], name: str, content: str) -> None:
+    path = Path(out) / name
     try:
         path.write_text(content)
     except OSError as exc:
         raise UsageError(f"cannot write {path}: {exc}") from None
-    return str(path)
+    outputs.append(str(path))
 
 
-def cmd_table(args, out_dir: Path) -> tuple[int, str, list[str]]:
+def cmd_table(args, write) -> tuple[int, str]:
     t = make_table(args.kind, args.k)
-    outputs = [_write(out_dir, f"table_{args.kind}_k{args.k}.csv", io.table_to_csv(t))]
+    write(f"table_{args.kind}_k{args.k}.csv", io.table_to_csv(t))
     if args.check:
         if args.kind == "m1":
             report = check_m1_observations(t)
@@ -57,11 +60,9 @@ def cmd_table(args, out_dir: Path) -> tuple[int, str, list[str]]:
         else:
             tr = trace_sequences(t)
             report = {"k": t.k, "s1": list(tr.s1), "s2": list(tr.s2)}
-        outputs.append(
-            _write(out_dir, f"table_{args.kind}_k{args.k}_report.json", io.dumps(report))
-        )
+        write(f"table_{args.kind}_k{args.k}_report.json", io.dumps(report))
         print(f"table {args.kind} k={args.k}: all observations hold")
-    return 0, "pass", outputs
+    return 0, "pass"
 
 
 _BUILD_INTS = ("n", "t", "s", "r", "r1")  # the int options of ``build``, in help order
@@ -88,7 +89,7 @@ def _param_stem(family: str, params: dict) -> str:
     return family + "_" + "_".join(parts)
 
 
-def cmd_build(args, out_dir: Path) -> tuple[int, str, list[str]]:
+def cmd_build(args, write) -> tuple[int, str]:
     params = _build_params(args)
     g, f, inst = build_family(args.family, **params)
     cert = None
@@ -100,24 +101,19 @@ def cmd_build(args, out_dir: Path) -> tuple[int, str, list[str]]:
             f"palette={list(cert.palette)} OK"
         )
     stem = _param_stem(args.family, inst.params)
-    outputs = []
     if args.emit in ("json", "both"):
-        outputs.append(
-            _write(out_dir, stem + ".json", io.dumps(io.graph_to_doc(g, f, inst, cert)))
-        )
+        write(stem + ".json", io.dumps(io.graph_to_doc(g, f, inst, cert)))
     if args.emit in ("dot", "both"):
-        outputs.append(_write(out_dir, stem + ".dot", io.graph_to_dot(g, f)))
-    return 0, ("pass" if args.certify else "built"), outputs
+        write(stem + ".dot", io.graph_to_dot(g, f))
+    return 0, ("pass" if args.certify else "built")
 
 
-def cmd_partition(args, out_dir: Path) -> tuple[int, str, list[str]]:
+def cmd_partition(args, write) -> tuple[int, str]:
     part = partition_ap(args.first, args.step, args.t, args.s)
     csv = io.partition_to_csv(part)
     sys.stdout.write(csv)
-    outputs = [
-        _write(out_dir, f"partition_{args.first}_{args.step}_{args.t}x{args.s}.csv", csv)
-    ]
-    return 0, f"target={part.target}", outputs
+    write(f"partition_{args.first}_{args.step}_{args.t}x{args.s}.csv", csv)
+    return 0, f"target={part.target}"
 
 
 _BOUNDS = tuple(dict.fromkeys(GRID_BOUND.values()))  # the grid bounds, once each
@@ -127,7 +123,7 @@ def _flag(bound: str) -> str:
     return "--" + bound.replace("_", "-")
 
 
-def cmd_sweep(args, out_dir: Path) -> tuple[int, str, list[str]]:
+def cmd_sweep(args, write) -> tuple[int, str]:
     report_name = "sweep_report.json" if args.report is None else args.report
     if Path(report_name).name != report_name or report_name in ("", ".."):
         raise UsageError(f"--report must be a file name inside --out, got {report_name!r}")
@@ -161,16 +157,16 @@ def cmd_sweep(args, out_dir: Path) -> tuple[int, str, list[str]]:
     if not all_records:
         raise UsageError(f"the bounds leave the {args.family} sweep no grid point")
 
-    outputs = [_write(out_dir, report_name, io.dumps({"records": all_records}))]
+    write(report_name, io.dumps({"records": all_records}))
     statuses = {rec["status"] for rec in all_records}
     if "fail" in statuses:
-        return 1, "fail", outputs
+        return 1, "fail"
     if "error" in statuses:
-        return 2, "error", outputs
-    return 0, "pass", outputs
+        return 2, "error"
+    return 0, "pass"
 
 
-def cmd_solve(args, out_dir: Path, doc: dict) -> tuple[int, str, list[str]]:
+def cmd_solve(args, write, doc: dict) -> tuple[int, str]:
     g, f = io.doc_to_graph(doc)
     cfg = SearchConfig(
         max_edges=args.max_edges,
@@ -189,11 +185,11 @@ def cmd_solve(args, out_dir: Path, doc: dict) -> tuple[int, str, list[str]]:
         f"floor {result.floor} by {result.floor_rule}, {result.passes} passes, "
         f"prunes {prunes}, {result.elapsed:.3f} s, {rate:.0f} nodes/s)"
     )
-    outputs = [_write(out_dir, Path(args.input).stem + "_solve.json", io.dumps(summary))]
-    return (2 if result.status == "infeasible_size" else 0), result.status, outputs
+    write(Path(args.input).stem + "_solve.json", io.dumps(summary))
+    return (2 if result.status == "infeasible_size" else 0), result.status
 
 
-def cmd_certify(args, out_dir: Path, doc: dict) -> tuple[int, str, list[str]]:
+def cmd_certify(args, write, doc: dict) -> tuple[int, str]:
     g, f = io.doc_to_graph(doc)
     expected = None
     if args.expect_palette == "auto":
@@ -211,14 +207,8 @@ def cmd_certify(args, out_dir: Path, doc: dict) -> tuple[int, str, list[str]]:
         f"bijective={cert.is_bijective} local_antimagic={cert.is_local_antimagic} "
         f"colors={cert.color_count} palette={list(cert.palette)}"
     )
-    outputs = [
-        _write(
-            out_dir,
-            Path(args.input).stem + "_certificate.json",
-            io.dumps(io.certificate_to_doc(cert)),
-        )
-    ]
-    return (0 if ok else 1), ("pass" if ok else "fail"), outputs
+    write(Path(args.input).stem + "_certificate.json", io.dumps(io.certificate_to_doc(cert)))
+    return (0 if ok else 1), ("pass" if ok else "fail")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -292,28 +282,31 @@ _HANDLERS = {
 }
 
 
-def _usable_out(out: str) -> bool:
-    """Create the ``--out`` directory; a path that cannot be one is a usage
-    error, reported here since no manifest line can be written there."""
+def _usable_out(out: str):
+    """Make ``--out`` and open its manifest for append; None after a usage error."""
     try:
         Path(out).mkdir(parents=True, exist_ok=True)
+        return (Path(out) / "manifest.jsonl").open("a")
     except OSError as exc:
-        print(f"usage error: --out {out} cannot be a directory: {exc}", file=sys.stderr)
-        return False
-    return True
+        print(f"usage error: --out {out} cannot hold the run manifest: {exc}", file=sys.stderr)
+        return None
 
 
 def main(argv: list[str] | None = None) -> int:
-    # argparse fills ``args`` as it parses, so an ``--out`` given before a
-    # parse error is honoured; otherwise it still holds the default.  Until
-    # the parse succeeds, the manifest records the raw argv
+    # argparse fills ``args`` as it parses: an ``--out`` given before a parse error
+    # is honoured, and until the parse succeeds the manifest records the raw argv
     args = argparse.Namespace()
     parameters = {"argv": list(sys.argv[1:] if argv is None else argv)}
-    parsed, input_hashes, docs, outputs = False, {}, [], []
+    parse_error, input_hashes, docs, outputs = None, {}, [], []
     try:
         make_parser().parse_args(argv, namespace=args)
-        parsed = True
-        if not _usable_out(args.out):
+    except UsageError as exc:
+        parse_error = exc
+    manifest = _usable_out(args.out)
+    try:
+        if parse_error is not None:
+            raise parse_error
+        if manifest is None:
             return 2
         parameters = {k: v for k, v in vars(args).items() if k != "command"}
         if getattr(args, "input", None) is not None:
@@ -327,18 +320,20 @@ def main(argv: list[str] | None = None) -> int:
                 docs.append(json.loads(data.decode()))
             except (ValueError, RecursionError) as exc:  # json.loads recurses per nesting
                 raise UsageError(f"{args.input} is not a JSON document: {exc}") from None
-        code, outcome, outputs = _HANDLERS[args.command](args, Path(args.out), *docs)
+        code, outcome = _HANDLERS[args.command](args, partial(_write, args.out, outputs), *docs)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         code, outcome = 2, f"usage error: {exc}"
     except InvariantError as exc:
         print(f"invariant failure: {exc}", file=sys.stderr)
         code, outcome = 1, f"invariant failure: {exc}"
+    except BaseException:  # past the checks above, so the manifest is open
+        manifest.close()
+        raise
 
-    # a parsed run checked its --out before it ran; a parse error checks it now
-    if parsed or _usable_out(args.out):
-        io.append_manifest(args.out, args.command, parameters, input_hashes, outcome, outputs)
-    if not parsed:
+    if manifest is not None:
+        io.append_manifest(manifest, args.command, parameters, input_hashes, outcome, outputs)
+    if parse_error is not None:
         raise SystemExit(2)
     return code
 

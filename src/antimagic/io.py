@@ -12,7 +12,6 @@ import json
 import math
 from itertools import chain, repeat
 from operator import itemgetter
-from pathlib import Path
 
 from . import __version__
 from .errors import GraphSurgeryError, UsageError
@@ -297,15 +296,14 @@ def labeling_to_doc(g: Graph, f: EdgeLabeling) -> dict:
 
 
 def append_manifest(
-    out_dir: str | Path,
+    manifest,
     command: str,
     parameters: dict,
     input_hashes: dict[str, str],
     outcome: str,
     outputs: list[str],
 ) -> None:
-    """Append one deterministic JSON line to the run manifest in ``out_dir``, which exists."""
-    manifest = Path(out_dir) / "manifest.jsonl"
+    """Write one deterministic JSON line to the run manifest, open for append, and close it."""
     entry = {
         "command": command,
         "parameters": _jsonable(parameters),
@@ -314,5 +312,5 @@ def append_manifest(
         "outcome": outcome,
         "outputs": outputs,
     }
-    with manifest.open("a") as fh:
-        fh.write(json.dumps(entry, sort_keys=True) + "\n")
+    with manifest:
+        manifest.write(json.dumps(entry, sort_keys=True) + "\n")

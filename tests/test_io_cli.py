@@ -526,6 +526,24 @@ def test_cli_an_output_that_cannot_be_written_is_usage(tmp_path, capsys, argv, o
     assert entry["outcome"].startswith(prefix) and entry["outputs"] == []
 
 
+@pytest.mark.parametrize("argv, written, failed", [
+    (["build", "--family", "fb", "--n", "3", "--emit", "both"], "fb_n3.json", "fb_n3.dot"),
+    (["table", "--kind", "m1", "--k", "2", "--check"],
+     "table_m1_k2.csv", "table_m1_k2_report.json"),
+], ids=["build-dot", "table-report"])
+def test_cli_a_failed_write_leaves_the_earlier_outputs_named(tmp_path, argv, written, failed):
+    (tmp_path / failed).mkdir()  # a directory in the second output's place
+    assert main(["--out", str(tmp_path), *argv]) == 2
+    (line,) = (tmp_path / "manifest.jsonl").read_text().splitlines()
+    entry = json.loads(line)
+    assert entry["outcome"].startswith(f"usage error: cannot write {tmp_path / failed}: ")
+    # the manifest names the file the run wrote before the failure
+    assert entry["outputs"] == [str(tmp_path / written)]
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+        [failed, written, "manifest.jsonl"]
+    )
+
+
 def test_cli_solve_and_certify_roundtrip(tmp_path, capsys):
     # emit the one-blade fan via the cells of the k=1 table is overkill here;
     # build a df(1,1), certify it from file, then solve a small subgraph doc
@@ -1123,10 +1141,13 @@ def test_cli_build_gb_over_gn_with_a_rim_of_1_mod_r_certifies(tmp_path):
     ["--out", "afile", "table", "--kind", "m1", "--k", "1"],
     ["--out", "afile", "--bogus"],
     ["--out", "afile/sub", "table", "--kind", "m1", "--k", "1"],
+    # a manifest that cannot be opened stops the run before it writes anything
+    ["--out", "held", "build", "--family", "fb", "--n", "3"],
 ])
 def test_cli_out_that_cannot_be_a_directory_exits_2(tmp_path, monkeypatch, capsys, argv):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "afile").write_text("")
+    (tmp_path / "held" / "manifest.jsonl").mkdir(parents=True)
     try:
         code = main(argv)
     except SystemExit as exc:
@@ -1135,7 +1156,9 @@ def test_cli_out_that_cannot_be_a_directory_exits_2(tmp_path, monkeypatch, capsy
     assert "usage error: --out" in capsys.readouterr().err
     # the manifest has nowhere to go, and nothing else was written
     assert (tmp_path / "afile").read_text() == ""
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["afile"]
+    assert sorted(p.relative_to(tmp_path).as_posix() for p in tmp_path.rglob("*")) == [
+        "afile", "held", "held/manifest.jsonl",
+    ]
 
 
 def test_cli_missing_input_writes_a_manifest_line(tmp_path):
@@ -1412,7 +1435,10 @@ def test_cli_any_argv_exits_0_1_or_2_with_one_manifest_line(argv):
         except SystemExit as exc:
             code = exc.code
         assert code in (0, 1, 2)
-        assert len((Path(out) / "manifest.jsonl").read_text().splitlines()) == 1
+        (line,) = (Path(out) / "manifest.jsonl").read_text().splitlines()
+        # the line names exactly the files the run wrote
+        written = [str(p) for p in Path(out).iterdir() if p.name != "manifest.jsonl"]
+        assert sorted(json.loads(line)["outputs"]) == sorted(written)
 
 
 def test_cli_sweep_exit_codes(tmp_path, monkeypatch, capsys):
