@@ -327,8 +327,9 @@ def main(argv: list[str] | None = None) -> int:
     except InvariantError as exc:
         print(f"invariant failure: {exc}", file=sys.stderr)
         code, outcome = 1, f"invariant failure: {exc}"
-    except BaseException:  # past the checks above, so the manifest is open
-        manifest.close()
+    except BaseException as exc:  # past the checks above, so the manifest is open
+        outcome = f"internal error: {type(exc).__name__}: {exc}"
+        io.append_manifest(manifest, args.command, parameters, input_hashes, outcome, outputs)
         raise
 
     if manifest is not None:

@@ -89,10 +89,6 @@ class InvalidParams(UsageError):
     pass
 
 
-class PaletteCollision(UsageError):
-    """Parameters at k = 2 (mod 4), which fb1 and df1 exclude; none of their colors meet there."""
-
-
 class NoValidPartition(UsageError):
     pass
 

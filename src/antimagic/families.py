@@ -35,7 +35,6 @@ from .errors import (
     InvariantError,
     NoValidPartition,
     OverlappingBlocks,
-    PaletteCollision,
     UsageError,
 )
 from .graph import EdgeLabeling, Graph, V, VertexId, _Draft, certify, induce_coloring
@@ -247,21 +246,13 @@ def _fan_class(variant: int, k: int) -> tuple[tuple[str, ...], int, int]:
     return (("u", "v"), 10 * k + 6, 2) if variant == 1 else (("w",), 9 * k + 6, 3)
 
 
-def _refuse_k_2_mod_4(family: str, k: int) -> None:
-    """Refuse k = 2 (mod 4), which fb1 and df1 exclude, though no two of their colors meet."""
-    if k % 4 == 2:
-        raise PaletteCollision(f"{family} excludes k = 2 (mod 4), got k = {k}")
-
-
 def _fb_merged(variant: int, r: int, s: int) -> tuple[Lists, FamilyInstance, range]:
     """Merge the degree-2 rim vertices (variant 1) or the degree-3 path
     centers (variant 2) across the t = r fan components."""
     if r < 3 or s < 3 or r % 2 == 0 or s % 2 == 0:
         raise InvalidFactorization(f"need odd r, s >= 3, got r={r}, s={s}")
-    k = (r * s - 1) // 2
-    if variant == 1:
-        _refuse_k_2_mod_4("fb1", k)
     d, base, comp_cols = _tfb(r, s)
+    k = base.params["k"]
     roles, color, degree = _fan_class(variant, k)
     # block (j, role) takes the j-th cell of every fan component
     rows = list(zip(*comp_cols))
@@ -281,10 +272,8 @@ def _df_merged(variant: int, r: int, s: int) -> tuple[Lists, FamilyInstance, ran
     """
     if s < 3 or s % 2 == 0:
         raise InvalidParams(f"variant {variant} needs odd s >= 3, got s={s}")
-    k = ((2 * r + 1) * s - 1) // 2
-    if variant == 1:
-        _refuse_k_2_mod_4("df1", k)
     d, base, _ = _df(r, s)
+    k = base.params["k"]
 
     # one column of cells for the fan (block r+1), one for each hub side of
     # each diamond (blocks j and 2r+2-j, which start at cells (j-1)s+1 and
@@ -730,7 +719,8 @@ GRID_BOUND = {
 _BOUND_DEFAULT = {"max_size": 199, "max_n": 200, "gn_max_n": 60}
 
 # the grids of t fans of s blades, s odd: the parameter, whether t = 2r + 1
-# hubs (the diamond fans), the least s, and whether k = 2 (mod 4) is excluded
+# hubs (the diamond fans), the least s, and whether the grid skips k = 2 (mod 4),
+# a carve-out of the grid's alone: fb1 and df1 build at every odd 2k+1
 _FAN_GRIDS = {
     "tfb": ("t", False, 3, False), "fb1": ("r", False, 3, True), "fb2": ("r", False, 3, False),
     "df": ("r", True, 1, False), "df1": ("r", True, 3, True), "df2": ("r", True, 3, False),
@@ -742,8 +732,8 @@ def family_grid(family: str, bound: int | None = None) -> list[tuple[dict, str |
     ``GRID_BOUND[family]`` names, or up to that bound's default when None.
 
     Returns (params, excluded_reason) pairs; excluded entries are the
-    combinations the statements explicitly carve out (k = 2 mod 4 for the
-    degree-2 class merges) and should be reported as skipped, not failed.
+    points the grid alone carves out (k = 2 mod 4 for the degree-2 class
+    merges, which build there too) and are reported as skipped, not failed.
     """
     if family not in GRID_BOUND:
         raise InvalidParams(f"unknown family {family!r}")

@@ -25,7 +25,6 @@ from antimagic.errors import (
     MergeWouldCreateLoop,
     MergeWouldCreateParallelEdge,
     NoValidPartition,
-    PaletteCollision,
 )
 from antimagic.families import (
     build_family,
@@ -213,6 +212,34 @@ def test_df_merged_palettes():
     assert cert.palette == (42, 46, 288)
 
 
+def test_fb1_and_df1_build_at_k_2_mod_4():
+    # t = 3 fans of s = 7 blades, so k = 10: fb1 merges the rim vertices of
+    # tfb(3, 7), df1 those of df(1, 7); 2s rim blocks of t members each
+    for family, params in (("fb1", {"r": 3, "s": 7}), ("df1", {"r": 1, "s": 7})):
+        _, _, inst, cert = built_ok(family, **params)
+        assert inst.params["k"] == 10
+        assert cert.palette == (96, 318, 1554)  # 9k+6, t(10k+6), s(21k+12)
+        census = {d: count for d, (count, _) in cert.degree_census.items()}
+        assert census == {3: 21, 21: 3, 6: 14}  # ts centers, t hubs, 2s rim blocks
+
+
+def test_fb1_and_df1_certify_every_point_their_grid_excludes():
+    # the default grid skips k = 2 (mod 4); the builders do not
+    def skipped(bound):
+        return [
+            (family, params)
+            for family in ("fb1", "df1")
+            for params, excluded in family_grid(family, bound)
+            if excluded is not None
+        ]
+
+    points = skipped(None)
+    assert len(points) == 72
+    for family, params in points + skipped(999)[::16]:
+        _, _, inst, _ = built_ok(family, **params)
+        assert inst.params["k"] % 4 == 2, (family, params)
+
+
 @pytest.mark.parametrize(
     "params",
     [{"r": 4, "s": 999, "r1": 2}, {"r": 0, "s": 1, "r1": 3}, {"r": 3, "s": 1, "r1": 3}],
@@ -251,13 +278,11 @@ def test_df3_checks_r1_before_it_builds_its_base(params, monkeypatch):
      "need odd r >= 3 with odd block size (n+1)/r >= 3, got r=7, n=6"),
     ("tb3", {"n": 4, "r": 5}, NoValidPartition,  # n < 8
      "need odd r >= 3 with odd block size (n+1)/r >= 3, got r=5, n=4"),
-    ("df1", {"r": 1, "s": 7}, PaletteCollision, "df1 excludes k = 2 (mod 4), got k = 10"),
     ("df2", {"r": 1, "s": 4}, InvalidParams, "variant 2 needs odd s >= 3, got s=4"),
-    ("fb1", {"r": 3, "s": 7}, PaletteCollision, "fb1 excludes k = 2 (mod 4), got k = 10"),
     ("fb2", {"r": 2, "s": 5}, InvalidFactorization, "need odd r, s >= 3, got r=2, s=5"),
     ("fb2", {"r": 3, "s": 1}, InvalidFactorization, "need odd r, s >= 3, got r=3, s=1"),
-], ids=["pt1", "pt2", "pt3", "pt1-odd-n", "tb1", "tb2", "tb3", "tb3-prime", "tb3-small-n", "df1",
-        "df2-even-s", "fb1", "fb2-even-r", "fb2-unit-s"])
+], ids=["pt1", "pt2", "pt3", "pt1-odd-n", "tb1", "tb2", "tb3", "tb3-prime", "tb3-small-n",
+        "df2-even-s", "fb2-even-r", "fb2-unit-s"])
 def test_merged_builders_refuse_before_they_build_their_base(
     family, params, error, message, monkeypatch
 ):

@@ -20,7 +20,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from antimagic import errors, families, graph, io, tables
+from antimagic import cli, errors, families, graph, io, tables
 from antimagic.cli import main, make_parser
 from antimagic.errors import InvalidParity, InvariantError, UsageError
 from antimagic.families import build_family
@@ -542,6 +542,23 @@ def test_cli_a_failed_write_leaves_the_earlier_outputs_named(tmp_path, argv, wri
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
         [failed, written, "manifest.jsonl"]
     )
+
+
+def test_cli_an_internal_error_writes_its_manifest_line_and_raises(tmp_path, monkeypatch):
+    def broken(args, write):
+        write("first.txt", "x\n")
+        raise RuntimeError("broken handler")
+
+    # neither a usage error nor an invariant failure: the run's line names
+    # the error and the file written before it, and the error goes on up
+    monkeypatch.setitem(cli._HANDLERS, "table", broken)
+    with pytest.raises(RuntimeError, match="broken handler"):
+        main(["--out", str(tmp_path), "table", "--kind", "m1", "--k", "2"])
+    (line,) = (tmp_path / "manifest.jsonl").read_text().splitlines()
+    entry = json.loads(line)
+    assert entry["command"] == "table"
+    assert entry["outcome"] == "internal error: RuntimeError: broken handler"
+    assert entry["outputs"] == [str(tmp_path / "first.txt")]
 
 
 def test_cli_solve_and_certify_roundtrip(tmp_path, capsys):

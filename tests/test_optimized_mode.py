@@ -24,6 +24,10 @@ for family in FAMILY_TAGS:
         if excluded is None:
             verify_instance(*build_family(family, **params))
 
+# k = 2 (mod 4), which the grid skips, certifies too
+verify_instance(*build_family("fb1", r=3, s=7))
+verify_instance(*build_family("df1", r=1, s=7))
+
 # a corrupted partition is caught by the certificate, not by an assert
 real = partition._position_blocks
 

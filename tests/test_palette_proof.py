@@ -25,10 +25,10 @@ and c(21k+12), each base color scaled by the blocks merged into one vertex:
     modulo t, t | 3s.  So t is s/3, s or 3s, which give 27t^3 + 3t = 189t^3
     + 9t, 9s^3 + 3s = 21s^3 + 3s and 81s^3 + 9s = 63s^3 + 3s: no root.
 
-  So the k = 2 (mod 4) that ``fb1`` and ``df1`` exclude has distinct colors
-  too.  The forms below are stated here from the parameters alone; the
-  exhaustive check runs over odd t, s < 400 and even n <= 2,000, and the
-  last test ties them to the builders' claims.
+  So k = 2 (mod 4) has distinct colors too.  The forms below are stated
+  here from the parameters alone; the exhaustive check runs over odd t,
+  s < 400 and even n <= 2,000, and the last test ties them to the
+  builders' claims.
 """
 
 import pytest
