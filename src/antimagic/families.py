@@ -6,13 +6,15 @@ palette and the expected degree census.  :func:`build_family` alone finishes
 the lists, into ``(graph, labeling, instance)``.  The builders perform the
 constructions exactly, all in index space, with labels read off the rows of
 one of the three matrices, into plain lists.  The bases ``fb``, ``tfb``,
-``df`` and ``np3o3`` lay each labeled cell straight onto the hubs it shares,
-and ``pt`` lays its rails and rungs.  Every other family lays blocks of a
-base's vertices on merged vertices through ``_merged``, and ``gn`` swaps
-rail edges between pairs of a bracelet's hubs: both only rewrite edge ends,
-so labels stay with their edges.  One draft and one graph are made per
-build, and a builder takes only parameters its instance records: ``gb``
-reads its base off ``indices``.
+``df`` and ``np3o3`` lay each labeled cell straight onto the hubs it shares
+through the one cell builder, :func:`_join_cells`, which reads m off its
+joins and each join's rows off the table by position, and ``pt`` lays its
+rails and rungs.  Every other family lays blocks of a base's vertices on
+merged vertices through ``_merged``, and ``gn`` swaps rail edges between
+pairs of a bracelet's hubs: both only rewrite edge ends, so labels stay
+with their edges.  One draft and one graph are made per build, and a
+builder takes only parameters its instance records: ``gb`` reads its base
+off ``indices``.
 
 Correctness authority is the certificate, not the construction: every
 builder's output is expected to pass :func:`antimagic.graph.certify` with
@@ -39,7 +41,7 @@ from .errors import (
 )
 from .graph import EdgeLabeling, Graph, V, VertexId, _Draft, certify, induce_coloring
 from .partition import _position_blocks
-from .tables import _odd_factorizations, _sequences, table_m1, table_m3, table_pt
+from .tables import LabelTable, _odd_factorizations, _sequences, table_m1, table_m3, table_pt
 
 
 class FamilyInstance(NamedTuple):
@@ -140,31 +142,48 @@ def _finish(lists: Lists) -> tuple[Graph, EdgeLabeling]:
 
 
 # ---------------------------------------------------------------------------
-# m = 1 families: fans and diamond fans
+# Cells joined to m hubs, and the m = 1 families: fans and diamond fans
 # ---------------------------------------------------------------------------
 
 
 def _fan_at(role: str, i: int, k: int) -> int:
-    """The index of ``role``_i in :func:`_fan_cells`: a run of 2k+1 per role."""
+    """The index of ``role``_i in :func:`_join_cells`: a run of 2k+1 per role."""
     return "uvw".index(role) * (2 * k + 1) + i - 1
 
 
-def _fan_cells(
-    k: int, hubs: Sequence[VertexId], w_hub: Sequence[int], uv_hub: Sequence[int]
+def _join_cells(
+    table: LabelTable,
+    hubs: Sequence[VertexId],
+    joins: Sequence[tuple[Sequence[int], Sequence[int]]],
 ) -> Lists:
-    """2k+1 fan cells labeled column-wise and laid on their hubs: cell i is
-    the P3 u_i w_i v_i, with w_i joined to ``hubs[w_hub[i-1]]`` and u_i, v_i
-    to ``hubs[uv_hub[i-1]]``.  The u, v, w runs come first, then the hubs."""
-    n = 2 * k + 1
+    """2k+1 cells labeled column-wise and laid on their hubs: cell i is the
+    P3 u_i w_i v_i, and in join j w_i is joined to ``hubs[w_hub[i-1]]`` and
+    u_i, v_i to ``hubs[uv_hub[i-1]]``, for ``(w_hub, uv_hub) = joins[j]``.
+
+    With m joins the table's rows are read by position: the two path rows
+    label u-w and v-w, and join j's hub-w, hub-u and hub-v edges carry rows
+    2+j, 2+m+j and 2+2m+j (its C, L and R rows).  The u, v, w runs come
+    first, then the hubs; the path edges first, then each join's in turn.
+    """
+    n, m, rows = table.columns, len(joins), [*table.rows.values()]
     u, v, w = (range(j * n, (j + 1) * n) for j in range(3))
-    xw, xuv = list(map((3 * n).__add__, w_hub)), list(map((3 * n).__add__, uv_hub))
-    rows = table_m1(k).rows
+    a, b, labels = [*u, *v], [*w, *w], [*rows[0], *rows[1]]
+    for j, (w_hub, uv_hub) in enumerate(joins):
+        xw, xuv = list(map((3 * n).__add__, w_hub)), list(map((3 * n).__add__, uv_hub))
+        a += [*xw, *xuv, *xuv]
+        b += [*w, *u, *v]
+        labels += [*rows[2 + j], *rows[2 + m + j], *rows[2 + 2 * m + j]]
     return (
         [*chain.from_iterable(_vertices(role, range(1, n + 1)) for role in "uvw"), *hubs],
-        [*u, *v, *xw, *xuv, *xuv],
-        [*w, *w, *w, *u, *v],
-        [*rows["uw"], *rows["vw"], *rows["xw"], *rows["xu"], *rows["xv"]],
+        a, b, labels,
     )
+
+
+def _join_census(m: int, cells: int, hubs: int) -> dict[int, int]:
+    """The degree census of ``cells`` cells joined to m hubs, spread evenly
+    over ``hubs`` hubs: u and v have degree m+1, w has m+2, and each hub
+    takes 3m*cells/hubs edges.  A closed form, never read off the lists."""
+    return _census((m + 1, 2 * cells), (m + 2, cells), (3 * m * cells // hubs, hubs))
 
 
 def _fb(n: int) -> Built:
@@ -175,13 +194,9 @@ def _fb(n: int) -> Built:
         raise InvalidParity(f"fan builder needs odd n >= 3, got {n}")
     k = (n - 1) // 2
     hub = [0] * n
-    d = _fan_cells(k, [V("x")], hub, hub)
+    d = _join_cells(table_m1(k), [V("x")], [(hub, hub)])
     palette = _palette(9 * k + 6, 10 * k + 6, (7 * k + 4) * (6 * k + 3))
-    inst = FamilyInstance(
-        "fb", {"n": n, "k": k}, palette,
-        _census((2, 2 * n), (3, n), (3 * n, 1)),
-    )
-    return d, inst
+    return d, FamilyInstance("fb", {"n": n, "k": k}, palette, _join_census(1, n, 1))
 
 
 def _tfb(t: int, s: int) -> tuple[Lists, FamilyInstance, list[list[int]]]:
@@ -199,12 +214,11 @@ def _tfb(t: int, s: int) -> tuple[Lists, FamilyInstance, list[list[int]]]:
     for a, cols in enumerate(columns):
         for c in cols:
             hub[c - 1] = a
-    d = _fan_cells(k, [V("y", a) for a in range(1, t + 1)], hub, hub)
+    d = _join_cells(table_m1(k), [V("y", a) for a in range(1, t + 1)], [(hub, hub)])
 
     palette = _palette(9 * k + 6, 10 * k + 6, s * (21 * k + 12))
     inst = FamilyInstance(
-        "tfb", {"t": t, "s": s, "k": k}, palette,
-        _census((2, 2 * t * s), (3, t * s), (3 * s, t)),
+        "tfb", {"t": t, "s": s, "k": k}, palette, _join_census(1, t * s, t),
         expected_component_orders=tuple([3 * s + 1] * t),
     )
     return d, inst, columns
@@ -229,12 +243,11 @@ def _df(r: int, s: int) -> tuple[Lists, FamilyInstance, range]:
         return list(chain.from_iterable(repeat(h, s) for h in (*near, 0, *reversed(far))))
 
     hubs = [V("x"), *(V(role, j) for j in range(1, r + 1) for role in "yz")]
-    d = _fan_cells(k, hubs, by_block(ys, zs), by_block(zs, ys))
+    d = _join_cells(table_m1(k), hubs, [(by_block(ys, zs), by_block(zs, ys))])
 
     palette = _palette(10 * k + 6, 9 * k + 6, s * (21 * k + 12))
     inst = FamilyInstance(
-        "df", {"r": r, "s": s, "k": k}, palette,
-        _census((2, (4 * r + 2) * s), (3, (2 * r + 1) * s), (3 * s, 2 * r + 1)),
+        "df", {"r": r, "s": s, "k": k}, palette, _join_census(1, m, 2 * r + 1),
         expected_component_orders=tuple(sorted([6 * s + 2] * r + [3 * s + 1])),
     )
     return d, inst, range(3 * m, 3 * m + 2 * r + 1)
@@ -533,31 +546,14 @@ def _gb(
 
 def _np3_o3(n: int) -> Built:
     """n paths P3 joined to three independent hubs x_1, x_2, x_3, labeled by
-    the 11-row matrix."""
+    the 11-row matrix: the cells of :func:`_join_cells`, each join on one hub."""
     if n < 3 or n % 2 == 0:
         raise InvalidParity(f"need odd n >= 3, got {n}")
     k = (n - 1) // 2
-    rows = table_m3(k).rows
-
-    # a run of n indices for each of u, v, w, then x_1, x_2, x_3
-    u, v, w = (range(j * n, (j + 1) * n) for j in range(3))
-    ends_a, ends_b, labels = [*u, *v], [*w, *w], [*rows["L"], *rows["R"]]
-    for a in (1, 2, 3):
-        ends_a += [*w, *u, *v]
-        ends_b += [3 * n + a - 1] * (3 * n)
-        labels += [*rows[f"C{a}"], *rows[f"L{a}"], *rows[f"R{a}"]]
-    d = (
-        [*chain.from_iterable(_vertices(role, range(1, n + 1)) for role in "uvw"),
-         V("x", 1), V("x", 2), V("x", 3)],
-        ends_a, ends_b, labels,
-    )
-
+    hubs = [V("x", a) for a in (1, 2, 3)]
+    d = _join_cells(table_m3(k), hubs, [([a] * n, [a] * n) for a in range(3)])
     palette = _palette(25 * k + 15, 50 * k + 27, (2 * k + 1) * (39 * k + 21))
-    inst = FamilyInstance(
-        "np3o3", {"n": n, "k": k}, palette,
-        _census((4, 2 * n), (5, n), (3 * n, 3)),
-    )
-    return d, inst
+    return d, FamilyInstance("np3o3", {"n": n, "k": k}, palette, _join_census(3, n, 3))
 
 
 # ---------------------------------------------------------------------------

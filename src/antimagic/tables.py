@@ -7,7 +7,8 @@ Three integer matrices drive every construction in this package:
 * ``pt`` -- 5 x (2k+1), also bijective on [1, 10k+5]; rows R1..R5 feed the
   peanut/bracelet constructions through two traced sequences S1 and S2.
 * ``m3`` -- 11 x (2k+1) bijective on [1, 22k+11] for the triple-hub join
-  families.
+  families.  The join tables ``m1`` and ``m3`` order their rows as the cell
+  builder reads them: two path rows, then m C, m L and m R rows (m = 1, 3).
 
 Each row is stated once, in ``_PIECES``, as one or two pieces (c0, c1, d),
 the entry c0 + c1*k + d*i in column i: the first piece on columns 1..k+1,

@@ -4,8 +4,8 @@ kernel: a reference for the builders that lay their cells on their hubs, for
 its blocks on their merged vertices.
 
 Each fan-cell reference labels 2k+1 cells with private hubs x_1 .. x_(2k+1)
-(np3o3: one run x_i_a per hub a), then merges the hubs as the surgery
-construction did, after splitting the outer hubs in ``df``.  The ``gn``
+(np3o3: one run x_i_a per hub a, :func:`np3o3_cells`), then merges the hubs
+as the surgery construction did, after splitting the outer hubs in ``df``.  The ``gn``
 reference splits two hubs of the bracelet per index and re-merges the halves
 crosswise.  :func:`merged` and :func:`tb` are ``_merged`` and ``_tb`` as
 they were when every merge ran :meth:`_Draft.merge`.  Each returns what its
@@ -100,9 +100,11 @@ def df(r, s):
     return handed(d), inst, hubs
 
 
-def np3o3(n):
-    _, inst = BUILDERS["np3o3"](n)
-    k = (n - 1) // 2
+def np3o3_cells(k):
+    """2k+1 P3 cells, each joined to its own three hubs x_i_1, x_i_2, x_i_3
+    (one run x_i_a per hub a), labeled column-wise by the 11-row matrix, with
+    w, u, v at end a of each hub edge."""
+    n = 2 * k + 1
     rows = table_m3(k).rows
     u, v, w, *x = (range(j * n, (j + 1) * n) for j in range(6))
     ends_a, ends_b, labels = [*u, *v], [*w, *w], [*rows["L"], *rows["R"]]
@@ -110,12 +112,17 @@ def np3o3(n):
         ends_a += [*w, *u, *v]
         ends_b += [*xa, *xa, *xa]
         labels += [*rows[f"C{a}"], *rows[f"L{a}"], *rows[f"R{a}"]]
-    d = _Draft(
+    return _Draft(
         [*chain.from_iterable(_vertices(role, range(1, n + 1)) for role in "uvw"),
          *chain.from_iterable(_vertices("x", range(1, n + 1), repeat(a)) for a in (1, 2, 3))],
         ends_a, ends_b, labels,
     )
-    d.merge(x, [V("x", a) for a in (1, 2, 3)])
+
+
+def np3o3(n):
+    _, inst = BUILDERS["np3o3"](n)
+    d = np3o3_cells((n - 1) // 2)
+    d.merge([range(j * n, (j + 1) * n) for j in (3, 4, 5)], [V("x", a) for a in (1, 2, 3)])
     return handed(d), inst
 
 

@@ -18,7 +18,7 @@ from antimagic.families import (
     build_family,
     valid_gn_index_lists,
     verify_instance,
-    _fan_cells,
+    _join_cells,
 )
 from antimagic.graph import (
     EdgeLabeling,
@@ -175,7 +175,8 @@ def test_criterion_4_golden_value_spot_checks():
         74, 83, 89, 68, 73, 84, 88, 69, 72, 85, 87, 70, 71, 86,
     ]
 
-    g9, f9 = _Draft(*_fan_cells(4, [V("x", i) for i in range(1, 10)], range(9), range(9))).finish()
+    nine = _join_cells(table_m1(4), [V("x", i) for i in range(1, 10)], [(range(9), range(9))])
+    g9, f9 = _Draft(*nine).finish()
     blocks = [
         {V("x", 1), V("x", 5), V("x", 9)},
         {V("x", 3), V("x", 4), V("x", 8)},

@@ -888,15 +888,15 @@ def _pt_tb_rims_out_of_order(monkeypatch):
     monkeypatch.setattr(families, "_deal", lambda rims, r: real(list(map(_scrambled, rims)), r))
 
 
-def _fan_cells_with_a_parallel_edge(monkeypatch):
-    """Fan cells with edge 0 laid twice, which only the finish sees."""
-    real = families._fan_cells
+def _join_cells_with_a_parallel_edge(monkeypatch):
+    """Joined cells with edge 0 laid twice, which only the finish sees."""
+    real = families._join_cells
 
     def doubled(*args):
         names, a, b, labels = real(*args)
         return names, [*a, a[0]], [*b, b[0]], [*labels, len(labels) + 1]
 
-    monkeypatch.setattr(families, "_fan_cells", doubled)
+    monkeypatch.setattr(families, "_join_cells", doubled)
 
 
 SURGERY_FAULTS = [
@@ -910,10 +910,15 @@ SURGERY_FAULTS = [
         _pt_tb_rims_out_of_order, "tb3", {"n": 8, "r": 3},
         "two edges join m_1 and u_1 (positions 0 and 1)", id="merged-clash",
     ),
-    # the finish of the draft
+    # the finish of the draft, of an m = 1 and of an m = 3 join: np3o3 lays
+    # its cells through the one cell builder, as fb does
     pytest.param(
-        _fan_cells_with_a_parallel_edge, "fb", {"n": 5},
+        _join_cells_with_a_parallel_edge, "fb", {"n": 5},
         "two edges join u_1 and w_1 (positions 0 and 25)", id="finish",
+    ),
+    pytest.param(
+        _join_cells_with_a_parallel_edge, "np3o3", {"n": 3},
+        "two edges join u_1 and w_1 (positions 0 and 33)", id="finish-np3o3",
     ),
 ]
 

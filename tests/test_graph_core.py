@@ -33,7 +33,7 @@ from antimagic.errors import (
     UnknownVertex,
     UsageError,
 )
-from antimagic.families import _fan_cells, build_family, verify_instance
+from antimagic.families import _join_cells, build_family, verify_instance
 from antimagic.graph import (
     EdgeLabeling,
     Graph,
@@ -48,6 +48,7 @@ from antimagic.graph import (
     split_vertices,
 )
 from antimagic.solver import SearchConfig, solve_chi_la
+from antimagic.tables import table_m1
 
 
 def path3():
@@ -258,7 +259,8 @@ def test_a_certified_written_graph_keeps_flat_columns_only():
 def _disjoint_cells(k):
     """The draft of 2k+1 fan cells, cell i on its own hub x_i."""
     n = 2 * k + 1
-    return _Draft(*_fan_cells(k, [V("x", i) for i in range(1, n + 1)], range(n), range(n)))
+    hubs = [V("x", i) for i in range(1, n + 1)]
+    return _Draft(*_join_cells(table_m1(k), hubs, [(range(n), range(n))]))
 
 
 def test_merge_nine_cells_into_one_fan():

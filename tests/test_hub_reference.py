@@ -9,10 +9,11 @@ distinct base of its surgery side once."""
 
 import pytest
 
-from antimagic.families import _fan_cells, build_family, family_grid, valid_gn_index_lists
-from antimagic.graph import V
+from antimagic.families import _join_cells, build_family, family_grid, valid_gn_index_lists
+from antimagic.graph import V, _Draft
+from antimagic.tables import table_m1, table_m3
 from grid_pass import digest, grid_pass
-from hub_reference import REFERENCES, surgery_cells, use_references
+from hub_reference import REFERENCES, np3o3_cells, surgery_cells, use_references
 
 # gb over gn at n <= 60, off the default grid: each gb grid point with each
 # of its first three index lists
@@ -24,11 +25,23 @@ GB_OVER_GN = [
 
 
 @pytest.mark.parametrize("k", range(1, 10))
-def test_fan_cells_on_private_hubs_are_the_surgery_cells(k):
+def test_join_cells_on_private_hubs_are_the_surgery_cells(k):
     n = 2 * k + 1
-    lists = _fan_cells(k, [V("x", i) for i in range(1, n + 1)], range(n), range(n))
+    lists = _join_cells(table_m1(k), [V("x", i) for i in range(1, n + 1)], [(range(n), range(n))])
     ref = surgery_cells(k)
     assert lists == (ref.names, ref.a, ref.b, ref.labels)
+
+
+@pytest.mark.parametrize("k", range(1, 8))
+def test_three_joins_on_private_hubs_are_the_np3o3_surgery_cells(k):
+    # the reference lays each hub edge the other way round, so the two are
+    # compared finished: the same graph and the same label on each edge
+    n = 2 * k + 1
+    hubs = [V("x", i, a) for a in (1, 2, 3) for i in range(1, n + 1)]
+    joins = [(range(j * n, (j + 1) * n),) * 2 for j in range(3)]
+    g, f = _Draft(*_join_cells(table_m3(k), hubs, joins)).finish()
+    ref_g, ref_f = np3o3_cells(k).finish()
+    assert g == ref_g and f == ref_f
 
 
 def surgery_side(monkeypatch, kept, family, params):

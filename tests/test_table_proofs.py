@@ -300,6 +300,44 @@ def test_m3_observations_a_to_c_hold_for_every_k():
     prove_m3(_PIECES["m3"])
 
 
+# a join table's rows in the order that families._join_cells reads them by
+# position: the two path rows (u-w, v-w), then m C rows (hub-w), m L rows
+# (hub-u) and m R rows (hub-v); with the colors of w, of u and v, and the
+# total of each hub's C, L and R rows
+JOINS = {
+    "m1": ((("uw", "vw"), ("xw",), ("xu",), ("xv",)),
+           form(6, 9), form(6, 10), lambda k: (7 * k + 4) * (6 * k + 3)),
+    "m3": ((("L", "R"), ("C1", "C2", "C3"), ("L1", "L2", "L3"), ("R1", "R2", "R3")),
+           form(15, 25), form(27, 50), lambda k: (2 * k + 1) * (39 * k + 21)),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(JOINS))
+def test_a_join_table_lists_its_path_rows_then_its_c_l_and_r_rows(kind):
+    blocks, w_color, uv_color, hub_total = JOINS[kind]
+    pieces, m = _PIECES[kind], len(blocks[1])
+    names = list(pieces)
+    assert len(names) == 2 + 3 * m
+    # read by position, as the builder reads them
+    by_position = [names[:2], *(names[2 + b * m: 2 + (b + 1) * m] for b in range(3))]
+    assert by_position == list(map(list, blocks))
+    (uw, vw), cs, ls, rs = by_position
+    prove_columns(pieces, (uw, vw, *cs), w_color, "w")
+    prove_columns(pieces, (uw, *ls), uv_color, "u")
+    prove_columns(pieces, (vw, *rs), uv_color, "v")
+    for join in zip(cs, ls, rs):
+        prove_total(pieces, join, hub_total, "hub")
+
+
+def test_m3_is_grown_from_m1():
+    m1, m3 = _PIECES["m1"], _PIECES["m3"]
+    # the path rows and the first C row are m1's
+    assert (m3["L"], m3["R"], m3["C1"]) == (m1["uw"], m1["vw"], m1["xw"])
+    # L1 and R2 are m1's L and R rows shifted by 2 + 4k: (c0, c1) by (2, 4)
+    shifted = {name: tuple((c0 + 2, c1 + 4, d) for c0, c1, d in m1[name]) for name in ("xu", "xv")}
+    assert (m3["L1"], m3["R2"]) == (shifted["xu"], shifted["xv"])
+
+
 def test_the_restated_walk_is_the_peanut_walk():
     for k in range(1, 501):
         assert restated_walk(k) == _peanut_walk(k)
