@@ -7,8 +7,9 @@ the lists, into ``(graph, labeling, instance)``.  The builders perform the
 constructions exactly, all in index space, with labels read off the rows of
 one of the three matrices, into plain lists.  The bases ``fb``, ``tfb``,
 ``df`` and ``np3o3`` lay each labeled cell straight onto the hubs it shares
-through the one cell builder, :func:`_join_cells`, which reads m off its
-joins and each join's rows off the table by position, and ``pt`` lays its
+through the one cell builder, :func:`_join_cells`, which reads each join's
+rows off the table by position, and state their palette and census through
+:func:`_join_claims`, from the colors the table states; ``pt`` lays its
 rails and rungs.  Every other family lays blocks of a base's vertices on
 merged vertices through ``_merged``, and ``gn`` swaps rail edges between
 pairs of a bracelet's hubs: both only rewrite edge ends, so labels stay
@@ -41,7 +42,8 @@ from .errors import (
 )
 from .graph import EdgeLabeling, Graph, V, VertexId, _Draft, certify, induce_coloring
 from .partition import _position_blocks
-from .tables import LabelTable, _odd_factorizations, _sequences, table_m1, table_m3, table_pt
+from .tables import LabelTable, _join_colors, _join_rows, _odd_factorizations, _sequences
+from .tables import table_m1, table_m3, table_pt
 
 
 class FamilyInstance(NamedTuple):
@@ -160,30 +162,35 @@ def _join_cells(
     P3 u_i w_i v_i, and in join j w_i is joined to ``hubs[w_hub[i-1]]`` and
     u_i, v_i to ``hubs[uv_hub[i-1]]``, for ``(w_hub, uv_hub) = joins[j]``.
 
-    With m joins the table's rows are read by position: the two path rows
-    label u-w and v-w, and join j's hub-w, hub-u and hub-v edges carry rows
-    2+j, 2+m+j and 2+2m+j (its C, L and R rows).  The u, v, w runs come
-    first, then the hubs; the path edges first, then each join's in turn.
+    The table's rows are read by position (:func:`antimagic.tables._join_rows`):
+    the two path rows label u-w and v-w, and join j's hub-w, hub-u and hub-v
+    edges carry its C, L and R rows.  The u, v, w runs come first, then the
+    hubs; the path edges first, then each join's in turn.
     """
-    n, m, rows = table.columns, len(joins), [*table.rows.values()]
+    n = table.columns
+    (uw, vw), rows = _join_rows(table)
     u, v, w = (range(j * n, (j + 1) * n) for j in range(3))
-    a, b, labels = [*u, *v], [*w, *w], [*rows[0], *rows[1]]
-    for j, (w_hub, uv_hub) in enumerate(joins):
+    a, b, labels = [*u, *v], [*w, *w], [*uw, *vw]
+    for (w_hub, uv_hub), (c, left, right) in zip(joins, rows):
         xw, xuv = list(map((3 * n).__add__, w_hub)), list(map((3 * n).__add__, uv_hub))
         a += [*xw, *xuv, *xuv]
         b += [*w, *u, *v]
-        labels += [*rows[2 + j], *rows[2 + m + j], *rows[2 + 2 * m + j]]
+        labels += [*c, *left, *right]
     return (
         [*chain.from_iterable(_vertices(role, range(1, n + 1)) for role in "uvw"), *hubs],
         a, b, labels,
     )
 
 
-def _join_census(m: int, cells: int, hubs: int) -> dict[int, int]:
-    """The degree census of ``cells`` cells joined to m hubs, spread evenly
-    over ``hubs`` hubs: u and v have degree m+1, w has m+2, and each hub
-    takes 3m*cells/hubs edges.  A closed form, never read off the lists."""
-    return _census((m + 1, 2 * cells), (m + 2, cells), (3 * m * cells // hubs, hubs))
+def _join_claims(table: LabelTable, hubs: int) -> tuple[tuple, dict]:
+    """The palette and census of the 2k+1 cells on ``table``'s m joins, each
+    of the ``hubs`` hubs taking p = m(2k+1)/hubs columns' joins: the colors
+    of w and of u, v that the table states, and p hub shares; degree m+1 for
+    u and v, m+2 for w, 3p for a hub.  Closed forms, never read off the lists."""
+    w, uv, share = _join_colors(table.kind, table.k)
+    n, m = table.columns, len(_join_rows(table)[1])
+    p = m * n // hubs
+    return _palette(w, uv, p * share), _census((m + 1, 2 * n), (m + 2, n), (3 * p, hubs))
 
 
 def _fb(n: int) -> Built:
@@ -193,10 +200,9 @@ def _fb(n: int) -> Built:
     if n < 3 or n % 2 == 0:
         raise InvalidParity(f"fan builder needs odd n >= 3, got {n}")
     k = (n - 1) // 2
-    hub = [0] * n
-    d = _join_cells(table_m1(k), [V("x")], [(hub, hub)])
-    palette = _palette(9 * k + 6, 10 * k + 6, (7 * k + 4) * (6 * k + 3))
-    return d, FamilyInstance("fb", {"n": n, "k": k}, palette, _join_census(1, n, 1))
+    hub, table = [0] * n, table_m1(k)
+    d = _join_cells(table, [V("x")], [(hub, hub)])
+    return d, FamilyInstance("fb", {"n": n, "k": k}, *_join_claims(table, 1))
 
 
 def _tfb(t: int, s: int) -> tuple[Lists, FamilyInstance, list[list[int]]]:
@@ -214,11 +220,11 @@ def _tfb(t: int, s: int) -> tuple[Lists, FamilyInstance, list[list[int]]]:
     for a, cols in enumerate(columns):
         for c in cols:
             hub[c - 1] = a
-    d = _join_cells(table_m1(k), [V("y", a) for a in range(1, t + 1)], [(hub, hub)])
+    table = table_m1(k)
+    d = _join_cells(table, [V("y", a) for a in range(1, t + 1)], [(hub, hub)])
 
-    palette = _palette(9 * k + 6, 10 * k + 6, s * (21 * k + 12))
     inst = FamilyInstance(
-        "tfb", {"t": t, "s": s, "k": k}, palette, _join_census(1, t * s, t),
+        "tfb", {"t": t, "s": s, "k": k}, *_join_claims(table, t),
         expected_component_orders=tuple([3 * s + 1] * t),
     )
     return d, inst, columns
@@ -243,11 +249,11 @@ def _df(r: int, s: int) -> tuple[Lists, FamilyInstance, range]:
         return list(chain.from_iterable(repeat(h, s) for h in (*near, 0, *reversed(far))))
 
     hubs = [V("x"), *(V(role, j) for j in range(1, r + 1) for role in "yz")]
-    d = _join_cells(table_m1(k), hubs, [(by_block(ys, zs), by_block(zs, ys))])
+    table = table_m1(k)
+    d = _join_cells(table, hubs, [(by_block(ys, zs), by_block(zs, ys))])
 
-    palette = _palette(10 * k + 6, 9 * k + 6, s * (21 * k + 12))
     inst = FamilyInstance(
-        "df", {"r": r, "s": s, "k": k}, palette, _join_census(1, m, 2 * r + 1),
+        "df", {"r": r, "s": s, "k": k}, *_join_claims(table, 2 * r + 1),
         expected_component_orders=tuple(sorted([6 * s + 2] * r + [3 * s + 1])),
     )
     return d, inst, range(3 * m, 3 * m + 2 * r + 1)
@@ -256,7 +262,8 @@ def _df(r: int, s: int) -> tuple[Lists, FamilyInstance, range]:
 def _fan_class(variant: int, k: int) -> tuple[tuple[str, ...], int, int]:
     """Roles, color and degree of the fan cell class that variant 1 (the
     degree-2 rim vertices u, v) or 2 (the degree-3 path centers w) merges."""
-    return (("u", "v"), 10 * k + 6, 2) if variant == 1 else (("w",), 9 * k + 6, 3)
+    w, uv, _ = _join_colors("m1", k)
+    return (("u", "v"), uv, 2) if variant == 1 else (("w",), w, 3)
 
 
 def _fb_merged(variant: int, r: int, s: int) -> tuple[Lists, FamilyInstance, range]:
@@ -313,7 +320,7 @@ def _df3(r: int, s: int, r1: int) -> tuple[Lists, FamilyInstance, range]:
     r2 = (2 * r + 1) // r1
     return _merged(
         (d, base), "df3", {"r": r, "s": s, "k": k, "r1": r1, "r2": r2},
-        [hubs[c * r2: (c + 1) * r2] for c in range(r1)], s * (21 * k + 12), 3 * s,
+        [hubs[c * r2: (c + 1) * r2] for c in range(r1)], s * _join_colors("m1", k)[2], 3 * s,
     )
 
 
@@ -550,10 +557,9 @@ def _np3_o3(n: int) -> Built:
     if n < 3 or n % 2 == 0:
         raise InvalidParity(f"need odd n >= 3, got {n}")
     k = (n - 1) // 2
-    hubs = [V("x", a) for a in (1, 2, 3)]
-    d = _join_cells(table_m3(k), hubs, [([a] * n, [a] * n) for a in range(3)])
-    palette = _palette(25 * k + 15, 50 * k + 27, (2 * k + 1) * (39 * k + 21))
-    return d, FamilyInstance("np3o3", {"n": n, "k": k}, palette, _join_census(3, n, 3))
+    hubs, table = [V("x", a) for a in (1, 2, 3)], table_m3(k)
+    d = _join_cells(table, hubs, [([a] * n, [a] * n) for a in range(3)])
+    return d, FamilyInstance("np3o3", {"n": n, "k": k}, *_join_claims(table, 3))
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,9 @@ Three integer matrices drive every construction in this package:
   peanut/bracelet constructions through two traced sequences S1 and S2.
 * ``m3`` -- 11 x (2k+1) bijective on [1, 22k+11] for the triple-hub join
   families.  The join tables ``m1`` and ``m3`` order their rows as the cell
-  builder reads them: two path rows, then m C, m L and m R rows (m = 1, 3).
+  builder and the check read them (:func:`_join_rows`): two path rows, then
+  m C, m L and m R rows (m = 1, 3).  Their colors are stated once, in
+  ``_JOINS``, and one check, :func:`_check_join`, holds both tables to them.
 
 Each row is stated once, in ``_PIECES``, as one or two pieces (c0, c1, d),
 the entry c0 + c1*k + d*i in column i: the first piece on columns 1..k+1,
@@ -118,7 +120,43 @@ def make_table(kind: str, k: int) -> LabelTable:
     return t
 
 
-# -- m1 observations ------------------------------------------------------------
+# -- the hub joins -------------------------------------------------------------
+
+# each join's colors of w and of u and v, and a hub's share of one column
+# (a hub's rows total 2k+1 shares), each (c0, c1) for c0 + c1*k
+_JOINS = {"m1": ((6, 9), (6, 10), (12, 21)), "m3": ((15, 25), (27, 50), (21, 39))}
+
+
+def _join_colors(kind: str, k: int) -> tuple[int, int, int]:
+    return tuple(c0 + c1 * k for c0, c1 in _JOINS[kind])
+
+
+def _join_rows(t: LabelTable) -> tuple[list, list]:
+    """A join table's two path rows (u-w, v-w) and each join's C, L and R rows
+    (hub-w, hub-u, hub-v), by position: of 3m+2 rows, hub a's are rows[2+a::m]."""
+    rows, m = [*t.rows.values()], len(t.rows) // 3
+    return rows[:2], [rows[2 + a::m] for a in range(m)]
+
+
+def _check_join(t: LabelTable, labels: tuple) -> tuple[int, int, int]:
+    """Hold a join table to its colors, and return them: column by column,
+    w's rows (the path rows and each C row), u's (u-w and each L row) and
+    v's (v-w and each R row) must sum to theirs, else observation
+    ``labels[0]`` (w) or ``labels[1]`` fails; then each hub's rows must
+    total 2k+1 shares, else ``labels[2]`` fails."""
+    w, uv, share = _join_colors(t.kind, t.k)
+    (uw, vw), joins = _join_rows(t)
+    cs, ls, rs = zip(*joins)
+    sums = (("w", (uw, vw, *cs), w), ("u", (uw, *ls), uv), ("v", (vw, *rs), uv))
+    for i in range(t.columns):
+        for vertex, rows, color in sums:
+            if (total := sum(row[i] for row in rows)) != color:
+                detail = f"column {i + 1}: {vertex}'s rows sum to {total} != {color}"
+                raise ObservationViolated(labels[vertex != "w"], detail)
+    for a, rows in enumerate(joins, 1):
+        if (total := sum(map(sum, rows))) != t.columns * share:
+            raise ObservationViolated(labels[2], f"hub {a}'s rows total {total} != 2k+1 shares")
+    return w, uv, share
 
 
 def _odd_factorizations(n: int, min_r: int = 3):
@@ -131,14 +169,14 @@ def _odd_factorizations(n: int, min_r: int = 3):
 def check_m1_observations(t: LabelTable) -> dict:
     """Verify the six structural properties of the fan-blade matrix.
 
-    1. columns of the first three rows sum to S1 = 9k+6;
-    2. rows (1,4) and rows (2,5) sum to S2 = 10k+6 per column;
+    1, 2, 5. its join's colors (:func:`_check_join`): every column's rows
+       1-3 (w's) sum to S1, rows 1, 4 (u's) and 2, 5 (v's) to S2, and the
+       last three rows (the hub's) total 2k+1 hub shares;
     3. last-three-row column sums form the AP 23k+12 .. 19k+12, step -2;
     4. rows (4,5) column sums form an AP with step -1;
-    5. the last three rows total S = (7k+4)(6k+3);
     6. for every factorization 2k+1 = r*s with r >= 3, splitting the columns
        into r blocks of s, the row-3 sum of block j plus the rows-(4,5) sum of
-       block r+1-j is S3 = s(21k+12), and the middle block's last-three-row
+       block r+1-j is S3 = s hub shares, and the middle block's last-three-row
        sum is also S3.
 
     Raises :class:`ObservationViolated` on the first failure; returns a
@@ -146,92 +184,45 @@ def check_m1_observations(t: LabelTable) -> dict:
     """
     if t.kind != "m1":
         raise InvalidK("observations (1)-(6) apply to the m1 table")
-    k = t.k
-    n = t.columns
-    s1, s2 = 9 * k + 6, 10 * k + 6
-    uw, vw, xw, xu, xv = t.rows.values()
-
-    for i in range(n):
-        if uw[i] + vw[i] + xw[i] != s1:
-            raise ObservationViolated(1, f"column {i + 1}: first-3-rows sum != {s1}")
-        if uw[i] + xu[i] != s2:
-            raise ObservationViolated(2, f"column {i + 1}: rows 1+4 sum != {s2}")
-        if vw[i] + xv[i] != s2:
-            raise ObservationViolated(2, f"column {i + 1}: rows 2+5 sum != {s2}")
+    k, n = t.k, t.columns
+    s1, s2, share = _check_join(t, (1, 2, 5))
+    _, _, xw, xu, xv = t.rows.values()
 
     last3 = [xw[i] + xu[i] + xv[i] for i in range(n)]
-    expected_ap = [23 * k + 12 - 2 * i for i in range(n)]
-    if last3 != expected_ap:
+    if last3 != [23 * k + 12 - 2 * i for i in range(n)]:
         raise ObservationViolated(3, "last-3-rows column sums are not the stated AP")
 
     rows45 = [xu[i] + xv[i] for i in range(n)]
     if any(rows45[i] - rows45[i + 1] != 1 for i in range(n - 1)):
         raise ObservationViolated(4, "rows 4+5 column sums do not decrease by 1")
 
-    grand = sum(last3)
-    if grand != (7 * k + 4) * (6 * k + 3):
-        raise ObservationViolated(5, f"last-3-rows total {grand} != (7k+4)(6k+3)")
-
     block_sums: dict[tuple[int, int], int] = {}
     for br, bs in _odd_factorizations(n):
-        s3 = bs * (21 * k + 12)
+        s3 = bs * share
         for j in range(1, br + 1):
-            cols_j = range((j - 1) * bs, j * bs)
-            cols_opp = range((br - j) * bs, (br + 1 - j) * bs)
-            paired = sum(xw[i] for i in cols_j) + sum(rows45[i] for i in cols_opp)
+            paired = sum(xw[(j - 1) * bs:j * bs]) + sum(rows45[(br - j) * bs:(br + 1 - j) * bs])
             if paired != s3:
                 raise ObservationViolated(
                     6, f"blocks ({j}, {br + 1 - j}) of shape {br}x{bs} pair to {paired} != {s3}"
                 )
-        mid = (br + 1) // 2
-        mid_sum = sum(last3[i] for i in range((mid - 1) * bs, mid * bs))
+        mid_sum = sum(last3[(br - 1) // 2 * bs:(br + 1) // 2 * bs])
         if mid_sum != s3:
             raise ObservationViolated(6, f"middle block sum {mid_sum} != {s3}")
         block_sums[(br, bs)] = s3
 
     return {
-        "k": k,
-        "S1": s1,
-        "S2": s2,
-        "ap_first": 23 * k + 12,
-        "ap_last": 19 * k + 12,
-        "grand_total": grand,
-        "block_sums": block_sums,
+        "k": k, "S1": s1, "S2": s2, "ap_first": 23 * k + 12, "ap_last": 19 * k + 12,
+        "grand_total": n * share, "block_sums": block_sums,
     }
 
 
-# -- m3 observations ------------------------------------------------------------
-
-
 def check_m3_observations(t: LabelTable) -> dict:
-    """Verify the three structural properties of the triple-hub matrix."""
+    """Verify the triple-hub matrix's observations (a)-(c), its join's
+    colors (:func:`_check_join`), and report them."""
     if t.kind != "m3":
         raise InvalidK("observations (a)-(c) apply to the m3 table")
-    k = t.k
-    n = t.columns
-    top = 25 * k + 15
-    side = 50 * k + 27
-    class_total = (2 * k + 1) * (39 * k + 21)
-
-    for i in range(n):
-        col = {name: row[i] for name, row in t.rows.items()}
-        if col["L"] + col["R"] + col["C1"] + col["C2"] + col["C3"] != top:
-            raise ObservationViolated("a", f"column {i + 1}: first-5-rows sum != {top}")
-        if col["L"] + col["L1"] + col["L2"] + col["L3"] != side:
-            raise ObservationViolated("b", f"column {i + 1}: L-rows sum != {side}")
-        if col["R"] + col["R1"] + col["R2"] + col["R3"] != side:
-            raise ObservationViolated("b", f"column {i + 1}: R-rows sum != {side}")
-
-    for a in (1, 2, 3):
-        total = sum(
-            sum(t.rows[name]) for name in (f"C{a}", f"R{a}", f"L{a}")
-        )
-        if total != class_total:
-            raise ObservationViolated(
-                "c", f"rows C{a}+R{a}+L{a} total {total} != {class_total}"
-            )
-
-    return {"k": k, "first_five": top, "side_sum": side, "class_total": class_total}
+    top, side, share = _check_join(t, ("a", "b", "c"))
+    return {"k": t.k, "first_five": top, "side_sum": side, "class_total": t.columns * share}
 
 
 # -- traced sequences -----------------------------------------------------------

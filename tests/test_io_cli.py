@@ -339,6 +339,28 @@ def test_cli_table_check_m1_writes_its_report(tmp_path):
     assert report["block_sums"] == {"3x3": 288, "9x1": 96}
 
 
+@pytest.mark.parametrize("k", range(1, 9))
+def test_cli_table_check_reports_the_closed_forms_of_m1_and_m3(tmp_path, k):
+    n = 2 * k + 1
+    expected = {
+        "m1": {
+            "k": k, "S1": 9 * k + 6, "S2": 10 * k + 6, "ap_first": 23 * k + 12,
+            "ap_last": 19 * k + 12, "grand_total": (7 * k + 4) * (6 * k + 3),
+            # one block sum per factorization 2k+1 = r*s with r >= 3
+            "block_sums": {
+                f"{r}x{n // r}": n // r * (21 * k + 12) for r in range(3, n + 1) if n % r == 0
+            },
+        },
+        "m3": {
+            "k": k, "first_five": 25 * k + 15, "side_sum": 50 * k + 27,
+            "class_total": (2 * k + 1) * (39 * k + 21),
+        },
+    }
+    for kind, report in expected.items():
+        assert main(["--out", str(tmp_path), "table", "--kind", kind, "--k", str(k), "--check"]) == 0
+        assert json.loads((tmp_path / f"table_{kind}_k{k}_report.json").read_text()) == report
+
+
 def test_cli_table_check_pt_writes_the_traced_sequences(tmp_path, capsys):
     code = main(["--out", str(tmp_path), "table", "--kind", "pt", "--k", "3", "--check"])
     assert code == 0

@@ -18,7 +18,16 @@ from fractions import Fraction
 
 import pytest
 
-from antimagic.tables import _PIECES, _peanut_walk, make_table
+from antimagic.errors import ObservationViolated
+from antimagic.tables import (
+    _PIECES,
+    _join_colors,
+    _peanut_walk,
+    _table,
+    check_m1_observations,
+    check_m3_observations,
+    make_table,
+)
 
 
 class Unproved(Exception):
@@ -329,6 +338,17 @@ def test_a_join_table_lists_its_path_rows_then_its_c_l_and_r_rows(kind):
         prove_total(pieces, join, hub_total, "hub")
 
 
+@pytest.mark.parametrize("kind", sorted(JOINS))
+def test_the_stated_join_colors_are_the_proven_forms(kind):
+    # tables._JOINS, which the checks and the builders read, against the
+    # forms proven above; the hub share is a hub's total over 2k+1 columns
+    _, w_color, uv_color, hub_total = JOINS[kind]
+    for k in range(1, 61):
+        share, rest = divmod(hub_total(k), 2 * k + 1)
+        assert rest == 0
+        assert _join_colors(kind, k) == (at(w_color, k), at(uv_color, k), share)
+
+
 def test_m3_is_grown_from_m1():
     m1, m3 = _PIECES["m1"], _PIECES["m3"]
     # the path rows and the first C row are m1's
@@ -366,3 +386,27 @@ def test_every_one_coefficient_change_fails_both_proofs(kind):
         for proof in (prove_bijection, PROOFS[kind]):
             with pytest.raises(Unproved):
                 proof(pieces)
+
+
+@pytest.mark.parametrize(
+    "kind, check, labels",
+    [("m1", check_m1_observations, (1, 2)), ("m3", check_m3_observations, ("a", "b"))],
+)
+def test_every_one_coefficient_change_fails_the_runtime_check(kind, check, labels, monkeypatch):
+    # a path-row or C-row change breaks w's column sums, which every column
+    # checks first; an L-row or R-row change leaves them and breaks u's or v's.
+    # A change to a zero step is left out: _table cannot lay one
+    names = list(_PIECES[kind])
+    m = (len(names) - 2) // 3
+    cases = 0
+    for label, pieces in _mutants(_PIECES[kind]):
+        if any(d == 0 for row in pieces.values() for *_, d in row):
+            continue
+        expected = labels[names.index(label.partition("[")[0]) >= 2 + m]
+        monkeypatch.setitem(_PIECES, kind, pieces)
+        for k in range(1, 6):
+            with pytest.raises(ObservationViolated) as info:
+                check(_table(kind, k))
+            assert info.value.index == expected, (label, k)
+            cases += 1
+    assert cases == {"m1": 245, "m3": 535}[kind]

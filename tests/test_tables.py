@@ -226,6 +226,27 @@ def test_m3_observations_sweep(k):
     check_m3_observations(table_m3(k))
 
 
+@pytest.mark.parametrize(
+    "make, check, moves, label",
+    [
+        # uw up, xw and xu down: w's and u's sums hold, the hub loses 2 (and
+        # (3) fails too, but the join check, (5) among it, runs first)
+        (table_m1, check_m1_observations, {"uw": 1, "xw": -1, "xu": -1}, 5),
+        # C1 up, C2 down: w's sum holds, hubs 1 and 2 do not
+        (table_m3, check_m3_observations, {"C1": 1, "C2": -1}, "c"),
+    ],
+    ids=["m1", "m3"],
+)
+def test_a_hub_total_off_with_every_column_sum_kept_fails_the_join_check(
+    make, check, moves, label
+):
+    t = make(2)
+    rows = {name: (row[0] + moves.get(name, 0), *row[1:]) for name, row in t.rows.items()}
+    with pytest.raises(ObservationViolated) as info:
+        check(t._replace(rows=rows))
+    assert info.value.index == label
+
+
 # --- traced sequences ---------------------------------------------------------
 
 
