@@ -42,8 +42,8 @@ from .errors import (
 )
 from .graph import EdgeLabeling, Graph, V, VertexId, _Draft, certify, induce_coloring
 from .partition import _position_blocks
-from .tables import LabelTable, _join_colors, _join_rows, _odd_factorizations, _sequences
-from .tables import table_m1, table_m3, table_pt
+from .tables import LabelTable, _join_colors, _join_rows, _odd_factorizations, _pt_colors
+from .tables import _sequences, table_m1, table_m3, table_pt
 
 
 class FamilyInstance(NamedTuple):
@@ -351,7 +351,7 @@ def _pt(n: int) -> Built:
         rail1[1:] + rail2[1:] + list(range(top + 2, 2 * top + 2, 2)),
         [*tr.s1, *tr.s2, *(r3[col - 1] for col in tr.r3_columns)],
     )
-    palette = _palette(10 * k + 6, 9 * k + 6, 21 * k + 12)
+    palette = _palette(*_pt_colors(k))
     inst = FamilyInstance(
         "pt", {"n": n, "k": k}, palette,
         _census((2, 2 * n + 2), (3, 2 * n + 2)),
@@ -365,7 +365,7 @@ def _tb(n: int) -> tuple[Lists, FamilyInstance, range]:
     in rim order."""
     pairs = [(0, 1)] + [(1 + 2 * i, 2 * n + 2 + 2 * i) for i in range(1, n + 1)]
     return _merged(
-        _pt(n), "tb", {"n": n, "k": n // 2}, pairs, 10 * (n // 2) + 6, 2,
+        _pt(n), "tb", {"n": n, "k": n // 2}, pairs, _pt_colors(n // 2)[0], 2,
         list(_vertices("z", range(0, 2 * n + 1, 2))),
     )
 
@@ -411,12 +411,9 @@ def _pt_tb_merged(
     bracelet variants require r and the block size to be odd and >= 3.
     """
     k = n // 2
+    pair, low, high = _pt_colors(k)
     # the merged class: its color and degree in the base graph
-    color, degree = {
-        1: (9 * k + 6, 3),
-        2: (21 * k + 12, 3),
-        3: (10 * k + 6, 2) if base == "pt" else (20 * k + 12, 4),
-    }[variant]
+    color, degree = ((low, 3), (high, 3), (pair, 2) if base == "pt" else (2 * pair, 4))[variant - 1]
     if base == "pt" and variant == 3:
         s = (2 * n + 2) // r if r >= 2 and (2 * n + 2) % r == 0 else 0
         if not 2 <= s <= n + 1:
@@ -543,7 +540,7 @@ def _gb(
     params = {"n": n, "k": k, "r": r, "s": s, "base": base_inst.family}
     if indices is not None:
         params["indices"] = tuple(indices)
-    return _merged((d, base_inst), "gb", params, _deal(rims, r), 20 * k + 12, 4)
+    return _merged((d, base_inst), "gb", params, _deal(rims, r), 2 * _pt_colors(k)[0], 4)
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,7 @@ from __future__ import annotations
 from collections import Counter
 from collections.abc import Iterable, Mapping, Sequence
 from itertools import chain, compress
-from operator import eq, itemgetter, ne, or_
+from operator import eq, itemgetter
 from types import MappingProxyType
 from typing import NamedTuple
 
@@ -449,32 +449,18 @@ def certify(
     )
 
 
-# -- surgery -------------------------------------------------------------------
-
-
 class _Draft:
-    """A graph under construction, in index space.
+    """A graph under construction, in index space: vertex i is named
+    ``names[i]``, and edge p joins ``a[p]`` and ``b[p]`` and carries
+    ``labels[p]``.  With :meth:`finish`, which makes the one :class:`Graph`
+    and :class:`EdgeLabeling` over its lists, it is the one name, loop, end
+    and parallel-edge check of every build, document read and graph."""
 
-    Vertex i is named ``names[i]``; ``index`` maps the name of each live
-    vertex to its index, so a vertex dies when a surgery takes its name out.
-    Edge p joins ``a[p]`` and ``b[p]`` and carries ``labels[p]``.  Surgery
-    only rewrites edge ends, and appends each new vertex to ``names`` in the
-    order it is given and returns the indices it appends, so every label
-    stays at its edge's position.  :meth:`finish` makes the one
-    :class:`Graph` and :class:`EdgeLabeling`, which take over the draft's
-    lists, renumbered onto the live vertices if a surgery took one out, so a
-    finished draft is not operated on again.  A family build makes one draft
-    of the lists its builder laid and runs no surgery, failed or not: the
-    draft names the build's faults.  The kernels serve :func:`merge_vertices`
-    and :func:`split_vertices`.
-    """
-
-    __slots__ = ("names", "index", "a", "b", "labels")
+    __slots__ = ("names", "a", "b", "labels")
 
     def __init__(self, names: Iterable[VertexId], a: list[int], b: list[int], labels: list):
         self.names = list(names)
-        self.index = dict(zip(self.names, range(len(self.names))))
-        if len(self.index) != len(self.names):
+        if len(set(self.names)) != len(self.names):
             raise IdCollision("vertex names are not distinct")
         if not len(a) == len(b) == len(labels):
             raise LabelDomainMismatch(f"{len(a)} and {len(b)} edge ends for {len(labels)} labels")
@@ -486,14 +472,10 @@ class _Draft:
         self.a, self.b, self.labels = a, b, labels
 
     def finish(self) -> tuple[Graph, EdgeLabeling]:
-        """The graph of the live vertices, renumbered in order if some died,
-        and its labeling, over the draft's arrays, once no two edges join the
-        same two vertices; else the first two that do, in edge order, are named."""
+        """The graph and its labeling, over the draft's arrays, once no two
+        edges join the same two vertices; else the first two that do, in
+        edge order, are named."""
         names, a, b = self.names, self.a, self.b
-        if len(self.index) != len(names):
-            live = sorted(self.index.values())
-            to = dict(zip(live, range(len(live)))).__getitem__
-            names, a, b = list(map(names.__getitem__, live)), list(map(to, a)), list(map(to, b))
         # no edge is a loop, so two edges join the same two vertices exactly
         # when an end pair repeats, in the same order or reversed
         ends = set(zip(a, b))
@@ -509,151 +491,15 @@ class _Draft:
         g = Graph._of(names, a, b)
         return g, EdgeLabeling._at(g, self.labels)
 
-    def _edge(self, x: int, y: int) -> str:
-        """The edge between the vertices at ``x`` and ``y``, named as the
-        certificate names edges: ``b-c``, ends in canonical order."""
-        return "%s-%s" % edge(self.names[x], self.names[y])
 
-    def merge(self, blocks: Sequence[Sequence[int]], new_ids: Sequence[VertexId]) -> range:
-        """Replace each block of vertices by one new vertex named by
-        ``new_ids``; returns the indices of the new vertices, in block order.
-
-        All blocks are applied as one simultaneous relabeling of edge ends,
-        checked by one walk of the moved edges in edge order, which names
-        the first loop or parallel pair (it also catches collisions between
-        edges from *different* blocks, which a per-block common-neighbor
-        test alone would miss).
-        """
-        if len(blocks) != len(new_ids):
-            raise OverlappingBlocks(f"{len(blocks)} blocks but {len(new_ids)} replacement ids")
-        if len(set(new_ids)) != len(new_ids):
-            raise IdCollision("replacement ids are not distinct")
-        names, index = self.names, self.index
-        # each member goes to its block's new vertex, appended in block order
-        new = range(len(names), len(names) + len(new_ids))
-        to: dict[int, int] = {}
-        for h, block in zip(new, blocks):
-            if not block:
-                raise OverlappingBlocks("empty block")
-            for v in block:
-                if index.get(names[v]) != v:
-                    raise UnknownVertex(f"{names[v]} not in graph")
-                if v in to:
-                    raise OverlappingBlocks(f"{names[v]} appears in two blocks")
-                to[v] = h
-        for nid in new_ids:
-            i = index.get(nid)
-            if i is not None and i not in to:
-                raise IdCollision(f"replacement id {nid} collides with an existing vertex")
-
-        a, b = self.a, self.b
-        a2, b2 = list(map(to.get, a, a)), list(map(to.get, b, b))
-        # named before the edges are checked, so that a clash can name them;
-        # they are not live until the edges move
-        names += new_ids
-        # an edge that keeps both its ends cannot meet a moved edge, which
-        # ends at a merged vertex, so no other edge is read
-        made: dict[tuple[int, int], int] = {}
-        for p in compress(range(len(a)), map(or_, map(ne, a, a2), map(ne, b, b2))):
-            x, y = a2[p], b2[p]
-            if x == y:
-                raise MergeWouldCreateLoop(
-                    "block members %s and %s are adjacent" % edge(names[a[p]], names[b[p]])
-                )
-            q = made.setdefault((x, y) if x < y else (y, x), p)
-            if q != p:
-                raise MergeWouldCreateParallelEdge(
-                    "edges %s-%s and %s-%s both become %s-%s (two merged vertices share a neighbor)"
-                    % (*edge(names[a[q]], names[b[q]]), *edge(names[a[p]], names[b[p]]),
-                       *edge(names[x], names[y]))
-                )
-        self.a, self.b = a2, b2
-        for v in to:
-            del index[names[v]]
-        index.update(zip(new_ids, new))
-        return new
-
-    def split(
-        self, splits: Sequence[tuple[int, Sequence[int], Sequence[int], VertexId, VertexId]]
-    ) -> range:
-        """Split several vertices at once, each into two halves named by the
-        given ids and carrying the two given parts of its edges, each edge
-        given by its position; returns the indices of the halves, split i's
-        at 2i and 2i+1.
-
-        Equivalent to applying the splits one at a time (an edge joining two
-        split vertices is re-pointed at both ends).  Each vertex's two parts
-        must partition its edges and both be nonempty, and all half ids must
-        be distinct and fresh, so a rewritten edge meets no other edge.  One
-        walk of the splits, in their order, raises the first fault before
-        any edge moves.
-        """
-        names, index, a, b = self.names, self.index, self.a, self.b
-        degree = Counter(chain(a, b))
-        split: set[int] = set()
-        # the half ids, in the order given, which a collision names
-        fresh: dict[VertexId, None] = {}
-        for v, part1, part2, id1, id2 in splits:
-            if index.get(names[v]) != v:
-                raise UnknownVertex(f"{names[v]} not in graph")
-            if v in split:
-                raise OverlappingBlocks(f"{names[v]} split twice")
-            split.add(v)
-            if not part1 or not part2:
-                raise EmptyPart(f"both parts of the split at {names[v]} must be nonempty")
-            both = [*part1, *part2]
-            for p in both:
-                if not 0 <= p < len(a):
-                    raise NotIncident(f"edge position {p} is not incident to {names[v]}")
-                if v != a[p] and v != b[p]:
-                    raise NotIncident(f"{self._edge(a[p], b[p])} is not incident to {names[v]}")
-            if len(set(both)) != len(both) or len(both) != degree[v]:
-                raise NotIncident(f"parts at {names[v]} must partition its incident edges")
-            if id1 == id2:
-                raise IdCollision(f"split ids at {names[v]} coincide")
-            for nid in (id1, id2):
-                if nid in fresh:
-                    raise IdCollision(f"split id {nid} is used by two splits")
-                fresh[nid] = None
-        for nid in fresh:
-            i = index.get(nid)
-            if i is not None and i not in split:
-                raise IdCollision(f"split id {nid} collides with an existing vertex")
-
-        made = range(len(names), len(names) + len(fresh))
-        for (v, part1, part2, _, _), h in zip(splits, made[::2]):
-            for part, half in ((part1, h), (part2, h + 1)):
-                for p in part:
-                    if a[p] == v:
-                        a[p] = half
-                    else:
-                        b[p] = half
-        # every split name goes before any half comes in, since a half may
-        # take the name of a vertex split later in the same call
-        list(map(index.pop, map(names.__getitem__, split)))
-        names += fresh
-        index.update(zip(fresh, made))
-        return made
+# -- surgery by name -------------------------------------------------------------
 
 
-def _surgery(g: Graph, operate) -> tuple[Graph, dict[Edge, Edge]]:
-    """Run one surgery kernel on ``g`` by name: ``operate(draft, at)`` gets a
-    copy of ``g``'s arrays as a draft, and ``at``, which gives the index of a
-    vertex name.  A name ``g`` lacks gets an index that is not live, so the
-    kernel reports it.  Returns the new graph and the old-edge -> new-edge map
-    of the edges that move."""
-    d = _Draft(g.names, list(g.a), list(g.b), g._named_edges())
-
-    def at(v: VertexId) -> int:
-        i = d.index.get(v)
-        if i is None:
-            i = len(d.names)
-            d.names.append(v)
-        return i
-
-    operate(d, at)
-    out, _ = d.finish()
-    return out, {old: e for old, e in zip(d.labels, out._named_edges()) if e != old}
+def _rewritten(g: Graph, names: list[VertexId], ends: list[Edge]) -> tuple[Graph, dict[Edge, Edge]]:
+    """The graph of ``names`` whose edge p is ``ends[p]``, and the old-edge ->
+    new-edge map of ``g``'s edges whose names change."""
+    out = Graph(names, ends)
+    return out, {e: e2 for e, e2 in zip(g._named_edges(), out._named_edges()) if e != e2}
 
 
 def merge_vertices(
@@ -661,50 +507,118 @@ def merge_vertices(
     blocks: Iterable[Iterable[VertexId]],
     new_ids: Iterable[VertexId],
 ) -> tuple[Graph, dict[Edge, Edge]]:
-    """Replace each block of vertices by a single new vertex, as
-    :meth:`_Draft.merge` does.
+    """Replace each block of vertices by one new vertex named by ``new_ids``,
+    appended after the kept vertices in block order; returns the merged graph
+    and the old-edge -> new-edge map of the edges that move.
 
-    Returns the merged graph and the old-edge -> new-edge map of the edges
-    that move, through which any edge labeling transfers unchanged.
-    """
+    The blocks are checked in order, each one's members in sorted order.  One
+    walk of the edges at a block member, in edge order, names the first loop
+    or parallel pair, also one from two blocks; an edge that keeps both its
+    ends cannot meet one that ends at a new vertex."""
     blocks = [frozenset(b) for b in blocks]
     new_ids = list(new_ids)
-    return _surgery(g, lambda d, at: d.merge([list(map(at, b)) for b in blocks], new_ids))
+    if len(blocks) != len(new_ids):
+        raise OverlappingBlocks(f"{len(blocks)} blocks but {len(new_ids)} replacement ids")
+    if len(set(new_ids)) != len(new_ids):
+        raise IdCollision("replacement ids are not distinct")
+    names, known = g.names, set(g.names)
+    to: dict[VertexId, VertexId] = {}
+    for block, nid in zip(blocks, new_ids):
+        if not block:
+            raise OverlappingBlocks("empty block")
+        for v in sorted(block):
+            if v not in known:
+                raise UnknownVertex(f"{v} not in graph")
+            if v in to:
+                raise OverlappingBlocks(f"{v} appears in two blocks")
+            to[v] = nid
+    for nid in new_ids:
+        if nid in known and nid not in to:
+            raise IdCollision(f"replacement id {nid} collides with an existing vertex")
+
+    old = list(zip(map(names.__getitem__, g.a), map(names.__getitem__, g.b)))
+    ends = old.copy()
+    made: dict[Edge, int] = {}
+    for p, (x, y) in enumerate(ends):
+        if x in to or y in to:
+            ends[p] = x2, y2 = to.get(x, x), to.get(y, y)
+            if x2 == y2:
+                raise MergeWouldCreateLoop("block members %s and %s are adjacent" % edge(x, y))
+            q = made.setdefault(edge(x2, y2), p)
+            if q != p:
+                raise MergeWouldCreateParallelEdge(
+                    "edges %s-%s and %s-%s both become %s-%s (two merged vertices share a neighbor)"
+                    % (*edge(*old[q]), *edge(x, y), *edge(x2, y2))
+                )
+    return _rewritten(g, [v for v in names if v not in to] + new_ids, ends)
 
 
 def split_vertices(
     g: Graph,
     splits: Iterable[tuple[VertexId, Iterable[Edge], Iterable[Edge], VertexId, VertexId]],
 ) -> tuple[Graph, dict[Edge, Edge]]:
-    """Split several vertices at once, each into two halves carrying the two
-    given incident-edge parts, as :meth:`_Draft.split` does.  Labels transfer
-    edge-wise through the returned map of the edges that move.  A part is
-    read as a set of edges: an edge named twice, or in both orders, counts
-    once.
-    """
-    splits = list(splits)
+    """Split several vertices at once, each into two halves named by the
+    given ids, appended after the kept vertices in the order given, and
+    carrying the two given parts of its edges, as :func:`merge_vertices`
+    returns.  A part is a set of edges: one named twice, or in both orders,
+    counts once.  Every part is found among the edges, then one walk of the
+    splits raises the first fault: the two parts must partition the vertex's
+    edges, and every half id be new, so a rewritten edge meets no other."""
+    names, known = g.names, set(g.names)
+    old = list(zip(map(names.__getitem__, g.a), map(names.__getitem__, g.b)))
+    # each edge under both orders of its ends
+    position = dict(zip(old, range(len(old))))
+    position.update(zip(map(itemgetter(1, 0), old), range(len(old))))
 
-    def operate(d: _Draft, at) -> None:
-        # each edge under both orders of its ends
-        position = dict(zip(zip(d.a, d.b), range(len(d.a))))
-        position.update(zip(zip(d.b, d.a), range(len(d.b))))
+    def positions(v: VertexId, part: Iterable[Edge]) -> list[int]:
+        found: dict[int, None] = {}
+        for x, y in part:
+            p = position.get((x, y))
+            if p is None:
+                # edge() names a loop as one
+                raise NotIncident("%s-%s is not incident to %s" % (*edge(x, y), v))
+            found[p] = None
+        return list(found)
 
-        def positions(v: VertexId, part: Iterable[Edge]) -> list[int]:
-            found: dict[int, None] = {}
-            for x, y in part:
-                p = position.get((at(x), at(y)))
-                if p is None:
-                    # edge() names a loop as one
-                    raise NotIncident(f"{d._edge(at(x), at(y))} is not incident to {v}")
-                found[p] = None
-            return list(found)
+    resolved = [
+        (v, positions(v, part1), positions(v, part2), id1, id2)
+        for v, part1, part2, id1, id2 in splits
+    ]
+    degree = Counter(chain.from_iterable(old))
+    split: set[VertexId] = set()
+    # the half ids, in the order given, which a collision names
+    fresh: dict[VertexId, None] = {}
+    half: dict[tuple[int, VertexId], VertexId] = {}
+    for v, part1, part2, id1, id2 in resolved:
+        if v not in known:
+            raise UnknownVertex(f"{v} not in graph")
+        if v in split:
+            raise OverlappingBlocks(f"{v} split twice")
+        split.add(v)
+        if not part1 or not part2:
+            raise EmptyPart(f"both parts of the split at {v} must be nonempty")
+        both = [*part1, *part2]
+        for p in both:
+            if v not in old[p]:
+                raise NotIncident("%s-%s is not incident to %s" % (*edge(*old[p]), v))
+        if len(set(both)) != len(both) or len(both) != degree[v]:
+            raise NotIncident(f"parts at {v} must partition its incident edges")
+        if id1 == id2:
+            raise IdCollision(f"split ids at {v} coincide")
+        for nid in (id1, id2):
+            if nid in fresh:
+                raise IdCollision(f"split id {nid} is used by two splits")
+            fresh[nid] = None
+        half.update(((p, v), id1) for p in part1)
+        half.update(((p, v), id2) for p in part2)
+    for nid in fresh:
+        if nid in known and nid not in split:
+            raise IdCollision(f"split id {nid} collides with an existing vertex")
 
-        d.split([
-            (at(v), positions(v, part1), positions(v, part2), id1, id2)
-            for v, part1, part2, id1, id2 in splits
-        ])
-
-    return _surgery(g, operate)
+    # each end is read off g, so a half that takes the name of a vertex split
+    # later in the same call is not split again
+    ends = [(half.get((p, x), x), half.get((p, y), y)) for p, (x, y) in enumerate(old)]
+    return _rewritten(g, [v for v in names if v not in split] + list(fresh), ends)
 
 
 def split_vertex(
@@ -715,9 +629,5 @@ def split_vertex(
     id1: VertexId,
     id2: VertexId,
 ) -> tuple[Graph, dict[Edge, Edge]]:
-    """Split ``v`` into two vertices carrying the two given edge parts.
-
-    ``part1`` and ``part2`` must partition the edges incident to ``v``; both
-    must be nonempty.  Labels transfer edge-wise through the returned map.
-    """
+    """Split ``v`` into two vertices carrying the two given edge parts."""
     return split_vertices(g, [(v, part1, part2, id1, id2)])

@@ -5,7 +5,8 @@ Three integer matrices drive every construction in this package:
 * ``m1`` -- 5 x (2k+1) with entries bijective on [1, 10k+5]; rows are named
   after the fan-blade edges they label (uw, vw, xw, xu, xv).
 * ``pt`` -- 5 x (2k+1), also bijective on [1, 10k+5]; rows R1..R5 feed the
-  peanut/bracelet constructions through two traced sequences S1 and S2.
+  peanut/bracelet constructions through two traced sequences S1 and S2,
+  whose sums are stated once, in ``_PT_COLORS``.
 * ``m3`` -- 11 x (2k+1) bijective on [1, 22k+11] for the triple-hub join
   families.  The join tables ``m1`` and ``m3`` order their rows as the cell
   builder and the check read them (:func:`_join_rows`): two path rows, then
@@ -241,6 +242,15 @@ class TracedSequences(NamedTuple):
     r3_columns: tuple[int, ...]
 
 
+# the pt scheme's pair sum (A, B) and low and high sums (C), each (c0, c1) for
+# c0 + c1*k: the peanut's colors; the bracelet's zipped hubs take two pair sums
+_PT_COLORS = ((6, 10), (6, 9), (12, 21))
+
+
+def _pt_colors(k: int) -> tuple[int, int, int]:
+    return tuple(c0 + c1 * k for c0, c1 in _PT_COLORS)
+
+
 def _peanut_walk(k: int) -> list[tuple[int, bool]]:
     """The columns S1 and S2 visit, in order, each with whether it is a top pair.
 
@@ -292,7 +302,7 @@ def trace_sequences(t: LabelTable) -> TracedSequences:
     tr = _sequences(t)
     s1, s2 = tr.s1, tr.s2
 
-    pair_sum = 10 * k + 6
+    pair_sum, low, high = _pt_colors(k)
     if s1[0] + s2[0] != pair_sum or s1[-1] + s2[-1] != pair_sum:
         raise SequenceSchemeViolated("first/last cross-sequence sums are off (A)")
     for seq in (s1, s2):
@@ -302,7 +312,6 @@ def trace_sequences(t: LabelTable) -> TracedSequences:
                     f"positions {2 * r},{2 * r + 1} do not sum to {pair_sum} (B)"
                 )
 
-    low, high = 9 * k + 6, 21 * k + 12
     r3 = t.rows["R3"]
     for j, (col, top) in enumerate(walk):
         with_r3 = s1[2 * j] + s1[2 * j + 1] + r3[col - 1]

@@ -1,9 +1,8 @@
 """One walk of the default grid per test session: ``sweep_family`` over
-``FAMILY_TAGS``, with the surgery kernels deleted, each ``_Draft`` counted
-and ``build_family`` and ``verify_instance`` wrapped, every patch undone
-before :func:`grid_pass` returns.  Each non-excluded point keeps what the
-tests read of its build, every ``STRIDE``-th its texts, and no graph or
-labeling."""
+``FAMILY_TAGS``, with each ``_Draft`` counted and ``build_family`` and
+``verify_instance`` wrapped, every patch undone before :func:`grid_pass`
+returns.  Each non-excluded point keeps what the tests read of its build,
+every ``STRIDE``-th its texts, and no graph or labeling."""
 
 import functools
 import time
@@ -62,8 +61,6 @@ def grid_pass() -> GridPass:
         return cert
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.delattr(_Draft, "merge")  # so a build that runs a kernel raises
-        patch.delattr(_Draft, "split")
         patch.setattr(_Draft, "__init__", counted)
         patch.setattr(families, "build_family", kept)
         patch.setattr(families, "verify_instance", sampled)

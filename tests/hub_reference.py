@@ -8,7 +8,8 @@ Each fan-cell reference labels 2k+1 cells with private hubs x_1 .. x_(2k+1)
 as the surgery construction did, after splitting the outer hubs in ``df``.  The ``gn``
 reference splits two hubs of the bracelet per index and re-merges the halves
 crosswise.  :func:`merged` and :func:`tb` are ``_merged`` and ``_tb`` as
-they were when every merge ran :meth:`_Draft.merge`.  Each returns what its
+they were when every merge ran the merge kernel, which lives here now, in
+:class:`SurgeryDraft`, with the split kernel.  Each returns what its
 builder returns, with the instance taken from the builder itself, or scaled
 as ``_merged`` scales it (the claims do not depend on how the graph is
 laid), except that its lists hold the draft itself in a fifth slot after a
@@ -36,6 +37,59 @@ KEPT = ("tfb", "df", "tb")  # with _pt, the bases that use_references builds onc
 FINISH = families._finish
 
 
+class SurgeryDraft(_Draft):
+    """A draft that merges and splits by index, unchecked, as the package's
+    kernels did: a surgery rewrites edge ends, appends each new
+    vertex to ``names`` and returns the indices it appends, so every label
+    stays at its edge's position.  ``index`` maps each live vertex's name to
+    its index; a vertex dies when a surgery takes its name out, and
+    :meth:`finish` renumbers the live vertices in order."""
+
+    __slots__ = ("index",)
+
+    def __init__(self, names, a, b, labels):
+        super().__init__(names, a, b, labels)
+        self.index = dict(zip(self.names, range(len(self.names))))
+
+    def merge(self, blocks, new_ids):
+        """Each block of indices onto one new vertex, in block order."""
+        new = range(len(self.names), len(self.names) + len(new_ids))
+        to = {v: h for h, block in zip(new, blocks) for v in block}
+        self.a, self.b = [to.get(v, v) for v in self.a], [to.get(v, v) for v in self.b]
+        for v in to:
+            del self.index[self.names[v]]
+        self.names += new_ids
+        self.index.update(zip(new_ids, new))
+        return new
+
+    def split(self, splits):
+        """Each (v, part1, part2, id1, id2), parts as edge positions, into two
+        halves; split i's halves at 2i and 2i+1 of what it returns."""
+        new = range(len(self.names), len(self.names) + 2 * len(splits))
+        for (v, part1, part2, _, _), h in zip(splits, new[::2]):
+            for part, half in ((part1, h), (part2, h + 1)):
+                for p in part:
+                    if self.a[p] == v:
+                        self.a[p] = half
+                    else:
+                        self.b[p] = half
+        # every split name goes before any half comes in, since a half may
+        # take the name of a vertex split later in the same call
+        for v, *_ in splits:
+            del self.index[self.names[v]]
+        halves = [nid for *_, id1, id2 in splits for nid in (id1, id2)]
+        self.names += halves
+        self.index.update(zip(halves, new))
+        return new
+
+    def finish(self):
+        """The live vertices, renumbered in order, finished as a plain draft."""
+        live = sorted(self.index.values())
+        to = dict(zip(live, range(len(live)))).__getitem__
+        names = list(map(self.names.__getitem__, live))
+        return _Draft(names, list(map(to, self.a)), list(map(to, self.b)), self.labels).finish()
+
+
 def _vertices(role, *columns):
     return map(tuple.__new__, repeat(VertexId), zip(repeat(role), zip(*columns)))
 
@@ -50,7 +104,7 @@ def surgery_cells(k):
     n = 2 * k + 1
     u, v, w, x = (range(j * n, (j + 1) * n) for j in range(4))
     rows = table_m1(k).rows
-    return _Draft(
+    return SurgeryDraft(
         list(chain.from_iterable(_vertices(role, range(1, n + 1)) for role in "uvwx")),
         [*u, *v, *x, *x, *x],
         [*w, *w, *w, *u, *v],
@@ -112,7 +166,7 @@ def np3o3_cells(k):
         ends_a += [*w, *u, *v]
         ends_b += [*xa, *xa, *xa]
         labels += [*rows[f"C{a}"], *rows[f"L{a}"], *rows[f"R{a}"]]
-    return _Draft(
+    return SurgeryDraft(
         [*chain.from_iterable(_vertices(role, range(1, n + 1)) for role in "uvw"),
          *chain.from_iterable(_vertices("x", range(1, n + 1), repeat(a)) for a in (1, 2, 3))],
         ends_a, ends_b, labels,
@@ -130,7 +184,7 @@ def merged(built, family, params, blocks, color, degree, new_ids=None):
     """``_merged`` through the merge kernel, on a reference's draft or a
     builder's lists."""
     lists, base = built
-    d = lists[4] if len(lists) == 5 else _Draft(*lists)
+    d = lists[4] if len(lists) == 5 else SurgeryDraft(*lists)
     r, s = len(blocks), len(blocks[0])
     palette = families._palette(*(s * c if c == color else c for c in base.expected_palette))
     census = families._census(*base.expected_census.items(), (degree, -r * s), (s * degree, r))
@@ -189,13 +243,13 @@ def finish(lists):
 
 def fresh(lists):
     """A copy of a builder's lists, or of a reference's own draft as lists,
-    for a kernel or a builder to rewrite: ``_Draft.merge`` and ``split``
+    for a kernel or a builder to rewrite: :meth:`SurgeryDraft.merge` and ``split``
     rewrite their draft, and ``_gn`` swaps the ends of the lists it reads."""
     if len(lists) == 4:
         names, a, b, labels = lists
         return names, list(a), list(b), labels
     names, a, b, labels, draft = lists
-    d = object.__new__(_Draft)
+    d = object.__new__(SurgeryDraft)
     d.names, d.index, d.a, d.b, d.labels = list(names), dict(draft.index), list(a), list(b), labels
     return handed(d)
 

@@ -12,7 +12,7 @@ import pytest
 from adjacency import components, neighbors
 from grid_artifacts import POINTS, grid_points
 from grid_pass import grid_pass
-from hub_reference import use_references
+from hub_reference import SurgeryDraft, use_references
 from antimagic import families, graph, io
 from antimagic.cli import main
 from antimagic.errors import (
@@ -298,10 +298,9 @@ def test_merged_builders_refuse_before_they_build_their_base(
 
 
 def test_no_build_merges_or_splits_and_each_makes_one_draft():
-    # every family lays its graph, so the kernels serve only merge_vertices,
-    # split_vertices and the tests (test_no_build_path_runs_a_kernel covers a
-    # failed build); the grid pass builds with both deleted, so that one
-    # would raise, and counts each build's drafts
+    # every family lays its graph, and the package holds no surgery kernel
+    # (test_no_build_path_runs_a_kernel); the grid pass counts each build's
+    # drafts
     for family, points in grid_pass().points.items():
         for point in points:
             assert point.drafts == 1, (family, point.params)
@@ -310,8 +309,7 @@ def test_no_build_merges_or_splits_and_each_makes_one_draft():
 def _patchable():
     """What the grid pass patches, as it stands."""
     return (
-        graph._Draft.merge, graph._Draft.split, graph._Draft.__init__,
-        families.build_family, families.verify_instance,
+        graph._Draft.__init__, families.build_family, families.verify_instance,
     )
 
 
@@ -325,7 +323,7 @@ def test_the_grid_pass_walks_the_artifact_grid_and_undoes_its_patches():
 
 
 # sha256 over repr((names, a, b, labels)) of the draft of each build below,
-# in turn, as _Draft.finish receives it: every vertex, dead ones included, and
+# in turn, as SurgeryDraft.finish receives it: every vertex, dead ones included, and
 # edge position of the builds that split by edge position, as the builders
 # that split by end pairs left them.  The drafts are those of hub surgery
 # (hub_reference), which splits the hubs of df and gn
@@ -339,13 +337,13 @@ SPLIT_DRAFTS_SHA256 = "124a4ec521d58eae8b0490c0399fab2b12d4e2ae8d3385d560c400838
 
 def test_the_split_families_finish_their_pinned_drafts(monkeypatch):
     use_references(monkeypatch)
-    digest, finish = hashlib.sha256(), graph._Draft.finish
+    digest, finish = hashlib.sha256(), SurgeryDraft.finish
 
     def hashed(d):
         digest.update(repr((d.names, d.a, d.b, d.labels)).encode())
         return finish(d)
 
-    monkeypatch.setattr(graph._Draft, "finish", hashed)
+    monkeypatch.setattr(SurgeryDraft, "finish", hashed)
     for family, params in SPLIT_DRAFTS:
         build_family(family, **params)
     assert digest.hexdigest() == SPLIT_DRAFTS_SHA256
@@ -941,8 +939,9 @@ def test_a_surgery_fault_in_a_builders_own_draft_is_an_invariant_error(
 
 
 def test_no_build_path_runs_a_kernel(monkeypatch, tmp_path):
-    # the merge-fault tests above, with both kernels deleted, so that a build
-    # that reached one would raise AttributeError in place of its fault
+    # the build's draft holds no kernel, so the merge-fault tests above, run
+    # again here, name their faults with none
+    assert not {"merge", "split", "index"} & set(dir(graph._Draft))
     runs = [
         *(lambda mp, c=c: test_clashing_blocks_of_a_merged_family_raise_the_merge_fault(*c.values)
           for c in CLASHING_BLOCKS),
@@ -953,8 +952,6 @@ def test_no_build_path_runs_a_kernel(monkeypatch, tmp_path):
     ]
     for run in runs:
         with monkeypatch.context() as patched:
-            patched.delattr(graph._Draft, "merge")
-            patched.delattr(graph._Draft, "split")
             run(patched)
 
 

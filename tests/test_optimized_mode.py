@@ -102,13 +102,10 @@ else:
     sys.exit("the pt build of a corrupted table was not rejected")
 families.table_pt = table_pt
 
-# a merged build's one draft names the fault of its merges, with no merge
-# kernel and no assert: scrambled rims clash in tb3, and a member dealt to
-# two blocks overlaps in tb1
-from antimagic.graph import _Draft
-
-merge, real_deal = _Draft.merge, families._deal
-del _Draft.merge
+# a merged build's one draft names the fault of its merges, with no
+# assert: scrambled rims clash in tb3, and a member dealt to two blocks
+# overlaps in tb1
+real_deal = families._deal
 
 def scrambled(rims, r):
     return real_deal([[*rim[:1], *rim[2:4], rim[1], *rim[4:]] for rim in rims], r)
@@ -132,7 +129,6 @@ for deal, family, fault in [
     else:
         sys.exit(f"the {family} build of faulty blocks was not rejected")
 families._deal = real_deal
-_Draft.merge = merge
 
 # the solver's floors and prunes hold without asserts: chi_la(K1,4) = 5 by
 # the pendant floor, C4 and P5 by the sum floor, C5 by the odd cycle; the

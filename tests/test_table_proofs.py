@@ -23,6 +23,7 @@ from antimagic.tables import (
     _PIECES,
     _join_colors,
     _peanut_walk,
+    _pt_colors,
     _table,
     check_m1_observations,
     check_m3_observations,
@@ -242,13 +243,17 @@ def shifted(st, i):
     return (put(a, i), put(b, i)), (put(c, i), put(d, i)), put(r3, i), top
 
 
+# the pt scheme's pair sum of (A) and (B), and the low and high sums of (C)
+PT_SUMS = {"pair": form(6, 10), "low": form(6, 9), "high": form(12, 21)}
+
+
 def prove_sequences(steps, last, links, k=None):
     """(A) on the first and ``last`` steps, (B) on each linked pair of steps
     and (C) on each step: as identities, or at ``k`` when it is given."""
     def same(f, g):
         return f == g if k is None else at(f, k) == at(g, k)
 
-    pair, low, high = form(6, 10), form(6, 9), form(12, 21)
+    pair, low, high = PT_SUMS.values()
     (s1, s2, _, _), (t1, t2, _, _) = steps[0], last
     require(same(add(s1[0], s2[0]), pair) and same(add(t1[-1], t2[-1]), pair), "(A)")
     for (s1, s2, _, _), (t1, t2, _, _) in links:
@@ -347,6 +352,13 @@ def test_the_stated_join_colors_are_the_proven_forms(kind):
         share, rest = divmod(hub_total(k), 2 * k + 1)
         assert rest == 0
         assert _join_colors(kind, k) == (at(w_color, k), at(uv_color, k), share)
+
+
+def test_the_stated_pt_colors_are_the_proven_forms():
+    # tables._PT_COLORS, which trace_sequences and the pt-based builders
+    # read, against the pair, low and high sums that prove_pt proves
+    for k in range(1, 61):
+        assert _pt_colors(k) == tuple(at(f, k) for f in PT_SUMS.values())
 
 
 def test_m3_is_grown_from_m1():
