@@ -1114,3 +1114,69 @@ def test_a_split_names_the_first_colliding_id_in_the_order_given():
     g = Graph(a, [edge(a[i], a[i + 1]) for i in range(7)])
     splits = [(a[1], [(a[0], a[1])], [(a[1], a[2])], a[5], a[6])]
     assert _outcome(reference_split, g, splits) == (IdCollision, want.split(" ", 1)[1])
+
+
+def _chord():
+    """The path a_0 a_1 a_2 a_3 with the chord a_1a_3: a_1 has three edges,
+    a_2 two."""
+    a = [V("a", i) for i in range(4)]
+    return Graph(a, [edge(a[0], a[1]), edge(a[1], a[2]), edge(a[1], a[3]), edge(a[2], a[3])])
+
+
+@pytest.mark.parametrize("v, part1, part2, message", [
+    # a_0-a_1 is an edge of the graph, but not at a_2
+    (2, [(1, 2)], [(0, 1)], "^a_0-a_1 is not incident to a_2$"),
+    # a_0-a_2 is no edge of the graph
+    (2, [(1, 2)], [(0, 2)], "^a_0-a_2 is not incident to a_2$"),
+    # a_2-a_3 in both parts
+    (2, [(1, 2), (2, 3)], [(2, 3)], "^parts at a_2 must partition its incident edges$"),
+    # the same edge in both parts, named in both orders
+    (2, [(1, 2), (2, 3)], [(3, 2)], "^parts at a_2 must partition its incident edges$"),
+    (2, [(1, 2)], [(2, 1)], "^parts at a_2 must partition its incident edges$"),
+    # a_1-a_3 is left out
+    (1, [(0, 1)], [(1, 2)], "^parts at a_1 must partition its incident edges$"),
+])
+def test_parts_that_do_not_partition_the_vertex_edges_are_not_incident(v, part1, part2, message):
+    g = _chord()
+    a = sorted(g.vertices)
+
+    def named(part):
+        return [(a[x], a[y]) for x, y in part]
+
+    with pytest.raises(NotIncident, match=message):
+        split_vertex(g, a[v], named(part1), named(part2), V("h", 1), V("h", 2))
+    # a failed split leaves the graph as it was
+    assert _arrays(g) == _arrays(_chord())
+
+
+def test_an_edge_named_twice_in_a_part_counts_once():
+    g = _chord()
+    a = sorted(g.vertices)
+    once = split_vertex(g, a[2], [(a[1], a[2])], [(a[2], a[3])], V("h", 1), V("h", 2))
+    twice = split_vertex(g, a[2], [(a[1], a[2]), (a[2], a[1]), (a[1], a[2])], [(a[3], a[2])],
+                         V("h", 1), V("h", 2))
+    assert twice == once
+    assert _arrays(twice[0]) == _arrays(once[0])
+
+
+@pytest.mark.parametrize("v, part1, part2, id2, first_fault", [
+    (V("m"), [(1, 2)], [(2, 3)], V("h", 2), UnknownVertex),
+    (V("a", 2), [], [(2, 3)], V("h", 2), EmptyPart),
+    (V("a", 2), [(1, 2)], [(2, 3)], V("h", 1), IdCollision),
+], ids=["unknown_vertex", "empty_part", "coinciding_ids"])
+def test_every_part_is_found_among_the_edges_before_any_split_is_checked(v, part1, part2, id2,
+                                                                         first_fault):
+    # the first split is at fault; the second names a_0-a_2, which the graph
+    # lacks, and that is raised first.  This pins the order of the checks as
+    # it stands, an unknown vertex included; a change of that order changes
+    # this test with it
+    g = _chord()
+    a = sorted(g.vertices)
+    splits = [
+        (v, [(a[x], a[y]) for x, y in part1], [(a[x], a[y]) for x, y in part2], V("h", 1), id2),
+        (a[1], [(a[0], a[1]), (a[0], a[2])], [(a[1], a[2]), (a[1], a[3])], V("h", 3), V("h", 4)),
+    ]
+    with pytest.raises(NotIncident, match="^a_0-a_2 is not incident to a_1$"):
+        split_vertices(g, splits)
+    # a check of the splits one by one would meet the first split's fault
+    assert _outcome(reference_split, g, splits)[0] is first_fault
