@@ -327,13 +327,12 @@ def main(argv: list[str] | None = None) -> int:
     except InvariantError as exc:
         print(f"invariant failure: {exc}", file=sys.stderr)
         code, outcome = 1, f"invariant failure: {exc}"
-    except BaseException as exc:  # past the checks above, so the manifest is open
+    except BaseException as exc:
         outcome = f"internal error: {type(exc).__name__}: {exc}"
-        io.append_manifest(manifest, args.command, parameters, input_hashes, outcome, outputs)
         raise
-
-    if manifest is not None:
-        io.append_manifest(manifest, args.command, parameters, input_hashes, outcome, outputs)
+    finally:
+        if manifest is not None:
+            io.append_manifest(manifest, args.command, parameters, input_hashes, outcome, outputs)
     if parse_error is not None:
         raise SystemExit(2)
     return code

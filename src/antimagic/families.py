@@ -40,7 +40,7 @@ from .errors import (
     OverlappingBlocks,
     UsageError,
 )
-from .graph import EdgeLabeling, Graph, V, VertexId, _Draft, certify, induce_coloring
+from .graph import EdgeLabeling, Graph, V, VertexId, _colors, _draft, certify
 from .partition import _position_blocks
 from .tables import LabelTable, _join_colors, _join_rows, _odd_factorizations, _pt_colors
 from .tables import _sequences, table_m1, table_m3, table_pt
@@ -73,7 +73,7 @@ def _census(*pairs: tuple[int, int]) -> dict[int, int]:
 
 
 # the vertex names, the two ends of each edge by index and the label at
-# each edge position: the arguments of the build's one draft (see _finish)
+# each edge position: the arguments of the build's one draft (graph._draft)
 Lists = tuple
 Built = tuple[Lists, FamilyInstance]
 
@@ -106,7 +106,7 @@ def _merged(
     One index list sends each member to its block's vertex and every other
     vertex to its place once the members are gone; the names drop the
     members and end with the new ids.  Nothing here checks the moved edges:
-    the build's one draft does (:func:`_finish`).  A member met in two
+    the build's one draft does (:func:`_draft`).  A member met in two
     blocks is named here.
     """
     lists, base = built
@@ -135,12 +135,6 @@ def _merged(
         list(map(to.__getitem__, a)), list(map(to.__getitem__, b)), labels,
     )
     return laid, FamilyInstance(family, params, palette, census), new
-
-
-def _finish(lists: Lists) -> tuple[Graph, EdgeLabeling]:
-    """The graph and labeling of a builder's lists, from the build's one
-    draft, which checks the names, loops and parallel edges."""
-    return _Draft(*lists).finish()
 
 
 # ---------------------------------------------------------------------------
@@ -388,7 +382,7 @@ def _deal(rims: Sequence[Sequence[int]], r: int) -> list[list[int]]:
     The build's one draft certifies the deal, not a merge: :func:`_merged`
     lays the blocks unchecked, and a shared neighbor in a block, which means
     the rims broke the premise, is two edges joining the same two vertices,
-    which the draft's finish finds and names.
+    which the draft finds and names.
     """
     order: list[int] = []
     for rim in rims:
@@ -601,9 +595,9 @@ def _check_binding(family: str, builder: Callable, params: dict) -> None:
 
 
 def build_family(family: str, **params) -> BuildResult:
-    """Build one instance of ``family``: its builder's lists, finished as the
+    """Build one instance of ``family``: its builder's lists, finished by the
     build's one draft.  The builder chose every merge of the lists, so a
-    surgery fault in them, a clash of ``_merged``'s blocks and the finish's
+    surgery fault in them, a clash of ``_merged``'s blocks and the draft's
     included, is an :class:`InvariantError`, here and nowhere else."""
     try:
         builder = _BUILDERS[family]
@@ -621,9 +615,9 @@ def build_family(family: str, **params) -> BuildResult:
             _check_binding(family, builder, params)
             raise InvalidParams(f"bad parameters for {family}: {key} must be {kind}, got {value!r}")
     try:
-        # drop the extras before the finish: held through it, they raise peak RSS
+        # drop the extras before the draft: held through it, they raise peak RSS
         lists, inst = builder(**params)[:2]
-        return (*_finish(lists), inst)
+        return (*_draft(*lists), inst)
     except GraphSurgeryError as exc:
         raise InvariantError(f"{family}{params}: surgery on its own draft failed: {exc}") from None
     except TypeError:
@@ -678,7 +672,7 @@ def verify_instance(g: Graph, f: EdgeLabeling, inst: FamilyInstance):
     if cert.color_count != 3:
         problems.append(f"{cert.color_count} colors instead of 3")
     if cert.palette_ok is False:
-        colors, allowed = induce_coloring(g, f).array, set(inst.expected_palette)
+        colors, allowed = _colors(g, f), set(inst.expected_palette)
         problems.append(
             f"palette {cert.palette} != expected {inst.expected_palette}"
             + _first_named(g, lambda i: colors[i] not in allowed)

@@ -9,14 +9,14 @@ local antimagic chromatic number of the graph is 3 (upper bound by witness,
 lower bound by the chromatic number).
 
 Values here are observationally immutable and the functions pure.  A
-:class:`Graph` is the finished :class:`_Draft` of a build: the names of its
-vertices and two int arrays of edge ends, and a labeling from the same
-finish holds the label at each edge position.  :func:`certify` and the
-writers work on those arrays.  The frozenset views ``vertices`` and
-``edges`` are computed on each call.  The walk and the one listing of a
-graph (flat columns), and the induced coloring of a finished labeling, are
-each built on first use and cached; the fill is idempotent (a racing second
-fill computes the same value), so graphs can be shared across concurrent sweeps.
+:class:`Graph` is what :func:`_draft` makes of a build: the names of its
+vertices and two int arrays of edge ends, and the labeling made with it
+holds the label at each edge position.  :func:`certify` and the writers
+work on those arrays.  The frozenset views ``vertices`` and ``edges`` are
+computed on each call.  The walk and the one listing of a graph (flat
+columns), and the colors of a finished labeling, are each built on first
+use and cached; the fill is idempotent (a racing second fill computes the
+same value), so graphs can be shared across concurrent sweeps.
 """
 
 from __future__ import annotations
@@ -84,7 +84,7 @@ def V(role: str, *indices: int) -> VertexId:
 
 class Graph:
     """Simple undirected graph over :class:`VertexId` vertices, held in index
-    space as the :class:`_Draft` that made it finished it.
+    space as :func:`_draft` made it.
 
     Vertex i is named ``names[i]``, and every name is a vertex; edge p joins
     ``a[p]`` and ``b[p]``.  The three are fixed at construction and only
@@ -102,9 +102,9 @@ class Graph:
     __slots__ = ("names", "a", "b", "_walk", "_columns")
 
     def __init__(self, vertices: Iterable[VertexId], edges: Iterable[Edge]):
-        """The graph that a :class:`_Draft` of ``vertices`` and ``edges``
-        finishes as, edge p the p-th of ``edges``; the draft rejects a repeated
-        vertex, a loop, an end outside ``vertices`` and two parallel edges."""
+        """The graph that :func:`_draft` makes of ``vertices`` and ``edges``,
+        edge p the p-th of ``edges``; it rejects a repeated vertex, a loop, an
+        end outside ``vertices`` and two parallel edges."""
         names = list(vertices)
         at = dict(zip(names, range(len(names)))).get
         a, b = [], []
@@ -112,12 +112,12 @@ class Graph:
             # an end outside the vertices gets -1, which the draft rejects
             a.append(at(x, -1))
             b.append(at(y, -1))
-        g, _ = _Draft(names, a, b, [0] * len(a)).finish()
+        g, _ = _draft(names, a, b, [0] * len(a))
         self._fill(g.names, g.a, g.b)
 
     @classmethod
     def _of(cls, names: list[VertexId], a: list[int], b: list[int]) -> "Graph":
-        """A graph over arrays that :meth:`_Draft.finish` has checked."""
+        """A graph over arrays that :func:`_draft` has checked."""
         g = object.__new__(cls)
         g._fill(names, a, b)
         return g
@@ -229,17 +229,17 @@ class EdgeLabeling:
     broken labelings can be represented and reported.  A labeling made by
     name holds a copy of its mapping, which each public function that reads
     it with a graph looks up once, as its finished twin on that graph.  A
-    finished labeling, made by :meth:`_Draft.finish` or as a twin, holds its
-    graph and the label at each edge position, builds its mapping from them
-    on first use, and keeps the :func:`induce_coloring` of its graph.  Every
+    finished labeling, made by :func:`_draft` or as a twin, holds its graph
+    and the label at each edge position, builds its mapping from them on
+    first use, and keeps the colors of its graph (:func:`_colors`).  Every
     labeling the package returns is finished.  ``labels`` is a read-only
     view, so a labeling is a value.
     """
 
-    __slots__ = ("_labels", "_graph", "_array", "_coloring")
+    __slots__ = ("_labels", "_graph", "_array", "_colors")
 
     def __init__(self, labels: Mapping[Edge, int]):
-        self._labels, self._graph, self._array, self._coloring = dict(labels), None, None, None
+        self._labels, self._graph, self._array, self._colors = dict(labels), None, None, None
 
     @classmethod
     def from_dict(cls, labels: Mapping[Edge, int]) -> "EdgeLabeling":
@@ -250,7 +250,7 @@ class EdgeLabeling:
     def _at(cls, g: Graph, array: list) -> "EdgeLabeling":
         """The labeling of ``g`` with ``array[p]`` on the edge at position p."""
         f = object.__new__(cls)
-        f._labels, f._graph, f._array, f._coloring = None, g, array, None
+        f._labels, f._graph, f._array, f._colors = None, g, array, None
         return f
 
     def _named(self) -> dict[Edge, int]:
@@ -280,7 +280,7 @@ class EdgeLabeling:
 
 
 def _finished(g: Graph, f: EdgeLabeling) -> EdgeLabeling:
-    """``f`` if a finish made it with ``g``, or else its finished twin on
+    """``f`` if it is finished on ``g`` already, or else its finished twin on
     ``g``, from one lookup by name per edge, which also checks that ``f``
     labels exactly the edges of ``g``."""
     if f._graph is g:
@@ -298,44 +298,26 @@ def _finished(g: Graph, f: EdgeLabeling) -> EdgeLabeling:
     return EdgeLabeling._at(g, array)
 
 
-class Coloring(Mapping):
-    """The induced color of each vertex of ``graph``, held as ``array`` by
-    vertex index: a read-only map whose first lookup builds its name dict."""
-
-    __slots__ = ("graph", "array", "_by_name")
-
-    def __init__(self, graph: Graph, array: list[int]):
-        self.graph, self.array, self._by_name = graph, array, None
-
-    def __getitem__(self, v: VertexId) -> int:
-        by_name = self._by_name
-        if by_name is None:
-            by_name = self._by_name = dict(zip(self.graph.names, self.array))
-        return by_name[v]
-
-    def __iter__(self):
-        return iter(self.graph.names)
-
-    def __len__(self) -> int:
-        return len(self.graph.names)
-
-    def __repr__(self) -> str:
-        return f"Coloring({dict(self)!r})"
-
-
-def induce_coloring(g: Graph, f: EdgeLabeling) -> Coloring:
-    """The vertex -> color map: each vertex's sum of incident labels.  A
-    finished labeling keeps the map, so the certificate and the writers of a
-    build share one accumulation; a labeling by name gets a new twin each call."""
+def _colors(g: Graph, f: EdgeLabeling) -> list[int]:
+    """The induced color of each vertex of ``g`` by index: its sum of incident
+    labels.  A finished labeling keeps the list, so the certificate and the
+    writers of a build share one accumulation; a labeling by name gets a new
+    twin each call.  The list is filled before it is kept, so a racing fill
+    keeps an equal one."""
     f = _finished(g, f)
-    coloring = f._coloring
-    if coloring is None:
+    colors = f._colors
+    if colors is None:
         colors = [0] * len(g.names)
         for x, y, lab in zip(g.a, g.b, f._array):
             colors[x] += lab
             colors[y] += lab
-        coloring = f._coloring = Coloring(g, colors)
-    return coloring
+        f._colors = colors
+    return colors
+
+
+def induce_coloring(g: Graph, f: EdgeLabeling) -> dict[VertexId, int]:
+    """The vertex -> color map, a new dict on each call."""
+    return dict(zip(g.names, _colors(g, f)))
 
 
 class Certificate(NamedTuple):
@@ -345,7 +327,7 @@ class Certificate(NamedTuple):
     ``violations`` collects every bijectivity or adjacency failure (never
     fail-fast); it is empty iff both flags hold.  A palette mismatch against
     ``expected_palette`` is recorded in ``palette_ok`` separately.  The
-    colors the checks read stay with the labeling (:func:`induce_coloring`)
+    colors the checks read stay with the labeling (:func:`_colors`)
     and the components with the graph.
     """
 
@@ -393,7 +375,7 @@ def certify(
     the labels are counted only when one repeats.
     """
     f = _finished(g, f)
-    colors, labels, a, b = induce_coloring(g, f).array, f._array, g.a, g.b
+    colors, labels, a, b = _colors(g, f), f._array, g.a, g.b
     palette = tuple(sorted(set(colors)))
     q = len(a)
 
@@ -449,47 +431,38 @@ def certify(
     )
 
 
-class _Draft:
-    """A graph under construction, in index space: vertex i is named
-    ``names[i]``, and edge p joins ``a[p]`` and ``b[p]`` and carries
-    ``labels[p]``.  With :meth:`finish`, which makes the one :class:`Graph`
-    and :class:`EdgeLabeling` over its lists, it is the one name, loop, end
-    and parallel-edge check of every build, document read and graph."""
-
-    __slots__ = ("names", "a", "b", "labels")
-
-    def __init__(self, names: Iterable[VertexId], a: list[int], b: list[int], labels: list):
-        self.names = list(names)
-        if len(set(self.names)) != len(self.names):
-            raise IdCollision("vertex names are not distinct")
-        if not len(a) == len(b) == len(labels):
-            raise LabelDomainMismatch(f"{len(a)} and {len(b)} edge ends for {len(labels)} labels")
-        if a and not 0 <= min(min(a), min(b)) <= max(max(a), max(b)) < len(self.names):
-            raise UnknownVertex("an edge has an endpoint outside the vertex list")
-        loops = list(map(eq, a, b))
-        if True in loops:
-            raise MergeWouldCreateLoop(f"loop edge at {self.names[a[loops.index(True)]]}")
-        self.a, self.b, self.labels = a, b, labels
-
-    def finish(self) -> tuple[Graph, EdgeLabeling]:
-        """The graph and its labeling, over the draft's arrays, once no two
-        edges join the same two vertices; else the first two that do, in
-        edge order, are named."""
-        names, a, b = self.names, self.a, self.b
-        # no edge is a loop, so two edges join the same two vertices exactly
-        # when an end pair repeats, in the same order or reversed
-        ends = set(zip(a, b))
-        if len(ends) != len(a) or not ends.isdisjoint(zip(b, a)):
-            first: dict[tuple[int, int], int] = {}
-            for p, (x, y) in enumerate(zip(a, b)):
-                q = first.setdefault((x, y) if x < y else (y, x), p)
-                if q != p:
-                    u, v = edge(names[x], names[y])
-                    raise MergeWouldCreateParallelEdge(
-                        f"two edges join {u} and {v} (positions {q} and {p})"
-                    )
-        g = Graph._of(names, a, b)
-        return g, EdgeLabeling._at(g, self.labels)
+def _draft(
+    names: Iterable[VertexId], a: list[int], b: list[int], labels: list
+) -> tuple[Graph, EdgeLabeling]:
+    """The graph whose vertex i is named ``names[i]`` and whose edge p joins
+    ``a[p]`` and ``b[p]``, and its labeling with ``labels[p]`` on edge p, over
+    the given lists: the one name, length, end, loop and parallel-edge check,
+    in that order, of every build, document read and graph.  Of two edges
+    that join the same two vertices, the first pair in edge order is named."""
+    names = list(names)
+    if len(set(names)) != len(names):
+        raise IdCollision("vertex names are not distinct")
+    if not len(a) == len(b) == len(labels):
+        raise LabelDomainMismatch(f"{len(a)} and {len(b)} edge ends for {len(labels)} labels")
+    if a and not 0 <= min(min(a), min(b)) <= max(max(a), max(b)) < len(names):
+        raise UnknownVertex("an edge has an endpoint outside the vertex list")
+    loops = list(map(eq, a, b))
+    if True in loops:
+        raise MergeWouldCreateLoop(f"loop edge at {names[a[loops.index(True)]]}")
+    # no edge is a loop, so two edges join the same two vertices exactly
+    # when an end pair repeats, in the same order or reversed
+    ends = set(zip(a, b))
+    if len(ends) != len(a) or not ends.isdisjoint(zip(b, a)):
+        first: dict[tuple[int, int], int] = {}
+        for p, (x, y) in enumerate(zip(a, b)):
+            q = first.setdefault((x, y) if x < y else (y, x), p)
+            if q != p:
+                u, v = edge(names[x], names[y])
+                raise MergeWouldCreateParallelEdge(
+                    f"two edges join {u} and {v} (positions {q} and {p})"
+                )
+    g = Graph._of(names, a, b)
+    return g, EdgeLabeling._at(g, labels)
 
 
 # -- surgery by name -------------------------------------------------------------

@@ -17,7 +17,7 @@ from . import __version__
 from .errors import GraphSurgeryError, UsageError
 from .families import FamilyInstance
 from .graph import (
-    Certificate, EdgeLabeling, Graph, VertexId, _Draft, _finished, _id_strings, induce_coloring,
+    Certificate, EdgeLabeling, Graph, VertexId, _colors, _draft, _finished, _id_strings,
 )
 from .partition import EqualSumPartition
 from .tables import LabelTable
@@ -67,7 +67,7 @@ def graph_to_doc(
             for v, name in zip(vs, names)
         ],
         "edges": _edge_records(g, f),
-        "colors": dict(zip(names, map(induce_coloring(g, f).array.__getitem__, at))),
+        "colors": dict(zip(names, map(_colors(g, f).__getitem__, at))),
         "certificate": certificate_to_doc(cert) if cert else None,
     }
     if instance is not None:
@@ -125,7 +125,7 @@ def _read_columns(doc) -> tuple[Graph, EdgeLabeling] | None:
     if len(at) != len(ids) or None in a or None in b:
         return None
     try:
-        return _Draft(vs, a, b, label_col).finish()
+        return _draft(vs, a, b, label_col)
     except GraphSurgeryError:
         return None
 
@@ -257,7 +257,7 @@ def graph_to_dot(g: Graph, f: EdgeLabeling) -> str:
     f = _finished(g, f)
     vs, names, positions, at, lo, hi = g._listed()
     ids = list(map(_dot_escaped, names))
-    colors = map(induce_coloring(g, f).array.__getitem__, at)
+    colors = map(_colors(g, f).__getitem__, at)
     lines = ["graph antimagic {"]
     for v, name, color in zip(vs, ids, colors):
         tag = _dot_escaped(v.role) + ("/" + ",".join(map(str, v.indices)) if v.indices else "")

@@ -1,17 +1,18 @@
 """One walk of the default grid per test session: ``sweep_family`` over
-``FAMILY_TAGS``, with each ``_Draft`` counted and ``build_family`` and
-``verify_instance`` wrapped, every patch undone before :func:`grid_pass`
-returns.  Each non-excluded point keeps what the tests read of its build,
-every ``STRIDE``-th its texts, and no graph or labeling."""
+``FAMILY_TAGS``, with each call of ``graph._draft`` counted (in every module
+of the package that holds it) and ``build_family`` and ``verify_instance``
+wrapped, every patch undone before :func:`grid_pass` returns.  Each
+non-excluded point keeps what the tests read of its build, every
+``STRIDE``-th its texts, and no graph or labeling."""
 
 import functools
+import sys
 import time
 from typing import NamedTuple
 
 import pytest
 
-from antimagic import families, io
-from antimagic.graph import _Draft
+from antimagic import families, graph, io
 
 STRIDE = 16
 
@@ -41,11 +42,11 @@ def digest(g, f) -> int:
 @functools.cache
 def grid_pass() -> GridPass:
     records, points, stride, made = {}, {}, {}, [0]
-    build, verify, init = families.build_family, families.verify_instance, _Draft.__init__
+    build, verify, draft = families.build_family, families.verify_instance, graph._draft
 
-    def counted(self, *args):
+    def counted(*lists):
         made[0] += 1
-        init(self, *args)
+        return draft(*lists)
 
     def kept(family, **params):
         before = made[0]
@@ -61,7 +62,9 @@ def grid_pass() -> GridPass:
         return cert
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(_Draft, "__init__", counted)
+        for name, module in list(sys.modules.items()):
+            if name.startswith("antimagic") and getattr(module, "_draft", None) is draft:
+                patch.setattr(module, "_draft", counted)
         patch.setattr(families, "build_family", kept)
         patch.setattr(families, "verify_instance", sampled)
         started = time.monotonic()

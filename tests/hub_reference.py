@@ -14,7 +14,7 @@ builder returns, with the instance taken from the builder itself, or scaled
 as ``_merged`` scales it (the claims do not depend on how the graph is
 laid), except that its lists hold the draft itself in a fifth slot after a
 builder's four (:func:`handed`), which :func:`fresh`, :func:`merged` and
-:func:`finish` tell by the lists' length.  ``BUILDERS`` holds the real
+:func:`draft` tell by the lists' length.  ``BUILDERS`` holds the real
 builders as they were at import, so a reference still calls them while
 :func:`use_references` has put the references in their place.  The
 references run under :func:`use_references`, which builds each base that a
@@ -25,7 +25,7 @@ it (:func:`fresh`).
 from itertools import chain, repeat
 
 from antimagic import families
-from antimagic.graph import V, VertexId, _Draft
+from antimagic.graph import V, VertexId
 from antimagic.partition import _position_blocks
 from antimagic.tables import table_m1, table_m3
 
@@ -34,21 +34,23 @@ BUILDERS = {
     "np3o3": families._np3_o3, "gn": families._gn, "tb": families._tb, "pt": families._pt,
 }
 KEPT = ("tfb", "df", "tb")  # with _pt, the bases that use_references builds once
-FINISH = families._finish
+DRAFT = families._draft
 
 
-class SurgeryDraft(_Draft):
+class SurgeryDraft:
     """A draft that merges and splits by index, unchecked, as the package's
-    kernels did: a surgery rewrites edge ends, appends each new
-    vertex to ``names`` and returns the indices it appends, so every label
-    stays at its edge's position.  ``index`` maps each live vertex's name to
-    its index; a vertex dies when a surgery takes its name out, and
-    :meth:`finish` renumbers the live vertices in order."""
+    kernels did: vertex i is named ``names[i]``, and edge p joins ``a[p]``
+    and ``b[p]`` and carries ``labels[p]``.  A surgery rewrites edge ends,
+    appends each new vertex to ``names`` and returns the indices it appends,
+    so every label stays at its edge's position.  ``index`` maps each live
+    vertex's name to its index; a vertex dies when a surgery takes its name
+    out, and :meth:`finish` renumbers the live vertices in order, for
+    ``graph._draft`` to check."""
 
-    __slots__ = ("index",)
+    __slots__ = ("names", "a", "b", "labels", "index")
 
     def __init__(self, names, a, b, labels):
-        super().__init__(names, a, b, labels)
+        self.names, self.a, self.b, self.labels = list(names), a, b, labels
         self.index = dict(zip(self.names, range(len(self.names))))
 
     def merge(self, blocks, new_ids):
@@ -83,11 +85,11 @@ class SurgeryDraft(_Draft):
         return new
 
     def finish(self):
-        """The live vertices, renumbered in order, finished as a plain draft."""
+        """The graph and labeling of the live vertices, renumbered in order."""
         live = sorted(self.index.values())
         to = dict(zip(live, range(len(live)))).__getitem__
         names = list(map(self.names.__getitem__, live))
-        return _Draft(names, list(map(to, self.a)), list(map(to, self.b)), self.labels).finish()
+        return DRAFT(names, list(map(to, self.a)), list(map(to, self.b)), self.labels)
 
 
 def _vertices(role, *columns):
@@ -231,14 +233,14 @@ REFERENCES = {"fb": fb, "tfb": tfb, "df": df, "np3o3": np3o3, "gn": gn, "tb": tb
 
 def handed(d):
     """A reference's draft as a builder's lists, with the draft itself in a
-    fifth slot, which :func:`finish` finishes as it is: a surgery draft keeps
+    fifth slot, which :func:`draft` finishes as it is: a surgery draft keeps
     the names of the vertices it took out, which no lists can say."""
     return d.names, d.a, d.b, d.labels, d
 
 
-def finish(lists):
-    """``_finish``, which finishes a reference's own draft as it is."""
-    return lists[4].finish() if len(lists) == 5 else FINISH(lists)
+def draft(*lists):
+    """``_draft``, which finishes a reference's own draft as it is."""
+    return lists[4].finish() if len(lists) == 5 else DRAFT(*lists)
 
 
 def fresh(lists):
@@ -278,4 +280,4 @@ def use_references(monkeypatch, kept=None):
         monkeypatch.setitem(families._BUILDERS, family, ref)
     monkeypatch.setattr(families, "_pt", once(BUILDERS["pt"]))
     monkeypatch.setattr(families, "_merged", merged)
-    monkeypatch.setattr(families, "_finish", finish)
+    monkeypatch.setattr(families, "_draft", draft)

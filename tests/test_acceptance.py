@@ -24,7 +24,7 @@ from antimagic.graph import (
     EdgeLabeling,
     Graph,
     V,
-    _Draft,
+    _draft,
     certify,
     edge,
     induce_coloring,
@@ -176,7 +176,7 @@ def test_criterion_4_golden_value_spot_checks():
     ]
 
     nine = _join_cells(table_m1(4), [V("x", i) for i in range(1, 10)], [(range(9), range(9))])
-    g9, f9 = _Draft(*nine).finish()
+    g9, f9 = _draft(*nine)
     blocks = [
         {V("x", 1), V("x", 5), V("x", 9)},
         {V("x", 3), V("x", 4), V("x", 8)},

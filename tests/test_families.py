@@ -309,7 +309,7 @@ def test_no_build_merges_or_splits_and_each_makes_one_draft():
 def _patchable():
     """What the grid pass patches, as it stands."""
     return (
-        graph._Draft.__init__, families.build_family, families.verify_instance,
+        graph._draft, families._draft, io._draft, families.build_family, families.verify_instance,
     )
 
 
@@ -575,15 +575,14 @@ def test_merged_block_with_common_neighbors_rejected():
 )
 def test_degree_class_merges_induce_no_coloring(monkeypatch, base, variant, n, r):
     # the construction states every merged class; none is read off a coloring.
-    # Every module of the package holding the function is patched, so a
-    # builder that imports it by name is caught too.
+    # Every module of the package holding the accumulation is patched, so a
+    # builder that imports it by name is caught too, and induce_coloring
+    # calls it through the graph module.
     calls = []
-    real = graph.induce_coloring
+    real = graph._colors
     for name, module in list(sys.modules.items()):
-        if name.startswith("antimagic") and getattr(module, "induce_coloring", None) is real:
-            monkeypatch.setattr(
-                module, "induce_coloring", lambda g, f: calls.append(1) or real(g, f)
-            )
+        if name.startswith("antimagic") and getattr(module, "_colors", None) is real:
+            monkeypatch.setattr(module, "_colors", lambda g, f: calls.append(1) or real(g, f))
     build_family(f"{base}{variant}", n=n, r=r)
     assert calls == []
 
@@ -726,7 +725,7 @@ def _merged_by_name(base, family, params, blocks, color, degree, new_ids=None):
 def _finished_merge(*args):
     """The graph and labeling of :func:`_merged_by_name`'s lists, finished
     as ``build_family`` finishes them."""
-    return families._finish(_merged_by_name(*args)[0])
+    return families._draft(*_merged_by_name(*args)[0])
 
 
 def _scrambled(rim):
@@ -830,7 +829,7 @@ def test_a_wrong_claim_of_a_merge_fails_its_certificate(
 ):
     # _merged trusts its blocks and its claim, and scales the claim as given
     lists, inst, _ = _merged_by_name(base, family, {}, blocks, color, degree)
-    g, f = families._finish(lists)
+    g, f = families._draft(*lists)
     with pytest.raises(InvariantError) as info:
         verify_instance(g, f, inst)
     assert str(info.value) == message
@@ -939,9 +938,16 @@ def test_a_surgery_fault_in_a_builders_own_draft_is_an_invariant_error(
 
 
 def test_no_build_path_runs_a_kernel(monkeypatch, tmp_path):
-    # the build's draft holds no kernel, so the merge-fault tests above, run
-    # again here, name their faults with none
-    assert not {"merge", "split", "index"} & set(dir(graph._Draft))
+    # the build's draft is one function, and no class of the package holds a
+    # kernel, so the merge-fault tests above, run again here, name their
+    # faults with none
+    assert inspect.isfunction(graph._draft)
+    classes = [
+        c for name, module in sys.modules.items() if name.startswith("antimagic")
+        for c in vars(module).values() if isinstance(c, type) and c.__module__ == name
+    ]
+    assert graph.Graph in classes and graph.EdgeLabeling in classes
+    assert not [c for c in classes if {"merge", "split"} & set(dir(c))]
     runs = [
         *(lambda mp, c=c: test_clashing_blocks_of_a_merged_family_raise_the_merge_fault(*c.values)
           for c in CLASHING_BLOCKS),

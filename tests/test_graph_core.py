@@ -38,7 +38,7 @@ from antimagic.graph import (
     Graph,
     V,
     VertexId,
-    _Draft,
+    _draft,
     certify,
     edge,
     induce_coloring,
@@ -103,7 +103,7 @@ def test_every_graph_names_only_its_vertices():
     # gives one whose names are its vertices, with no name index
     hub_lists, _, _ = hub_reference.df(1, 1)  # splits, then merges, as one draft
     built, f, inst = build_family("df", r=1, s=1)
-    g, _ = _disjoint_cells(1).finish()
+    g, _ = _disjoint_cells(1)
     x = [V("x", i) for i in (1, 2, 3)]
     at_x1 = incident_edges(neighbors(g), x[0])
     merged, _ = merge_vertices(g, [x], [V("x")])
@@ -116,7 +116,7 @@ def test_every_graph_names_only_its_vertices():
         merged,
         split_vertices(g, [(x[0], at_x1[:1], at_x1[1:], V("h", 1), V("h", 2))])[0],
         split_vertex(g, x[0], at_x1[1:], at_x1[:1], V("h", 1), V("h", 2))[0],
-        hub_reference.finish(hub_lists)[0],
+        hub_reference.draft(*hub_lists)[0],
     ]
     for h in graphs:
         assert len(h.names) == h.order == len(set(h.names)) and not hasattr(h, "index")
@@ -211,11 +211,25 @@ def test_derived_structures_agree_across_a_surgery_round():
 
 
 def test_threads_sharing_a_graph_fill_its_caches_consistently():
-    built, _, _ = build_family("gn", n=10, indices=(1,))
-    expected = _views(Graph(built.vertices, built.edges))
+    # large enough (q = 605) that a fill of the colors spans thread switches
+    built, labeling, inst = build_family("gn", n=120, indices=(1, 2))
+    cert = certify(built, labeling, inst.expected_palette)
+    expected = (*_views(Graph(built.vertices, built.edges)), cert, induce_coloring(built, labeling))
     g = Graph(built.vertices, built.edges)  # nothing derived yet
+    # a finished labeling of g that keeps no colors yet, which every thread certifies
+    f = graph._finished(g, EdgeLabeling(labeling.labels))
+    assert f._colors is None
+
+    # the threads start their fills together, so a fill can see another's
+    start = threading.Barrier(8, timeout=30)
+
+    def views():
+        start.wait()
+        seen = certify(g, f, inst.expected_palette)
+        return (*_views(g), seen, dict(zip(g.names, graph._colors(g, f))))
+
     results = []
-    threads = [threading.Thread(target=lambda: results.append(_views(g))) for _ in range(8)]
+    threads = [threading.Thread(target=lambda: results.append(views())) for _ in range(8)]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -227,6 +241,7 @@ def test_threads_sharing_a_graph_fill_its_caches_consistently():
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert results == [expected] * len(threads)
+    assert dict(zip(g.names, f._colors)) == expected[-1]
 
 
 def test_a_certified_written_graph_keeps_flat_columns_only():
@@ -234,7 +249,7 @@ def test_a_certified_written_graph_keeps_flat_columns_only():
     # about 254 KB and a listing with a tuple per edge about 693 KB; the flat
     # caches hold about 45 KB and 400 KB
     g, f, inst = build_family("fb", n=755)
-    induce_coloring(g, f)  # the labeling's own cache, outside the count
+    graph._colors(g, f)  # the labeling's own cache, outside the count
     tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]
@@ -256,14 +271,14 @@ def test_a_certified_written_graph_keeps_flat_columns_only():
 
 
 def _disjoint_cells(k):
-    """The draft of 2k+1 fan cells, cell i on its own hub x_i."""
+    """The graph and labeling of 2k+1 fan cells, cell i on its own hub x_i."""
     n = 2 * k + 1
     hubs = [V("x", i) for i in range(1, n + 1)]
-    return _Draft(*_join_cells(table_m1(k), hubs, [(range(n), range(n))]))
+    return _draft(*_join_cells(table_m1(k), hubs, [(range(n), range(n))]))
 
 
 def test_merge_nine_cells_into_one_fan():
-    g, f = _disjoint_cells(4).finish()  # 9 cells, 45 edges
+    g, f = _disjoint_cells(4)  # 9 cells, 45 edges
     assert len(g.edges) == 45
     merged, emap = merge_vertices(g, [{V("x", i) for i in range(1, 10)}], [V("x")])
     f2 = f.remapped(emap)
@@ -275,14 +290,14 @@ def test_merge_nine_cells_into_one_fan():
 
 
 def test_merge_empty_block_list_is_identity():
-    g, f = _disjoint_cells(1).finish()
+    g, f = _disjoint_cells(1)
     merged, emap = merge_vertices(g, [], [])
     assert merged == g
     assert f.remapped(emap) == f
 
 
 def test_merge_into_three_fans():
-    g, _ = _disjoint_cells(4).finish()
+    g, _ = _disjoint_cells(4)
     blocks = [
         {V("x", 1), V("x", 5), V("x", 9)},
         {V("x", 3), V("x", 4), V("x", 8)},
@@ -341,7 +356,7 @@ def test_split_degree_two_conserves_edges():
 
 
 def test_split_fan_hub_like_diamond_construction():
-    g, _ = _disjoint_cells(1).finish()
+    g, _ = _disjoint_cells(1)
     x1 = V("x", 1)
     to_w = [edge(x1, V("w", 1))]
     to_uv = [edge(x1, V("u", 1)), edge(x1, V("v", 1))]
@@ -461,21 +476,36 @@ def test_certify_adjacent_equal_color_reported():
     assert bad and bad[0]["color"] == 10
 
 
+def _color_fills(monkeypatch) -> list:
+    """Each color list that a labeling keeps from now on, in the order kept:
+    the labeling's slot is wrapped, so every kept accumulation is counted."""
+    fills, slot = [], EdgeLabeling._colors
+
+    def kept(f, colors):
+        if colors is not None:
+            fills.append(colors)
+        slot.__set__(f, colors)
+
+    monkeypatch.setattr(EdgeLabeling, "_colors", property(slot.__get__, kept))
+    return fills
+
+
 @pytest.mark.parametrize(
     "family, params", [("fb", {"n": 9}), ("tb", {"n": 8}), ("gn", {"n": 10, "indices": (1,)})]
 )
 def test_a_finished_build_induces_its_coloring_once(family, params, monkeypatch):
-    made = []
-    real = graph.Coloring
-    monkeypatch.setattr(graph, "Coloring", lambda g, colors: made.append(1) or real(g, colors))
+    fills = _color_fills(monkeypatch)
     g, f, inst = build_family(family, **params)
-    coloring = induce_coloring(g, f)
+    assert f._colors is None and fills == []
     cert = certify(g, f, inst.expected_palette)
-    assert induce_coloring(g, f) is coloring
+    colors = f._colors
+    assert fills == [colors] and graph._colors(g, f) is colors
     # the writers print it, with or without the certificate
     with_cert, without = io.graph_to_doc(g, f, inst, cert), io.graph_to_doc(g, f, inst)
     dot = io.graph_to_dot(g, f)
-    assert len(made) == 1
+    coloring = induce_coloring(g, f)
+    assert len(fills) == 1 and f._colors is colors
+    assert coloring == dict(zip(g.names, colors))
     assert with_cert["colors"] == {str(v): c for v, c in coloring.items()}
     printed = dict(re.findall(r'^  "([^"]+)" \[label="[^"]*\\n(\d+)"\];$', dot, re.M))
     assert printed == {str(v): str(c) for v, c in coloring.items()}
@@ -485,16 +515,34 @@ def test_a_finished_build_induces_its_coloring_once(family, params, monkeypatch)
     # the coloring is the labeling's, not a field of the certificate
     assert "colors" not in cert._fields and "component_orders" not in cert._fields
     assert "colors" not in io.certificate_to_doc(cert)
-    # a labeling rebuilt by name accumulates its own, on every call
+    # a labeling rebuilt by name accumulates on a new twin on every call, and
+    # keeps none itself
     by_name = EdgeLabeling.from_dict(f.labels)
-    own = induce_coloring(g, by_name)
-    assert own == coloring and own is not coloring
-    assert induce_coloring(g, by_name) is not own and len(made) == 3
+    assert induce_coloring(g, by_name) == coloring and len(fills) == 2
+    assert certify(g, by_name, inst.expected_palette) == cert and len(fills) == 3
+    assert by_name._colors is None
     # and so does the finished labeling read on an equal graph, which leaves
-    # its own graph's coloring in place
+    # its own graph's colors in place
     same = Graph(g.vertices, g.edges)
-    assert induce_coloring(same, f) == coloring and induce_coloring(g, f) is coloring
-    assert certify(same, f, inst.expected_palette) == cert
+    assert induce_coloring(same, f) == coloring and len(fills) == 4
+    assert certify(same, f, inst.expected_palette) == cert and len(fills) == 5
+    assert f._colors is colors
+
+
+def test_induce_coloring_is_a_value():
+    g, f, inst = build_family("fb", n=5)
+    by_name = EdgeLabeling.from_dict(f.labels)
+    for labeling in (f, by_name):
+        first = induce_coloring(g, labeling)
+        cert = certify(g, labeling, inst.expected_palette)
+        again = induce_coloring(g, labeling)
+        assert again == first and again is not first
+        first.update(dict.fromkeys(first, 1))
+        assert induce_coloring(g, labeling) == again
+        assert certify(g, labeling, inst.expected_palette) == cert and cert.ok()
+    assert dict(zip(g.names, f._colors)) == again
+    # each call on a labeling by name makes a new finished twin
+    assert by_name._colors is None
 
 
 def test_a_labeling_by_name_is_looked_up_once_per_call(monkeypatch):

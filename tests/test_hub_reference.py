@@ -10,7 +10,7 @@ distinct base of its surgery side once."""
 import pytest
 
 from antimagic.families import _join_cells, build_family, family_grid, valid_gn_index_lists
-from antimagic.graph import V, _Draft
+from antimagic.graph import V, _draft
 from antimagic.tables import table_m1, table_m3
 from grid_pass import digest, grid_pass
 from hub_reference import REFERENCES, np3o3_cells, surgery_cells, use_references
@@ -39,7 +39,7 @@ def test_three_joins_on_private_hubs_are_the_np3o3_surgery_cells(k):
     n = 2 * k + 1
     hubs = [V("x", i, a) for a in (1, 2, 3) for i in range(1, n + 1)]
     joins = [(range(j * n, (j + 1) * n),) * 2 for j in range(3)]
-    g, f = _Draft(*_join_cells(table_m3(k), hubs, joins)).finish()
+    g, f = _draft(*_join_cells(table_m3(k), hubs, joins))
     ref_g, ref_f = np3o3_cells(k).finish()
     assert g == ref_g and f == ref_f
 

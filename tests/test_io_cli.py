@@ -20,7 +20,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from antimagic import cli, errors, families, graph, io, tables
+from antimagic import cli, errors, families, io, tables
 from antimagic.cli import main, make_parser
 from antimagic.errors import InvalidParity, InvariantError, UsageError
 from antimagic.families import build_family
@@ -442,9 +442,15 @@ def test_python_dash_m_antimagic_runs_the_cli_and_returns_its_exit_code(tmp_path
 
 
 def test_cli_certified_build_induces_the_coloring_once(tmp_path, monkeypatch):
-    made = []
-    real = graph.Coloring
-    monkeypatch.setattr(graph, "Coloring", lambda g, colors: made.append(1) or real(g, colors))
+    # every color list a labeling keeps goes through its slot, wrapped here
+    made, slot = [], EdgeLabeling._colors
+
+    def kept(f, colors):
+        if colors is not None:
+            made.append(1)
+        slot.__set__(f, colors)
+
+    monkeypatch.setattr(EdgeLabeling, "_colors", property(slot.__get__, kept))
     code = main([
         "--out", str(tmp_path), "build", "--family", "tb", "--n", "8",
         "--certify", "--emit", "both",

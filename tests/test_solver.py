@@ -4,10 +4,10 @@ from itertools import combinations, combinations_with_replacement, permutations
 
 import pytest
 
-from antimagic import solver
+from antimagic import graph, solver
 from antimagic.errors import K2Component, LabelDomainMismatch, UsageError
 from antimagic.families import build_family
-from antimagic.graph import EdgeLabeling, Graph, V, certify, edge, induce_coloring
+from antimagic.graph import EdgeLabeling, Graph, V, certify, edge
 from antimagic.solver import (
     PRUNE_REASONS, SearchConfig, _floor, _sum_fits, _walk, solve_chi_la,
 )
@@ -351,7 +351,7 @@ def test_every_witness_the_solver_returns_keeps_its_coloring():
     assert (res.status, res.chi_la) == ("exact", None)
     cases.append((g, res, seed))
     for g, res, seed in cases:
-        assert induce_coloring(g, res.witness) is induce_coloring(g, res.witness)
+        assert graph._colors(g, res.witness) is graph._colors(g, res.witness)
         assert seed is None or res.witness == seed
 
 
