@@ -5,17 +5,18 @@ instance pins the family tag, validated parameters, the closed-form expected
 palette and the expected degree census.  :func:`build_family` alone finishes
 the lists, into ``(graph, labeling, instance)``.  The builders perform the
 constructions exactly, all in index space, with labels read off the rows of
-one of the three matrices, into plain lists.  The bases ``fb``, ``tfb``,
-``df`` and ``np3o3`` lay each labeled cell straight onto the hubs it shares
-through the one cell builder, :func:`_join_cells`, which reads each join's
-rows off the table by position, and state their palette and census through
-:func:`_join_claims`, from the colors the table states; ``pt`` lays its
-rails and rungs.  Every other family lays blocks of a base's vertices on
-merged vertices through ``_merged``, and ``gn`` swaps rail edges between
-pairs of a bracelet's hubs: both only rewrite edge ends, so labels stay
-with their edges.  One draft and one graph are made per build, and a
-builder takes only parameters its instance records: ``gb`` reads its base
-off ``indices``.
+one of the three matrices, into plain lists, and name each vertex by the int
+code of its name (:func:`antimagic.graph._code`), so a build makes no name.
+The bases ``fb``, ``tfb``, ``df`` and ``np3o3`` lay each labeled cell
+straight onto the hubs it shares through the one cell builder,
+:func:`_join_cells`, which reads each join's rows off the table by position,
+and state their palette and census through :func:`_join_claims`, from the
+colors the table states; ``pt`` lays its rails and rungs.  Every other
+family lays blocks of a base's vertices on merged vertices through
+``_merged``, and ``gn`` swaps rail edges between pairs of a bracelet's hubs:
+both only rewrite edge ends, so labels stay with their edges.  One draft
+and one graph are made per build, and a builder takes only parameters its
+instance records: ``gb`` reads its base off ``indices``.
 
 Correctness authority is the certificate, not the construction: every
 builder's output is expected to pass :func:`antimagic.graph.certify` with
@@ -40,7 +41,7 @@ from .errors import (
     OverlappingBlocks,
     UsageError,
 )
-from .graph import EdgeLabeling, Graph, V, VertexId, _colors, _draft, certify
+from .graph import EdgeLabeling, Graph, _code, _colors, _draft, _name, certify
 from .partition import _position_blocks
 from .tables import LabelTable, _join_colors, _join_rows, _odd_factorizations, _pt_colors
 from .tables import _sequences, table_m1, table_m3, table_pt
@@ -72,15 +73,15 @@ def _census(*pairs: tuple[int, int]) -> dict[int, int]:
     return {d: c for d, c in out.items() if c}
 
 
-# the vertex names, the two ends of each edge by index and the label at
+# the vertex codes, the two ends of each edge by index and the label at
 # each edge position: the arguments of the build's one draft (graph._draft)
 Lists = tuple
 Built = tuple[Lists, FamilyInstance]
 
 
-def _vertices(role: str, column: Iterable[int]) -> Iterator[VertexId]:
-    """``_vertices("u", range(1, 4))`` is u_1, u_2, u_3, made in C."""
-    return map(tuple.__new__, repeat(VertexId), zip(repeat(role), zip(column)))
+def _vertices(role: str, column: Iterable[int]) -> Iterator[int]:
+    """``_vertices("u", range(1, 4))`` is the codes of u_1, u_2, u_3, made in C."""
+    return map(_code(role, 0).__add__, column)
 
 
 def _merged(
@@ -90,9 +91,9 @@ def _merged(
     blocks: Sequence[Sequence[int]],
     color: int,
     degree: int,
-    new_ids: Sequence[VertexId] | None = None,
+    new_ids: Sequence[int] | None = None,
 ) -> tuple[Lists, FamilyInstance, range]:
-    """Lay ``blocks`` of a base on merged vertices named ``new_ids``, m_1..m_r
+    """Lay ``blocks`` of a base on merged vertices coded ``new_ids``, m_1..m_r
     unless given, and scale its claims to match.  Returns the merged lists
     and the indices of the new vertices.
 
@@ -104,7 +105,7 @@ def _merged(
     palette and census, as it checks the tables and the partition.
 
     One index list sends each member to its block's vertex and every other
-    vertex to its place once the members are gone; the names drop the
+    vertex to its place once the members are gone; the codes drop the
     members and end with the new ids.  Nothing here checks the moved edges:
     the build's one draft does (:func:`_draft`).  A member met in two
     blocks is named here.
@@ -114,7 +115,7 @@ def _merged(
     r, s = len(blocks), len(blocks[0])
     palette = _palette(*(s * c if c == color else c for c in base.expected_palette))
     census = _census(*base.expected_census.items(), (degree, -r * s), (s * degree, r))
-    ids = new_ids or [V("m", j) for j in range(1, r + 1)]
+    ids = new_ids or [_code("m", j) for j in range(1, r + 1)]
 
     # plain loops over a list: faster here than C-level maps over a dict
     top = len(names) - sum(map(len, blocks))
@@ -126,7 +127,7 @@ def _merged(
     if to.count(None) != top:
         seen: set[int] = set()  # the first member met again, in block order
         twice = next(v for v in chain.from_iterable(blocks) if v in seen or seen.add(v))
-        raise OverlappingBlocks(f"{names[twice]} appears in two blocks")
+        raise OverlappingBlocks(f"{_name(names, twice)} appears in two blocks")
     kept = [v for v, h in enumerate(to) if h is None]
     for i, v in enumerate(kept):
         to[v] = i
@@ -149,7 +150,7 @@ def _fan_at(role: str, i: int, k: int) -> int:
 
 def _join_cells(
     table: LabelTable,
-    hubs: Sequence[VertexId],
+    hubs: Sequence[int],
     joins: Sequence[tuple[Sequence[int], Sequence[int]]],
 ) -> Lists:
     """2k+1 cells labeled column-wise and laid on their hubs: cell i is the
@@ -163,10 +164,12 @@ def _join_cells(
     """
     n = table.columns
     (uw, vw), rows = _join_rows(table)
-    u, v, w = (range(j * n, (j + 1) * n) for j in range(3))
+    # one int per vertex index, which every edge end at that vertex shares
+    ends = list(range(3 * n + len(hubs)))
+    u, v, w, x = ends[:n], ends[n:2 * n], ends[2 * n:3 * n], ends[3 * n:]
     a, b, labels = [*u, *v], [*w, *w], [*uw, *vw]
     for (w_hub, uv_hub), (c, left, right) in zip(joins, rows):
-        xw, xuv = list(map((3 * n).__add__, w_hub)), list(map((3 * n).__add__, uv_hub))
+        xw, xuv = list(map(x.__getitem__, w_hub)), list(map(x.__getitem__, uv_hub))
         a += [*xw, *xuv, *xuv]
         b += [*w, *u, *v]
         labels += [*c, *left, *right]
@@ -195,7 +198,7 @@ def _fb(n: int) -> Built:
         raise InvalidParity(f"fan builder needs odd n >= 3, got {n}")
     k = (n - 1) // 2
     hub, table = [0] * n, table_m1(k)
-    d = _join_cells(table, [V("x")], [(hub, hub)])
+    d = _join_cells(table, [_code("x")], [(hub, hub)])
     return d, FamilyInstance("fb", {"n": n, "k": k}, *_join_claims(table, 1))
 
 
@@ -215,7 +218,7 @@ def _tfb(t: int, s: int) -> tuple[Lists, FamilyInstance, list[list[int]]]:
         for c in cols:
             hub[c - 1] = a
     table = table_m1(k)
-    d = _join_cells(table, [V("y", a) for a in range(1, t + 1)], [(hub, hub)])
+    d = _join_cells(table, [_code("y", a) for a in range(1, t + 1)], [(hub, hub)])
 
     inst = FamilyInstance(
         "tfb", {"t": t, "s": s, "k": k}, *_join_claims(table, t),
@@ -242,7 +245,7 @@ def _df(r: int, s: int) -> tuple[Lists, FamilyInstance, range]:
     def by_block(near: range, far: range) -> list[int]:
         return list(chain.from_iterable(repeat(h, s) for h in (*near, 0, *reversed(far))))
 
-    hubs = [V("x"), *(V(role, j) for j in range(1, r + 1) for role in "yz")]
+    hubs = [_code("x"), *(_code(role, j) for j in range(1, r + 1) for role in "yz")]
     table = table_m1(k)
     d = _join_cells(table, hubs, [(by_block(ys, zs), by_block(zs, ys))])
 
@@ -273,7 +276,7 @@ def _fb_merged(variant: int, r: int, s: int) -> tuple[Lists, FamilyInstance, ran
     return _merged(
         (d, base), f"fb{variant}", {"r": r, "s": s, "k": k},
         [[_fan_at(role, c, k) for c in row] for row in rows for role in roles],
-        color, degree, [V(role, j) for j in range(1, s + 1) for role in roles],
+        color, degree, [_code(role, j) for j in range(1, s + 1) for role in roles],
     )
 
 
@@ -340,7 +343,8 @@ def _pt(n: int) -> Built:
     r3 = t.rows["R3"]
     # rung j joins u_(2j-1) and v_(2j-1)
     d = (
-        [V("x"), V("y"), *_vertices("u", range(1, top + 1)), *_vertices("v", range(1, top + 1))],
+        [_code("x"), _code("y"), *_vertices("u", range(1, top + 1)),
+         *_vertices("v", range(1, top + 1))],
         rail1[:-1] + rail2[:-1] + list(range(2, top + 2, 2)),
         rail1[1:] + rail2[1:] + list(range(top + 2, 2 * top + 2, 2)),
         [*tr.s1, *tr.s2, *(r3[col - 1] for col in tr.r3_columns)],
@@ -548,7 +552,7 @@ def _np3_o3(n: int) -> Built:
     if n < 3 or n % 2 == 0:
         raise InvalidParity(f"need odd n >= 3, got {n}")
     k = (n - 1) // 2
-    hubs, table = [V("x", a) for a in (1, 2, 3)], table_m3(k)
+    hubs, table = [_code("x", a) for a in (1, 2, 3)], table_m3(k)
     d = _join_cells(table, hubs, [([a] * n, [a] * n) for a in range(3)])
     return d, FamilyInstance("np3o3", {"n": n, "k": k}, *_join_claims(table, 3))
 

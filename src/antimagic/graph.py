@@ -9,22 +9,25 @@ local antimagic chromatic number of the graph is 3 (upper bound by witness,
 lower bound by the chromatic number).
 
 Values here are observationally immutable and the functions pure.  A
-:class:`Graph` is what :func:`_draft` makes of a build: the names of its
-vertices and two int arrays of edge ends, and the labeling made with it
-holds the label at each edge position.  :func:`certify` and the writers
-work on those arrays.  The frozenset views ``vertices`` and ``edges`` are
-computed on each call.  The walk and the one listing of a graph (flat
-columns), and the colors of a finished labeling, are each built on first
-use and cached; the fill is idempotent (a racing second fill computes the
-same value), so graphs can be shared across concurrent sweeps.
+:class:`Graph` is what :func:`_draft` makes of a build: its vertices and two
+int arrays of edge ends, and the labeling made with it holds the label at
+each edge position.  :func:`certify` and the writers work on those arrays.
+A build names its vertices by int codes (:func:`_code`), which sort as their
+names do, and its graph makes the :class:`VertexId` names (``names``) on
+first read; a graph made by name or read from a document holds its names
+from the start.  The frozenset views ``vertices`` and ``edges`` are computed
+on each call.  The names of a build, the walk and the one listing of a graph
+(flat columns), and the colors of a finished labeling, are each built on
+first use and cached; the fill is idempotent (a racing second fill computes
+the same value), so graphs can be shared across concurrent sweeps.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from collections.abc import Iterable, Mapping, Sequence
-from itertools import chain, compress
-from operator import eq, itemgetter
+from itertools import chain, compress, repeat
+from operator import and_, eq, itemgetter, rshift
 from types import MappingProxyType
 from typing import NamedTuple
 
@@ -77,9 +80,40 @@ def _id_strings(vertices: Sequence[VertexId]) -> list[str]:
 
 
 def V(role: str, *indices: int) -> VertexId:
-    """Shorthand constructor used throughout the builders; ``indices`` is a
-    tuple already, so the named tuple's ``__new__`` is skipped."""
+    """Shorthand constructor; ``indices`` is a tuple already, so the named
+    tuple's ``__new__`` is skipped."""
     return tuple.__new__(VertexId, (role, indices))
+
+
+# the roles a build names its vertices by, in sort order: role_i is coded as
+# the role's slot times 2**32 plus 1 + i, and the role alone as its slot times
+# 2**32, so codes sort as the names do
+_ROLES = ("m", "u", "v", "w", "x", "y", "z")
+
+
+def _code(role: str, *indices: int) -> int:
+    """The int code of ``V(role, *indices)`` for a build's role and at most
+    one index, ``i < 2**32 - 1``."""
+    return _ROLES.index(role) << 32 | (indices[0] + 1 if indices else 0)
+
+
+def _decoded(codes: Sequence[int]) -> list[VertexId]:
+    """The name of each code, by C-level maps: the roles off the slots, the
+    index tuples off one table, index i's tuple shared by its vertices."""
+    low = list(map(and_, codes, repeat(0xFFFFFFFF)))
+    indices = [(), *zip(range(max(low, default=0)))]
+    roles = map(_ROLES.__getitem__, map(rshift, codes, repeat(32)))
+    return list(map(tuple.__new__, repeat(VertexId), zip(roles, map(indices.__getitem__, low))))
+
+
+def _coded(ids: Sequence) -> bool:
+    """Whether a draft's vertex ids are a build's int codes, not names."""
+    return bool(ids) and type(ids[0]) is int
+
+
+def _name(ids: Sequence, i: int) -> VertexId:
+    """The name of vertex i of a draft's ids, which an error text prints."""
+    return _decoded([ids[i]])[0] if _coded(ids) else ids[i]
 
 
 class Graph:
@@ -89,17 +123,19 @@ class Graph:
     Vertex i is named ``names[i]``, and every name is a vertex; edge p joins
     ``a[p]`` and ``b[p]``.  The three are fixed at construction and only
     ever read.  Loops and parallel edges are impossible by construction; the
-    graph may be disconnected.
+    graph may be disconnected.  A build's graph holds the int codes of its
+    vertices (:func:`_code`) until ``names`` is first read, which makes the
+    names from them and keeps the names in their place.
 
     ``vertices`` and ``edges`` are frozenset views computed on each call.  The
-    walk (degrees, components, triangle; no neighbour list) and the listing
-    (:meth:`_listed`, flat columns: the one edge order of the certificate, the
-    writers, the solver and :meth:`sorted_edges`) are each built on first use
-    and cached.  A fill is idempotent (a racing second fill computes the same
-    value), so graphs can be shared across threads.
+    names of a build, the walk (degrees, components, triangle; no neighbour
+    list) and the listing (:meth:`_listed`, flat columns: the one edge order of
+    the certificate, the writers, the solver and :meth:`sorted_edges`) are each
+    built on first use and cached.  A fill is idempotent (a racing second fill
+    computes the same value), so graphs can be shared across threads.
     """
 
-    __slots__ = ("names", "a", "b", "_walk", "_columns")
+    __slots__ = ("_ids", "a", "b", "_walk", "_columns")
 
     def __init__(self, vertices: Iterable[VertexId], edges: Iterable[Edge]):
         """The graph that :func:`_draft` makes of ``vertices`` and ``edges``,
@@ -113,22 +149,31 @@ class Graph:
             a.append(at(x, -1))
             b.append(at(y, -1))
         g, _ = _draft(names, a, b, [0] * len(a))
-        self._fill(g.names, g.a, g.b)
+        self._fill(g._ids, g.a, g.b)
 
     @classmethod
-    def _of(cls, names: list[VertexId], a: list[int], b: list[int]) -> "Graph":
+    def _of(cls, ids: list, a: list[int], b: list[int]) -> "Graph":
         """A graph over arrays that :func:`_draft` has checked."""
         g = object.__new__(cls)
-        g._fill(names, a, b)
+        g._fill(ids, a, b)
         return g
 
-    def _fill(self, names, a, b) -> None:
-        self.names, self.a, self.b = names, a, b
+    def _fill(self, ids, a, b) -> None:
+        # a build's ids are int codes until its names are read; any other
+        # graph's ids are its names
+        self._ids, self.a, self.b = ids, a, b
         self._walk = self._columns = None
 
     @property
+    def names(self) -> list[VertexId]:
+        ids = self._ids
+        if _coded(ids):
+            ids = self._ids = _decoded(ids)
+        return ids
+
+    @property
     def order(self) -> int:
-        return len(self.names)
+        return len(self._ids)
 
     @property
     def size(self) -> int:
@@ -154,7 +199,7 @@ class Graph:
         edge arrays, whose neighbour lists are dropped once it is done."""
         walk = self._walk
         if walk is None:
-            adj: list[list[int]] = [[] for _ in self.names]
+            adj: list[list[int]] = [[] for _ in self._ids]
             for x, y in zip(self.a, self.b):
                 adj[x].append(y)
                 adj[y].append(x)
@@ -199,10 +244,13 @@ class Graph:
         lower and higher end rank of each listed edge."""
         listed = self._columns
         if listed is None:
+            # a build's codes, read before the names replace them, sort as
+            # the names do, and faster
+            ids = self._ids
             names = self.names
             n, q = len(names), len(self.a)
             ints = list(range(max(n, q)))
-            at = sorted(ints[:n], key=names.__getitem__)
+            at = sorted(ints[:n], key=ids.__getitem__)
             vs = tuple(map(names.__getitem__, at))
             rank = dict(zip(at, ints))
             # ranks and positions share one int per value; an edge's key is its
@@ -307,7 +355,7 @@ def _colors(g: Graph, f: EdgeLabeling) -> list[int]:
     f = _finished(g, f)
     colors = f._colors
     if colors is None:
-        colors = [0] * len(g.names)
+        colors = [0] * g.order
         for x, y, lab in zip(g.a, g.b, f._array):
             colors[x] += lab
             colors[y] += lab
@@ -438,7 +486,9 @@ def _draft(
     ``a[p]`` and ``b[p]``, and its labeling with ``labels[p]`` on edge p, over
     the given lists: the one name, length, end, loop and parallel-edge check,
     in that order, of every build, document read and graph.  Of two edges
-    that join the same two vertices, the first pair in edge order is named."""
+    that join the same two vertices, the first pair in edge order is named.
+    A build's names are int codes, checked as they are; an error text
+    decodes the names it prints."""
     names = list(names)
     if len(set(names)) != len(names):
         raise IdCollision("vertex names are not distinct")
@@ -448,7 +498,7 @@ def _draft(
         raise UnknownVertex("an edge has an endpoint outside the vertex list")
     loops = list(map(eq, a, b))
     if True in loops:
-        raise MergeWouldCreateLoop(f"loop edge at {names[a[loops.index(True)]]}")
+        raise MergeWouldCreateLoop(f"loop edge at {_name(names, a[loops.index(True)])}")
     # no edge is a loop, so two edges join the same two vertices exactly
     # when an end pair repeats, in the same order or reversed
     ends = set(zip(a, b))
@@ -457,7 +507,7 @@ def _draft(
         for p, (x, y) in enumerate(zip(a, b)):
             q = first.setdefault((x, y) if x < y else (y, x), p)
             if q != p:
-                u, v = edge(names[x], names[y])
+                u, v = edge(_name(names, x), _name(names, y))
                 raise MergeWouldCreateParallelEdge(
                     f"two edges join {u} and {v} (positions {q} and {p})"
                 )

@@ -2,17 +2,18 @@
 
 Desk-scale independent oracle: assigns the labels 1..q to edges depth-first
 and proves chi_la at a floor, the lower bound of :func:`_floor` (an odd
-cycle, the pendant vertices, or the two-colour sum rule).  The search runs in
-passes, with a colour target of floor, floor + 1, and so on: a pass prunes a
-branch when a completed vertex matches an adjacent completed vertex's sum
-(``clash``) or when the distinct completed colours exceed the target
-(``colour_bound``).  Once the target is full every open vertex must end on a
-completed colour, and :func:`solve_chi_la` proves three more rules from that:
-an edge that completes a vertex tries only the labels that close it on a
-completed colour (the others count as ``colour_bound``); a vertex the last
-edge touched must be able to reach such a colour, exactly through its one
-open edge or within its sum interval (``interval``); and the open vertices'
-colours must add up to q(q+1) less the completed ones (``sum``).
+cycle, the pendant vertices, or the two-colour sum rule, plus one for the
+colour 0 of isolated vertices).  The search runs in passes, with a colour
+target of floor, floor + 1, and so on: a pass prunes a branch when a
+completed vertex matches an adjacent completed vertex's sum (``clash``) or
+when the distinct completed colours exceed the target (``colour_bound``).
+Once the target is full every open vertex must end on a completed colour,
+and :func:`solve_chi_la` proves three more rules from that: an edge that
+completes a vertex tries only the labels that close it on a completed colour
+(the others count as ``colour_bound``); a vertex the last edge touched must
+be able to reach such a colour, exactly through its one open edge or within
+its sum interval (``interval``); and the open vertices' colours must add up
+to q(q+1) less the completed ones (``sum``).
 Completed-vertex colours are final, so the distinct count is monotone along
 a branch and every prune is safe.  A pass that is exhausted proves chi_la
 above its target, so the first labeling a pass finds is optimal.  The K2
@@ -162,19 +163,29 @@ def _floor(walk: _Walk, q: int) -> tuple[int, str]:
       The edge labelled q has an end of degree at least 2, again since no
       K2 component exists, and that end's colour exceeds q.
 
-    The first of the largest bounds in that order wins.
+    The first of the largest bounds in that order wins, over the graph less
+    its isolated vertices, whose components the sum rule counts.  With
+    i ≥ 1 isolated vertices that bound b becomes ``isolated`` b + 1.  The
+    isolated vertices have the empty sum 0 in every labeling, and every other
+    vertex has an edge and so a positive colour.  The labelings of the graph
+    are those of the graph less its isolated vertices, with the one colour 0
+    added, so chi_la is that graph's plus 1, and b bounds that graph's.
     """
-    sides = walk.sides
+    sides, nbrs = walk.sides, walk.nbrs
+    # each isolated vertex is a component of its own, on side 0
+    isolated = sum(not nb for nb in nbrs)
     rules = [(2, "edge") if sides is not None else (3, "odd_cycle")]
-    if sides is not None and len(walk.comps) == 1:
+    if sides is not None and len(walk.comps) - isolated == 1:
         half = q * (q + 1) // 2
-        side_a, side_b = sides.count(0), sides.count(1)
+        side_b = sides.count(1)
+        side_a = len(sides) - side_b - isolated
         if side_a == side_b or half % side_a or half % side_b:
             rules.append((3, "sum"))
-    leaves = sum(len(nb) == 1 for nb in walk.nbrs)
+    leaves = sum(len(nb) == 1 for nb in nbrs)
     if leaves:
         rules.append((leaves + 1, "pendant"))
-    return max(rules, key=lambda rule: rule[0])
+    floor, rule = max(rules, key=lambda rule: rule[0])
+    return (floor + 1, "isolated") if isolated else (floor, rule)
 
 
 def _sum_fits(colours: list[int], m: int, need: int) -> bool:

@@ -24,7 +24,7 @@ it (:func:`fresh`).
 
 from itertools import chain, repeat
 
-from antimagic import families
+from antimagic import families, graph
 from antimagic.graph import V, VertexId
 from antimagic.partition import _position_blocks
 from antimagic.tables import table_m1, table_m3
@@ -90,6 +90,15 @@ class SurgeryDraft:
         to = dict(zip(live, range(len(live)))).__getitem__
         names = list(map(self.names.__getitem__, live))
         return DRAFT(names, list(map(to, self.a)), list(map(to, self.b)), self.labels)
+
+
+def named(ids):
+    """Vertex ids by name: each int code that a builder names a vertex by,
+    decoded, and each name as it is; the one way a test reads a builder's
+    names."""
+    ids = list(ids)
+    decoded = iter(graph._decoded([v for v in ids if type(v) is int]))
+    return [next(decoded) if type(v) is int else v for v in ids]
 
 
 def _vertices(role, *columns):
@@ -184,14 +193,14 @@ def np3o3(n):
 
 def merged(built, family, params, blocks, color, degree, new_ids=None):
     """``_merged`` through the merge kernel, on a reference's draft or a
-    builder's lists."""
+    builder's lists, by name."""
     lists, base = built
-    d = lists[4] if len(lists) == 5 else SurgeryDraft(*lists)
+    d = lists[4] if len(lists) == 5 else SurgeryDraft(named(lists[0]), *lists[1:])
     r, s = len(blocks), len(blocks[0])
     palette = families._palette(*(s * c if c == color else c for c in base.expected_palette))
     census = families._census(*base.expected_census.items(), (degree, -r * s), (s * degree, r))
     inst = families.FamilyInstance(family, params, palette, census)
-    new = d.merge(blocks, new_ids or [V("m", b) for b in range(1, r + 1)])
+    new = d.merge(blocks, named(new_ids or [V("m", b) for b in range(1, r + 1)]))
     return handed(d), inst, new
 
 

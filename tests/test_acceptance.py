@@ -24,6 +24,7 @@ from antimagic.graph import (
     EdgeLabeling,
     Graph,
     V,
+    _code,
     _draft,
     certify,
     edge,
@@ -175,7 +176,7 @@ def test_criterion_4_golden_value_spot_checks():
         74, 83, 89, 68, 73, 84, 88, 69, 72, 85, 87, 70, 71, 86,
     ]
 
-    nine = _join_cells(table_m1(4), [V("x", i) for i in range(1, 10)], [(range(9), range(9))])
+    nine = _join_cells(table_m1(4), [_code("x", i) for i in range(1, 10)], [(range(9), range(9))])
     g9, f9 = _draft(*nine)
     blocks = [
         {V("x", 1), V("x", 5), V("x", 9)},

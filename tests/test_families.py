@@ -12,7 +12,7 @@ import pytest
 from adjacency import components, neighbors
 from grid_artifacts import POINTS, grid_points
 from grid_pass import grid_pass
-from hub_reference import SurgeryDraft, use_references
+from hub_reference import SurgeryDraft, named, use_references
 from antimagic import families, graph, io
 from antimagic.cli import main
 from antimagic.errors import (
@@ -304,6 +304,35 @@ def test_no_build_merges_or_splits_and_each_makes_one_draft():
     for family, points in grid_pass().points.items():
         for point in points:
             assert point.drafts == 1, (family, point.params)
+
+
+# sha256 over repr((family, g.names)) of each family's build at the first
+# point of its default grid that the grid does not exclude, in FAMILY_TAGS
+# order, as the builders named their vertices by VertexId
+FIRST_POINT_NAMES_SHA256 = "c06f3808ebd377f4d7159cc85ec03460ca5f4457dba88dbdce077b0bf73b5c5f"
+
+
+def test_a_build_and_its_certificate_make_no_vertex_name(monkeypatch):
+    # a build names its vertices by int codes, and only a reader of names
+    # (here the digest) decodes them, to the names the builders once made
+    decoded = []
+    monkeypatch.setattr(graph, "_decoded", lambda codes: decoded.append(codes))
+    built = []
+    for family in families.FAMILY_TAGS:
+        params = next(p for p, excluded in family_grid(family) if excluded is None)
+        g, f, inst = build_family(family, **params)
+        verify_instance(g, f, inst)
+        assert set(map(type, g._ids)) == {int}, family
+        built.append((family, g))
+        bound = {"max_size": 27, "max_n": 8, "gn_max_n": 14}[families.GRID_BOUND[family]]
+        statuses = {r["status"] for r in sweep_family(family, bound)}
+        assert "pass" in statuses and statuses <= {"pass", "excluded"}, family
+    assert decoded == []
+    monkeypatch.undo()
+    digest = hashlib.sha256()
+    for family, g in built:
+        digest.update(repr((family, g.names)).encode())
+    assert digest.hexdigest() == FIRST_POINT_NAMES_SHA256
 
 
 def _patchable():
@@ -714,11 +743,12 @@ def test_gb_over_gn_swaps_the_end_of_a_rim_of_1_mod_r():
 
 
 def _merged_by_name(base, family, params, blocks, color, degree, new_ids=None):
-    """``families._merged`` on a fresh unfinished base, its blocks given by
-    vertex name."""
+    """``families._merged`` on a fresh unfinished base, its blocks and new ids
+    given by vertex name."""
     lists, inst = base()
-    at = {v: i for i, v in enumerate(lists[0])}
+    at = {v: i for i, v in enumerate(named(lists[0]))}
     blocks = [[at[v] for v in block] for block in blocks]
+    new_ids = new_ids and [graph._code(v.role, *v.indices) for v in new_ids]
     return families._merged((lists, inst), family, params, blocks, color, degree, new_ids)
 
 

@@ -82,6 +82,24 @@ def test_a_repeated_edge_is_named_at_its_first_repeat_in_edge_order():
     assert str(info.value) == "two edges join v_2 and v_3 (positions 1 and 3)"
 
 
+def test_an_edge_from_a_vertex_to_itself_is_a_loop():
+    with pytest.raises(MergeWouldCreateLoop, match="^loop edge at a_1$"):
+        edge(V("a", 1), V("a", 1))
+
+
+def test_a_draft_with_edge_arrays_of_unequal_length_is_a_domain_mismatch():
+    # checked after the names and before any end
+    names = [V("a"), V("b"), V("c")]
+    for a, b, labels, message in [
+        ([0, 1], [1], [1, 2], "2 and 1 edge ends for 2 labels"),
+        ([0], [1], [1, 2], "1 and 1 edge ends for 2 labels"),
+        ([0, 9], [1, 2], [1], "2 and 2 edge ends for 1 labels"),
+    ]:
+        with pytest.raises(LabelDomainMismatch) as info:
+            _draft(names, a, b, labels)
+        assert str(info.value) == message
+
+
 def test_graph_rejects_a_repeated_vertex():
     # a repeat is a name clash, as in any draft, not a vertex to drop
     a, b = V("a"), V("b")
@@ -214,11 +232,17 @@ def test_threads_sharing_a_graph_fill_its_caches_consistently():
     # large enough (q = 605) that a fill of the colors spans thread switches
     built, labeling, inst = build_family("gn", n=120, indices=(1, 2))
     cert = certify(built, labeling, inst.expected_palette)
-    expected = (*_views(Graph(built.vertices, built.edges)), cert, induce_coloring(built, labeling))
+    expected = (
+        *_views(Graph(built.vertices, built.edges)), cert, induce_coloring(built, labeling),
+        built.names, built.sorted_vertices(),
+    )
     g = Graph(built.vertices, built.edges)  # nothing derived yet
     # a finished labeling of g that keeps no colors yet, which every thread certifies
     f = graph._finished(g, EdgeLabeling(labeling.labels))
     assert f._colors is None
+    # a build's graph whose names every thread makes from its codes, and lists
+    h = build_family("gn", n=120, indices=(1, 2))[0]
+    assert graph._coded(h._ids)
 
     # the threads start their fills together, so a fill can see another's
     start = threading.Barrier(8, timeout=30)
@@ -226,7 +250,8 @@ def test_threads_sharing_a_graph_fill_its_caches_consistently():
     def views():
         start.wait()
         seen = certify(g, f, inst.expected_palette)
-        return (*_views(g), seen, dict(zip(g.names, graph._colors(g, f))))
+        colors = dict(zip(g.names, graph._colors(g, f)))
+        return (*_views(g), seen, colors, h.names, h.sorted_vertices())
 
     results = []
     threads = [threading.Thread(target=lambda: results.append(views())) for _ in range(8)]
@@ -241,7 +266,7 @@ def test_threads_sharing_a_graph_fill_its_caches_consistently():
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert results == [expected] * len(threads)
-    assert dict(zip(g.names, f._colors)) == expected[-1]
+    assert dict(zip(g.names, f._colors)) == expected[-3]
 
 
 def test_a_certified_written_graph_keeps_flat_columns_only():
@@ -250,6 +275,7 @@ def test_a_certified_written_graph_keeps_flat_columns_only():
     # caches hold about 45 KB and 400 KB
     g, f, inst = build_family("fb", n=755)
     graph._colors(g, f)  # the labeling's own cache, outside the count
+    g.names  # and the names the build's codes make on first read
     tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]
@@ -273,7 +299,7 @@ def test_a_certified_written_graph_keeps_flat_columns_only():
 def _disjoint_cells(k):
     """The graph and labeling of 2k+1 fan cells, cell i on its own hub x_i."""
     n = 2 * k + 1
-    hubs = [V("x", i) for i in range(1, n + 1)]
+    hubs = [graph._code("x", i) for i in range(1, n + 1)]
     return _draft(*_join_cells(table_m1(k), hubs, [(range(n), range(n))]))
 
 

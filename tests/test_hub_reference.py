@@ -10,10 +10,10 @@ distinct base of its surgery side once."""
 import pytest
 
 from antimagic.families import _join_cells, build_family, family_grid, valid_gn_index_lists
-from antimagic.graph import V, _draft
+from antimagic.graph import V, _code, _draft
 from antimagic.tables import table_m1, table_m3
 from grid_pass import digest, grid_pass
-from hub_reference import REFERENCES, np3o3_cells, surgery_cells, use_references
+from hub_reference import REFERENCES, named, np3o3_cells, surgery_cells, use_references
 
 # gb over gn at n <= 60, off the default grid: each gb grid point with each
 # of its first three index lists
@@ -27,9 +27,10 @@ GB_OVER_GN = [
 @pytest.mark.parametrize("k", range(1, 10))
 def test_join_cells_on_private_hubs_are_the_surgery_cells(k):
     n = 2 * k + 1
-    lists = _join_cells(table_m1(k), [V("x", i) for i in range(1, n + 1)], [(range(n), range(n))])
+    hubs = [_code("x", i) for i in range(1, n + 1)]
+    names, *ends = _join_cells(table_m1(k), hubs, [(range(n), range(n))])
     ref = surgery_cells(k)
-    assert lists == (ref.names, ref.a, ref.b, ref.labels)
+    assert (named(names), *ends) == (ref.names, ref.a, ref.b, ref.labels)
 
 
 @pytest.mark.parametrize("k", range(1, 8))
@@ -39,7 +40,8 @@ def test_three_joins_on_private_hubs_are_the_np3o3_surgery_cells(k):
     n = 2 * k + 1
     hubs = [V("x", i, a) for a in (1, 2, 3) for i in range(1, n + 1)]
     joins = [(range(j * n, (j + 1) * n),) * 2 for j in range(3)]
-    g, f = _draft(*_join_cells(table_m3(k), hubs, joins))
+    names, *ends = _join_cells(table_m3(k), hubs, joins)
+    g, f = _draft(named(names), *ends)
     ref_g, ref_f = np3o3_cells(k).finish()
     assert g == ref_g and f == ref_f
 

@@ -226,6 +226,9 @@ def _dumps_inputs():
 @example([[{"a": 1}], [{"a": True}, {"a": None}], {"a": [1.0, [None]]}])
 # tuples, rendered as lists, and the empty one as []
 @example(((), (1, ("a", ())), [()], {"a": (None, 2.5)}))
+# a dict with keys other than str, rendered by the standard library, also nested
+@example({1: "a", 2: [3]})
+@example([{1: "a", 2: [3]}, {"b": {2: None}}])
 def test_dumps_equals_the_standard_library(value):
     assert io.dumps(value) == json.dumps(value, sort_keys=True, indent=2) + "\n"
 

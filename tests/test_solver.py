@@ -249,6 +249,47 @@ def test_sum_rule_needs_a_connected_graph():
     assert solve_chi_la(g).chi_la == brute_chi_la(g)
 
 
+def with_isolated(g, count):
+    """``g`` plus ``count`` isolated vertices."""
+    return Graph([*g.vertices, *(V("i", j) for j in range(count))], g.edges)
+
+
+def k24():
+    a, b = [V("a", i) for i in range(2)], [V("b", i) for i in range(4)]
+    return Graph(a + b, [edge(x, y) for x in a for y in b])
+
+
+@pytest.mark.parametrize("count", [1, 2])
+@pytest.mark.parametrize(
+    "base", [lambda: path(3), triangle, lambda: path(4), lambda: cycle(4), lambda: star(3),
+             lambda: cycle(5), lambda: disjoint(path(3), path(3)), k24],
+    ids=["P3", "C3", "P4", "C4", "K1,3", "C5", "2P3", "K2,4"],
+)
+def test_isolated_vertices_add_one_colour_to_the_floor_and_to_chi_la(base, count):
+    # every vertex with an edge has a positive colour and an isolated one 0,
+    # so both the floor and chi_la are those of the graph without them plus 1;
+    # the sum rule still applies to C4 and P3, whose edges form one component,
+    # and counts neither side of K2,4 with the isolated vertices (on side 0,
+    # they would make its sides 4 and 4 and the floor 4, over chi_la = 3)
+    g, h = base(), with_isolated(base(), count)
+    assert _floor(_walk(h), h.size) == (_floor(_walk(g), g.size)[0] + 1, "isolated")
+    res = solve_chi_la(h)
+    assert (res.status, res.floor_rule) == ("exact", "isolated")
+    assert res.chi_la == brute_chi_la(h) == brute_chi_la(g) + 1
+
+
+def test_an_isolated_vertex_beside_a_fan_is_proved_at_its_floor():
+    # fb n=3 has chi_la = 3; with an isolated vertex the floor is 4, so the
+    # first pass proves it, where the odd-cycle floor 3 needed a whole
+    # exhausted pass first (612,748 nodes)
+    g, _, _ = build_family("fb", n=3)
+    res = solve_chi_la(with_isolated(g, 1), SearchConfig(max_edges=15))
+    assert (res.status, res.chi_la, res.floor, res.floor_rule, res.passes) == (
+        "exact", 4, 4, "isolated", 1
+    )
+    assert res.nodes < 2_000
+
+
 def test_deepening_raises_the_floor_pass_by_pass():
     # chi_la(K4) = 4 (Arumugam et al.): the odd-cycle floor 3 is exhausted
     # first, then the first labeling of the second pass is optimal

@@ -140,6 +140,12 @@ def test_bijectivity(k):
     assert sorted(table_m3(k).all_entries()) == list(range(1, 22 * k + 12))
 
 
+def test_make_table_refuses_an_unknown_kind():
+    with pytest.raises(InvalidK) as info:
+        make_table("m2", 1)
+    assert type(info.value) is InvalidK and str(info.value) == "unknown table kind 'm2'"
+
+
 def test_invalid_k():
     for maker in (table_m1, table_pt, table_m3):
         with pytest.raises(InvalidK):
@@ -202,6 +208,21 @@ def test_m1_observation_detects_corruption():
     broken = type(t)("m1", 2, rows)
     with pytest.raises(ObservationViolated):
         check_m1_observations(broken)
+
+
+def test_m1_observation_3_detects_a_hub_share_moved_between_columns():
+    # column 1's u-w label up by 1 and column 2's down, with the hub's w and
+    # u rows moved to keep every column sum and the hub total: (1), (2) and
+    # (5) hold, and the last-three-row sums read 23k+10, 23k+12, ...
+    t = table_m1(2)
+    rows = dict(t.rows)
+    for name, d in (("uw", 1), ("xw", -1), ("xu", -1)):
+        row = rows[name]
+        rows[name] = (row[0] + d, row[1] - d, *row[2:])
+    with pytest.raises(ObservationViolated) as info:
+        check_m1_observations(t._replace(rows=rows))
+    assert info.value.index == 3
+    assert str(info.value).endswith("last-3-rows column sums are not the stated AP")
 
 
 # --- m3 observations ---------------------------------------------------------
@@ -307,8 +328,11 @@ def _pt3_swapped(row_a, col_a, row_b, col_b):
         (_pt3_swapped("R1", 4, "R2", 4), "first/last cross-sequence sums are off (A)"),
         (_pt3_swapped("R1", 1, "R1", 2), "positions 2,3 do not sum to 36 (B)"),
         (_pt3_swapped("R3", 1, "R3", 2), "pair 2 + row-3 entry sums to 74, expected 75 (C)"),
+        # S2's terms at positions 2 and 3, a (B) pair, trade places: (A), (B)
+        # and S1's (C) hold, and S2's first pair with its row-3 entry is off
+        (_pt3_swapped("R5", 4, "R1", 1), "pair 1 of S2 breaks the complement (C)"),
     ],
-    ids=["A", "B", "C"],
+    ids=["A", "B", "C", "C-S2"],
 )
 def test_sequence_checks_reject_a_corrupted_table(table, message):
     # each swap breaks one property; (A), (B), (C) are checked in that order
