@@ -40,6 +40,7 @@ from .errors import (
     NotIncident,
     OverlappingBlocks,
     UnknownVertex,
+    UsageError,
 )
 
 
@@ -139,9 +140,13 @@ class Graph:
 
     def __init__(self, vertices: Iterable[VertexId], edges: Iterable[Edge]):
         """The graph that :func:`_draft` makes of ``vertices`` and ``edges``,
-        edge p the p-th of ``edges``; it rejects a repeated vertex, a loop, an
-        end outside ``vertices`` and two parallel edges."""
+        edge p the p-th of ``edges``; it rejects a vertex that is not a
+        :class:`VertexId`, a repeated vertex, a loop, an end outside
+        ``vertices`` and two parallel edges."""
         names = list(vertices)
+        named = list(map(isinstance, names, repeat(VertexId)))
+        if False in named:
+            raise UsageError(f"vertex {names[named.index(False)]!r} is not a VertexId")
         at = dict(zip(names, range(len(names)))).get
         a, b = [], []
         for x, y in edges:

@@ -18,9 +18,11 @@ the entry c0 + c1*k + d*i in column i: the first piece on columns 1..k+1,
 the last on k+2..2k+1 (a row of one piece uses it on both), each evaluated
 with one ``range``.  ``tests/test_table_proofs.py`` proves from the same
 pieces each bijection, observations (1)-(5) and (a)-(c), and properties
-(A)-(C) for every k >= 1.  So a build trusts its table and the certificate
-checks what it builds; the checks here run only where a table is the output:
-:func:`make_table` checks the bijection, :func:`trace_sequences` (A)-(C).
+(A)-(C) for every k >= 1, and for any 5-row table that m1's observations (4)
+and (6) follow from (1)-(3), so those two are reported, not checked.  So a
+build trusts its table and the certificate checks what it builds; the checks
+here run only where a table is the output: :func:`make_table` checks the
+bijection, :func:`trace_sequences` (A)-(C).
 """
 
 from __future__ import annotations
@@ -168,7 +170,7 @@ def _odd_factorizations(n: int, min_r: int = 3):
 
 
 def check_m1_observations(t: LabelTable) -> dict:
-    """Verify the six structural properties of the fan-blade matrix.
+    """The six structural properties of the fan-blade matrix:
 
     1, 2, 5. its join's colors (:func:`_check_join`): every column's rows
        1-3 (w's) sum to S1, rows 1, 4 (u's) and 2, 5 (v's) to S2, and the
@@ -180,8 +182,10 @@ def check_m1_observations(t: LabelTable) -> dict:
        block r+1-j is S3 = s hub shares, and the middle block's last-three-row
        sum is also S3.
 
-    Raises :class:`ObservationViolated` on the first failure; returns a
-    report of the computed constants.
+    Only (1), (2), (3) and (5) are checked: any 5-row table that meets
+    (1)-(3) meets (4) and (6) (``tests/test_table_proofs.py``), so those two
+    are reported, not checked.  Raises :class:`ObservationViolated` on the
+    first failure; returns the computed constants, ``block_sums`` each S3.
     """
     if t.kind != "m1":
         raise InvalidK("observations (1)-(6) apply to the m1 table")
@@ -189,31 +193,13 @@ def check_m1_observations(t: LabelTable) -> dict:
     s1, s2, share = _check_join(t, (1, 2, 5))
     _, _, xw, xu, xv = t.rows.values()
 
-    last3 = [xw[i] + xu[i] + xv[i] for i in range(n)]
-    if last3 != [23 * k + 12 - 2 * i for i in range(n)]:
+    if [sum(col) for col in zip(xw, xu, xv)] != [*range(23 * k + 12, 19 * k + 11, -2)]:
         raise ObservationViolated(3, "last-3-rows column sums are not the stated AP")
-
-    rows45 = [xu[i] + xv[i] for i in range(n)]
-    if any(rows45[i] - rows45[i + 1] != 1 for i in range(n - 1)):
-        raise ObservationViolated(4, "rows 4+5 column sums do not decrease by 1")
-
-    block_sums: dict[tuple[int, int], int] = {}
-    for br, bs in _odd_factorizations(n):
-        s3 = bs * share
-        for j in range(1, br + 1):
-            paired = sum(xw[(j - 1) * bs:j * bs]) + sum(rows45[(br - j) * bs:(br + 1 - j) * bs])
-            if paired != s3:
-                raise ObservationViolated(
-                    6, f"blocks ({j}, {br + 1 - j}) of shape {br}x{bs} pair to {paired} != {s3}"
-                )
-        mid_sum = sum(last3[(br - 1) // 2 * bs:(br + 1) // 2 * bs])
-        if mid_sum != s3:
-            raise ObservationViolated(6, f"middle block sum {mid_sum} != {s3}")
-        block_sums[(br, bs)] = s3
 
     return {
         "k": k, "S1": s1, "S2": s2, "ap_first": 23 * k + 12, "ap_last": 19 * k + 12,
-        "grand_total": n * share, "block_sums": block_sums,
+        "grand_total": n * share,
+        "block_sums": {(r, s): s * share for r, s in _odd_factorizations(n)},
     }
 
 

@@ -107,6 +107,23 @@ def test_graph_rejects_a_repeated_vertex():
         Graph([a, b, a], [edge(a, b)])
 
 
+@pytest.mark.parametrize(
+    "vertices, edges, named",
+    [
+        # ints would read as a build's codes, m_0, m_1, m_2
+        ([1, 2, 3], [(1, 2), (2, 3)], "1"),
+        (["a", "b"], [("a", "b")], "'a'"),
+        ([V("a"), ("b", ()), ("c", ())], [], "('b', ())"),
+    ],
+    ids=["ints", "strs", "plain_tuple"],
+)
+def test_graph_refuses_a_vertex_that_is_not_a_vertex_id(vertices, edges, named):
+    with pytest.raises(UsageError) as info:
+        Graph(vertices, edges)
+    assert type(info.value) is UsageError
+    assert str(info.value) == f"vertex {named} is not a VertexId"
+
+
 def test_a_graph_keeps_the_order_of_the_edges_it_is_given():
     # edge p is the p-th edge given, its ends as given, under every hash seed
     vs = [V("v", i) for i in range(9)]

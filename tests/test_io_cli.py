@@ -493,6 +493,19 @@ def test_cli_partition(tmp_path, capsys):
     assert all(line.split(",")[1] == "288" for line in out.splitlines()[1:])
 
 
+def test_cli_partition_of_a_shape_that_is_not_positive_is_usage(tmp_path, capsys):
+    code = main([
+        "--out", str(tmp_path), "partition", "--first", "1", "--step", "1",
+        "--t", "0", "--s", "3",
+    ])
+    assert code == 2
+    assert capsys.readouterr().err == "usage error: block shape 0x3 is not positive\n"
+    (line,) = (tmp_path / "manifest.jsonl").read_text().splitlines()
+    entry = json.loads(line)
+    assert entry["outcome"] == "usage error: block shape 0x3 is not positive"
+    assert entry["outputs"] == []
+
+
 def test_cli_sweep_small(tmp_path, capsys):
     code = main([
         "--out", str(tmp_path), "sweep", "--family", "fb", "--max-size", "21",

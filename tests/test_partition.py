@@ -105,3 +105,9 @@ def test_infeasible_shapes():
         partition_ap(1, 1, 3, 1)  # distinct singletons can't tie
     with pytest.raises(InfeasibleShape):
         partition_ap(1, 0, 3, 3)  # a constant progression has no step
+
+
+@pytest.mark.parametrize("t, s", [(0, 3), (3, 0), (-1, 3)])
+def test_a_shape_that_is_not_positive_is_refused(t, s):
+    with pytest.raises(InfeasibleShape, match=f"^block shape {t}x{s} is not positive$"):
+        partition_ap(1, 1, t, s)

@@ -10,10 +10,13 @@ nonempty, it holds symbolically from a computed k0 on and the k below k0 are
 checked from the pieces one by one.  A proof that fails raises
 :class:`Unproved`.
 
-Observation (6) of m1 is not proved here; ``test_tables.py`` checks it
-numerically.
+Observations (4) and (6) of m1 are proved for any 5-row table that meets
+(1)-(3), not only for the pieces, which is why ``check_m1_observations``
+reports them and checks only (1), (2), (3) and (5).
 """
 
+import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -22,12 +25,14 @@ from antimagic.errors import ObservationViolated
 from antimagic.tables import (
     _PIECES,
     _join_colors,
+    _odd_factorizations,
     _peanut_walk,
     _pt_colors,
     _table,
     check_m1_observations,
     check_m3_observations,
     make_table,
+    table_m1,
 )
 
 
@@ -178,6 +183,58 @@ def prove_m1(pieces):
     prove_total(pieces, ("xw", "xu", "xv"), lambda k: (7 * k + 4) * (6 * k + 3), "(5)")
 
 
+# S1 and S2 of (1) and (2), (3)'s sum in column i and a hub's share of one
+# column, which (5) totals over the 2k+1 columns
+M1_SUMS = {"S1": form(6, 9), "S2": form(6, 10), "(3)": form(14, 23, -2),
+           "share": form(12, 21)}
+
+
+def prove_m1_4_and_6(s1, s2, ap, share):
+    """(4) and (6) of m1 hold in any 5-row table that meets (1)-(3).
+
+    Let d_i = uw_i + vw_i.  (1) gives xw_i = S1 - d_i and (2) gives
+    xu_i + xv_i = 2*S2 - d_i, so the last three rows of column i sum to
+    S1 + 2*S2 - 2*d_i, which (3) sets to 23k+14 - 2i: d_i = 3k+2+i, and
+    rows (4,5) sum to 17k+10-i, which steps by -1: (4).
+
+    With 2k+1 = r*s, the reflection i -> 2k+2-i maps the columns
+    (j-1)s+1..js of block j onto (r-j)s+1..(r+1-j)s, block r+1-j, and the
+    middle block onto itself.  So (6) holds when row 3 in column i and rows
+    (4,5) in column 2k+2-i sum to one hub share, and the last three rows in
+    the two columns to two: a block of s columns then sums to s shares.
+    """
+    twice_d = add(s1, scale(2, s2), scale(-1, ap))
+    require(all(x % 2 == 0 for x in twice_d), "(3) gives no integral d_i")
+    d = tuple(x // 2 for x in twice_d)
+    xw, rows45 = add(s1, scale(-1, d)), add(scale(2, s2), scale(-1, d))
+    require(rows45[2] == -1, f"(4): rows 4+5 sum to {rows45}")
+    mirror = form(2, 2, -1)
+    require(add(xw, put(rows45, mirror)) == share, "(6): a pair of blocks")
+    require(add(ap, put(ap, mirror)) == scale(2, share), "(6): the middle block")
+
+
+def m1_observations_4_and_6(t):
+    """The checks of (4) and (6) that ``check_m1_observations`` made before
+    the proof above: each shape's block sum, or :class:`ObservationViolated`."""
+    n, share = t.columns, _join_colors("m1", t.k)[2]
+    _, _, xw, xu, xv = t.rows.values()
+    last3 = [xw[i] + xu[i] + xv[i] for i in range(n)]
+    rows45 = [xu[i] + xv[i] for i in range(n)]
+    if any(rows45[i] - rows45[i + 1] != 1 for i in range(n - 1)):
+        raise ObservationViolated(4, "rows 4+5 column sums do not decrease by 1")
+    block_sums = {}
+    for br, bs in _odd_factorizations(n):
+        s3 = bs * share
+        for j in range(1, br + 1):
+            paired = sum(xw[(j - 1) * bs:j * bs]) + sum(rows45[(br - j) * bs:(br + 1 - j) * bs])
+            if paired != s3:
+                raise ObservationViolated(6, f"blocks ({j}, {br + 1 - j}) pair to {paired}")
+        if sum(last3[(br - 1) // 2 * bs:(br + 1) // 2 * bs]) != s3:
+            raise ObservationViolated(6, "middle block")
+        block_sums[(br, bs)] = s3
+    return block_sums
+
+
 def prove_m3(pieces):
     prove_columns(pieces, ("L", "R", "C1", "C2", "C3"), form(15, 25), "(a)")
     prove_columns(pieces, ("L", "L1", "L2", "L3"), form(27, 50), "(b)")
@@ -308,6 +365,54 @@ def test_each_table_is_a_bijection_for_every_k(kind):
 
 def test_m1_observations_1_to_5_hold_for_every_k():
     prove_m1(_PIECES["m1"])
+
+
+def test_m1_observations_4_and_6_follow_from_1_to_3_in_any_table():
+    prove_m1_4_and_6(*M1_SUMS.values())
+
+
+@pytest.mark.parametrize("name, changed, claim", [
+    ("(3)", form(14, 23, -4), "(4)"), ("(3)", form(16, 23, -2), "(6): a pair"),
+    ("share", form(12, 22), "(6): a pair"),
+])
+def test_a_changed_sum_fails_the_proof_of_4_and_6(name, changed, claim):
+    # S1 and S2 cancel: row 3 and rows (4,5) in columns i and 2k+2-i sum to
+    # half of what (3) gives the two columns, whatever S1 and S2 are
+    with pytest.raises(Unproved, match=re.escape(claim)):
+        prove_m1_4_and_6(*{**M1_SUMS, name: changed}.values())
+
+
+def _meeting_1_to_3(k, rng):
+    """m1 at k with each column's u-w label moved by a free amount, and the
+    v-w, x-u and x-v labels moved to keep (1)-(3)."""
+    t = table_m1(k)
+    uw, vw, xw, xu, xv = t.rows.values()
+    e = [rng.randint(-10 * k, 10 * k) for _ in uw]
+    moved = ([a + x for a, x in zip(uw, e)], [a - x for a, x in zip(vw, e)], xw,
+             [a - x for a, x in zip(xu, e)], [a + x for a, x in zip(xv, e)])
+    return t._replace(rows=dict(zip(t.rows, map(tuple, moved))))
+
+
+def test_every_table_that_meets_1_to_3_passes_the_checks_of_4_and_6():
+    # the proof above against the checks it replaced, which report each block
+    # sum as check_m1_observations does: on m1 and on tables off its pieces
+    rng = random.Random(0)
+    for k in range(1, 13):
+        for t in [table_m1(k), *(_meeting_1_to_3(k, rng) for _ in range(25))]:
+            assert check_m1_observations(t)["block_sums"] == m1_observations_4_and_6(t)
+
+
+def test_the_checks_of_4_and_6_fail_a_table_that_breaks_3():
+    # column 1's u-w label up by 1 and column 2's down, with the x-w and x-u
+    # labels moved to keep (1), (2) and (5): (3) and (4) fail
+    t = table_m1(2)
+    rows = dict(t.rows)
+    for name, d in (("uw", 1), ("xw", -1), ("xu", -1)):
+        row = rows[name]
+        rows[name] = (row[0] + d, row[1] - d, *row[2:])
+    with pytest.raises(ObservationViolated) as info:
+        m1_observations_4_and_6(t._replace(rows=rows))
+    assert info.value.index == 4
 
 
 def test_m3_observations_a_to_c_hold_for_every_k():
