@@ -1,5 +1,10 @@
 """Local antimagic 3-colorings of odd-size graph families: constructions,
-certification, equal-sum partitions, and an exact desk-scale solver."""
+certification, equal-sum partitions, and an exact desk-scale solver.
+
+The seven value types (``Certificate``, ``LabelTable``, ``TracedSequences``,
+``EqualSumPartition``, ``FamilyInstance``, ``SearchConfig``, ``SolveResult``)
+are named tuples, which cost an import less to define than dataclasses; no
+class in the package is a dataclass."""
 
 from .graph import (
     Certificate,

@@ -16,7 +16,8 @@ family lays blocks of a base's vertices on merged vertices through
 ``_merged``, and ``gn`` swaps rail edges between pairs of a bracelet's hubs:
 both only rewrite edge ends, so labels stay with their edges.  One draft
 and one graph are made per build, and a builder takes only parameters its
-instance records: ``gb`` reads its base off ``indices``.
+instance records: ``gb`` reads its base off ``indices``.  A builder refuses
+a bad parameter before it builds its base.
 
 Correctness authority is the certificate, not the construction: every
 builder's output is expected to pass :func:`antimagic.graph.certify` with
@@ -61,7 +62,8 @@ BuildResult = tuple[Graph, EdgeLabeling, FamilyInstance]
 
 
 def _palette(*colors: int) -> tuple[int, ...]:
-    """The sorted closed-form colors, distinct for every valid parameter."""
+    """The sorted closed-form colors, distinct for every valid parameter
+    (``tests/test_palette_proof.py``), so nothing is checked here."""
     return tuple(sorted(colors))
 
 
@@ -107,8 +109,10 @@ def _merged(
     One index list sends each member to its block's vertex and every other
     vertex to its place once the members are gone; the codes drop the
     members and end with the new ids.  Nothing here checks the moved edges:
-    the build's one draft does (:func:`_draft`).  A member met in two
-    blocks is named here.
+    the build's one draft does (:func:`_draft`), which names a loop where
+    two members of a block are adjacent and two parallel edges where they
+    share a neighbour, in whichever merge of a chain the fault was made.  A
+    member met in two blocks is named here.
     """
     lists, base = built
     names, a, b, labels = lists

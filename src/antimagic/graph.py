@@ -20,6 +20,10 @@ on each call.  The names of a build, the walk and the one listing of a graph
 (flat columns), and the colors of a finished labeling, are each built on
 first use and cached; the fill is idempotent (a racing second fill computes
 the same value), so graphs can be shared across concurrent sweeps.
+
+``merge_vertices``, ``split_vertices``, ``split_vertex`` and ``edge`` are a
+name-keyed surgery API that the package does not re-export: no build runs
+surgery, and only the tests and the benchmark's tracer call it.
 """
 
 from __future__ import annotations
@@ -123,10 +127,11 @@ class Graph:
 
     Vertex i is named ``names[i]``, and every name is a vertex; edge p joins
     ``a[p]`` and ``b[p]``.  The three are fixed at construction and only
-    ever read.  Loops and parallel edges are impossible by construction; the
-    graph may be disconnected.  A build's graph holds the int codes of its
-    vertices (:func:`_code`) until ``names`` is first read, which makes the
-    names from them and keeps the names in their place.
+    ever read, and no name -> index dict is kept.  Loops and parallel edges
+    are impossible by construction; the graph may be disconnected.  A
+    build's graph holds the int codes of its vertices (:func:`_code`) until
+    ``names`` is first read, which makes the names from them and keeps the
+    names in their place.
 
     ``vertices`` and ``edges`` are frozenset views computed on each call.  The
     names of a build, the walk (degrees, components, triangle; no neighbour
@@ -524,8 +529,9 @@ def _draft(
 
 
 def _rewritten(g: Graph, names: list[VertexId], ends: list[Edge]) -> tuple[Graph, dict[Edge, Edge]]:
-    """The graph of ``names`` whose edge p is ``ends[p]``, and the old-edge ->
-    new-edge map of ``g``'s edges whose names change."""
+    """The graph of ``names`` whose edge p is ``ends[p]``, ``g``'s edge p with
+    its ends renamed in place, and the old-edge -> new-edge map of ``g``'s
+    edges whose names change."""
     out = Graph(names, ends)
     return out, {e: e2 for e, e2 in zip(g._named_edges(), out._named_edges()) if e != e2}
 

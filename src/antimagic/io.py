@@ -57,6 +57,10 @@ def graph_to_doc(
     instance: FamilyInstance | None = None,
     cert: Certificate | None = None,
 ) -> dict:
+    """The JSON document of ``g`` and ``f``: the instance's family, params
+    and expected palette, the vertices and edges in listing order, the
+    labeling's colouring, and ``cert``'s document, the only writer that
+    embeds one."""
     f = _finished(g, f)
     vs, names, _, at, _, _ = g._listed()
     doc = {
@@ -270,7 +274,9 @@ def graph_to_dot(g: Graph, f: EdgeLabeling) -> str:
 
 
 def _dot_escaped(text: str) -> str:
-    """``text`` in a quoted DOT string, where a quote or a backslash is escaped."""
+    """``text`` in a quoted DOT string, where a quote or a backslash is
+    escaped, so every accepted document, whatever its roles, gives DOT that
+    scans."""
     return text.replace("\\", "\\\\").replace('"', '\\"')
 
 

@@ -41,7 +41,10 @@ def _triple_offsets(t: int) -> tuple[list[int], list[int]]:
 
 
 def _position_blocks(t: int, s: int) -> list[list[int]]:
-    """t blocks of s positions from [0, t*s) with equal position sums."""
+    """t blocks of s positions from [0, t*s) with equal position sums,
+    unchecked: :func:`partition_ap` certifies what it returns, and the
+    ``tfb`` build reads the blocks as builds read their tables, so no build
+    runs a partition check."""
     if t == 1:
         return [list(range(s))]
     if s == 1:

@@ -152,11 +152,12 @@ def _floor(walk: _Walk, q: int) -> tuple[int, str]:
       vertices take different sums, and a graph with an odd cycle has no
       proper 2-colouring.
     * ``sum`` 3, for a connected bipartite graph with sides A and B, when
-      |A| = |B| or one of them does not divide q(q+1)/2.  A connected
-      bipartite graph has one proper 2-colouring up to swapping the colours,
-      so a 2-colour labeling gives A one colour c1 and B another c2.  Every
-      edge has one end in A, so |A|·c1 is the sum of all labels, q(q+1)/2,
-      and so is |B|·c2; equal sides would give c1 = c2 on adjacent vertices.
+      |A| = |B| or one of them does not divide q(q+1)/2 (Arumugam et al.,
+      Graphs Combin. 2017).  A connected bipartite graph has one proper
+      2-colouring up to swapping the colours, so a 2-colour labeling gives A
+      one colour c1 and B another c2.  Every edge has one end in A, so
+      |A|·c1 is the sum of all labels, q(q+1)/2, and so is |B|·c2; equal
+      sides would give c1 = c2 on adjacent vertices.
     * ``pendant`` l + 1, with l ≥ 1 vertices of degree 1.  No two of them
       are adjacent (that would be a K2 component), so their edges are l
       distinct edges and their colours l distinct labels, each at most q.

@@ -10,8 +10,10 @@ Three integer matrices drive every construction in this package:
 * ``m3`` -- 11 x (2k+1) bijective on [1, 22k+11] for the triple-hub join
   families.  The join tables ``m1`` and ``m3`` order their rows as the cell
   builder and the check read them (:func:`_join_rows`): two path rows, then
-  m C, m L and m R rows (m = 1, 3).  Their colors are stated once, in
-  ``_JOINS``, and one check, :func:`_check_join`, holds both tables to them.
+  m C, m L and m R rows (m = 1, 3); ``m3``'s first three rows and its L1
+  and R2 are ``m1``'s rows, the last two shifted by 2 + 4k.  Their colors
+  are stated once, in ``_JOINS``, and one check, :func:`_check_join`, holds
+  both tables to them.
 
 Each row is stated once, in ``_PIECES``, as one or two pieces (c0, c1, d),
 the entry c0 + c1*k + d*i in column i: the first piece on columns 1..k+1,

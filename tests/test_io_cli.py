@@ -2,6 +2,7 @@
 
 import builtins
 import collections
+import contextlib
 import functools
 import gc
 import hashlib
@@ -1187,6 +1188,35 @@ def test_readme_cli_examples_parse():
     parser = make_parser()
     for line in lines:
         parser.parse_args(line.split()[1:])
+
+
+def test_readme_library_usage_prints_what_its_comments_say():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = re.search(r"^## Library usage\n\n```python\n(.*?)^```", readme, re.M | re.S).group(1)
+    # each print's trailing comment starts with the value it prints
+    expected = [
+        comment.partition(":")[0].strip()
+        for comment in re.findall(r"^print\(.*\)\s*#\s*(.*)$", block, re.M)
+    ]
+    assert expected == ["(42, 46, 864)", "3"]
+    out = std_io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(compile(block, "README.md", "exec"), {})
+    assert out.getvalue().splitlines() == expected
+
+
+def test_readme_module_rows_name_public_api_in_at_most_60_words():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = re.search(r"^## What's inside\n(.*?)^#", readme, re.M | re.S).group(1)
+    rows = re.findall(r"^\| `antimagic\.(\w+)` \| (.*) \|$", section, re.M)
+    assert {module for module, _ in rows} >= {
+        "graph", "tables", "partition", "families", "solver", "io", "cli",
+    }
+    for module, text in rows:
+        assert len(text.split()) <= 60, module
+        # a private name such as `_draft` or `graph._listed` belongs in a docstring
+        private = [span for span in re.findall(r"`([^`]*)`", text) if re.search(r"(?<!\w)_\w", span)]
+        assert not private, (module, private)
 
 
 def test_cli_build_gb_over_gn_with_a_rim_of_1_mod_r_certifies(tmp_path):

@@ -90,7 +90,8 @@ def test_value_type_repr_equality_and_frozen_fields(name):
 
 def test_defaults_of_the_value_types():
     assert repr(SearchConfig()) == "SearchConfig(max_edges=10, target_colors=None, time_budget=None)"
-    inst = build_family("fb", n=3)[2]
+    g, _, inst = build_family("fb", n=3)
+    assert repr(g) == "Graph(order=10, size=15)"
     assert repr(inst) == (
         "FamilyInstance(family='fb', params={'n': 3, 'k': 1}, expected_palette=(15, 16, 99), "
         "expected_census={2: 6, 3: 3, 9: 1}, expected_component_orders=None)"
