@@ -336,7 +336,3 @@ def main(argv: list[str] | None = None) -> int:
     if parse_error is not None:
         raise SystemExit(2)
     return code
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -21,9 +21,11 @@ on each call.  The names of a build, the walk and the one listing of a graph
 first use and cached; the fill is idempotent (a racing second fill computes
 the same value), so graphs can be shared across concurrent sweeps.
 
-``merge_vertices``, ``split_vertices``, ``split_vertex`` and ``edge`` are a
-name-keyed surgery API that the package does not re-export: no build runs
-surgery, and only the tests and the benchmark's tracer call it.
+``edge`` makes the canonical edge, ends sorted, with which a graph and its
+labeling are made by name; ``merge_vertices``, ``split_vertices`` and
+``split_vertex`` are a name-keyed surgery API.  The package re-exports
+neither: no build runs surgery, and only the tests and the benchmark's
+tracer call it.
 """
 
 from __future__ import annotations
@@ -146,18 +148,23 @@ class Graph:
     def __init__(self, vertices: Iterable[VertexId], edges: Iterable[Edge]):
         """The graph that :func:`_draft` makes of ``vertices`` and ``edges``,
         edge p the p-th of ``edges``; it rejects a vertex that is not a
-        :class:`VertexId`, a repeated vertex, a loop, an end outside
-        ``vertices`` and two parallel edges."""
+        :class:`VertexId`, a repeated vertex, an edge that is not a pair of
+        hashable ends, a loop, an end outside ``vertices`` and two parallel
+        edges."""
         names = list(vertices)
         named = list(map(isinstance, names, repeat(VertexId)))
         if False in named:
             raise UsageError(f"vertex {names[named.index(False)]!r} is not a VertexId")
         at = dict(zip(names, range(len(names)))).get
         a, b = [], []
-        for x, y in edges:
-            # an end outside the vertices gets -1, which the draft rejects
-            a.append(at(x, -1))
-            b.append(at(y, -1))
+        for e in edges:
+            try:
+                x, y = e
+                # an end outside the vertices gets -1, which the draft rejects
+                a.append(at(x, -1))
+                b.append(at(y, -1))
+            except (TypeError, ValueError):  # not two ends, or an unhashable one
+                raise UsageError(f"edge {e!r} is not a pair of vertices") from None
         g, _ = _draft(names, a, b, [0] * len(a))
         self._fill(g._ids, g.a, g.b)
 

@@ -124,6 +124,22 @@ def test_graph_refuses_a_vertex_that_is_not_a_vertex_id(vertices, edges, named):
     assert str(info.value) == f"vertex {named} is not a VertexId"
 
 
+@pytest.mark.parametrize(
+    "bad",
+    [(V("u"), V("v"), V("w")), (V("u"),), (V("u"), [1]), 5],
+    ids=["three_ends", "one_end", "unhashable_end", "not_iterable"],
+)
+def test_graph_refuses_an_edge_that_is_not_a_pair_of_vertices(bad):
+    vs = [V("u"), V("v"), V("w")]
+    with pytest.raises(UsageError) as info:
+        Graph(vs, [(vs[0], vs[1]), bad])
+    assert type(info.value) is UsageError
+    assert str(info.value) == f"edge {bad!r} is not a pair of vertices"
+    # an edge given as a list is a pair
+    listed = Graph(vs, [[vs[0], vs[1]], [vs[2], vs[1]]])
+    assert listed == Graph(vs, [(vs[0], vs[1]), (vs[1], vs[2])])
+
+
 def test_a_graph_keeps_the_order_of_the_edges_it_is_given():
     # edge p is the p-th edge given, its ends as given, under every hash seed
     vs = [V("v", i) for i in range(9)]
@@ -185,11 +201,12 @@ def test_v_makes_exactly_the_vertex_id_of_its_arguments():
 
 
 def test_the_package_leaves_the_surgery_api_to_its_graph_module():
-    surgery = {"edge", "merge_vertices", "split_vertex", "split_vertices"}
-    assert not surgery & set(antimagic.__all__)
+    # the surgery API, and edge, the canonical edge that the by-name API takes
+    by_name = {"edge", "merge_vertices", "split_vertex", "split_vertices"}
+    assert not by_name & set(antimagic.__all__)
     assert not [name for name in antimagic.__all__ if not hasattr(antimagic, name)]
-    assert not [name for name in surgery if hasattr(antimagic, name)]
-    assert all(callable(getattr(graph, name)) for name in surgery)
+    assert not [name for name in by_name if hasattr(antimagic, name)]
+    assert all(callable(getattr(graph, name)) for name in by_name)
     assert callable(graph.EdgeLabeling.remapped)
 
 
@@ -1136,6 +1153,41 @@ def test_split_matches_the_full_rewrite_reference(g, data):
         assert _split_kernel(g, splits) == (_arrays(got[0]), halves)
         assert got[0].edges == Graph(got[0].vertices, got[0].edges).edges  # canonical
     assert got == want
+
+
+# the faults the two tests above draw, each named here so that no Hypothesis
+# release decides whether a run meets it
+A0, A1, A2, A3, M0, M1, M2 = NAMES[0], NAMES[1], NAMES[2], NAMES[3], *NAMES[6:9]
+
+
+def _path4():
+    return Graph([A0, A1, A2, A3], [(A0, A1), (A1, A2), (A2, A3)])
+
+
+@pytest.mark.parametrize("blocks, new_ids, fault", [
+    ([{A0}, {A2}], [M0], (OverlappingBlocks, "2 blocks but 1 replacement ids")),
+    ([{A0}, {A2}], [M0, M0], (IdCollision, "replacement ids are not distinct")),
+    ([set()], [M0], (OverlappingBlocks, "empty block")),
+    ([{A0, UNKNOWN}], [M0], (UnknownVertex, "m_5 not in graph")),
+    ([{A0}], [A2], (IdCollision, "replacement id a_2 collides with an existing vertex")),
+], ids=["too_few_ids", "repeated_id", "empty_block", "unknown_vertex", "colliding_id"])
+def test_each_merge_fault_is_raised_as_the_reference_raises_it(blocks, new_ids, fault):
+    g = _path4()
+    assert _outcome(merge_vertices, g, blocks, new_ids) == fault
+    assert _outcome(reference_merge, g, blocks, new_ids) == fault
+
+
+@pytest.mark.parametrize("splits, fault", [
+    ([(UNKNOWN, [], [], M0, M1)], (UnknownVertex, "m_5 not in graph")),
+    ([(A1, [(A0, A1)], [(A1, A2)], M0, M1), (A1, [(A0, A1)], [(A1, A2)], M2, A3)],
+     (OverlappingBlocks, "a_1 split twice")),
+    ([(A1, [(A0, A1)], [(A1, A2)], M0, A3)],
+     (IdCollision, "split id a_3 collides with an existing vertex")),
+], ids=["unknown_vertex", "split_twice", "colliding_id"])
+def test_each_split_fault_is_raised_as_the_reference_raises_it(splits, fault):
+    g = _path4()
+    assert _outcome(split_vertices, g, splits) == fault
+    assert _outcome(reference_split, g, splits) == fault
 
 
 @pytest.mark.parametrize("later_first", [False, True])

@@ -12,9 +12,11 @@ import math
 import random
 import os
 import re
+import runpy
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import pytest
@@ -227,10 +229,13 @@ def _dumps_inputs():
 @example([[{"a": 1}], [{"a": True}, {"a": None}], {"a": [1.0, [None]]}])
 # tuples, rendered as lists, and the empty one as []
 @example(((), (1, ("a", ())), [()], {"a": (None, 2.5)}))
-# a dict with keys other than str, rendered by the standard library, also nested
-@example({1: "a", 2: [3]})
-@example([{1: "a", 2: [3]}, {"b": {2: None}}])
 def test_dumps_equals_the_standard_library(value):
+    assert io.dumps(value) == json.dumps(value, sort_keys=True, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("value", [{1: "a", 2: [3]}, [{1: "a", 2: [3]}, {"b": {2: None}}]],
+                         ids=["top", "nested"])
+def test_dumps_leaves_a_dict_with_keys_other_than_str_to_the_standard_library(value):
     assert io.dumps(value) == json.dumps(value, sort_keys=True, indent=2) + "\n"
 
 
@@ -443,6 +448,21 @@ def test_python_dash_m_antimagic_runs_the_cli_and_returns_its_exit_code(tmp_path
     bare = run(tmp_path / "bare")
     assert bare.returncode == 2, bare.stderr
     assert len((tmp_path / "bare" / "manifest.jsonl").read_text().splitlines()) == 1
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["partition", "--first", "88", "--step", "2", "--t", "3", "--s", "3"], 0),
+    (["partition", "--first", "1", "--step", "1", "--t", "0", "--s", "3"], 2),
+], ids=["pass", "usage_error"])
+def test_the_package_main_module_exits_with_the_cli_exit_code(argv, code, tmp_path, monkeypatch):
+    # the module that python -m antimagic runs, run in this process
+    monkeypatch.setattr(sys, "argv", ["antimagic", "--out", str(tmp_path), *argv])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SystemExit) as exit_info:
+            runpy.run_module("antimagic", run_name="__main__")
+    assert exit_info.value.code == code
+    assert len((tmp_path / "manifest.jsonl").read_text().splitlines()) == 1
 
 
 def test_cli_certified_build_induces_the_coloring_once(tmp_path, monkeypatch):
@@ -1454,6 +1474,16 @@ def test_cli_build_emits_json_by_default_and_has_no_global_format(tmp_path):
         assert entry["outcome"].startswith("usage error")
         assert entry["parameters"] == {"argv": argv}
         assert entry["outputs"] == []
+
+
+def test_cli_build_emit_dot_writes_only_the_dot_file(tmp_path):
+    argv = ["--out", str(tmp_path), "build", "--family", "fb", "--n", "3", "--emit", "dot"]
+    assert main(argv) == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["fb_n3.dot", "manifest.jsonl"]
+    (line,) = (tmp_path / "manifest.jsonl").read_text().splitlines()
+    entry = json.loads(line)
+    assert entry["outcome"] == "built"
+    assert entry["outputs"] == [str(tmp_path / "fb_n3.dot")]
 
 
 @pytest.mark.parametrize("argv, command, manifest_dir", [

@@ -1,8 +1,12 @@
 """Equal-sum partition tests, gated by a brute-force set-partition oracle."""
 
+import json
+
 import pytest
 
-from antimagic.errors import InfeasibleShape
+from antimagic import partition
+from antimagic.cli import main
+from antimagic.errors import InfeasibleShape, InvariantError
 from antimagic.partition import partition_ap
 
 
@@ -111,3 +115,36 @@ def test_infeasible_shapes():
 def test_a_shape_that_is_not_positive_is_refused(t, s):
     with pytest.raises(InfeasibleShape, match=f"^block shape {t}x{s} is not positive$"):
         partition_ap(1, 1, t, s)
+
+
+def _dropped(blocks):
+    """Block 0 without its last position."""
+    return [blocks[0][:-1], *blocks[1:]]
+
+
+def _moved(blocks):
+    """Block 0's last position moved to block 1: still a cover."""
+    return [blocks[0][:-1], [*blocks[1], blocks[0][-1]], *blocks[2:]]
+
+
+@pytest.mark.parametrize("fault, message", [
+    (_dropped, "3x3 partition does not cover the AP"),
+    (_moved, "3x3 partition has unequal block sums"),
+], ids=["dropped_position", "moved_position"])
+def test_the_certificate_refuses_a_faulty_partition(fault, message, monkeypatch, tmp_path,
+                                                    capsys):
+    # the scheme is right by construction, so only an injected fault reaches
+    # the certificate that partition_ap and the partition command rest on
+    scheme = partition._position_blocks
+    monkeypatch.setattr(partition, "_position_blocks", lambda t, s: fault(scheme(t, s)))
+    with pytest.raises(InvariantError, match=f"^{message}$"):
+        partition_ap(88, 2, 3, 3)
+    argv = ["--first", "88", "--step", "2", "--t", "3", "--s", "3"]
+    assert main(["--out", str(tmp_path), "partition", *argv]) == 1
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", f"invariant failure: {message}\n")
+    (line,) = (tmp_path / "manifest.jsonl").read_text().splitlines()
+    entry = json.loads(line)
+    assert entry["outcome"] == f"invariant failure: {message}"
+    assert entry["outputs"] == []
+    assert [p.name for p in tmp_path.iterdir()] == ["manifest.jsonl"]

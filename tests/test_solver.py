@@ -442,6 +442,15 @@ def test_time_budget_covers_every_pass():
     assert res.nodes == 4_096
 
 
+def test_a_budget_that_outlasts_a_time_check_changes_nothing_but_the_clock():
+    # pt2 takes 5,046 nodes, so the search checks the clock once, at 4,096
+    g, _, _ = build_family("pt", n=2)
+    free = solve_chi_la(g, SearchConfig(max_edges=15))
+    timed = solve_chi_la(g, SearchConfig(max_edges=15, time_budget=60))
+    assert free.nodes > solver._TIME_CHECK_MASK
+    assert timed._replace(elapsed=0.0) == free._replace(elapsed=0.0)
+
+
 def test_witness_certifies_result():
     res = solve_chi_la(fan_one_blade())
     cert = certify(fan_one_blade(), res.witness)
