@@ -1157,7 +1157,8 @@ def test_split_matches_the_full_rewrite_reference(g, data):
 
 # the faults the two tests above draw, each named here so that no Hypothesis
 # release decides whether a run meets it
-A0, A1, A2, A3, M0, M1, M2 = NAMES[0], NAMES[1], NAMES[2], NAMES[3], *NAMES[6:9]
+A0, A1, A2, A3 = NAMES[:4]
+M0, M1, M2 = NAMES[6:9]
 
 
 def _path4():
