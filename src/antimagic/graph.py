@@ -13,10 +13,12 @@ Values here are observationally immutable and the functions pure.  A
 int arrays of edge ends, and the labeling made with it holds the label at
 each edge position.  :func:`certify` and the writers work on those arrays.
 A build names its vertices by int codes (:func:`_code`), which sort as their
-names do, and its graph makes the :class:`VertexId` names (``names``) on
-first read; a graph made by name or read from a document holds its names
-from the start.  The frozenset views ``vertices`` and ``edges`` are computed
-on each call.  The names of a build, the walk and the one listing of a graph
+names do, and so does a document read whose every vertex a build could have
+named.  Such a graph is listed, certified and written from its codes, and
+makes the :class:`VertexId` names (``names``) only on first read; a graph
+made by name, or read from any other document, holds its names from the
+start.  The frozenset views ``vertices`` and ``edges`` are computed on each
+call.  The names of a coded graph, the walk and the one listing of a graph
 (flat columns), and the colors of a finished labeling, are each built on
 first use and cached; the fill is idempotent (a racing second fill computes
 the same value), so graphs can be shared across concurrent sweeps.
@@ -33,7 +35,7 @@ from __future__ import annotations
 from collections import Counter
 from collections.abc import Iterable, Mapping, Sequence
 from itertools import chain, compress, repeat
-from operator import and_, eq, itemgetter, rshift
+from operator import add, eq, itemgetter, or_
 from types import MappingProxyType
 from typing import NamedTuple
 
@@ -96,21 +98,57 @@ def V(role: str, *indices: int) -> VertexId:
 # the role's slot times 2**32 plus 1 + i, and the role alone as its slot times
 # 2**32, so codes sort as the names do
 _ROLES = ("m", "u", "v", "w", "x", "y", "z")
+_SLOTS = dict(zip(_ROLES, range(0, len(_ROLES) << 32, 1 << 32)))
 
 
 def _code(role: str, *indices: int) -> int:
     """The int code of ``V(role, *indices)`` for a build's role and at most
     one index, ``i < 2**32 - 1``."""
-    return _ROLES.index(role) << 32 | (indices[0] + 1 if indices else 0)
+    return _SLOTS[role] | (indices[0] + 1 if indices else 0)
+
+
+def _codes(
+    roles: Sequence[str], indices: Sequence[Sequence[int]]
+) -> tuple[list[int], list[str]] | None:
+    """The code and the id string of each vertex given by its role and index
+    list, or None unless every role is a build's and every vertex has at most
+    one index, ``0 <= i < 2**32 - 1``; the types are the caller's to check."""
+    if not set(roles) <= _SLOTS.keys() or max(map(len, indices), default=0) > 1:
+        return None
+    low = [i[0] + 1 if i else 0 for i in indices]
+    if min(chain.from_iterable(indices), default=0) < 0 or max(low, default=0) >= 2**32:
+        return None
+    return list(map(or_, map(_SLOTS.__getitem__, roles), low)), _strings(roles, low)
+
+
+def _split(codes: Sequence[int]) -> tuple[list[str], list[tuple[int, ...]], list[str]]:
+    """The role, the index tuple and the id string of each code: the format
+    of :func:`_code` read back, each distinct index's tuple made once and
+    shared by its vertices."""
+    roles = [_ROLES[c >> 32] for c in codes]
+    low = [c & 0xFFFFFFFF for c in codes]
+    tuples = {i: (i - 1,) for i in set(low)}
+    tuples[0] = ()
+    return roles, list(map(tuples.__getitem__, low)), _strings(roles, low)
+
+
+def _strings(roles: Sequence[str], low: Sequence[int]) -> list[str]:
+    """The id string of each code, given its role and its low word, 1 + its
+    index or 0 for none: the role and a ``"_%d"`` suffix, each distinct
+    suffix made once."""
+    suffixes = {i: "_%d" % (i - 1) for i in set(low)}
+    suffixes[0] = ""
+    return list(map(add, roles, map(suffixes.__getitem__, low)))
+
+
+def _vertex_ids(roles: Iterable[str], indices: Iterable[tuple[int, ...]]) -> list[VertexId]:
+    """The :class:`VertexId` of each role and index tuple, by one C-level map."""
+    return list(map(tuple.__new__, repeat(VertexId), zip(roles, indices)))
 
 
 def _decoded(codes: Sequence[int]) -> list[VertexId]:
-    """The name of each code, by C-level maps: the roles off the slots, the
-    index tuples off one table, index i's tuple shared by its vertices."""
-    low = list(map(and_, codes, repeat(0xFFFFFFFF)))
-    indices = [(), *zip(range(max(low, default=0)))]
-    roles = map(_ROLES.__getitem__, map(rshift, codes, repeat(32)))
-    return list(map(tuple.__new__, repeat(VertexId), zip(roles, map(indices.__getitem__, low))))
+    """The name of each code."""
+    return _vertex_ids(*_split(codes)[:2])
 
 
 def _coded(ids: Sequence) -> bool:
@@ -131,16 +169,18 @@ class Graph:
     ``a[p]`` and ``b[p]``.  The three are fixed at construction and only
     ever read, and no name -> index dict is kept.  Loops and parallel edges
     are impossible by construction; the graph may be disconnected.  A
-    build's graph holds the int codes of its vertices (:func:`_code`) until
+    build's graph, and one read from a document that a build could have
+    written, holds the int codes of its vertices (:func:`_code`) until
     ``names`` is first read, which makes the names from them and keeps the
     names in their place.
 
     ``vertices`` and ``edges`` are frozenset views computed on each call.  The
-    names of a build, the walk (degrees, components, triangle; no neighbour
-    list) and the listing (:meth:`_listed`, flat columns: the one edge order of
-    the certificate, the writers, the solver and :meth:`sorted_edges`) are each
-    built on first use and cached.  A fill is idempotent (a racing second fill
-    computes the same value), so graphs can be shared across threads.
+    names of a coded graph, the walk (degrees, components, triangle; no
+    neighbour list) and the listing (:meth:`_listed`, flat columns, read off
+    the codes of a coded graph: the one edge order of the certificate, the
+    writers, the solver and :meth:`sorted_edges`) are each built on first use
+    and cached.  A fill is idempotent (a racing second fill computes the same
+    value), so graphs can be shared across threads.
     """
 
     __slots__ = ("_ids", "a", "b", "_walk", "_columns")
@@ -149,13 +189,14 @@ class Graph:
         """The graph that :func:`_draft` makes of ``vertices`` and ``edges``,
         edge p the p-th of ``edges``; it rejects a vertex that is not a
         :class:`VertexId`, a repeated vertex, an edge that is not a pair of
-        hashable ends, a loop, an end outside ``vertices`` and two parallel
-        edges."""
+        hashable ends, a loop, an end outside ``vertices``, which it names with
+        its edge's position, and two parallel edges."""
         names = list(vertices)
         named = list(map(isinstance, names, repeat(VertexId)))
         if False in named:
             raise UsageError(f"vertex {names[named.index(False)]!r} is not a VertexId")
         at = dict(zip(names, range(len(names)))).get
+        edges = list(edges)
         a, b = [], []
         for e in edges:
             try:
@@ -165,7 +206,13 @@ class Graph:
                 b.append(at(y, -1))
             except (TypeError, ValueError):  # not two ends, or an unhashable one
                 raise UsageError(f"edge {e!r} is not a pair of vertices") from None
-        g, _ = _draft(names, a, b, [0] * len(a))
+        try:
+            g, _ = _draft(names, a, b, [0] * len(a))
+        except UnknownVertex as exc:
+            # the draft names the first such edge; this names its end too
+            p = next(p for p, ends in enumerate(zip(a, b)) if -1 in ends)
+            x, y = edges[p]
+            raise UnknownVertex(f"{exc}: {y if a[p] >= 0 else x!r}") from None
         self._fill(g._ids, g.a, g.b)
 
     @classmethod
@@ -256,19 +303,24 @@ class Graph:
 
     def _listed(self) -> tuple[tuple, tuple, list[int], list[int], list[int], list[int]]:
         """The canonical order as flat columns, from one sort of the vertices
-        and one of the edges: the sorted vertices, their id strings, the edge
-        position of each listed edge, the vertex index at each rank, and the
-        lower and higher end rank of each listed edge."""
+        and one of the edges: the role and the index tuple of the vertex at
+        each rank, as a pair of columns, and its id string, the edge position
+        of each listed edge, the vertex index at each rank, and the lower and
+        higher end rank of each listed edge.  A coded graph's codes sort as
+        its names do and split into the three vertex columns
+        (:func:`_split`), so listing it makes no name."""
         listed = self._columns
         if listed is None:
-            # a build's codes, read before the names replace them, sort as
-            # the names do, and faster
             ids = self._ids
-            names = self.names
-            n, q = len(names), len(self.a)
+            n, q = len(ids), len(self.a)
             ints = list(range(max(n, q)))
             at = sorted(ints[:n], key=ids.__getitem__)
-            vs = tuple(map(names.__getitem__, at))
+            ranked = list(map(ids.__getitem__, at))
+            if _coded(ids):
+                roles, indices, strings = _split(ranked)
+            else:
+                roles, indices = map(itemgetter(0), ranked), map(itemgetter(1), ranked)
+                strings = _id_strings(ranked)
             rank = dict(zip(at, ints))
             # ranks and positions share one int per value; an edge's key is its
             # lower rank times n plus its higher rank, which sorts as the pair does
@@ -276,14 +328,18 @@ class Graph:
             keys = [x * n + y if x < y else y * n + x for x, y in ends]
             pos = sorted(ints[:q], key=keys.__getitem__)
             lo, hi = [ints[keys[p] // n] for p in pos], [ints[keys[p] % n] for p in pos]
-            listed = self._columns = (vs, tuple(_id_strings(vs)), pos, at, lo, hi)
+            vertices = (tuple(roles), tuple(indices))
+            listed = self._columns = (vertices, tuple(strings), pos, at, lo, hi)
         return listed
 
     def sorted_vertices(self) -> list[VertexId]:
-        return list(self._listed()[0])
+        """The vertices in listing order, made from the listing's role and
+        index columns."""
+        return _vertex_ids(*self._listed()[0])
 
     def sorted_edges(self) -> list[Edge]:
-        vs, _, _, _, lo, hi = self._listed()
+        lo, hi = self._listed()[4:]
+        vs = self.sorted_vertices()
         return list(zip(map(vs.__getitem__, lo), map(vs.__getitem__, hi)))
 
 
@@ -502,8 +558,9 @@ def _draft(
     """The graph whose vertex i is named ``names[i]`` and whose edge p joins
     ``a[p]`` and ``b[p]``, and its labeling with ``labels[p]`` on edge p, over
     the given lists: the one name, length, end, loop and parallel-edge check,
-    in that order, of every build, document read and graph.  Of two edges
-    that join the same two vertices, the first pair in edge order is named.
+    in that order, of every build, document read and graph.  The first edge
+    in edge order with an end outside the vertices is named by its position,
+    and of two edges that join the same two vertices, the first pair.
     A build's names are int codes, checked as they are; an error text
     decodes the names it prints."""
     names = list(names)
@@ -511,8 +568,10 @@ def _draft(
         raise IdCollision("vertex names are not distinct")
     if not len(a) == len(b) == len(labels):
         raise LabelDomainMismatch(f"{len(a)} and {len(b)} edge ends for {len(labels)} labels")
-    if a and not 0 <= min(min(a), min(b)) <= max(max(a), max(b)) < len(names):
-        raise UnknownVertex("an edge has an endpoint outside the vertex list")
+    n = len(names)
+    if a and not 0 <= min(min(a), min(b)) <= max(max(a), max(b)) < n:
+        p = next(p for p, (x, y) in enumerate(zip(a, b)) if not (0 <= x < n and 0 <= y < n))
+        raise UnknownVertex(f"the edge at position {p} has an end outside the vertex list")
     loops = list(map(eq, a, b))
     if True in loops:
         raise MergeWouldCreateLoop(f"loop edge at {_name(names, a[loops.index(True)])}")

@@ -17,7 +17,8 @@ from . import __version__
 from .errors import GraphSurgeryError, UsageError
 from .families import FamilyInstance
 from .graph import (
-    Certificate, EdgeLabeling, Graph, VertexId, _colors, _draft, _finished, _id_strings,
+    Certificate, EdgeLabeling, Graph, VertexId, _codes, _colors, _draft, _finished, _id_strings,
+    _vertex_ids,
 )
 from .partition import EqualSumPartition
 from .tables import LabelTable
@@ -62,13 +63,13 @@ def graph_to_doc(
     labeling's colouring, and ``cert``'s document, the only writer that
     embeds one."""
     f = _finished(g, f)
-    vs, names, _, at, _, _ = g._listed()
+    (roles, indices), names, _, at, _, _ = g._listed()
     doc = {
         "family": instance.family if instance else None,
         "params": _jsonable(instance.params) if instance else {},
         "vertices": [
-            {"id": name, "role": v.role, "indices": list(v.indices)}
-            for v, name in zip(vs, names)
+            {"id": name, "role": role, "indices": index}
+            for name, role, index in zip(names, roles, map(list, indices))
         ],
         "edges": _edge_records(g, f),
         "colors": dict(zip(names, map(_colors(g, f).__getitem__, at))),
@@ -84,6 +85,9 @@ def doc_to_graph(doc: dict) -> tuple[Graph, EdgeLabeling]:
 
     A vertex id must be the name its role and indices print as, so that every
     document accepted here is written back as one that is accepted again.
+    When every role is a build's and every vertex has at most one index, in
+    [0, 2**32 - 2], the vertices read to a build's int codes, which list,
+    certify and write as the names do; any other document reads to names.
     Labels are not range-checked here: that is the certificate's job.  The
     graph is made one way, by reading the document a column at a time; a
     document that this read refuses is walked record by record to name its
@@ -120,8 +124,15 @@ def _read_columns(doc) -> tuple[Graph, EdgeLabeling] | None:
         and set(map(type, label_col)) <= {int}
     ):
         return None
-    vs = list(map(tuple.__new__, repeat(VertexId), zip(roles, map(tuple, indices))))
-    if _id_strings(vs) != ids:
+    # a build's roles, each with at most one index, read to codes, which sort
+    # as the names do and print by the statement that lists them
+    coded = _codes(roles, indices)
+    if coded is None:
+        vs = _vertex_ids(roles, map(tuple, indices))
+        strings = _id_strings(vs)
+    else:
+        vs, strings = coded
+    if strings != ids:
         return None
     # two roles may print alike (role "a_1" and role "a" with index 1)
     at = dict(zip(ids, range(len(ids))))
@@ -181,9 +192,10 @@ def dumps(doc) -> str:
     """``json.dumps(doc, sort_keys=True, indent=2) + "\\n"``, byte for byte.
 
     Given ``indent``, the standard library encodes in pure Python and leaves
-    reference cycles.  Here flat records take one template, a str-to-int map one
-    join, other lists, tuples and str-keyed maps go item by item, empties and
-    scalars go to plain ``json.dumps``; only a non-str map key reaches ``indent``.
+    reference cycles.  Here a list of flat records and a str-to-int map each
+    take one join, other lists, tuples and str-keyed maps go item by item,
+    empties and scalars go to plain ``json.dumps``; only a non-str map key
+    reaches ``indent``.
     """
     return _encode(doc, "\n") + "\n"
 
@@ -219,8 +231,8 @@ def _encode(value, nl: str) -> str:
 
 def _records(rows: list, nl: str) -> str | None:
     """A non-empty list of flat records with one key set, each value a str,
-    an int or a list of ints, rendered column by column into one template;
-    None for any other list."""
+    an int or a list of ints, rendered column by column and put together by
+    one join, each key's head between the values; None for any other list."""
     if set(map(type, rows)) != {dict} or set(map(type, rows[0])) != {str}:
         return None
     keys = sorted(rows[0])
@@ -250,27 +262,38 @@ def _records(rows: list, nl: str) -> str | None:
             rendered.append(map(str.__mod__, map(lists.__getitem__, lengths), map(tuple, column)))
         else:
             return None
-    template = "{" + key_nl + ("," + key_nl).join(
-        _str(k).replace("%", "%%") + ": %s" for k in keys
-    ) + row_nl + "}"
-    return "[" + row_nl + ("," + row_nl).join(map(template.__mod__, zip(*rendered))) + nl + "]"
+    heads = [repeat("," + key_nl + _str(k) + ": ") for k in keys]
+    # the first key's head closes the row before and opens its own; the
+    # first row's opens the list instead
+    first = row_nl + "{" + key_nl + _str(keys[0]) + ": "
+    heads[0] = chain(["[" + first], repeat(row_nl + "}," + first))
+    pieces = chain.from_iterable(zip(*chain.from_iterable(zip(heads, rendered))))
+    return "".join(chain(pieces, [row_nl + "}" + nl + "]"]))
 
 
 def graph_to_dot(g: Graph, f: EdgeLabeling) -> str:
-    """DOT with vertex labels "role/indices\\ncolor" and edge labels f(e)."""
+    """DOT with vertex labels "role/indices\\ncolor" and edge labels f(e):
+    each distinct role escaped once, and a vertex line rendered by one
+    template per index count."""
     f = _finished(g, f)
-    vs, names, positions, at, lo, hi = g._listed()
+    (roles, indices), names, positions, at, lo, hi = g._listed()
+    escaped = {role: _dot_escaped(role) for role in set(roles)}
     ids = list(map(_dot_escaped, names))
-    colors = map(_colors(g, f).__getitem__, at)
+    templates = [
+        '  "%s" [label="%s' + ("/" + ",".join(["%s"] * k) if k else "") + '\\n%s"];'
+        for k in range(max(map(len, indices), default=0) + 1)
+    ]
+    colors, labels = _colors(g, f), f._array
     lines = ["graph antimagic {"]
-    for v, name, color in zip(vs, ids, colors):
-        tag = _dot_escaped(v.role) + ("/" + ",".join(map(str, v.indices)) if v.indices else "")
-        lines.append(f'  "{name}" [label="{tag}\\n{color}"];')
-    labels = map(f._array.__getitem__, positions)
-    for i, j, label in zip(lo, hi, labels):
-        lines.append(f'  "{ids[i]}" -- "{ids[j]}" [label="{label}"];')
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    lines += [
+        templates[len(index)] % (name, escaped[role], *index, colors[i])
+        for name, role, index, i in zip(ids, roles, indices, at)
+    ]
+    lines += [
+        f'  "{ids[i]}" -- "{ids[j]}" [label="{labels[p]}"];' for p, i, j in zip(positions, lo, hi)
+    ]
+    lines.append("}\n")
+    return "\n".join(lines)
 
 
 def _dot_escaped(text: str) -> str:

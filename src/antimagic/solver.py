@@ -115,19 +115,19 @@ class SolveResult(NamedTuple):
 
 
 def _walk(g: Graph) -> _Walk:
-    """One walk over the listed edges of ``g._listed()``: each rank's neighbours
-    in listing order, a proper 2-colouring (0 or 1 each) or ``None`` if ``g``
-    has an odd cycle, and the components as rank lists in order of their
-    smallest rank."""
-    vs, _, _, _, lo, hi = g._listed()
-    nbrs: list[list[int]] = [[] for _ in vs]
+    """One walk over the end-rank columns of ``g._listed()``, which name no
+    vertex: each rank's neighbours in listing order, a proper 2-colouring (0
+    or 1 each) or ``None`` if ``g`` has an odd cycle, and the components as
+    rank lists in order of their smallest rank."""
+    _, names, _, _, lo, hi = g._listed()
+    nbrs: list[list[int]] = [[] for _ in names]
     for a, b in zip(lo, hi):
         nbrs[a].append(b)
         nbrs[b].append(a)
-    side = [-1] * len(vs)
+    side = [-1] * len(names)
     bipartite = True
     comps = []
-    for root in range(len(vs)):
+    for root in range(len(names)):
         if side[root] >= 0:
             continue
         side[root] = 0
@@ -260,7 +260,7 @@ def solve_chi_la(
     ``g`` is a :class:`UsageError`.  Graphs with a K2 component admit no
     local antimagic labeling at all and are rejected loudly.
     """
-    vs, names, positions, _, lo, hi = g._listed()
+    _, names, positions, _, lo, hi = g._listed()
     walk = _walk(g)
     for comp in walk.comps:
         if len(comp) == 2:
@@ -271,7 +271,7 @@ def solve_chi_la(
     # checked first, so that no result carries a witness that is not one
     seed = None if initial_witness is None else _finished(g, initial_witness)
     if q == 0:
-        chi = 1 if vs else 0
+        chi = 1 if names else 0
         return SolveResult(chi, EdgeLabeling._at(g, []), "exact", floor=chi, floor_rule="no_edges",
                            prunes=dict.fromkeys(PRUNE_REASONS, 0))
     cert = None if seed is None else certify(g, seed)
@@ -284,7 +284,7 @@ def solve_chi_la(
 
     # a labeling has at most |V| colours; a pass below the witness can only
     # improve on it; a pass above the user's target is not asked for
-    last = len(vs)
+    last = len(names)
     if cert is not None:
         last = min(last, cert.color_count - 1)
     if cfg.target_colors is not None:
@@ -296,7 +296,7 @@ def solve_chi_la(
     order = _search_order(deg, list(zip(lo, hi))) if floor <= last else []
     ends = [(lo[i], hi[i]) for i in order]
 
-    sums = [0] * len(vs)
+    sums = [0] * len(names)
     remaining = deg[:]
     assigned = [0] * q
     used = [False] * (q + 1)
@@ -304,7 +304,7 @@ def solve_chi_la(
     completed: dict[int, int] = {0: deg.count(0)} if 0 in deg else {}
     # the open vertices, and the sum their colours must reach: every label
     # counts at both ends, so all colours add up to q(q+1)
-    left, need = len(vs) - deg.count(0), q * (q + 1)
+    left, need = len(names) - deg.count(0), q * (q + 1)
     cut = [0] * len(PRUNE_REASONS)  # the prunes, by index into PRUNE_REASONS
     budget = cfg.time_budget
     nodes = 0

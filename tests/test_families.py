@@ -314,15 +314,21 @@ FIRST_POINT_NAMES_SHA256 = "c06f3808ebd377f4d7159cc85ec03460ca5f4457dba88dbdce07
 
 def test_a_build_and_its_certificate_make_no_vertex_name(monkeypatch):
     # a build names its vertices by int codes, and only a reader of names
-    # (here the digest) decodes them, to the names the builders once made
+    # (here the digest) decodes them, to the names the builders once made;
+    # the writers and the document read work from the codes too
     decoded = []
     monkeypatch.setattr(graph, "_decoded", lambda codes: decoded.append(codes))
     built = []
     for family in families.FAMILY_TAGS:
         params = next(p for p, excluded in family_grid(family) if excluded is None)
         g, f, inst = build_family(family, **params)
-        verify_instance(g, f, inst)
-        assert set(map(type, g._ids)) == {int}, family
+        cert = verify_instance(g, f, inst)
+        text = io.dumps(io.graph_to_doc(g, f, inst, cert))
+        io.graph_to_dot(g, f)
+        io.labeling_to_doc(g, f)
+        read, labeling = io.doc_to_graph(json.loads(text))
+        assert certify(read, labeling, inst.expected_palette) == cert, family
+        assert set(map(type, g._ids)) == set(map(type, read._ids)) == {int}, family
         built.append((family, g))
         bound = {"max_size": 27, "max_n": 8, "gn_max_n": 14}[families.GRID_BOUND[family]]
         statuses = {r["status"] for r in sweep_family(family, bound)}

@@ -82,6 +82,25 @@ def test_a_repeated_edge_is_named_at_its_first_repeat_in_edge_order():
     assert str(info.value) == "two edges join v_2 and v_3 (positions 1 and 3)"
 
 
+def test_an_end_outside_the_vertices_is_named_with_its_edge_position():
+    u, v, w = V("u"), V("v"), V("w")
+    outside = "the edge at position 1 has an end outside the vertex list"
+    with pytest.raises(UnknownVertex) as info:
+        Graph([u, v], [(u, v), (u, w)])
+    assert str(info.value) == f"{outside}: {w!r}"
+    # the first such edge in edge order, and its end that is not a vertex
+    with pytest.raises(UnknownVertex) as info:
+        Graph([u, v], [(v, u), ("x", v), (u, w)])
+    assert str(info.value) == f"{outside}: 'x'"
+    # a draft's ends are indices: it names the edge alone
+    with pytest.raises(UnknownVertex) as info:
+        _draft([u, v], [0, 1, 0], [1, 2, -1], [1, 2, 3])
+    assert str(info.value) == outside
+    # the names are still checked first
+    with pytest.raises(IdCollision):
+        Graph([u, u], [(u, w)])
+
+
 def test_an_edge_from_a_vertex_to_itself_is_a_loop():
     with pytest.raises(MergeWouldCreateLoop, match="^loop edge at a_1$"):
         edge(V("a", 1), V("a", 1))
@@ -212,10 +231,10 @@ def test_the_package_leaves_the_surgery_api_to_its_graph_module():
 
 def _ranked(g):
     """The listing's columns that hold no edge position or vertex index,
-    which a surgery round renumbers: the sorted vertices, their id strings
-    and each listed edge's two end ranks."""
-    vs, names, _, _, lo, hi = g._listed()
-    return vs, names, lo, hi
+    which a surgery round renumbers: the role and the index tuple at each
+    rank, their id strings and each listed edge's two end ranks."""
+    (roles, indices), names, _, _, lo, hi = g._listed()
+    return roles, indices, names, lo, hi
 
 
 def _views(g):
@@ -230,8 +249,10 @@ def _views(g):
 
 def test_listing_is_one_sort_of_the_vertices_and_edges():
     g, _, _ = build_family("gn", n=10, indices=(1,))
-    vs, names, lo, hi = _ranked(g)
-    assert list(vs) == sorted(g.vertices) == g.sorted_vertices()
+    roles, indices, names, lo, hi = _ranked(g)
+    assert graph._coded(g._ids)  # a build's listing is read off its codes
+    vs = list(zip(roles, indices))
+    assert vs == sorted(g.vertices) == g.sorted_vertices()
     assert list(names) == [str(v) for v in sorted(g.vertices)]
     assert [(vs[i], vs[j]) for i, j in zip(lo, hi)] == sorted(g.edges) == g.sorted_edges()
     assert all(i < j for i, j in zip(lo, hi))
@@ -240,8 +261,9 @@ def test_listing_is_one_sort_of_the_vertices_and_edges():
     assert VertexId("x", (10,)) < VertexId("x1") < VertexId("x1", (2,))
     h = Graph([V("x", 10), V("x1"), V("x", 2)], [edge(V("x", 10), V("x1"))])
     assert _ranked(h) == (
-        (V("x", 2), V("x", 10), V("x1")), ("x_2", "x_10", "x1"), [1], [2]
+        ("x", "x", "x1"), ((2,), (10,), ()), ("x_2", "x_10", "x1"), [1], [2]
     )
+    assert h.sorted_vertices() == [V("x", 2), V("x", 10), V("x1")]
 
 
 def test_derived_structures_agree_across_a_surgery_round():
@@ -781,7 +803,8 @@ def _listed_violations(g, f):
     """The violations read straight off the listing's ranked columns: each
     listed edge named by ``names``, in listing order (the duplicates grouped
     by label)."""
-    vs, names, lo, hi = _ranked(g)
+    roles, indices, names, lo, hi = _ranked(g)
+    vs = list(zip(roles, indices))
     pairs = list(zip(lo, hi))
     ends = [[names[i], names[j]] for i, j in pairs]
     labels = [f.labels[vs[i], vs[j]] for i, j in pairs]

@@ -23,11 +23,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from antimagic import cli, errors, families, io, tables
+from antimagic import cli, errors, families, graph, io, tables
 from antimagic.cli import main, make_parser
 from antimagic.errors import InvalidParity, InvariantError, UsageError
 from antimagic.families import build_family
-from antimagic.graph import Edge, EdgeLabeling, Graph, VertexId, certify
+from antimagic.graph import V, Edge, EdgeLabeling, Graph, VertexId, certify, edge
 from antimagic.tables import table_m3
 from grid_pass import grid_pass
 
@@ -327,6 +327,32 @@ def test_dot_of_every_accepted_document_scans_into_its_quoted_strings():
         ("  Q -- Q [label=Q];", ['u"q_1', "x", "3"]),
         ("  Q -- Q [label=Q];", ["w\\", "x", "2"]),
     ]
+
+
+@pytest.mark.parametrize("role, indices, coded", [
+    ("u", (2**32 - 2,), True),
+    ("u", (2**32 - 1,), False),  # its code would spill into the role's slot
+    ("u", (-1,), False),
+    ("u", (1, 2), False),
+    ("a", (1,), False),
+    ("x1", (), False),
+])
+def test_a_document_reads_to_codes_only_where_a_build_could_have_named_it(role, indices, coded):
+    # a build's roles, each vertex with at most one index in [0, 2**32 - 2],
+    # read to codes, which must list, certify and write as the names do;
+    # u_9 and u_10 sort apart from their id strings
+    names = [V(role, *indices), V("u", 10), V("u", 9), V("z")]
+    edges = [edge(names[0], names[1]), edge(names[1], names[2]), edge(names[2], names[3])]
+    g = Graph(names, edges)
+    f = EdgeLabeling(dict(zip(edges, (1, 3, 2))))
+    text = io.dumps(io.graph_to_doc(g, f))
+    h, fh = io.doc_to_graph(json.loads(text))
+    assert graph._coded(h._ids) is coded
+    assert h._listed()[:2] == g._listed()[:2] and h._listed()[4:] == g._listed()[4:]
+    assert certify(h, fh) == certify(g, f)
+    assert io.dumps(io.graph_to_doc(h, fh)) == text
+    assert io.graph_to_dot(h, fh) == io.graph_to_dot(g, f)
+    assert h.sorted_vertices() == sorted(names)
 
 
 # --- CLI -------------------------------------------------------------------------
