@@ -17,17 +17,21 @@ names do, and so does a document read whose every vertex a build could have
 named.  Such a graph is listed, certified and written from its codes, and
 makes the :class:`VertexId` names (``names``) only on first read; a graph
 made by name, or read from any other document, holds its names from the
-start.  The frozenset views ``vertices`` and ``edges`` are computed on each
-call.  The names of a coded graph, the walk and the one listing of a graph
-(flat columns), and the colors of a finished labeling, are each built on
-first use and cached; the fill is idempotent (a racing second fill computes
-the same value), so graphs can be shared across concurrent sweeps.
+start.  One decoder, :func:`_columns`, reads an id of either kind to its
+role, its index tuple and its id string, the role and one ``_%s`` per index:
+the listing, the names of a coded graph, ``str`` of a vertex and the
+document read all read it, so the id format is stated once.  The frozenset
+views ``vertices`` and ``edges`` are computed on each call.  The names of a
+coded graph, the walk and the one listing of a graph (flat columns), and the
+colors of a finished labeling, are each built on first use and cached; the
+fill is idempotent (a racing second fill computes the same value), so graphs
+can be shared across concurrent sweeps.
 
 ``edge`` makes the canonical edge, ends sorted, with which a graph and its
 labeling are made by name; ``merge_vertices``, ``split_vertices`` and
 ``split_vertex`` are a name-keyed surgery API.  The package re-exports
-neither: no build runs surgery, and only the tests and the benchmark's
-tracer call it.
+none of the four: no build runs surgery, and only the tests and the
+benchmark's tracer call it.
 """
 
 from __future__ import annotations
@@ -67,7 +71,7 @@ class VertexId(NamedTuple):
     indices: tuple[int, ...] = ()
 
     def __str__(self) -> str:
-        return _id_strings([self])[0]
+        return _columns([self])[2][0]
 
 
 Edge = tuple[VertexId, VertexId]
@@ -78,14 +82,6 @@ def edge(a: VertexId, b: VertexId) -> Edge:
     if a == b:
         raise MergeWouldCreateLoop(f"loop edge at {a}")
     return (a, b) if a < b else (b, a)
-
-
-def _id_strings(vertices: Sequence[VertexId]) -> list[str]:
-    """The id string of each vertex, ``u_3`` or ``x``, through one ``%``
-    template per index count; ``str`` of a vertex is read off it too."""
-    top = max(map(len, map(itemgetter(1), vertices)), default=0)
-    templates = ["%s" + "_%s" * k for k in range(top + 1)]
-    return [templates[len(indices)] % (role, *indices) for role, indices in vertices]
 
 
 def V(role: str, *indices: int) -> VertexId:
@@ -107,38 +103,33 @@ def _code(role: str, *indices: int) -> int:
     return _SLOTS[role] | (indices[0] + 1 if indices else 0)
 
 
-def _codes(
-    roles: Sequence[str], indices: Sequence[Sequence[int]]
-) -> tuple[list[int], list[str]] | None:
-    """The code and the id string of each vertex given by its role and index
-    list, or None unless every role is a build's and every vertex has at most
-    one index, ``0 <= i < 2**32 - 1``; the types are the caller's to check."""
+def _codes(roles: Sequence[str], indices: Sequence[Sequence[int]]) -> list[int] | None:
+    """The code of each vertex given by its role and index list, or None
+    unless every role is a build's and every vertex has at most one index,
+    ``0 <= i < 2**32 - 1``; the types are the caller's to check."""
     if not set(roles) <= _SLOTS.keys() or max(map(len, indices), default=0) > 1:
         return None
     low = [i[0] + 1 if i else 0 for i in indices]
     if min(chain.from_iterable(indices), default=0) < 0 or max(low, default=0) >= 2**32:
         return None
-    return list(map(or_, map(_SLOTS.__getitem__, roles), low)), _strings(roles, low)
+    return list(map(or_, map(_SLOTS.__getitem__, roles), low))
 
 
-def _split(codes: Sequence[int]) -> tuple[list[str], list[tuple[int, ...]], list[str]]:
-    """The role, the index tuple and the id string of each code: the format
-    of :func:`_code` read back, each distinct index's tuple made once and
-    shared by its vertices."""
-    roles = [_ROLES[c >> 32] for c in codes]
-    low = [c & 0xFFFFFFFF for c in codes]
-    tuples = {i: (i - 1,) for i in set(low)}
-    tuples[0] = ()
-    return roles, list(map(tuples.__getitem__, low)), _strings(roles, low)
-
-
-def _strings(roles: Sequence[str], low: Sequence[int]) -> list[str]:
-    """The id string of each code, given its role and its low word, 1 + its
-    index or 0 for none: the role and a ``"_%d"`` suffix, each distinct
-    suffix made once."""
-    suffixes = {i: "_%d" % (i - 1) for i in set(low)}
-    suffixes[0] = ""
-    return list(map(add, roles, map(suffixes.__getitem__, low)))
+def _columns(ids: Sequence) -> tuple[list[str], list[tuple[int, ...]], list[str]]:
+    """The role, the index tuple and the id string of each id, a build's int
+    code (:func:`_code`) or a :class:`VertexId`: the one reader of both.  An
+    id string is the role and one ``_%s`` per index.  Each distinct index key,
+    a code's low word or a name's tuple, gets its tuple and its suffix once,
+    by one ``%``, and its vertices share them."""
+    if _coded(ids):
+        roles, keys = [_ROLES[c >> 32] for c in ids], [c & 0xFFFFFFFF for c in ids]
+        tuples = {k: (k - 1,) if k else () for k in set(keys)}
+    else:
+        roles, keys = list(map(itemgetter(0), ids)), list(map(itemgetter(1), ids))
+        tuples = dict(zip(keys, keys))
+    suffixes = {k: "_%s" * len(t) % t for k, t in tuples.items()}
+    strings = list(map(add, roles, map(suffixes.__getitem__, keys)))
+    return roles, list(map(tuples.__getitem__, keys)), strings
 
 
 def _vertex_ids(roles: Iterable[str], indices: Iterable[tuple[int, ...]]) -> list[VertexId]:
@@ -146,9 +137,9 @@ def _vertex_ids(roles: Iterable[str], indices: Iterable[tuple[int, ...]]) -> lis
     return list(map(tuple.__new__, repeat(VertexId), zip(roles, indices)))
 
 
-def _decoded(codes: Sequence[int]) -> list[VertexId]:
-    """The name of each code."""
-    return _vertex_ids(*_split(codes)[:2])
+def _decoded(ids: Sequence) -> list[VertexId]:
+    """The name of each id, a code or a name."""
+    return _vertex_ids(*_columns(ids)[:2])
 
 
 def _coded(ids: Sequence) -> bool:
@@ -158,7 +149,7 @@ def _coded(ids: Sequence) -> bool:
 
 def _name(ids: Sequence, i: int) -> VertexId:
     """The name of vertex i of a draft's ids, which an error text prints."""
-    return _decoded([ids[i]])[0] if _coded(ids) else ids[i]
+    return _decoded([ids[i]])[0]
 
 
 class Graph:
@@ -172,7 +163,8 @@ class Graph:
     build's graph, and one read from a document that a build could have
     written, holds the int codes of its vertices (:func:`_code`) until
     ``names`` is first read, which makes the names from them and keeps the
-    names in their place.
+    names in their place.  Codes and names are read by one decoder,
+    :func:`_columns`.
 
     ``vertices`` and ``edges`` are frozenset views computed on each call.  The
     names of a coded graph, the walk (degrees, components, triangle; no
@@ -183,18 +175,23 @@ class Graph:
     value), so graphs can be shared across threads.
     """
 
-    __slots__ = ("_ids", "a", "b", "_walk", "_columns")
+    __slots__ = ("_ids", "a", "b", "_walk", "_listing")
 
     def __init__(self, vertices: Iterable[VertexId], edges: Iterable[Edge]):
         """The graph that :func:`_draft` makes of ``vertices`` and ``edges``,
         edge p the p-th of ``edges``; it rejects a vertex that is not a
-        :class:`VertexId`, a repeated vertex, an edge that is not a pair of
+        :class:`VertexId`, one whose role is not a str or whose indices are not
+        a tuple of ints (a bool is none), so that it takes exactly the vertices
+        a document can carry, a repeated vertex, an edge that is not a pair of
         hashable ends, a loop, an end outside ``vertices``, which it names with
         its edge's position, and two parallel edges."""
         names = list(vertices)
         named = list(map(isinstance, names, repeat(VertexId)))
         if False in named:
             raise UsageError(f"vertex {names[named.index(False)]!r} is not a VertexId")
+        for v in names:
+            if type(v[0]) is not str or type(v[1]) is not tuple or set(map(type, v[1])) - {int}:
+                raise UsageError(f"vertex {v!r} is not a str role and a tuple of int indices")
         at = dict(zip(names, range(len(names)))).get
         edges = list(edges)
         a, b = [], []
@@ -226,7 +223,7 @@ class Graph:
         # a build's ids are int codes until its names are read; any other
         # graph's ids are its names
         self._ids, self.a, self.b = ids, a, b
-        self._walk = self._columns = None
+        self._walk = self._listing = None
 
     @property
     def names(self) -> list[VertexId]:
@@ -307,20 +304,16 @@ class Graph:
         each rank, as a pair of columns, and its id string, the edge position
         of each listed edge, the vertex index at each rank, and the lower and
         higher end rank of each listed edge.  A coded graph's codes sort as
-        its names do and split into the three vertex columns
-        (:func:`_split`), so listing it makes no name."""
-        listed = self._columns
+        its names do, and the one decoder (:func:`_columns`) reads the ranked
+        ids, codes or names, into the three vertex columns, so listing a coded
+        graph makes no name."""
+        listed = self._listing
         if listed is None:
             ids = self._ids
             n, q = len(ids), len(self.a)
             ints = list(range(max(n, q)))
             at = sorted(ints[:n], key=ids.__getitem__)
-            ranked = list(map(ids.__getitem__, at))
-            if _coded(ids):
-                roles, indices, strings = _split(ranked)
-            else:
-                roles, indices = map(itemgetter(0), ranked), map(itemgetter(1), ranked)
-                strings = _id_strings(ranked)
+            roles, indices, strings = _columns(list(map(ids.__getitem__, at)))
             rank = dict(zip(at, ints))
             # ranks and positions share one int per value; an edge's key is its
             # lower rank times n plus its higher rank, which sorts as the pair does
@@ -329,7 +322,7 @@ class Graph:
             pos = sorted(ints[:q], key=keys.__getitem__)
             lo, hi = [ints[keys[p] // n] for p in pos], [ints[keys[p] % n] for p in pos]
             vertices = (tuple(roles), tuple(indices))
-            listed = self._columns = (vertices, tuple(strings), pos, at, lo, hi)
+            listed = self._listing = (vertices, tuple(strings), pos, at, lo, hi)
         return listed
 
     def sorted_vertices(self) -> list[VertexId]:

@@ -17,7 +17,7 @@ from . import __version__
 from .errors import GraphSurgeryError, UsageError
 from .families import FamilyInstance
 from .graph import (
-    Certificate, EdgeLabeling, Graph, VertexId, _codes, _colors, _draft, _finished, _id_strings,
+    Certificate, EdgeLabeling, Graph, VertexId, _codes, _colors, _columns, _draft, _finished,
     _vertex_ids,
 )
 from .partition import EqualSumPartition
@@ -125,14 +125,9 @@ def _read_columns(doc) -> tuple[Graph, EdgeLabeling] | None:
     ):
         return None
     # a build's roles, each with at most one index, read to codes, which sort
-    # as the names do and print by the statement that lists them
-    coded = _codes(roles, indices)
-    if coded is None:
-        vs = _vertex_ids(roles, map(tuple, indices))
-        strings = _id_strings(vs)
-    else:
-        vs, strings = coded
-    if strings != ids:
+    # as the names do; codes or names print by the decoder that lists them
+    vs = _codes(roles, indices) or _vertex_ids(roles, map(tuple, indices))
+    if _columns(vs)[2] != ids:
         return None
     # two roles may print alike (role "a_1" and role "a" with index 1)
     at = dict(zip(ids, range(len(ids))))

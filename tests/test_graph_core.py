@@ -145,6 +145,23 @@ def test_graph_refuses_a_vertex_that_is_not_a_vertex_id(vertices, edges, named):
 
 @pytest.mark.parametrize(
     "bad",
+    [VertexId(3, (1,)), VertexId("u", 5), VertexId("u", [1]), V("u", True), V("u", 1.5)],
+    ids=["int_role", "int_indices", "list_indices", "bool_index", "float_index"],
+)
+def test_graph_refuses_a_vertex_whose_role_is_not_a_str_or_whose_indices_are_not_ints(bad):
+    # a graph made by name takes exactly the vertices a document can carry:
+    # V("u", True) equals V("u", 1) and would share its suffix, u_1
+    with pytest.raises(UsageError) as info:
+        Graph([V("w"), bad], [])
+    assert type(info.value) is UsageError
+    assert str(info.value) == f"vertex {bad!r} is not a str role and a tuple of int indices"
+    # a vertex that is no VertexId at all is named first, wherever it stands
+    with pytest.raises(UsageError, match="^vertex 'x' is not a VertexId$"):
+        Graph([bad, "x"], [])
+
+
+@pytest.mark.parametrize(
+    "bad",
     [(V("u"), V("v"), V("w")), (V("u"),), (V("u"), [1]), 5],
     ids=["three_ends", "one_end", "unhashable_end", "not_iterable"],
 )

@@ -346,13 +346,37 @@ def test_a_document_reads_to_codes_only_where_a_build_could_have_named_it(role, 
     g = Graph(names, edges)
     f = EdgeLabeling(dict(zip(edges, (1, 3, 2))))
     text = io.dumps(io.graph_to_doc(g, f))
-    h, fh = io.doc_to_graph(json.loads(text))
+    doc = json.loads(text)
+    h, fh = io.doc_to_graph(doc)
     assert graph._coded(h._ids) is coded
     assert h._listed()[:2] == g._listed()[:2] and h._listed()[4:] == g._listed()[4:]
     assert certify(h, fh) == certify(g, f)
     assert io.dumps(io.graph_to_doc(h, fh)) == text
     assert io.graph_to_dot(h, fh) == io.graph_to_dot(g, f)
     assert h.sorted_vertices() == sorted(names)
+    # a vertex prints as its listing and its document name it, on either side
+    ids = [vd["id"] for vd in doc["vertices"]]
+    for side in (g, h):
+        assert list(map(str, side.sorted_vertices())) == list(side._listed()[1]) == ids
+
+
+def _artifacts(g, f, inst):
+    return (io.dumps(io.graph_to_doc(g, f, inst)), io.graph_to_dot(g, f),
+            io.dumps(io.labeling_to_doc(g, f)), g.sorted_vertices())
+
+
+@pytest.mark.parametrize("family", families.FAMILY_TAGS)
+def test_a_listing_does_not_depend_on_whether_the_names_were_read_first(family):
+    # a build's graph lists from its codes, or from its names once they are
+    # read, and a graph made by name from its names; all three list alike
+    params = next(p for p, reason in families.family_grid(family) if reason is None)
+    g, f, inst = build_family(family, **params)
+    listed = _artifacts(g, f, inst)
+    h, fh, _ = build_family(family, **params)
+    assert h.names and not graph._coded(h._ids)
+    assert _artifacts(h, fh, inst) == listed
+    by_name = Graph(g.vertices, g.edges)
+    assert _artifacts(by_name, EdgeLabeling(f.labels), inst) == listed
 
 
 # --- CLI -------------------------------------------------------------------------
