@@ -29,13 +29,6 @@ from .tables import (
 )
 
 
-def _parse_palette(text: str) -> list[int]:
-    try:
-        return [int(x) for x in text.split(",")]
-    except ValueError:
-        raise UsageError(f"palette is not 'auto' or comma-separated ints: {text!r}") from None
-
-
 def _write(out: str, outputs: list[str], name: str, content: str) -> None:
     path = Path(out) / name
     try:
@@ -48,20 +41,19 @@ def _write(out: str, outputs: list[str], name: str, content: str) -> None:
 def cmd_table(args, write) -> tuple[int, str]:
     t = make_table(args.kind, args.k)
     write(f"table_{args.kind}_k{args.k}.csv", io.table_to_csv(t))
-    if args.check:
-        if args.kind == "m1":
-            report = check_m1_observations(t)
-            # JSON keys are strings: block (r, s) becomes "rxs"
-            report["block_sums"] = {
-                f"{r}x{s}": total for (r, s), total in report["block_sums"].items()
-            }
-        elif args.kind == "m3":
-            report = check_m3_observations(t)
-        else:
-            tr = trace_sequences(t)
-            report = {"k": t.k, "s1": list(tr.s1), "s2": list(tr.s2)}
-        write(f"table_{args.kind}_k{args.k}_report.json", io.dumps(report))
-        print(f"table {args.kind} k={args.k}: all observations hold")
+    if args.kind == "m1":
+        report = check_m1_observations(t)
+        # JSON keys are strings: block (r, s) becomes "rxs"
+        report["block_sums"] = {
+            f"{r}x{s}": total for (r, s), total in report["block_sums"].items()
+        }
+    elif args.kind == "m3":
+        report = check_m3_observations(t)
+    else:
+        tr = trace_sequences(t)
+        report = {"k": t.k, "s1": list(tr.s1), "s2": list(tr.s2)}
+    write(f"table_{args.kind}_k{args.k}_report.json", io.dumps(report))
+    print(f"table {args.kind} k={args.k}: all observations hold")
     return 0, "pass"
 
 
@@ -92,20 +84,18 @@ def _param_stem(family: str, params: dict) -> str:
 def cmd_build(args, write) -> tuple[int, str]:
     params = _build_params(args)
     g, f, inst = build_family(args.family, **params)
-    cert = None
-    if args.certify:
-        # a false claim raises, so a failed build writes no document
-        cert = verify_instance(g, f, inst)
-        print(
-            f"{args.family}{inst.params}: colors={cert.color_count} "
-            f"palette={list(cert.palette)} OK"
-        )
+    # a false claim raises, so a failed build writes no document
+    cert = verify_instance(g, f, inst)
+    print(
+        f"{args.family}{inst.params}: colors={cert.color_count} "
+        f"palette={list(cert.palette)} OK"
+    )
     stem = _param_stem(args.family, inst.params)
     if args.emit in ("json", "both"):
         write(stem + ".json", io.dumps(io.graph_to_doc(g, f, inst, cert)))
     if args.emit in ("dot", "both"):
         write(stem + ".dot", io.graph_to_dot(g, f))
-    return 0, ("pass" if args.certify else "built")
+    return 0, "pass"
 
 
 def cmd_partition(args, write) -> tuple[int, str]:
@@ -191,16 +181,12 @@ def cmd_solve(args, write, doc: dict) -> tuple[int, str]:
 
 def cmd_certify(args, write, doc: dict) -> tuple[int, str]:
     g, f = io.doc_to_graph(doc)
-    expected = None
-    if args.expect_palette == "auto":
-        expected = doc.get("expected_palette")
-        if expected is not None and not (
-            isinstance(expected, list)
-            and all(isinstance(c, int) and not isinstance(c, bool) for c in expected)
-        ):
-            raise UsageError(f"expected_palette is not a list of ints: {expected!r}")
-    elif args.expect_palette is not None:
-        expected = _parse_palette(args.expect_palette)
+    expected = doc.get("expected_palette")
+    if expected is not None and not (
+        isinstance(expected, list)
+        and all(isinstance(c, int) and not isinstance(c, bool) for c in expected)
+    ):
+        raise UsageError(f"expected_palette is not a list of ints: {expected!r}")
     cert = certify(g, f, expected)
     ok = cert.ok()
     print(
@@ -228,20 +214,17 @@ def make_parser() -> argparse.ArgumentParser:
     parser.add_argument("--out", default="out", help="output directory (manifest lives here)")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("table", help="emit one label matrix as CSV")
+    p = sub.add_parser("table", help="emit one label matrix as CSV and check its observations")
     p.add_argument("--kind", required=True, choices=["m1", "pt", "m3"])
     p.add_argument("--k", required=True, type=int)
-    p.add_argument("--check", action="store_true", help="run the observation suite")
 
-    p = sub.add_parser("build", help="build one labeled family instance")
+    p = sub.add_parser("build", help="build and certify one labeled family instance")
     p.add_argument("--family", required=True, choices=list(FAMILY_TAGS))
     for key in _BUILD_INTS:
         p.add_argument("--" + key, type=int)
     p.add_argument("--indices", help="comma-separated split indices (gn, and gb over gn)")
     p.add_argument("--emit", choices=["json", "dot", "both"], default="json",
                    help="files to write (default: json)")
-    p.add_argument("--certify", action="store_true",
-                   help="verify every claim of the instance before writing")
 
     p = sub.add_parser("partition", help="equal-sum partition of an AP")
     p.add_argument("--first", required=True, type=int)
@@ -265,9 +248,8 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--use-witness", action="store_true",
                    help="seed the incumbent with the document's labeling")
 
-    p = sub.add_parser("certify", help="certify a graph document")
+    p = sub.add_parser("certify", help="certify a graph document and its expected_palette")
     p.add_argument("--input", required=True)
-    p.add_argument("--expect-palette", help="'auto' or comma-separated values")
 
     return parser
 

@@ -347,13 +347,19 @@ class EdgeLabeling:
     and the label at each edge position, builds its mapping from them on
     first use, and keeps the colors of its graph (:func:`_colors`).  Every
     labeling the package returns is finished.  ``labels`` is a read-only
-    view, so a labeling is a value.
+    view, so a labeling is a value.  A label that is not an int or a float
+    is a :class:`UsageError`, since no color could be summed from it; a bool
+    or a float is kept, for :func:`certify` to report as out of range.
     """
 
     __slots__ = ("_labels", "_graph", "_array", "_colors")
 
     def __init__(self, labels: Mapping[Edge, int]):
-        self._labels, self._graph, self._array, self._colors = dict(labels), None, None, None
+        labels = dict(labels)
+        for e, lab in labels.items():
+            if not isinstance(lab, (int, float)):
+                raise UsageError(f"edge {e!r} has label {lab!r}, which is not an int or a float")
+        self._labels, self._graph, self._array, self._colors = labels, None, None, None
 
     @classmethod
     def from_dict(cls, labels: Mapping[Edge, int]) -> "EdgeLabeling":

@@ -772,9 +772,29 @@ def test_a_label_that_is_not_an_int_is_out_of_range(labels, violations):
     cert = certify(g, f)
     assert not cert.is_bijective
     assert list(cert.violations) == violations
+    assert induce_coloring(g, f) == {a: labels[0], b: labels[0] + labels[1], c: labels[1]}
     # nor does the solver take it as its seed
     with pytest.raises(UsageError, match="initial witness is not a local antimagic labeling"):
         solve_chi_la(g, initial_witness=f)
+
+
+@pytest.mark.parametrize("label", ["3", None, [3], 3 + 0j], ids=["str", "none", "list", "complex"])
+def test_a_label_that_is_not_a_number_is_refused_at_every_entry_point(label):
+    # no color can be summed from a label that is neither an int nor a
+    # float; each entry point once raised a raw TypeError on one
+    a, b, c = V("a"), V("b"), V("c")
+    g = Graph([a, b, c], [edge(a, b), edge(b, c)])
+    labels = {edge(a, b): label, edge(b, c): 2}
+    message = f"edge {edge(a, b)!r} has label {label!r}, which is not an int or a float"
+    for call in (
+        EdgeLabeling,
+        lambda labels: certify(g, EdgeLabeling(labels)),
+        lambda labels: induce_coloring(g, EdgeLabeling(labels)),
+        lambda labels: solve_chi_la(g, initial_witness=EdgeLabeling(labels)),
+    ):
+        with pytest.raises(UsageError) as info:
+            call(labels)
+        assert str(info.value) == message
 
 
 def test_mixed_violations_keep_their_order():

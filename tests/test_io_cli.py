@@ -383,7 +383,7 @@ def test_a_listing_does_not_depend_on_whether_the_names_were_read_first(family):
 
 
 def test_cli_table_check(tmp_path, capsys):
-    code = main(["--out", str(tmp_path), "table", "--kind", "m3", "--k", "1", "--check"])
+    code = main(["--out", str(tmp_path), "table", "--kind", "m3", "--k", "1"])
     assert code == 0
     assert "observations hold" in capsys.readouterr().out
     csv = (tmp_path / "table_m3_k1.csv").read_text()
@@ -392,7 +392,7 @@ def test_cli_table_check(tmp_path, capsys):
 
 
 def test_cli_table_check_m1_writes_its_report(tmp_path):
-    code = main(["--out", str(tmp_path), "table", "--kind", "m1", "--k", "4", "--check"])
+    code = main(["--out", str(tmp_path), "table", "--kind", "m1", "--k", "4"])
     assert code == 0
     report = json.loads((tmp_path / "table_m1_k4_report.json").read_text())
     assert report["block_sums"] == {"3x3": 288, "9x1": 96}
@@ -416,12 +416,12 @@ def test_cli_table_check_reports_the_closed_forms_of_m1_and_m3(tmp_path, k):
         },
     }
     for kind, report in expected.items():
-        assert main(["--out", str(tmp_path), "table", "--kind", kind, "--k", str(k), "--check"]) == 0
+        assert main(["--out", str(tmp_path), "table", "--kind", kind, "--k", str(k)]) == 0
         assert json.loads((tmp_path / f"table_{kind}_k{k}_report.json").read_text()) == report
 
 
 def test_cli_table_check_pt_writes_the_traced_sequences(tmp_path, capsys):
-    code = main(["--out", str(tmp_path), "table", "--kind", "pt", "--k", "3", "--check"])
+    code = main(["--out", str(tmp_path), "table", "--kind", "pt", "--k", "3"])
     assert code == 0
     assert "table pt k=3: all observations hold" in capsys.readouterr().out
     traced = tables.trace_sequences(tables.table_pt(3))
@@ -452,8 +452,7 @@ def test_cli_table_refuses_a_matrix_that_is_not_a_bijection(tmp_path, monkeypatc
 
 def test_cli_build_certify(tmp_path, capsys):
     code = main([
-        "--out", str(tmp_path), "build", "--family", "fb", "--n", "9",
-        "--certify", "--emit", "both",
+        "--out", str(tmp_path), "build", "--family", "fb", "--n", "9", "--emit", "both",
     ])
     assert code == 0
     out = capsys.readouterr().out
@@ -487,9 +486,7 @@ def test_python_dash_m_antimagic_runs_the_cli_and_returns_its_exit_code(tmp_path
         cmd = [sys.executable, "-m", "antimagic", "--out", str(out), *argv]
         return subprocess.run(cmd, env=env, cwd=tmp_path, capture_output=True, timeout=120)
 
-    built = run(
-        tmp_path / "build", "build", "--family", "fb", "--n", "9", "--certify", "--emit", "both"
-    )
+    built = run(tmp_path / "build", "build", "--family", "fb", "--n", "9", "--emit", "both")
     assert built.returncode == 0, built.stderr
     assert sorted(p.name for p in (tmp_path / "build").iterdir()) == [
         "fb_n9.dot", "fb_n9.json", "manifest.jsonl",
@@ -526,8 +523,7 @@ def test_cli_certified_build_induces_the_coloring_once(tmp_path, monkeypatch):
 
     monkeypatch.setattr(EdgeLabeling, "_colors", property(slot.__get__, kept))
     code = main([
-        "--out", str(tmp_path), "build", "--family", "tb", "--n", "8",
-        "--certify", "--emit", "both",
+        "--out", str(tmp_path), "build", "--family", "tb", "--n", "8", "--emit", "both",
     ])
     assert code == 0
     assert len(made) == 1  # the certificate's; both writers read the labeling's
@@ -546,8 +542,7 @@ def test_cli_build_parity_error_is_usage(tmp_path):
 
 def test_cli_build_gn(tmp_path, capsys):
     code = main([
-        "--out", str(tmp_path), "build", "--family", "gn", "--n", "10",
-        "--indices", "1", "--certify",
+        "--out", str(tmp_path), "build", "--family", "gn", "--n", "10", "--indices", "1",
     ])
     assert code == 0
     assert "colors=3" in capsys.readouterr().out
@@ -643,8 +638,7 @@ def test_cli_an_output_that_cannot_be_written_is_usage(tmp_path, capsys, argv, o
 
 @pytest.mark.parametrize("argv, written, failed", [
     (["build", "--family", "fb", "--n", "3", "--emit", "both"], "fb_n3.json", "fb_n3.dot"),
-    (["table", "--kind", "m1", "--k", "2", "--check"],
-     "table_m1_k2.csv", "table_m1_k2_report.json"),
+    (["table", "--kind", "m1", "--k", "2"], "table_m1_k2.csv", "table_m1_k2_report.json"),
 ], ids=["build-dot", "table-report"])
 def test_cli_a_failed_write_leaves_the_earlier_outputs_named(tmp_path, argv, written, failed):
     (tmp_path / failed).mkdir()  # a directory in the second output's place
@@ -689,10 +683,7 @@ def test_cli_solve_and_certify_roundtrip(tmp_path, capsys):
     doc_path = tmp_path / "tb_n2.json"
     assert doc_path.exists()
 
-    code = main([
-        "--out", str(tmp_path), "certify", "--input", str(doc_path),
-        "--expect-palette", "auto",
-    ])
+    code = main(["--out", str(tmp_path), "certify", "--input", str(doc_path)])
     assert code == 0
     cert_doc = json.loads((tmp_path / "tb_n2_certificate.json").read_text())
     assert cert_doc["palette"] == [15, 32, 33]
@@ -749,7 +740,7 @@ def test_cli_manifest_appends(tmp_path):
 def test_cli_outputs_are_byte_stable(tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
     for out in (a, b):
-        main(["--out", str(out), "build", "--family", "pt", "--n", "4", "--certify"])
+        main(["--out", str(out), "build", "--family", "pt", "--n", "4"])
     assert (a / "pt_n4.json").read_bytes() == (b / "pt_n4.json").read_bytes()
 
 
@@ -1138,6 +1129,36 @@ def test_cli_certify_and_solve_reject_bad_json(tmp_path):
     assert all(e["outcome"].startswith("usage error") for e in entries)
 
 
+@pytest.mark.parametrize("argv", [
+    ["table", "--kind", "m3", "--k", "1", "--check"],
+    ["build", "--family", "fb", "--n", "3", "--certify"],
+    ["certify", "--input", "fb_n3.json", "--expect-palette", "auto"],
+], ids=["table-check", "build-certify", "certify-expect-palette"])
+def test_cli_no_command_takes_a_switch_that_skips_a_check(tmp_path, argv):
+    argv = ["--out", str(tmp_path)] + argv
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 2
+    (line,) = (tmp_path / "manifest.jsonl").read_text().splitlines()
+    entry = json.loads(line)
+    assert entry["outcome"].startswith("usage error: antimagic: unrecognized arguments: --")
+    assert (entry["parameters"], entry["outputs"]) == ({"argv": argv}, [])
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["manifest.jsonl"]
+
+
+def test_cli_certify_holds_a_document_to_its_expected_palette(tmp_path):
+    assert main(["--out", str(tmp_path), "build", "--family", "tb", "--n", "2"]) == 0
+    doc = json.loads((tmp_path / "tb_n2.json").read_text())
+    assert doc["expected_palette"] == [15, 32, 33]
+    path = tmp_path / "edited.json"
+    path.write_text(json.dumps(dict(doc, expected_palette=[15, 32, 34])))
+    assert main(["--out", str(tmp_path), "certify", "--input", str(path)]) == 1
+    cert_doc = json.loads((tmp_path / "edited_certificate.json").read_text())
+    assert (cert_doc["palette"], cert_doc["palette_ok"]) == ([15, 32, 33], False)
+    entry = json.loads((tmp_path / "manifest.jsonl").read_text().splitlines()[-1])
+    assert entry["outcome"] == "fail"
+
+
 def test_cli_bad_palette_is_usage(tmp_path):
     # build checks the instance's own claims and takes no palette
     with pytest.raises(SystemExit) as info:
@@ -1148,29 +1169,18 @@ def test_cli_bad_palette_is_usage(tmp_path):
     assert entry["outcome"].startswith("usage error")
     assert not (tmp_path / "fb_n9.json").exists()
     assert main(["--out", str(tmp_path), "build", "--family", "tb", "--n", "2"]) == 0
-    code = main([
-        "--out", str(tmp_path), "certify", "--input", str(tmp_path / "tb_n2.json"),
-        "--expect-palette", "abc",
-    ])
-    assert code == 2
-    entry = json.loads((tmp_path / "manifest.jsonl").read_text().splitlines()[-1])
-    assert entry["outcome"].startswith("usage error")
     # a document's own expected_palette must be absent, null or a list of ints
     doc = json.loads((tmp_path / "tb_n2.json").read_text())
     for bad in (5, [1, "a"], "abc", [[1]], [15, True, 33]):
         path = tmp_path / "bad_palette.json"
         path.write_text(json.dumps(dict(doc, expected_palette=bad)))
-        code = main([
-            "--out", str(tmp_path), "certify", "--input", str(path),
-            "--expect-palette", "auto",
-        ])
+        code = main(["--out", str(tmp_path), "certify", "--input", str(path)])
         assert code == 2, bad
         entry = json.loads((tmp_path / "manifest.jsonl").read_text().splitlines()[-1])
         assert entry["outcome"].startswith("usage error"), bad
     for good in (None, [15, 32, 33]):
         path.write_text(json.dumps(dict(doc, expected_palette=good)))
-        assert main(["--out", str(tmp_path), "certify", "--input", str(path),
-                     "--expect-palette", "auto"]) == 0, good
+        assert main(["--out", str(tmp_path), "certify", "--input", str(path)]) == 0, good
 
 
 def test_cli_build_certify_checks_every_claim(tmp_path, monkeypatch):
@@ -1182,9 +1192,10 @@ def test_cli_build_certify_checks_every_claim(tmp_path, monkeypatch):
             expected_census={3: 22, 4: 10}, expected_component_orders=(9, 25)
         ), *extras
 
-    argv = ["build", "--family", "gn", "--n", "10", "--indices", "1", "--certify"]
+    argv = ["build", "--family", "gn", "--n", "10", "--indices", "1"]
     monkeypatch.setitem(families._BUILDERS, "gn", false_claims)
-    assert main(["--out", str(tmp_path / "false")] + argv) == 1
+    # neither the document nor the DOT file of a refuted claim is written
+    assert main(["--out", str(tmp_path / "false")] + argv + ["--emit", "both"]) == 1
     entry = json.loads((tmp_path / "false" / "manifest.jsonl").read_text())
     assert entry["outcome"] == (
         "invariant failure: gn{'n': 10, 'k': 5, 'indices': (1,), 's': 7} failed: "
@@ -1254,7 +1265,7 @@ def test_readme_cli_examples_parse():
     block = re.search(r"^## CLI\n\n```sh\n(.*?)^```", readme, re.M | re.S).group(1)
     lines = block.splitlines()
     assert lines and all(line.startswith("antimagic ") for line in lines)
-    assert "antimagic --out out build --family gb --n 14 --r 3 --s 5 --indices 1 --certify" in lines
+    assert "antimagic --out out build --family gb --n 14 --r 3 --s 5 --indices 1" in lines
     parser = make_parser()
     for line in lines:
         parser.parse_args(line.split()[1:])
@@ -1293,7 +1304,7 @@ def test_cli_build_gb_over_gn_with_a_rim_of_1_mod_r_certifies(tmp_path):
     # the bracelet of index 2 has 7 hubs, 7 = 1 (mod 3)
     code = main([
         "--out", str(tmp_path), "build", "--family", "gb", "--n", "44", "--r", "3",
-        "--s", "15", "--indices", "2", "--certify",
+        "--s", "15", "--indices", "2",
     ])
     assert code == 0
 
@@ -1532,7 +1543,7 @@ def test_cli_build_emit_dot_writes_only_the_dot_file(tmp_path):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["fb_n3.dot", "manifest.jsonl"]
     (line,) = (tmp_path / "manifest.jsonl").read_text().splitlines()
     entry = json.loads(line)
-    assert entry["outcome"] == "built"
+    assert entry["outcome"] == "pass"
     assert entry["outputs"] == [str(tmp_path / "fb_n3.dot")]
 
 
@@ -1566,15 +1577,15 @@ def test_cli_argparse_errors_exit_2_with_a_manifest_line(
 # "zz" and "-1" are malformed on purpose
 _SMALL = ["-1", "0", "1", "2", "3", "5", "x"]
 _ARGV_OPTIONS = {
-    "table": {"--kind": ["m1", "m3", "pt", "zz"], "--k": _SMALL, "--check": None},
+    "table": {"--kind": ["m1", "m3", "pt", "zz"], "--k": _SMALL},
     "build": {
         "--family": ["fb", "tb", "df", "gn", "pt3", "zz"], "--n": _SMALL + ["10"],
         "--t": _SMALL, "--s": _SMALL, "--r": _SMALL, "--indices": ["1", "1,2", "x"],
-        "--emit": ["json", "dot", "both", "zz"], "--certify": None,
+        "--emit": ["json", "dot", "both", "zz"],
     },
     "partition": {"--first": _SMALL, "--step": _SMALL, "--t": _SMALL, "--s": _SMALL},
     "solve": {"--input": ["absent.json"], "--max-edges": _SMALL, "--use-witness": None},
-    "certify": {"--input": ["absent.json"], "--expect-palette": ["auto", "x"]},
+    "certify": {"--input": ["absent.json"]},
 }
 _ARGV_TOKENS = sorted(
     {"--bogus"}
