@@ -783,8 +783,8 @@ def family_grid(family: str, bound: int | None = None) -> list[tuple[dict, str |
 def sweep_family(family: str, bound: int | None = None) -> list[dict]:
     """Build and verify one family's grid up to ``bound``; one record per instance.
 
-    A point that fails its certificate is recorded as ``fail``, one whose
-    build raises a usage error as ``error``; either way the sweep goes on.
+    A point whose build or certificate raises a usage or invariant error is
+    recorded as ``fail``, the error's message its reason, and the sweep goes on.
     """
     records = []
     for params, excluded in family_grid(family, bound):
@@ -800,11 +800,8 @@ def sweep_family(family: str, bound: int | None = None) -> list[dict]:
                 rec["palette"] = list(cert.palette)
                 rec["order"] = g.order
                 rec["size"] = g.size
-            except InvariantError as exc:
+            except (InvariantError, UsageError) as exc:
                 rec["status"] = "fail"
-                rec["reason"] = str(exc)
-            except UsageError as exc:
-                rec["status"] = "error"
                 rec["reason"] = str(exc)
         records.append(rec)
     return records

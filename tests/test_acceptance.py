@@ -105,8 +105,8 @@ def test_criterion_3_family_certification_sweep():
     swept = grid_pass()
     totals = {}
     for family, records in swept.records.items():
-        # a build that raises a usage error on a grid point is an `error`,
-        # as wrong a result as a failed certificate
+        # a grid point whose build raises a usage error is a `fail`, as
+        # wrong a result as a failed certificate
         bad = [r for r in records if r["status"] not in ("pass", "excluded")]
         assert not bad, f"{family}: {bad[:3]}"
         totals[family] = (

@@ -240,6 +240,18 @@ def test_fb1_and_df1_certify_every_point_their_grid_excludes():
         assert inst.params["k"] % 4 == 2, (family, params)
 
 
+def test_every_16th_point_of_each_grid_past_the_defaults_builds():
+    # a grid point its builder refuses fails the sweep, so none may: every
+    # 16th point of each grid, excluded ones too, at about twice the defaults
+    bounds = {"max_size": 399, "max_n": 300, "gn_max_n": 90}
+    built = 0
+    for family in families.FAMILY_TAGS:
+        for params, _ in family_grid(family, bounds[families.GRID_BOUND[family]])[::16]:
+            build_family(family, **params)  # a refused point raises its UsageError
+            built += 1
+    assert built == 464  # of 7,254 points
+
+
 @pytest.mark.parametrize(
     "params",
     [{"r": 4, "s": 999, "r1": 2}, {"r": 0, "s": 1, "r1": 3}, {"r": 3, "s": 1, "r1": 3}],
@@ -1348,7 +1360,8 @@ def test_sweep_records_a_usage_error_and_goes_on(monkeypatch):
     monkeypatch.setitem(families._BUILDERS, "fb", flaky)
     records = sweep_family("fb", 11)
     assert [r["params"]["n"] for r in records] == [3, 5, 7, 9, 11]
-    assert [r["status"] for r in records] == ["pass", "pass", "error", "pass", "pass"]
+    # a point its builder refuses fails, as a refuted claim does
+    assert [r["status"] for r in records] == ["pass", "pass", "fail", "pass", "pass"]
     assert records[2]["reason"] == "injected"
 
 

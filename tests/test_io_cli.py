@@ -573,38 +573,29 @@ def test_cli_partition_of_a_shape_that_is_not_positive_is_usage(tmp_path, capsys
 
 
 def test_cli_sweep_small(tmp_path, capsys):
-    code = main([
-        "--out", str(tmp_path), "sweep", "--family", "fb", "--max-size", "21",
-        "--report", "fb_report.json",
-    ])
+    code = main(["--out", str(tmp_path), "sweep", "--family", "fb", "--max-size", "21"])
     assert code == 0
     assert "10 pass, 0 fail" in capsys.readouterr().out
-    report = json.loads((tmp_path / "fb_report.json").read_text())
+    report = json.loads((tmp_path / "sweep_report.json").read_text())
     assert len(report["records"]) == 10
 
 
-@pytest.mark.parametrize("report", ["sub/r.json", "../r.json", ".", "..", "absolute"])
-def test_cli_sweep_report_outside_out_is_usage(tmp_path, capsys, report):
-    out = tmp_path / "out"
-    if report == "absolute":
-        report = str(tmp_path / "r.json")
-    code = main(["--out", str(out), "sweep", "--family", "fb", "--max-size", "5",
-                 "--report", report])
-    assert code == 2
-    assert "fb:" not in capsys.readouterr().out  # rejected before sweeping
-    entry = json.loads((out / "manifest.jsonl").read_text())
-    assert entry["outcome"].startswith("usage error: --report")
-    assert sorted(p.name for p in tmp_path.rglob("*")) == ["manifest.jsonl", "out"]
-
-
-def test_cli_sweep_report_named_manifest_is_usage(tmp_path, capsys):
-    code = main(["--out", str(tmp_path), "sweep", "--family", "fb", "--max-size", "5",
-                 "--report", "manifest.jsonl"])
-    assert code == 2
-    assert "fb:" not in capsys.readouterr().out  # rejected before sweeping
-    lines = (tmp_path / "manifest.jsonl").read_text().splitlines()
-    assert len(lines) == 1
-    assert json.loads(lines[0])["outcome"].startswith("usage error: --report")
+def test_cli_sweep_report_is_an_unknown_option(tmp_path, capsys):
+    # the report is always <out>/sweep_report.json
+    with pytest.raises(SystemExit) as exit_info:
+        main(["--out", str(tmp_path), "sweep", "--help"])
+    assert exit_info.value.code == 0
+    assert "--report" not in capsys.readouterr().out
+    argv = ["--out", str(tmp_path), "sweep", "--family", "fb", "--max-size", "5",
+            "--report", "x"]
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 2
+    (line,) = (tmp_path / "manifest.jsonl").read_text().splitlines()
+    entry = json.loads(line)
+    assert entry["outcome"] == "usage error: antimagic: unrecognized arguments: --report x"
+    assert (entry["parameters"], entry["outputs"]) == ({"argv": argv}, [])
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["manifest.jsonl"]
 
 
 @pytest.mark.parametrize("family, bounds", [
@@ -623,7 +614,7 @@ def test_cli_sweep_with_no_grid_point_is_usage(tmp_path, family, bounds):
 
 
 @pytest.mark.parametrize("argv, output", [
-    (["sweep", "--family", "fb", "--max-size", "5", "--report", "x"], "x"),
+    (["sweep", "--family", "fb", "--max-size", "5"], "sweep_report.json"),
     (["build", "--family", "fb", "--n", "3"], "fb_n3.json"),
 ], ids=["sweep-report", "build-document"])
 def test_cli_an_output_that_cannot_be_written_is_usage(tmp_path, capsys, argv, output):
@@ -1402,8 +1393,7 @@ def test_cli_input_that_cannot_be_read_or_parsed_is_usage(tmp_path, capsys, name
     ["certify", "--input", ""],
     ["solve", "--input", ""],
     ["build", "--family", "tb", "--n", "8", "--indices", ""],
-    ["sweep", "--family", "fb", "--max-size", "5", "--report", ""],
-], ids=["certify-input", "solve-input", "build-indices", "sweep-report"])
+], ids=["certify-input", "solve-input", "build-indices"])
 def test_cli_empty_string_flags_are_usage(tmp_path, monkeypatch, argv):
     # an empty value is checked as given, not taken for an absent flag
     monkeypatch.chdir(tmp_path)
@@ -1631,10 +1621,15 @@ def test_cli_sweep_exit_codes(tmp_path, monkeypatch, capsys):
             raise InvalidParity("injected")
         return real(n)
 
+    # a grid point its builder refuses fails the sweep, which goes on
     monkeypatch.setitem(families._BUILDERS, "fb", flaky)
     code = main(["--out", str(tmp_path), "sweep", "--family", "fb", "--max-size", "11"])
-    assert code == 2
-    assert "4 pass, 0 fail, 1 error, 0 excluded" in capsys.readouterr().out
+    assert code == 1
+    out = capsys.readouterr().out
+    assert "fb: 4 pass, 1 fail, 0 excluded" in out
+    assert "  FAIL {'n': 7}: injected" in out
+    (line,) = (tmp_path / "manifest.jsonl").read_text().splitlines()
+    assert json.loads(line)["outcome"] == "fail"
 
     def failing(n):
         if n == 9:
